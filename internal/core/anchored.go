@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"github.com/flipper-mining/flipper/internal/bitmap"
 	"github.com/flipper-mining/flipper/internal/itemset"
 	"github.com/flipper-mining/flipper/internal/sketch"
 )
@@ -16,17 +17,19 @@ import (
 // per-item bottom-k sketches (internal/sketch) before every exact support
 // count: a candidate whose sketch bracket proves it infrequent, unable to
 // carry the required label, or unable to beat the current K-th best gap is
-// dropped without touching the tid lists. Because every prune is justified
-// by a one-sided bound, guaranteed mode returns exactly what filtering the
-// full exact mine would; best-effort mode additionally trusts the sketch
-// point estimates and reports a per-pattern Confidence instead.
+// dropped without an exact count. Survivors the bracket cannot pin are
+// counted exactly on the level's cached bitmap index, with the kernels
+// countBitmap uses. Because every prune is justified by a one-sided bound,
+// guaranteed mode returns exactly what filtering the full exact mine would;
+// best-effort mode additionally trusts the sketch point estimates and
+// reports a per-pattern Confidence instead.
 
 // ErrUnknownAnchor reports an anchored run whose Config.Anchor names no item
 // in the taxonomy.
 var ErrUnknownAnchor = errors.New("core: unknown anchor item")
 
 // mineAnchored runs anchored top-K search. Materialized runs use the
-// sketch-pruned DFS; streaming runs have no tid lists to sketch, so they
+// sketch-pruned DFS; streaming runs have no level views to sketch, so they
 // fall back to the exact full mine plus a chain filter.
 func (m *miner) mineAnchored() ([]Pattern, error) {
 	anchor, ok := m.tax.Dict().Lookup(m.cfg.Anchor)
@@ -67,6 +70,7 @@ func (m *miner) mineAnchored() ([]Pattern, error) {
 		topK:    topK,
 		bestEff: bestEff,
 		sk:      m.sketchSet(),
+		vecs:    m.sc.vecsFor(1, m.maxK)[0],
 	}
 	a.run()
 	pats := rankAnchored(a.patterns, topK)
@@ -101,8 +105,8 @@ type anchoredSearch struct {
 	topK    int
 	bestEff bool
 
-	sk  *sketch.Set
-	scr tidScratch
+	sk   *sketch.Set
+	vecs []bitmap.Vector // exact-count scratch: one header per candidate item
 
 	path     []LevelInfo // chain of the current DFS branch, levels 1..h
 	patterns []Pattern
@@ -175,7 +179,7 @@ func (a *anchoredSearch) extend(cur itemset.Set, others []itemset.ID, idx int) {
 // resolveRoot returns the support of a level-1 root set, or pruned=true
 // when the sketch shows (guaranteed) or estimates (best-effort) that it is
 // infrequent. A bracket that pins the support exactly is used directly;
-// only ambiguous brackets fall back to an exact tid-list intersection.
+// only ambiguous brackets fall back to an exact bitmap count.
 func (a *anchoredSearch) resolveRoot(cand itemset.Set) (sup int64, pruned bool) {
 	m := a.m
 	m.stats.SketchProbes++
@@ -396,20 +400,25 @@ func (a *anchoredSearch) boundAt(items itemset.Set, h int) sketch.Bound {
 	return lv.Bound(items)
 }
 
-// exactSupport is the fallback exact count: a k-way tid-list intersection,
-// summed over shards when the representation is sharded.
+// exactSupport is the fallback exact count: an AND+popcount over the level's
+// cached bitmap index, summed over shards when the representation is
+// sharded. Builds and word ops are accounted as countBitmap accounts them.
 func (a *anchoredSearch) exactSupport(items itemset.Set, h int) int64 {
 	m := a.m
 	m.stats.ExactFallbacks++
 	m.stats.CandidatesCounted++
 	if m.sharded() {
 		var sup int64
-		for _, lists := range m.shardTIDLists(h) {
-			sup += intersectSupport(items, lists, &a.scr)
+		for _, ix := range m.shardBitmapIndexes(h) {
+			s, ops := ix.SupportInto(items, a.vecs)
+			sup += s
+			m.stats.BitmapWordOps += ops
 		}
 		return sup
 	}
-	return intersectSupport(items, m.tidLists(h), &a.scr)
+	sup, ops := m.bitmapIndex(h).SupportInto(items, a.vecs)
+	m.stats.BitmapWordOps += ops
+	return sup
 }
 
 // corrAt computes the exact correlation of items at level h given their

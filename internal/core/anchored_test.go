@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/flipper-mining/flipper/internal/measure"
+	"github.com/flipper-mining/flipper/internal/sketch"
 	"github.com/flipper-mining/flipper/internal/taxonomy"
 	"github.com/flipper-mining/flipper/internal/txdb"
 )
@@ -49,10 +51,14 @@ func anchoredReference(full *Result, tree *taxonomy.Tree, anchor string, topK in
 
 // TestAnchoredTopKMatchesExact is the acceptance property of the anchored
 // query path: in guaranteed mode, across every counting strategy, every
-// pruning level and shard counts 1, 2 and 7, the sketch-pruned anchored
-// search returns byte-identically what filtering and ranking the full exact
-// mine returns — same patterns, same order, same supports, correlations and
-// labels. Like TestShardedMiningEquivalence it runs under the CI race job
+// pruning level, shard counts 1, 2 and 7 and sketch sizes 4, 64 and the
+// default, the sketch-pruned anchored search returns byte-identically what
+// filtering and ranking the full exact mine returns — same patterns, same
+// order, same supports, correlations and labels. The default size never
+// saturates on this data, so its brackets pin every support; k=4 saturates
+// and forces exact bitmap counts, which the test requires to happen on both
+// the unsharded and the per-shard index paths. Like
+// TestShardedMiningEquivalence it runs under the CI race job
 // (go test -race ./...), so the shared sketch cache is raced on every PR.
 func TestAnchoredTopKMatchesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -61,7 +67,11 @@ func TestAnchoredTopKMatchesExact(t *testing.T) {
 		trials = 2
 	}
 	shardCounts := []int{1, 2, 7}
+	sketchKs := []int{4, 64, 0} // 0: sketch.DefaultK
 	strategies := []CountStrategy{CountScan, CountTIDList, CountBitmap, CountAuto}
+	// exactPaths[sharded] records that k=4 drove exact bitmap counts through
+	// that index path at least once.
+	var exactPaths [2]bool
 	anchors := []string{"c0", "c1.0", "c0.1.1"} // level 1, 2 and leaf anchors
 	for trial := 0; trial < trials; trial++ {
 		db, tree := randomDataset(rng)
@@ -82,37 +92,48 @@ func TestAnchoredTopKMatchesExact(t *testing.T) {
 			for _, pruning := range Levels() {
 				for _, strategy := range strategies {
 					for _, shards := range shardCounts {
-						cfg := base
-						cfg.Pruning = pruning
-						cfg.Strategy = strategy
-						cfg.Shards = shards
-						cfg.Anchor = anchor
-						cfg.AnchorTopK = topK
-						res, err := Mine(db, tree, cfg)
-						if err != nil {
-							t.Fatalf("trial %d anchor=%q %v/%v shards=%d: %v",
-								trial, anchor, pruning, strategy, shards, err)
-						}
-						got := rankedFingerprint(res.Patterns, tree)
-						if got != want {
-							t.Fatalf("trial %d: anchored %q %v/%v shards=%d diverged from exact.\nexact:\n%s\nanchored:\n%s",
-								trial, anchor, pruning, strategy, shards, want, got)
-						}
-						if res.Stats.SketchProbes == 0 && len(full.Patterns) > 0 {
-							t.Fatalf("trial %d anchor=%q: materialized anchored run probed no sketches", trial, anchor)
-						}
-						if res.Stats.SketchPruned+res.Stats.ExactFallbacks > res.Stats.SketchProbes {
-							t.Fatalf("trial %d: sketch counters inconsistent: %d pruned + %d fallbacks > %d probes",
-								trial, res.Stats.SketchPruned, res.Stats.ExactFallbacks, res.Stats.SketchProbes)
-						}
-						for _, p := range res.Patterns {
-							if p.Confidence != 0 {
-								t.Fatalf("trial %d: guaranteed mode leaked confidence %v", trial, p.Confidence)
+						for _, sketchK := range sketchKs {
+							cfg := base
+							cfg.Pruning = pruning
+							cfg.Strategy = strategy
+							cfg.Shards = shards
+							cfg.Anchor = anchor
+							cfg.AnchorTopK = topK
+							cfg.SketchK = sketchK
+							res, err := Mine(db, tree, cfg)
+							if err != nil {
+								t.Fatalf("trial %d anchor=%q %v/%v shards=%d k=%d: %v",
+									trial, anchor, pruning, strategy, shards, sketchK, err)
+							}
+							got := rankedFingerprint(res.Patterns, tree)
+							if got != want {
+								t.Fatalf("trial %d: anchored %q %v/%v shards=%d k=%d diverged from exact.\nexact:\n%s\nanchored:\n%s",
+									trial, anchor, pruning, strategy, shards, sketchK, want, got)
+							}
+							st := res.Stats
+							if st.SketchProbes == 0 && len(full.Patterns) > 0 {
+								t.Fatalf("trial %d anchor=%q: materialized anchored run probed no sketches", trial, anchor)
+							}
+							if st.SketchPruned+st.ExactFallbacks > st.SketchProbes {
+								t.Fatalf("trial %d: sketch counters inconsistent: %d pruned + %d fallbacks > %d probes",
+									trial, st.SketchPruned, st.ExactFallbacks, st.SketchProbes)
+							}
+							if (st.ExactFallbacks > 0) != (st.BitmapBuilds > 0) {
+								t.Fatalf("trial %d k=%d: %d exact fallbacks but %d bitmap builds",
+									trial, sketchK, st.ExactFallbacks, st.BitmapBuilds)
+							}
+							if sketchK == 4 && st.ExactFallbacks > 0 && st.BitmapWordOps > 0 {
+								exactPaths[min(shards-1, 1)] = true
+							}
+							for _, p := range res.Patterns {
+								if p.Confidence != 0 {
+									t.Fatalf("trial %d: guaranteed mode leaked confidence %v", trial, p.Confidence)
+								}
 							}
 						}
 					}
 				}
-				// Streaming fallback: no tid lists to sketch, exact filter path.
+				// Streaming fallback: no level views to sketch, exact filter path.
 				cfg := base
 				cfg.Materialize = false
 				cfg.Pruning = pruning
@@ -131,6 +152,9 @@ func TestAnchoredTopKMatchesExact(t *testing.T) {
 				}
 			}
 		}
+	}
+	if !exactPaths[0] || !exactPaths[1] {
+		t.Fatalf("k=4 never reached exact bitmap counting (unsharded %v, sharded %v)", exactPaths[0], exactPaths[1])
 	}
 }
 
@@ -363,5 +387,115 @@ func TestAnchoredShardedSource(t *testing.T) {
 	}
 	if res.Stats.Shards != 3 {
 		t.Fatalf("ShardedSource anchored run reports %d shards, want 3", res.Stats.Shards)
+	}
+}
+
+// tidListSketchSet builds a sketch set by walking each level's per-item tid
+// lists — the construction sketch files on disk were first written with.
+func tidListSketchSet(m *miner, k int, fp uint64) *sketch.Set {
+	set := &sketch.Set{K: k, Fingerprint: fp, Levels: make([]*sketch.Level, m.height+1)}
+	for h := 1; h <= m.height; h++ {
+		b := sketch.NewBuilder(k)
+		if m.sharded() {
+			for s, lists := range m.shardTIDLists(h) {
+				for id, tids := range lists {
+					for _, tid := range tids {
+						b.Observe(id, uint64(s)<<32|uint64(uint32(tid)))
+					}
+				}
+			}
+		} else {
+			for id, tids := range m.tidLists(h) {
+				for _, tid := range tids {
+					b.Observe(id, uint64(uint32(tid)))
+				}
+			}
+		}
+		set.Levels[h] = b.Finish()
+	}
+	return set
+}
+
+// TestSketchSetFromViewsMatchesTIDLists pins sketch persistence
+// compatibility: a set observed straight from the level views encodes to
+// the same bytes as one built from tid lists, unsharded and over 2 and 7
+// shards, so existing sketches.bin files keep loading and bounding
+// identically.
+func TestSketchSetFromViewsMatchesTIDLists(t *testing.T) {
+	rng := rand.New(rand.NewSource(57))
+	for trial := 0; trial < 3; trial++ {
+		db, tree := randomDataset(rng)
+		for _, shards := range []int{1, 2, 7} {
+			for _, k := range []int{4, 64, sketch.DefaultK} {
+				cfg := Config{
+					Measure:     measure.Kulczynski,
+					Gamma:       0.3,
+					Epsilon:     0.1,
+					MinSupAbs:   []int64{2, 1, 1},
+					Materialize: true,
+					Shards:      shards,
+					Anchor:      "c0",
+					AnchorTopK:  3,
+					SketchK:     k,
+				}
+				m := newTestMiner(t, db, tree, cfg)
+				fp := m.sketchFingerprint()
+				var got, want bytes.Buffer
+				if err := m.buildSketchSet(k, fp).Encode(&got); err != nil {
+					t.Fatal(err)
+				}
+				if err := tidListSketchSet(m, k, fp).Encode(&want); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got.Bytes(), want.Bytes()) {
+					t.Fatalf("trial %d shards=%d k=%d: view-built sketch encodes to %d bytes differing from the tid-list build (%d bytes)",
+						trial, shards, k, got.Len(), want.Len())
+				}
+			}
+		}
+	}
+}
+
+// TestAnchoredMineBuildsNoTIDLists checks that an anchored run — sketch
+// build and exact fallbacks included — never materializes tid lists, on the
+// unsharded and the sharded representation alike.
+func TestAnchoredMineBuildsNoTIDLists(t *testing.T) {
+	rng := rand.New(rand.NewSource(63))
+	db, tree := randomDataset(rng)
+	for _, shards := range []int{1, 2, 7} {
+		cfg := Config{
+			Measure:     measure.Kulczynski,
+			Gamma:       0.3,
+			Epsilon:     0.1,
+			MinSupAbs:   []int64{2, 1, 1},
+			Materialize: true,
+			Shards:      shards,
+			Anchor:      "c0",
+			AnchorTopK:  3,
+			SketchK:     4, // saturated signatures, so exact counts run too
+		}
+		eng := NewEngine(db, tree)
+		res, err := eng.Mine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.ExactFallbacks == 0 {
+			t.Fatalf("shards=%d: no exact fallback ran; the check below would be vacuous", shards)
+		}
+		if len(eng.data) != 1 {
+			t.Fatalf("shards=%d: %d cached representations, want 1", shards, len(eng.data))
+		}
+		for _, ds := range eng.data {
+			for h := range ds.tid {
+				if ds.tid[h] != nil {
+					t.Fatalf("shards=%d: anchored run built level-%d tid lists", shards, h)
+				}
+			}
+			for h := range ds.shardTID {
+				if ds.shardTID[h] != nil {
+					t.Fatalf("shards=%d: anchored run built level-%d shard tid lists", shards, h)
+				}
+			}
+		}
 	}
 }

@@ -199,8 +199,8 @@ type Config struct {
 	AnchorMode string `json:"anchor_mode,omitempty"`
 	// SketchK is the per-item bottom-k signature size anchored search probes
 	// (0 = sketch.DefaultK). Larger sketches bound supports tighter — once
-	// every tid list fits, the bounds are exact and best-effort loses
-	// nothing — at ~8 bytes per item per k of memory.
+	// every item's transaction set fits, the bounds are exact and
+	// best-effort loses nothing — at ~8 bytes per item per k of memory.
 	SketchK int `json:"sketch_k,omitempty"`
 }
 

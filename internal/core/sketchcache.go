@@ -2,11 +2,12 @@ package core
 
 import (
 	"github.com/flipper-mining/flipper/internal/sketch"
+	"github.com/flipper-mining/flipper/internal/txdb"
 )
 
 // Sketch plumbing for anchored search: per-item bottom-k signatures are
-// dataset state (they depend only on the tid lists of a representation), so
-// they cache in dataState next to the tid lists themselves, keyed by
+// dataset state (they depend only on the level views of a representation),
+// so they cache in dataState next to the views themselves, keyed by
 // signature size. When the engine has a sketch path, unsharded builds
 // persist to disk and later engines over the same dataset warm-start from
 // the file — a fingerprint over the per-level single supports guards
@@ -60,33 +61,38 @@ func (ds *dataState) storeSketches(k int, s *sketch.Set) *sketch.Set {
 	return s
 }
 
-// buildSketchSet runs every level's tid lists through a bottom-k builder.
-// Unsharded keys are the raw transaction IDs; sharded keys fold the shard
-// index into the high half so IDs stay distinct across shards.
+// buildSketchSet observes every level's transactions straight from the
+// materialized level views. A key is the transaction's index in its view —
+// the ID a tid list would hold — and sharded keys fold the shard index into
+// the high half so IDs stay distinct across shards. Signatures depend only
+// on each item's key set, never on observation order, so the set (and its
+// encoding) is the one a tid-list walk would build.
 func (m *miner) buildSketchSet(k int, fp uint64) *sketch.Set {
 	H := m.height
 	set := &sketch.Set{K: k, Fingerprint: fp, Levels: make([]*sketch.Level, H+1)}
 	for h := 1; h <= H; h++ {
 		b := sketch.NewBuilder(k)
 		if m.sharded() {
-			for s, lists := range m.shardTIDLists(h) {
-				base := uint64(s) << 32
-				for id, tids := range lists {
-					for _, tid := range tids {
-						b.Observe(id, base|uint64(uint32(tid)))
-					}
-				}
+			for s, v := range m.ds.shardLv[h] {
+				observeView(b, v, uint64(s)<<32)
 			}
 		} else {
-			for id, tids := range m.tidLists(h) {
-				for _, tid := range tids {
-					b.Observe(id, uint64(uint32(tid)))
-				}
-			}
+			observeView(b, m.ds.views[h], 0)
 		}
 		set.Levels[h] = b.Finish()
 	}
 	return set
+}
+
+// observeView feeds one level view's transactions to a sketch builder, keyed
+// by base | transaction index.
+func observeView(b *sketch.Builder, v *txdb.LevelView, base uint64) {
+	for ti, tx := range v.Tx {
+		key := base | uint64(uint32(ti))
+		for _, id := range tx {
+			b.Observe(id, key)
+		}
+	}
 }
 
 // sketchFingerprint identifies the dataset a sketch set was built from: any

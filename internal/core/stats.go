@@ -74,8 +74,9 @@ type Stats struct {
 	// Anchored-search counters (zero outside anchored runs). SketchProbes is
 	// how many candidates were bracketed by the per-item sketches,
 	// SketchPruned how many of those the bounds eliminated without an exact
-	// count, and ExactFallbacks how many survived to exact tid-list counting
-	// — the work the sketches failed to save.
+	// count, and ExactFallbacks how many survived to an exact bitmap count
+	// (whose builds and word ops land in BitmapBuilds/BitmapWordOps) — the
+	// work the sketches failed to save.
 	SketchProbes   int64
 	SketchPruned   int64
 	ExactFallbacks int64

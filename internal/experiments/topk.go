@@ -40,7 +40,7 @@ func TopK(s Scale) (*Table, error) {
 		Columns: []string{"Anchor", "Mode", "SketchK", "Seconds", "Candidates", "Probes", "Pruned", "Skip", "Recall@5"},
 		Notes: []string{
 			fmt.Sprintf("dense background N=%d ×16 items over 64 cats, planted (+,−) flips on {cat00,cat01} and {cat02,cat03}; γ=%g, ε=%g", db.Len(), cfg.Gamma, cfg.Epsilon),
-			"Candidates counts exact tid-list intersections; Skip = Pruned/Probes, the share of anchored support probes resolved from sketches alone",
+			"Candidates counts exact support counts (full mine: every counted candidate; anchored: bitmap counts of candidates the sketches left undecided); Skip = Pruned/Probes, the share of anchored support probes resolved from sketches alone",
 			fmt.Sprintf("guaranteed sketches hold k=%d ≥ N hashes (never saturated, bounds are exact); best_effort uses k=%d", guaranteedK, guaranteedK/16),
 		},
 	}

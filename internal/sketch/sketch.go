@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 	"sort"
 )
@@ -189,50 +190,38 @@ func (l *Level) Bound(items []int32) Bound {
 	if len(items) == 0 {
 		return Bound{}
 	}
-	sigs := make([]*sig, len(items))
+	var sigBuf [8]*sig
+	sigs := sigBuf[:0]
 	t := uint64(math.MaxUint64)
-	for i, item := range items {
+	for _, item := range items {
 		s, ok := l.sigs[item]
 		if !ok || s.total == 0 {
 			return Bound{}
 		}
-		sigs[i] = s
+		sigs = append(sigs, s)
 		if s.kth < t {
 			t = s.kth
 		}
 	}
-	// below[i] = how many of item i's hashes fall strictly below t. Because
-	// t ≤ every kth, the region below t is fully observed for every item.
+	// Trim every signature to its hashes strictly below t. Because t ≤ every
+	// kth, the region below t is fully observed for every item.
+	var regBuf [8][]uint64
+	regions := regBuf[:0]
 	base := 0
 	var slack int64 = math.MaxInt64
-	below := make([]int, len(sigs))
 	for i, s := range sigs {
-		below[i] = countBelow(s.hashes, t)
-		if sl := s.total - int64(below[i]); sl < slack {
+		r := s.hashes[:countBelow(s.hashes, t)]
+		regions = append(regions, r)
+		if sl := s.total - int64(len(r)); sl < slack {
 			slack = sl
 		}
-		if below[i] < below[base] {
+		if len(r) < len(regions[base]) {
 			base = i
 		}
 	}
-	// Lo: hashes below t present in every signature. Iterate the sparsest
-	// signature, binary-search the rest.
-	var lo int64
-	for _, h := range sigs[base].hashes[:below[base]] {
-		in := true
-		for i, s := range sigs {
-			if i == base {
-				continue
-			}
-			if !contains(s.hashes[:below[i]], h) {
-				in = false
-				break
-			}
-		}
-		if in {
-			lo++
-		}
-	}
+	// Lo: hashes below t present in every signature.
+	regions[0], regions[base] = regions[base], regions[0]
+	lo := mergeCount(regions)
 	hi := lo + slack
 	est := lo
 	if t != math.MaxUint64 && t != 0 {
@@ -254,15 +243,64 @@ func (l *Level) Bound(items []int32) Bound {
 	return Bound{Lo: lo, Hi: hi, Est: est}
 }
 
+// mergeBlock is how many hashes of the sparsest region mergeCount carries
+// through the other regions at a time (a power of two).
+const mergeBlock = 64
+
+// mergeCount returns how many hashes of regions[0] occur in every other
+// region. All regions ascend, so each keeps one forward cursor: the sparsest
+// region is walked in blocks, each block is merged against the next region
+// from that region's cursor, the survivors against the region after, and so
+// on — every region is read once, front to back. A merge step advances by
+// the borrow bits of the two comparisons instead of branching on them: on
+// random hashes each step's direction is a coin flip no branch predictor
+// learns.
+func mergeCount(regions [][]uint64) int64 {
+	if len(regions) == 1 {
+		return int64(len(regions[0]))
+	}
+	var posBuf [8]int
+	pos := posBuf[:0]
+	for range regions {
+		pos = append(pos, 0)
+	}
+	var buf [mergeBlock]uint64
+	var lo int64
+	first := regions[0]
+	for start := 0; start < len(first); start += mergeBlock {
+		cur := first[start:min(start+mergeBlock, len(first))]
+		exhausted := false
+		for i := 1; i < len(regions) && len(cur) > 0; i++ {
+			r, j := regions[i], pos[i]
+			n, a := 0, 0
+			for a < len(cur) && j < len(r) {
+				x, y := cur[a], r[j]
+				_, xLess := bits.Sub64(x, y, 0)
+				_, yLess := bits.Sub64(y, x, 0)
+				// Survivors compact into buf in place: n ≤ a, and cur[a] is
+				// read before buf[n] is written.
+				buf[n&(mergeBlock-1)] = x
+				n += int(1 ^ (xLess | yLess))
+				a += int(1 - yLess)
+				j += int(1 - xLess)
+			}
+			pos[i] = j
+			// A consumed region holds nothing above this block, so no later
+			// block can match.
+			exhausted = exhausted || j == len(r)
+			cur = buf[:n]
+		}
+		lo += int64(len(cur))
+		if exhausted {
+			break
+		}
+	}
+	return lo
+}
+
 // countBelow returns how many of the ascending hashes are strictly below t.
 func countBelow(hashes []uint64, t uint64) int {
 	return sort.Search(len(hashes), func(i int) bool { return hashes[i] >= t })
-}
-
-// contains binary-searches h in the ascending slice.
-func contains(hashes []uint64, h uint64) bool {
-	i := sort.Search(len(hashes), func(j int) bool { return hashes[j] >= h })
-	return i < len(hashes) && hashes[i] == h
 }
 
 // Set is a full per-dataset sketch: one Level per taxonomy level (index 0
@@ -285,7 +323,7 @@ func (s *Set) Level(h int) *Level {
 }
 
 // Serialization: a small versioned binary format so warm engines reload
-// sketches instead of re-hashing every tid list.
+// sketches instead of re-hashing every level view.
 //
 //	magic "FLSKETCH" | version u32 | k u32 | fingerprint u64 | nlevels u32
 //	per level: present u8; when present:

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 )
 
@@ -300,7 +301,168 @@ func FuzzSketchBoundSound(f *testing.F) {
 		if got.Est < got.Lo || got.Est > got.Hi {
 			t.Fatalf("Est %d outside [%d, %d]", got.Est, got.Lo, got.Hi)
 		}
+		// Lo is exact below the saturation threshold: it counts precisely
+		// the true intersection members whose hash falls below t.
+		thr := uint64(math.MaxUint64)
+		for _, item := range probe {
+			if s := l.sigs[item]; s.kth < thr {
+				thr = s.kth
+			}
+		}
+		var below int64
+		for _, tid := range refIntersection(lists, probe) {
+			if Hash(tid) < thr {
+				below++
+			}
+		}
+		if got.Lo != below {
+			t.Fatalf("Lo %d, want %d intersection hashes below t (k=%d, items=%v)",
+				got.Lo, below, k, probe)
+		}
 	})
+}
+
+// refIntersection lists the distinct transaction IDs present in every item's
+// list.
+func refIntersection(lists map[int32][]uint64, items []int32) []uint64 {
+	count := make(map[uint64]int)
+	for _, item := range items {
+		seen := make(map[uint64]bool)
+		for _, tid := range lists[item] {
+			if !seen[tid] {
+				seen[tid] = true
+				count[tid]++
+			}
+		}
+	}
+	var out []uint64
+	for tid, c := range count {
+		if c == len(items) {
+			out = append(out, tid)
+		}
+	}
+	return out
+}
+
+// refBound is the binary-search formulation of Bound: for every hash of the
+// sparsest region below t, binary-search each other signature. Bound's
+// cursor merge must agree with it exactly.
+func refBound(l *Level, items []int32) Bound {
+	if len(items) == 0 {
+		return Bound{}
+	}
+	sigs := make([]*sig, len(items))
+	t := uint64(math.MaxUint64)
+	for i, item := range items {
+		s, ok := l.sigs[item]
+		if !ok || s.total == 0 {
+			return Bound{}
+		}
+		sigs[i] = s
+		if s.kth < t {
+			t = s.kth
+		}
+	}
+	base := 0
+	var slack int64 = math.MaxInt64
+	below := make([]int, len(sigs))
+	for i, s := range sigs {
+		below[i] = countBelow(s.hashes, t)
+		if sl := s.total - int64(below[i]); sl < slack {
+			slack = sl
+		}
+		if below[i] < below[base] {
+			base = i
+		}
+	}
+	var lo int64
+	for _, h := range sigs[base].hashes[:below[base]] {
+		in := true
+		for i, s := range sigs {
+			if i == base {
+				continue
+			}
+			hs := s.hashes[:below[i]]
+			j := sort.Search(len(hs), func(j int) bool { return hs[j] >= h })
+			if j == len(hs) || hs[j] != h {
+				in = false
+				break
+			}
+		}
+		if in {
+			lo++
+		}
+	}
+	hi := lo + slack
+	est := lo
+	if t != math.MaxUint64 && t != 0 {
+		e := float64(lo) * (float64(math.MaxUint64) / float64(t))
+		switch {
+		case e >= float64(hi):
+			est = hi
+		case int64(e) > est:
+			est = int64(e)
+		}
+	}
+	if est > hi {
+		est = hi
+	}
+	return Bound{Lo: lo, Hi: hi, Est: est}
+}
+
+// TestBoundMatchesReference pins the cursor-merge Bound to the
+// binary-search formulation over saturated and unsaturated signatures of
+// 1–4 items, including identical and disjoint transaction sets.
+func TestBoundMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	shapes := []string{"random", "identical", "disjoint", "nested"}
+	for trial := 0; trial < 400; trial++ {
+		shape := shapes[trial%len(shapes)]
+		nItems := rng.Intn(4) + 1
+		universe := rng.Intn(600) + 1
+		lists := make(map[int32][]uint64)
+		shared := rng.Perm(universe)[:rng.Intn(universe)+1]
+		for i := 0; i < nItems; i++ {
+			var tids []uint64
+			switch shape {
+			case "random":
+				for j, n := 0, rng.Intn(universe+1); j < n; j++ {
+					tids = append(tids, uint64(rng.Intn(universe)))
+				}
+			case "identical":
+				for _, tid := range shared {
+					tids = append(tids, uint64(tid))
+				}
+			case "disjoint":
+				for j, n := 0, rng.Intn(universe)+1; j < n; j++ {
+					tids = append(tids, uint64(i*universe+rng.Intn(universe)))
+				}
+			case "nested":
+				for _, tid := range shared[:1+(len(shared)-1)*(nItems-i)/nItems] {
+					tids = append(tids, uint64(tid))
+				}
+			}
+			if len(tids) == 0 {
+				tids = []uint64{uint64(rng.Intn(universe))}
+			}
+			lists[int32(i)] = tids
+		}
+		probe := make([]int32, nItems)
+		for i := range probe {
+			probe[i] = int32(i)
+		}
+		rng.Shuffle(len(probe), func(i, j int) { probe[i], probe[j] = probe[j], probe[i] })
+		for _, k := range []int{1, 4, 32, rng.Intn(universe) + 1, universe + 1} {
+			l := buildLevel(lists, k)
+			for n := 1; n <= nItems; n++ {
+				got, want := l.Bound(probe[:n]), refBound(l, probe[:n])
+				if got != want {
+					t.Fatalf("trial %d (%s) k=%d items=%v: Bound %+v, reference %+v",
+						trial, shape, k, probe[:n], got, want)
+				}
+			}
+		}
+	}
 }
 
 func TestBoundUnsaturatedThresholdIsMax(t *testing.T) {
