@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/flipper-mining/flipper/internal/bitmap"
 	"github.com/flipper-mining/flipper/internal/itemset"
@@ -29,8 +30,8 @@ import (
 var ErrUnknownAnchor = errors.New("core: unknown anchor item")
 
 // mineAnchored runs anchored top-K search. Materialized runs use the
-// sketch-pruned DFS; streaming runs have no level views to sketch, so they
-// fall back to the exact full mine plus a chain filter.
+// sketch-pruned DFS; streaming runs have no materialized levels to sketch,
+// so they fall back to the exact full mine plus a chain filter.
 func (m *miner) mineAnchored() ([]Pattern, error) {
 	anchor, ok := m.tax.Dict().Lookup(m.cfg.Anchor)
 	if !ok || !m.tax.Contains(anchor) {
@@ -131,7 +132,7 @@ func (a *anchoredSearch) run() {
 			others = append(others, id)
 		}
 	}
-	sortIDs(others)
+	slices.Sort(others)
 	a.extend(itemset.Set{a.root}, others, 0)
 }
 
@@ -407,17 +408,12 @@ func (a *anchoredSearch) exactSupport(items itemset.Set, h int) int64 {
 	m := a.m
 	m.stats.ExactFallbacks++
 	m.stats.CandidatesCounted++
-	if m.sharded() {
-		var sup int64
-		for _, ix := range m.shardBitmapIndexes(h) {
-			s, ops := ix.SupportInto(items, a.vecs)
-			sup += s
-			m.stats.BitmapWordOps += ops
-		}
-		return sup
+	var sup int64
+	for _, ix := range m.bitmapIndexes(h) {
+		s, ops := ix.SupportInto(items, a.vecs)
+		sup += s
+		m.stats.BitmapWordOps += ops
 	}
-	sup, ops := m.bitmapIndex(h).SupportInto(items, a.vecs)
-	m.stats.BitmapWordOps += ops
 	return sup
 }
 

@@ -396,18 +396,10 @@ func tidListSketchSet(m *miner, k int, fp uint64) *sketch.Set {
 	set := &sketch.Set{K: k, Fingerprint: fp, Levels: make([]*sketch.Level, m.height+1)}
 	for h := 1; h <= m.height; h++ {
 		b := sketch.NewBuilder(k)
-		if m.sharded() {
-			for s, lists := range m.shardTIDLists(h) {
-				for id, tids := range lists {
-					for _, tid := range tids {
-						b.Observe(id, uint64(s)<<32|uint64(uint32(tid)))
-					}
-				}
-			}
-		} else {
-			for id, tids := range m.tidLists(h) {
+		for s, lists := range m.tidLists(h) {
+			for id, tids := range lists {
 				for _, tid := range tids {
-					b.Observe(id, uint64(uint32(tid)))
+					b.Observe(id, uint64(s)<<32|uint64(uint32(tid)))
 				}
 			}
 		}
@@ -489,11 +481,6 @@ func TestAnchoredMineBuildsNoTIDLists(t *testing.T) {
 			for h := range ds.tid {
 				if ds.tid[h] != nil {
 					t.Fatalf("shards=%d: anchored run built level-%d tid lists", shards, h)
-				}
-			}
-			for h := range ds.shardTID {
-				if ds.shardTID[h] != nil {
-					t.Fatalf("shards=%d: anchored run built level-%d shard tid lists", shards, h)
 				}
 			}
 		}

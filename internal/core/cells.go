@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"github.com/flipper-mining/flipper/internal/itemset"
 )
@@ -230,10 +230,6 @@ func (m *miner) frequentItems(h int) []itemset.ID {
 			out = append(out, id)
 		}
 	}
-	sortIDs(out)
+	slices.Sort(out)
 	return out
-}
-
-func sortIDs(ids []itemset.ID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }

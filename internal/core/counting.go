@@ -5,6 +5,7 @@ import (
 
 	"github.com/flipper-mining/flipper/internal/bitmap"
 	"github.com/flipper-mining/flipper/internal/itemset"
+	"github.com/flipper-mining/flipper/internal/txdb"
 )
 
 // count fills in the support of every candidate in the cell with one pass
@@ -93,18 +94,18 @@ const scanProbeWeight = 2.5
 // engine cache: a warm run prices — and therefore chooses — exactly as the
 // cold run did, which is what keeps reused-engine output byte-identical.
 func (m *miner) chooseStrategy(c *cell) CountStrategy {
-	view := m.ds.views[c.h]
-	items := len(view.Support)
+	sup1 := m.ds.sup1[c.h]
+	items := len(sup1)
 	if items == 0 {
 		return CountScan
 	}
 	var volume int64
-	for _, sup := range view.Support {
+	for _, sup := range sup1 {
 		volume += sup
 	}
 	distinct := m.distinctCount(c.h)
-	// Materialized views hold one generalized transaction per raw one, so
-	// the level's transaction count is m.n regardless of sharding.
+	// Every raw transaction generalizes to one row occurrence, so the
+	// level's transaction count is m.n regardless of sharding.
 	avgWidth := float64(volume) / float64(m.n)
 	scanCost := scanProbeWeight * float64(distinct) * float64(itemset.Binomial(int(avgWidth+1), c.k))
 	tidCost := float64(c.candidates) * float64(c.k) * float64(volume) / float64(items)
@@ -126,17 +127,16 @@ func (m *miner) chooseStrategy(c *cell) CountStrategy {
 	return best
 }
 
-// scanTxs counts the flat arena's transactions [lo, hi) into counts by trie
-// descent: filter the transaction to candidate-relevant items, then walk
-// the items down the trie so only subsets sharing a candidate prefix are
-// ever enumerated. The arena is walked front to back, so a block of
-// transactions streams through cache while the trie's CSR slabs stay
-// resident. Returns the number of subset probes the descent skipped
-// relative to a flat C(w,k) enumeration.
-func scanTxs(c *cell, f *flatLevel, lo, hi int, counts []int64, filtered itemset.Set) (pruned int64, scratch itemset.Set) {
+// scanTxs counts the level's rows [lo, hi) into counts by trie descent:
+// filter the row to candidate-relevant items, then walk the items down the
+// trie so only subsets sharing a candidate prefix are ever enumerated. The
+// row arena is walked front to back, so a block of rows streams through
+// cache while the trie's CSR slabs stay resident. Returns the number of
+// subset probes the descent skipped relative to a flat C(w,k) enumeration.
+func scanTxs(c *cell, lv *txdb.Level, lo, hi int, counts []int64, filtered itemset.Set) (pruned int64, scratch itemset.Set) {
 	k := c.k
 	st := c.store
-	items, starts, weights := f.items, f.starts, f.weights
+	items, starts, weights := lv.Items, lv.Starts, lv.Weights
 	for t := lo; t < hi; t++ {
 		filtered = st.Filter(items[starts[t]:starts[t+1]], filtered[:0])
 		if len(filtered) < k {
@@ -152,7 +152,7 @@ func scanTxs(c *cell, f *flatLevel, lo, hi int, counts []int64, filtered itemset
 // time, polling the run's cancellation channel between blocks — the scan
 // kernel itself stays checkpoint-free, so a cancelled run abandons the pass
 // within one block of work while the hot loop is untouched.
-func scanTxsCheckpointed(c *cell, f *flatLevel, lo, hi int, counts []int64, done <-chan struct{}) (pruned int64) {
+func scanTxsCheckpointed(c *cell, lv *txdb.Level, lo, hi int, counts []int64, done <-chan struct{}) (pruned int64) {
 	var filtered itemset.Set
 	for lo < hi {
 		if canceled(done) {
@@ -163,7 +163,7 @@ func scanTxsCheckpointed(c *cell, f *flatLevel, lo, hi int, counts []int64, done
 			end = hi
 		}
 		var p int64
-		p, filtered = scanTxs(c, f, lo, end, counts, filtered)
+		p, filtered = scanTxs(c, lv, lo, end, counts, filtered)
 		pruned += p
 		lo = end
 	}
@@ -181,17 +181,17 @@ const cancelCheckMask = 255
 // one block of the arena.
 const scanBlock = 512
 
-// countScanMaterialized counts over the level's flat transaction arena,
-// fanning block-aligned ranges out to cfg.workers() goroutines.
+// countScanMaterialized counts over the level's row arena, fanning
+// block-aligned ranges out to cfg.workers() goroutines.
 func (m *miner) countScanMaterialized(c *cell) {
-	f := &m.ds.flat[c.h]
-	n := f.n()
+	lv := m.ds.levels[0][c.h]
+	n := lv.Rows()
 	workers := m.cfg.workers()
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
-		m.stats.ProbesPruned += scanTxsCheckpointed(c, f, 0, n, c.store.Sup, m.done)
+		m.stats.ProbesPruned += scanTxsCheckpointed(c, lv, 0, n, c.store.Sup, m.done)
 		return
 	}
 	chunk := (n + workers - 1) / workers
@@ -211,7 +211,7 @@ func (m *miner) countScanMaterialized(c *cell) {
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			pruned[w] = scanTxsCheckpointed(c, f, lo, hi, partials[w], m.done)
+			pruned[w] = scanTxsCheckpointed(c, lv, lo, hi, partials[w], m.done)
 		}(w, lo, hi)
 	}
 	wg.Wait()
@@ -236,9 +236,6 @@ func (m *miner) countScanStreaming(c *cell) {
 	counts := st.Sup
 	var filtered itemset.Set
 	var pruned int64
-	if cap(m.sc.genBuf) < 32 {
-		m.sc.genBuf = make([]itemset.ID, 0, 32)
-	}
 	buf := m.sc.genBuf
 	var seen int
 	err := m.src.Scan(func(tx itemset.Set) error {
@@ -247,14 +244,8 @@ func (m *miner) countScanStreaming(c *cell) {
 		if seen++; seen&1023 == 0 && m.cancelled() {
 			return errCancelled
 		}
-		buf = buf[:0]
-		for _, id := range tx {
-			if a, ok := m.tax.AncestorAt(id, c.h); ok {
-				buf = append(buf, a)
-			}
-		}
-		g := canonInto(buf)
-		filtered = st.Filter(g, filtered[:0])
+		buf = m.tax.AppendAncestors(buf[:0], tx, c.h)
+		filtered = st.Filter(itemset.Canon(buf), filtered[:0])
 		if len(filtered) < c.k {
 			return nil
 		}
@@ -274,7 +265,7 @@ func (m *miner) countScanStreaming(c *cell) {
 // cell's slab; workers own disjoint index ranges, so they write disjoint
 // slots of the shared support slice.
 func (m *miner) countTID(c *cell) {
-	lists := m.tidLists(c.h)
+	lists := m.tidLists(c.h)[0]
 	st := c.store
 	n := st.Len()
 	workers := m.cfg.workers()
@@ -311,11 +302,11 @@ func (m *miner) countTID(c *cell) {
 }
 
 // countBitmap counts by AND-ing per-item bit vectors over the distinct
-// weighted transactions of the level view, fanning candidate ranges out to
+// weighted rows of the level, fanning candidate ranges out to
 // cfg.workers() goroutines. The per-level index comes from the engine's
 // dataset cache, built on first use by any run.
 func (m *miner) countBitmap(c *cell) {
-	ix := m.bitmapIndex(c.h)
+	ix := m.bitmapIndexes(c.h)[0]
 	st := c.store
 	n := st.Len()
 	workers := m.cfg.workers()
@@ -360,48 +351,58 @@ func (m *miner) countBitmap(c *cell) {
 	}
 }
 
-// bitmapIndex returns the per-item bit vectors of a level, built over its
-// deduplicated transactions on first use by any run of the engine and
+// bitmapIndexes returns every shard's bitmap index of a level (one when
+// unsharded), built over the shard's rows — row r at bit r — on first use
+// by any run of the engine, a bounded worker pool over the shards, and
 // cached in the dataset state. Stats.BitmapBuilds follows the run's logical
-// flags: the first use per level per run counts as a build, cached or not.
-func (m *miner) bitmapIndex(h int) *bitmap.Index {
+// flags: the first use per level per run counts one build per shard, cached
+// or not.
+func (m *miner) bitmapIndexes(h int) []*bitmap.Index {
 	ds := m.ds
 	ds.mu.Lock()
-	ix := ds.bitmaps[h]
-	if ix == nil {
-		data := ds.distinct[h]
-		txs := make([]itemset.Set, len(data))
-		weights := make([]int64, len(data))
-		for i, wt := range data {
-			txs[i] = wt.Items
-			weights[i] = wt.Weight
-		}
-		ix = bitmap.Build(txs, weights)
-		ds.bitmaps[h] = ix
+	ixs := ds.bitmaps[h]
+	if ixs == nil {
+		ixs = make([]*bitmap.Index, len(ds.levels))
+		txdb.ForEachShard(m.shardWorkers(len(ixs)), len(ixs), func(_, s int) {
+			lv := ds.levels[s][h]
+			rows := make([]itemset.Set, lv.Rows())
+			for r := range rows {
+				rows[r] = lv.Row(r)
+			}
+			ixs[s] = bitmap.Build(rows, lv.Weights)
+		})
+		ds.bitmaps[h] = ixs
 	}
 	ds.mu.Unlock()
 	if !m.bmBuilt[h] {
 		m.bmBuilt[h] = true
-		m.stats.BitmapBuilds++
+		m.stats.BitmapBuilds += int64(len(ixs))
 	}
-	return ix
+	return ixs
 }
 
-// tidLists returns the per-item transaction-ID lists of a level, built on
-// first use by any run of the engine and cached in the dataset state.
-func (m *miner) tidLists(h int) map[itemset.ID][]int32 {
+// tidLists returns every shard's per-item transaction-ID lists of a level
+// (one map when unsharded), built on first use by any run of the engine —
+// each shard's transactions walked in order through its row index, a
+// bounded worker pool over the shards — and cached in the dataset state.
+func (m *miner) tidLists(h int) []map[itemset.ID][]int32 {
 	ds := m.ds
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	if ds.tid[h] != nil {
 		return ds.tid[h]
 	}
-	lists := make(map[itemset.ID][]int32)
-	for ti, tx := range ds.views[h].Tx {
-		for _, id := range tx {
-			lists[id] = append(lists[id], int32(ti))
+	lists := make([]map[itemset.ID][]int32, len(ds.levels))
+	txdb.ForEachShard(m.shardWorkers(len(lists)), len(lists), func(_, s int) {
+		lv := ds.levels[s][h]
+		l := make(map[itemset.ID][]int32)
+		for t, r := range lv.RowOf {
+			for _, id := range lv.Row(int(r)) {
+				l[id] = append(l[id], int32(t))
+			}
 		}
-	}
+		lists[s] = l
+	})
 	ds.tid[h] = lists
 	return lists
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"github.com/flipper-mining/flipper/internal/bitmap"
 	"github.com/flipper-mining/flipper/internal/itemset"
 	"github.com/flipper-mining/flipper/internal/taxonomy"
 	"github.com/flipper-mining/flipper/internal/txdb"
@@ -24,9 +23,9 @@ import (
 // TestShardedMiningEquivalence pins across strategies, pruning levels and
 // shard counts.
 //
-// The payoffs over range fan-out: per-shard level views and indexes are
-// built concurrently at init; each worker's working set is its shards'
-// flat arenas and indexes rather than the whole level (cache residency);
+// The payoffs over range fan-out: per-shard levels are built concurrently
+// at init; each worker's working set is its shards' row arenas and indexes
+// rather than the whole level (cache residency);
 // and with a txdb.ShardedSource over per-shard basket files, streaming
 // counting scans the files in parallel — out-of-core mining of databases
 // larger than RAM.
@@ -80,23 +79,20 @@ func (m *miner) shardWorkers(n int) int { return boundWorkers(&m.cfg, n) }
 // runs dedup per shard, so the count is the sum over shards (slightly above
 // the global dedup when identical transactions straddle a shard boundary).
 func (m *miner) distinctCount(h int) int {
-	if !m.sharded() {
-		return m.ds.flat[h].n()
-	}
 	n := 0
-	for s := range m.ds.shardFlat[h] {
-		n += m.ds.shardFlat[h][s].n()
+	for _, levels := range m.ds.levels {
+		n += levels[h].Rows()
 	}
 	return n
 }
 
-// streamSingleSupportsShards is the sharded form of the streaming
-// single-item pass: a bounded worker pool scans the shards concurrently,
-// each worker aggregating per-level single supports and widths across its
-// shards locally; the locals then merge. Integer sums and maxima make the
-// merged aggregates independent of worker assignment and equal to the
-// single-pass values.
-func (ds *dataState) streamSingleSupportsShards(tax *taxonomy.Tree, H, workers int) error {
+// streamSingleSupports is the streaming init: one single-item pass over the
+// shard sources, a bounded worker pool scanning them concurrently, each
+// worker aggregating per-level single supports and widths across its shards
+// locally; the locals then merge. Integer sums and maxima make the merged
+// aggregates independent of worker assignment and equal to the single-pass
+// values.
+func (ds *dataState) streamSingleSupports(srcs []txdb.Source, tax *taxonomy.Tree, H, workers int) error {
 	type agg struct {
 		sup    []map[itemset.ID]int64
 		widths []int
@@ -110,24 +106,17 @@ func (ds *dataState) streamSingleSupportsShards(tax *taxonomy.Tree, H, workers i
 			aggs[w].sup[h] = make(map[itemset.ID]int64)
 		}
 	}
-	txdb.ForEachShard(workers, len(ds.shards), func(w, s int) {
+	txdb.ForEachShard(workers, len(srcs), func(w, s int) {
 		a := &aggs[w]
 		if a.err != nil {
 			return
 		}
-		buf := make([]itemset.ID, 0, 32)
-		a.err = ds.shards[s].Scan(func(tx itemset.Set) error {
+		var buf []itemset.ID
+		a.err = srcs[s].Scan(func(tx itemset.Set) error {
 			for h := 1; h <= H; h++ {
-				buf = buf[:0]
-				for _, id := range tx {
-					if anc, ok := tax.AncestorAt(id, h); ok {
-						buf = append(buf, anc)
-					}
-				}
-				g := canonInto(buf)
-				if len(g) > a.widths[h] {
-					a.widths[h] = len(g)
-				}
+				buf = tax.AppendAncestors(buf[:0], tx, h)
+				g := itemset.Canon(buf)
+				a.widths[h] = max(a.widths[h], len(g))
 				for _, id := range g {
 					a.sup[h][id]++
 				}
@@ -168,18 +157,18 @@ func (m *miner) mergePartials(c *cell, partials [][]int64) {
 	m.stats.ShardMergeNs += time.Since(start).Nanoseconds()
 }
 
-// countScanShards is the sharded scan backend over materialized views: each
-// pool worker walks its shards' flat transaction arenas down the cell's
-// trie into its private scratch vector — one contiguous arena per shard, so
-// the shard's transaction block stays cache-resident against the trie.
+// countScanShards is the sharded scan backend over materialized levels:
+// each pool worker walks its shards' row arenas down the cell's trie into
+// its private scratch vector — one contiguous arena per shard, so the
+// shard's transaction block stays cache-resident against the trie.
 func (m *miner) countScanShards(c *cell) {
-	flats := m.ds.shardFlat[c.h]
-	workers := m.shardWorkers(len(flats))
+	shards := m.ds.levels
+	workers := m.shardWorkers(len(shards))
 	partials := m.sc.partialsFor(workers, c.store.Len())
 	pruned := make([]int64, workers)
-	txdb.ForEachShard(workers, len(flats), func(w, s int) {
-		f := &flats[s]
-		pruned[w] += scanTxsCheckpointed(c, f, 0, f.n(), partials[w], m.done)
+	txdb.ForEachShard(workers, len(shards), func(w, s int) {
+		lv := shards[s][c.h]
+		pruned[w] += scanTxsCheckpointed(c, lv, 0, lv.Rows(), partials[w], m.done)
 	})
 	m.mergePartials(c, partials)
 	for _, n := range pruned {
@@ -210,19 +199,13 @@ func (m *miner) countScanStreamingShards(c *cell) {
 		counts := partials[w]
 		var filtered itemset.Set
 		var seen int
-		buf := make([]itemset.ID, 0, 32)
+		var buf []itemset.ID
 		errs[w] = m.ds.shards[s].Scan(func(tx itemset.Set) error {
 			if seen++; seen&1023 == 0 && m.cancelled() {
 				return errCancelled
 			}
-			buf = buf[:0]
-			for _, id := range tx {
-				if a, ok := m.tax.AncestorAt(id, c.h); ok {
-					buf = append(buf, a)
-				}
-			}
-			g := canonInto(buf)
-			filtered = st.Filter(g, filtered[:0])
+			buf = m.tax.AppendAncestors(buf[:0], tx, c.h)
+			filtered = st.Filter(itemset.Canon(buf), filtered[:0])
 			if len(filtered) < c.k {
 				return nil
 			}
@@ -248,7 +231,7 @@ func (m *miner) countScanStreamingShards(c *cell) {
 // lists. A candidate's support is the sum of its per-shard intersection
 // sizes, because each shard's lists index disjoint transactions.
 func (m *miner) countTIDShards(c *cell) {
-	lists := m.shardTIDLists(c.h)
+	lists := m.tidLists(c.h)
 	st := c.store
 	n := st.Len()
 	workers := m.shardWorkers(len(lists))
@@ -270,7 +253,7 @@ func (m *miner) countTIDShards(c *cell) {
 // sum exactly; per-shard word-op counts accumulate into the same stat the
 // unsharded backend reports.
 func (m *miner) countBitmapShards(c *cell) {
-	ixs := m.shardBitmapIndexes(c.h)
+	ixs := m.bitmapIndexes(c.h)
 	st := c.store
 	n := st.Len()
 	workers := m.shardWorkers(len(ixs))
@@ -291,61 +274,4 @@ func (m *miner) countBitmapShards(c *cell) {
 	for _, n := range ops {
 		m.stats.BitmapWordOps += n
 	}
-}
-
-// shardTIDLists returns each shard's per-item transaction-ID lists for a
-// level, built on first use by any run of the engine — a bounded worker
-// pool over the shards — and cached in the dataset state.
-func (m *miner) shardTIDLists(h int) []map[itemset.ID][]int32 {
-	ds := m.ds
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	if ds.shardTID[h] != nil {
-		return ds.shardTID[h]
-	}
-	views := ds.shardLv[h]
-	lists := make([]map[itemset.ID][]int32, len(views))
-	txdb.ForEachShard(m.shardWorkers(len(views)), len(views), func(_, s int) {
-		l := make(map[itemset.ID][]int32)
-		for ti, tx := range views[s].Tx {
-			for _, id := range tx {
-				l[id] = append(l[id], int32(ti))
-			}
-		}
-		lists[s] = l
-	})
-	ds.shardTID[h] = lists
-	return lists
-}
-
-// shardBitmapIndexes returns each shard's bitmap index over its
-// deduplicated transactions, built on first use by any run of the engine —
-// a bounded worker pool over the shards — and cached in the dataset state.
-// Stats.BitmapBuilds follows the run's logical flags: the first use per
-// level per run counts one build per shard, cached or not.
-func (m *miner) shardBitmapIndexes(h int) []*bitmap.Index {
-	ds := m.ds
-	ds.mu.Lock()
-	ixs := ds.shardBM[h]
-	if ixs == nil {
-		dist := ds.shardDist[h]
-		ixs = make([]*bitmap.Index, len(dist))
-		txdb.ForEachShard(m.shardWorkers(len(dist)), len(dist), func(_, s int) {
-			data := dist[s]
-			txs := make([]itemset.Set, len(data))
-			weights := make([]int64, len(data))
-			for i, wt := range data {
-				txs[i] = wt.Items
-				weights[i] = wt.Weight
-			}
-			ixs[s] = bitmap.Build(txs, weights)
-		})
-		ds.shardBM[h] = ixs
-	}
-	ds.mu.Unlock()
-	if !m.bmBuilt[h] {
-		m.bmBuilt[h] = true
-		m.stats.BitmapBuilds += int64(len(ixs))
-	}
-	return ixs
 }

@@ -92,8 +92,8 @@ func TestScanTxsTrieDescent(t *testing.T) {
 	// Transaction {1,2,3,99}: 99 is filtered out by the candidate universe;
 	// both pairs match with weight 5. Of the C(3,2)=3 remaining subsets,
 	// {1,3} has no candidate and is pruned by the descent.
-	data := flatten([]txdb.WeightedTx{{Items: itemset.New(1, 2, 3, 99), Weight: 5}})
-	pruned, _ := scanTxs(c, &data, 0, data.n(), counts, nil)
+	data := levelOf(txdb.WeightedTx{Items: itemset.New(1, 2, 3, 99), Weight: 5})
+	pruned, _ := scanTxs(c, data, 0, data.Rows(), counts, nil)
 	if pruned != 1 {
 		t.Errorf("pruned = %d, want 1", pruned)
 	}
@@ -104,13 +104,24 @@ func TestScanTxsTrieDescent(t *testing.T) {
 	}
 	// Too-narrow transaction contributes nothing.
 	before := append([]int64(nil), counts...)
-	narrow := flatten([]txdb.WeightedTx{{Items: itemset.New(2), Weight: 1}})
-	scanTxs(c, &narrow, 0, narrow.n(), counts, nil)
+	narrow := levelOf(txdb.WeightedTx{Items: itemset.New(2), Weight: 1})
+	scanTxs(c, narrow, 0, narrow.Rows(), counts, nil)
 	for i := range counts {
 		if counts[i] != before[i] {
 			t.Error("narrow transaction changed counts")
 		}
 	}
+}
+
+// levelOf lays weighted rows out as a level's row arena, in the given order.
+func levelOf(rows ...txdb.WeightedTx) *txdb.Level {
+	lv := &txdb.Level{Starts: []int32{0}}
+	for _, wt := range rows {
+		lv.Items = append(lv.Items, wt.Items...)
+		lv.Starts = append(lv.Starts, int32(len(lv.Items)))
+		lv.Weights = append(lv.Weights, wt.Weight)
+	}
+	return lv
 }
 
 func TestChooseStrategy(t *testing.T) {
@@ -166,11 +177,11 @@ func taxonomyBuilderForDense(t *testing.T) *taxonomy.Builder {
 	return b
 }
 
-// txdbForDense draws 500 transactions of 8 random leaves each: dense enough
-// that level views barely dedupe and candidate counts stay high.
-func txdbForDense(rng *rand.Rand, tree *taxonomy.Tree) *txdb.DB {
+// txdbForDense draws n transactions of 8 random leaves each: dense enough
+// that levels barely dedupe and candidate counts stay high.
+func txdbForDense(rng *rand.Rand, tree *taxonomy.Tree, n int) *txdb.DB {
 	db := txdb.New(tree.Dict())
-	for i := 0; i < 500; i++ {
+	for i := 0; i < n; i++ {
 		var names []string
 		for j := 0; j < 8; j++ {
 			names = append(names, fmt.Sprintf("leaf%02d.%d", rng.Intn(40), rng.Intn(2)))
@@ -192,7 +203,7 @@ func TestChooseStrategyPicksBitmapOnDenseCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := txdbForDense(rng, tree)
+	db := txdbForDense(rng, tree, 500)
 	cfg := Config{
 		Measure: measure.Kulczynski, Gamma: 0.3, Epsilon: 0.1,
 		MinSupAbs: []int64{1, 1}, Pruning: Basic, Materialize: true,
@@ -230,8 +241,8 @@ func TestTidListsBuiltLazilyOnce(t *testing.T) {
 	if err := m.init(); err != nil {
 		t.Fatal(err)
 	}
-	l1 := m.tidLists(1)
-	l2 := m.tidLists(1)
+	l1 := m.tidLists(1)[0]
+	l2 := m.tidLists(1)[0]
 	if &l1 == &l2 {
 		// maps compare by header; check identity via a sentinel instead
 		t.Log("map headers differ; asserting cache below")
@@ -242,7 +253,7 @@ func TestTidListsBuiltLazilyOnce(t *testing.T) {
 	}
 	// Mutate the cached map; a second call must return the same cache.
 	l1[a] = nil
-	if got := m.tidLists(1); got[a] != nil {
+	if got := m.tidLists(1)[0]; got[a] != nil {
 		t.Error("tidLists rebuilt instead of cached")
 	}
 }

@@ -62,11 +62,13 @@ patterns}, keeping the miner complete; the randomized equivalence suite
 Candidates live in a trie-indexed slab store (internal/candtrie): items in
 one arena, supports in one slice, and a prefix trie over item IDs indexing
 both. CountScan is the paper's strategy: one sequential pass per cell.
-Per-level views are materialized once and deduplicated
-(txdb.LevelView.Dedup) — generalization collapses many raw transactions
-onto few distinct ones, so upper rows count over tiny weighted sets. Each
-transaction is filtered to candidate-relevant items and walked down the
-trie (candtrie.Store.CountTx): only subsets sharing a prefix with some
+All levels are built once, in one pass over the source (txdb.BuildLevels):
+every transaction is generalized to each level and interned, so a level is
+its distinct rows with weights plus a row index per transaction —
+generalization collapses many raw transactions onto few distinct ones, so
+upper rows count over tiny weighted sets. Each row is filtered to
+candidate-relevant items and walked down the trie
+(candtrie.Store.CountTx): only subsets sharing a prefix with some
 candidate are ever enumerated, and no key bytes or map probes appear in
 the inner loop (Stats.ProbesPruned counts what the descent skipped). Work
 is fanned out over Config.Parallelism workers that merge plain int64 count
@@ -82,9 +84,10 @@ probe is calibrated as 2.5 of those; see chooseStrategy).
 Every backend also has a shard-parallel variant (counting_shard.go),
 selected by Config.Shards or by mining a txdb.ShardedSource: the database
 is split into contiguous transaction shards, each worker owns one shard —
-its own level views, dedup, tid lists and bitmap index, built concurrently
-at init — and fills a private partial support vector; mergePartials sums
-the partials into the candidate slab in shard order. Integer sums make the
+its own levels (one level build per shard, concurrently at init), tid
+lists and bitmap index — and fills a private partial support vector;
+mergePartials sums the partials into the candidate slab in shard order.
+An unsharded run is the same state with one shard. Integer sums make the
 sharded output byte-identical to the unsharded run (shard_test.go pins
 this across strategies, pruning levels and shard counts), which is why
 Shards, like Parallelism, is excluded from Config.CanonicalKey. Sharded

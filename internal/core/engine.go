@@ -25,11 +25,12 @@ type Result struct {
 }
 
 // Engine mines one source/taxonomy pair repeatedly, caching everything that
-// depends only on the dataset — materialized level views, deduplicated
-// weighted transactions, the flat scan arenas, and the lazily built tid
-// lists and bitmap indexes, each with their per-shard equivalents — across
-// Mine calls, plus a pool of per-run scratch (candidate stores, counting
-// buffers, chain arenas) so repeated runs stop paying full allocation.
+// depends only on the dataset — the interned levels of every shard
+// (txdb.Level: distinct weighted rows in one arena plus a row index per
+// transaction), and the lazily built tid lists and bitmap indexes over them
+// — across Mine calls, plus a pool of per-run scratch (candidate stores,
+// counting buffers, chain arenas) so repeated runs stop paying full
+// allocation.
 //
 // Cached state is keyed by the parts of the configuration that shape it
 // (Materialize and the resolved shard count); every other knob varies freely
@@ -69,15 +70,15 @@ func (e *Engine) sketchFile() string {
 }
 
 // NewEngine returns an engine over the source and taxonomy. The source and
-// tree must not be mutated while the engine is in use — cached level views
-// and indexes alias their storage.
+// tree must not be mutated while the engine is in use — cached levels and
+// indexes are built from them once.
 func NewEngine(src txdb.Source, tree *taxonomy.Tree) *Engine {
 	return &Engine{src: src, tree: tree, data: make(map[dataKey]*dataState)}
 }
 
-// dataKey identifies one cached dataset representation: whether level views
-// are materialized, and how many transaction shards counting fans out over
-// (0 when unsharded).
+// dataKey identifies one cached dataset representation: whether levels are
+// materialized, and how many transaction shards counting fans out over (0
+// when unsharded).
 type dataKey struct {
 	materialize bool
 	shards      int
@@ -86,32 +87,34 @@ type dataKey struct {
 // dataState is the dataset-derived state of one (materialize, shards)
 // representation. The base fields are built once under the sync.Once; the
 // tid lists and bitmap indexes build lazily under mu on first use by any
-// run and are then shared read-only.
+// run and are then shared read-only. An unsharded representation is one
+// shard: every per-shard slice below then has length 1.
 type dataState struct {
 	once sync.Once
 	err  error
 
 	shards []txdb.Source // resolved shard sources; nil/len≤1 when unsharded
 
-	views    []*txdb.LevelView      // indexed by level; nil when streaming
-	distinct [][]txdb.WeightedTx    // deduplicated weighted txs per level
-	flat     []flatLevel            // cache-blocked scan layout per level
-	sup1     []map[itemset.ID]int64 // all single supports per level
-	widths   []int                  // max generalized width per level
+	levels [][]*txdb.Level        // [shard][level]; nil when streaming
+	sup1   []map[itemset.ID]int64 // all single supports per level, over all shards
+	widths []int                  // max generalized width per level
 
-	shardLv   [][]*txdb.LevelView   // [level][shard]; nil when streaming
-	shardDist [][][]txdb.WeightedTx // [level][shard]
-	shardFlat [][]flatLevel         // [level][shard]
-
-	mu       sync.Mutex // guards the lazy index builds below
-	tid      []map[itemset.ID][]int32
-	bitmaps  []*bitmap.Index
-	shardTID [][]map[itemset.ID][]int32
-	shardBM  [][]*bitmap.Index
-	sketches map[int]*sketch.Set // anchored-search sketches by signature size
+	mu       sync.Mutex                 // guards the lazy index builds below
+	tid      [][]map[itemset.ID][]int32 // [level][shard]
+	bitmaps  [][]*bitmap.Index          // [level][shard]
+	sketches map[int]*sketch.Set        // anchored-search sketches by signature size
 }
 
 func (ds *dataState) sharded() bool { return len(ds.shards) > 1 }
+
+// sources returns the shard sources a build scans: the resolved shards, or
+// the whole source as the one shard of an unsharded representation.
+func (ds *dataState) sources(src txdb.Source) []txdb.Source {
+	if ds.sharded() {
+		return ds.shards
+	}
+	return []txdb.Source{src}
+}
 
 // dataFor resolves (building at most once) the dataset state a run over cfg
 // needs.
@@ -129,167 +132,64 @@ func (e *Engine) dataFor(cfg Config) (*dataState, error) {
 	return ds, ds.err
 }
 
-// build materializes level views (or streams one single-support pass) for
-// this representation. Parallelism of the build follows the triggering
-// run's configuration; the built state is identical either way.
+// build materializes the levels of every shard (or streams one
+// single-support pass) for this representation. Parallelism of the build
+// follows the triggering run's configuration; the built state is identical
+// either way.
 func (ds *dataState) build(src txdb.Source, tax *taxonomy.Tree, cfg Config) error {
 	H := tax.Height()
-	ds.views = make([]*txdb.LevelView, H+1)
-	ds.distinct = make([][]txdb.WeightedTx, H+1)
-	ds.flat = make([]flatLevel, H+1)
 	ds.sup1 = make([]map[itemset.ID]int64, H+1)
 	ds.widths = make([]int, H+1)
-	ds.tid = make([]map[itemset.ID][]int32, H+1)
-	ds.bitmaps = make([]*bitmap.Index, H+1)
-	if ds.sharded() {
-		ds.shardLv = make([][]*txdb.LevelView, H+1)
-		ds.shardDist = make([][][]txdb.WeightedTx, H+1)
-		ds.shardFlat = make([][]flatLevel, H+1)
-		ds.shardTID = make([][]map[itemset.ID][]int32, H+1)
-		ds.shardBM = make([][]*bitmap.Index, H+1)
+	ds.tid = make([][]map[itemset.ID][]int32, H+1)
+	ds.bitmaps = make([][]*bitmap.Index, H+1)
+	srcs := ds.sources(src)
+	workers := boundWorkers(&cfg, len(srcs))
+	if !cfg.Materialize {
+		return ds.streamSingleSupports(srcs, tax, H, workers)
 	}
-	switch {
-	case cfg.Materialize && ds.sharded():
-		// Per-shard level views, built concurrently (a bounded worker pool
-		// over the shards, then another for dedup). The merged per-item
-		// supports and widths are exact integer aggregates of the shard
-		// views, so the level summaries the rest of the run reads are
-		// identical to the unsharded Materialize.
-		for h := 1; h <= H; h++ {
-			views, err := txdb.MaterializeShards(ds.shards, tax, h, boundWorkers(&cfg, len(ds.shards)))
-			if err != nil {
-				return err
-			}
-			ds.shardLv[h] = views
-			dist := make([][]txdb.WeightedTx, len(views))
-			flats := make([]flatLevel, len(views))
-			txdb.ForEachShard(boundWorkers(&cfg, len(views)), len(views), func(_, s int) {
-				dist[s] = views[s].Dedup()
-				flats[s] = flatten(dist[s])
-			})
-			ds.shardDist[h] = dist
-			ds.shardFlat[h] = flats
-			sup := make(map[itemset.ID]int64)
-			width := 0
-			for _, v := range views {
-				if v.MaxWidth > width {
-					width = v.MaxWidth
-				}
-				for id, n := range v.Support {
-					sup[id] += n
-				}
-			}
-			ds.views[h] = &txdb.LevelView{Level: h, Support: sup, MaxWidth: width}
-			ds.sup1[h] = sup
-			ds.widths[h] = width
-		}
-	case cfg.Materialize:
-		for h := 1; h <= H; h++ {
-			lv, err := txdb.Materialize(src, tax, h)
-			if err != nil {
-				return err
-			}
-			ds.views[h] = lv
-			ds.distinct[h] = lv.Dedup()
-			ds.flat[h] = flatten(ds.distinct[h])
-			ds.sup1[h] = lv.Support
-			ds.widths[h] = lv.MaxWidth
-		}
-	case ds.sharded():
-		// Streaming init over shards: a worker pool runs the single-item
-		// passes concurrently; the per-level integer aggregates then merge.
-		if err := ds.streamSingleSupportsShards(tax, H, boundWorkers(&cfg, len(ds.shards))); err != nil {
-			return err
-		}
-	default:
-		// One streaming pass computing all levels' single supports.
-		for h := 1; h <= H; h++ {
-			ds.sup1[h] = make(map[itemset.ID]int64)
-		}
-		buf := make([]itemset.ID, 0, 32)
-		err := src.Scan(func(tx itemset.Set) error {
-			for h := 1; h <= H; h++ {
-				buf = buf[:0]
-				for _, id := range tx {
-					if a, ok := tax.AncestorAt(id, h); ok {
-						buf = append(buf, a)
-					}
-				}
-				g := canonInto(buf)
-				if len(g) > ds.widths[h] {
-					ds.widths[h] = len(g)
-				}
-				for _, id := range g {
-					ds.sup1[h][id]++
-				}
-			}
-			return nil
-		})
+	// One level-build pass per shard, the shards built concurrently over a
+	// bounded worker pool. The merged per-item supports and widths are
+	// exact integer aggregates of the shard levels, so the level summaries
+	// the rest of the run reads do not depend on the shard count.
+	ds.levels = make([][]*txdb.Level, len(srcs))
+	errs := make([]error, len(srcs))
+	txdb.ForEachShard(workers, len(srcs), func(_, s int) {
+		ds.levels[s], errs[s] = txdb.BuildLevels(srcs[s], tax)
+	})
+	for _, err := range errs {
 		if err != nil {
 			return err
 		}
+	}
+	for h := 1; h <= H; h++ {
+		if len(srcs) == 1 {
+			ds.sup1[h] = ds.levels[0][h].Support
+			ds.widths[h] = ds.levels[0][h].MaxWidth
+			continue
+		}
+		sup := make(map[itemset.ID]int64)
+		for _, levels := range ds.levels {
+			ds.widths[h] = max(ds.widths[h], levels[h].MaxWidth)
+			for id, n := range levels[h].Support {
+				sup[id] += n
+			}
+		}
+		ds.sup1[h] = sup
 	}
 	return nil
 }
 
 // initScans is the number of database passes the init of this
-// representation logically costs a run — one materialization pass per level,
-// or one streaming single-support pass. Charged per run whether or not the
-// cache already held the state, so warm stats match cold ones byte for byte.
+// representation logically costs a run: one per level when materialized —
+// the passes a per-level build would make, though the level build reads the
+// source once — or one streaming single-support pass. Charged per run
+// whether or not the cache already held the state, so warm stats match
+// cold ones byte for byte.
 func initScans(cfg *Config, height int) int64 {
 	if cfg.Materialize {
 		return int64(height)
 	}
 	return 1
-}
-
-// flatLevel is the cache-blocked scan layout of one level's deduplicated
-// weighted transactions: every itemset concatenated into one contiguous
-// arena with parallel start offsets and weights. The scan counter walks the
-// arena sequentially, so a block of transactions streams through L1/L2
-// while the candidate trie's CSR slabs stay resident — no per-transaction
-// pointer chasing into view storage.
-type flatLevel struct {
-	items   []itemset.ID
-	starts  []int32 // len = n()+1; tx t is items[starts[t]:starts[t+1]]
-	weights []int64
-}
-
-func (f *flatLevel) n() int { return len(f.weights) }
-
-func flatten(dist []txdb.WeightedTx) flatLevel {
-	total := 0
-	for _, wt := range dist {
-		total += len(wt.Items)
-	}
-	f := flatLevel{
-		items:   make([]itemset.ID, 0, total),
-		starts:  make([]int32, 1, len(dist)+1),
-		weights: make([]int64, 0, len(dist)),
-	}
-	for _, wt := range dist {
-		f.items = append(f.items, wt.Items...)
-		f.starts = append(f.starts, int32(len(f.items)))
-		f.weights = append(f.weights, wt.Weight)
-	}
-	return f
-}
-
-// canonInto sorts and deduplicates buf in place and returns the canonical
-// prefix — itemset.New without the allocation, for scratch buffers the
-// caller owns.
-func canonInto(buf []itemset.ID) itemset.Set {
-	if len(buf) == 0 {
-		return nil
-	}
-	sortIDs(buf)
-	out := buf[:1]
-	for _, id := range buf[1:] {
-		if id != out[len(out)-1] {
-			out = append(out, id)
-		}
-	}
-	return itemset.Set(out)
 }
 
 // runScratch is the reusable per-run arena set. One run checks it out of
@@ -517,7 +417,7 @@ type miner struct {
 //
 // Mine builds a single-use Engine; callers mining the same dataset
 // repeatedly should hold one Engine and call its Mine method, which reuses
-// level views, bitmap indexes and counting arenas across runs.
+// built levels, bitmap indexes and counting arenas across runs.
 func Mine(src txdb.Source, tree *taxonomy.Tree, cfg Config) (*Result, error) {
 	return (&Engine{src: src, tree: tree, data: make(map[dataKey]*dataState)}).Mine(cfg)
 }
@@ -549,7 +449,7 @@ var errCancelled = fmt.Errorf("core: run cancelled")
 // context.Background, which plain Mine uses) costs one nil check per poll
 // and the hot counting loops stay unaffected.
 //
-// Dataset-state builds (materialized views, lazily built indexes) are shared
+// Dataset-state builds (materialized levels, lazily built indexes) are shared
 // across concurrent runs and therefore not cancellable: a run gives up
 // before and after binding, but never aborts a build another run may be
 // waiting on.

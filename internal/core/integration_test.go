@@ -149,34 +149,55 @@ func TestTruncatedTaxonomyQuery(t *testing.T) {
 	}
 }
 
-// failingSource fails every Scan after the first, simulating a disk source
-// that dies mid-run; Mine must surface the error, not partial results.
+// failingSource fails partway through every Scan, on its failAt-th
+// transaction, simulating a disk source that dies mid-pass; Mine must
+// surface the error, not partial results.
 type failingSource struct {
-	db    *txdb.DB
-	calls int
+	db     *txdb.DB
+	failAt int
 }
 
 var errSentinel = errors.New("injected source failure")
 
 func (f *failingSource) Scan(fn func(tx itemset.Set) error) error {
-	f.calls++
-	if f.calls > 1 {
-		return errSentinel
-	}
-	return f.db.Scan(fn)
+	seen := 0
+	return f.db.Scan(func(tx itemset.Set) error {
+		if seen++; seen == f.failAt {
+			return errSentinel
+		}
+		return fn(tx)
+	})
 }
 func (f *failingSource) Len() int               { return f.db.Len() }
 func (f *failingSource) Dict() *dict.Dictionary { return f.db.Dict() }
 
+// TestErrorPropagationFromSource fails the source on its first pass, which
+// every configuration makes — the level build or the streaming
+// single-support pass — and requires the mine to fail with the source's
+// error.
 func TestErrorPropagationFromSource(t *testing.T) {
 	db, tree := paperToy(t)
-	src := &failingSource{db: db}
-	cfg := toyConfig()
-	if _, err := Mine(src, tree, cfg); err == nil {
-		t.Fatal("failing source did not surface an error")
+	parts := txdb.Partition(db, 2)
+	sharded, err := txdb.NewSharded(parts[0], &failingSource{db: parts[1], failAt: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !errors.Is(errSentinel, errSentinel) {
-		t.Fatal("sentinel identity broken")
+	for _, tc := range []struct {
+		name        string
+		src         txdb.Source
+		materialize bool
+	}{
+		{"materialized", &failingSource{db: db, failAt: 4}, true},
+		{"streaming", &failingSource{db: db, failAt: 4}, false},
+		{"sharded-2", sharded, true},
+		{"sharded-2-streaming", sharded, false},
+	} {
+		cfg := toyConfig()
+		cfg.Materialize = tc.materialize
+		_, err := Mine(tc.src, tree, cfg)
+		if !errors.Is(err, errSentinel) {
+			t.Errorf("%s: Mine returned %v, want the source's error", tc.name, err)
+		}
 	}
 }
 

@@ -153,19 +153,11 @@ func (e *Engine) ShardSupports(ctx context.Context, cfg Config, h int, cands []i
 	st.Freeze()
 	c := &cell{h: h, k: k, store: st}
 	done := ctx.Done()
-	switch {
-	case cfg.Materialize && ds.sharded():
-		f := &ds.shardFlat[h][shard]
-		scanTxsCheckpointed(c, f, 0, f.n(), st.Sup, done)
-	case cfg.Materialize:
-		f := &ds.flat[h]
-		scanTxsCheckpointed(c, f, 0, f.n(), st.Sup, done)
-	default:
-		src := e.src
-		if ds.sharded() {
-			src = ds.shards[shard]
-		}
-		if err := streamCountShard(c, src, e, done); err != nil {
+	if cfg.Materialize {
+		lv := ds.levels[shard][h]
+		scanTxsCheckpointed(c, lv, 0, lv.Rows(), st.Sup, done)
+	} else {
+		if err := streamCountShard(c, ds.sources(e.src)[shard], e, done); err != nil {
 			if ctxErr := ctx.Err(); ctxErr != nil {
 				return nil, ctxErr
 			}
@@ -186,19 +178,13 @@ func streamCountShard(c *cell, src txdb.Source, e *Engine, done <-chan struct{})
 	st := c.store
 	var filtered itemset.Set
 	var seen int
-	buf := make([]itemset.ID, 0, 32)
+	var buf []itemset.ID
 	return src.Scan(func(tx itemset.Set) error {
 		if seen++; seen&1023 == 0 && canceled(done) {
 			return errCancelled
 		}
-		buf = buf[:0]
-		for _, id := range tx {
-			if a, ok := e.tree.AncestorAt(id, c.h); ok {
-				buf = append(buf, a)
-			}
-		}
-		g := canonInto(buf)
-		filtered = st.Filter(g, filtered[:0])
+		buf = e.tree.AppendAncestors(buf[:0], tx, c.h)
+		filtered = st.Filter(itemset.Canon(buf), filtered[:0])
 		if len(filtered) < c.k {
 			return nil
 		}

@@ -102,40 +102,56 @@ func TestEngineReuseMixedConfigs(t *testing.T) {
 	}
 }
 
-// TestEngineReuseAllocatesLess pins the point of the arena/scratch pool: a
-// warm Mine on a reused engine must allocate well under half of what a
-// cold engine+Mine pays, since level views, indexes, candidate tries, cell
-// metadata and counting buffers all come from the caches.
+// TestEngineReuseAllocatesLess pins that no mine allocates per
+// transaction: the level build interns rows into arenas, the streaming
+// passes generalize into reused buffers, and a warm Mine takes levels,
+// indexes, candidate tries, cell metadata and counting buffers from the
+// engine's caches. The same generator at N and 4N transactions must give a
+// cold engine+Mine and a warm Mine allocation counts that grow by less than
+// one allocation per ten added transactions, materialized and streaming.
 func TestEngineReuseAllocatesLess(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
 	b := taxonomyBuilderForDense(t)
 	tree, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := txdbForDense(rng, tree)
-	cfg := toyConfig()
-	cfg.MinSupAbs = []int64{1, 1}
-	cfg.Strategy = CountBitmap
-	cfg.Parallelism = 1 // deterministic allocation profile
-	cold := testing.AllocsPerRun(3, func() {
-		if _, err := NewEngine(db, tree).Mine(cfg); err != nil {
-			t.Fatal(err)
+	for _, materialize := range []bool{true, false} {
+		cfg := toyConfig()
+		cfg.MinSupAbs = []int64{1, 1}
+		cfg.Strategy = CountBitmap
+		if cfg.Materialize = materialize; !materialize {
+			cfg.Strategy = CountScan
 		}
-	})
-	eng := NewEngine(db, tree)
-	if _, err := eng.Mine(cfg); err != nil {
-		t.Fatal(err)
-	}
-	warm := testing.AllocsPerRun(3, func() {
-		if _, err := eng.Mine(cfg); err != nil {
-			t.Fatal(err)
+		cfg.Parallelism = 1 // deterministic allocation profile
+		allocs := func(n int) (cold, warm float64) {
+			db := txdbForDense(rand.New(rand.NewSource(99)), tree, n)
+			cold = testing.AllocsPerRun(3, func() {
+				if _, err := NewEngine(db, tree).Mine(cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
+			eng := NewEngine(db, tree)
+			if _, err := eng.Mine(cfg); err != nil {
+				t.Fatal(err)
+			}
+			warm = testing.AllocsPerRun(3, func() {
+				if _, err := eng.Mine(cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
+			return cold, warm
 		}
-	})
-	if warm > cold/2 {
-		t.Fatalf("warm Mine allocates %.0f objects, cold %.0f — engine reuse saves too little", warm, cold)
+		const n = 500
+		cold1, warm1 := allocs(n)
+		cold4, warm4 := allocs(4 * n)
+		t.Logf("materialize=%v allocs/op at N=%d: cold %.0f, warm %.0f; at N=%d: cold %.0f, warm %.0f",
+			materialize, n, cold1, warm1, 4*n, cold4, warm4)
+		limit := float64(3*n) / 10
+		if cold4-cold1 > limit || warm4-warm1 > limit {
+			t.Fatalf("materialize=%v: allocations grow with N: cold %.0f → %.0f, warm %.0f → %.0f for %d more transactions (limit +%.0f)",
+				materialize, cold1, cold4, warm1, warm4, 3*n, limit)
+		}
 	}
-	t.Logf("allocs/op: cold %.0f, warm %.0f (%.1f%%)", cold, warm, 100*warm/cold)
 }
 
 // TestEngineConcurrentMine hammers one engine from many goroutines with a

@@ -1,13 +1,15 @@
 package core
 
 import (
+	"slices"
+
 	"github.com/flipper-mining/flipper/internal/sketch"
 	"github.com/flipper-mining/flipper/internal/txdb"
 )
 
 // Sketch plumbing for anchored search: per-item bottom-k signatures are
-// dataset state (they depend only on the level views of a representation),
-// so they cache in dataState next to the views themselves, keyed by
+// dataset state (they depend only on the levels of a representation), so
+// they cache in dataState next to the levels themselves, keyed by
 // signature size. When the engine has a sketch path, unsharded builds
 // persist to disk and later engines over the same dataset warm-start from
 // the file — a fingerprint over the per-level single supports guards
@@ -62,35 +64,47 @@ func (ds *dataState) storeSketches(k int, s *sketch.Set) *sketch.Set {
 }
 
 // buildSketchSet observes every level's transactions straight from the
-// materialized level views. A key is the transaction's index in its view —
-// the ID a tid list would hold — and sharded keys fold the shard index into
-// the high half so IDs stay distinct across shards. Signatures depend only
-// on each item's key set, never on observation order, so the set (and its
-// encoding) is the one a tid-list walk would build.
+// materialized levels. A key is the transaction's index in its shard — the
+// ID a tid list would hold — with the shard index folded into the high half
+// so IDs stay distinct across shards. Signatures depend only on each item's
+// key set, never on observation order, so the set (and its encoding) is the
+// one a tid-list walk would build.
 func (m *miner) buildSketchSet(k int, fp uint64) *sketch.Set {
 	H := m.height
 	set := &sketch.Set{K: k, Fingerprint: fp, Levels: make([]*sketch.Level, H+1)}
 	for h := 1; h <= H; h++ {
 		b := sketch.NewBuilder(k)
-		if m.sharded() {
-			for s, v := range m.ds.shardLv[h] {
-				observeView(b, v, uint64(s)<<32)
-			}
-		} else {
-			observeView(b, m.ds.views[h], 0)
+		for s, levels := range m.ds.levels {
+			observeLevel(b, levels[h], uint64(s)<<32)
 		}
 		set.Levels[h] = b.Finish()
 	}
 	return set
 }
 
-// observeView feeds one level view's transactions to a sketch builder, keyed
-// by base | transaction index.
-func observeView(b *sketch.Builder, v *txdb.LevelView, base uint64) {
-	for ti, tx := range v.Tx {
-		key := base | uint64(uint32(ti))
-		for _, id := range tx {
-			b.Observe(id, key)
+// observeLevel feeds one shard level's transactions to a sketch builder,
+// keyed by base | transaction index. It goes row by row, through a per-row
+// list of the row's transactions (the row index inverted by a counting
+// sort), so the row arena is read once, front to back, however the
+// transactions interleave.
+func observeLevel(b *sketch.Builder, lv *txdb.Level, base uint64) {
+	starts := make([]int32, lv.Rows()+1)
+	for r, w := range lv.Weights {
+		starts[r+1] = starts[r] + int32(w)
+	}
+	next := slices.Clone(starts[:lv.Rows()])
+	txs := make([]int32, len(lv.RowOf))
+	for t, r := range lv.RowOf {
+		txs[next[r]] = int32(t)
+		next[r]++
+	}
+	for r := range lv.Rows() {
+		row := lv.Row(r)
+		for _, t := range txs[starts[r]:starts[r+1]] {
+			key := base | uint64(uint32(t))
+			for _, id := range row {
+				b.Observe(id, key)
+			}
 		}
 	}
 }

@@ -33,8 +33,10 @@ type Stats struct {
 	Shards       int
 	ShardMergeNs int64
 
-	// DBScans counts sequential passes over the (level views of the)
-	// database, including the initial single-item pass.
+	// DBScans counts sequential passes over the (levels of the) database,
+	// including the init. A materialized init counts height logical passes,
+	// one per level, although the level build reads the source once; a
+	// streaming init counts its one single-item pass.
 	DBScans int64
 	// CandidatesCounted is the number of itemsets whose support was counted.
 	CandidatesCounted int64

@@ -34,9 +34,24 @@ func (d *Dictionary) ID(name string) int32 {
 	return id
 }
 
+// IDBytes is ID for a name held in a byte slice: a known name resolves
+// without allocating, and only a new name is copied into a string.
+func (d *Dictionary) IDBytes(name []byte) int32 {
+	if id, ok := d.ids[string(name)]; ok {
+		return id
+	}
+	return d.ID(string(name))
+}
+
 // Lookup returns the identifier for name without assigning a new one.
 func (d *Dictionary) Lookup(name string) (int32, bool) {
 	id, ok := d.ids[name]
+	return id, ok
+}
+
+// LookupBytes is Lookup for a name held in a byte slice; it never allocates.
+func (d *Dictionary) LookupBytes(name []byte) (int32, bool) {
+	id, ok := d.ids[string(name)]
 	return id, ok
 }
 

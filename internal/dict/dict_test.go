@@ -42,8 +42,23 @@ func TestLookup(t *testing.T) {
 	if _, ok := d.Lookup("y"); ok {
 		t.Error("Lookup(y) found unassigned name")
 	}
+	if _, ok := d.LookupBytes([]byte("y")); ok {
+		t.Error("LookupBytes(y) found unassigned name")
+	}
 	if d.Len() != 1 {
 		t.Error("Lookup must not assign")
+	}
+	// The byte forms resolve known names without allocating and assign new
+	// ones exactly as ID does.
+	x := []byte("x")
+	if n := testing.AllocsPerRun(10, func() { d.IDBytes(x); d.LookupBytes(x) }); n != 0 {
+		t.Errorf("known-name byte lookups allocate %.0f times", n)
+	}
+	if id, ok := d.LookupBytes(x); !ok || id != d.IDBytes(x) || id != d.ID("x") {
+		t.Error("byte lookups disagree with ID")
+	}
+	if id := d.IDBytes([]byte("y")); id != 1 || d.Name(id) != "y" {
+		t.Errorf("IDBytes(y) = %d, want new ID 1 named y", id)
 	}
 }
 

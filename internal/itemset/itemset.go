@@ -29,17 +29,24 @@ func New(ids ...ID) Set {
 	if len(ids) == 0 {
 		return nil
 	}
-	s := make(Set, len(ids))
-	copy(s, ids)
-	slices.Sort(s)
-	// Deduplicate in place.
-	out := s[:1]
-	for _, id := range s[1:] {
+	return Canon(slices.Clone(ids))
+}
+
+// Canon sorts and deduplicates ids in place and returns the canonical prefix
+// (nil when ids is empty): New without the copy, for buffers the caller owns
+// and reuses, so canonicalizing a transaction allocates nothing.
+func Canon(ids []ID) Set {
+	if len(ids) == 0 {
+		return nil
+	}
+	slices.Sort(ids)
+	out := ids[:1]
+	for _, id := range ids[1:] {
 		if id != out[len(out)-1] {
 			out = append(out, id)
 		}
 	}
-	return out
+	return Set(out)
 }
 
 // FromSorted wraps ids as a Set without copying. The caller asserts that ids

@@ -3,6 +3,7 @@ package itemset
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -26,6 +27,14 @@ func TestNewCanonicalizes(t *testing.T) {
 		}
 		if !got.IsCanonical() {
 			t.Errorf("New(%v) not canonical: %v", c.in, got)
+		}
+		// Canon does the same in place, without allocating.
+		buf := slices.Clone(c.in)
+		if got := Canon(buf); !reflect.DeepEqual(got, c.want) || len(got) > 0 && &got[0] != &buf[0] {
+			t.Errorf("Canon(%v) = %v, want %v in the input's storage", c.in, got, c.want)
+		}
+		if n := testing.AllocsPerRun(10, func() { Canon(buf) }); n != 0 {
+			t.Errorf("Canon(%v) allocates %.0f times", c.in, n)
 		}
 	}
 }

@@ -303,6 +303,19 @@ func (t *Tree) AncestorAt(id itemset.ID, h int) (itemset.ID, bool) {
 	return a, true
 }
 
+// AppendAncestors appends the level-h ancestor of every item of tx that has
+// one to dst and returns the extended slice, in tx's order and with any
+// duplicates kept; itemset.Canon turns it into the level-h generalization.
+// Items without an ancestor at h are dropped, as AncestorAt reports them.
+func (t *Tree) AppendAncestors(dst []itemset.ID, tx itemset.Set, h int) []itemset.ID {
+	for _, id := range tx {
+		if a, ok := t.AncestorAt(id, h); ok {
+			dst = append(dst, a)
+		}
+	}
+	return dst
+}
+
 // RootOf returns the level-1 ancestor of id.
 func (t *Tree) RootOf(id itemset.ID) itemset.ID {
 	a, _ := t.AncestorAt(id, 1)

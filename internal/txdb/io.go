@@ -2,6 +2,7 @@ package txdb
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strings"
@@ -16,37 +17,89 @@ import (
 // denotes an explicitly empty transaction for round-trip fidelity.
 
 // ReadBaskets parses the basket format from r into an in-memory DB, writing
-// IDs through d (nil for a fresh dictionary).
+// IDs through d (nil for a fresh dictionary). Every transaction is parsed
+// and canonicalized in place in one ID arena, which the database's
+// transactions alias through capped slices.
 func ReadBaskets(r io.Reader, d *dict.Dictionary) (*DB, error) {
 	db := New(d)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
-	lineNo := 0
+	p := lineParser{dict: db.dict}
+	sc := newLineScanner(r)
+	var arena []itemset.ID
+	var ends []int
 	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if strings.HasPrefix(line, "#") {
-			continue
+		var comment bool
+		var err error
+		arena, comment, err = p.parse(arena, sc.Bytes())
+		if err != nil {
+			return nil, fmt.Errorf("txdb: %w", err)
 		}
-		if line == "" || line == "-" {
-			db.Add()
-			continue
+		if !comment {
+			ends = append(ends, len(arena))
 		}
-		parts := strings.Split(line, ",")
-		ids := make([]itemset.ID, 0, len(parts))
-		for _, p := range parts {
-			name := strings.TrimSpace(p)
-			if name == "" {
-				return nil, fmt.Errorf("txdb: line %d: empty item name", lineNo)
-			}
-			ids = append(ids, db.dict.ID(name))
-		}
-		db.Add(ids...)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("txdb: read: %w", err)
 	}
+	db.tx = make([]itemset.Set, len(ends))
+	lo := 0
+	for i, hi := range ends {
+		if hi > lo {
+			db.tx[i] = arena[lo:hi:hi]
+		}
+		lo = hi
+	}
 	return db, nil
+}
+
+// newLineScanner returns a basket line scanner over r, admitting lines up
+// to 64 MiB.
+func newLineScanner(r io.Reader) *bufio.Scanner {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
+	return sc
+}
+
+// lineParser is the byte-level basket line parser ReadBaskets and
+// FileSource.Scan share. A name resolves by a dictionary lookup on its
+// bytes, so only a name the dictionary has not seen allocates.
+type lineParser struct {
+	dict   *dict.Dictionary
+	frozen bool // an unknown name is an error instead of a new ID
+	line   int
+}
+
+// parse appends the transaction on line to dst, canonicalized in place, and
+// returns the extended slice. comment reports a comment line, which holds
+// no transaction; blank and "-" lines are empty transactions.
+func (p *lineParser) parse(dst []itemset.ID, line []byte) (out []itemset.ID, comment bool, err error) {
+	p.line++
+	line = bytes.TrimSpace(line)
+	if len(line) > 0 && line[0] == '#' {
+		return dst, true, nil
+	}
+	if len(line) == 0 || (len(line) == 1 && line[0] == '-') {
+		return dst, false, nil
+	}
+	start := len(dst)
+	for more := true; more; {
+		var field []byte
+		field, line, more = bytes.Cut(line, []byte{','})
+		name := bytes.TrimSpace(field)
+		if len(name) == 0 {
+			return dst, false, fmt.Errorf("line %d: empty item name", p.line)
+		}
+		if p.frozen {
+			id, ok := p.dict.LookupBytes(name)
+			if !ok {
+				return dst, false, fmt.Errorf("line %d: item %q appeared after the first pass", p.line, name)
+			}
+			dst = append(dst, id)
+		} else {
+			dst = append(dst, p.dict.IDBytes(name))
+		}
+	}
+	tx := itemset.Canon(dst[start:])
+	return dst[:start+len(tx)], false, nil
 }
 
 // WriteBaskets serializes the database in the basket format. Item names
@@ -154,35 +207,21 @@ func (fs *FileSource) Scan(fn func(tx itemset.Set) error) error {
 		return fmt.Errorf("txdb: %w", err)
 	}
 	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
+	p := lineParser{dict: fs.dict, frozen: fs.init}
+	sc := newLineScanner(f)
 	count := 0
 	var ids []itemset.ID
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if strings.HasPrefix(line, "#") {
+		var comment bool
+		ids, comment, err = p.parse(ids[:0], sc.Bytes())
+		if err != nil {
+			return fmt.Errorf("txdb: %s: %w", fs.path, err)
+		}
+		if comment {
 			continue
 		}
-		ids = ids[:0]
-		if line != "" && line != "-" {
-			for _, p := range strings.Split(line, ",") {
-				name := strings.TrimSpace(p)
-				if name == "" {
-					return fmt.Errorf("txdb: %s: empty item name", fs.path)
-				}
-				if fs.init {
-					id, ok := fs.dict.Lookup(name)
-					if !ok {
-						return fmt.Errorf("txdb: %s: item %q appeared after the first pass", fs.path, name)
-					}
-					ids = append(ids, id)
-				} else {
-					ids = append(ids, fs.dict.ID(name))
-				}
-			}
-		}
 		count++
-		if err := fn(itemset.New(ids...)); err != nil {
+		if err := fn(itemset.Set(ids)); err != nil {
 			return err
 		}
 	}

@@ -10,7 +10,6 @@ import (
 
 	"github.com/flipper-mining/flipper/internal/dict"
 	"github.com/flipper-mining/flipper/internal/itemset"
-	"github.com/flipper-mining/flipper/internal/taxonomy"
 )
 
 // Transaction sharding: the data-partitioning substrate behind the engine's
@@ -206,13 +205,18 @@ func OpenShardDir(dir string, d *dict.Dictionary, stream bool) (*ShardedSource, 
 // discipline every shard-parallel path shares — at most `workers`
 // goroutines live regardless of shard count, so shard count scales
 // independently of core count. Only worker w calls body with that w, so
-// per-worker state indexed by w needs no locking.
+// per-worker state indexed by w needs no locking. A pool of one runs on the
+// caller's goroutine, so a panic in body (an unsharded build, say) unwinds
+// into the caller's recover rather than crashing the process.
 func ForEachShard(workers, n int, body func(w, s int)) {
 	if workers > n {
 		workers = n
 	}
-	if workers < 1 {
-		workers = 1
+	if workers <= 1 {
+		for s := 0; s < n; s++ {
+			body(0, s)
+		}
+		return
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -225,23 +229,4 @@ func ForEachShard(workers, n int, body func(w, s int)) {
 		}(w)
 	}
 	wg.Wait()
-}
-
-// MaterializeShards builds the level-h view of every shard concurrently
-// over a pool of at most `workers` goroutines (the caller's parallelism
-// budget). The returned views are indexed by shard; their per-item
-// supports sum — and their MaxWidths max — to exactly the values of the
-// unsharded Materialize, because generalization is per-transaction.
-func MaterializeShards(shards []Source, tree *taxonomy.Tree, h, workers int) ([]*LevelView, error) {
-	views := make([]*LevelView, len(shards))
-	errs := make([]error, len(shards))
-	ForEachShard(workers, len(shards), func(_, s int) {
-		views[s], errs[s] = Materialize(shards[s], tree, h)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return views, nil
 }

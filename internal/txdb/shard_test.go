@@ -203,20 +203,23 @@ func TestMaterializeShardsMergesToUnsharded(t *testing.T) {
 		}
 		db.AddNames(names...)
 	}
+	ss := PartitionSource(db, 4)
+	shardLevels := make([][]*Level, ss.NumShards())
+	for s, shard := range ss.Shards() {
+		if shardLevels[s], err = BuildLevels(shard, tree); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for h := 1; h <= tree.Height(); h++ {
 		whole, err := Materialize(db, tree, h)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ss := PartitionSource(db, 4)
-		views, err := MaterializeShards(ss.Shards(), tree, h, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
 		merged := make(map[itemset.ID]int64)
 		maxWidth, total := 0, 0
-		for _, v := range views {
-			total += len(v.Tx)
+		for _, levels := range shardLevels {
+			v := levels[h]
+			total += len(v.RowOf)
 			if v.MaxWidth > maxWidth {
 				maxWidth = v.MaxWidth
 			}
@@ -225,7 +228,7 @@ func TestMaterializeShardsMergesToUnsharded(t *testing.T) {
 			}
 		}
 		if total != len(whole.Tx) {
-			t.Fatalf("level %d: shard views hold %d transactions, want %d", h, total, len(whole.Tx))
+			t.Fatalf("level %d: shard levels hold %d transactions, want %d", h, total, len(whole.Tx))
 		}
 		if maxWidth != whole.MaxWidth {
 			t.Fatalf("level %d: merged MaxWidth %d, want %d", h, maxWidth, whole.MaxWidth)

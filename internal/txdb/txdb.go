@@ -1,9 +1,10 @@
 // Package txdb implements the transactional-database substrate: an in-memory
 // transaction store with a shared item dictionary, the basket text format,
 // a streaming file-backed source for disk-resident counting (the paper's
-// engines count "by sequential scans of disk-resident input data"),
-// materialized per-level views that map leaf items to their taxonomy
-// generalizations, and transaction sharding — Partition for splitting an
+// engines count "by sequential scans of disk-resident input data"), the
+// one-pass level build that generalizes a source to every taxonomy level and
+// interns the distinct generalized transactions (BuildLevels), and
+// transaction sharding — Partition for splitting an
 // in-memory database into contiguous shards and ShardedSource for composing
 // per-shard sources (including disk-resident FileSources, the out-of-core
 // layout) — the data-partitioning layer behind the engine's shard-parallel
@@ -13,7 +14,6 @@ package txdb
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"github.com/flipper-mining/flipper/internal/dict"
 	"github.com/flipper-mining/flipper/internal/itemset"
@@ -151,50 +151,44 @@ func (s Stats) String() string {
 		s.Transactions, s.DistinctItems, s.AvgWidth, s.MaxWidth)
 }
 
-// LevelView is a database materialized at one abstraction level: every leaf
-// item replaced by its level-h ancestor, duplicates merged. It also carries
-// the level's single-item supports, which the engine needs both for
-// candidate filtering and for every correlation computation at the level.
+// LevelView is a database materialized at one abstraction level, one
+// generalized transaction per source transaction: every leaf item replaced
+// by its level-h ancestor, duplicates merged. It also carries the level's
+// single-item supports, which correlation computations at the level need.
+// The mining engine works on Level directly; LevelView is the per-transaction
+// form for callers that want it.
 type LevelView struct {
-	Level   int
+	Level int
+	// Tx holds the generalized transactions in scan order. Identical ones
+	// share storage — read only.
 	Tx      []itemset.Set
 	Support map[itemset.ID]int64
 	// MaxWidth is the widest generalized transaction, bounding the itemset
 	// size k worth exploring at this level.
 	MaxWidth int
+
+	rows *Level // the interned level Materialize built Tx from
 }
 
-// Materialize builds the level-h view of src under tree. Items without an
-// ancestor at level h (shallow leaves of an unextended, unbalanced tree) are
-// dropped from the view, mirroring the paper's requirement that the user
-// resolves missing generalizations (taxonomy.Tree.Extend is variant B).
+// Materialize builds the level-h view of src under tree with the one-pass
+// level build. Items without an ancestor at level h (shallow leaves of an
+// unextended, unbalanced tree) are dropped from the view, mirroring the
+// paper's requirement that the user resolves missing generalizations
+// (taxonomy.Tree.Extend is variant B).
 func Materialize(src Source, tree *taxonomy.Tree, h int) (*LevelView, error) {
 	if h < 1 || h > tree.Height() {
 		return nil, fmt.Errorf("txdb: level %d out of range 1..%d", h, tree.Height())
 	}
-	lv := &LevelView{Level: h, Support: make(map[itemset.ID]int64)}
-	buf := make([]itemset.ID, 0, 32)
-	err := src.Scan(func(tx itemset.Set) error {
-		buf = buf[:0]
-		for _, id := range tx {
-			if a, ok := tree.AncestorAt(id, h); ok {
-				buf = append(buf, a)
-			}
-		}
-		g := itemset.New(buf...)
-		lv.Tx = append(lv.Tx, g)
-		if len(g) > lv.MaxWidth {
-			lv.MaxWidth = len(g)
-		}
-		for _, id := range g {
-			lv.Support[id]++
-		}
-		return nil
-	})
+	levels, err := buildLevels(src, tree, h, h)
 	if err != nil {
 		return nil, err
 	}
-	return lv, nil
+	l := levels[h]
+	tx := make([]itemset.Set, len(l.RowOf))
+	for t, r := range l.RowOf {
+		tx[t] = l.Row(int(r))
+	}
+	return &LevelView{Level: h, Tx: tx, Support: l.Support, MaxWidth: l.MaxWidth, rows: l}, nil
 }
 
 // WeightedTx is a distinct transaction with its multiplicity. Generalizing
@@ -206,25 +200,25 @@ type WeightedTx struct {
 	Weight int64
 }
 
-// Dedup merges identical transactions of the view into weighted ones,
-// ordered deterministically in lexicographic itemset order (the same order
-// the former key-string sort produced). Sorting references and merging
-// adjacent runs avoids the per-transaction key allocations of the old
-// map[string] implementation — this runs once per level on every mine.
+// Dedup merges identical transactions of the view into weighted ones in
+// lexicographic itemset order. For a view Materialize returned these are the
+// rows its level build already interned; a view assembled by hand has its
+// transactions interned now, by the same row table.
 func (lv *LevelView) Dedup() []WeightedTx {
 	if len(lv.Tx) == 0 {
 		return nil
 	}
-	sorted := make([]itemset.Set, len(lv.Tx))
-	copy(sorted, lv.Tx)
-	slices.SortFunc(sorted, itemset.Compare)
-	out := make([]WeightedTx, 0, len(sorted))
-	for _, tx := range sorted {
-		if n := len(out); n > 0 && out[n-1].Items.Equal(tx) {
-			out[n-1].Weight++
-			continue
+	l := lv.rows
+	if l == nil {
+		t := newRowTable(len(lv.Tx))
+		for _, tx := range lv.Tx {
+			t.add(tx)
 		}
-		out = append(out, WeightedTx{Items: tx, Weight: 1})
+		l = t.finish()
+	}
+	out := make([]WeightedTx, l.Rows())
+	for r := range out {
+		out[r] = WeightedTx{Items: l.Row(r), Weight: l.Weights[r]}
 	}
 	return out
 }

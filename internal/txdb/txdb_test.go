@@ -126,6 +126,13 @@ func TestReadBasketsErrorsAndComments(t *testing.T) {
 	if db.Tx(0).K() != 2 || db.Tx(1).K() != 0 || db.Tx(2).K() != 1 {
 		t.Errorf("widths = %d,%d,%d", db.Tx(0).K(), db.Tx(1).K(), db.Tx(2).K())
 	}
+	// Transactions share one ID arena; appending to one must not write
+	// into the next.
+	milk := db.Tx(2)[0]
+	_ = append(db.Tx(0), milk+1)
+	if db.Tx(2)[0] != milk {
+		t.Error("append to a transaction overwrote its neighbour in the arena")
+	}
 	if _, err := ReadBaskets(strings.NewReader("a,,b\n"), nil); err == nil {
 		t.Error("empty item accepted")
 	}
