@@ -26,7 +26,7 @@
 //
 // Coverage floors (see cover.go):
 //
-//	go run ./ci -cover cover.out -require internal/sketch=85 \
+//	go run ./ci -cover cover.out -require internal/core=85,internal/bitmap=85 \
 //	    [-summary "$GITHUB_STEP_SUMMARY"]
 //
 // aggregates a `go test -coverprofile` file per package, writes the table

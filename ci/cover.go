@@ -4,7 +4,7 @@ package main
 //
 //	go test ./... -coverprofile=cover.out
 //	go run ./ci -cover cover.out [-summary "$GITHUB_STEP_SUMMARY"] \
-//	    [-require internal/sketch=85,internal/core=0]
+//	    [-require internal/core=85,internal/bitmap=85]
 //
 // aggregates the profile per package (covered statements over total
 // statements, the same arithmetic as `go tool cover -func` totals), prints
@@ -173,7 +173,7 @@ func parseCoverProfile(profilePath string) (map[string]pkgCover, error) {
 }
 
 // parseRequire parses "pkg=pct,pkg=pct" floors. Package names match as
-// import-path suffixes, so "internal/sketch" matches the module-qualified
+// import-path suffixes, so "internal/core" matches the module-qualified
 // profile paths.
 func parseRequire(spec string) (map[string]float64, error) {
 	floors := make(map[string]float64)

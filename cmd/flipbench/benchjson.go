@@ -107,9 +107,6 @@ func runBenchJSON(path, tag string) error {
 				"bitmap_word_ops":    float64(res.Stats.BitmapWordOps),
 				"shards":             float64(res.Stats.Shards),
 				"shard_merge_ns":     float64(res.Stats.ShardMergeNs),
-				"sketch_probes":      float64(res.Stats.SketchProbes),
-				"sketch_pruned":      float64(res.Stats.SketchPruned),
-				"exact_fallbacks":    float64(res.Stats.ExactFallbacks),
 				"patterns":           float64(len(res.Patterns)),
 			},
 		})
@@ -145,33 +142,17 @@ func runBenchJSON(path, tag string) error {
 			return err
 		}
 	}
-	// Anchored top-K on the same workload: the sketch-pruned query path, cold
-	// and warm (a warm engine reuses the cached signatures, which is the
-	// steady state a resident flipperd serves /v1/topk in). Guaranteed mode
-	// carries unsaturated sketches (k=8192 ≥ 8000 transactions, bounds are
-	// exact); best_effort shrinks them 16× so pruning runs on estimates.
-	anchoredCfg := func(mode string, sketchK int) core.Config {
-		cfg := cfgFor(core.CountScan)
-		cfg.Anchor = "leaf00.0"
-		cfg.AnchorTopK = 5
-		cfg.AnchorMode = mode
-		cfg.SketchK = sketchK
-		return cfg
+	// Anchored top-K on the same workload, cold and warm (a warm engine
+	// reuses the cached level bitmaps, which is the steady state a resident
+	// flipperd serves /v1/topk in).
+	anchoredCfg := cfgFor(core.CountScan)
+	anchoredCfg.Anchor = "leaf00.0"
+	anchoredCfg.AnchorTopK = 5
+	if err := record("AnchoredTopK", anchoredCfg, nil); err != nil {
+		return err
 	}
-	for _, m := range []struct {
-		name    string
-		mode    string
-		sketchK int
-	}{
-		{"guaranteed", core.AnchorGuaranteed, 8192},
-		{"best_effort", core.AnchorBestEffort, 512},
-	} {
-		if err := record("AnchoredTopK/"+m.name, anchoredCfg(m.mode, m.sketchK), nil); err != nil {
-			return err
-		}
-		if err := record("AnchoredTopK/"+m.name+"/warm", anchoredCfg(m.mode, m.sketchK), core.NewEngine(db, tree)); err != nil {
-			return err
-		}
+	if err := record("AnchoredTopK/warm", anchoredCfg, core.NewEngine(db, tree)); err != nil {
+		return err
 	}
 	f, err := os.Create(path)
 	if err != nil {

@@ -7,7 +7,7 @@
 //	        -gamma 0.3 -epsilon 0.1 -minsup 0.01,0.001,0.0005,0.0001 \
 //	        [-measure kulczynski] [-pruning full] [-strategy scan|tidlist|bitmap|auto] \
 //	        [-shards 0] [-topk 0] [-target-patterns 0] [-stream] [-stats] \
-//	        [-anchor item] [-approx] [-sketchk 0] \
+//	        [-anchor item] \
 //	        [-timeout 0] [-json] [-json-api] [-csv patterns.csv]
 //
 // The taxonomy file holds one "child<TAB>parent" edge per line; the basket
@@ -24,13 +24,11 @@
 // selective ε still yielding at least that many patterns is used.
 // -anchor switches to anchored top-K search: only patterns whose chain
 // passes through the named item are mined, ranked by descending flip gap
-// (-topk sets K, default 10); -approx trades the exactness guarantee for
-// sketch-estimated pruning with per-pattern confidence. The
-// default output is one block per pattern with the full correlation chain;
-// -json emits name-resolved JSON, -json-api the full result envelope
-// (pattern count, patterns, run statistics) in exactly the shape the
-// flipperd service returns for completed mine jobs, and -csv writes one row
-// per chain level.
+// (-topk sets K, default 10). The default output is one block per pattern
+// with the full correlation chain; -json emits name-resolved JSON,
+// -json-api the full result envelope (pattern count, patterns, run
+// statistics) in exactly the shape the flipperd service returns for
+// completed mine jobs, and -csv writes one row per chain level.
 package main
 
 import (
@@ -62,8 +60,6 @@ func main() {
 		shards   = flag.Int("shards", 0, "partition the database into N shards counted in parallel (0 = unsharded; ignored when -db is a shard directory, which brings its own shards, or a single file in -stream mode, which cannot be split — see flipgen -shards)")
 		topK     = flag.Int("topk", 0, "keep only the K most flipping patterns (largest correlation gap); with -anchor this is the anchored K (default 10)")
 		anchor   = flag.String("anchor", "", "anchored top-K search: return only patterns whose chain passes through this item, ranked by gap")
-		approx   = flag.Bool("approx", false, "with -anchor: best-effort mode — prune on sketch estimates and report per-pattern confidence")
-		sketchK  = flag.Int("sketchk", 0, "with -anchor: per-item sketch signature size (0 = default)")
 		target   = flag.Int("target-patterns", 0, "auto-tune ε: search for the most selective ε yielding at least this many patterns")
 		maxK     = flag.Int("maxk", 0, "cap the itemset size (0 = data-bound)")
 		stream   = flag.Bool("stream", false, "disk-resident mode: re-read the basket file on every pass")
@@ -104,12 +100,6 @@ func main() {
 			cfg.AnchorTopK = 10
 		}
 		cfg.TopK = 0
-		if *approx {
-			cfg.AnchorMode = flipper.AnchorBestEffort
-		}
-		cfg.SketchK = *sketchK
-	} else if *approx || *sketchK != 0 {
-		fail(errors.New("-approx and -sketchk require -anchor"))
 	}
 	if cfg.Measure, err = flipper.ParseMeasure(*meas); err != nil {
 		fail(err)

@@ -112,16 +112,6 @@ const (
 	CountBitmap = core.CountBitmap
 )
 
-// Anchored-search modes (Config.AnchorMode).
-const (
-	// AnchorGuaranteed returns exactly what filtering and ranking the full
-	// exact mine would (the default).
-	AnchorGuaranteed = core.AnchorGuaranteed
-	// AnchorBestEffort additionally prunes on sketch estimates and reports
-	// a per-pattern Confidence.
-	AnchorBestEffort = core.AnchorBestEffort
-)
-
 // ErrUnknownAnchor reports an anchored run whose Config.Anchor names no
 // item in the taxonomy.
 var ErrUnknownAnchor = core.ErrUnknownAnchor

@@ -1,17 +1,14 @@
 package core
 
 import (
-	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"github.com/flipper-mining/flipper/internal/measure"
-	"github.com/flipper-mining/flipper/internal/sketch"
 	"github.com/flipper-mining/flipper/internal/taxonomy"
 	"github.com/flipper-mining/flipper/internal/txdb"
 )
@@ -33,7 +30,7 @@ func rankedFingerprint(pats []Pattern, tree *taxonomy.Tree) string {
 
 // anchoredReference computes the anchored top-K answer the slow way: filter
 // the full exact pattern set down to chains through the anchor, then rank
-// by gap and truncate — the definition guaranteed mode must reproduce.
+// by gap and truncate — the definition anchored search must reproduce.
 func anchoredReference(full *Result, tree *taxonomy.Tree, anchor string, topK int) []Pattern {
 	id, ok := tree.Dict().Lookup(anchor)
 	if !ok {
@@ -50,16 +47,14 @@ func anchoredReference(full *Result, tree *taxonomy.Tree, anchor string, topK in
 }
 
 // TestAnchoredTopKMatchesExact is the acceptance property of the anchored
-// query path: in guaranteed mode, across every counting strategy, every
-// pruning level, shard counts 1, 2 and 7 and sketch sizes 4, 64 and the
-// default, the sketch-pruned anchored search returns byte-identically what
-// filtering and ranking the full exact mine returns — same patterns, same
-// order, same supports, correlations and labels. The default size never
-// saturates on this data, so its brackets pin every support; k=4 saturates
-// and forces exact bitmap counts, which the test requires to happen on both
-// the unsharded and the per-shard index paths. Like
+// query path: across every counting strategy, every pruning level and
+// shard counts 1, 2 and 7, the anchored search returns byte-identically
+// what filtering and ranking the full exact mine returns — same patterns,
+// same order, same supports, correlations and labels. A materialized run
+// builds bitmaps exactly when it counts candidates, and the test requires
+// bitmap counting on both the unsharded and the per-shard index paths. Like
 // TestShardedMiningEquivalence it runs under the CI race job
-// (go test -race ./...), so the shared sketch cache is raced on every PR.
+// (go test -race ./...), so the per-shard index build is raced on every PR.
 func TestAnchoredTopKMatchesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	trials := 4
@@ -67,11 +62,10 @@ func TestAnchoredTopKMatchesExact(t *testing.T) {
 		trials = 2
 	}
 	shardCounts := []int{1, 2, 7}
-	sketchKs := []int{4, 64, 0} // 0: sketch.DefaultK
 	strategies := []CountStrategy{CountScan, CountTIDList, CountBitmap, CountAuto}
-	// exactPaths[sharded] records that k=4 drove exact bitmap counts through
+	// bitmapPaths[sharded] records that exact bitmap counting ran through
 	// that index path at least once.
-	var exactPaths [2]bool
+	var bitmapPaths [2]bool
 	anchors := []string{"c0", "c1.0", "c0.1.1"} // level 1, 2 and leaf anchors
 	for trial := 0; trial < trials; trial++ {
 		db, tree := randomDataset(rng)
@@ -92,48 +86,34 @@ func TestAnchoredTopKMatchesExact(t *testing.T) {
 			for _, pruning := range Levels() {
 				for _, strategy := range strategies {
 					for _, shards := range shardCounts {
-						for _, sketchK := range sketchKs {
-							cfg := base
-							cfg.Pruning = pruning
-							cfg.Strategy = strategy
-							cfg.Shards = shards
-							cfg.Anchor = anchor
-							cfg.AnchorTopK = topK
-							cfg.SketchK = sketchK
-							res, err := Mine(db, tree, cfg)
-							if err != nil {
-								t.Fatalf("trial %d anchor=%q %v/%v shards=%d k=%d: %v",
-									trial, anchor, pruning, strategy, shards, sketchK, err)
-							}
-							got := rankedFingerprint(res.Patterns, tree)
-							if got != want {
-								t.Fatalf("trial %d: anchored %q %v/%v shards=%d k=%d diverged from exact.\nexact:\n%s\nanchored:\n%s",
-									trial, anchor, pruning, strategy, shards, sketchK, want, got)
-							}
-							st := res.Stats
-							if st.SketchProbes == 0 && len(full.Patterns) > 0 {
-								t.Fatalf("trial %d anchor=%q: materialized anchored run probed no sketches", trial, anchor)
-							}
-							if st.SketchPruned+st.ExactFallbacks > st.SketchProbes {
-								t.Fatalf("trial %d: sketch counters inconsistent: %d pruned + %d fallbacks > %d probes",
-									trial, st.SketchPruned, st.ExactFallbacks, st.SketchProbes)
-							}
-							if (st.ExactFallbacks > 0) != (st.BitmapBuilds > 0) {
-								t.Fatalf("trial %d k=%d: %d exact fallbacks but %d bitmap builds",
-									trial, sketchK, st.ExactFallbacks, st.BitmapBuilds)
-							}
-							if sketchK == 4 && st.ExactFallbacks > 0 && st.BitmapWordOps > 0 {
-								exactPaths[min(shards-1, 1)] = true
-							}
-							for _, p := range res.Patterns {
-								if p.Confidence != 0 {
-									t.Fatalf("trial %d: guaranteed mode leaked confidence %v", trial, p.Confidence)
-								}
-							}
+						cfg := base
+						cfg.Pruning = pruning
+						cfg.Strategy = strategy
+						cfg.Shards = shards
+						cfg.Anchor = anchor
+						cfg.AnchorTopK = topK
+						res, err := Mine(db, tree, cfg)
+						if err != nil {
+							t.Fatalf("trial %d anchor=%q %v/%v shards=%d: %v",
+								trial, anchor, pruning, strategy, shards, err)
+						}
+						got := rankedFingerprint(res.Patterns, tree)
+						if got != want {
+							t.Fatalf("trial %d: anchored %q %v/%v shards=%d diverged from exact.\nexact:\n%s\nanchored:\n%s",
+								trial, anchor, pruning, strategy, shards, want, got)
+						}
+						st := res.Stats
+						if (st.CandidatesCounted > 0) != (st.BitmapBuilds > 0) {
+							t.Fatalf("trial %d: %d candidates counted but %d bitmap builds",
+								trial, st.CandidatesCounted, st.BitmapBuilds)
+						}
+						if st.CandidatesCounted > 0 && st.BitmapWordOps > 0 {
+							bitmapPaths[min(shards-1, 1)] = true
 						}
 					}
 				}
-				// Streaming fallback: no level views to sketch, exact filter path.
+				// Streaming fallback: no materialized levels to index, exact
+				// filter path.
 				cfg := base
 				cfg.Materialize = false
 				cfg.Pruning = pruning
@@ -147,70 +127,131 @@ func TestAnchoredTopKMatchesExact(t *testing.T) {
 					t.Fatalf("trial %d: streaming anchored %q %v diverged from exact.\nexact:\n%s\nanchored:\n%s",
 						trial, anchor, pruning, want, got)
 				}
-				if res.Stats.SketchProbes != 0 {
-					t.Fatalf("trial %d: streaming fallback reported %d sketch probes", trial, res.Stats.SketchProbes)
-				}
 			}
 		}
 	}
-	if !exactPaths[0] || !exactPaths[1] {
-		t.Fatalf("k=4 never reached exact bitmap counting (unsharded %v, sharded %v)", exactPaths[0], exactPaths[1])
+	if !bitmapPaths[0] || !bitmapPaths[1] {
+		t.Fatalf("anchored search never counted on the bitmap index (unsharded %v, sharded %v)", bitmapPaths[0], bitmapPaths[1])
 	}
 }
 
-// TestAnchoredBestEffortSound pins what best-effort mode may and may not
-// do: it may drop patterns the sketch estimates ruled out, but every
-// pattern it does return must be a real pattern with its exact chain, must
-// appear in the guaranteed answer for the same K, and must carry a
-// confidence in (0, 1].
-func TestAnchoredBestEffortSound(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	trials := 6
-	if testing.Short() {
-		trials = 3
-	}
-	for trial := 0; trial < trials; trial++ {
-		db, tree := randomDataset(rng)
-		cfg := Config{
-			Measure:     measure.Kulczynski,
-			Gamma:       0.3,
-			Epsilon:     0.1,
-			MinSupAbs:   []int64{2, 1, 1},
+// FuzzAnchoredTopK decodes the input into a small balanced taxonomy of
+// height 2 or 3, baskets over its leaves, a measure, thresholds, an anchor
+// at any level and K, and checks anchored top-K — one and two shards,
+// materialized and streaming — byte for byte against anchoredReference over
+// the full mine.
+func FuzzAnchoredTopK(f *testing.F) {
+	// Height 2, roots c0 and c1 with three leaves each; 15 baskets: the nine
+	// cross pairs {c0.i, c1.j} once and every leaf once alone. Kulczynski,
+	// γ = 0.7, ε = 0.25 and min supports 1, 1 make {c0, c1} positive (0.75)
+	// and every leaf pair negative (0.25): nine patterns, three of them
+	// through the anchor c0.1, all returned at K = 3.
+	f.Add([]byte{0, 1, 2, 2, 11,
+		2, 0, 3, 2, 0, 4, 2, 0, 5, 2, 1, 3, 2, 1, 4, 2, 1, 5, 2, 2, 3, 2, 2, 4, 2, 2, 5,
+		1, 0, 1, 1, 1, 2, 1, 3, 1, 4, 1, 5,
+		3, 3, 5, 0, 0, 2, 2, 3})
+	// A height-3 input with two flipping patterns through its anchor.
+	f.Add([]byte{1, 37, 217, 77, 160, 13, 255, 182, 128, 180, 61, 235, 186, 182, 126, 95, 120,
+		83, 136, 221, 160, 91, 126, 23, 126, 93, 129, 202, 39, 141, 202, 165, 178, 146, 55,
+		212, 178, 131, 20, 184, 166, 232, 96, 51, 195, 230, 45, 77, 66})
+	// Three roots with two leaves each, K = 1 at the anchor c0: two patterns
+	// tie on gap, and the DFS meets the one with the smaller leaf key
+	// second, so the search must keep descending at a gap equal to the
+	// floor.
+	f.Add([]byte{0, 2, 1, 1, 1, 9, 6, 123, 185, 20, 18, 75, 46, 197, 113, 178, 56, 124, 110,
+		111, 8, 124, 174, 108, 231, 232, 66, 20, 94, 129, 24, 162, 53, 8, 137, 21, 37, 115,
+		229, 253, 179, 24, 42, 80, 88, 148})
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			v := int(data[0])
+			data = data[1:]
+			return v
+		}
+		height := 2 + next()%2
+		b := taxonomy.NewBuilder(nil)
+		var nodes, leaves []string
+		var grow func(path []string)
+		grow = func(path []string) {
+			nodes = append(nodes, path[len(path)-1])
+			if len(path) == height {
+				if err := b.AddPath(path...); err != nil {
+					t.Fatalf("generated path %v rejected: %v", path, err)
+				}
+				leaves = append(leaves, path[len(path)-1])
+				return
+			}
+			for c, n := 0, 1+next()%3; c < n; c++ {
+				grow(append(path[:len(path):len(path)], fmt.Sprintf("%s.%d", path[len(path)-1], c)))
+			}
+		}
+		for r, n := 0, 1+next()%3; r < n; r++ {
+			grow([]string{fmt.Sprintf("c%d", r)})
+		}
+		tree, err := b.Build()
+		if err != nil {
+			t.Fatalf("generated taxonomy rejected: %v", err)
+		}
+		db := txdb.New(tree.Dict())
+		for tx, n := 0, 4+next()%40; tx < n; tx++ {
+			names := make([]string, next()%5)
+			for i := range names {
+				names[i] = leaves[next()%len(leaves)]
+			}
+			db.AddNames(names...)
+		}
+		gammas := []float64{0.3, 0.4, 0.5, 0.7}
+		base := Config{
+			Measure:     measure.All()[next()%len(measure.All())],
+			Gamma:       gammas[next()%len(gammas)],
+			Epsilon:     float64(next()%6) / 20,
+			MinSupAbs:   make([]int64, height),
 			Materialize: true,
-			Anchor:      "c0",
-			AnchorTopK:  5,
-			SketchK:     4, // tiny signatures force wide brackets and real estimating
 		}
-		exact, err := Mine(db, tree, cfg)
+		for h := range base.MinSupAbs {
+			base.MinSupAbs[h] = int64(1 + next()%3)
+		}
+		anchor := nodes[next()%len(nodes)]
+		topK := 1 + next()%4
+		pruning := Levels()[next()%len(Levels())]
+		full, err := Mine(db, tree, base)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("full mine: %v", err)
 		}
-		exactSet := make(map[string]bool)
-		for _, p := range exact.Patterns {
-			exactSet[rankedFingerprint([]Pattern{p}, tree)] = true
-		}
-		c := cfg
-		c.AnchorMode = AnchorBestEffort
-		approx, err := Mine(db, tree, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(approx.Patterns) > len(exact.Patterns) {
-			t.Fatalf("trial %d: best-effort invented patterns: %d > %d exact",
-				trial, len(approx.Patterns), len(exact.Patterns))
-		}
-		for _, p := range approx.Patterns {
-			conf := p.Confidence
-			p.Confidence = 0
-			if !exactSet[rankedFingerprint([]Pattern{p}, tree)] {
-				t.Fatalf("trial %d: best-effort returned a pattern outside the exact top-K:\n%s",
-					trial, p.Format(tree))
+		wire := func(pats []Pattern) string {
+			out := make([]PatternJSON, len(pats))
+			for i := range pats {
+				out[i] = pats[i].JSON(tree)
 			}
-			if conf <= 0 || conf > 1 {
-				t.Fatalf("trial %d: best-effort confidence %v outside (0, 1]", trial, conf)
+			raw, err := json.Marshal(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return string(raw)
+		}
+		want := wire(anchoredReference(full, tree, anchor, topK))
+		for _, materialize := range []bool{true, false} {
+			for _, shards := range []int{1, 2} {
+				cfg := base
+				cfg.Pruning = pruning
+				cfg.Materialize = materialize
+				cfg.Shards = shards
+				cfg.Anchor = anchor
+				cfg.AnchorTopK = topK
+				res, err := Mine(db, tree, cfg)
+				if err != nil {
+					t.Fatalf("anchored %q materialize=%v shards=%d: %v", anchor, materialize, shards, err)
+				}
+				if got := wire(res.Patterns); got != want {
+					t.Fatalf("anchored %q K=%d %v materialize=%v shards=%d diverged from the filtered full mine.\nwant: %s\ngot:  %s",
+						anchor, topK, pruning, materialize, shards, want, got)
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestAnchoredUnknownAnchor pins the error contract for anchors that name
@@ -231,13 +272,9 @@ func TestAnchoredUnknownAnchor(t *testing.T) {
 // Config.Validate.
 func TestAnchoredConfigValidation(t *testing.T) {
 	bad := []func(*Config){
-		func(c *Config) { c.AnchorTopK = 3 },                  // anchor_top_k without anchor
-		func(c *Config) { c.AnchorMode = AnchorBestEffort },   // anchor_mode without anchor
-		func(c *Config) { c.SketchK = 64 },                    // sketch_k without anchor
-		func(c *Config) { c.Anchor = "x" },                    // anchor without anchor_top_k
-		func(c *Config) { c.Anchor = "x"; c.AnchorTopK = -1 }, // bad K
-		func(c *Config) { c.Anchor = "x"; c.AnchorTopK = 2; c.AnchorMode = "psychic" },
-		func(c *Config) { c.Anchor = "x"; c.AnchorTopK = 2; c.SketchK = -5 },
+		func(c *Config) { c.AnchorTopK = 3 },                             // anchor_top_k without anchor
+		func(c *Config) { c.Anchor = "x" },                               // anchor without anchor_top_k
+		func(c *Config) { c.Anchor = "x"; c.AnchorTopK = -1 },            // bad K
 		func(c *Config) { c.Anchor = "x"; c.AnchorTopK = 2; c.TopK = 4 }, // mutually exclusive
 	}
 	for i, mutate := range bad {
@@ -250,16 +287,14 @@ func TestAnchoredConfigValidation(t *testing.T) {
 	cfg := DefaultConfig(3)
 	cfg.Anchor = "x"
 	cfg.AnchorTopK = 2
-	cfg.AnchorMode = AnchorBestEffort
-	cfg.SketchK = 128
 	if err := cfg.Validate(3, 100); err != nil {
 		t.Fatalf("valid anchored config rejected: %v", err)
 	}
 }
 
 // TestAnchoredCanonicalKey pins cache-key behavior: non-anchored keys keep
-// their exact pre-anchor bytes, anchored keys separate by anchor, K, mode
-// and sketch size, and "" normalizes to guaranteed.
+// their exact pre-anchor bytes, and anchored keys end in ";anchor=X;k=K",
+// so they separate by anchor and K.
 func TestAnchoredCanonicalKey(t *testing.T) {
 	plain := DefaultConfig(3)
 	if k := plain.CanonicalKey(); strings.Contains(k, "anchor") {
@@ -268,15 +303,13 @@ func TestAnchoredCanonicalKey(t *testing.T) {
 	a := DefaultConfig(3)
 	a.Anchor = "x"
 	a.AnchorTopK = 3
-	b := a
-	b.AnchorMode = AnchorGuaranteed
-	if a.CanonicalKey() != b.CanonicalKey() {
-		t.Fatalf("default mode and explicit guaranteed split the cache:\n%s\n%s", a.CanonicalKey(), b.CanonicalKey())
+	if k := a.CanonicalKey(); k != plain.CanonicalKey()+";anchor=x;k=3" {
+		t.Fatalf("anchored key %s, want the plain key plus ;anchor=x;k=3", k)
 	}
-	c := a
-	c.AnchorMode = AnchorBestEffort
-	if a.CanonicalKey() == c.CanonicalKey() {
-		t.Fatal("best-effort shares a cache entry with guaranteed")
+	b := a
+	b.Anchor = "y"
+	if a.CanonicalKey() == b.CanonicalKey() {
+		t.Fatal("different anchors share a cache entry")
 	}
 	d := a
 	d.AnchorTopK = 4
@@ -285,81 +318,8 @@ func TestAnchoredCanonicalKey(t *testing.T) {
 	}
 }
 
-// TestAnchoredSketchPersistence checks the warm-start file: an anchored run
-// saves sketches next to the dataset, a fresh engine loads them and answers
-// identically, and a corrupt or mismatched file is rebuilt, not trusted.
-func TestAnchoredSketchPersistence(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	db, tree := randomDataset(rng)
-	path := filepath.Join(t.TempDir(), "sketches.bin")
-	cfg := Config{
-		Measure:     measure.Kulczynski,
-		Gamma:       0.3,
-		Epsilon:     0.1,
-		MinSupAbs:   []int64{2, 1, 1},
-		Materialize: true,
-		Anchor:      "c0",
-		AnchorTopK:  3,
-	}
-	eng := NewEngine(db, tree)
-	eng.SetSketchPath(path)
-	res, err := eng.Mine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := rankedFingerprint(res.Patterns, tree)
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("anchored run left no sketch file: %v", err)
-	}
-
-	// A fresh engine over the same dataset warm-starts from the file.
-	eng2 := NewEngine(db, tree)
-	eng2.SetSketchPath(path)
-	res2, err := eng2.Mine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rankedFingerprint(res2.Patterns, tree); got != want {
-		t.Fatalf("warm-started engine diverged.\ncold:\n%s\nwarm:\n%s", want, got)
-	}
-
-	// Corruption is detected and the sketches rebuilt.
-	if err := os.WriteFile(path, []byte("definitely not a sketch file"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	eng3 := NewEngine(db, tree)
-	eng3.SetSketchPath(path)
-	res3, err := eng3.Mine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rankedFingerprint(res3.Patterns, tree); got != want {
-		t.Fatalf("corrupt-file rebuild diverged.\ncold:\n%s\nrebuilt:\n%s", want, got)
-	}
-
-	// A file built from a different dataset fails the fingerprint check.
-	db2, tree2 := randomDataset(rng)
-	eng4 := NewEngine(db2, tree2)
-	eng4.SetSketchPath(path)
-	full, err := Mine(db2, tree2, Config{
-		Measure: measure.Kulczynski, Gamma: 0.3, Epsilon: 0.1,
-		MinSupAbs: []int64{2, 1, 1}, Materialize: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res4, err := eng4.Mine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantOther := rankedFingerprint(anchoredReference(full, tree2, "c0", 3), tree2)
-	if got := rankedFingerprint(res4.Patterns, tree2); got != wantOther {
-		t.Fatalf("foreign sketch file poisoned the run.\nexact:\n%s\nanchored:\n%s", wantOther, got)
-	}
-}
-
 // TestAnchoredShardedSource covers anchored mining over an explicit
-// ShardedSource, where sketch keys fold the shard index in.
+// ShardedSource, whose shards each get their own bitmap index.
 func TestAnchoredShardedSource(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	db, tree := randomDataset(rng)
@@ -390,67 +350,9 @@ func TestAnchoredShardedSource(t *testing.T) {
 	}
 }
 
-// tidListSketchSet builds a sketch set by walking each level's per-item tid
-// lists — the construction sketch files on disk were first written with.
-func tidListSketchSet(m *miner, k int, fp uint64) *sketch.Set {
-	set := &sketch.Set{K: k, Fingerprint: fp, Levels: make([]*sketch.Level, m.height+1)}
-	for h := 1; h <= m.height; h++ {
-		b := sketch.NewBuilder(k)
-		for s, lists := range m.tidLists(h) {
-			for id, tids := range lists {
-				for _, tid := range tids {
-					b.Observe(id, uint64(s)<<32|uint64(uint32(tid)))
-				}
-			}
-		}
-		set.Levels[h] = b.Finish()
-	}
-	return set
-}
-
-// TestSketchSetFromViewsMatchesTIDLists pins sketch persistence
-// compatibility: a set observed straight from the level views encodes to
-// the same bytes as one built from tid lists, unsharded and over 2 and 7
-// shards, so existing sketches.bin files keep loading and bounding
-// identically.
-func TestSketchSetFromViewsMatchesTIDLists(t *testing.T) {
-	rng := rand.New(rand.NewSource(57))
-	for trial := 0; trial < 3; trial++ {
-		db, tree := randomDataset(rng)
-		for _, shards := range []int{1, 2, 7} {
-			for _, k := range []int{4, 64, sketch.DefaultK} {
-				cfg := Config{
-					Measure:     measure.Kulczynski,
-					Gamma:       0.3,
-					Epsilon:     0.1,
-					MinSupAbs:   []int64{2, 1, 1},
-					Materialize: true,
-					Shards:      shards,
-					Anchor:      "c0",
-					AnchorTopK:  3,
-					SketchK:     k,
-				}
-				m := newTestMiner(t, db, tree, cfg)
-				fp := m.sketchFingerprint()
-				var got, want bytes.Buffer
-				if err := m.buildSketchSet(k, fp).Encode(&got); err != nil {
-					t.Fatal(err)
-				}
-				if err := tidListSketchSet(m, k, fp).Encode(&want); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got.Bytes(), want.Bytes()) {
-					t.Fatalf("trial %d shards=%d k=%d: view-built sketch encodes to %d bytes differing from the tid-list build (%d bytes)",
-						trial, shards, k, got.Len(), want.Len())
-				}
-			}
-		}
-	}
-}
-
-// TestAnchoredMineBuildsNoTIDLists checks that an anchored run — sketch
-// build and exact fallbacks included — never materializes tid lists, on the
-// unsharded and the sharded representation alike.
+// TestAnchoredMineBuildsNoTIDLists checks that an anchored run counts on
+// the bitmap index and never materializes tid lists, on the unsharded and
+// the sharded representation alike.
 func TestAnchoredMineBuildsNoTIDLists(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	db, tree := randomDataset(rng)
@@ -464,15 +366,14 @@ func TestAnchoredMineBuildsNoTIDLists(t *testing.T) {
 			Shards:      shards,
 			Anchor:      "c0",
 			AnchorTopK:  3,
-			SketchK:     4, // saturated signatures, so exact counts run too
 		}
 		eng := NewEngine(db, tree)
 		res, err := eng.Mine(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Stats.ExactFallbacks == 0 {
-			t.Fatalf("shards=%d: no exact fallback ran; the check below would be vacuous", shards)
+		if res.Stats.CandidatesCounted == 0 {
+			t.Fatalf("shards=%d: no candidate was counted; the check below would be vacuous", shards)
 		}
 		if len(eng.data) != 1 {
 			t.Fatalf("shards=%d: %d cached representations, want 1", shards, len(eng.data))

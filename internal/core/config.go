@@ -182,33 +182,15 @@ type Config struct {
 	// Anchor, when set, switches the run into anchored search: instead of
 	// mining every flipping pattern, the engine searches only patterns whose
 	// generalization chain contains the named taxonomy node at its level, and
-	// returns the AnchorTopK best by descending flip gap. Anchored search
-	// prunes candidates whose sketch support upper bound cannot reach the
-	// frequency threshold, the required label, or the current top-K heap, and
-	// exact-counts only the survivors (Stats.SketchProbes / SketchPruned /
-	// ExactFallbacks). Mutually exclusive with TopK (use AnchorTopK).
+	// returns the AnchorTopK best by descending flip gap — exactly what
+	// filtering and ranking the full mine would return. Every candidate on
+	// the anchored chains is counted exactly on the level's bitmap index.
+	// Mutually exclusive with TopK (use AnchorTopK).
 	Anchor string `json:"anchor,omitempty"`
 	// AnchorTopK is how many anchored patterns to return; required (≥ 1)
 	// when Anchor is set.
 	AnchorTopK int `json:"anchor_top_k,omitempty"`
-	// AnchorMode selects the anchored accuracy contract: "" or "guaranteed"
-	// (the returned ranking is provably equal to filtering and ranking the
-	// full exact mine — sketches only skip work they can prove irrelevant)
-	// or "best_effort" (sketch estimates also prune, trading recall for
-	// latency; each returned pattern carries a sketch-derived Confidence).
-	AnchorMode string `json:"anchor_mode,omitempty"`
-	// SketchK is the per-item bottom-k signature size anchored search probes
-	// (0 = sketch.DefaultK). Larger sketches bound supports tighter — once
-	// every item's transaction set fits, the bounds are exact and
-	// best-effort loses nothing — at ~8 bytes per item per k of memory.
-	SketchK int `json:"sketch_k,omitempty"`
 }
-
-// Anchored mode names accepted by AnchorMode.
-const (
-	AnchorGuaranteed = "guaranteed"
-	AnchorBestEffort = "best_effort"
-)
 
 // DefaultConfig returns the paper's default synthetic-experiment settings
 // for a taxonomy of the given height: γ=0.3, ε=0.1, Kulczynski, full pruning
@@ -277,21 +259,9 @@ func (c *Config) validate(height, n int) ([]int64, error) {
 		if c.AnchorTopK != 0 {
 			return nil, fmt.Errorf("core: anchor_top_k %d requires an anchor", c.AnchorTopK)
 		}
-		if c.AnchorMode != "" {
-			return nil, fmt.Errorf("core: anchor_mode %q requires an anchor", c.AnchorMode)
-		}
-		if c.SketchK != 0 {
-			return nil, fmt.Errorf("core: sketch_k %d requires an anchor", c.SketchK)
-		}
 	} else {
 		if c.AnchorTopK < 1 {
 			return nil, fmt.Errorf("core: anchored search needs anchor_top_k ≥ 1, got %d", c.AnchorTopK)
-		}
-		if c.AnchorMode != "" && c.AnchorMode != AnchorGuaranteed && c.AnchorMode != AnchorBestEffort {
-			return nil, fmt.Errorf("core: unknown anchor_mode %q (want %q or %q)", c.AnchorMode, AnchorGuaranteed, AnchorBestEffort)
-		}
-		if c.SketchK < 0 {
-			return nil, fmt.Errorf("core: sketch_k %d negative", c.SketchK)
 		}
 		if c.TopK != 0 {
 			return nil, fmt.Errorf("core: top_k and anchor are mutually exclusive (use anchor_top_k)")

@@ -123,6 +123,18 @@ chain.
     row's further candidate generation. Both R sets must come from the same
     column (rsetCol) — a stale upper set proves nothing.
 
+# Anchored top-K (anchored.go)
+
+Config.Anchor answers "the K most flipping patterns through this item"
+without a full mine: a DFS grows level-1 root sets that contain the
+anchor's root, then descends with the anchor's position locked to its
+ancestor path and subtree. Every candidate the DFS reaches is counted
+exactly on the level's cached bitmap index, summed over shards. A branch
+ends only on an infrequent set, a label that does not flip, or a running
+gap strictly below the current K-th best, so the ranking equals filtering
+and ranking the full mine (anchored_test.go pins this). Streaming runs
+have no levels to index and fall back to that full mine plus the filter.
+
 # BASIC (basic.go)
 
 The baseline is a complete per-level Apriori with support-only pruning and

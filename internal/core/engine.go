@@ -10,7 +10,6 @@ import (
 	"github.com/flipper-mining/flipper/internal/bitmap"
 	"github.com/flipper-mining/flipper/internal/candtrie"
 	"github.com/flipper-mining/flipper/internal/itemset"
-	"github.com/flipper-mining/flipper/internal/sketch"
 	"github.com/flipper-mining/flipper/internal/taxonomy"
 	"github.com/flipper-mining/flipper/internal/txdb"
 )
@@ -46,27 +45,9 @@ type Engine struct {
 	src  txdb.Source
 	tree *taxonomy.Tree
 
-	mu         sync.Mutex
-	data       map[dataKey]*dataState
-	scratch    []*runScratch // LIFO so the warmest arenas are reused first
-	sketchPath string        // optional on-disk sketch cache (SetSketchPath)
-}
-
-// SetSketchPath points the engine at an on-disk cache for the anchored-search
-// item sketches. When set, an anchored run first tries to load the file
-// (validated by signature size and a dataset fingerprint, so a stale or
-// foreign file is rebuilt, never trusted) and saves freshly built sketches
-// back, best-effort, for the next engine over the same dataset.
-func (e *Engine) SetSketchPath(path string) {
-	e.mu.Lock()
-	e.sketchPath = path
-	e.mu.Unlock()
-}
-
-func (e *Engine) sketchFile() string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.sketchPath
+	mu      sync.Mutex
+	data    map[dataKey]*dataState
+	scratch []*runScratch // LIFO so the warmest arenas are reused first
 }
 
 // NewEngine returns an engine over the source and taxonomy. The source and
@@ -99,10 +80,9 @@ type dataState struct {
 	sup1   []map[itemset.ID]int64 // all single supports per level, over all shards
 	widths []int                  // max generalized width per level
 
-	mu       sync.Mutex                 // guards the lazy index builds below
-	tid      [][]map[itemset.ID][]int32 // [level][shard]
-	bitmaps  [][]*bitmap.Index          // [level][shard]
-	sketches map[int]*sketch.Set        // anchored-search sketches by signature size
+	mu      sync.Mutex                 // guards the lazy index builds below
+	tid     [][]map[itemset.ID][]int32 // [level][shard]
+	bitmaps [][]*bitmap.Index          // [level][shard]
 }
 
 func (ds *dataState) sharded() bool { return len(ds.shards) > 1 }

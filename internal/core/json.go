@@ -102,22 +102,10 @@ func (c *Config) CanonicalKey() string {
 	b.WriteString(";topk=")
 	b.WriteString(strconv.Itoa(c.TopK))
 	if c.Anchor != "" {
-		// Anchored-search identity. The mode is normalized so "" and
-		// "guaranteed" — the same contract — share a cache entry; SketchK is
-		// included because in best-effort mode it can change which patterns
-		// are returned.
-		mode := c.AnchorMode
-		if mode == "" {
-			mode = AnchorGuaranteed
-		}
 		b.WriteString(";anchor=")
 		b.WriteString(c.Anchor)
-		b.WriteString(";atopk=")
+		b.WriteString(";k=")
 		b.WriteString(strconv.Itoa(c.AnchorTopK))
-		b.WriteString(";amode=")
-		b.WriteString(mode)
-		b.WriteString(";sk=")
-		b.WriteString(strconv.Itoa(c.SketchK))
 	}
 	return b.String()
 }
@@ -132,13 +120,10 @@ type LevelJSON struct {
 }
 
 // PatternJSON is the name-resolved wire form of one flipping pattern.
-// Confidence appears only on best-effort anchored results (omitempty keeps
-// every exact envelope — and every committed fixture — byte-identical).
 type PatternJSON struct {
-	Leaf       []string    `json:"leaf"`
-	Gap        float64     `json:"gap"`
-	Confidence float64     `json:"confidence,omitempty"`
-	Chain      []LevelJSON `json:"chain"`
+	Leaf  []string    `json:"leaf"`
+	Gap   float64     `json:"gap"`
+	Chain []LevelJSON `json:"chain"`
 }
 
 // StatsJSON is the wire form of a run's Stats, with the elapsed time in
@@ -167,14 +152,9 @@ type StatsJSON struct {
 	// Degraded is omitted when false so single-process envelopes — and every
 	// golden fixture recorded before distributed mining existed — keep their
 	// exact bytes.
-	Degraded bool `json:"degraded,omitempty"`
-	// The anchored-search counters are omitted when zero for the same
-	// reason: every non-anchored envelope keeps its pre-anchor bytes.
-	SketchProbes   int64  `json:"sketch_probes,omitempty"`
-	SketchPruned   int64  `json:"sketch_pruned,omitempty"`
-	ExactFallbacks int64  `json:"exact_fallbacks,omitempty"`
-	ElapsedNS      int64  `json:"elapsed_ns"`
-	Elapsed        string `json:"elapsed"`
+	Degraded  bool   `json:"degraded,omitempty"`
+	ElapsedNS int64  `json:"elapsed_ns"`
+	Elapsed   string `json:"elapsed"`
 }
 
 // ResultJSON is the wire form of a full mining result: the envelope the
@@ -220,9 +200,6 @@ func (s *Stats) JSON() StatsJSON {
 		PeakCandidates:    s.PeakCandidates,
 		PeakBytes:         s.PeakBytes,
 		Degraded:          s.Degraded,
-		SketchProbes:      s.SketchProbes,
-		SketchPruned:      s.SketchPruned,
-		ExactFallbacks:    s.ExactFallbacks,
 		ElapsedNS:         int64(s.Elapsed),
 		Elapsed:           s.Elapsed.Round(time.Microsecond).String(),
 	}
@@ -230,7 +207,7 @@ func (s *Stats) JSON() StatsJSON {
 
 // JSON converts one pattern into its name-resolved wire form.
 func (p *Pattern) JSON(tree *taxonomy.Tree) PatternJSON {
-	pj := PatternJSON{Leaf: nameSlice(tree, p.Leaf), Gap: p.Gap, Confidence: p.Confidence}
+	pj := PatternJSON{Leaf: nameSlice(tree, p.Leaf), Gap: p.Gap}
 	for _, li := range p.Chain {
 		pj.Chain = append(pj.Chain, LevelJSON{
 			Level:   li.Level,

@@ -69,10 +69,6 @@ type Pattern struct {
 	// weakest flip. Larger gaps mean "more flipping"; the future-work top-K
 	// ranking orders by descending Gap.
 	Gap float64 `json:"gap"`
-	// Confidence is set only by best-effort anchored search: the sketch-based
-	// certainty that no estimate-pruned candidate could have outranked this
-	// pattern (1 means provably none could). Zero on exact results.
-	Confidence float64 `json:"confidence,omitempty"`
 }
 
 // K returns the pattern's itemset size.

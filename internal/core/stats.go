@@ -73,14 +73,15 @@ type Stats struct {
 	PeakCandidates int64
 	PeakBytes      int64
 
-	// Anchored-search counters (zero outside anchored runs). SketchProbes is
-	// how many candidates were bracketed by the per-item sketches,
-	// SketchPruned how many of those the bounds eliminated without an exact
-	// count, and ExactFallbacks how many survived to an exact bitmap count
-	// (whose builds and word ops land in BitmapBuilds/BitmapWordOps) — the
-	// work the sketches failed to save.
-	SketchProbes   int64
-	SketchPruned   int64
+	// SketchProbes, SketchPruned and ExactFallbacks are always zero.
+	//
+	// Deprecated: anchored search probes no sketches; it counts every
+	// candidate exactly, so its work shows in CandidatesCounted,
+	// BitmapBuilds and BitmapWordOps.
+	SketchProbes int64
+	// Deprecated: always zero; see SketchProbes.
+	SketchPruned int64
+	// Deprecated: always zero; see SketchProbes.
 	ExactFallbacks int64
 
 	// Degraded marks a distributed run that fell back to local counting for
@@ -143,10 +144,6 @@ func (s *Stats) String() string {
 	}
 	if s.Shards > 1 {
 		fmt.Fprintf(&b, ", %d shards (merge %v)", s.Shards, time.Duration(s.ShardMergeNs).Round(time.Microsecond))
-	}
-	if s.SketchProbes > 0 {
-		fmt.Fprintf(&b, ", %d sketch probes (%d pruned, %d exact fallbacks)",
-			s.SketchProbes, s.SketchPruned, s.ExactFallbacks)
 	}
 	fmt.Fprintf(&b, ", %v", s.Elapsed.Round(time.Millisecond))
 	return b.String()

@@ -157,7 +157,7 @@ func Registry() []struct {
 		{"ablation", "Beyond the paper: counting strategy / parallelism / view ablations", Ablation},
 		{"counting", "Beyond the paper: scan vs tidlist vs bitmap counting across densities", Counting},
 		{"sharding", "Beyond the paper: shard-count scaling of the counting backends", Sharding},
-		{"topk", "Beyond the paper: anchored top-K — exact vs sketch-pruned guaranteed vs best-effort", TopK},
+		{"topk", "Beyond the paper: anchored top-K — exact full mine vs anchored search", TopK},
 	}
 }
 

@@ -12,36 +12,25 @@ import (
 
 // TopK compares the anchored top-K search against the exact baseline (a full
 // mine filtered to the anchor and ranked by gap) on the dense counting
-// workload with planted flips. Three variants per anchor:
-//
-//   - exact: one full unanchored mine; its candidate count is the
-//     denominator of the "how much counting does anchoring skip" story.
-//   - guaranteed: the anchored path with sketches sized to stay unsaturated,
-//     so every support probe resolves from the signatures alone (the skip
-//     ratio column must stay ≥ 0.5 on this workload — the CI shape check).
-//   - best_effort: deliberately undersized sketches, so pruning runs on
-//     estimates; recall@K against the exact top-K quantifies the trade.
+// workload with planted flips: one full unanchored mine, whose candidate
+// count is the denominator of the "how much counting does anchoring skip"
+// story, then one anchored run per anchor on a shared engine, with its
+// recall@K against the filtered full mine (1.000 by construction — the CI
+// shape check).
 func TopK(s Scale) (*Table, error) {
 	const topK = 5
 	db, tree, err := topkWorkload(s)
 	if err != nil {
 		return nil, err
 	}
-	// Unsaturated signatures bound every support exactly; the best-effort
-	// row shrinks them 16× so its pruning genuinely estimates.
-	guaranteedK := 1
-	for guaranteedK < db.Len() {
-		guaranteedK <<= 1
-	}
 	cfg := topkConfig()
 	t := &Table{
 		ID:      "topk",
-		Title:   "Anchored top-K: exact vs sketch-pruned guaranteed vs best-effort",
-		Columns: []string{"Anchor", "Mode", "SketchK", "Seconds", "Candidates", "Probes", "Pruned", "Skip", "Recall@5"},
+		Title:   "Anchored top-K: exact full mine vs anchored search",
+		Columns: []string{"Anchor", "Mode", "Seconds", "Candidates", "Recall@5"},
 		Notes: []string{
 			fmt.Sprintf("dense background N=%d ×16 items over 64 cats, planted (+,−) flips on {cat00,cat01} and {cat02,cat03}; γ=%g, ε=%g", db.Len(), cfg.Gamma, cfg.Epsilon),
-			"Candidates counts exact support counts (full mine: every counted candidate; anchored: bitmap counts of candidates the sketches left undecided); Skip = Pruned/Probes, the share of anchored support probes resolved from sketches alone",
-			fmt.Sprintf("guaranteed sketches hold k=%d ≥ N hashes (never saturated, bounds are exact); best_effort uses k=%d", guaranteedK, guaranteedK/16),
+			"Candidates counts exact support counts (full mine: every counted candidate; anchored: the bitmap counts of every candidate on a chain through the anchor)",
 		},
 	}
 
@@ -50,8 +39,8 @@ func TopK(s Scale) (*Table, error) {
 		return nil, err
 	}
 	t.Rows = append(t.Rows, []string{
-		"(all)", "exact", "-", seconds(full.Stats.Elapsed),
-		fmt.Sprintf("%d", full.Stats.CandidatesCounted), "-", "-", "-", "1.000",
+		"(all)", "exact", seconds(full.Stats.Elapsed),
+		fmt.Sprintf("%d", full.Stats.CandidatesCounted), "1.000",
 	})
 
 	eng := core.NewEngine(db, tree)
@@ -60,36 +49,18 @@ func TopK(s Scale) (*Table, error) {
 		if len(want) == 0 {
 			return nil, fmt.Errorf("topk: planted workload yields no patterns through anchor %s", anchor)
 		}
-		for _, mode := range []struct {
-			name    string
-			mode    string
-			sketchK int
-		}{
-			{"guaranteed", core.AnchorGuaranteed, guaranteedK},
-			{"best_effort", core.AnchorBestEffort, guaranteedK / 16},
-		} {
-			c := cfg
-			c.Anchor = anchor
-			c.AnchorTopK = topK
-			c.AnchorMode = mode.mode
-			c.SketchK = mode.sketchK
-			res, err := eng.Mine(c)
-			if err != nil {
-				return nil, err
-			}
-			skip := 0.0
-			if res.Stats.SketchProbes > 0 {
-				skip = float64(res.Stats.SketchPruned) / float64(res.Stats.SketchProbes)
-			}
-			t.Rows = append(t.Rows, []string{
-				anchor, mode.name, fmt.Sprintf("%d", mode.sketchK), seconds(res.Stats.Elapsed),
-				fmt.Sprintf("%d", res.Stats.CandidatesCounted),
-				fmt.Sprintf("%d", res.Stats.SketchProbes),
-				fmt.Sprintf("%d", res.Stats.SketchPruned),
-				fmt.Sprintf("%.3f", skip),
-				fmt.Sprintf("%.3f", recallAt(res.Patterns, want)),
-			})
+		c := cfg
+		c.Anchor = anchor
+		c.AnchorTopK = topK
+		res, err := eng.Mine(c)
+		if err != nil {
+			return nil, err
 		}
+		t.Rows = append(t.Rows, []string{
+			anchor, "anchored", seconds(res.Stats.Elapsed),
+			fmt.Sprintf("%d", res.Stats.CandidatesCounted),
+			fmt.Sprintf("%.3f", recallAt(res.Patterns, want)),
+		})
 	}
 	return t, nil
 }
@@ -159,7 +130,7 @@ func exactAnchoredTopK(full *core.Result, tree *taxonomy.Tree, anchor string, k 
 	return out
 }
 
-// recallAt measures how many of the exact top-K leaves the approximate run
+// recallAt measures how many of the exact top-K leaves the anchored run
 // recovered.
 func recallAt(got, want []core.Pattern) float64 {
 	if len(want) == 0 {

@@ -59,7 +59,7 @@ func anchoredCoreEnvelope(t *testing.T, sc *Scenario, cfg core.Config) []byte {
 }
 
 // TestTopKCoreGolden pins the anchored result envelope: patterns ranked by
-// descending flip gap, truncated to K, with the sketch counters in stats.
+// descending flip gap, truncated to K, with the bitmap counters in stats.
 // This test owns the fixture under -update.
 func TestTopKCoreGolden(t *testing.T) {
 	sc, cfg := anchoredScenario(t)
@@ -177,8 +177,9 @@ func TestTopKHTTPGolden(t *testing.T) {
 }
 
 // TestTopKHTTPErrorEnvelopes pins the /v1/topk error paths — unknown anchor
-// (404), invalid K (400), missing anchor (400), unknown dataset (404) — in
-// the suite's wrapped {"status": N, "body": {...}} form on a fresh server.
+// (404), invalid K (400), missing anchor (400), unknown dataset (404),
+// unknown POST field (400) — in the suite's wrapped {"status": N, "body":
+// {...}} form on a fresh server.
 func TestTopKHTTPErrorEnvelopes(t *testing.T) {
 	h := newConformanceHandler(t)
 	cases := []struct {
@@ -191,7 +192,9 @@ func TestTopKHTTPErrorEnvelopes(t *testing.T) {
 		{"topk_invalid_k", "GET", "/v1/topk?dataset=topk-cosine&anchor=a1&k=0", ""},
 		{"topk_missing_anchor", "GET", "/v1/topk?dataset=topk-cosine&k=2", ""},
 		{"topk_unknown_dataset", "GET", "/v1/topk?dataset=no-such-dataset&anchor=a1&k=2", ""},
-		{"topk_bad_mode", "POST", "/v1/topk", `{"dataset": "topk-cosine", "anchor": "a1", "k": 2, "mode": "psychic"}`},
+		// A client still sending the removed accuracy mode gets a 400 naming
+		// the field.
+		{"topk_unknown_field", "POST", "/v1/topk", `{"dataset": "topk-cosine", "anchor": "a1", "k": 2, "mode": "psychic"}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

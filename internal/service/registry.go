@@ -39,11 +39,6 @@ type Dataset struct {
 	Src txdb.Source
 	// Stream records whether Src re-reads disk on every scan.
 	Stream bool
-	// SketchPath, when non-empty, is where the dataset's anchored-search
-	// item sketches persist (next to the dataset files for disk-loaded
-	// registries), so a restarted flipperd warm-starts /v1/topk without
-	// rebuilding signatures.
-	SketchPath string
 
 	engOnce sync.Once
 	eng     *core.Engine
@@ -57,9 +52,6 @@ type Dataset struct {
 func (d *Dataset) Engine() *core.Engine {
 	d.engOnce.Do(func() {
 		d.eng = core.NewEngine(d.Src, d.Tree)
-		if d.SketchPath != "" {
-			d.eng.SetSketchPath(d.SketchPath)
-		}
 	})
 	return d.eng
 }
@@ -204,10 +196,9 @@ func loadDataset(name, taxPath, dbPath string, shardPaths []string, stream bool)
 		tree = tree.Extend()
 	}
 	d := &Dataset{
-		Name:       name,
-		Tree:       tree,
-		Stream:     stream,
-		SketchPath: filepath.Join(filepath.Dir(taxPath), "sketches.bin"),
+		Name:   name,
+		Tree:   tree,
+		Stream: stream,
 	}
 	switch {
 	case len(shardPaths) > 0:

@@ -142,8 +142,6 @@ type ConfigPatch struct {
 	TopK          *int                `json:"top_k"`
 	Anchor        *string             `json:"anchor"`
 	AnchorTopK    *int                `json:"anchor_top_k"`
-	AnchorMode    *string             `json:"anchor_mode"`
-	SketchK       *int                `json:"sketch_k"`
 }
 
 // Apply overlays the patch on cfg.
@@ -193,12 +191,6 @@ func (p *ConfigPatch) Apply(cfg core.Config) core.Config {
 	}
 	if p.AnchorTopK != nil {
 		cfg.AnchorTopK = *p.AnchorTopK
-	}
-	if p.AnchorMode != nil {
-		cfg.AnchorMode = *p.AnchorMode
-	}
-	if p.SketchK != nil {
-		cfg.SketchK = *p.SketchK
 	}
 	return cfg
 }

@@ -18,7 +18,8 @@ import (
 // client can poll /v1/jobs/{id} like any async submission.
 
 // TopKRequest is the POST /v1/topk body; the GET form carries the same
-// fields as query parameters (dataset, anchor, k, mode, sketch_k).
+// fields as query parameters (dataset, anchor, k) and ignores any other
+// parameter.
 type TopKRequest struct {
 	// Dataset names a registered dataset (required).
 	Dataset string `json:"dataset"`
@@ -28,11 +29,6 @@ type TopKRequest struct {
 	// K is how many patterns to return, ranked by descending flip gap
 	// (required, ≥ 1).
 	K int `json:"k"`
-	// Mode is "" or "guaranteed" for the exact contract, "best_effort" for
-	// sketch-estimated pruning with per-pattern confidence.
-	Mode string `json:"mode,omitempty"`
-	// SketchK overrides the per-item signature size (0: the default).
-	SketchK int `json:"sketch_k,omitempty"`
 	// Config overlays the dataset's default configuration, like a job
 	// submission (POST form only).
 	Config *ConfigPatch `json:"config,omitempty"`
@@ -53,14 +49,6 @@ func parseTopKRequest(r *http.Request) (TopKRequest, error) {
 				return req, errors.New("k must be an integer")
 			}
 			req.K = k
-		}
-		req.Mode = q.Get("mode")
-		if v := q.Get("sketch_k"); v != "" {
-			sk, err := strconv.Atoi(v)
-			if err != nil {
-				return req, errors.New("sketch_k must be an integer")
-			}
-			req.SketchK = sk
 		}
 		return req, nil
 	}
@@ -105,8 +93,6 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	cfg.TopK = 0 // anchored ranking replaces the global top-K knob
 	cfg.Anchor = req.Anchor
 	cfg.AnchorTopK = req.K
-	cfg.AnchorMode = req.Mode
-	cfg.SketchK = req.SketchK
 	if err := cfg.Validate(d.Tree.Height(), d.Src.Len()); err != nil {
 		writeError(w, http.StatusBadRequest, "invalid config: %v", err)
 		return

@@ -14,7 +14,7 @@ import (
 // allocates per distinct generalized transaction, not per transaction and
 // level. Generalization collapses many raw transactions onto few distinct
 // ones at the upper levels, which is why the table pays: the counting
-// backends, the bitmap index and the sketches all work on the distinct rows.
+// backends and the bitmap index both work on the distinct rows.
 
 // Level is one abstraction level of a transaction source: every
 // transaction's items replaced by their level-h taxonomy ancestors (items
@@ -72,9 +72,14 @@ func buildLevels(src Source, tree *taxonomy.Tree, lo, hi int) ([]*Level, error) 
 	if err != nil {
 		return nil, err
 	}
+	// Interning is over: free every table's slots before any sort allocates.
+	for h := lo; h <= hi; h++ {
+		tables[h].slots = nil
+	}
 	levels := make([]*Level, hi+1)
 	for h := lo; h <= hi; h++ {
 		l := tables[h].finish()
+		tables[h] = nil // the table's arena is garbage once its level is out
 		l.Support, l.MaxWidth = supports(l)
 		levels[h] = l
 	}
