@@ -262,9 +262,8 @@ func BenchmarkTable4PatternCounts(b *testing.B) {
 }
 
 // BenchmarkAblationCountingStrategy compares the paper-faithful scan
-// counter against the Eclat-style tid-list counter, the vertical bitmap
-// counter, and the per-cell auto cost model (design alternatives the paper
-// leaves to future work).
+// counter against the vertical bitmap counter and the per-cell auto cost
+// model (design alternatives the paper leaves to future work).
 func BenchmarkAblationCountingStrategy(b *testing.B) {
 	db, tree := benchSynthetic(b, benchN, 5)
 	for _, s := range []struct {
@@ -272,7 +271,6 @@ func BenchmarkAblationCountingStrategy(b *testing.B) {
 		strategy flipper.CountStrategy
 	}{
 		{"scan", flipper.CountScan},
-		{"tidlist", flipper.CountTIDList},
 		{"bitmap", flipper.CountBitmap},
 		{"auto", flipper.CountAuto},
 	} {
@@ -335,7 +333,6 @@ var denseStrategies = []struct {
 	strategy flipper.CountStrategy
 }{
 	{"scan", flipper.CountScan},
-	{"tidlist", flipper.CountTIDList},
 	{"bitmap", flipper.CountBitmap},
 	{"auto", flipper.CountAuto},
 }

@@ -114,7 +114,7 @@ func runBenchJSON(path, tag string) error {
 			name, float64(br.T.Nanoseconds())/float64(br.N), br.AllocsPerOp())
 		return nil
 	}
-	for _, s := range []core.CountStrategy{core.CountScan, core.CountTIDList, core.CountBitmap, core.CountAuto} {
+	for _, s := range []core.CountStrategy{core.CountScan, core.CountBitmap, core.CountAuto} {
 		if err := record("CountingDense/"+s.String(), cfgFor(s), nil); err != nil {
 			return err
 		}

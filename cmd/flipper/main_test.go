@@ -171,6 +171,29 @@ func TestCLISharded(t *testing.T) {
 	}
 }
 
+// TestCLIStrategyAlias pins that -strategy tidlist, the name of a retired
+// backend, still runs, as an alias of bitmap.
+func TestCLIStrategyAlias(t *testing.T) {
+	bin := buildCmd(t)
+	tax, db := writeToy(t)
+	mine := func(strategy string) string {
+		t.Helper()
+		out, err := exec.Command(bin, "-tax", tax, "-db", db, "-strategy", strategy, "-json",
+			"-gamma", "0.6", "-epsilon", "0.35", "-minsup", "0.1,0.1,0.1").Output()
+		if err != nil {
+			t.Fatalf("-strategy %s: %v", strategy, err)
+		}
+		return string(out)
+	}
+	want := mine("bitmap")
+	if !strings.Contains(want, "a11") {
+		t.Fatalf("-strategy bitmap missed the toy pattern:\n%s", want)
+	}
+	if got := mine("tidlist"); got != want {
+		t.Errorf("-strategy tidlist diverged from bitmap:\n%s\nvs\n%s", want, got)
+	}
+}
+
 func TestCLIErrors(t *testing.T) {
 	bin := buildCmd(t)
 	tax, db := writeToy(t)

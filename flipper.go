@@ -104,9 +104,7 @@ const (
 const (
 	// CountScan probes candidates with transaction subsets (paper-faithful).
 	CountScan = core.CountScan
-	// CountTIDList intersects per-item transaction-ID lists.
-	CountTIDList = core.CountTIDList
-	// CountAuto picks scan, tidlist or bitmap per cell with a cost model.
+	// CountAuto picks scan or bitmap per cell with a cost model.
 	CountAuto = core.CountAuto
 	// CountBitmap ANDs per-item bit vectors and pop-counts the result.
 	CountBitmap = core.CountBitmap
@@ -163,7 +161,7 @@ func MineContext(ctx context.Context, src Source, tree *Taxonomy, cfg Config) (*
 }
 
 // Engine is a reusable miner bound to one dataset. Materialized level
-// views, bitmap and tid-list indexes, and counting scratch built for one
+// views, bitmap indexes, and counting scratch built for one
 // Mine call are reused by subsequent calls with compatible configurations,
 // so repeat runs skip data preparation entirely. Results are byte-identical
 // to the one-shot Mine. An Engine is safe for concurrent use.
@@ -263,6 +261,6 @@ func ParseMeasure(name string) (Measure, error) { return measure.Parse(name) }
 // "flipping+tpg", "full").
 func ParsePruningLevel(name string) (PruningLevel, error) { return core.ParsePruningLevel(name) }
 
-// ParseCountStrategy resolves a counting strategy name ("scan", "tidlist",
-// "bitmap", "auto").
+// ParseCountStrategy resolves a counting strategy name ("scan", "bitmap",
+// "auto"; "tidlist" and "tid" are aliases of "bitmap").
 func ParseCountStrategy(name string) (CountStrategy, error) { return core.ParseCountStrategy(name) }

@@ -72,7 +72,7 @@ func TestQuickstart(t *testing.T) {
 		t.Errorf("stats transactions = %d", res.Stats.Transactions)
 	}
 	// Every counting backend finds the same single pattern.
-	for _, strategy := range []flipper.CountStrategy{flipper.CountTIDList, flipper.CountBitmap, flipper.CountAuto} {
+	for _, strategy := range []flipper.CountStrategy{flipper.CountBitmap, flipper.CountAuto} {
 		cfg := toyConfig()
 		cfg.Strategy = strategy
 		res, err := flipper.Mine(db, tree, cfg)

@@ -2,8 +2,8 @@
 // vector per item over the distinct transactions of a level view, so that a
 // candidate's support is the AND of its item vectors followed by a weighted
 // population count. Where the scan counter pays one hash probe per k-subset
-// of every transaction and the tid-list counter pays one comparison per list
-// element, the bitmap counter pays one 64-bit word operation per 64 distinct
+// of every transaction and an Eclat-style tid-list intersection one
+// comparison per list element, the bitmap counter pays one 64-bit word operation per 64 distinct
 // transactions — the classic vertical layout of the condensed
 // correlated-pattern literature, and the cheapest regime when many
 // candidates face a dense level.

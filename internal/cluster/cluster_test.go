@@ -244,7 +244,7 @@ func TestClusterEquivalence(t *testing.T) {
 			StallEveryN: 6, Delay: 20 * time.Millisecond, MaxFaults: 60,
 		}},
 	}
-	strategies := []core.CountStrategy{core.CountScan, core.CountTIDList, core.CountBitmap, core.CountAuto}
+	strategies := []core.CountStrategy{core.CountScan, core.CountBitmap, core.CountAuto}
 	shardCounts := []int{2, 7}
 	if testing.Short() {
 		faults = faults[:3]

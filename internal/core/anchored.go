@@ -57,7 +57,7 @@ func (m *miner) mineAnchored() ([]Pattern, error) {
 		root:   m.tax.RootOf(anchor),
 		la:     la,
 		topK:   topK,
-		vecs:   m.sc.vecsFor(1, m.maxK)[0],
+		vecs:   make([]bitmap.Vector, m.maxK),
 	}
 	a.run()
 	return rankAnchored(a.patterns, topK), nil

@@ -62,7 +62,7 @@ func TestAnchoredTopKMatchesExact(t *testing.T) {
 		trials = 2
 	}
 	shardCounts := []int{1, 2, 7}
-	strategies := []CountStrategy{CountScan, CountTIDList, CountBitmap, CountAuto}
+	strategies := []CountStrategy{CountScan, CountBitmap, CountAuto}
 	// bitmapPaths[sharded] records that exact bitmap counting ran through
 	// that index path at least once.
 	var bitmapPaths [2]bool
@@ -351,8 +351,8 @@ func TestAnchoredShardedSource(t *testing.T) {
 }
 
 // TestAnchoredMineBuildsNoTIDLists checks that an anchored run counts on
-// the bitmap index and never materializes tid lists, on the unsharded and
-// the sharded representation alike.
+// the bitmap indexes, one per shard of every level it touches, on the
+// unsharded and the sharded representation alike.
 func TestAnchoredMineBuildsNoTIDLists(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	db, tree := randomDataset(rng)
@@ -378,12 +378,8 @@ func TestAnchoredMineBuildsNoTIDLists(t *testing.T) {
 		if len(eng.data) != 1 {
 			t.Fatalf("shards=%d: %d cached representations, want 1", shards, len(eng.data))
 		}
-		for _, ds := range eng.data {
-			for h := range ds.tid {
-				if ds.tid[h] != nil {
-					t.Fatalf("shards=%d: anchored run built level-%d tid lists", shards, h)
-				}
-			}
+		if b := res.Stats.BitmapBuilds; b == 0 || b%int64(res.Stats.Shards) != 0 {
+			t.Fatalf("shards=%d: %d bitmap builds over %d shards, want a positive multiple", shards, b, res.Stats.Shards)
 		}
 	}
 }

@@ -112,7 +112,7 @@ func TestMineContextDeadline(t *testing.T) {
 // partial results.
 func TestMineContextCancelAllStrategies(t *testing.T) {
 	db, tree := denseWorkload(t, 6000)
-	for _, strategy := range []core.CountStrategy{core.CountScan, core.CountTIDList, core.CountBitmap} {
+	for _, strategy := range []core.CountStrategy{core.CountScan, core.CountBitmap} {
 		for _, shards := range []int{0, 4} {
 			ctx, cancel := context.WithCancel(context.Background())
 			done := make(chan error, 1)

@@ -79,21 +79,16 @@ const (
 	// (level-view of the) database per cell, probing a candidate hash table
 	// with the k-subsets of each transaction.
 	CountScan CountStrategy = iota
-	// CountTIDList intersects per-item transaction-ID lists (Eclat-style);
-	// an ablation showing the trade-off the paper leaves to future work.
-	CountTIDList
-	// CountAuto chooses between scan, tid-list and bitmap per cell with a
-	// simple cost model: scans pay one subset enumeration per distinct
-	// transaction, tid-lists pay one k-way sorted intersection per
-	// candidate, bitmaps pay k words per 64 distinct transactions per
-	// candidate (plus a one-time per-level build). Scans win when candidates
-	// dwarf the database, tid-lists when a few candidates face sparse
-	// lists, bitmaps when many candidates face a dense level.
+	// CountAuto chooses between scan and bitmap per cell with a simple cost
+	// model: scans pay one subset enumeration per distinct transaction,
+	// bitmaps pay k words per 64 distinct transactions per candidate (plus a
+	// one-time per-level build). Scans win when candidates dwarf the
+	// database, bitmaps when many candidates face a dense level.
 	CountAuto
 	// CountBitmap ANDs per-item bit vectors over the distinct weighted
-	// transactions of the level view and pop-counts the result against the
-	// weight vector. Vectors are built lazily per level and cached on the
-	// miner.
+	// transactions of the level and pop-counts the result against the
+	// weight vector. Vectors are built lazily per level and shard and cached
+	// in the engine's dataset state.
 	CountBitmap
 )
 
@@ -101,8 +96,6 @@ func (s CountStrategy) String() string {
 	switch s {
 	case CountScan:
 		return "scan"
-	case CountTIDList:
-		return "tidlist"
 	case CountAuto:
 		return "auto"
 	case CountBitmap:
@@ -112,16 +105,17 @@ func (s CountStrategy) String() string {
 	}
 }
 
-// ParseCountStrategy converts a strategy name produced by String.
+// ParseCountStrategy converts a strategy name produced by String. "tidlist"
+// and "tid", the names of a retired Eclat-style backend, stay accepted as
+// aliases of CountBitmap, which answers the same per-candidate query, so
+// configurations written for it keep working.
 func ParseCountStrategy(s string) (CountStrategy, error) {
 	switch s {
 	case "scan":
 		return CountScan, nil
-	case "tidlist", "tid":
-		return CountTIDList, nil
 	case "auto":
 		return CountAuto, nil
-	case "bitmap", "bits":
+	case "bitmap", "bits", "tidlist", "tid":
 		return CountBitmap, nil
 	default:
 		return 0, fmt.Errorf("core: unknown counting strategy %q", s)
@@ -154,14 +148,16 @@ type Config struct {
 	// (max transaction width and level-1 fanout).
 	MaxK int `json:"max_k,omitempty"`
 	// Parallelism is the number of counting workers; 0 means GOMAXPROCS.
-	// It also caps the sharded fan-out (see Shards): a worker pool of this
-	// size runs however many shards there are.
+	// Counting cuts every pass into units of shard rows or candidates, at
+	// least this many when the data allows, and a worker pool of this size
+	// runs them however many shards there are (see Shards).
 	Parallelism int `json:"parallelism,omitempty"`
 	// Shards partitions the transaction database into that many contiguous
-	// shards and makes every counting backend shard-parallel: a bounded
-	// pool of workers counts the shards into private scratch, and the
-	// partial support vectors are merged deterministically — mined output
-	// is byte-identical to the unsharded run. 0 or 1 disables partitioning.
+	// shards, each with its own levels and indexes: a bounded pool of
+	// workers counts the shards into private scratch, and the partial
+	// support vectors are merged deterministically — mined output is
+	// byte-identical to the unsharded run. Shards fewer than the workers are
+	// split between them. 0 or 1 disables partitioning.
 	// Only in-memory databases can be partitioned in place; to shard a
 	// disk-resident dataset, mine a txdb.ShardedSource composed of per-shard
 	// FileSources (whose shard count then takes precedence over this knob).
@@ -169,7 +165,8 @@ type Config struct {
 	// Materialize keeps per-level generalized views of the database in
 	// memory (with duplicate transactions merged). Disable to stream from
 	// the source on every scan, trading time for memory — the paper's
-	// disk-resident mode. CountTIDList requires materialized views.
+	// disk-resident mode. CountBitmap and CountAuto require materialized
+	// views.
 	Materialize bool `json:"materialize"`
 	// KeepCellStats records per-cell statistics in the result.
 	KeepCellStats bool `json:"keep_cell_stats,omitempty"`

@@ -40,7 +40,7 @@ func TestValidateRejectionMessages(t *testing.T) {
 		{"negative parallelism", 3, func(c *Config) { c.Parallelism = -2 }, "core: parallelism -2 negative"},
 		{"negative shards", 3, func(c *Config) { c.Shards = -3 }, "core: shards -3 negative"},
 		{"unknown strategy", 3, func(c *Config) { c.Strategy = CountStrategy(42) }, "core: unknown counting strategy"},
-		{"tidlist without views", 3, func(c *Config) { c.Strategy = CountTIDList; c.Materialize = false }, "counting requires materialized views"},
+		{"tidlist without views", 3, func(c *Config) { c.Strategy, _ = ParseCountStrategy("tidlist"); c.Materialize = false }, "core: bitmap counting requires materialized views"},
 		{"bitmap without views", 3, func(c *Config) { c.Strategy = CountBitmap; c.Materialize = false }, "counting requires materialized views"},
 		{"minsupabs wrong length", 3, func(c *Config) { c.MinSupAbs = []int64{1} }, "core: MinSupAbs has 1 levels, taxonomy has 3"},
 		{"minsupabs below one", 3, func(c *Config) { c.MinSupAbs = []int64{1, 0, 1} }, "core: MinSupAbs[1] = 0, want ≥ 1"},

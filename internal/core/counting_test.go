@@ -11,74 +11,6 @@ import (
 	"github.com/flipper-mining/flipper/internal/txdb"
 )
 
-func TestIntersectSupport(t *testing.T) {
-	lists := map[itemset.ID][]int32{
-		1: {0, 2, 4, 6, 8},
-		2: {2, 3, 4, 8, 9},
-		3: {4, 8},
-		4: {},
-	}
-	var scratch tidScratch
-	cases := []struct {
-		items itemset.Set
-		want  int64
-	}{
-		{itemset.New(1), 5},
-		{itemset.New(1, 2), 3}, // {2,4,8}
-		{itemset.New(1, 2, 3), 2},
-		{itemset.New(1, 4), 0},    // empty list
-		{itemset.New(1, 2, 9), 0}, // missing item entirely
-	}
-	for _, c := range cases {
-		if got := intersectSupport(c.items, lists, &scratch); got != c.want {
-			t.Errorf("intersect(%v) = %d, want %d", c.items, got, c.want)
-		}
-	}
-	// The map-owned lists must be untouched after repeated calls.
-	if len(lists[1]) != 5 || lists[1][0] != 0 || lists[2][4] != 9 {
-		t.Error("intersectSupport mutated the tid lists")
-	}
-}
-
-func TestIntersectSupportRandomAgainstMap(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 200; trial++ {
-		lists := map[itemset.ID][]int32{}
-		k := 2 + rng.Intn(3)
-		items := make([]itemset.ID, k)
-		want := map[int32]int{}
-		for i := 0; i < k; i++ {
-			items[i] = itemset.ID(i)
-			n := rng.Intn(30)
-			seen := map[int32]bool{}
-			for j := 0; j < n; j++ {
-				tid := int32(rng.Intn(40))
-				if !seen[tid] {
-					seen[tid] = true
-				}
-			}
-			var l []int32
-			for tid := int32(0); tid < 40; tid++ {
-				if seen[tid] {
-					l = append(l, tid)
-					want[tid]++
-				}
-			}
-			lists[items[i]] = l
-		}
-		expected := int64(0)
-		for _, cnt := range want {
-			if cnt == k {
-				expected++
-			}
-		}
-		var scratch tidScratch
-		if got := intersectSupport(itemset.New(items...), lists, &scratch); got != expected {
-			t.Fatalf("trial %d: got %d, want %d", trial, got, expected)
-		}
-	}
-}
-
 // TestScanTxsTrieDescent exercises the scan counter's hot loop — filter to
 // candidate-relevant items, descend the trie, account pruned probes —
 // directly against a hand-built cell.
@@ -227,33 +159,42 @@ func TestChooseStrategyPicksBitmapOnDenseCells(t *testing.T) {
 	}
 }
 
-func TestTidListsBuiltLazilyOnce(t *testing.T) {
-	db, tree := paperToy(t)
-	cfg := toyConfig()
-	minSup, err := cfg.validate(tree.Height(), db.Len())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := &miner{
-		cfg: toyConfig(), tax: tree, src: db,
-		height: tree.Height(), n: db.Len(), minSup: minSup,
-	}
-	if err := m.init(); err != nil {
-		t.Fatal(err)
-	}
-	l1 := m.tidLists(1)[0]
-	l2 := m.tidLists(1)[0]
-	if &l1 == &l2 {
-		// maps compare by header; check identity via a sentinel instead
-		t.Log("map headers differ; asserting cache below")
-	}
-	a, _ := tree.Dict().Lookup("a")
-	if len(l1[a]) != 8 {
-		t.Errorf("tidlist of 'a' at level 1 has %d entries, want 8", len(l1[a]))
-	}
-	// Mutate the cached map; a second call must return the same cache.
-	l1[a] = nil
-	if got := m.tidLists(1)[0]; got[a] != nil {
-		t.Error("tidLists rebuilt instead of cached")
+// TestCutUnits checks the work cutter: every shard's range is covered
+// exactly once, in order, by non-empty units that start at block multiples;
+// a pass gets at least `workers` units whenever the shards hold that many
+// blocks; and one worker gets one unit per non-empty shard.
+func TestCutUnits(t *testing.T) {
+	for _, sizes := range [][]int{
+		{0}, {1}, {511}, {512}, {513}, {2000}, {1000, 1000}, {667, 667, 666},
+		{3000, 10, 0, 700}, {5, 5, 5, 5, 5, 5, 5, 5}, {1, 4096},
+	} {
+		for _, workers := range []int{1, 2, 3, 7, 16} {
+			for _, block := range []int{1, 512} {
+				units := cutUnits(nil, len(sizes), func(s int) int { return sizes[s] }, workers, block)
+				next := make([]int, len(sizes)) // first uncovered index per shard
+				for _, u := range units {
+					if u.lo != next[u.s] || u.hi <= u.lo || u.lo%block != 0 {
+						t.Fatalf("sizes %v workers %d block %d: unit %+v after [0, %d) of shard %d", sizes, workers, block, u, next[u.s], u.s)
+					}
+					next[u.s] = u.hi
+				}
+				blocks, nonEmpty := 0, 0
+				for s, n := range sizes {
+					if next[s] != n {
+						t.Fatalf("sizes %v workers %d block %d: shard %d covered [0, %d) of [0, %d)", sizes, workers, block, s, next[s], n)
+					}
+					blocks += (n + block - 1) / block
+					if n > 0 {
+						nonEmpty++
+					}
+				}
+				if want := min(workers, blocks); len(units) < want {
+					t.Errorf("sizes %v workers %d block %d: %d units, want ≥ %d", sizes, workers, block, len(units), want)
+				}
+				if workers == 1 && len(units) != nonEmpty {
+					t.Errorf("sizes %v block %d: one worker got %d units for %d non-empty shards", sizes, block, len(units), nonEmpty)
+				}
+			}
+		}
 	}
 }

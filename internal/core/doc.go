@@ -70,30 +70,33 @@ upper rows count over tiny weighted sets. Each row is filtered to
 candidate-relevant items and walked down the trie
 (candtrie.Store.CountTx): only subsets sharing a prefix with some
 candidate are ever enumerated, and no key bytes or map probes appear in
-the inner loop (Stats.ProbesPruned counts what the descent skipped). Work
-is fanned out over Config.Parallelism workers that merge plain int64 count
-slices. With Config.Materialize=false the engine instead re-reads the
-Source every pass — the paper's disk-resident mode. CountTIDList
-intersects per-item transaction-id lists, CountBitmap ANDs per-item bit
+the inner loop (Stats.ProbesPruned counts what the descent skipped). With
+Config.Materialize=false the engine instead re-reads the Source every
+pass — the paper's disk-resident mode. CountBitmap ANDs per-item bit
 vectors over the distinct weighted transactions and pop-counts the result
-(internal/bitmap; vectors are built lazily per level and cached, like the
-tid lists) — both iterate the candidate slab directly. CountAuto picks per
-cell using a three-way cost estimate in word-operation units (a trie scan
-probe is calibrated as 2.5 of those; see chooseStrategy).
+(internal/bitmap; vectors are built lazily per level and cached),
+iterating the candidate slab directly. CountAuto picks one of the two per
+cell using a cost estimate in word-operation units (a trie scan probe is
+calibrated as 2.5 of those; see chooseStrategy). The names "tidlist" and
+"tid" parse to CountBitmap.
 
-Every backend also has a shard-parallel variant (counting_shard.go),
-selected by Config.Shards or by mining a txdb.ShardedSource: the database
-is split into contiguous transaction shards, each worker owns one shard —
-its own levels (one level build per shard, concurrently at init), tid
-lists and bitmap index — and fills a private partial support vector;
-mergePartials sums the partials into the candidate slab in shard order.
-An unsharded run is the same state with one shard. Integer sums make the
-sharded output byte-identical to the unsharded run (shard_test.go pins
-this across strategies, pruning levels and shard counts), which is why
-Shards, like Parallelism, is excluded from Config.CanonicalKey. Sharded
-streaming scans the shard sources in parallel — for per-shard basket
-files, the out-of-core mode. Stats.Shards and Stats.ShardMergeNs surface
-the fan-out and the serial merge fraction.
+miner.count dispatches to one function per backend — countScan,
+countScanStreaming, countBitmap, or countRemote for MineRemote — each
+written once over the representation's transaction shards; an unsharded
+run is one shard. Config.Shards or mining a txdb.ShardedSource splits the
+database into contiguous shards, each with its own levels (built
+concurrently at init) and bitmap index (counting_shard.go). A pass runs
+as (shard, range) units on a pool of Config.Parallelism workers: scan cuts
+each shard's rows at scanBlock, bitmap cuts the candidate slab, and the
+cut makes at least as many units as workers when the data allows, so
+shards fewer than the workers split too; a streaming pass is one unit per
+shard source — for per-shard basket files, the out-of-core mode. Each
+unit adds into its worker's partial support vector (worker 0's is the
+cell's slab) and mergePartials sums the partials. Integer sums make the
+output byte-identical across shard and worker counts (shard_test.go and
+invariance_test.go pin this), which is why Shards, like Parallelism, is
+excluded from Config.CanonicalKey. Stats.Shards and Stats.ShardMergeNs
+surface the fan-out and the serial merge fraction.
 
 # Labeling and chains (engine.go finishCell)
 

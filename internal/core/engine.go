@@ -26,10 +26,9 @@ type Result struct {
 // Engine mines one source/taxonomy pair repeatedly, caching everything that
 // depends only on the dataset — the interned levels of every shard
 // (txdb.Level: distinct weighted rows in one arena plus a row index per
-// transaction), and the lazily built tid lists and bitmap indexes over them
-// — across Mine calls, plus a pool of per-run scratch (candidate stores,
-// counting buffers, chain arenas) so repeated runs stop paying full
-// allocation.
+// transaction) and the lazily built bitmap indexes over them — across Mine
+// calls, plus a pool of per-run scratch (candidate stores, counting
+// buffers, chain arenas) so repeated runs stop paying full allocation.
 //
 // Cached state is keyed by the parts of the configuration that shape it
 // (Materialize and the resolved shard count); every other knob varies freely
@@ -58,7 +57,7 @@ func NewEngine(src txdb.Source, tree *taxonomy.Tree) *Engine {
 }
 
 // dataKey identifies one cached dataset representation: whether levels are
-// materialized, and how many transaction shards counting fans out over (0
+// materialized, and how many transaction shards counting fans out over (1
 // when unsharded).
 type dataKey struct {
 	materialize bool
@@ -67,33 +66,21 @@ type dataKey struct {
 
 // dataState is the dataset-derived state of one (materialize, shards)
 // representation. The base fields are built once under the sync.Once; the
-// tid lists and bitmap indexes build lazily under mu on first use by any
-// run and are then shared read-only. An unsharded representation is one
-// shard: every per-shard slice below then has length 1.
+// bitmap indexes build lazily under mu on first use by any run and are then
+// shared read-only. An unsharded representation is one shard: every
+// per-shard slice below then has length 1.
 type dataState struct {
 	once sync.Once
 	err  error
 
-	shards []txdb.Source // resolved shard sources; nil/len≤1 when unsharded
+	shards []txdb.Source // resolved shard sources; the whole source when unsharded
 
 	levels [][]*txdb.Level        // [shard][level]; nil when streaming
 	sup1   []map[itemset.ID]int64 // all single supports per level, over all shards
 	widths []int                  // max generalized width per level
 
-	mu      sync.Mutex                 // guards the lazy index builds below
-	tid     [][]map[itemset.ID][]int32 // [level][shard]
-	bitmaps [][]*bitmap.Index          // [level][shard]
-}
-
-func (ds *dataState) sharded() bool { return len(ds.shards) > 1 }
-
-// sources returns the shard sources a build scans: the resolved shards, or
-// the whole source as the one shard of an unsharded representation.
-func (ds *dataState) sources(src txdb.Source) []txdb.Source {
-	if ds.sharded() {
-		return ds.shards
-	}
-	return []txdb.Source{src}
+	mu      sync.Mutex        // guards the lazy index builds below
+	bitmaps [][]*bitmap.Index // [level][shard]
 }
 
 // dataFor resolves (building at most once) the dataset state a run over cfg
@@ -108,7 +95,7 @@ func (e *Engine) dataFor(cfg Config) (*dataState, error) {
 		e.data[key] = ds
 	}
 	e.mu.Unlock()
-	ds.once.Do(func() { ds.err = ds.build(e.src, e.tree, cfg) })
+	ds.once.Do(func() { ds.err = ds.build(e.tree, cfg) })
 	return ds, ds.err
 }
 
@@ -116,14 +103,13 @@ func (e *Engine) dataFor(cfg Config) (*dataState, error) {
 // single-support pass) for this representation. Parallelism of the build
 // follows the triggering run's configuration; the built state is identical
 // either way.
-func (ds *dataState) build(src txdb.Source, tax *taxonomy.Tree, cfg Config) error {
+func (ds *dataState) build(tax *taxonomy.Tree, cfg Config) error {
 	H := tax.Height()
 	ds.sup1 = make([]map[itemset.ID]int64, H+1)
 	ds.widths = make([]int, H+1)
-	ds.tid = make([][]map[itemset.ID][]int32, H+1)
 	ds.bitmaps = make([][]*bitmap.Index, H+1)
-	srcs := ds.sources(src)
-	workers := boundWorkers(&cfg, len(srcs))
+	srcs := ds.shards
+	workers := min(cfg.workers(), len(srcs))
 	if !cfg.Materialize {
 		return ds.streamSingleSupports(srcs, tax, H, workers)
 	}
@@ -179,11 +165,9 @@ type runScratch struct {
 	cells    map[int][]*cell // retired cells by k, stores Reset and reusable
 	chains   []chainRec      // chain arena backing (records cleared at release)
 	sups     []int64         // finishCell single-support scratch
-	partials [][]int64       // per-worker counting buffers, zeroed on checkout
-	vecs     [][]bitmap.Vector
-	tidScr   []tidScratch
-	cand     []itemset.ID // candidate canonicalization buffer
-	genBuf   []itemset.ID // streaming generalization buffer
+	partials []partial       // per-worker counting state, reset on checkout
+	units    []unit          // the current pass's work units
+	cand     []itemset.ID    // candidate canonicalization buffer
 }
 
 func (e *Engine) getScratch() *runScratch {
@@ -219,44 +203,34 @@ func (sc *runScratch) candFor(k int) []itemset.ID {
 	return sc.cand[:k]
 }
 
-// partialsFor returns `workers` zeroed counting vectors of length n each.
-func (sc *runScratch) partialsFor(workers, n int) [][]int64 {
+// partialsFor checks out one partial per worker for a pass over c, tallies
+// zeroed. Worker 0 counts into c's own support slab (zero before counting),
+// so a one-worker pass merges nothing; the others get zeroed vectors of the
+// slab's length.
+func (sc *runScratch) partialsFor(c *cell, workers int) []partial {
 	for len(sc.partials) < workers {
-		sc.partials = append(sc.partials, nil)
+		sc.partials = append(sc.partials, partial{})
 	}
 	out := sc.partials[:workers]
+	n := c.store.Len()
 	for w := range out {
-		if cap(out[w]) < n {
-			out[w] = make([]int64, n)
-		} else {
-			out[w] = out[w][:n]
-			clear(out[w])
+		p := &out[w]
+		p.pruned, p.ops, p.err = 0, 0, nil
+		if cap(p.vecs) < c.k {
+			p.vecs = make([]bitmap.Vector, c.k)
+		}
+		p.vecs = p.vecs[:c.k]
+		switch {
+		case w == 0:
+			p.counts = c.store.Sup
+		case cap(p.counts) < n:
+			p.counts = make([]int64, n)
+		default:
+			p.counts = p.counts[:n]
+			clear(p.counts)
 		}
 	}
 	return out
-}
-
-// vecsFor returns `workers` vector-header scratches of length k each.
-func (sc *runScratch) vecsFor(workers, k int) [][]bitmap.Vector {
-	for len(sc.vecs) < workers {
-		sc.vecs = append(sc.vecs, nil)
-	}
-	out := sc.vecs[:workers]
-	for w := range out {
-		if cap(out[w]) < k {
-			out[w] = make([]bitmap.Vector, k)
-		}
-		out[w] = out[w][:k]
-	}
-	return out
-}
-
-// tidScratchFor returns `workers` tid-list intersection scratches.
-func (sc *runScratch) tidScratchFor(workers int) []tidScratch {
-	for len(sc.tidScr) < workers {
-		sc.tidScr = append(sc.tidScr, tidScratch{})
-	}
-	return sc.tidScr[:workers]
 }
 
 // entryMeta is the engine-side metadata of one candidate slab entry. Items
@@ -537,10 +511,7 @@ func (m *miner) bind(e *Engine) error {
 		m.rows[h] = make(map[int]*cell)
 		m.excluded[h] = make(map[itemset.ID]bool)
 	}
-	m.stats.Shards = 1
-	if ds.sharded() {
-		m.stats.Shards = len(ds.shards)
-	}
+	m.stats.Shards = len(ds.shards)
 	m.stats.DBScans += initScans(&m.cfg, H)
 
 	for h := 1; h <= H; h++ {
@@ -607,9 +578,6 @@ func (m *miner) release() {
 	m.sc = nil
 	m.eng.putScratch(sc)
 }
-
-// sharded reports whether counting fans out over shards.
-func (m *miner) sharded() bool { return m.ds.sharded() }
 
 // canceled is the shared cancellation checkpoint: one nil check when the run
 // has no cancellable context, one non-blocking channel poll otherwise.

@@ -72,7 +72,7 @@ func names(tree *taxonomy.Tree, s itemset.Set) string {
 func TestPaperToyExample(t *testing.T) {
 	db, tree := paperToy(t)
 	for _, pruning := range Levels() {
-		for _, strategy := range []CountStrategy{CountScan, CountTIDList} {
+		for _, strategy := range []CountStrategy{CountScan, CountBitmap} {
 			cfg := toyConfig()
 			cfg.Pruning = pruning
 			cfg.Strategy = strategy
@@ -204,7 +204,7 @@ func TestConfigValidation(t *testing.T) {
 		{"negative maxk", func(c *Config) { c.MaxK = -1 }},
 		{"negative parallelism", func(c *Config) { c.Parallelism = -2 }},
 		{"invalid measure", func(c *Config) { c.Measure = measure.Measure(99) }},
-		{"tidlist without views", func(c *Config) { c.Strategy = CountTIDList; c.Materialize = false }},
+		{"bitmap without views", func(c *Config) { c.Strategy = CountBitmap; c.Materialize = false }},
 	}
 	for _, tc := range cases {
 		cfg := base
@@ -350,7 +350,7 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 
 func TestParallelCountingMatchesSerial(t *testing.T) {
 	db, tree := paperToy(t)
-	for _, strategy := range []CountStrategy{CountScan, CountTIDList, CountBitmap, CountAuto} {
+	for _, strategy := range []CountStrategy{CountScan, CountBitmap, CountAuto} {
 		t.Run(strategy.String(), func(t *testing.T) {
 			cfgSerial := toyConfig()
 			cfgSerial.Strategy = strategy
@@ -486,10 +486,16 @@ func TestPruningLevelParsing(t *testing.T) {
 	if _, err := ParsePruningLevel("bogus"); err == nil {
 		t.Error("bogus pruning level accepted")
 	}
-	for _, s := range []CountStrategy{CountScan, CountTIDList} {
+	for _, s := range []CountStrategy{CountScan, CountAuto, CountBitmap} {
 		back, err := ParseCountStrategy(s.String())
 		if err != nil || back != s {
 			t.Errorf("round trip %v failed", s)
+		}
+	}
+	// The retired tid-list backend's names stay accepted as bitmap aliases.
+	for _, alias := range []string{"tidlist", "tid", "bits"} {
+		if s, err := ParseCountStrategy(alias); err != nil || s != CountBitmap {
+			t.Errorf("ParseCountStrategy(%q) = %v, %v; want bitmap", alias, s, err)
 		}
 	}
 	if _, err := ParseCountStrategy("bogus"); err == nil {

@@ -155,7 +155,7 @@ func TestStrategyEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := fingerprint(a, tree)
-		for _, strategy := range []CountStrategy{CountTIDList, CountBitmap, CountAuto} {
+		for _, strategy := range []CountStrategy{CountBitmap, CountAuto} {
 			cfg.Strategy = strategy
 			b, err := Mine(db, tree, cfg)
 			if err != nil {
@@ -328,7 +328,7 @@ func TestTrieStoreMatchesMapReference(t *testing.T) {
 		}
 		want := bruteForceReference(t, db, tree, cfg)
 		for _, pruning := range Levels() {
-			for _, strategy := range []CountStrategy{CountScan, CountTIDList, CountBitmap, CountAuto} {
+			for _, strategy := range []CountStrategy{CountScan, CountBitmap, CountAuto} {
 				c := cfg
 				c.Pruning = pruning
 				c.Strategy = strategy

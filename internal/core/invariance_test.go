@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -66,6 +67,73 @@ func TestParallelismInvariance(t *testing.T) {
 			}
 			if fp != want {
 				t.Fatalf("trial %d: %d workers changed the result", trial, workers)
+			}
+		}
+	}
+}
+
+// TestWorkSplitInvariance pins the (shard, range) work split on levels
+// large enough to cut: every level holds at least three scanBlocks of
+// distinct rows, so scan passes split each shard's rows across workers,
+// bitmap passes split the candidate slab, and shards fewer than the workers
+// split too. Within a shard count the whole envelope — patterns and every
+// counter, volatile keys aside — must not depend on Parallelism; across
+// shard counts the patterns must not change.
+func TestWorkSplitInvariance(t *testing.T) {
+	tree, err := taxonomyBuilderForDense(t).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := txdbForDense(rand.New(rand.NewSource(77)), tree, 2000)
+	base := Config{
+		Measure: measure.Kulczynski, Gamma: 0.2, Epsilon: 0.1,
+		MinSupAbs: []int64{30, 10}, Pruning: Full, MaxK: 3, Materialize: true,
+	}
+	ds, err := NewEngine(db, tree).dataFor(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for h := 1; h <= tree.Height(); h++ {
+		if rows := ds.levels[0][h].Rows(); rows < 3*scanBlock {
+			t.Fatalf("level %d has %d distinct rows, want ≥ %d so that scans split", h, rows, 3*scanBlock)
+		}
+	}
+	for _, v := range []struct {
+		name        string
+		strategy    CountStrategy
+		materialize bool
+	}{
+		{"scan", CountScan, true},
+		{"bitmap", CountBitmap, true},
+		{"auto", CountAuto, true},
+		{"streaming", CountScan, false},
+	} {
+		var patterns string // the unsharded run's
+		for _, shards := range []int{0, 2, 3} {
+			var want []byte
+			for _, par := range []int{1, 2, 3, 7} {
+				cfg := base
+				cfg.Strategy, cfg.Materialize, cfg.Shards, cfg.Parallelism = v.strategy, v.materialize, shards, par
+				res, err := Mine(db, tree, cfg)
+				if err != nil {
+					t.Fatalf("%s shards=%d parallelism=%d: %v", v.name, shards, par, err)
+				}
+				got := scrubbedJSON(t, res, tree)
+				fp := fingerprint(res, tree)
+				switch {
+				case shards == 0 && par == 1:
+					if len(res.Patterns) == 0 {
+						t.Fatalf("%s: no patterns; the comparisons below would be vacuous", v.name)
+					}
+					patterns = fp
+				case fp != patterns:
+					t.Fatalf("%s shards=%d parallelism=%d: patterns diverge from the unsharded run", v.name, shards, par)
+				}
+				if par == 1 {
+					want = got
+				} else if !bytes.Equal(got, want) {
+					t.Fatalf("%s shards=%d parallelism=%d: envelope diverges from parallelism 1:\n%s\nvs\n%s", v.name, shards, par, want, got)
+				}
 			}
 		}
 	}

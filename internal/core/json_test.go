@@ -36,7 +36,6 @@ func TestCanonicalKeySeparatesSemanticFields(t *testing.T) {
 		func(c *Config) { c.MinSup = []float64{0.02, 0.002, 0.0002} },
 		func(c *Config) { c.MinSupAbs = []int64{5, 3, 1} },
 		func(c *Config) { c.Pruning = Basic },
-		func(c *Config) { c.Strategy = CountTIDList },
 		func(c *Config) { c.Strategy = CountBitmap },
 		func(c *Config) { c.Strategy = CountAuto },
 		func(c *Config) { c.MaxK = 3 },

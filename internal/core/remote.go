@@ -6,7 +6,6 @@ import (
 
 	"github.com/flipper-mining/flipper/internal/candtrie"
 	"github.com/flipper-mining/flipper/internal/itemset"
-	"github.com/flipper-mining/flipper/internal/txdb"
 )
 
 // Distributed counting support: the two exports internal/cluster builds its
@@ -89,11 +88,7 @@ func (m *miner) countRemote(c *cell) {
 // the same data and configuration, so shard indexes agree across nodes
 // without negotiation.
 func (e *Engine) ResolveShards(cfg Config) int {
-	shards := resolveShardSources(e.src, cfg.Shards)
-	if len(shards) <= 1 {
-		return 1
-	}
-	return len(shards)
+	return len(resolveShardSources(e.src, cfg.Shards))
 }
 
 // ShardSupports counts candidates (itemsets of one size, in slab order) at
@@ -125,12 +120,8 @@ func (e *Engine) ShardSupports(ctx context.Context, cfg Config, h int, cands []i
 	if err != nil {
 		return nil, err
 	}
-	nshards := 1
-	if ds.sharded() {
-		nshards = len(ds.shards)
-	}
-	if shard < 0 || shard >= nshards {
-		return nil, fmt.Errorf("core: shard %d out of [0, %d)", shard, nshards)
+	if shard < 0 || shard >= len(ds.shards) {
+		return nil, fmt.Errorf("core: shard %d out of [0, %d)", shard, len(ds.shards))
 	}
 	st := candtrie.New(k)
 	for i, cand := range cands {
@@ -152,17 +143,15 @@ func (e *Engine) ShardSupports(ctx context.Context, cfg Config, h int, cands []i
 	}
 	st.Freeze()
 	c := &cell{h: h, k: k, store: st}
-	done := ctx.Done()
+	p := partial{counts: st.Sup}
 	if cfg.Materialize {
 		lv := ds.levels[shard][h]
-		scanTxsCheckpointed(c, lv, 0, lv.Rows(), st.Sup, done)
-	} else {
-		if err := streamCountShard(c, ds.sources(e.src)[shard], e, done); err != nil {
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				return nil, ctxErr
-			}
-			return nil, err
+		p.scanRows(c, lv, 0, lv.Rows(), ctx.Done())
+	} else if err := p.scanSource(c, ds.shards[shard], e.tree, ctx.Done()); err != nil {
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			return nil, ctxErr
 		}
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -170,25 +159,4 @@ func (e *Engine) ShardSupports(ctx context.Context, cfg Config, h int, cands []i
 	out := make([]int64, st.Len())
 	copy(out, st.Sup)
 	return out, nil
-}
-
-// streamCountShard is the streaming form of ShardSupports: one pass over
-// the shard source with on-the-fly generalization to the cell's level.
-func streamCountShard(c *cell, src txdb.Source, e *Engine, done <-chan struct{}) error {
-	st := c.store
-	var filtered itemset.Set
-	var seen int
-	var buf []itemset.ID
-	return src.Scan(func(tx itemset.Set) error {
-		if seen++; seen&1023 == 0 && canceled(done) {
-			return errCancelled
-		}
-		buf = e.tree.AppendAncestors(buf[:0], tx, c.h)
-		filtered = st.Filter(itemset.Canon(buf), filtered[:0])
-		if len(filtered) < c.k {
-			return nil
-		}
-		st.CountTx(filtered, 1, st.Sup)
-		return nil
-	})
 }

@@ -56,7 +56,6 @@ func TestMineRemoteLoopbackEquivalence(t *testing.T) {
 		{"scan-mat-1", CountScan, true, 1},
 		{"scan-mat-2", CountScan, true, 2},
 		{"scan-stream-7", CountScan, false, 7},
-		{"tid-mat-2", CountTIDList, true, 2},
 		{"bitmap-mat-7", CountBitmap, true, 7},
 		{"auto-mat-2", CountAuto, true, 2},
 	}

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"github.com/flipper-mining/flipper/internal/taxonomy"
 )
 
 // TestEngineReuseByteIdentical mines the same configuration repeatedly on
@@ -17,25 +19,7 @@ import (
 // scratch must be invisible in the output, including the cost stats.
 func TestEngineReuseByteIdentical(t *testing.T) {
 	db, tree := paperToy(t)
-	scrub := func(res *Result) []byte {
-		raw, err := json.Marshal(res.JSON(tree))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var m map[string]any
-		if err := json.Unmarshal(raw, &m); err != nil {
-			t.Fatal(err)
-		}
-		stats := m["stats"].(map[string]any)
-		for _, k := range VolatileStatsKeys() {
-			delete(stats, k)
-		}
-		out, err := json.Marshal(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
+	scrub := func(res *Result) []byte { return scrubbedJSON(t, res, tree) }
 	for _, tc := range []struct {
 		name     string
 		strategy CountStrategy
@@ -43,7 +27,6 @@ func TestEngineReuseByteIdentical(t *testing.T) {
 		pruning  PruningLevel
 	}{
 		{"scan", CountScan, 0, Full},
-		{"tidlist", CountTIDList, 0, Full},
 		{"bitmap", CountBitmap, 0, Full},
 		{"auto", CountAuto, 0, Full},
 		{"scan-sharded", CountScan, 3, Full},
@@ -74,6 +57,29 @@ func TestEngineReuseByteIdentical(t *testing.T) {
 	}
 }
 
+// scrubbedJSON is the result's wire envelope with the volatile stats keys
+// removed: everything two runs over the same input must agree on.
+func scrubbedJSON(t *testing.T, res *Result, tree *taxonomy.Tree) []byte {
+	t.Helper()
+	raw, err := json.Marshal(res.JSON(tree))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	stats := m["stats"].(map[string]any)
+	for _, k := range VolatileStatsKeys() {
+		delete(stats, k)
+	}
+	out, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestEngineReuseMixedConfigs interleaves different strategies, shard
 // counts and thresholds on one engine: per-(materialize, shards) data
 // states must not bleed into each other, and every run must match its own
@@ -82,7 +88,7 @@ func TestEngineReuseMixedConfigs(t *testing.T) {
 	db, tree := paperToy(t)
 	eng := NewEngine(db, tree)
 	rng := rand.New(rand.NewSource(5))
-	strategies := []CountStrategy{CountScan, CountTIDList, CountBitmap, CountAuto}
+	strategies := []CountStrategy{CountScan, CountBitmap, CountAuto}
 	for i := 0; i < 20; i++ {
 		cfg := toyConfig()
 		cfg.Strategy = strategies[rng.Intn(len(strategies))]
@@ -165,7 +171,7 @@ func TestEngineConcurrentMine(t *testing.T) {
 	want := make([]string, len(cfgs))
 	for i := range cfgs {
 		cfg := toyConfig()
-		cfg.Strategy = []CountStrategy{CountScan, CountTIDList, CountBitmap, CountAuto}[i%4]
+		cfg.Strategy = []CountStrategy{CountScan, CountBitmap, CountAuto}[i%3]
 		cfg.Shards = (i / 4) * 2 // half unsharded, half 2-sharded
 		cfgs[i] = cfg
 		res, err := Mine(db, tree, cfg)

@@ -27,7 +27,7 @@ func TestShardedMiningEquivalence(t *testing.T) {
 		trials = 2
 	}
 	shardCounts := []int{1, 2, 7}
-	strategies := []CountStrategy{CountScan, CountTIDList, CountBitmap, CountAuto}
+	strategies := []CountStrategy{CountScan, CountBitmap, CountAuto}
 	for trial := 0; trial < trials; trial++ {
 		db, tree := randomDataset(rng)
 		for _, pruning := range Levels() {

@@ -28,8 +28,9 @@ type Stats struct {
 
 	// Shards is the number of transaction shards counting fanned out over
 	// (1 when the run was unsharded), and ShardMergeNs the nanoseconds spent
-	// merging per-shard partial support vectors into the candidate slabs —
-	// the serial fraction that bounds sharded speedup (Amdahl's law).
+	// merging the counting workers' partial support vectors into the
+	// candidate slabs — every local pass merges, sharded or not — the
+	// serial fraction that bounds parallel speedup (Amdahl's law).
 	Shards       int
 	ShardMergeNs int64
 
@@ -53,10 +54,11 @@ type Stats struct {
 	TPGBreaks         int64
 	SIBPExcludedItems int64
 
-	// BitmapBuilds counts per-level bit-vector index constructions (at most
-	// one per level per run — indexes are cached on the miner), and
-	// BitmapWordOps the 64-bit AND/load operations spent answering bitmap
-	// support queries.
+	// BitmapBuilds counts bit-vector index constructions: the first use of
+	// a level in a run counts one per shard, whether or not the engine's
+	// dataset state already held the indexes, so warm runs report what cold
+	// ones do. BitmapWordOps counts the 64-bit AND/load operations spent
+	// answering bitmap support queries.
 	BitmapBuilds  int64
 	BitmapWordOps int64
 

@@ -8,8 +8,8 @@ import (
 )
 
 // Ablation evaluates the design choices DESIGN.md calls out beyond the
-// paper: counting strategy (the paper's sequential scan vs Eclat-style
-// tid-lists vs the cost-model auto mode), counting parallelism, and
+// paper: counting strategy (the paper's sequential scan vs bitmaps vs the
+// cost-model auto mode), counting parallelism, and
 // materialized views vs disk-resident streaming. All runs use full pruning
 // on the default synthetic workload.
 func Ablation(s Scale) (*Table, error) {
@@ -45,7 +45,6 @@ func Ablation(s Scale) (*Table, error) {
 		mutate func(*core.Config)
 	}{
 		{"count=scan", func(c *core.Config) { c.Strategy = core.CountScan }},
-		{"count=tidlist", func(c *core.Config) { c.Strategy = core.CountTIDList }},
 		{"count=bitmap", func(c *core.Config) { c.Strategy = core.CountBitmap }},
 		{"count=auto", func(c *core.Config) { c.Strategy = core.CountAuto }},
 		{"workers=1", func(c *core.Config) { c.Parallelism = 1 }},

@@ -6,12 +6,11 @@ import (
 	"github.com/flipper-mining/flipper/internal/core"
 )
 
-// Counting compares the three concrete counting backends (and the auto cost
+// Counting compares the two concrete counting backends (and the auto cost
 // model) across transaction densities on the default synthetic workload.
-// The interesting axis is width: wider transactions mean denser level views,
-// more candidates per cell, and longer tid-lists — the regime where the
-// bitmap backend's fixed ⌈n/64⌉ words per candidate pull ahead of both the
-// subset-enumerating scan and the list intersections.
+// The interesting axis is width: wider transactions mean denser level views
+// and more candidates per cell — the regime where the bitmap backend's fixed
+// ⌈n/64⌉ words per candidate pull ahead of the subset-enumerating scan.
 func Counting(s Scale) (*Table, error) {
 	t := &Table{
 		ID:      "counting",
@@ -19,10 +18,10 @@ func Counting(s Scale) (*Table, error) {
 		Columns: []string{"Width", "Strategy", "Seconds", "Candidates", "Bitmap builds", "Bitmap word ops", "Patterns"},
 		Notes: []string{
 			fmt.Sprintf("N=%d, thresholds %v, γ=0.3, ε=0.1", s.SyntheticN, defaultSynMinsup),
-			"auto picks a backend per cell: scan when candidates dwarf the database, tidlist on sparse levels, bitmap on dense high-candidate cells",
+			"auto picks a backend per cell: scan when candidates dwarf the database, bitmap on dense high-candidate cells",
 		},
 	}
-	strategies := []core.CountStrategy{core.CountScan, core.CountTIDList, core.CountBitmap, core.CountAuto}
+	strategies := []core.CountStrategy{core.CountScan, core.CountBitmap, core.CountAuto}
 	for _, width := range []float64{5, 7, 9} {
 		db, tree, err := synthetic(s.SyntheticN, width, s.Seed)
 		if err != nil {

@@ -152,13 +152,14 @@ func TestCountingShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 3 widths × 4 strategies.
-	if len(tbl.Rows) != 12 {
-		t.Fatalf("counting rows = %d, want 12", len(tbl.Rows))
+	// 3 widths × 3 strategies (scan, bitmap, auto).
+	const widths, strategies = 3, 3
+	if len(tbl.Rows) != widths*strategies {
+		t.Fatalf("counting rows = %d, want %d", len(tbl.Rows), widths*strategies)
 	}
 	for _, row := range tbl.Rows {
 		switch row[1] {
-		case "scan", "tidlist":
+		case "scan":
 			if row[4] != "0" {
 				t.Errorf("width %s strategy %s reported %s bitmap builds, want 0", row[0], row[1], row[4])
 			}
@@ -169,11 +170,11 @@ func TestCountingShape(t *testing.T) {
 		}
 	}
 	// Pattern counts must agree across strategies within a width.
-	for w := 0; w < 3; w++ {
-		base := tbl.Rows[4*w][6]
-		for i := 1; i < 4; i++ {
-			if got := tbl.Rows[4*w+i][6]; got != base {
-				t.Errorf("width group %d: %s found %s patterns, scan found %s", w, tbl.Rows[4*w+i][1], got, base)
+	for w := 0; w < widths; w++ {
+		base := tbl.Rows[strategies*w][6]
+		for i := 1; i < strategies; i++ {
+			if got := tbl.Rows[strategies*w+i][6]; got != base {
+				t.Errorf("width group %d: %s found %s patterns, scan found %s", w, tbl.Rows[strategies*w+i][1], got, base)
 			}
 		}
 	}
@@ -184,16 +185,17 @@ func TestShardingShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 3 strategies × 4 shard counts.
-	if len(tbl.Rows) != 12 {
-		t.Fatalf("sharding rows = %d, want 12", len(tbl.Rows))
+	// 2 strategies (scan, bitmap) × 4 shard counts.
+	const strategies, shardCounts = 2, 4
+	if len(tbl.Rows) != strategies*shardCounts {
+		t.Fatalf("sharding rows = %d, want %d", len(tbl.Rows), strategies*shardCounts)
 	}
 	// Pattern counts must agree across shard counts within a strategy —
 	// sharding can never change the mined output.
-	for s := 0; s < 3; s++ {
-		base := tbl.Rows[4*s][5]
-		for i := 1; i < 4; i++ {
-			row := tbl.Rows[4*s+i]
+	for s := 0; s < strategies; s++ {
+		base := tbl.Rows[shardCounts*s][5]
+		for i := 1; i < shardCounts; i++ {
+			row := tbl.Rows[shardCounts*s+i]
 			if row[5] != base {
 				t.Errorf("strategy %s at %s shards found %s patterns, want %s", row[0], row[1], row[5], base)
 			}

@@ -31,7 +31,7 @@ func Sharding(s Scale) (*Table, error) {
 			fmt.Sprintf("GOMAXPROCS=%d — speedup is bounded by cores; on one core the table pins sharding overhead instead", runtime.GOMAXPROCS(0)),
 		},
 	}
-	for _, strategy := range []core.CountStrategy{core.CountScan, core.CountTIDList, core.CountBitmap} {
+	for _, strategy := range []core.CountStrategy{core.CountScan, core.CountBitmap} {
 		var base time.Duration
 		for _, shards := range []int{1, 2, 4, 8} {
 			cfg := core.Config{

@@ -131,7 +131,7 @@ func openFaultyShards(t *testing.T, paths []string, tree *taxonomy.Tree, shards 
 // in-memory run.
 func TestFaultInjectedEquivalence(t *testing.T) {
 	db, tree, paths := buildWorkload(t)
-	strategies := []core.CountStrategy{core.CountScan, core.CountTIDList, core.CountBitmap, core.CountAuto}
+	strategies := []core.CountStrategy{core.CountScan, core.CountBitmap, core.CountAuto}
 	shardCounts := []int{1, 2, 7}
 	for _, strategy := range strategies {
 		cfg := testConfig(strategy)

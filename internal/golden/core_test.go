@@ -60,7 +60,7 @@ func TestCoreResultGolden(t *testing.T) {
 	}
 }
 
-// TestStrategyPruningMatrix re-mines every scenario under all four counting
+// TestStrategyPruningMatrix re-mines every scenario under all three counting
 // strategies crossed with all four pruning levels and asserts the mined
 // patterns are byte-identical to the canonical run's. Pattern sets must be
 // invariant (the paper's losslessness claim for the pruning ladder, and
@@ -68,7 +68,7 @@ func TestCoreResultGolden(t *testing.T) {
 // differ, so only the pattern portion of the envelope is compared here —
 // the canonical run's full envelope is pinned by TestCoreResultGolden.
 func TestStrategyPruningMatrix(t *testing.T) {
-	strategies := []core.CountStrategy{core.CountScan, core.CountTIDList, core.CountAuto, core.CountBitmap}
+	strategies := []core.CountStrategy{core.CountScan, core.CountAuto, core.CountBitmap}
 	prunings := []core.PruningLevel{core.Basic, core.Flipping, core.FlippingTPG, core.Full}
 	for _, sc := range Scenarios() {
 		t.Run(sc.Name, func(t *testing.T) {

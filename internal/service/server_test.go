@@ -162,10 +162,11 @@ func TestCacheKeyIgnoresFieldOrderAndExecutionKnobs(t *testing.T) {
 // TestStrategyIsASemanticCacheField exercises the counting strategies over
 // the wire: every JSON name is accepted, each strategy keys its own cache
 // slot (CanonicalKey covers Strategy), and all strategies mine the toy's
-// single flipping pattern.
+// single flipping pattern. "tidlist", the name of a retired backend, is an
+// alias of bitmap: it shares bitmap's slot and echoes "bitmap".
 func TestStrategyIsASemanticCacheField(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	for _, strategy := range []string{"scan", "tidlist", "bitmap", "auto"} {
+	for _, strategy := range []string{"scan", "bitmap", "auto"} {
 		body := `{"dataset": "toy", "config": {"gamma": 0.6, "epsilon": 0.35, "min_sup": [0.1, 0.1, 0.1], "strategy": "` + strategy + `"}}`
 		status, v := submit(t, ts, body)
 		if status == http.StatusOK && v.CacheHit {
@@ -186,6 +187,30 @@ func TestStrategyIsASemanticCacheField(t *testing.T) {
 		if status != http.StatusOK || !v.CacheHit {
 			t.Errorf("strategy %q resubmit: status %d cacheHit=%v, want a cache hit", strategy, status, v.CacheHit)
 		}
+	}
+
+	status, v := submit(t, ts, `{"dataset": "toy", "config": {"gamma": 0.6, "epsilon": 0.35, "min_sup": [0.1, 0.1, 0.1], "strategy": "tidlist"}}`)
+	if status != http.StatusOK || !v.CacheHit {
+		t.Fatalf("tidlist: status %d cacheHit=%v, want a hit on bitmap's cache slot", status, v.CacheHit)
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + v.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var job struct {
+		Config struct {
+			Strategy string `json:"strategy"`
+		} `json:"config"`
+		Result struct {
+			PatternCount int `json:"pattern_count"`
+		} `json:"result"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
+		t.Fatal(err)
+	}
+	if job.Config.Strategy != "bitmap" || job.Result.PatternCount != 1 {
+		t.Errorf("tidlist job echoes strategy %q with %d patterns, want \"bitmap\" with 1", job.Config.Strategy, job.Result.PatternCount)
 	}
 }
 
