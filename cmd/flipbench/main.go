@@ -41,7 +41,7 @@ func main() {
 		listExp    = flag.Bool("list", false, "list available experiments")
 		jsonPath   = flag.String("json", "", "run the counting micro-bench suite and write BENCH JSON to this file")
 		tag        = flag.String("tag", "dev", "tag recorded in the -json output")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (pprof format; feeds go build -pgo)")
+		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (pprof format)")
 	)
 	flag.Parse()
 
@@ -55,9 +55,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "flipbench: %v\n", err)
 			os.Exit(1)
 		}
-		// The profile of the -json micro suite is the committed default.pgo:
-		// it concentrates samples in the counting hot loops the campaign
-		// targets (see docs/OPERATIONS.md on refreshing it).
 		defer func() {
 			pprof.StopCPUProfile()
 			if err := f.Close(); err != nil {

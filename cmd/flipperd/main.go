@@ -30,12 +30,15 @@
 //
 // Multi-node operation (docs/OPERATIONS.md): the default mode is a
 // coordinator — it serves the /v1 API, accepts worker heartbeats on
-// /cluster/heartbeat, and scatter–gathers per-shard support counting over
-// any registered workers, falling back to local mining (degraded mode)
-// when none are reachable. With -worker the process instead serves only
-// the /cluster counting endpoints and pushes heartbeats to -join; workers
-// must load the same -data directory (fingerprints are verified per
-// request, so version-skewed workers are rejected, not silently wrong).
+// /cluster/heartbeat, and sends every counting pass, one unit per shard,
+// to the registered workers, each unit counted with the backend the
+// coordinator chose; results are byte-identical to a single-process mine,
+// stats included. Shards no worker can serve are counted locally
+// (degraded mode). With -worker the process instead serves only the
+// /cluster counting endpoints and pushes heartbeats to -join; workers must
+// load the same -data directory in the same layout (fingerprints cover the
+// shard layout and a digest of the baskets and are verified per request,
+// so skewed workers are rejected, not silently wrong).
 //
 // API (JSON; see docs/ARCHITECTURE.md):
 //

@@ -77,10 +77,12 @@ func testDataset(rng *rand.Rand) (*txdb.DB, *taxonomy.Tree) {
 	return db, tree
 }
 
-// patternsJSON renders a result's patterns as canonical bytes — the
-// byte-identity surface of the equivalence suite. Stats are excluded on
-// purpose: distributed execution legitimately reorders counting work, so
-// timing and backend counters differ, but the patterns cannot.
+// patternsJSON renders a result's envelope as canonical bytes — the
+// byte-identity surface of the equivalence suite: the patterns one per line,
+// then the stats with the timing keys (core.VolatileStatsKeys) and the
+// degraded flag scrubbed. A distributed run resolves every pass's backend as
+// a local run does and merges the workers' per-shard tallies as a local run
+// merges its own, so every other counter must match too.
 func patternsJSON(t *testing.T, res *core.Result, tree *taxonomy.Tree) string {
 	t.Helper()
 	rj := res.JSON(tree)
@@ -94,6 +96,22 @@ func patternsJSON(t *testing.T, res *core.Result, tree *taxonomy.Tree) string {
 		sb.Write(line)
 		sb.WriteByte('\n')
 	}
+	raw, err := json.Marshal(rj.Stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats map[string]any
+	if err := json.Unmarshal(raw, &stats); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range append(core.VolatileStatsKeys(), "degraded") {
+		delete(stats, k)
+	}
+	line, err := json.Marshal(stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb.Write(line)
 	return sb.String()
 }
 
@@ -221,13 +239,14 @@ func testConfig(strategy core.CountStrategy, materialize bool, shards int) core.
 	}
 }
 
-// TestClusterEquivalence is the acceptance criterion of the PR: a 3-worker
+// TestClusterEquivalence is the cluster's core guarantee: a 3-worker
 // in-process cluster with injected network faults — drops, stalls, 5xx
-// bursts, truncated bodies — produces patterns byte-identical to
-// single-process core.Mine, across all four counting strategies × shards
-// 2/7 × fault schedules. Workers that die under the fault load push the
-// coordinator through reassignment and, at the limit, the degraded local
-// fallback — the bytes must not move either way.
+// bursts, truncated bodies — produces envelopes (patterns and stats, see
+// patternsJSON) byte-identical to single-process core.Mine, across the
+// scan, bitmap and auto strategies × shards 2/7 × fault schedules. Workers
+// that die under the fault load push the coordinator through reassignment
+// and, at the limit, the degraded local fallback — the bytes must not move
+// either way.
 func TestClusterEquivalence(t *testing.T) {
 	type faultCase struct {
 		name string
@@ -490,11 +509,10 @@ func TestWorkerHandlerValidation(t *testing.T) {
 	if a > b {
 		a, b = b, a
 	}
-	good := CountRequest{
-		Fingerprint: fp, ConfigKey: cfg.CanonicalKey(), Config: cfg,
-		Level: tree.Height(), K: 2, Shard: 0,
+	good := CountRequest{Fingerprint: fp, ConfigKey: cfg.CanonicalKey(), ShardUnit: core.ShardUnit{
+		Config: cfg, Level: tree.Height(), K: 2, Shard: 0,
 		Candidates: []itemset.Set{{a, b}},
-	}
+	}}
 	if got := post(good); got != http.StatusOK {
 		t.Fatalf("valid request: %d", got)
 	}
@@ -522,6 +540,23 @@ func TestWorkerHandlerValidation(t *testing.T) {
 	bad.K = 3
 	if got := post(bad); got != http.StatusBadRequest {
 		t.Fatalf("k mismatch: %d, want 400", got)
+	}
+	bad = good
+	bad.Strategy = core.CountAuto
+	if got := post(bad); got != http.StatusBadRequest {
+		t.Fatalf("auto: %d, want 400", got)
+	}
+	bad = good
+	bad.Strategy = core.CountBitmap
+	bad.Config.Materialize = false
+	bad.ConfigKey = bad.Config.CanonicalKey()
+	if got := post(bad); got != http.StatusBadRequest {
+		t.Fatalf("bitmap with materialize false: %d, want 400", got)
+	}
+	bitmap := good
+	bitmap.Strategy = core.CountBitmap
+	if got := post(bitmap); got != http.StatusOK {
+		t.Fatalf("valid bitmap request: %d", got)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"github.com/flipper-mining/flipper/internal/core"
-	"github.com/flipper-mining/flipper/internal/itemset"
 )
 
 // Options tune a coordinator; the zero value selects the defaults.
@@ -100,11 +99,12 @@ func (o Options) withDefaults() Options {
 
 // Coordinator owns the distributed side of a mining job: the worker
 // registry, per-shard dispatch with retries and hedging, first-result-wins
-// merging, and the degraded local fallback. It mines through
-// core.MineRemote — the search runs here, only support counting fans out —
-// so a distributed result is byte-identical to a local one (the partial
-// vectors sum commutatively), which the cluster equivalence suite pins
-// under injected network faults.
+// answers, and the degraded local fallback. It mines through
+// core.MineRemote — the search runs here, only support counting fans out,
+// and the engine merges the workers' per-shard tallies as it merges a local
+// pass's — so a distributed result is byte-identical to a local one, stats
+// included, which the cluster equivalence suite pins under injected network
+// faults.
 type Coordinator struct {
 	cat  *Catalog
 	reg  *Registry
@@ -192,23 +192,17 @@ func (co *Coordinator) Eligible(dataset string) bool {
 func (co *Coordinator) Reachable() int { return co.reg.Reachable() }
 
 // Mine runs one distributed mining job: the Flipper search executes
-// locally, each cell's support counting is scattered shard-by-shard over
-// the registry's workers and gathered by commutative summation. Shards
-// whose every worker is down are counted locally and the result carries
-// Stats.Degraded = true — capacity loss degrades latency, never
-// availability or correctness.
+// locally, and each cell's counting pass becomes one unit per shard, all in
+// flight, each sent to the registry's workers (see gather.CountShard) and
+// merged by the engine as it merges a local pass. Shards whose every worker
+// is down are counted locally and the result carries Stats.Degraded = true
+// — capacity loss degrades latency, never availability or correctness.
 func (co *Coordinator) Mine(ctx context.Context, dataset string, cfg core.Config) (*core.Result, error) {
 	ent, ok := co.cat.Get(dataset)
 	if !ok {
 		return nil, fmt.Errorf("cluster: unknown dataset %q", dataset)
 	}
-	g := &gather{
-		co:     co,
-		ent:    ent,
-		cfg:    cfg,
-		key:    cfg.CanonicalKey(),
-		shards: ent.Engine.ResolveShards(cfg),
-	}
+	g := &gather{co: co, ent: ent, key: cfg.CanonicalKey()}
 	res, err := ent.Engine.MineRemote(ctx, cfg, g)
 	if err != nil {
 		return nil, err
@@ -217,70 +211,29 @@ func (co *Coordinator) Mine(ctx context.Context, dataset string, cfg core.Config
 	return res, nil
 }
 
-// gather is the CellCounter of one distributed run: scatter the shards,
-// gather the partial vectors, sum. Exactly one vector per shard enters the
-// sum — countShard returns a single winner however many retries or hedges
-// ran — so duplicated dispatches can never double-count.
+// gather is the core.ShardCounter of one distributed run. Exactly one
+// answer per unit reaches the engine's merge — CountShard returns a single
+// winner however many retries or hedges ran — so duplicated dispatches can
+// never double-count.
 type gather struct {
 	co       *Coordinator
 	ent      CatalogEntry
-	cfg      core.Config
 	key      string
-	shards   int
 	degraded atomic.Bool
 }
 
-// CountCell implements core.CellCounter.
-func (g *gather) CountCell(ctx context.Context, h, k int, cands []itemset.Set) ([]int64, error) {
-	if len(cands) == 0 {
-		return nil, nil
-	}
-	req := CountRequest{
-		Fingerprint: g.ent.Fp,
-		ConfigKey:   g.key,
-		Config:      g.cfg,
-		Level:       h,
-		K:           k,
-		Candidates:  cands,
-	}
-	parts := make([][]int64, g.shards)
-	errs := make([]error, g.shards)
-	var wg sync.WaitGroup
-	for s := 0; s < g.shards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			r := req
-			r.Shard = s
-			parts[s], errs[s] = g.countShard(ctx, r, len(cands))
-		}(s)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	total := make([]int64, len(cands))
-	for _, part := range parts {
-		for i, v := range part {
-			total[i] += v
-		}
-	}
-	return total, nil
-}
-
-// countShard resolves one shard's partial vector: affinity-ordered worker
-// attempts with jittered backoff and straggler hedging, then the degraded
-// local fallback. The worker list is re-read per attempt, so a worker the
+// CountShard implements core.ShardCounter: affinity-ordered worker attempts
+// with jittered backoff and straggler hedging, then the degraded local
+// fallback. The worker list is re-read per attempt, so a worker the
 // registry declared dead mid-job (heartbeat loss or failure threshold) is
 // reassigned away from automatically.
-func (g *gather) countShard(ctx context.Context, req CountRequest, want int) ([]int64, error) {
+func (g *gather) CountShard(ctx context.Context, u core.ShardUnit) (core.ShardTally, error) {
 	co := g.co
+	req := CountRequest{Fingerprint: g.ent.Fp, ConfigKey: g.key, ShardUnit: u}
 	backoff := co.opts.RetryBase
 	for attempt := 0; attempt < co.opts.RetryAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return core.ShardTally{}, err
 		}
 		ws := co.reg.Serving(g.ent.Fp)
 		if len(ws) == 0 {
@@ -298,49 +251,49 @@ func (g *gather) countShard(ctx context.Context, req CountRequest, want int) ([]
 		}
 		// Shard affinity: shard s prefers worker s mod W, so a steady
 		// cluster pins each shard to one worker (warm per-shard state on the
-		// worker: the engine's shard views and indexes stay hot). Attempts
+		// worker: the engine's shard levels and indexes stay hot). Attempts
 		// rotate from there.
 		primary := (req.Shard + attempt) % len(ws)
-		sup, err := co.dispatchHedged(ctx, req, ws, primary, attempt, want)
+		t, err := co.dispatchHedged(ctx, req, ws, primary, attempt)
 		if err == nil {
-			return sup, nil
+			return t, nil
 		}
 		if ctx.Err() != nil {
-			return nil, ctx.Err()
+			return core.ShardTally{}, ctx.Err()
 		}
 	}
 	// Degraded fallback: every worker for this shard is gone or failing;
-	// the coordinator counts the shard itself. Exact same partial sums, so
+	// the coordinator counts the unit itself. Exact same tallies, so
 	// correctness is untouched; Stats.Degraded tells operators capacity is.
 	g.degraded.Store(true)
 	co.trace(traceEvent{
 		Event: "degraded", Dataset: g.ent.Fp.Dataset,
 		Shard: req.Shard, Level: req.Level, K: req.K,
 	})
-	return g.ent.Engine.ShardSupports(ctx, g.cfg, req.Level, req.Candidates, req.Shard)
+	return g.ent.Engine.CountShard(ctx, u)
 }
 
 // dispatchHedged sends one attempt's request to the primary worker and, if
 // the response is still outstanding after the hedge deadline, duplicates it
 // to the next worker. The first successful response wins and the loser is
-// cancelled; exactly one vector is returned. An error is returned only when
+// cancelled; exactly one tally is returned. An error is returned only when
 // every launched dispatch failed.
-func (co *Coordinator) dispatchHedged(ctx context.Context, req CountRequest, ws []WorkerInfo, primary, attempt, want int) ([]int64, error) {
+func (co *Coordinator) dispatchHedged(ctx context.Context, req CountRequest, ws []WorkerInfo, primary, attempt int) (core.ShardTally, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
-		return nil, err
+		return core.ShardTally{}, err
 	}
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	type outcome struct {
-		sup []int64
+		t   core.ShardTally
 		err error
 	}
 	ch := make(chan outcome, 2)
 	launch := func(w WorkerInfo, hedge bool) {
 		start := co.opts.Now()
-		sup, err := co.post(cctx, w, body, want)
+		t, err := co.post(cctx, w, body, len(req.Candidates))
 		lat := co.opts.Now().Sub(start)
 		ev := traceEvent{
 			Event: "dispatch", Dataset: req.Fingerprint.Dataset,
@@ -360,7 +313,7 @@ func (co *Coordinator) dispatchHedged(ctx context.Context, req CountRequest, ws 
 			co.lat.add(lat)
 		}
 		co.trace(ev)
-		ch <- outcome{sup, err}
+		ch <- outcome{t, err}
 	}
 
 	go launch(ws[primary], false)
@@ -376,7 +329,7 @@ func (co *Coordinator) dispatchHedged(ctx context.Context, req CountRequest, ws 
 	for {
 		select {
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return core.ShardTally{}, ctx.Err()
 		case <-hedgeC:
 			hedgeC = nil
 			hedge := ws[(primary+1)%len(ws)]
@@ -390,8 +343,8 @@ func (co *Coordinator) dispatchHedged(ctx context.Context, req CountRequest, ws 
 		case out := <-ch:
 			if out.err == nil {
 				// First result wins; cancel (via the deferred cancel) any
-				// still-outstanding duplicate and discard its vector.
-				return out.sup, nil
+				// still-outstanding duplicate and discard its tally.
+				return out.t, nil
 			}
 			if firstErr == nil {
 				firstErr = out.err
@@ -400,36 +353,36 @@ func (co *Coordinator) dispatchHedged(ctx context.Context, req CountRequest, ws 
 			// take over. If the hedge timer is still pending, launching the
 			// hedge now would just duplicate that retry.
 			if failed++; failed == launched {
-				return nil, firstErr
+				return core.ShardTally{}, firstErr
 			}
 		}
 	}
 }
 
 // post performs one count request against one worker.
-func (co *Coordinator) post(ctx context.Context, w WorkerInfo, body []byte, want int) ([]int64, error) {
+func (co *Coordinator) post(ctx context.Context, w WorkerInfo, body []byte, want int) (core.ShardTally, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.Addr+PathCount, bytes.NewReader(body))
 	if err != nil {
-		return nil, err
+		return core.ShardTally{}, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := co.opts.HTTPClient.Do(req)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: worker %s: %w", w.ID, err)
+		return core.ShardTally{}, fmt.Errorf("cluster: worker %s: %w", w.ID, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("cluster: worker %s: %s: %s", w.ID, resp.Status, bytes.TrimSpace(msg))
+		return core.ShardTally{}, fmt.Errorf("cluster: worker %s: %s: %s", w.ID, resp.Status, bytes.TrimSpace(msg))
 	}
 	var cr CountResponse
 	if err := json.NewDecoder(resp.Body).Decode(&cr); err != nil {
-		return nil, fmt.Errorf("cluster: worker %s: bad response: %w", w.ID, err)
+		return core.ShardTally{}, fmt.Errorf("cluster: worker %s: bad response: %w", w.ID, err)
 	}
 	if len(cr.Supports) != want {
-		return nil, fmt.Errorf("cluster: worker %s: %d supports for %d candidates", w.ID, len(cr.Supports), want)
+		return core.ShardTally{}, fmt.Errorf("cluster: worker %s: %d supports for %d candidates", w.ID, len(cr.Supports), want)
 	}
-	return cr.Supports, nil
+	return cr.ShardTally, nil
 }
 
 func (co *Coordinator) hedgingEnabled() bool {

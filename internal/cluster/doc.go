@@ -12,9 +12,12 @@
 // (commutative and associative), so counting a cell's candidates is
 // embarrassingly parallel across shards with a deterministic merged
 // result. The coordinator therefore runs the search locally through
-// core.MineRemote and scatters each cell's counting shard-by-shard
-// (CountRequest → CountResponse) over the worker pool; core.ShardSupports
-// is the worker-side kernel.
+// core.MineRemote, which resolves each cell's backend as a local run does
+// and sends one core.ShardUnit per shard to the coordinator's ShardCounter,
+// and on to a worker (CountRequest → CountResponse). The worker counts it
+// with core.Engine.CountShard, the kernel a local unit runs, and its
+// supports and counters merge as a local pass's do: results are
+// byte-identical to a single process, stats included.
 //
 // # Robustness model
 //
@@ -23,7 +26,7 @@
 // shard's dispatch walks the non-dead workers in shard-affinity order with
 // full-jitter exponential backoff between attempts; dispatches outstanding
 // past a latency-quantile deadline are hedged to a second worker, first
-// result wins. Because every shard resolves to exactly one vector before
+// result wins. Because every unit resolves to exactly one answer before
 // the merge, retries and hedges can never double-count. When no worker can
 // serve a shard, the coordinator counts it locally and flags the run
 // degraded (Stats.Degraded) — partial cluster failure degrades capacity,

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"sort"
 	"sync"
 
@@ -14,8 +15,8 @@ import (
 // HTTP paths of the cluster wire protocol. Workers serve PathCount and
 // PathPing; coordinators serve PathHeartbeat.
 const (
-	// PathCount is the worker endpoint answering one shard's partial
-	// support vector for one cell's candidates (POST, CountRequest →
+	// PathCount is the worker endpoint answering one unit of a counting
+	// pass — one cell's candidates over one shard (POST, CountRequest →
 	// CountResponse).
 	PathCount = "/cluster/count"
 	// PathPing is the worker liveness probe (GET).
@@ -26,53 +27,80 @@ const (
 )
 
 // Fingerprint identifies a dataset build well enough to catch the failure
-// mode that silently corrupts distributed counting: a worker holding a
-// different dataset (or a differently-built taxonomy) under the same name.
-// Loading is deterministic — LoadDir resolves identical dictionary IDs and
-// shard layouts from identical files — so equal fingerprints mean the
-// worker's item IDs and shard indexes line up with the coordinator's.
+// modes that silently corrupt distributed counting: a worker holding a
+// different dataset (or a differently-built taxonomy) under the same name,
+// the same baskets in a different shard layout, or different baskets of the
+// same size. Loading is deterministic — LoadDir resolves identical
+// dictionary IDs and shard layouts from identical files — so equal
+// fingerprints mean the worker's item IDs, shard indexes and per-shard
+// transactions line up with the coordinator's.
 type Fingerprint struct {
 	Dataset      string `json:"dataset"`
 	Transactions int    `json:"transactions"`
 	Height       int    `json:"height"`
 	Nodes        int    `json:"nodes"`
+	Shards       int    `json:"shards"`
+	Digest       uint64 `json:"digest"`
 }
 
-// NewFingerprint derives the fingerprint of a loaded dataset.
+// NewFingerprint derives the fingerprint of a loaded dataset: its shape, the
+// source's shard count, and a 64-bit digest over each shard's transactions
+// in order. The digest reads the source once, so a FileSource pays one more
+// sequential read. A source that fails to scan gets a random digest: its
+// fingerprint matches no other, so no node counts on data it cannot read.
 func NewFingerprint(name string, src txdb.Source, tree *taxonomy.Tree) Fingerprint {
+	shards := []txdb.Source{src}
+	if ss, ok := src.(*txdb.ShardedSource); ok {
+		shards = ss.Shards()
+	}
+	h := uint64(14695981039346656037) // the FNV-1a offset basis
+	for _, shard := range shards {
+		err := shard.Scan(func(tx itemset.Set) error {
+			h = mix(h, uint64(len(tx)))
+			for _, id := range tx {
+				h = mix(h, uint64(id))
+			}
+			return nil
+		})
+		if err != nil {
+			h = rand.Uint64()
+			break
+		}
+		h = mix(h, ^uint64(0)) // the shard boundary, unlike any length or ID
+	}
 	return Fingerprint{
-		Dataset:      name,
-		Transactions: src.Len(),
-		Height:       tree.Height(),
-		Nodes:        tree.NodeCount(),
+		Dataset: name, Transactions: src.Len(), Height: tree.Height(), Nodes: tree.NodeCount(),
+		Shards: len(shards), Digest: h,
 	}
 }
 
+// mix folds v into digest h: FNV-1a over 64-bit words, plus a shift that
+// carries high bits down, so every input bit reaches every output bit.
+func mix(h, v uint64) uint64 {
+	h = (h ^ v) * 1099511628211
+	return h ^ h>>32
+}
+
 func (f Fingerprint) String() string {
-	return fmt.Sprintf("%s(tx=%d,h=%d,nodes=%d)", f.Dataset, f.Transactions, f.Height, f.Nodes)
+	return fmt.Sprintf("%s(tx=%d,h=%d,nodes=%d,shards=%d,digest=%016x)",
+		f.Dataset, f.Transactions, f.Height, f.Nodes, f.Shards, f.Digest)
 }
 
-// CountRequest asks a worker for one shard's partial support vector of one
-// cell's candidates. Candidates travel in slab-entry order and the response
-// vector is aligned with them (see core.ShardSupports). ConfigKey is the
-// coordinator's core.Config.CanonicalKey; the worker recomputes it from
-// Config and rejects mismatches, so a corrupted or version-skewed config
-// can never produce silently different counts.
+// CountRequest is one core.ShardUnit on the wire, with the checks a worker
+// runs before counting it. ConfigKey is the coordinator's
+// core.Config.CanonicalKey; the worker recomputes it from Config and
+// rejects mismatches, so a corrupted or version-skewed config can never
+// produce silently different counts.
 type CountRequest struct {
-	Fingerprint Fingerprint   `json:"fingerprint"`
-	ConfigKey   string        `json:"config_key"`
-	Config      core.Config   `json:"config"`
-	Level       int           `json:"level"`
-	K           int           `json:"k"`
-	Shard       int           `json:"shard"`
-	Candidates  []itemset.Set `json:"candidates"`
+	Fingerprint Fingerprint `json:"fingerprint"`
+	ConfigKey   string      `json:"config_key"`
+	core.ShardUnit
 }
 
-// CountResponse is the worker's answer: the partial support vector, aligned
-// index-for-index with the request's candidates.
+// CountResponse is the worker's core.ShardTally for the request's unit.
 type CountResponse struct {
-	Worker   string  `json:"worker"`
-	Supports []int64 `json:"supports"`
+	Worker string `json:"worker"`
+	core.ShardTally
 }
 
 // Heartbeat is the worker → coordinator health push: who the worker is,

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"time"
+
+	"github.com/flipper-mining/flipper/internal/core"
 )
 
 // Worker is the counting side of the protocol: it serves PathCount over a
@@ -49,11 +52,12 @@ func writeError(rw http.ResponseWriter, status int, format string, args ...any) 
 	writeJSON(rw, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// handleCount answers one shard's partial support vector. Every
-// cross-checkable property of the request is verified before counting —
-// dataset fingerprint, canonical config key, shard range — because a
-// mismatch here would not fail loudly downstream: it would merge wrong
-// integers into a result that still looks perfectly healthy.
+// handleCount answers one unit of a counting pass. Every cross-checkable
+// property of the request is verified before counting — dataset
+// fingerprint, canonical config key, and (in core.Engine.CountShard) level,
+// shard, backend and candidate shape — because a mismatch here would not
+// fail loudly downstream: it would merge wrong integers into a result that
+// still looks perfectly healthy.
 func (w *Worker) handleCount(rw http.ResponseWriter, r *http.Request) {
 	var req CountRequest
 	dec := json.NewDecoder(r.Body)
@@ -77,27 +81,18 @@ func (w *Worker) handleCount(rw http.ResponseWriter, r *http.Request) {
 			req.ConfigKey, key)
 		return
 	}
-	if shards := ent.Engine.ResolveShards(req.Config); req.Shard < 0 || req.Shard >= shards {
-		writeError(rw, http.StatusBadRequest, "shard %d out of range [0, %d)", req.Shard, shards)
-		return
-	}
-	for i, c := range req.Candidates {
-		if len(c) != req.K {
-			writeError(rw, http.StatusBadRequest, "candidate %d has %d items, want k=%d", i, len(c), req.K)
-			return
-		}
-	}
-	sup, err := ent.Engine.ShardSupports(r.Context(), req.Config, req.Level, req.Candidates, req.Shard)
-	if err != nil {
-		if r.Context().Err() != nil {
-			// The coordinator cancelled (hedge loser or aborted job): no one
-			// is listening for this response.
-			return
-		}
+	t, err := ent.Engine.CountShard(r.Context(), req.ShardUnit)
+	switch {
+	case r.Context().Err() != nil:
+		// The coordinator cancelled (hedge loser or aborted job): no one
+		// is listening for this response.
+	case errors.Is(err, core.ErrBadUnit):
+		writeError(rw, http.StatusBadRequest, "%v", err)
+	case err != nil:
 		writeError(rw, http.StatusInternalServerError, "count failed: %v", err)
-		return
+	default:
+		writeJSON(rw, http.StatusOK, CountResponse{Worker: w.id, ShardTally: t})
 	}
-	writeJSON(rw, http.StatusOK, CountResponse{Worker: w.id, Supports: sup})
 }
 
 func (w *Worker) handlePing(rw http.ResponseWriter, _ *http.Request) {

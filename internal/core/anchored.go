@@ -241,10 +241,11 @@ func (a *anchoredSearch) emit() {
 func (a *anchoredSearch) exactSupport(items itemset.Set, h int) int64 {
 	m := a.m
 	m.stats.CandidatesCounted++
+	m.noteBitmaps(h)
 	var sup int64
-	for _, ix := range m.bitmapIndexes(h) {
-		s, ops := ix.SupportInto(items, a.vecs)
-		sup += s
+	for s := range m.ds.shards {
+		n, ops := m.ds.index(h, s).SupportInto(items, a.vecs)
+		sup += n
 		m.stats.BitmapWordOps += ops
 	}
 	return sup

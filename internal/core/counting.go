@@ -17,17 +17,19 @@ func (m *miner) count(c *cell) {
 	m.stats.DBScans++
 	m.stats.TrieNodes += int64(c.store.NodeCount())
 	c.store.Freeze()
-	if m.remote != nil {
-		// Delegated counting (MineRemote): the CellCounter owns the pass —
-		// strategy choice, sharding, fan-out all happen on its side.
-		m.countRemote(c)
-		return
+	if m.scanErr != nil {
+		return // the mine fails with the parked error; later passes are moot
 	}
 	strategy := m.cfg.Strategy
 	if strategy == CountAuto {
 		strategy = m.chooseStrategy(c)
 	}
+	if strategy == CountBitmap {
+		m.noteBitmaps(c.h)
+	}
 	switch {
+	case m.remote != nil:
+		m.countRemote(c, strategy)
 	case strategy == CountBitmap:
 		m.countBitmap(c)
 	case m.cfg.Materialize:
@@ -201,9 +203,6 @@ func (m *miner) countScan(c *cell) {
 // be cut, so each shard is one unit. A scan failure parks in m.scanErr and
 // fails the mine.
 func (m *miner) countScanStreaming(c *cell) {
-	if m.scanErr != nil {
-		return
-	}
 	srcs := m.ds.shards
 	m.runPass(c, len(srcs), func(p *partial, s int) {
 		if p.err == nil {
@@ -216,25 +215,30 @@ func (m *miner) countScanStreaming(c *cell) {
 // weighted rows of every shard's level, the candidate slab cut into units
 // per shard. A candidate's support is the sum of its per-shard supports.
 func (m *miner) countBitmap(c *cell) {
-	ixs := m.bitmapIndexes(c.h)
-	st := c.store
-	n := st.Len()
-	units := cutUnits(m.sc.units[:0], len(ixs), func(int) int { return n }, m.cfg.workers(), 1)
+	n := c.store.Len()
+	units := cutUnits(m.sc.units[:0], len(m.ds.shards), func(int) int { return n }, m.cfg.workers(), 1)
 	m.sc.units = units
 	m.runPass(c, len(units), func(p *partial, i int) {
 		u := units[i]
-		ix, counts := ixs[u.s], p.counts
-		var ops int64
-		for e := u.lo; e < u.hi; e++ {
-			if e&cancelCheckMask == 0 && m.cancelled() {
-				break
-			}
-			sup, n := ix.SupportInto(st.Items(int32(e)), p.vecs)
-			counts[e] += sup
-			ops += n
-		}
-		p.ops += ops
+		p.bitmapRange(c, m.ds.index(c.h, u.s), u.lo, u.hi, m.done)
 	})
+}
+
+// bitmapRange counts the candidates [lo, hi) of the cell on one shard's
+// index into p, polling the run's cancellation channel every
+// cancelCheckMask+1 candidates.
+func (p *partial) bitmapRange(c *cell, ix *bitmap.Index, lo, hi int, done <-chan struct{}) {
+	st, counts := c.store, p.counts
+	var ops int64
+	for e := lo; e < hi; e++ {
+		if e&cancelCheckMask == 0 && canceled(done) {
+			break
+		}
+		sup, n := ix.SupportInto(st.Items(int32(e)), p.vecs)
+		counts[e] += sup
+		ops += n
+	}
+	p.ops += ops
 }
 
 // scanTxs counts the level's rows [lo, hi) into counts by trie descent:
@@ -305,31 +309,30 @@ const cancelCheckMask = 255
 // so no two workers interleave inside one block of a row arena.
 const scanBlock = 512
 
-// bitmapIndexes returns every shard's bitmap index of a level, built over
-// the shard's rows — row r at bit r — on first use by any run of the engine,
-// a bounded worker pool over the shards, and cached in the dataset state.
-// Stats.BitmapBuilds follows the run's logical flags: the first use per
-// level per run counts one build per shard, cached or not.
-func (m *miner) bitmapIndexes(h int) []*bitmap.Index {
-	ds := m.ds
-	ds.mu.Lock()
-	ixs := ds.bitmaps[h]
-	if ixs == nil {
-		ixs = make([]*bitmap.Index, len(ds.levels))
-		txdb.ForEachShard(m.cfg.workers(), len(ixs), func(_, s int) {
-			lv := ds.levels[s][h]
-			rows := make([]itemset.Set, lv.Rows())
-			for r := range rows {
-				rows[r] = lv.Row(r)
-			}
-			ixs[s] = bitmap.Build(rows, lv.Weights)
-		})
-		ds.bitmaps[h] = ixs
-	}
-	ds.mu.Unlock()
+// index returns shard s's bitmap index of level h, built over the shard's
+// rows — row r at bit r — on first use by any run of the engine and cached.
+// An engine builds only the shards it counts: a cluster worker, the shards
+// it is sent.
+func (ds *dataState) index(h, s int) *bitmap.Index {
+	li := &ds.bitmaps[h*len(ds.shards)+s]
+	li.once.Do(func() {
+		lv := ds.levels[s][h]
+		rows := make([]itemset.Set, lv.Rows())
+		for r := range rows {
+			rows[r] = lv.Row(r)
+		}
+		li.ix = bitmap.Build(rows, lv.Weights)
+	})
+	return li.ix
+}
+
+// noteBitmaps accounts the run's use of level h's bitmap indexes: the first
+// use per level per run counts one build per shard, whether the engine's
+// cache or a worker already held them, so warm and distributed runs report —
+// and chooseStrategy prices — what a cold local run does.
+func (m *miner) noteBitmaps(h int) {
 	if !m.bmBuilt[h] {
 		m.bmBuilt[h] = true
-		m.stats.BitmapBuilds += int64(len(ixs))
+		m.stats.BitmapBuilds += int64(len(m.ds.shards))
 	}
-	return ixs
 }

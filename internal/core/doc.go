@@ -74,17 +74,19 @@ the inner loop (Stats.ProbesPruned counts what the descent skipped). With
 Config.Materialize=false the engine instead re-reads the Source every
 pass — the paper's disk-resident mode. CountBitmap ANDs per-item bit
 vectors over the distinct weighted transactions and pop-counts the result
-(internal/bitmap; vectors are built lazily per level and cached),
+(internal/bitmap; vectors are built lazily per level and shard and cached),
 iterating the candidate slab directly. CountAuto picks one of the two per
 cell using a cost estimate in word-operation units (a trie scan probe is
 calibrated as 2.5 of those; see chooseStrategy). The names "tidlist" and
 "tid" parse to CountBitmap.
 
-miner.count dispatches to one function per backend — countScan,
-countScanStreaming, countBitmap, or countRemote for MineRemote — each
-written once over the representation's transaction shards; an unsharded
-run is one shard. Config.Shards or mining a txdb.ShardedSource splits the
-database into contiguous shards, each with its own levels (built
+miner.count resolves the backend — chooseStrategy for CountAuto, plus the
+run's bitmap-build accounting — and runs countScan, countScanStreaming or
+countBitmap, each written once over the representation's transaction
+shards (an unsharded run is one shard), or under MineRemote countRemote:
+one unit per shard sent to a ShardCounter, whose answers merge like a
+local pass's (remote.go). Config.Shards or mining a txdb.ShardedSource
+splits the database into contiguous shards, each with its own levels (built
 concurrently at init) and bitmap index (counting_shard.go). A pass runs
 as (shard, range) units on a pool of Config.Parallelism workers: scan cuts
 each shard's rows at scanBlock, bitmap cuts the candidate slab, and the

@@ -65,10 +65,10 @@ type dataKey struct {
 }
 
 // dataState is the dataset-derived state of one (materialize, shards)
-// representation. The base fields are built once under the sync.Once; the
-// bitmap indexes build lazily under mu on first use by any run and are then
-// shared read-only. An unsharded representation is one shard: every
-// per-shard slice below then has length 1.
+// representation. The base fields are built once under the sync.Once; each
+// (level, shard) bitmap index builds under its own sync.Once on first use by
+// any run and is then shared read-only. An unsharded representation is one
+// shard: every per-shard slice below then has length 1.
 type dataState struct {
 	once sync.Once
 	err  error
@@ -79,8 +79,13 @@ type dataState struct {
 	sup1   []map[itemset.ID]int64 // all single supports per level, over all shards
 	widths []int                  // max generalized width per level
 
-	mu      sync.Mutex        // guards the lazy index builds below
-	bitmaps [][]*bitmap.Index // [level][shard]
+	bitmaps []lazyIndex // [level·len(shards) + shard]
+}
+
+// lazyIndex is one shard's bitmap index of one level, built on first use.
+type lazyIndex struct {
+	once sync.Once
+	ix   *bitmap.Index
 }
 
 // dataFor resolves (building at most once) the dataset state a run over cfg
@@ -107,8 +112,8 @@ func (ds *dataState) build(tax *taxonomy.Tree, cfg Config) error {
 	H := tax.Height()
 	ds.sup1 = make([]map[itemset.ID]int64, H+1)
 	ds.widths = make([]int, H+1)
-	ds.bitmaps = make([][]*bitmap.Index, H+1)
 	srcs := ds.shards
+	ds.bitmaps = make([]lazyIndex, (H+1)*len(srcs))
 	workers := min(cfg.workers(), len(srcs))
 	if !cfg.Materialize {
 		return ds.streamSingleSupports(srcs, tax, H, workers)
@@ -349,10 +354,10 @@ type miner struct {
 	// Mine.
 	ctx context.Context
 
-	// remote, when set, replaces every local counting backend: count hands
-	// each cell's candidates to it and trusts the returned totals
-	// (MineRemote). Errors park in scanErr like streaming scan failures.
-	remote CellCounter
+	// remote, when set, counts every pass (MineRemote): count resolves the
+	// backend and hands it one unit per shard. Errors park in scanErr like
+	// streaming scan failures.
+	remote ShardCounter
 
 	// scanErr records the first streaming counting-pass failure (the
 	// materialized paths surface errors at init instead). Counting cannot
@@ -413,7 +418,7 @@ func (e *Engine) MineContext(ctx context.Context, cfg Config) (*Result, error) {
 
 // mineContext is the shared run body of MineContext and MineRemote: one
 // mining pass under ctx, counting locally or through remote.
-func (e *Engine) mineContext(ctx context.Context, cfg Config, remote CellCounter) (*Result, error) {
+func (e *Engine) mineContext(ctx context.Context, cfg Config, remote ShardCounter) (*Result, error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: mine aborted: %w", err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 
@@ -77,8 +78,9 @@ func TestParallelismInvariance(t *testing.T) {
 // distinct rows, so scan passes split each shard's rows across workers,
 // bitmap passes split the candidate slab, and shards fewer than the workers
 // split too. Within a shard count the whole envelope — patterns and every
-// counter, volatile keys aside — must not depend on Parallelism; across
-// shard counts the patterns must not change.
+// counter, volatile keys aside — must not depend on Parallelism, nor on
+// whether the passes run locally or through MineRemote over a second engine;
+// across shard counts the patterns must not change.
 func TestWorkSplitInvariance(t *testing.T) {
 	tree, err := taxonomyBuilderForDense(t).Build()
 	if err != nil {
@@ -134,6 +136,15 @@ func TestWorkSplitInvariance(t *testing.T) {
 				} else if !bytes.Equal(got, want) {
 					t.Fatalf("%s shards=%d parallelism=%d: envelope diverges from parallelism 1:\n%s\nvs\n%s", v.name, shards, par, want, got)
 				}
+			}
+			cfg := base
+			cfg.Strategy, cfg.Materialize, cfg.Shards = v.strategy, v.materialize, shards
+			remote, err := NewEngine(db, tree).MineRemote(context.Background(), cfg, NewEngine(db, tree))
+			if err != nil {
+				t.Fatalf("%s shards=%d remote: %v", v.name, shards, err)
+			}
+			if got := scrubbedJSON(t, remote, tree); !bytes.Equal(got, want) {
+				t.Fatalf("%s shards=%d: remote envelope diverges from the local run:\n%s\nvs\n%s", v.name, shards, want, got)
 			}
 		}
 	}

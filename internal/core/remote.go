@@ -2,161 +2,178 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
+	"github.com/flipper-mining/flipper/internal/bitmap"
 	"github.com/flipper-mining/flipper/internal/candtrie"
 	"github.com/flipper-mining/flipper/internal/itemset"
+	"github.com/flipper-mining/flipper/internal/txdb"
 )
 
-// Distributed counting support: the two exports internal/cluster builds its
-// scatter–gather protocol on.
+// Distributed counting: the exports internal/cluster builds its
+// scatter–gather protocol on. A coordinator mines with MineRemote, which
+// runs the whole search locally — candidate generation, backend choice,
+// labeling, pruning, chain assembly — and cuts each cell's counting pass
+// into one unit per transaction shard, all in flight, answered by a
+// ShardCounter; the answers land in the pass's per-shard partials, which
+// mergePartials sums as it sums a local pass's. A worker answers a unit
+// with CountShard: the kernel a local unit of the named backend runs
+// (scanRows, scanSource, or bitmapRange on the shard's cached index), over
+// the whole shard. A transaction lives in exactly one shard and supports
+// and tallies merge by int64 addition, so a distributed result is
+// byte-identical to a local one, stats included.
 //
-//   - A coordinator mines with MineRemote, which runs the full Flipper
-//     search locally (candidate generation, labeling, pruning, chain
-//     assembly — all cheap) but delegates every cell's support counting —
-//     the dominant cost — to a CellCounter. The counter returns the merged
-//     support vector for the cell's candidates, aligned index-for-index
-//     with the candidate slab.
-//
-//   - A worker answers one shard's share of such a cell with ShardSupports:
-//     the per-shard partial support vector of PR 5's sharded counting,
-//     exported as a plain []int64 so it can travel over a wire. Because a
-//     transaction lives in exactly one shard and supports merge by plain
-//     int64 addition, summing the per-shard vectors — wherever they were
-//     computed — reproduces the single-process counts exactly, which is
-//     what keeps distributed mining byte-identical to local mining.
-//
-// Candidate order is the contract: candidates are exchanged in slab-entry
-// order (the order Insert assigned their indexes), and ShardSupports
-// re-inserts them in that order, reproducing the same indexes. The returned
-// vector is therefore aligned with the requesting cell's support slab with
-// no key exchange at all.
+// Candidate order is the contract: a unit carries its cell's candidates in
+// slab-entry order, and CountShard re-inserts them in that order,
+// reproducing the same indexes and the same trie (so the scan kernel's
+// probe tally matches too). The answer is therefore aligned with the
+// requesting cell's support slab with no key exchange at all.
 
-// CellCounter computes the merged support vector of one cell's candidates.
-// Implementations (the cluster coordinator) may fan the work out over
-// remote workers, retry, hedge, or fall back to local counting; the only
-// obligations are that the returned slice has exactly len(candidates)
-// entries, that entry i is the total support of candidates[i] over the
-// whole database, and that every candidate is counted exactly once (a
-// retried or hedged dispatch must not double-count a shard).
-type CellCounter interface {
-	CountCell(ctx context.Context, h, k int, candidates []itemset.Set) ([]int64, error)
+// ShardUnit is one unit of a distributed counting pass: one cell's
+// candidates, in slab order, to count over one transaction shard with one
+// backend — CountScan or CountBitmap; the coordinator resolves CountAuto
+// before it cuts the pass. Its JSON form is the body of a cluster count
+// request.
+type ShardUnit struct {
+	Config     Config        `json:"config"`
+	Level      int           `json:"level"`
+	K          int           `json:"k"`
+	Strategy   CountStrategy `json:"strategy"`
+	Shard      int           `json:"shard"`
+	Candidates []itemset.Set `json:"candidates"`
 }
 
-// MineRemote is MineContext with support counting delegated to counter. The
-// search itself — candidate generation, thresholds, labeling, TPG/SIBP
-// pruning, chain assembly — runs locally over the engine's dataset state,
-// so the engine must hold the same dataset the counter's workers count
-// (internal/cluster enforces this with dataset fingerprints). A counter
-// error fails the mine; it never returns partial results.
-func (e *Engine) MineRemote(ctx context.Context, cfg Config, counter CellCounter) (*Result, error) {
+// ShardTally is a unit's answer: the partial support vector, aligned with
+// the unit's candidates, and the unit's share of the pass's counters. Its
+// JSON form is the body of a cluster count response.
+type ShardTally struct {
+	Supports     []int64 `json:"supports"`
+	ProbesPruned int64   `json:"probes_pruned"`
+	WordOps      int64   `json:"word_ops"`
+}
+
+// ShardCounter counts the units of a distributed pass. Implementations (the
+// cluster coordinator) may send a unit to a remote worker, retry, hedge, or
+// count it locally; the obligations are that the answer is the unit's shard
+// counted exactly once with the unit's backend, and that a retried or hedged
+// unit yields a single answer. *Engine is the local implementation.
+type ShardCounter interface {
+	CountShard(ctx context.Context, u ShardUnit) (ShardTally, error)
+}
+
+// ErrBadUnit marks a unit CountShard refuses to count: a malformed or
+// unservable request rather than a failed pass.
+var ErrBadUnit = errors.New("core: bad shard unit")
+
+// MineRemote is MineContext with every cell's counting pass sent to counter,
+// one unit per shard. The search itself runs locally over the engine's
+// dataset state, so the engine must hold the same dataset the counter's
+// workers count (internal/cluster enforces this with dataset fingerprints). A
+// counter error fails the mine; it never returns partial results.
+func (e *Engine) MineRemote(ctx context.Context, cfg Config, counter ShardCounter) (*Result, error) {
 	if counter == nil {
-		return nil, fmt.Errorf("core: MineRemote needs a CellCounter")
+		return nil, fmt.Errorf("core: MineRemote needs a ShardCounter")
 	}
 	return e.mineContext(ctx, cfg, counter)
 }
 
-// countRemote delegates one cell's counting to the run's CellCounter.
-// Errors park in m.scanErr exactly like streaming scan failures: later
-// cells short-circuit and Mine fails instead of returning undercounted
-// patterns.
-func (m *miner) countRemote(c *cell) {
-	if m.scanErr != nil {
-		return
-	}
+// countRemote is the distributed pass: one unit per shard, all in flight,
+// counted by the run's ShardCounter with the backend count resolved. A
+// failed unit parks its error in its partial, and mergePartials parks it in
+// m.scanErr like a streaming scan failure.
+func (m *miner) countRemote(c *cell, strategy CountStrategy) {
 	cands := make([]itemset.Set, c.store.Len())
-	c.store.Walk(func(e int32, items itemset.Set) { cands[e] = items })
-	sup, err := m.remote.CountCell(m.ctx, c.h, c.k, cands)
-	if err != nil {
-		m.scanErr = err
-		return
+	for e := range cands {
+		cands[e] = c.store.Items(int32(e))
 	}
-	if len(sup) != len(cands) {
-		m.scanErr = fmt.Errorf("core: remote counter returned %d supports for %d candidates", len(sup), len(cands))
-		return
-	}
-	dst := c.store.Sup
-	for i, v := range sup {
-		dst[i] += v
-	}
+	n := len(m.ds.shards)
+	ps := m.sc.partialsFor(c, n)
+	txdb.ForEachShard(n, n, func(_, s int) {
+		p := &ps[s]
+		t, err := m.remote.CountShard(m.ctx, ShardUnit{
+			Config: m.cfg, Level: c.h, K: c.k, Strategy: strategy, Shard: s, Candidates: cands,
+		})
+		if err == nil && len(t.Supports) != len(cands) {
+			err = fmt.Errorf("core: shard %d answered %d supports for %d candidates", s, len(t.Supports), len(cands))
+		}
+		if err != nil {
+			p.err = err
+			return
+		}
+		for i, v := range t.Supports {
+			p.counts[i] += v
+		}
+		p.pruned, p.ops = t.ProbesPruned, t.WordOps
+	})
+	m.mergePartials(c, ps)
 }
 
-// ResolveShards reports how many transaction shards a run over cfg fans
-// counting out over: the source's own shard count for a ShardedSource, the
-// in-place partition count Config.Shards induces on an in-memory database,
-// and 1 otherwise. Coordinator and workers resolve this identically from
-// the same data and configuration, so shard indexes agree across nodes
-// without negotiation.
-func (e *Engine) ResolveShards(cfg Config) int {
-	return len(resolveShardSources(e.src, cfg.Shards))
-}
-
-// ShardSupports counts candidates (itemsets of one size, in slab order) at
-// taxonomy level h over one transaction shard and returns the partial
-// support vector, aligned index-for-index with candidates. shard indexes
-// the resolved shard layout (see ResolveShards); for an unsharded run,
-// shard 0 is the whole database. The scan-descent counter is used
-// regardless of cfg.Strategy — every backend counts identically, and the
-// trie walk needs no per-shard index build, which keeps a worker's first
-// request as cheap as its hundredth.
-func (e *Engine) ShardSupports(ctx context.Context, cfg Config, h int, cands []itemset.Set, shard int) ([]int64, error) {
+// CountShard counts one unit over the engine's copy of the unit's shard,
+// with the kernel a local pass runs for the unit's backend. Errors wrapping
+// ErrBadUnit reject the unit itself: a level, shard or candidate out of
+// shape, an invalid configuration, CountAuto (the coordinator resolves it),
+// or CountBitmap without materialized levels.
+func (e *Engine) CountShard(ctx context.Context, u ShardUnit) (ShardTally, error) {
 	if e.tree == nil {
-		return nil, fmt.Errorf("core: nil taxonomy")
+		return ShardTally{}, fmt.Errorf("core: nil taxonomy")
 	}
-	if h < 1 || h > e.tree.Height() {
-		return nil, fmt.Errorf("core: level %d out of [1, %d]", h, e.tree.Height())
+	if _, err := u.Config.validate(e.tree.Height(), e.src.Len()); err != nil {
+		return badUnit("%v", err)
 	}
-	if len(cands) == 0 {
-		return []int64{}, nil
+	switch {
+	case u.Level < 1 || u.Level > e.tree.Height():
+		return badUnit("level %d out of [1, %d]", u.Level, e.tree.Height())
+	case u.Strategy != CountScan && u.Strategy != CountBitmap:
+		return badUnit("a unit counts with scan or bitmap, not %v", u.Strategy)
+	case u.Strategy == CountBitmap && !u.Config.Materialize:
+		return badUnit("bitmap counting requires materialized levels")
+	case u.K < 1:
+		return badUnit("k = %d", u.K)
 	}
-	k := len(cands[0])
-	if k < 1 {
-		return nil, fmt.Errorf("core: empty candidate itemset")
-	}
-	if _, err := cfg.validate(e.tree.Height(), e.src.Len()); err != nil {
-		return nil, err
-	}
-	ds, err := e.dataFor(cfg)
+	ds, err := e.dataFor(u.Config)
 	if err != nil {
-		return nil, err
+		return ShardTally{}, err
 	}
-	if shard < 0 || shard >= len(ds.shards) {
-		return nil, fmt.Errorf("core: shard %d out of [0, %d)", shard, len(ds.shards))
+	if u.Shard < 0 || u.Shard >= len(ds.shards) {
+		return badUnit("shard %d out of [0, %d)", u.Shard, len(ds.shards))
 	}
-	st := candtrie.New(k)
-	for i, cand := range cands {
-		if len(cand) != k {
-			return nil, fmt.Errorf("core: candidate %d has %d items, want %d", i, len(cand), k)
+	st := candtrie.New(u.K)
+	for i, cand := range u.Candidates {
+		if len(cand) != u.K {
+			return badUnit("candidate %d has %d items, want %d", i, len(cand), u.K)
 		}
 		for j, id := range cand {
-			if id < 0 {
-				return nil, fmt.Errorf("core: candidate %d has negative item ID %d", i, id)
-			}
-			if j > 0 && cand[j-1] >= id {
-				return nil, fmt.Errorf("core: candidate %d is not a canonical itemset", i)
+			if id < 0 || j > 0 && cand[j-1] >= id {
+				return badUnit("candidate %d is not a canonical itemset", i)
 			}
 		}
-		idx, added := st.Insert(cand)
-		if !added || idx != int32(i) {
-			return nil, fmt.Errorf("core: duplicate candidate at index %d", i)
+		if idx, added := st.Insert(cand); !added || idx != int32(i) {
+			return badUnit("duplicate candidate at index %d", i)
 		}
 	}
 	st.Freeze()
-	c := &cell{h: h, k: k, store: st}
-	p := partial{counts: st.Sup}
-	if cfg.Materialize {
-		lv := ds.levels[shard][h]
+	c := &cell{h: u.Level, k: u.K, store: st}
+	p := partial{counts: st.Sup, vecs: make([]bitmap.Vector, u.K)}
+	switch {
+	case u.Strategy == CountBitmap:
+		p.bitmapRange(c, ds.index(u.Level, u.Shard), 0, st.Len(), ctx.Done())
+	case u.Config.Materialize:
+		lv := ds.levels[u.Shard][u.Level]
 		p.scanRows(c, lv, 0, lv.Rows(), ctx.Done())
-	} else if err := p.scanSource(c, ds.shards[shard], e.tree, ctx.Done()); err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, ctxErr
-		}
-		return nil, err
+	default:
+		p.err = p.scanSource(c, ds.shards[u.Shard], e.tree, ctx.Done())
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return ShardTally{}, err
 	}
-	out := make([]int64, st.Len())
-	copy(out, st.Sup)
-	return out, nil
+	if p.err != nil {
+		return ShardTally{}, p.err
+	}
+	return ShardTally{Supports: st.Sup, ProbesPruned: p.pruned, WordOps: p.ops}, nil
+}
+
+// badUnit is CountShard's rejection of a unit.
+func badUnit(format string, args ...any) (ShardTally, error) {
+	return ShardTally{}, fmt.Errorf("%w: %s", ErrBadUnit, fmt.Sprintf(format, args...))
 }

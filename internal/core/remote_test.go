@@ -1,46 +1,38 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"github.com/flipper-mining/flipper/internal/itemset"
 	"github.com/flipper-mining/flipper/internal/measure"
+	"github.com/flipper-mining/flipper/internal/taxonomy"
 )
 
-// loopbackCounter is the simplest possible CellCounter: it answers every
-// cell by calling ShardSupports for each shard on a second engine over the
-// same dataset and summing the partial vectors — exactly what the cluster
-// coordinator does over HTTP, minus the network. MineRemote through it must
-// therefore be byte-identical to plain Mine.
-type loopbackCounter struct {
-	eng    *Engine
-	cfg    Config
-	shards int
-	calls  int
+// loopback is the simplest ShardCounter: a second engine over the same
+// dataset answering every unit itself — what the cluster coordinator does
+// over HTTP, minus the network — and counting the units it answers.
+// MineRemote through it must therefore be byte-identical to plain Mine.
+type loopback struct {
+	*Engine
+	units atomic.Int64
 }
 
-func (lc *loopbackCounter) CountCell(ctx context.Context, h, k int, cands []itemset.Set) ([]int64, error) {
-	lc.calls++
-	total := make([]int64, len(cands))
-	for s := 0; s < lc.shards; s++ {
-		part, err := lc.eng.ShardSupports(ctx, lc.cfg, h, cands, s)
-		if err != nil {
-			return nil, err
-		}
-		for i, v := range part {
-			total[i] += v
-		}
-	}
-	return total, nil
+func (lb *loopback) CountShard(ctx context.Context, u ShardUnit) (ShardTally, error) {
+	lb.units.Add(1)
+	return lb.Engine.CountShard(ctx, u)
 }
 
 // TestMineRemoteLoopbackEquivalence is the core guarantee distributed mining
-// is built on: a run whose counting is delegated cell-by-cell to
-// ShardSupports-and-sum produces exactly the patterns of a single-process
-// run, across strategies, shard counts and the streaming mode.
+// is built on: a run whose every pass is answered unit by unit by CountShard
+// produces exactly the envelope of a single-process run — patterns and
+// every counter, volatile keys aside — across strategies, shard counts and
+// the streaming mode.
 func TestMineRemoteLoopbackEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	trials := 8
@@ -76,82 +68,94 @@ func TestMineRemoteLoopbackEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d %s: local: %v", trial, tc.name, err)
 			}
-			worker := NewEngine(db, tree)
-			lc := &loopbackCounter{eng: worker, cfg: cfg, shards: worker.ResolveShards(cfg)}
-			coord := NewEngine(db, tree)
-			remote, err := coord.MineRemote(context.Background(), cfg, lc)
+			lb := &loopback{Engine: NewEngine(db, tree)}
+			remote, err := NewEngine(db, tree).MineRemote(context.Background(), cfg, lb)
 			if err != nil {
 				t.Fatalf("trial %d %s: remote: %v", trial, tc.name, err)
 			}
-			if got, want := fingerprint(remote, tree), fingerprint(local, tree); got != want {
+			if got, want := scrubbedJSON(t, remote, tree), scrubbedJSON(t, local, tree); !bytes.Equal(got, want) {
 				t.Fatalf("trial %d %s: remote diverged from local.\nlocal:\n%s\nremote:\n%s",
 					trial, tc.name, want, got)
 			}
-			if local.Stats.CandidatesCounted > 0 && lc.calls == 0 {
+			if local.Stats.CandidatesCounted > 0 && lb.units.Load() == 0 {
 				t.Fatalf("trial %d %s: counter never called", trial, tc.name)
 			}
 		}
 	}
 }
 
-// TestShardSupportsPartialsSumToTotals pins the partial-vector contract
-// directly: per-shard vectors sum to the unsharded shard-0 totals.
-func TestShardSupportsPartialsSumToTotals(t *testing.T) {
+// shardUnitCandidates returns a few canonical 2-itemsets of the leaf level
+// generalized to every level, deduplicated in first-seen order (the slab
+// order CountShard enforces), indexed by level.
+func shardUnitCandidates(tree *taxonomy.Tree) [][]itemset.Set {
+	leaves := tree.Leaves()
+	var cands []itemset.Set
+	for i := 0; i+1 < len(leaves) && len(cands) < 6; i += 2 {
+		if a, b := leaves[i], leaves[i+1]; a != b {
+			cands = append(cands, itemset.Set{min(a, b), max(a, b)})
+		}
+	}
+	out := make([][]itemset.Set, tree.Height()+1)
+	for h := 1; h <= tree.Height(); h++ {
+		seen := map[string]bool{}
+		for _, c := range cands {
+			if g, ok := tree.GeneralizeSet(c, h); ok && len(g) == len(c) && !seen[g.Key()] {
+				seen[g.Key()] = true
+				out[h] = append(out[h], g)
+			}
+		}
+	}
+	return out
+}
+
+// TestCountShardPartialsSumToTotals pins the per-shard contract directly:
+// on every shard, the bitmap and scan kernels give equal supports, and the
+// per-shard vectors sum to the unsharded totals.
+func TestCountShardPartialsSumToTotals(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	db, tree := randomDataset(rng)
-	cands := []itemset.Set{}
-	// Build a few canonical 2-itemsets from the dictionary's leaf IDs.
-	leaves := tree.Leaves()
-	for i := 0; i+1 < len(leaves) && len(cands) < 6; i += 2 {
-		a, b := leaves[i], leaves[i+1]
-		if a > b {
-			a, b = b, a
-		}
-		if a == b {
-			continue
-		}
-		cands = append(cands, itemset.Set{a, b})
-	}
-	if len(cands) == 0 {
-		t.Skip("no candidate pairs")
-	}
 	base := Config{
 		Measure: measure.Kulczynski, Gamma: 0.3, Epsilon: 0.1,
 		MinSupAbs: []int64{1, 1, 1}, Materialize: true,
 	}
 	ctx := context.Background()
+	byLevel := shardUnitCandidates(tree)
+	counted := 0
 	for h := 1; h <= tree.Height(); h++ {
-		// Generalize the candidates to level h; skip collapsed ones.
-		var hc []itemset.Set
-		for _, c := range cands {
-			g, ok := tree.GeneralizeSet(c, h)
-			if ok && len(g) == len(c) {
-				hc = append(hc, g)
-			}
-		}
-		hc = dedupSets(hc)
+		hc := byLevel[h]
 		if len(hc) == 0 {
 			continue
 		}
-		whole := NewEngine(db, tree)
-		want, err := whole.ShardSupports(ctx, base, h, hc, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, shards := range []int{2, 7} {
+		var want []int64
+		for _, shards := range []int{1, 2, 7} {
 			cfg := base
 			cfg.Shards = shards
 			eng := NewEngine(db, tree)
-			n := eng.ResolveShards(cfg)
 			got := make([]int64, len(hc))
-			for s := 0; s < n; s++ {
-				part, err := eng.ShardSupports(ctx, cfg, h, hc, s)
+			for s := range resolveShardSources(db, shards) {
+				u := ShardUnit{Config: cfg, Level: h, K: 2, Strategy: CountScan, Shard: s, Candidates: hc}
+				scan, err := eng.CountShard(ctx, u)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i, v := range part {
+				u.Strategy = CountBitmap
+				bits, err := eng.CountShard(ctx, u)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fmt.Sprint(scan.Supports) != fmt.Sprint(bits.Supports) {
+					t.Fatalf("h=%d shards=%d shard %d: scan supports %v, bitmap %v", h, shards, s, scan.Supports, bits.Supports)
+				}
+				if bits.WordOps == 0 {
+					t.Fatalf("h=%d shards=%d shard %d: bitmap unit reported no word ops", h, shards, s)
+				}
+				for i, v := range scan.Supports {
 					got[i] += v
 				}
+			}
+			if shards == 1 {
+				want = got
+				continue
 			}
 			for i := range want {
 				if got[i] != want[i] {
@@ -160,27 +164,49 @@ func TestShardSupportsPartialsSumToTotals(t *testing.T) {
 				}
 			}
 		}
+		counted++
+	}
+	if counted == 0 {
+		t.Fatal("no level had candidates; the comparisons were vacuous")
 	}
 }
 
-// dedupSets removes duplicate itemsets, preserving first-seen order — the
-// slab-order contract ShardSupports enforces.
-func dedupSets(in []itemset.Set) []itemset.Set {
-	seen := map[string]bool{}
-	var out []itemset.Set
-	for _, s := range in {
-		k := s.Key()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, s)
-		}
+// TestCountShardBuildsOnlyItsIndex pins the lazy per-(level, shard) index
+// cache a cluster worker relies on: counting shard 1 of a two-shard engine
+// with bitmap builds shard 1's index and leaves shard 0's unbuilt.
+func TestCountShardBuildsOnlyItsIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	db, tree := randomDataset(rng)
+	cfg := Config{
+		Measure: measure.Kulczynski, Gamma: 0.3, Epsilon: 0.1,
+		MinSupAbs: []int64{1, 1, 1}, Materialize: true, Shards: 2,
 	}
-	return out
+	h := tree.Height()
+	cands := shardUnitCandidates(tree)[h]
+	eng := NewEngine(db, tree)
+	if _, err := eng.CountShard(context.Background(), ShardUnit{
+		Config: cfg, Level: h, K: 2, Strategy: CountBitmap, Shard: 1, Candidates: cands,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := eng.dataFor(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ds.shards) != 2 {
+		t.Fatalf("%d shards, want 2", len(ds.shards))
+	}
+	if ds.bitmaps[h*2+1].ix == nil {
+		t.Fatal("shard 1's index was not built")
+	}
+	if ds.bitmaps[h*2].ix != nil {
+		t.Fatal("counting shard 1 built shard 0's index")
+	}
 }
 
-// TestShardSupportsValidation pins the request-validation surface workers
-// rely on to reject malformed or misaligned coordinator requests.
-func TestShardSupportsValidation(t *testing.T) {
+// TestCountShardValidation pins the unit-validation surface workers rely on
+// to reject malformed, misaligned or unservable coordinator requests.
+func TestCountShardValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	db, tree := randomDataset(rng)
 	eng := NewEngine(db, tree)
@@ -190,37 +216,56 @@ func TestShardSupportsValidation(t *testing.T) {
 	}
 	ctx := context.Background()
 	leaves := tree.Leaves()
-	a, b := leaves[0], leaves[1]
-	if a > b {
-		a, b = b, a
+	a, b := min(leaves[0], leaves[1]), max(leaves[0], leaves[1])
+	H := tree.Height()
+	good := ShardUnit{Config: cfg, Level: H, K: 2, Strategy: CountScan, Candidates: []itemset.Set{{a, b}}}
+	streaming := cfg
+	streaming.Materialize = false
+	invalid := cfg
+	invalid.Gamma = 0
+	for _, tc := range []struct {
+		name string
+		edit func(u *ShardUnit)
+	}{
+		{"level 0", func(u *ShardUnit) { u.Level = 0 }},
+		{"level beyond height", func(u *ShardUnit) { u.Level = H + 1 }},
+		{"out-of-range shard", func(u *ShardUnit) { u.Shard = 1 }},
+		{"negative shard", func(u *ShardUnit) { u.Shard = -1 }},
+		{"auto", func(u *ShardUnit) { u.Strategy = CountAuto }},
+		{"bitmap without materialized levels", func(u *ShardUnit) { u.Strategy, u.Config = CountBitmap, streaming }},
+		{"invalid config", func(u *ShardUnit) { u.Config = invalid }},
+		{"k = 0", func(u *ShardUnit) { u.K = 0 }},
+		{"non-canonical candidate", func(u *ShardUnit) { u.Candidates = []itemset.Set{{b, a}} }},
+		{"duplicate candidate", func(u *ShardUnit) { u.Candidates = []itemset.Set{{a, b}, {a, b}} }},
+		{"mixed-size candidates", func(u *ShardUnit) { u.Candidates = []itemset.Set{{a, b}, {a}} }},
+	} {
+		u := good
+		tc.edit(&u)
+		if _, err := eng.CountShard(ctx, u); !errors.Is(err, ErrBadUnit) {
+			t.Errorf("%s: got %v, want ErrBadUnit", tc.name, err)
+		}
 	}
-	good := []itemset.Set{{a, b}}
-	if _, err := eng.ShardSupports(ctx, cfg, 0, good, 0); err == nil {
-		t.Error("level 0 accepted")
+	for _, strategy := range []CountStrategy{CountScan, CountBitmap} {
+		u := good
+		u.Strategy = strategy
+		if out, err := eng.CountShard(ctx, u); err != nil || len(out.Supports) != 1 {
+			t.Errorf("valid %v unit: got %v, %v", strategy, out, err)
+		}
 	}
-	if _, err := eng.ShardSupports(ctx, cfg, tree.Height()+1, good, 0); err == nil {
-		t.Error("level beyond height accepted")
+	u := good
+	u.Config = streaming
+	if out, err := eng.CountShard(ctx, u); err != nil || len(out.Supports) != 1 {
+		t.Errorf("valid streaming unit: got %v, %v", out, err)
 	}
-	if _, err := eng.ShardSupports(ctx, cfg, tree.Height(), good, 1); err == nil {
-		t.Error("out-of-range shard accepted")
-	}
-	if _, err := eng.ShardSupports(ctx, cfg, tree.Height(), []itemset.Set{{b, a}}, 0); err == nil {
-		t.Error("non-canonical candidate accepted")
-	}
-	if _, err := eng.ShardSupports(ctx, cfg, tree.Height(), []itemset.Set{{a, b}, {a, b}}, 0); err == nil {
-		t.Error("duplicate candidate accepted")
-	}
-	if _, err := eng.ShardSupports(ctx, cfg, tree.Height(), []itemset.Set{{a, b}, {a}}, 0); err == nil {
-		t.Error("mixed-size candidates accepted")
-	}
-	out, err := eng.ShardSupports(ctx, cfg, tree.Height(), nil, 0)
-	if err != nil || len(out) != 0 {
+	u = good
+	u.Candidates = nil
+	if out, err := eng.CountShard(ctx, u); err != nil || len(out.Supports) != 0 {
 		t.Errorf("empty candidate list: got %v, %v", out, err)
 	}
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, err := eng.ShardSupports(cancelled, cfg, tree.Height(), good, 0); err == nil {
-		t.Error("cancelled context accepted")
+	if _, err := eng.CountShard(cancelled, good); err == nil || errors.Is(err, ErrBadUnit) {
+		t.Errorf("cancelled context: got %v, want the context error", err)
 	}
 }
 
@@ -245,6 +290,6 @@ func TestMineRemoteCounterError(t *testing.T) {
 
 type failingCounter struct{}
 
-func (failingCounter) CountCell(context.Context, int, int, []itemset.Set) ([]int64, error) {
-	return nil, fmt.Errorf("boom")
+func (failingCounter) CountShard(context.Context, ShardUnit) (ShardTally, error) {
+	return ShardTally{}, fmt.Errorf("boom")
 }

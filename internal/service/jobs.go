@@ -125,10 +125,12 @@ type sweepResult struct {
 // serve the dataset — a coordinator with no workers is just a single-node
 // flipperd, not a degraded cluster.
 type DistributedMiner interface {
-	// Eligible reports whether at least one live worker serves the dataset.
+	// Eligible reports whether at least one live worker serves the same
+	// build of the dataset — same shape, shard layout and baskets.
 	Eligible(dataset string) bool
-	// Mine runs one distributed job; the result is byte-identical to a
-	// local core.Mine (the cluster contract).
+	// Mine runs one distributed job; the result envelope is byte-identical
+	// to a local core.Mine's, stats included, apart from the timing keys
+	// (core.VolatileStatsKeys) and Stats.Degraded (the cluster contract).
 	Mine(ctx context.Context, dataset string, cfg core.Config) (*core.Result, error)
 	// Reachable counts non-dead workers (the readiness signal).
 	Reachable() int
@@ -423,8 +425,9 @@ func (q *Queue) execute(ctx context.Context, j *Job) (payload []byte, stats *cor
 		var res *core.Result
 		if q.coord != nil && q.coord.Eligible(j.Dataset) {
 			// Workers serve this dataset: scatter the counting over the
-			// cluster. The result is byte-identical to a local mine, so
-			// caching and golden envelopes are unaffected by the routing.
+			// cluster. The result is byte-identical to a local mine, stats
+			// included, so caching and golden envelopes are unaffected by
+			// the routing.
 			res, err = q.coord.Mine(ctx, j.Dataset, j.Config)
 		} else {
 			res, err = j.ds.Engine().MineContext(ctx, j.Config)
