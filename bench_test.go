@@ -397,6 +397,30 @@ func BenchmarkCountingDenseSharded(b *testing.B) {
 	}
 }
 
+// BenchmarkAnchoredTopKRootTriples is a warm anchored top-K query on the
+// dense workload at the topk-large workload's thresholds, anchored at the
+// unplanted root cat30: the search counts 63 root pairs on the cached
+// level-1 bitmap index and all 1,953 root triples on the query's
+// conditional index. flipbench -json records the same configuration as
+// AnchoredTopK/root-triples/warm, and the CI alloc budgets pin it.
+func BenchmarkAnchoredTopKRootTriples(b *testing.B) {
+	db, tree := denseWorkload(b)
+	cfg := flipper.DefaultConfig(tree.Height())
+	cfg.Gamma, cfg.Epsilon, cfg.MinSup = 0.4, 0.12, []float64{0.02, 0.005}
+	cfg.Anchor, cfg.AnchorTopK = "cat30", 5
+	eng := flipper.NewEngine(db, tree)
+	if _, err := eng.Mine(cfg); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.Mine(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAblationParallelism measures counting-worker scaling.
 func BenchmarkAblationParallelism(b *testing.B) {
 	db, tree := benchSynthetic(b, benchN, 5)

@@ -154,6 +154,16 @@ func runBenchJSON(path, tag string) error {
 	if err := record("AnchoredTopK/warm", anchoredCfg, core.NewEngine(db, tree)); err != nil {
 		return err
 	}
+	// The same data at the topk-large workload's thresholds, anchored at an
+	// unplanted root: the warm search counts 63 root pairs on the cached
+	// level-1 index and all 1,953 root triples on its conditional index
+	// (BenchmarkAnchoredTopKRootTriples runs this configuration).
+	rootCfg := core.DefaultConfig(tree.Height())
+	rootCfg.Gamma, rootCfg.Epsilon, rootCfg.MinSup = 0.4, 0.12, []float64{0.02, 0.005}
+	rootCfg.Anchor, rootCfg.AnchorTopK = "cat30", 5
+	if err := record("AnchoredTopK/root-triples/warm", rootCfg, core.NewEngine(db, tree)); err != nil {
+		return err
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err

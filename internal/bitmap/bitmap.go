@@ -1,12 +1,18 @@
 // Package bitmap implements vertical bit-vector support counting: one bit
 // vector per item over the distinct transactions of a level view, so that a
 // candidate's support is the AND of its item vectors followed by a weighted
-// population count. Where the scan counter pays one hash probe per k-subset
-// of every transaction and an Eclat-style tid-list intersection one
-// comparison per list element, the bitmap counter pays one 64-bit word operation per 64 distinct
-// transactions — the classic vertical layout of the condensed
-// correlated-pattern literature, and the cheapest regime when many
-// candidates face a dense level.
+// population count. The counter pays one 64-bit word operation per item
+// vector per 64 distinct transactions — the classic vertical layout of the
+// condensed correlated-pattern literature, and the cheapest regime when
+// many candidates face a dense level.
+//
+// Index folds a candidate's item vectors from scratch. AndSupport is the
+// kernel for a search that carries an intersection down its recursion, as
+// Eclat carries tid-sets: it ANDs a carried prefix with one more vector into
+// a destination and returns the weighted support of the result. It weighs
+// rows by a popcount plus a correction over the rows whose weight is not
+// 1, which a heavy-row vector marks, so when few rows repeat, weighting
+// costs little beyond the popcount.
 package bitmap
 
 import (
@@ -191,4 +197,22 @@ func (ix *Index) supportOf2(a, b Vector) (sup int64, wordOps int64) {
 		}
 	}
 	return sup, int64(len(a)) + nz
+}
+
+// AndSupport sets dst to a AND b and returns the weighted support of the
+// result: its popcount, plus weights[i]−1 for every set slot i that heavy
+// also sets. heavy must mark every slot whose weight is not 1; weights is
+// read only at those slots. a, b and heavy need at least len(dst) words, and
+// dst may alias a or b. wordOps is len(dst): one AND per word.
+func AndSupport(dst, a, b, heavy Vector, weights []int64) (sup int64, wordOps int64) {
+	a, b, heavy = a[:len(dst)], b[:len(dst)], heavy[:len(dst)]
+	for w := range dst {
+		word := a[w] & b[w]
+		dst[w] = word
+		sup += int64(bits.OnesCount64(word))
+		for h := word & heavy[w]; h != 0; h &= h - 1 {
+			sup += weights[w<<6+bits.TrailingZeros64(h)] - 1
+		}
+	}
+	return sup, int64(len(dst))
 }

@@ -236,3 +236,76 @@ func TestPairKernelMatchesGeneralFold(t *testing.T) {
 		}
 	}
 }
+
+// naiveAndSupport is AndSupport's reference: the weighted count of the slots
+// [0, n) set in both vectors, visited one slot at a time.
+func naiveAndSupport(a, b Vector, weights []int64, n int) int64 {
+	var sup int64
+	for i := 0; i < n; i++ {
+		if a.Get(i) && b.Get(i) {
+			sup += weights[i]
+		}
+	}
+	return sup
+}
+
+// TestAndSupportMatchesNaive checks the carried-AND kernel against the
+// slot-by-slot weighted intersection: the support, the destination bits,
+// one word op per word, and aliasing the destination with an operand, over
+// uniform and heavy weights, lengths with a partial last word and all-zero
+// vectors.
+func TestAndSupportMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, c := range []struct {
+		name  string
+		n     int
+		heavy bool // some weights above 1
+		fill  int  // set each slot with probability fill/4; 0 leaves both vectors zero
+	}{
+		{"uniform", 256, false, 2},
+		{"heavy", 256, true, 2},
+		{"partial last word", 130, true, 3},
+		{"single slot", 1, true, 4},
+		{"zero vectors", 200, true, 0},
+		{"empty", 0, false, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for trial := 0; trial < 50; trial++ {
+				a, b := NewVector(c.n), NewVector(c.n)
+				heavy := NewVector(c.n)
+				weights := make([]int64, c.n)
+				for i := range weights {
+					weights[i] = 1
+					if c.heavy && rng.Intn(4) == 0 {
+						weights[i] = 2 + int64(rng.Intn(1000))
+						heavy.Set(i)
+					}
+					if rng.Intn(4) < c.fill {
+						a.Set(i)
+					}
+					if rng.Intn(4) < c.fill {
+						b.Set(i)
+					}
+				}
+				want := naiveAndSupport(a, b, weights, c.n)
+				dst := NewVector(c.n)
+				sup, ops := AndSupport(dst, a, b, heavy, weights)
+				if sup != want {
+					t.Fatalf("trial %d: AndSupport = %d, naive = %d", trial, sup, want)
+				}
+				if ops != int64(len(dst)) {
+					t.Fatalf("trial %d: %d word ops over %d words", trial, ops, len(dst))
+				}
+				for w := range dst {
+					if dst[w] != a[w]&b[w] {
+						t.Fatalf("trial %d: dst word %d = %#x, want %#x", trial, w, dst[w], a[w]&b[w])
+					}
+				}
+				// A carried prefix is the destination of the step before it.
+				if sup, _ := AndSupport(a, a, b, heavy, weights); sup != want {
+					t.Fatalf("trial %d: AndSupport into its own operand = %d, naive = %d", trial, sup, want)
+				}
+			}
+		})
+	}
+}

@@ -36,7 +36,8 @@ func decodeTxs(data []byte) (txs []itemset.Set, weights []int64) {
 // FuzzSupportEquivalence is the bitmap/scan support-equivalence property as
 // a fuzz target: for every database the fuzzer can encode and every 1-, 2-
 // and 3-itemset over its item universe, the bitmap index must report exactly
-// the brute-force scan support.
+// the brute-force scan support, and so must a chain of AndSupport calls
+// carrying the itemset's AND one item at a time.
 func FuzzSupportEquivalence(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 0, 1, 2, 0, 0x21, 0x32})
 	f.Add([]byte{})
@@ -67,4 +68,32 @@ func check(t *testing.T, ix *Index, txs []itemset.Set, weights []int64, items it
 	if got != want {
 		t.Fatalf("Support(%v) = %d, scan reference = %d (n=%d)", items, got, want, len(txs))
 	}
+	if chained := chainSupport(ix, items); chained != got {
+		t.Fatalf("chained AndSupport(%v) = %d, Support = %d (n=%d)", items, chained, got, len(txs))
+	}
+}
+
+// chainSupport counts a non-empty itemset as a search carrying its prefix
+// AND does: the first item ANDed with itself, then one AndSupport per
+// further item into the carried vector. An unindexed item contributes an
+// all-zero vector.
+func chainSupport(ix *Index, items itemset.Set) int64 {
+	heavy := NewVector(ix.n)
+	for i, w := range ix.weights {
+		if w != 1 {
+			heavy.Set(i)
+		}
+	}
+	vec := func(id itemset.ID) Vector {
+		if v, ok := ix.ItemVector(id); ok {
+			return v
+		}
+		return NewVector(ix.n)
+	}
+	carried := NewVector(ix.n)
+	sup, _ := AndSupport(carried, vec(items[0]), vec(items[0]), heavy, ix.weights)
+	for _, id := range items[1:] {
+		sup, _ = AndSupport(carried, carried, vec(id), heavy, ix.weights)
+	}
+	return sup
 }

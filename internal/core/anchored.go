@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"github.com/flipper-mining/flipper/internal/bitmap"
@@ -14,11 +15,21 @@ import (
 // AnchorTopK flipping patterns whose generalization chain passes through X,
 // ranked by descending flip gap. Instead of mining the full pattern set and
 // filtering, the search enumerates only chains through X and counts every
-// candidate exactly on the level's cached bitmap index, with the kernels
-// countBitmap uses. A branch is cut only on exact knowledge — an infrequent
+// candidate exactly. A branch is cut only on exact knowledge — an infrequent
 // set, a label that cannot continue the flip, or a gap strictly below the
 // current K-th best — so the answer is exactly what filtering and ranking
 // the full exact mine returns.
+//
+// Counting is vertical, in two regimes. Root pairs {root, x} and every
+// descent candidate (levels ≥ 2) count on the level's cached bitmap index,
+// with the kernels countBitmap uses. Root sets of three or more count on a
+// conditional index, built once per query when the first such set is
+// counted: the level-1 rows that hold the anchor's root (FP-growth's
+// conditional database — every root set contains the root, so no other row
+// can add to its support), their weights, and one vector per frequent root
+// over just those rows. The search carries each frequent set's AND down its
+// recursion (Eclat's carried intersection), so every deeper root set costs
+// one bitmap.AndSupport over the conditional rows.
 
 // ErrUnknownAnchor reports an anchored run whose Config.Anchor names no item
 // in the taxonomy.
@@ -57,7 +68,7 @@ func (m *miner) mineAnchored() ([]Pattern, error) {
 		root:   m.tax.RootOf(anchor),
 		la:     la,
 		topK:   topK,
-		vecs:   make([]bitmap.Vector, m.maxK),
+		sc:     &m.sc.anchored,
 	}
 	a.run()
 	return rankAnchored(a.patterns, topK), nil
@@ -80,11 +91,31 @@ type anchoredSearch struct {
 	la     int        // the anchor's own taxonomy level
 	topK   int
 
-	vecs []bitmap.Vector // exact-count scratch: one header per candidate item
+	sc    *anchoredScratch
+	words int // words per conditional vector; -1 until built
 
 	path     []LevelInfo // chain of the current DFS branch, levels 1..h
 	patterns []Pattern
 	gaps     []float64 // collected gaps, descending, capped at topK
+}
+
+// anchoredScratch is the memory of anchored search, kept in the run scratch
+// so that later runs reuse it and a warm query allocates nothing per row or
+// per counted root set.
+type anchoredScratch struct {
+	others []itemset.ID    // the frequent roots other than the anchor's root, ascending
+	sets   [][]itemset.ID  // sets[k]: the root set of size k being counted
+	vecs   []bitmap.Vector // vector headers for counts on a cached index
+
+	// The conditional index: cond holds others[i]'s vector at
+	// [i·words, (i+1)·words), and and holds the carried AND of the root set
+	// of size k at [k·words, (k+1)·words).
+	cond    []uint64
+	and     []uint64
+	weights []int64       // conditional row weights
+	heavy   bitmap.Vector // conditional rows whose weight is not 1
+	slot    []int32       // build scratch: item → 1 + its index in others
+	block   []uint64      // build scratch: 64 rows' words, one per frequent root
 }
 
 // run enumerates every chain through the anchor: level-1 root sets
@@ -95,39 +126,59 @@ func (a *anchoredSearch) run() {
 	if _, ok := m.freq1[1][a.root]; !ok {
 		return // the anchor's own root is infrequent; no chain can exist
 	}
-	others := make([]itemset.ID, 0, len(m.freq1[1]))
+	others := a.sc.others[:0]
 	for id := range m.freq1[1] {
 		if id != a.root {
 			others = append(others, id)
 		}
 	}
 	slices.Sort(others)
-	a.extend(itemset.Set{a.root}, others, 0)
+	a.sc.others, a.words = others, -1
+	a.sc.vecs = growTo(a.sc.vecs, m.maxK)
+	a.extend(itemset.Set{a.root}, 0, nil)
 }
 
 // extend grows the level-1 root set cur (always containing the anchor's
-// root) by roots from others[idx:] in increasing ID order, so every
+// root) by roots from a.sc.others[idx:] in increasing ID order, so every
 // superset is enumerated exactly once. Frequency is anti-monotone within a
 // level: an infrequent extension closes that whole branch. Frequent sets
 // keep extending regardless of label; labeled ones additionally start a
 // chain and descend.
-func (a *anchoredSearch) extend(cur itemset.Set, others []itemset.ID, idx int) {
+//
+// Pairs count on the cached level-1 index. Larger sets count on the
+// conditional index: prefix is the AND of cur's roots other than the
+// anchor's over the conditional rows — nil when cur is the pair {root,
+// a.sc.others[idx-1]}, whose prefix is that root's conditional vector — and
+// each extension ANDs one more vector into the buffer of its size, which
+// its own extensions then carry.
+func (a *anchoredSearch) extend(cur itemset.Set, idx int, prefix bitmap.Vector) {
 	m := a.m
-	if len(cur) >= m.maxK {
+	k := len(cur) + 1
+	if k > m.maxK {
 		return
 	}
-	for i := idx; i < len(others); i++ {
+	for i := idx; i < len(a.sc.others); i++ {
 		if m.cancelled() {
 			return
 		}
-		cand := cur.Insert(others[i])
-		sup := a.exactSupport(cand, 1)
+		cand := a.setOf(cur, a.sc.others[i])
+		var sup int64
+		var and bitmap.Vector
+		if k == 2 {
+			sup = a.exactSupport(cand, 1)
+		} else {
+			if prefix == nil {
+				prefix = a.condVec(idx - 1)
+			}
+			and = a.sc.and[k*a.words : (k+1)*a.words]
+			sup = a.condSupport(and, prefix, a.condVec(i))
+		}
 		if sup < m.minSup[1] {
 			continue
 		}
 		corr := a.corrAt(cand, sup, 1)
 		if label := a.labelOf(corr); label.Labeled() {
-			a.path = append(a.path, LevelInfo{Level: 1, Items: cand, Support: sup, Corr: corr, Label: label})
+			a.path = append(a.path, LevelInfo{Level: 1, Items: cand.Clone(), Support: sup, Corr: corr, Label: label})
 			if m.height == 1 {
 				a.emit()
 			} else {
@@ -135,8 +186,136 @@ func (a *anchoredSearch) extend(cur itemset.Set, others []itemset.ID, idx int) {
 			}
 			a.path = a.path[:len(a.path)-1]
 		}
-		a.extend(cand, others, i+1)
+		a.extend(cand, i+1, and)
 	}
+}
+
+// setOf writes cur with id inserted, in canonical order, into the buffer of
+// its size and returns it. The buffer is overwritten by the next set of
+// that size; clone it to keep it.
+func (a *anchoredSearch) setOf(cur itemset.Set, id itemset.ID) itemset.Set {
+	k := len(cur) + 1
+	for len(a.sc.sets) <= k {
+		a.sc.sets = append(a.sc.sets, nil)
+	}
+	if cap(a.sc.sets[k]) < k {
+		a.sc.sets[k] = make([]itemset.ID, k)
+	}
+	out := a.sc.sets[k][:k]
+	i := 0
+	for i < len(cur) && cur[i] < id {
+		i++
+	}
+	copy(out, cur[:i])
+	out[i] = id
+	copy(out[i+1:], cur[i:])
+	return out
+}
+
+// buildCond builds the query's conditional index (see the file comment):
+// the rows set in the root's cached level-1 vector of every shard, in shard
+// order and then row order, with their weights, a heavy-row vector, and
+// every frequent root's vector over those rows. It is query scratch, not a
+// cached index: Stats.BitmapBuilds does not count it and it charges no word
+// operations.
+//
+// The vectors fill row by row from the level's row arena. A row's items go
+// to a block of one word per frequent root, which collects the current 64
+// conditional rows and is flushed into the vectors when full, so the
+// scattered row reads write to one cache-resident block.
+func (a *anchoredSearch) buildCond() {
+	m, sc := a.m, a.sc
+	others := sc.others
+	n := 0
+	for s := range m.ds.shards {
+		if rv, ok := m.ds.index(1, s).ItemVector(a.root); ok {
+			n += rv.Count()
+		}
+	}
+	words := bitmap.Words(n)
+	a.words = words
+	sc.weights = growTo(sc.weights, n)
+	sc.heavy = growTo(sc.heavy, words)
+	clear(sc.heavy)
+	sc.cond = growTo(sc.cond, len(others)*words) // every word is flushed below
+	sc.and = growTo(sc.and, (m.maxK+1)*words)
+	// slot[id] is 1 + the index in others of a frequent root, and 0 for
+	// any other item below the largest; block[0] absorbs those. The entries
+	// are zeroed again at the end, so the table is all-zero between builds.
+	sc.slot = growTo(sc.slot, int(others[len(others)-1])+1)
+	for i, x := range others {
+		sc.slot[x] = int32(i + 1)
+	}
+	sc.block = growTo(sc.block, len(others)+1)
+	clear(sc.block)
+	slot, block, cond, weights, heavy := sc.slot, sc.block, sc.cond, sc.weights, sc.heavy
+	flush := func(at int) {
+		for i, word := range block[1:] {
+			cond[i*words+at] = word
+		}
+		clear(block)
+	}
+	j := 0 // the conditional row being filled
+	for s := range m.ds.shards {
+		rv, ok := m.ds.index(1, s).ItemVector(a.root)
+		if !ok {
+			continue
+		}
+		lv := m.ds.levels[s][1]
+		for w, word := range rv {
+			for ; word != 0; word &= word - 1 {
+				r := w<<6 + bits.TrailingZeros64(word)
+				if weights[j] = lv.Weights[r]; weights[j] != 1 {
+					heavy.Set(j)
+				}
+				bit := uint64(1) << (j & 63)
+				for _, id := range lv.Row(r) {
+					if int(id) < len(slot) {
+						block[slot[id]] |= bit
+					}
+				}
+				if j++; j&63 == 0 {
+					flush(j>>6 - 1)
+				}
+			}
+		}
+	}
+	if j&63 != 0 {
+		flush(j >> 6)
+	}
+	for _, x := range others {
+		slot[x] = 0
+	}
+}
+
+// condVec returns a.sc.others[i]'s vector over the conditional rows,
+// building the conditional index on first use.
+func (a *anchoredSearch) condVec(i int) bitmap.Vector {
+	if a.words < 0 {
+		a.buildCond()
+	}
+	return a.sc.cond[i*a.words : (i+1)*a.words]
+}
+
+// condSupport counts a root set of three or more on the conditional index:
+// the AND of its carried prefix and its newest root's vector, written into
+// dst, weighted. Counted and accounted as exactSupport accounts a set.
+func (a *anchoredSearch) condSupport(dst, prefix, vec bitmap.Vector) int64 {
+	m := a.m
+	m.stats.CandidatesCounted++
+	m.noteBitmaps(1)
+	sup, ops := bitmap.AndSupport(dst, prefix, vec, a.sc.heavy, a.sc.weights)
+	m.stats.BitmapWordOps += ops
+	return sup
+}
+
+// growTo returns s resliced to length n, reallocated if its capacity is
+// short; the contents are unspecified.
+func growTo[T ~[]E, E any](s T, n int) T {
+	if cap(s) < n {
+		return make(T, n)
+	}
+	return s[:n]
 }
 
 // descend expands an alive itemset at level h into its level-(h+1)
@@ -244,7 +423,7 @@ func (a *anchoredSearch) exactSupport(items itemset.Set, h int) int64 {
 	m.noteBitmaps(h)
 	var sup int64
 	for s := range m.ds.shards {
-		n, ops := m.ds.index(h, s).SupportInto(items, a.vecs)
+		n, ops := m.ds.index(h, s).SupportInto(items, a.sc.vecs)
 		sup += n
 		m.stats.BitmapWordOps += ops
 	}

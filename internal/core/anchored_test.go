@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/flipper-mining/flipper/internal/measure"
@@ -54,7 +55,10 @@ func anchoredReference(full *Result, tree *taxonomy.Tree, anchor string, topK in
 // builds bitmaps exactly when it counts candidates, and the test requires
 // bitmap counting on both the unsharded and the per-shard index paths. Like
 // TestShardedMiningEquivalence it runs under the CI race job
-// (go test -race ./...), so the per-shard index build is raced on every PR.
+// (go test -race ./...), which races the concurrent per-shard level build.
+// Some of its searches count root sets of three and four on the
+// conditional index; TestAnchoredRootSetsOnConditionalIndex pins that path
+// and races its build across concurrent queries on one engine.
 func TestAnchoredTopKMatchesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	trials := 4
@@ -162,6 +166,16 @@ func FuzzAnchoredTopK(f *testing.F) {
 		111, 8, 124, 174, 108, 231, 232, 66, 20, 94, 129, 24, 162, 53, 8, 137, 21, 37, 115,
 		229, 253, 179, 24, 42, 80, 88, 148})
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
+	// Height 2, roots c0, c1 and c2 with two leaves each; 16 baskets: four
+	// holding one leaf of every root, each leaf in two of them, and every
+	// leaf twice alone. Kulczynski, γ = 0.5, ε = 0.25 and min supports 1, 1
+	// make {c0, c1, c2} positive (0.5) and its leaf triples negative (0.25),
+	// so the search through the anchor c0 counts the root triple on the
+	// conditional index and returns leaf triples among its K = 3.
+	f.Add([]byte{0, 2, 1, 1, 1, 12,
+		3, 0, 2, 5, 3, 1, 3, 4, 3, 0, 3, 4, 3, 1, 2, 5,
+		1, 0, 1, 0, 1, 1, 1, 1, 1, 2, 1, 2, 1, 3, 1, 3, 1, 4, 1, 4, 1, 5, 1, 5,
+		3, 2, 5, 0, 0, 0, 2, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {
@@ -350,10 +364,10 @@ func TestAnchoredShardedSource(t *testing.T) {
 	}
 }
 
-// TestAnchoredMineBuildsNoTIDLists checks that an anchored run counts on
+// TestAnchoredBitmapBuildsPerShard checks that an anchored run counts on
 // the bitmap indexes, one per shard of every level it touches, on the
 // unsharded and the sharded representation alike.
-func TestAnchoredMineBuildsNoTIDLists(t *testing.T) {
+func TestAnchoredBitmapBuildsPerShard(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	db, tree := randomDataset(rng)
 	for _, shards := range []int{1, 2, 7} {
@@ -380,6 +394,130 @@ func TestAnchoredMineBuildsNoTIDLists(t *testing.T) {
 		}
 		if b := res.Stats.BitmapBuilds; b == 0 || b%int64(res.Stats.Shards) != 0 {
 			t.Fatalf("shards=%d: %d bitmap builds over %d shards, want a positive multiple", shards, b, res.Stats.Shards)
+		}
+	}
+}
+
+// denseAnchoredDataset is a small dense workload in the shape of
+// experiments.DenseWorkload (which this package cannot import): 12 roots
+// cat00…cat11 with leaves leafNN.0 and leafNN.1, and 400 baskets of 5 leaves
+// drawn uniformly. On top come 200 baskets holding one leaf of each of
+// cat00…cat03, cycling through all 16 leaf combinations: the root set of
+// four turns positive while every leaf set of four stays negative, and the
+// planted baskets collapse into one level-1 row of weight 200.
+func denseAnchoredDataset() (*txdb.DB, *taxonomy.Tree) {
+	b := taxonomy.NewBuilder(nil)
+	for r := 0; r < 12; r++ {
+		for l := 0; l < 2; l++ {
+			if err := b.AddPath(fmt.Sprintf("cat%02d", r), fmt.Sprintf("leaf%02d.%d", r, l)); err != nil {
+				panic(err)
+			}
+		}
+	}
+	tree, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	db := txdb.New(tree.Dict())
+	for i := 0; i < 400; i++ {
+		names := make([]string, 5)
+		for j := range names {
+			names[j] = fmt.Sprintf("leaf%02d.%d", rng.Intn(12), rng.Intn(2))
+		}
+		db.AddNames(names...)
+	}
+	for i := 0; i < 200; i++ {
+		db.AddNames(fmt.Sprintf("leaf00.%d", i%2), fmt.Sprintf("leaf01.%d", i/2%2), fmt.Sprintf("leaf02.%d", i/4%2), fmt.Sprintf("leaf03.%d", i/8%2))
+	}
+	return db, tree
+}
+
+// TestAnchoredRootSetsOnConditionalIndex pins the conditional-index path of
+// anchored search: on data where root sets of three, four and five are
+// counted, some level-1 rows weigh more than 1 and the ranked answers start
+// from root sets of four — supports that only a correctly carried prefix
+// AND gets right — every anchored run (scan, bitmap and auto × shards 1, 2
+// and 7) returns byte for byte what anchoredReference does. Each run on a
+// fresh engine must leave a conditional index in its scratch, with heavy
+// rows, after counting a root set of four; the same queries then run
+// concurrently on one shared engine.
+func TestAnchoredRootSetsOnConditionalIndex(t *testing.T) {
+	db, tree := denseAnchoredDataset()
+	base := DefaultConfig(tree.Height())
+	base.Gamma, base.Epsilon, base.MinSup = 0.4, 0.2, []float64{0.02, 0.005}
+	full, err := Mine(db, tree, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type query struct {
+		cfg  Config
+		want string
+	}
+	var queries []query
+	rootQuads := false // some expected pattern starts from a root set of four
+	for _, anchor := range []string{"cat00", "leaf01.1", "cat05"} {
+		ref := anchoredReference(full, tree, anchor, 3)
+		for _, p := range ref {
+			rootQuads = rootQuads || len(p.Chain[0].Items) >= 4
+		}
+		for _, strategy := range []CountStrategy{CountScan, CountBitmap, CountAuto} {
+			for _, shards := range []int{1, 2, 7} {
+				cfg := base
+				cfg.Strategy, cfg.Shards = strategy, shards
+				cfg.Anchor, cfg.AnchorTopK = anchor, 3
+				queries = append(queries, query{cfg, rankedFingerprint(ref, tree)})
+			}
+		}
+	}
+	if !rootQuads {
+		t.Fatal("no expected pattern starts from a root set of four; the data no longer exercises the carried prefix")
+	}
+	for _, q := range queries {
+		eng := NewEngine(db, tree)
+		res, err := eng.Mine(q.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("anchor %s %v shards=%d", q.cfg.Anchor, q.cfg.Strategy, q.cfg.Shards)
+		if got := rankedFingerprint(res.Patterns, tree); got != q.want {
+			t.Fatalf("%s diverged from the filtered full mine.\nexact:\n%s\nanchored:\n%s", name, q.want, got)
+		}
+		sc := &eng.scratch[0].anchored
+		switch {
+		case len(sc.weights) == 0:
+			t.Fatalf("%s built no conditional index", name)
+		case sc.heavy.Count() == 0:
+			t.Fatalf("%s: no conditional row weighs more than 1", name)
+		case len(sc.sets) <= 4:
+			t.Fatalf("%s counted no root set of four", name)
+		}
+	}
+	// Concurrent queries on one engine share its cached indexes and scratch
+	// pool; under -race this races every query's conditional build.
+	for _, shards := range []int{1, 2, 7} {
+		eng := NewEngine(db, tree)
+		var wg sync.WaitGroup
+		errs := make([]error, len(queries))
+		for i, q := range queries {
+			if q.cfg.Shards != shards {
+				continue
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res, err := eng.Mine(q.cfg)
+				if err == nil && rankedFingerprint(res.Patterns, tree) != q.want {
+					err = fmt.Errorf("anchor %s %v shards=%d diverged on a shared engine", q.cfg.Anchor, q.cfg.Strategy, shards)
+				}
+				errs[i] = err
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

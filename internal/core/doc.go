@@ -134,11 +134,19 @@ Config.Anchor answers "the K most flipping patterns through this item"
 without a full mine: a DFS grows level-1 root sets that contain the
 anchor's root, then descends with the anchor's position locked to its
 ancestor path and subtree. Every candidate the DFS reaches is counted
-exactly on the level's cached bitmap index, summed over shards. A branch
-ends only on an infrequent set, a label that does not flip, or a running
-gap strictly below the current K-th best, so the ranking equals filtering
-and ranking the full mine (anchored_test.go pins this). Streaming runs
-have no levels to index and fall back to that full mine plus the filter.
+exactly. Root pairs and descent candidates count on the level's cached
+bitmap index, summed over shards. Root sets of three or more count on a
+conditional index the query builds once, at its first such set: the
+level-1 rows of every shard that hold the anchor's root, their weights,
+and one vector per frequent root over just those rows. The DFS carries
+each frequent root set's AND down the recursion, so a deeper set costs one
+AND with weighted popcount (bitmap.AndSupport) over those rows. The
+conditional index is query scratch: it lives in the run scratch, is not a
+bitmap build in Stats, and charges no word operations. A branch ends only
+on an infrequent set, a label that does not flip, or a running gap
+strictly below the current K-th best, so the ranking equals filtering and
+ranking the full mine (anchored_test.go pins this). Streaming runs have no
+levels to index and fall back to that full mine plus the filter.
 
 # BASIC (basic.go)
 

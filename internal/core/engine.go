@@ -173,6 +173,7 @@ type runScratch struct {
 	partials []partial       // per-worker counting state, reset on checkout
 	units    []unit          // the current pass's work units
 	cand     []itemset.ID    // candidate canonicalization buffer
+	anchored anchoredScratch // anchored search's buffers and conditional index
 }
 
 func (e *Engine) getScratch() *runScratch {
