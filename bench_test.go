@@ -421,6 +421,31 @@ func BenchmarkAnchoredTopKRootTriples(b *testing.B) {
 	}
 }
 
+// BenchmarkCountingSyntheticWarm is a warm default-config scan mine on the
+// paper's default synthetic data at N = 20,000. Unlike the dense workload's
+// pair cells, it counts three levels and a k = 3 cell (h = 2, 6,976
+// candidates), so the trie descent runs three deep. flipbench -json records
+// the same configuration as CountingSynthetic/scan/warm, and the CI alloc
+// budgets pin it.
+func BenchmarkCountingSyntheticWarm(b *testing.B) {
+	db, tree, err := experiments.Synthetic(20000, 5, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := flipper.DefaultConfig(tree.Height())
+	eng := flipper.NewEngine(db, tree)
+	if _, err := eng.Mine(cfg); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.Mine(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAblationParallelism measures counting-worker scaling.
 func BenchmarkAblationParallelism(b *testing.B) {
 	db, tree := benchSynthetic(b, benchN, 5)

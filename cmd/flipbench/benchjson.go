@@ -13,7 +13,8 @@ import (
 )
 
 // The -json mode: run the counting micro-benchmark suite (the same dense
-// workload as BenchmarkCountingDense) under testing.Benchmark and write a
+// workload as BenchmarkCountingDense, and the default synthetic data of
+// BenchmarkCountingSyntheticWarm) under testing.Benchmark and write a
 // machine-readable BENCH_<tag>.json. Committed baselines (BENCH_PR3.json,
 // …) plus the CI artifact of every run give the repo a perf trajectory:
 // compare ns/op and allocs/op across PRs without re-running old code.
@@ -67,7 +68,7 @@ func runBenchJSON(path, tag string) error {
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
 		MaxProcs:  runtime.GOMAXPROCS(0),
-		Workload:  "dense: 8000 tx × 16 items, 64 cats × 2 leaves (BenchmarkCountingDense)",
+		Workload:  "dense: 8000 tx × 16 items, 64 cats × 2 leaves (BenchmarkCountingDense); CountingSynthetic: gen defaults, N = 20000 (BenchmarkCountingSyntheticWarm)",
 	}
 	// record measures one configuration. With eng set it measures the warm
 	// steady state — the engine is prewarmed by the instrumented run, so the
@@ -162,6 +163,18 @@ func runBenchJSON(path, tag string) error {
 	rootCfg.Gamma, rootCfg.Epsilon, rootCfg.MinSup = 0.4, 0.12, []float64{0.02, 0.005}
 	rootCfg.Anchor, rootCfg.AnchorTopK = "cat30", 5
 	if err := record("AnchoredTopK/root-triples/warm", rootCfg, core.NewEngine(db, tree)); err != nil {
+		return err
+	}
+	// A warm default-config scan mine on the paper's default synthetic data:
+	// every record above counts pairs on a height-2 taxonomy, while this one
+	// counts three levels and a k = 3 cell (h = 2, 6,976 candidates), so the
+	// descent runs three deep (BenchmarkCountingSyntheticWarm runs this
+	// configuration).
+	synDB, synTree, err := experiments.Synthetic(20000, 5, 1)
+	if err != nil {
+		return err
+	}
+	if err := record("CountingSynthetic/scan/warm", core.DefaultConfig(synTree.Height()), core.NewEngine(synDB, synTree)); err != nil {
 		return err
 	}
 	f, err := os.Create(path)

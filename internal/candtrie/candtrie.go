@@ -17,10 +17,21 @@
 //     entries in lexicographic itemset order — the order the old code
 //     obtained by sorting the map's key strings on every use.
 //
-// Node child lists use the classic first-child/next-sibling encoding with
-// int32 links into one node slab, so the whole structure is three flat
-// slices. A cell frees its store by dropping the single *Store pointer:
-// slabs are released wholesale, with no per-entry cleanup.
+// Insert builds the trie with the classic first-child/next-sibling encoding
+// and int32 links into one node slab. Freeze then ranks the cell's R
+// distinct candidate items and lays out the trie for counting, in one of two
+// layouts chosen by size:
+//
+//   - dense: every internal node owns a block of R int32 slots, one per
+//     rank, holding the child with that item (a block number, or an entry
+//     index at the last level) or -1, so the descent finds each child with
+//     one load;
+//   - CSR: every node's children form one contiguous span sorted by item,
+//     which the descent merges against the transaction or binary-searches.
+//     It serves the sparse tries whose blocks would not fit the dense cap.
+//
+// A cell frees its store by dropping the single *Store pointer: slabs are
+// released wholesale, with no per-entry cleanup.
 package candtrie
 
 import (
@@ -28,15 +39,20 @@ import (
 )
 
 // node is one trie node. Links are indexes into Store.nodes; -1 is nil.
-// Siblings are sorted ascending by item, which CountTx exploits to merge
-// child lists against sorted transactions and Walk exploits for
-// lexicographic iteration.
+// Siblings are sorted ascending by item, which Lookup exploits to stop
+// early, Freeze to fill CSR spans in order and Walk to iterate
+// lexicographically.
 type node struct {
 	item  itemset.ID
 	child int32 // first child
 	next  int32 // next sibling
 	entry int32 // entry index for depth-k nodes; -1 above
 }
+
+// denseCap bounds the dense layout: Freeze lays out blocks only when the
+// rank table plus one R-slot block per internal node fit in this many int32
+// slots (1 MiB).
+const denseCap = 1 << 18
 
 // Store is the candidate store of one cell: all k-itemsets registered for
 // counting, k fixed per store.
@@ -51,22 +67,34 @@ type Store struct {
 	// twice or regrowing slabs.
 	kids []int32
 
-	// present is the item-membership bitset over [minID, maxID]; the ID
-	// bounds are maintained incrementally by Insert, the bitset is filled by
-	// Freeze into a reused slab. Filter consults it to drop transaction items
-	// no candidate contains before descending.
-	present      []uint64
+	// rank[id-minID] is id's rank among the distinct candidate items in
+	// ascending ID order, or -1 where no candidate holds id; width is the
+	// number of ranks, R. The ID bounds are maintained incrementally by
+	// Insert, the table is filled by Freeze. Filter consults it to drop
+	// transaction items no candidate contains, and the dense descent to find
+	// each item's slot.
+	rank         []int32
+	width        int
 	minID, maxID itemset.ID
 	frozen       bool
 
-	// The CSR child index: node n's children live at
+	// dense selects the layout Freeze built. Exactly one is built per
+	// Freeze; the other's slabs are truncated but keep their capacity, and
+	// every slab is reused across Freeze/Reset cycles.
+	dense bool
+
+	// The dense layout: block b is blocks[b*width : (b+1)*width], block 0 is
+	// the root. Slot r of a block above depth k-1 holds the block number of
+	// the child whose item has rank r; at depth k-1 it holds that child's
+	// entry index; -1 where there is no such child.
+	blocks []int32
+
+	// The CSR layout: node n's children live at
 	// csrItems/csrChild/csrEntry[csrStart[n]:csrStart[n+1]], sorted
-	// ascending by item. Span sizes accumulate at Insert time (kids); Freeze
-	// is one exact-size fill pass into slabs that are reused across
-	// Freeze/Reset cycles. CountTx descends these contiguous spans instead of
-	// chasing sibling links — sequential loads, binary search when a span
-	// is much longer than the transaction, and csrEntry keeps terminal hits
-	// from ever touching the node slab.
+	// ascending by item. Span sizes accumulate at Insert time (kids), so
+	// building it is one exact-size fill pass. The descent merges each span
+	// against the transaction (binary search when the span is much longer),
+	// and csrEntry keeps terminal hits from ever touching the node slab.
 	csrStart []int32
 	csrItems []itemset.ID
 	csrChild []int32
@@ -84,9 +112,11 @@ func New(k int) *Store {
 }
 
 // Reset empties the store for reuse with the same k, retaining every slab's
-// capacity — node slab, item arena, support slice, CSR index and membership
-// bitset. A pooled store that cycles through Reset/Insert/Freeze allocates
-// only when a later candidate set outgrows the largest one it has held.
+// capacity — node slab, item arena, support slice, rank table and both
+// layouts' slabs — and truncating the read side, so nothing an earlier
+// Freeze laid out stays reachable. A pooled store that cycles through
+// Reset/Insert/Freeze allocates only when a later candidate set outgrows the
+// largest one it has held.
 func (s *Store) Reset() {
 	s.nodes = s.nodes[:1]
 	s.nodes[0] = node{child: -1, next: -1, entry: -1}
@@ -96,6 +126,8 @@ func (s *Store) Reset() {
 	s.Sup = s.Sup[:0]
 	s.minID, s.maxID = 1, 0
 	s.frozen = false
+	s.rank, s.width, s.blocks = s.rank[:0], 0, s.blocks[:0]
+	s.csrStart, s.csrItems, s.csrChild, s.csrEntry = s.csrStart[:0], s.csrItems[:0], s.csrChild[:0], s.csrEntry[:0]
 }
 
 // Len returns the number of entries (registered candidates).
@@ -196,26 +228,63 @@ func (s *Store) walk(n int32, fn func(e int32, items itemset.Set)) {
 
 // grown returns buf resized to n elements, reusing its backing array when
 // the capacity suffices (contents are unspecified; callers overwrite).
-func grown[T int32 | uint64](buf []T, n int) []T {
+func grown(buf []int32, n int) []int32 {
 	if cap(buf) >= n {
 		return buf[:n]
 	}
-	return make([]T, n)
+	return make([]int32, n)
 }
 
-// Freeze builds the read-side indexes: the item-membership bitset and the
-// CSR child spans. The expensive parts were already paid incrementally by
-// Insert — per-node child counts size every span exactly and the ID bounds
-// are known — so Freeze is a prefix sum plus one fill pass into slabs reused
-// across Freeze/Reset cycles, not a stop-the-world rebuild with regrowing
-// appends. It must be called after the last Insert and before Filter/CountTx
-// are used (possibly from multiple goroutines); all read-side methods are
-// then safe for concurrent use.
+// Freeze builds the read-side indexes: the rank table and one counting
+// layout, dense when the rank table plus one block per internal node fit in
+// denseCap slots, CSR otherwise. The expensive parts were already paid
+// incrementally by Insert — per-node child counts size every span exactly
+// and the ID bounds are known — so Freeze is a few fill passes into slabs
+// reused across Freeze/Reset cycles, not a stop-the-world rebuild with
+// regrowing appends. It must be called after the last Insert and before
+// Filter/CountTx are used (possibly from multiple goroutines); all read-side
+// methods are then safe for concurrent use.
 func (s *Store) Freeze() {
-	if s.frozen {
+	if !s.frozen {
+		s.freeze(denseCap)
+	}
+}
+
+// freeze is Freeze with the dense cap as a parameter: the layout is dense
+// when the rank table plus the blocks fit in limit slots. Tests pass -1 to
+// force CSR and a limit above any store's size to force dense.
+func (s *Store) freeze(limit int) {
+	span := max(int(s.maxID)-int(s.minID)+1, 0) // 0 for the empty store's inverted range
+	s.rank = grown(s.rank, span)
+	for i := range s.rank {
+		s.rank[i] = -1
+	}
+	for _, n := range s.nodes[1:] {
+		s.rank[n.item-s.minID] = 0
+	}
+	r := int32(0)
+	for i, v := range s.rank {
+		if v == 0 {
+			s.rank[i] = r
+			r++
+		}
+	}
+	s.width = int(r)
+	// Every node but the depth-k terminals is internal, and each terminal
+	// holds exactly one entry.
+	internal := len(s.nodes) - len(s.Sup)
+	s.frozen = true
+	s.dense = span+internal*s.width <= limit
+	if s.dense {
+		s.csrStart, s.csrItems, s.csrChild, s.csrEntry = s.csrStart[:0], s.csrItems[:0], s.csrChild[:0], s.csrEntry[:0]
+		s.blocks = grown(s.blocks, internal*s.width)
+		for i := range s.blocks {
+			s.blocks[i] = -1
+		}
+		s.fillBlock(0, 0, 1)
 		return
 	}
-	s.frozen = true
+	s.blocks = s.blocks[:0]
 	// Every non-root node is exactly one parent's child, so the spans hold
 	// len(nodes)-1 slots in total.
 	total := len(s.nodes) - 1
@@ -238,36 +307,40 @@ func (s *Store) Freeze() {
 			pos++
 		}
 	}
-	if len(s.nodes) == 1 {
-		// Empty store: the inverted sentinel range (min > max, kept by
-		// New/Reset) makes has() reject every ID without consulting the
-		// bitset.
-		s.present = s.present[:0]
-		return
-	}
-	s.present = grown(s.present, (int(s.maxID)-int(s.minID))>>6+1)
-	clear(s.present)
-	for _, n := range s.nodes[1:] {
-		off := uint(n.item - s.minID)
-		s.present[off>>6] |= 1 << (off & 63)
-	}
 }
 
-// has reports whether any candidate contains id. Freeze must have run.
-func (s *Store) has(id itemset.ID) bool {
-	if id < s.minID || id > s.maxID {
-		return false
+// fillBlock writes node n's children into block b, numbering child blocks
+// depth-first from free, and returns the next unused block number.
+func (s *Store) fillBlock(n, b, free int32) int32 {
+	blk := s.blocks[int(b)*s.width:][:s.width]
+	for c := s.nodes[n].child; c != -1; c = s.nodes[c].next {
+		slot := s.rank[s.nodes[c].item-s.minID]
+		if e := s.nodes[c].entry; e >= 0 {
+			blk[slot] = e
+		} else {
+			blk[slot] = free
+			free = s.fillBlock(c, free, free+1)
+		}
 	}
-	off := uint(id - s.minID)
-	return s.present[off>>6]&(1<<(off&63)) != 0
+	return free
+}
+
+// rankOf returns id's rank, or -1 when no candidate holds id (including
+// every ID outside [minID, maxID]). Freeze must have run.
+func (s *Store) rankOf(id itemset.ID) int32 {
+	off := uint(int(id) - int(s.minID))
+	if off >= uint(len(s.rank)) {
+		return -1
+	}
+	return s.rank[off]
 }
 
 // Filter appends the items of tx that occur in at least one candidate to buf
 // and returns it. Narrowing transactions to candidate-relevant items before
-// CountTx keeps the descent's merge loops short. Freeze must have run.
+// CountTx shortens the descent's loops. Freeze must have run.
 func (s *Store) Filter(tx itemset.Set, buf itemset.Set) itemset.Set {
 	for _, id := range tx {
-		if s.has(id) {
+		if s.rankOf(id) >= 0 {
 			buf = append(buf, id)
 		}
 	}
@@ -275,21 +348,55 @@ func (s *Store) Filter(tx itemset.Set, buf itemset.Set) itemset.Set {
 }
 
 // CountTx adds w to counts[e] for every candidate e that is a subset of tx,
-// by descending the trie along tx's items. It returns the number of
-// candidates matched (paths that reached depth k) — the probes a flat
-// hash-map scan would have spent building keys for; the caller can subtract
-// that from C(len(tx), k) to measure how many subset probes the trie pruned.
+// by descending the trie along tx's items: each item either continues a
+// candidate prefix one level down or is skipped, so the descent enumerates
+// only the subsets of tx that are prefixes of some candidate. It returns the
+// number of candidates matched (paths that reached depth k); the caller can
+// subtract that from C(len(tx), k) to measure how many of the k-subsets a
+// flat subset enumeration would have probed the descent never visited.
 //
-// counts must have length Len(). tx must be canonical (sorted ascending);
-// pass the result of Filter for best performance. Safe for concurrent use
-// after Freeze (counts are caller-owned).
+// counts must have length Len(). tx must be canonical (sorted ascending) and
+// may be of any width and hold any IDs; pass the result of Filter for best
+// performance. Safe for concurrent use after Freeze (counts are
+// caller-owned).
 func (s *Store) CountTx(tx itemset.Set, w int64, counts []int64) int64 {
 	if len(tx) < s.k {
 		return 0
 	}
+	if s.dense {
+		return s.countDense(0, s.k, tx, w, counts)
+	}
 	return s.countRec(0, 0, tx, w, counts)
 }
 
+// countDense is the descent over the dense layout from block b, with need
+// items still required to complete a candidate: each item of tx costs one
+// rank lookup and one load of its slot in the block.
+func (s *Store) countDense(b int32, need int, tx itemset.Set, w int64, counts []int64) int64 {
+	var hits int64
+	blk := s.blocks[int(b)*s.width:][:s.width]
+	if need == 1 {
+		for _, t := range tx {
+			if r := s.rankOf(t); r >= 0 {
+				if e := blk[r]; e >= 0 {
+					counts[e] += w
+					hits++
+				}
+			}
+		}
+		return hits
+	}
+	for ti := 0; len(tx)-ti >= need; ti++ {
+		if r := s.rankOf(tx[ti]); r >= 0 {
+			if c := blk[r]; c >= 0 {
+				hits += s.countDense(c, need-1, tx[ti+1:], w, counts)
+			}
+		}
+	}
+	return hits
+}
+
+// countRec is the descent over the CSR layout from node n at depth depth.
 func (s *Store) countRec(n int32, depth int, tx itemset.Set, w int64, counts []int64) int64 {
 	var hits int64
 	need := s.k - depth // items still required to complete a candidate

@@ -1,6 +1,8 @@
 package candtrie
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -106,17 +108,64 @@ func TestFilterAndCountTx(t *testing.T) {
 	}
 }
 
+// layouts pins each counting layout through the freeze hook.
+var layouts = []struct {
+	name  string
+	limit int
+}{{"dense", math.MaxInt}, {"csr", -1}}
+
+// checkAgainstBruteForce counts txs through the frozen store s, filtered
+// first as the scan counter does and unfiltered, and checks every support
+// and every transaction's hits against the obvious reference: a subset test
+// per candidate.
+func checkAgainstBruteForce(t *testing.T, label string, s *Store, txs []itemset.Set, weights []int64) {
+	t.Helper()
+	counts := make([]int64, s.Len())
+	raw := make([]int64, s.Len())
+	want := make([]int64, s.Len())
+	var buf itemset.Set
+	for i, tx := range txs {
+		var wantHits int64
+		for e := range want {
+			if s.Items(int32(e)).SubsetOf(tx) {
+				want[e] += weights[i]
+				wantHits++
+			}
+		}
+		buf = s.Filter(tx, buf[:0])
+		if h := s.CountTx(buf, weights[i], counts); h != wantHits {
+			t.Fatalf("%s: tx %d filtered to %d items hit %d, want %d", label, i, len(buf), h, wantHits)
+		}
+		if h := s.CountTx(tx, weights[i], raw); h != wantHits {
+			t.Fatalf("%s: tx %d unfiltered hit %d, want %d", label, i, h, wantHits)
+		}
+	}
+	for e := range want {
+		if counts[e] != want[e] || raw[e] != want[e] {
+			t.Fatalf("%s: count of %v = %d filtered, %d unfiltered, brute force %d",
+				label, s.Items(int32(e)), counts[e], raw[e], want[e])
+		}
+	}
+}
+
+// checkOneLayout fails unless the frozen store holds only the layout it
+// chose: Freeze must truncate the other layout's slabs.
+func checkOneLayout(t *testing.T, label string, s *Store) {
+	t.Helper()
+	if s.dense && len(s.csrStart) != 0 || !s.dense && len(s.blocks) != 0 {
+		t.Fatalf("%s: dense = %v with %d block slots and %d CSR spans", label, s.dense, len(s.blocks), len(s.csrStart))
+	}
+}
+
 // TestCountTxAgainstBruteForce drives random stores and random transactions
-// against the obvious reference: for every candidate, count the weighted
-// transactions containing it.
+// through both layouts, re-freezing one store in each in alternating order,
+// against the brute-force reference.
 func TestCountTxAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
 		k := 2 + rng.Intn(3)
 		universe := 6 + rng.Intn(10)
 		s := New(k)
-		var cands []itemset.Set
-		seen := map[string]bool{}
 		for i := 0; i < 3+rng.Intn(25); i++ {
 			ids := make([]itemset.ID, 0, k)
 			for len(ids) < k {
@@ -131,38 +180,139 @@ func TestCountTxAgainstBruteForce(t *testing.T) {
 					ids = append(ids, id)
 				}
 			}
-			set := itemset.New(ids...)
-			if seen[set.Key()] {
-				continue
-			}
-			seen[set.Key()] = true
-			cands = append(cands, set)
-			s.Insert(set)
+			s.Insert(itemset.New(ids...))
 		}
-		s.Freeze()
-		counts := make([]int64, s.Len())
-		want := make([]int64, s.Len())
-		var buf itemset.Set
+		var txs []itemset.Set
+		var weights []int64
 		for txi := 0; txi < 30; txi++ {
 			var ids []itemset.ID
-			w := int64(1 + rng.Intn(4))
 			for j := 0; j < rng.Intn(universe+2); j++ {
 				ids = append(ids, itemset.ID(rng.Intn(universe)))
 			}
-			tx := itemset.New(ids...)
-			buf = s.Filter(tx, buf[:0])
-			s.CountTx(buf, w, counts)
-			for _, c := range cands {
-				if c.SubsetOf(tx) {
-					want[s.Lookup(c)] += w
-				}
+			txs = append(txs, itemset.New(ids...))
+			weights = append(weights, int64(1+rng.Intn(4)))
+		}
+		for i := range layouts {
+			l := layouts[(trial+i)%len(layouts)] // alternate which layout replaces which
+			label := fmt.Sprintf("trial %d %s", trial, l.name)
+			s.freeze(l.limit)
+			checkOneLayout(t, label, s)
+			checkAgainstBruteForce(t, label, s, txs, weights)
+		}
+	}
+}
+
+// allSets returns every k-itemset over the items 0..n-1.
+func allSets(k, n int) []itemset.Set {
+	universe := make(itemset.Set, n)
+	for i := range universe {
+		universe[i] = itemset.ID(i)
+	}
+	var sets []itemset.Set
+	itemset.KSubsets(universe, k, func(sub itemset.Set) {
+		sets = append(sets, sub.Clone())
+	})
+	return sets
+}
+
+// TestDenseCap pins Freeze's layout choice on both sides of the cap: the
+// rank table plus one R-slot block per internal node, against denseCap
+// slots. Each store then counts rows wider than 64 items, and rows reaching
+// past its ID range, in the layout it chose.
+func TestDenseCap(t *testing.T) {
+	var pairsAtCap []itemset.Set // every pair over 512 items but {510, 511}
+	for _, p := range allSets(2, 512) {
+		if p[0] != 510 {
+			pairsAtCap = append(pairsAtCap, p)
+		}
+	}
+	cases := []struct {
+		name  string
+		k     int
+		cands []itemset.Set
+		slots int // rank table + internal nodes × R
+		dense bool
+	}{
+		// Root + first items 0..509, 512 items: exactly the cap.
+		{"k2/at-cap", 2, pairsAtCap, 512 + 511*512, true},
+		// First item 510 adds one internal node: one block over.
+		{"k2/over", 2, allSets(2, 512), 512 + 512*512, false},
+		// Root + 78 first items + C(79,2) pair prefixes, 80 items.
+		{"k3/under", 3, allSets(3, 80), 80 + 3160*80, true},
+		// Root + 79 + C(80,2), 81 items: 0.15 % over.
+		{"k3/over", 3, allSets(3, 81), 81 + 3240*81, false},
+	}
+	rng := rand.New(rand.NewSource(11))
+	for _, c := range cases {
+		s := New(c.k)
+		for _, set := range c.cands {
+			s.Insert(set)
+		}
+		s.Freeze()
+		if slots := len(s.rank) + (len(s.nodes)-s.Len())*s.width; slots != c.slots {
+			t.Fatalf("%s: %d slots, want %d", c.name, slots, c.slots)
+		}
+		if (c.slots <= denseCap) != c.dense || s.dense != c.dense {
+			t.Fatalf("%s: %d slots against cap %d: dense = %v, want %v", c.name, c.slots, denseCap, s.dense, c.dense)
+		}
+		maxID := int(c.cands[len(c.cands)-1][c.k-1])
+		var txs []itemset.Set
+		var weights []int64
+		for i := 0; i < 6; i++ {
+			var ids []itemset.ID
+			for j := 0; j < 70+rng.Intn(30); j++ {
+				ids = append(ids, itemset.ID(rng.Intn(maxID+20)))
+			}
+			txs = append(txs, itemset.New(ids...))
+			weights = append(weights, int64(1+rng.Intn(3)))
+		}
+		checkAgainstBruteForce(t, c.name, s, txs, weights)
+	}
+}
+
+// TestWideAndOutOfRangeRows counts, under both layouts, rows of more than 64
+// candidate items and unfiltered rows whose IDs fall below minID and above
+// maxID, which must count nothing.
+func TestWideAndOutOfRangeRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for k := 2; k <= 3; k++ {
+		s := New(k)
+		for i := 0; i < 400; i++ {
+			ids := make([]itemset.ID, k)
+			for j := range ids {
+				ids[j] = itemset.ID(20 + rng.Intn(100)) // candidate items in [20, 119]
+			}
+			if set := itemset.New(ids...); len(set) == k {
+				s.Insert(set)
 			}
 		}
-		for i := range counts {
-			if counts[i] != want[i] {
-				t.Fatalf("trial %d: count of %v = %d, brute force = %d",
-					trial, s.Items(int32(i)), counts[i], want[i])
+		every := make(itemset.Set, 0, 151)
+		for id := itemset.ID(0); id <= 150; id++ {
+			every = append(every, id)
+		}
+		txs := []itemset.Set{
+			every,                   // 100 candidate items among 151
+			every[:20], every[120:], // only IDs below minID, only above maxID
+			itemset.New(3, 25, 40, 130),    // both sides of the range
+			itemset.New(0, 1, 2, 140, 150), // outside on both sides, none inside
+		}
+		for i := 0; i < 5; i++ {
+			var ids []itemset.ID
+			for j := 0; j < 65+rng.Intn(40); j++ {
+				ids = append(ids, itemset.ID(rng.Intn(151)))
 			}
+			txs = append(txs, itemset.New(ids...))
+		}
+		weights := make([]int64, len(txs))
+		for i := range weights {
+			weights[i] = int64(1 + i%3)
+		}
+		for _, l := range layouts {
+			s.freeze(l.limit)
+			if got := s.Filter(every, nil); len(got) <= 64 {
+				t.Fatalf("k=%d: the widest row filters to %d items, want more than 64", k, len(got))
+			}
+			checkAgainstBruteForce(t, fmt.Sprintf("k=%d %s", k, l.name), s, txs, weights)
 		}
 	}
 }
@@ -180,7 +330,7 @@ func TestEmptyStore(t *testing.T) {
 		t.Fatalf("Filter on empty = %v", got)
 	}
 	// ID 0 is a valid dictionary-assigned ID and must not slip past the
-	// empty store's range check into the nil bitset.
+	// empty store's range check into the empty rank table.
 	if got := s.Filter(itemset.Set{0}, nil); len(got) != 0 {
 		t.Fatalf("Filter({0}) on empty = %v", got)
 	}
@@ -191,32 +341,56 @@ func TestEmptyStore(t *testing.T) {
 }
 
 // TestResetReuse cycles one store through Reset/Insert/Freeze with different
-// candidate sets and checks each generation counts exactly like a fresh
-// store — the property the engine's store pool depends on.
+// candidate sets and layouts — dense, CSR, empty, dense, … — and checks each
+// generation counts exactly like a fresh store frozen the same way, keeps
+// none of the other layout's slots, and, replayed once every slab has
+// grown, allocates nothing: the properties the engine's store pool depends
+// on.
 func TestResetReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	reused := New(2)
-	for gen := 0; gen < 50; gen++ {
+	type generation struct {
+		sets  []itemset.Set
+		limit int
+	}
+	var gens []generation
+	for gen := 0; gen < 52; gen++ {
 		reused.Reset()
+		if len(reused.rank) != 0 || len(reused.blocks) != 0 || len(reused.csrStart) != 0 {
+			t.Fatalf("gen %d: Reset kept a rank table or layout", gen)
+		}
 		fresh := New(2)
+		g := generation{limit: denseCap}
+		if gen%4 == 1 {
+			g.limit = -1 // CSR
+		}
 		universe := 4 + rng.Intn(12)
-		for i := 0; i < rng.Intn(20); i++ {
+		for i := 0; gen%4 != 2 && i < 1+rng.Intn(20); i++ { // every fourth store stays empty
 			a := itemset.ID(rng.Intn(universe))
 			b := itemset.ID(rng.Intn(universe))
 			if a == b {
 				continue
 			}
 			set := itemset.New(a, b)
+			g.sets = append(g.sets, set)
 			re, ra := reused.Insert(set)
 			fe, fa := fresh.Insert(set)
 			if re != fe || ra != fa {
 				t.Fatalf("gen %d: Insert(%v) = (%d,%v) reused vs (%d,%v) fresh", gen, set, re, ra, fe, fa)
 			}
 		}
-		reused.Freeze()
-		fresh.Freeze()
+		gens = append(gens, g)
+		reused.freeze(g.limit)
+		fresh.freeze(g.limit)
 		if reused.Len() != fresh.Len() || reused.NodeCount() != fresh.NodeCount() {
 			t.Fatalf("gen %d: Len/NodeCount diverged", gen)
+		}
+		if reused.dense != fresh.dense {
+			t.Fatalf("gen %d: layouts diverged", gen)
+		}
+		checkOneLayout(t, fmt.Sprintf("gen %d", gen), reused)
+		if reused.Len() == 0 && (len(reused.rank) != 0 || len(reused.blocks) != 0) {
+			t.Fatalf("gen %d: empty store kept %d rank slots, %d block slots", gen, len(reused.rank), len(reused.blocks))
 		}
 		rc := make([]int64, reused.Len())
 		fc := make([]int64, fresh.Len())
@@ -232,8 +406,9 @@ func TestResetReuse(t *testing.T) {
 			if !rbuf.Equal(fbuf) {
 				t.Fatalf("gen %d: Filter diverged: %v vs %v", gen, rbuf, fbuf)
 			}
-			reused.CountTx(rbuf, 1, rc)
-			fresh.CountTx(fbuf, 1, fc)
+			if rh, fh := reused.CountTx(rbuf, 1, rc), fresh.CountTx(fbuf, 1, fc); rh != fh {
+				t.Fatalf("gen %d: hits diverged: %d reused, %d fresh", gen, rh, fh)
+			}
 		}
 		for i := range rc {
 			if rc[i] != fc[i] {
@@ -241,5 +416,17 @@ func TestResetReuse(t *testing.T) {
 					gen, reused.Items(int32(i)), rc[i], fc[i])
 			}
 		}
+	}
+	replay := func() {
+		for _, g := range gens {
+			reused.Reset()
+			for _, set := range g.sets {
+				reused.Insert(set)
+			}
+			reused.freeze(g.limit)
+		}
+	}
+	if allocs := testing.AllocsPerRun(3, replay); allocs != 0 {
+		t.Fatalf("replaying the generations on grown slabs allocated %.0f times", allocs)
 	}
 }

@@ -76,8 +76,9 @@ type CountStrategy int8
 
 const (
 	// CountScan is the paper-faithful strategy: one sequential pass over the
-	// (level-view of the) database per cell, probing a candidate hash table
-	// with the k-subsets of each transaction.
+	// (level-view of the) database per cell, walking each transaction's items
+	// down the cell's candidate trie so that only the subsets sharing a
+	// prefix with some candidate are enumerated.
 	CountScan CountStrategy = iota
 	// CountAuto chooses between scan and bitmap per cell with a simple cost
 	// model: scans pay one subset enumeration per distinct transaction,

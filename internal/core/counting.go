@@ -11,8 +11,8 @@ import (
 
 // count fills in the support of every candidate in the cell with one pass
 // over the data or one batch of bitmap AND+popcounts. The cell's trie is
-// frozen here (CSR spans and the item-membership bitset filled), after which
-// the store is safe for concurrent readers.
+// frozen here (rank table and counting layout filled), after which the store
+// is safe for concurrent readers.
 func (m *miner) count(c *cell) {
 	m.stats.DBScans++
 	m.stats.TrieNodes += int64(c.store.NodeCount())
@@ -186,7 +186,7 @@ func (m *miner) mergePartials(c *cell, ps []partial) {
 
 // countScan counts a materialized cell by trie descent over every shard's
 // level rows, cut into scanBlock-aligned units: each unit's block of the row
-// arena streams through cache while the trie's CSR slabs stay resident.
+// arena streams through cache while the trie's layout stays resident.
 func (m *miner) countScan(c *cell) {
 	levels := m.ds.levels
 	units := cutUnits(m.sc.units[:0], len(levels), func(s int) int { return levels[s][c.h].Rows() }, m.cfg.workers(), scanBlock)
@@ -245,7 +245,7 @@ func (p *partial) bitmapRange(c *cell, ix *bitmap.Index, lo, hi int, done <-chan
 // filter the row to candidate-relevant items, then walk the items down the
 // trie so only subsets sharing a candidate prefix are ever enumerated. The
 // row arena is walked front to back, so a block of rows streams through
-// cache while the trie's CSR slabs stay resident. Returns the number of
+// cache while the trie's layout stays resident. Returns the number of
 // subset probes the descent skipped relative to a flat C(w,k) enumeration.
 func scanTxs(c *cell, lv *txdb.Level, lo, hi int, counts []int64, filtered itemset.Set) (pruned int64, scratch itemset.Set) {
 	k := c.k

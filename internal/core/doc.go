@@ -70,7 +70,12 @@ upper rows count over tiny weighted sets. Each row is filtered to
 candidate-relevant items and walked down the trie
 (candtrie.Store.CountTx): only subsets sharing a prefix with some
 candidate are ever enumerated, and no key bytes or map probes appear in
-the inner loop (Stats.ProbesPruned counts what the descent skipped). With
+the inner loop (Stats.ProbesPruned counts what the descent skipped).
+When the cell is frozen before its pass, the store ranks the cell's
+distinct candidate items and, when the result fits in 1 MiB, gives every
+trie node above the last level a block of one slot per rank, so each
+step of the descent is one load; larger, sparser tries keep sorted child
+spans that the descent merges against the row. With
 Config.Materialize=false the engine instead re-reads the Source every
 pass — the paper's disk-resident mode. CountBitmap ANDs per-item bit
 vectors over the distinct weighted transactions and pop-counts the result

@@ -13,7 +13,7 @@ import (
 // materialized views vs disk-resident streaming. All runs use full pruning
 // on the default synthetic workload.
 func Ablation(s Scale) (*Table, error) {
-	db, tree, err := synthetic(s.SyntheticN, 5, s.Seed)
+	db, tree, err := Synthetic(s.SyntheticN, 5, s.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -23,7 +23,7 @@ func Counting(s Scale) (*Table, error) {
 	}
 	strategies := []core.CountStrategy{core.CountScan, core.CountBitmap, core.CountAuto}
 	for _, width := range []float64{5, 7, 9} {
-		db, tree, err := synthetic(s.SyntheticN, width, s.Seed)
+		db, tree, err := Synthetic(s.SyntheticN, width, s.Seed)
 		if err != nil {
 			return nil, err
 		}

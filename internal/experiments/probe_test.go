@@ -16,7 +16,7 @@ func TestProbeWidthCost(t *testing.T) {
 		t.Skip("manual probe; set FLIPPER_PROBE=1 to run")
 	}
 	for _, w := range []int{7, 8} {
-		db, tree, err := synthetic(10000, float64(w), 1)
+		db, tree, err := Synthetic(10000, float64(w), 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,9 +45,11 @@ func Table3(Scale) (*Table, error) {
 	return t, nil
 }
 
-// synthetic builds the paper's default synthetic workload: H=4, 10 level-1
-// categories, fanout 5, |I|≈1000 leaves, width W, N transactions.
-func synthetic(n int, width float64, seed int64) (*txdb.DB, *taxonomy.Tree, error) {
+// Synthetic builds the paper's default synthetic workload: H=4, 10 level-1
+// categories, fanout 5, |I|≈1000 leaves, width W, N transactions. Besides
+// the experiments, BenchmarkCountingSyntheticWarm and the flipbench -json
+// record CountingSynthetic/scan/warm build their data with it.
+func Synthetic(n int, width float64, seed int64) (*txdb.DB, *taxonomy.Tree, error) {
 	tree, err := gen.BuildTaxonomy(gen.DefaultTaxonomyParams())
 	if err != nil {
 		return nil, nil, err
@@ -111,7 +113,7 @@ func runVariants(db *txdb.DB, tree *taxonomy.Tree, minsup []float64, gamma, epsi
 // Fig8a reproduces Figure 8(a): runtime for the ten minsup profiles of
 // Table 3, for all four pruning variants.
 func Fig8a(s Scale) (*Table, error) {
-	db, tree, err := synthetic(s.SyntheticN, 5, s.Seed)
+	db, tree, err := Synthetic(s.SyntheticN, 5, s.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -149,7 +151,7 @@ func Fig8b(s Scale) (*Table, error) {
 		if n < 1000 {
 			n = 1000
 		}
-		db, tree, err := synthetic(n, 5, s.Seed)
+		db, tree, err := Synthetic(n, 5, s.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -173,7 +175,7 @@ func Fig8c(s Scale) (*Table, error) {
 		},
 	}
 	for w := 5; w <= 10; w++ {
-		db, tree, err := synthetic(s.SyntheticN, float64(w), s.Seed)
+		db, tree, err := Synthetic(s.SyntheticN, float64(w), s.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -190,7 +192,7 @@ func Fig8c(s Scale) (*Table, error) {
 // BASIC baseline ignores correlation thresholds entirely, so its row is
 // flat — exactly the paper's observation.
 func Fig8d(s Scale) (*Table, error) {
-	db, tree, err := synthetic(s.SyntheticN, 5, s.Seed)
+	db, tree, err := Synthetic(s.SyntheticN, 5, s.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -317,8 +317,8 @@ func Join(a, b Set) (Set, bool) {
 
 // KSubsets enumerates every k-subset of the canonical set universe, invoking
 // fn with a scratch buffer that is reused across calls (clone to retain).
-// Enumeration is in lexicographic order. It is used by the scan counter to
-// probe candidate hash tables with the subsets of a transaction.
+// Enumeration is in lexicographic order. The counting tests use it as the
+// flat subset enumeration the scan counter's trie descent replaced.
 func KSubsets(universe Set, k int, fn func(sub Set)) {
 	n := len(universe)
 	if k <= 0 || k > n {
