@@ -446,6 +446,26 @@ func BenchmarkCountingSyntheticWarm(b *testing.B) {
 	}
 }
 
+// BenchmarkColdPrepare is the preparation a one-shot flipper run pays on
+// the end-to-end benchmark's cli-cold input (medline at scale 0.1, written
+// once to a temporary directory): each op loads the baskets with
+// OpenBasketSource against the parsed taxonomy and builds every level as
+// the engine does at its default parallelism. flipbench -json records the
+// same work as ColdPrepare/medline, and the CI alloc budgets pin it.
+func BenchmarkColdPrepare(b *testing.B) {
+	tree, path, err := experiments.ColdInput(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := experiments.ColdPrepare(tree, path); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAblationParallelism measures counting-worker scaling.
 func BenchmarkAblationParallelism(b *testing.B) {
 	db, tree := benchSynthetic(b, benchN, 5)

@@ -14,7 +14,8 @@ import (
 
 // The -json mode: run the counting micro-benchmark suite (the same dense
 // workload as BenchmarkCountingDense, and the default synthetic data of
-// BenchmarkCountingSyntheticWarm) under testing.Benchmark and write a
+// BenchmarkCountingSyntheticWarm) and the cold preparation of
+// BenchmarkColdPrepare under testing.Benchmark and write a
 // machine-readable BENCH_<tag>.json. Committed baselines (BENCH_PR3.json,
 // …) plus the CI artifact of every run give the repo a perf trajectory:
 // compare ns/op and allocs/op across PRs without re-running old code.
@@ -68,7 +69,28 @@ func runBenchJSON(path, tag string) error {
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
 		MaxProcs:  runtime.GOMAXPROCS(0),
-		Workload:  "dense: 8000 tx × 16 items, 64 cats × 2 leaves (BenchmarkCountingDense); CountingSynthetic: gen defaults, N = 20000 (BenchmarkCountingSyntheticWarm)",
+		Workload:  "dense: 8000 tx × 16 items, 64 cats × 2 leaves (BenchmarkCountingDense); CountingSynthetic: gen defaults, N = 20000 (BenchmarkCountingSyntheticWarm); ColdPrepare: medline, scale 0.1, seed 1 (BenchmarkColdPrepare)",
+	}
+	// add measures op under testing.Benchmark and appends its record.
+	add := func(name string, op func() error, counters map[string]float64) {
+		br := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := op(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		out.Benchmarks = append(out.Benchmarks, BenchRecord{
+			Name:        name,
+			Iterations:  br.N,
+			NsPerOp:     float64(br.T.Nanoseconds()) / float64(br.N),
+			AllocsPerOp: br.AllocsPerOp(),
+			BytesPerOp:  br.AllocedBytesPerOp(),
+			Counters:    counters,
+		})
+		fmt.Fprintf(os.Stderr, "bench %-32s %12.0f ns/op %8d allocs/op\n",
+			name, float64(br.T.Nanoseconds())/float64(br.N), br.AllocsPerOp())
 	}
 	// record measures one configuration. With eng set it measures the warm
 	// steady state — the engine is prewarmed by the instrumented run, so the
@@ -87,32 +109,15 @@ func runBenchJSON(path, tag string) error {
 		if err != nil {
 			return err
 		}
-		br := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := mine(); err != nil {
-					b.Fatal(err)
-				}
-			}
+		add(name, func() error { _, err := mine(); return err }, map[string]float64{
+			"candidates_counted": float64(res.Stats.CandidatesCounted),
+			"trie_nodes":         float64(res.Stats.TrieNodes),
+			"probes_pruned":      float64(res.Stats.ProbesPruned),
+			"bitmap_word_ops":    float64(res.Stats.BitmapWordOps),
+			"shards":             float64(res.Stats.Shards),
+			"shard_merge_ns":     float64(res.Stats.ShardMergeNs),
+			"patterns":           float64(len(res.Patterns)),
 		})
-		out.Benchmarks = append(out.Benchmarks, BenchRecord{
-			Name:        name,
-			Iterations:  br.N,
-			NsPerOp:     float64(br.T.Nanoseconds()) / float64(br.N),
-			AllocsPerOp: br.AllocsPerOp(),
-			BytesPerOp:  br.AllocedBytesPerOp(),
-			Counters: map[string]float64{
-				"candidates_counted": float64(res.Stats.CandidatesCounted),
-				"trie_nodes":         float64(res.Stats.TrieNodes),
-				"probes_pruned":      float64(res.Stats.ProbesPruned),
-				"bitmap_word_ops":    float64(res.Stats.BitmapWordOps),
-				"shards":             float64(res.Stats.Shards),
-				"shard_merge_ns":     float64(res.Stats.ShardMergeNs),
-				"patterns":           float64(len(res.Patterns)),
-			},
-		})
-		fmt.Fprintf(os.Stderr, "bench %-32s %12.0f ns/op %8d allocs/op\n",
-			name, float64(br.T.Nanoseconds())/float64(br.N), br.AllocsPerOp())
 		return nil
 	}
 	for _, s := range []core.CountStrategy{core.CountScan, core.CountBitmap, core.CountAuto} {
@@ -177,6 +182,19 @@ func runBenchJSON(path, tag string) error {
 	if err := record("CountingSynthetic/scan/warm", core.DefaultConfig(synTree.Height()), core.NewEngine(synDB, synTree)); err != nil {
 		return err
 	}
+	// The preparation of a one-shot flipper run on the end-to-end
+	// benchmark's cli-cold input: basket load plus level build
+	// (BenchmarkColdPrepare runs the same work).
+	dir, err := os.MkdirTemp("", "flipbench-cold-")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(dir)
+	coldTree, coldPath, err := experiments.ColdInput(dir)
+	if err != nil {
+		return err
+	}
+	add("ColdPrepare/medline", func() error { return experiments.ColdPrepare(coldTree, coldPath) }, nil)
 	f, err := os.Create(path)
 	if err != nil {
 		return err

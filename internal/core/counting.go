@@ -100,15 +100,15 @@ func (m *miner) chooseStrategy(c *cell) CountStrategy {
 }
 
 // Every local pass runs as units of (shard, range) work on a bounded pool of
-// cfg.workers() goroutines (txdb.ForEachShard: worker w takes units w, w+W,
-// w+2W, …), and an unsharded representation is one shard. Each unit adds
-// into its worker's partial support vector; mergePartials then sums the
-// partials into the cell's candtrie slab. Because a transaction lives in
-// exactly one shard and a unit covers each (shard, row) or (shard,
-// candidate) pair once, and because the merge is plain int64 addition, the
-// supports — and everything derived from them — do not depend on the shard
-// count, the cut or the worker assignment (TestShardedMiningEquivalence and
-// TestWorkSplitInvariance pin this).
+// cfg.workers() goroutines (txdb.ForEachShard: each worker takes the next
+// unit off a shared counter), and an unsharded representation is one shard.
+// Each unit adds into its worker's partial support vector; mergePartials
+// then sums the partials into the cell's candtrie slab. Because a
+// transaction lives in exactly one shard and a unit covers each (shard, row)
+// or (shard, candidate) pair once, and because the merge is plain int64
+// addition, the supports — and everything derived from them — do not depend
+// on the shard count, the cut or the worker assignment
+// (TestShardedMiningEquivalence and TestWorkSplitInvariance pin this).
 
 // unit is one piece of a counting pass: the level rows (scan) or the
 // candidates (bitmap) [lo, hi) of shard s.

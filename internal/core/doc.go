@@ -62,11 +62,11 @@ patterns}, keeping the miner complete; the randomized equivalence suite
 Candidates live in a trie-indexed slab store (internal/candtrie): items in
 one arena, supports in one slice, and a prefix trie over item IDs indexing
 both. CountScan is the paper's strategy: one sequential pass per cell.
-All levels are built once, in one pass over the source (txdb.BuildLevels):
-every transaction is generalized to each level and interned, so a level is
-its distinct rows with weights plus a row index per transaction —
-generalization collapses many raw transactions onto few distinct ones, so
-upper rows count over tiny weighted sets. Each row is filtered to
+All levels are built once (txdb.BuildLevels), one unit per shard and level
+on the run's workers: every transaction is generalized to the level and
+interned, so a level is its distinct rows with weights and no
+per-transaction index — generalization collapses many raw transactions
+onto few distinct ones, so upper rows count over tiny weighted sets. Each row is filtered to
 candidate-relevant items and walked down the trie
 (candtrie.Store.CountTx): only subsets sharing a prefix with some
 candidate are ever enumerated, and no key bytes or map probes appear in

@@ -25,10 +25,10 @@ type Result struct {
 
 // Engine mines one source/taxonomy pair repeatedly, caching everything that
 // depends only on the dataset — the interned levels of every shard
-// (txdb.Level: distinct weighted rows in one arena plus a row index per
-// transaction) and the lazily built bitmap indexes over them — across Mine
-// calls, plus a pool of per-run scratch (candidate stores, counting
-// buffers, chain arenas) so repeated runs stop paying full allocation.
+// (txdb.Level: distinct weighted rows in one arena) and the lazily built
+// bitmap indexes over them — across Mine calls, plus a pool of per-run
+// scratch (candidate stores, counting buffers, chain arenas) so repeated
+// runs stop paying full allocation.
 //
 // Cached state is keyed by the parts of the configuration that shape it
 // (Materialize and the resolved shard count); every other knob varies freely
@@ -100,9 +100,16 @@ func (e *Engine) dataFor(cfg Config) (*dataState, error) {
 		e.data[key] = ds
 	}
 	e.mu.Unlock()
-	ds.once.Do(func() { ds.err = ds.build(e.tree, cfg) })
+	ds.once.Do(func() {
+		// A build that panics leaves this error for every later run, which
+		// would otherwise mine the half-built state as if it were the data.
+		ds.err = errBuildPanicked
+		ds.err = ds.build(e.tree, cfg)
+	})
 	return ds, ds.err
 }
+
+var errBuildPanicked = fmt.Errorf("core: the dataset build panicked in an earlier run")
 
 // build materializes the levels of every shard (or streams one
 // single-support pass) for this representation. Parallelism of the build
@@ -114,24 +121,18 @@ func (ds *dataState) build(tax *taxonomy.Tree, cfg Config) error {
 	ds.widths = make([]int, H+1)
 	srcs := ds.shards
 	ds.bitmaps = make([]lazyIndex, (H+1)*len(srcs))
-	workers := min(cfg.workers(), len(srcs))
 	if !cfg.Materialize {
-		return ds.streamSingleSupports(srcs, tax, H, workers)
+		return ds.streamSingleSupports(srcs, tax, H, min(cfg.workers(), len(srcs)))
 	}
-	// One level-build pass per shard, the shards built concurrently over a
-	// bounded worker pool. The merged per-item supports and widths are
-	// exact integer aggregates of the shard levels, so the level summaries
-	// the rest of the run reads do not depend on the shard count.
-	ds.levels = make([][]*txdb.Level, len(srcs))
-	errs := make([]error, len(srcs))
-	txdb.ForEachShard(workers, len(srcs), func(_, s int) {
-		ds.levels[s], errs[s] = txdb.BuildLevels(srcs[s], tax)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	// One build unit per (shard, level) of an in-memory shard, the units
+	// spread over the run's workers. The merged per-item supports and
+	// widths are exact integer aggregates of the shard levels, so the level
+	// summaries the rest of the run reads do not depend on the shard count.
+	levels, err := txdb.BuildLevels(srcs, tax, cfg.workers())
+	if err != nil {
+		return err
 	}
+	ds.levels = levels
 	for h := 1; h <= H; h++ {
 		if len(srcs) == 1 {
 			ds.sup1[h] = ds.levels[0][h].Support
@@ -152,10 +153,10 @@ func (ds *dataState) build(tax *taxonomy.Tree, cfg Config) error {
 
 // initScans is the number of database passes the init of this
 // representation logically costs a run: one per level when materialized —
-// the passes a per-level build would make, though the level build reads the
-// source once — or one streaming single-support pass. Charged per run
-// whether or not the cache already held the state, so warm stats match
-// cold ones byte for byte.
+// the level build's pass per level of an in-memory shard, though it reads
+// any other source once for all levels — or one streaming single-support
+// pass. Charged per run whether or not the cache already held the state,
+// so warm stats match cold ones byte for byte.
 func initScans(cfg *Config, height int) int64 {
 	if cfg.Materialize {
 		return int64(height)

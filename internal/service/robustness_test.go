@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/flipper-mining/flipper/internal/core"
 	"github.com/flipper-mining/flipper/internal/datasets"
 	"github.com/flipper-mining/flipper/internal/dict"
 	"github.com/flipper-mining/flipper/internal/itemset"
@@ -29,12 +30,38 @@ func (p *panicSource) Dict() *dict.Dictionary { return p.src.Dict() }
 func TestWorkerPanicRecovery(t *testing.T) {
 	toy := datasets.PaperToy()
 	bomb := &Dataset{Name: "bomb", Tree: toy.Tree, Src: &panicSource{src: toy.DB}}
+	checkPanicContained(t, bomb, toy.Config())
+}
+
+// TestShardWorkerPanicRecovery is the same contract when the panic is
+// raised on a pool goroutine of the engine rather than on the job's own:
+// two panicking shards built by two workers.
+func TestShardWorkerPanicRecovery(t *testing.T) {
+	toy := datasets.PaperToy()
+	parts := txdb.Partition(toy.DB, 2)
+	src, err := txdb.NewSharded(&panicSource{src: parts[0]}, &panicSource{src: parts[1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bomb := &Dataset{Name: "bomb", Tree: toy.Tree, Src: src}
+	cfg := toy.Config()
+	cfg.Parallelism = 2
+	checkPanicContained(t, bomb, cfg)
+}
+
+// checkPanicContained mines bomb, whose source panics, on a one-worker queue
+// and requires the job to fail with the panic and its stack, a second job
+// on bomb to fail rather than mine the half-built dataset, and the queue to
+// run a clean job afterwards.
+func checkPanicContained(t *testing.T, bomb *Dataset, cfg core.Config) {
+	t.Helper()
+	toy := datasets.PaperToy()
 	good := &Dataset{Name: "toy", Tree: toy.Tree, Src: toy.DB}
 
 	q := NewQueue(1, 4, 100, NewCache(4))
 	defer q.Close()
 
-	j, err := q.Submit(bomb, JobMine, toy.Config(), nil)
+	j, err := q.Submit(bomb, JobMine, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,6 +77,19 @@ func TestWorkerPanicRecovery(t *testing.T) {
 	}
 	if !strings.Contains(v.Error, "goroutine") {
 		t.Fatalf("error %q does not carry a stack trace", v.Error)
+	}
+
+	again := cfg
+	again.Gamma += 0.01 // other work: neither coalesced nor a cache hit
+	j, err = q.Submit(bomb, JobMine, again, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !q.Wait(j, 10*time.Second) {
+		t.Fatal("second job on the panicked dataset never finalized")
+	}
+	if v, _ := q.Get(j.ID); v.Status != StatusFailed || !strings.Contains(v.Error, "panicked") {
+		t.Fatalf("second job on the panicked dataset = %s %q, want failed", v.Status, v.Error)
 	}
 
 	// The single worker survived: a clean job still runs to completion.

@@ -1,20 +1,22 @@
 package txdb
 
 import (
+	"math"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"github.com/flipper-mining/flipper/internal/itemset"
 	"github.com/flipper-mining/flipper/internal/taxonomy"
 )
 
-// The level build: one sequential pass over a source generalizes every
-// transaction to every taxonomy level in a reused scratch buffer and interns
-// it in that level's row table, so generalizing N transactions to H levels
-// allocates per distinct generalized transaction, not per transaction and
-// level. Generalization collapses many raw transactions onto few distinct
-// ones at the upper levels, which is why the table pays: the counting
-// backends and the bitmap index both work on the distinct rows.
+// The level build: a pass over a source generalizes every transaction to a
+// taxonomy level in a reused scratch buffer and interns it in that level's
+// row table, so generalizing N transactions to H levels allocates per
+// distinct generalized transaction, not per transaction and level.
+// Generalization collapses many raw transactions onto few distinct ones at
+// the upper levels, which is why the table pays: the counting backends and
+// the bitmap index both work on the distinct rows.
 
 // Level is one abstraction level of a transaction source: every
 // transaction's items replaced by their level-h taxonomy ancestors (items
@@ -30,8 +32,6 @@ type Level struct {
 	Items   []itemset.ID
 	Starts  []int32 // len Rows()+1
 	Weights []int64 // Weights[r] is how many transactions generalize to row r
-	// RowOf maps every transaction, in scan order, to its row.
-	RowOf []int32
 	// Support holds the single-item supports of the level.
 	Support map[itemset.ID]int64
 	// MaxWidth is the widest row, bounding the itemset size worth exploring
@@ -49,17 +49,61 @@ func (l *Level) Row(r int) itemset.Set {
 	return itemset.Set(l.Items[lo:hi:hi])
 }
 
-// BuildLevels scans src once and returns all of its levels under tree,
-// indexed by level (index 0 unused).
-func BuildLevels(src Source, tree *taxonomy.Tree) ([]*Level, error) {
-	return buildLevels(src, tree, 1, tree.Height())
+// BuildLevels builds levels 1..H of every shard under tree and returns them
+// by shard and level (levels[s][h], index 0 unused), running its units on
+// up to `workers` goroutines (ForEachShard). An in-memory shard (*DB) is
+// one unit per level, each its own pass over the shard; any other source is
+// one unit that builds all of its levels in a single pass, so a
+// disk-resident shard is read once. Leaf levels go first: they hold the
+// most distinct rows and cost the most, so the longest units start
+// earliest. Units intern in parallel, but a level's finish — the sort and
+// the arena copy, when the old arena, the new one and the sort keys are all
+// live — takes a lock shared by the build, so at most one finish runs at a
+// time and the build's peak memory stays that of the serial build.
+func BuildLevels(shards []Source, tree *taxonomy.Tree, workers int) ([][]*Level, error) {
+	H := tree.Height()
+	type unit struct{ s, h int } // h = 0: every level in one pass
+	var units []unit
+	for s, src := range shards {
+		if _, ok := src.(*DB); !ok {
+			units = append(units, unit{s, 0})
+		}
+	}
+	for h := H; h >= 1; h-- {
+		for s, src := range shards {
+			if _, ok := src.(*DB); ok {
+				units = append(units, unit{s, h})
+			}
+		}
+	}
+	levels := make([][]*Level, len(shards))
+	for s := range levels {
+		levels[s] = make([]*Level, H+1)
+	}
+	errs := make([]error, len(units))
+	var finish sync.Mutex
+	ForEachShard(workers, len(units), func(_, i int) {
+		u := units[i]
+		lo, hi := u.h, u.h
+		if u.h == 0 {
+			lo, hi = 1, H
+		}
+		errs[i] = buildLevels(shards[u.s], tree, lo, hi, &finish, levels[u.s])
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return levels, nil
 }
 
-// buildLevels builds levels lo..hi of src in one pass.
-func buildLevels(src Source, tree *taxonomy.Tree, lo, hi int) ([]*Level, error) {
+// buildLevels builds levels lo..hi of src in one pass into levels[lo..hi],
+// finishing each under the finish lock.
+func buildLevels(src Source, tree *taxonomy.Tree, lo, hi int, finish *sync.Mutex, levels []*Level) error {
 	tables := make([]*rowTable, hi+1)
 	for h := lo; h <= hi; h++ {
-		tables[h] = newRowTable(src.Len())
+		tables[h] = newRowTable()
 	}
 	var buf []itemset.ID
 	err := src.Scan(func(tx itemset.Set) error {
@@ -70,20 +114,19 @@ func buildLevels(src Source, tree *taxonomy.Tree, lo, hi int) ([]*Level, error) 
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Interning is over: free every table's slots before any sort allocates.
 	for h := lo; h <= hi; h++ {
 		tables[h].slots = nil
 	}
-	levels := make([]*Level, hi+1)
 	for h := lo; h <= hi; h++ {
-		l := tables[h].finish()
+		l, _ := tables[h].finishLocked(finish)
 		tables[h] = nil // the table's arena is garbage once its level is out
 		l.Support, l.MaxWidth = supports(l)
 		levels[h] = l
 	}
-	return levels, nil
+	return nil
 }
 
 // supports sums every item's weight over the rows holding it and finds the
@@ -113,14 +156,18 @@ func supports(l *Level) (map[itemset.ID]int64, int) {
 }
 
 // rowTable interns the generalized transactions of one level: an
-// open-addressing hash table over a flat arena of distinct rows. Each slot
-// keeps its row's hash, so a probe compares items only on a hash match and
-// growing rehashes without reading the arena.
+// open-addressing hash table over an arena of distinct rows. The arena is a
+// list of chunks that never move: a row that does not fit in the last chunk
+// starts a new one, so the arena grows without copying what it holds. (A
+// slice grown by append allocates about five times its final size on the
+// way, and parallel level units would pay that for several levels at once.)
+// Each slot keeps its row's hash, so a probe compares items only on a hash
+// match and growing rehashes without reading the arena.
 type rowTable struct {
-	arena   []itemset.ID // distinct rows back to back, in first-seen order
-	starts  []int32      // row r is arena[starts[r]:starts[r+1]]
+	chunks  [][]itemset.ID // distinct rows back to back in first-seen order; no row spans two chunks
+	starts  []int64        // row r starts in chunk starts[r]>>32 at offset uint32(starts[r]); starts[Rows] marks the end
+	items   int            // items over all rows
 	weights []int64
-	rowOf   []int32
 	slots   []rowSlot // power-of-two length, at most half full
 }
 
@@ -129,39 +176,54 @@ type rowSlot struct {
 	row  int32 // row index + 1; 0 marks an empty slot
 }
 
-// newRowTable returns an empty table for a source of n transactions.
-func newRowTable(n int) *rowTable {
-	return &rowTable{
-		starts: []int32{0},
-		rowOf:  make([]int32, 0, n),
-		slots:  make([]rowSlot, 64),
-	}
+// arenaChunk is the most items a row table's arena chunk holds (256 KiB),
+// unless one row needs more. Chunks grow to it from 64 items, each about
+// the size of the arena so far.
+const arenaChunk = 1 << 16
+
+// newRowTable returns an empty table.
+func newRowTable() *rowTable {
+	return &rowTable{chunks: [][]itemset.ID{nil}, starts: []int64{0}, slots: make([]rowSlot, 64)}
 }
 
-func (t *rowTable) row(r int32) itemset.Set { return t.arena[t.starts[r]:t.starts[r+1]] }
+func (t *rowTable) row(r int32) itemset.Set {
+	lo, hi := t.starts[r], t.starts[r+1]
+	c := t.chunks[lo>>32]
+	end := len(c) // the last row of its chunk
+	if hi>>32 == lo>>32 {
+		end = int(uint32(hi))
+	}
+	return c[uint32(lo):end]
+}
 
-// add interns one canonical transaction and records its row.
-func (t *rowTable) add(tx itemset.Set) {
+// add interns one canonical transaction and returns its row, numbered in
+// first-seen order.
+func (t *rowTable) add(tx itemset.Set) int32 {
 	h := hashRow(tx)
 	mask := uint32(len(t.slots) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
 		s := t.slots[i]
 		if s.row == 0 {
 			r := int32(len(t.weights))
-			t.arena = append(t.arena, tx...)
-			t.starts = append(t.starts, int32(len(t.arena)))
+			c := len(t.chunks) - 1
+			if len(t.chunks[c])+len(tx) > cap(t.chunks[c]) {
+				t.chunks = append(t.chunks, make([]itemset.ID, 0, max(len(tx), min(arenaChunk, t.items+64))))
+				c++
+				t.starts[r] = int64(c) << 32
+			}
+			t.chunks[c] = append(t.chunks[c], tx...)
+			t.items += len(tx)
+			t.starts = append(t.starts, int64(c)<<32|int64(len(t.chunks[c])))
 			t.weights = append(t.weights, 1)
-			t.rowOf = append(t.rowOf, r)
 			t.slots[i] = rowSlot{hash: h, row: r + 1}
 			if 2*len(t.weights) > len(t.slots) {
 				t.grow()
 			}
-			return
+			return r
 		}
 		if s.hash == h && t.row(s.row-1).Equal(tx) {
 			t.weights[s.row-1]++
-			t.rowOf = append(t.rowOf, s.row-1)
-			return
+			return s.row - 1
 		}
 	}
 }
@@ -183,30 +245,31 @@ func (t *rowTable) grow() {
 	t.slots = slots
 }
 
+// finishLocked is finish under lock mu, released however finish returns.
+func (t *rowTable) finishLocked(mu *sync.Mutex) (*Level, []sortKey) {
+	mu.Lock()
+	defer mu.Unlock()
+	return t.finish()
+}
+
 // finish sorts the distinct rows into lexicographic itemset order and emits
-// them as a Level with the row index renumbered to match. Rows are
-// distinct, so the order is total and the same whatever order the scan
-// first met them in.
-func (t *rowTable) finish() *Level {
+// them as a Level, with order[i].row the first-seen number of its row i.
+// Rows are distinct, so the order is total and the same whatever order the
+// scan first met them in.
+func (t *rowTable) finish() (l *Level, order []sortKey) {
 	n := len(t.weights)
-	order := t.sortRows()
-	l := &Level{
-		Items:   make([]itemset.ID, 0, len(t.arena)),
+	l = &Level{
+		Items:   make([]itemset.ID, 0, t.items),
 		Starts:  make([]int32, 1, n+1),
 		Weights: make([]int64, n),
-		RowOf:   t.rowOf,
 	}
-	rank := make([]int32, n)
+	order = t.sortRows()
 	for i, o := range order {
-		rank[o.row] = int32(i)
 		l.Items = append(l.Items, t.row(o.row)...)
 		l.Starts = append(l.Starts, int32(len(l.Items)))
 		l.Weights[i] = t.weights[o.row]
 	}
-	for i, r := range l.RowOf {
-		l.RowOf[i] = rank[r]
-	}
-	return l
+	return l, order
 }
 
 // sortRows returns the rows in lexicographic itemset order. Each row gets
@@ -214,7 +277,7 @@ func (t *rowTable) finish() *Level {
 // sort, and only rows whose packed items all tie are then ordered by
 // comparing the rows themselves.
 func (t *rowTable) sortRows() []sortKey {
-	pk := newPrefixKeys(t.arena)
+	pk := newPrefixKeys(t.chunks)
 	keys := make([]sortKey, len(t.weights))
 	for r := range keys {
 		keys[r] = sortKey{prefix: pk.key(t.row(int32(r))), row: int32(r)}
@@ -279,11 +342,16 @@ type prefixKeys struct {
 	n    int   // items packed per key
 }
 
-func newPrefixKeys(items []itemset.ID) prefixKeys {
-	if len(items) == 0 {
+func newPrefixKeys(chunks [][]itemset.ID) prefixKeys {
+	lo, hi := itemset.ID(math.MaxInt32), itemset.ID(math.MinInt32)
+	for _, c := range chunks {
+		for _, id := range c {
+			lo, hi = min(lo, id), max(hi, id)
+		}
+	}
+	if lo > hi {
 		return prefixKeys{}
 	}
-	lo, hi := slices.Min(items), slices.Max(items)
 	b := bits.Len64(uint64(int64(hi) - int64(lo) + 1))
 	return prefixKeys{lo: int64(lo), bits: b, n: 64 / b}
 }

@@ -3,6 +3,7 @@ package txdb
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -55,7 +56,7 @@ func buildRefLevel(src Source, tree *taxonomy.Tree, h int) (*refLevel, error) {
 }
 
 // diffLevel reports how l departs from the reference: its rows, weights,
-// row index, supports and width must all match.
+// supports and width must all match.
 func diffLevel(l *Level, ref *refLevel) error {
 	if l.Starts[0] != 0 || int(l.Starts[l.Rows()]) != len(l.Items) || len(l.Starts) != l.Rows()+1 {
 		return fmt.Errorf("malformed arena: %d starts over %d items for %d rows", len(l.Starts), len(l.Items), l.Rows())
@@ -66,14 +67,6 @@ func diffLevel(l *Level, ref *refLevel) error {
 	for r, want := range ref.rows {
 		if !l.Row(r).Equal(want.Items) || l.Weights[r] != want.Weight {
 			return fmt.Errorf("row %d is %v×%d, reference %v×%d", r, l.Row(r), l.Weights[r], want.Items, want.Weight)
-		}
-	}
-	if len(l.RowOf) != len(ref.tx) {
-		return fmt.Errorf("row index covers %d transactions, source has %d", len(l.RowOf), len(ref.tx))
-	}
-	for t, want := range ref.tx {
-		if got := l.Row(int(l.RowOf[t])); !got.Equal(want) {
-			return fmt.Errorf("transaction %d maps to row %v, want %v", t, got, want)
 		}
 	}
 	if len(l.Support) != len(ref.support) {
@@ -92,10 +85,11 @@ func diffLevel(l *Level, ref *refLevel) error {
 
 // CheckLevelsAgainstReference builds every level of src with BuildLevels
 // and with Materialize, and requires both — and Dedup of the view, and of a
-// hand-assembled copy of it — to equal the reference algorithm.
+// hand-assembled copy of it — to equal the reference algorithm. The view's
+// transactions, in scan order, must be the reference's.
 func CheckLevelsAgainstReference(t testing.TB, src Source, tree *taxonomy.Tree) {
 	t.Helper()
-	levels, err := BuildLevels(src, tree)
+	levels, err := BuildLevels([]Source{src}, tree, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +98,7 @@ func CheckLevelsAgainstReference(t testing.TB, src Source, tree *taxonomy.Tree) 
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := diffLevel(levels[h], ref); err != nil {
+		if err := diffLevel(levels[0][h], ref); err != nil {
 			t.Fatalf("level %d: %v", h, err)
 		}
 		lv, err := Materialize(src, tree, h)
@@ -140,6 +134,52 @@ func CheckLevelsAgainstReference(t testing.TB, src Source, tree *taxonomy.Tree) 
 			}
 		}
 	}
+}
+
+// checkShardLevels builds the levels of shards with BuildLevels on the given
+// number of workers and requires every shard's levels to equal the
+// reference built from that shard alone.
+func checkShardLevels(t testing.TB, shards []Source, tree *taxonomy.Tree, workers int) {
+	t.Helper()
+	levels, err := BuildLevels(shards, tree, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(levels) != len(shards) {
+		t.Fatalf("%d workers: levels for %d shards, want %d", workers, len(levels), len(shards))
+	}
+	for s, shard := range shards {
+		if levels[s][0] != nil || len(levels[s]) != tree.Height()+1 {
+			t.Fatalf("%d workers, shard %d: %d level slots, index 0 set: %v", workers, s, len(levels[s]), levels[s][0] != nil)
+		}
+		for h := 1; h <= tree.Height(); h++ {
+			ref, err := buildRefLevel(shard, tree, h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := diffLevel(levels[s][h], ref); err != nil {
+				t.Fatalf("%d workers, shard %d, level %d: %v", workers, s, h, err)
+			}
+		}
+	}
+}
+
+// scanOnly hides a source's type, so BuildLevels builds it as a source it
+// cannot re-read cheaply: one unit, every level in one pass.
+type scanOnly struct{ Source }
+
+// unitShards partitions db into n shards and hides every other one's type,
+// so a build mixes per-level units with one-pass units.
+func unitShards(db *DB, n int) []Source {
+	var shards []Source
+	for i, p := range Partition(db, n) {
+		if i%2 == 1 {
+			shards = append(shards, scanOnly{p})
+		} else {
+			shards = append(shards, p)
+		}
+	}
+	return shards
 }
 
 // spreadIDs multiplies every ID of txs by the largest factor that keeps
@@ -193,8 +233,12 @@ func TestBuildLevelsMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		CheckLevelsAgainstReference(t, db, tr)
+		CheckLevelsAgainstReference(t, scanOnly{db}, tr)
 		for _, shard := range Partition(db, 3) {
 			CheckLevelsAgainstReference(t, shard, tr)
+		}
+		for _, workers := range []int{1, 2, 7} {
+			checkShardLevels(t, unitShards(db, 3), tr, workers)
 		}
 	}
 }
@@ -203,7 +247,8 @@ func TestBuildLevelsMatchesReference(t *testing.T) {
 // leaf-copy extended when the first byte says so), basket lines (empty, "-",
 // comments, unknown and internal names) and a shard count of 1–3, and
 // checks the level build of the whole database and of every shard against
-// the reference.
+// the reference, and the build of all shards at once — per-level units for
+// in-memory shards, one-pass units for the others — on 1, 2 and 7 workers.
 func FuzzBuildLevels(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	f.Add([]byte{1, 7, 3, 0, 255, 12, 9, 200, 4, 4, 4, 33, 81})
@@ -266,8 +311,80 @@ func FuzzBuildLevels(f *testing.F) {
 			t.Fatalf("generated baskets rejected: %v\n%s", err, sb.String())
 		}
 		CheckLevelsAgainstReference(t, db, tree)
-		for _, shard := range Partition(db, 1+mode/2%3) {
+		shards := 1 + mode/2%3
+		for _, shard := range Partition(db, shards) {
 			CheckLevelsAgainstReference(t, shard, tree)
 		}
+		for _, workers := range []int{1, 2, 7} {
+			checkShardLevels(t, unitShards(db, shards), tree, workers)
+		}
 	})
+}
+
+// TestRowTableChunks interns rows of random widths, repeats, empty rows and
+// rows wider than a whole arena chunk, and requires every row to read back
+// as interned under its first-seen number, across chunk switches, and the
+// finished level to hold the rows sorted with their counts.
+func TestRowTableChunks(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	tab := newRowTable()
+	var rows []itemset.Set
+	index := map[string]int32{}
+	counts := map[string]int64{}
+	add := func(tx itemset.Set) {
+		key := fmt.Sprint(tx)
+		want, seen := index[key]
+		if !seen {
+			want = int32(len(rows))
+			index[key] = want
+			rows = append(rows, tx)
+		}
+		counts[key]++
+		if got := tab.add(tx); got != want {
+			t.Fatalf("row %v interned as %d, want %d", tx, got, want)
+		}
+	}
+	for i := 0; i < 6000; i++ {
+		switch {
+		case i == 1508 || i > 1508 && i%997 == 0:
+			add(nil) // first right after a row that fills its own chunk
+		case i%1500 == 7:
+			wide := make([]itemset.ID, arenaChunk+1+rng.Intn(9))
+			for j := range wide {
+				wide[j] = itemset.ID(j + i)
+			}
+			add(wide)
+		case i%3 == 0 && len(rows) > 0:
+			add(rows[rng.Intn(len(rows))])
+		default:
+			w := rng.Intn(60)
+			items := make([]itemset.ID, w)
+			for j := range items {
+				items[j] = itemset.ID(rng.Intn(500))
+			}
+			add(itemset.New(items...))
+		}
+	}
+	if len(tab.chunks) < 5 {
+		t.Fatalf("%d arena chunks: the rows never crossed a chunk", len(tab.chunks))
+	}
+	for r, want := range rows {
+		if got := tab.row(int32(r)); !got.Equal(want) {
+			t.Fatalf("row %d reads %d items, interned %d", r, len(got), len(want))
+		}
+	}
+	tab.slots = nil
+	l, order := tab.finish()
+	if l.Rows() != len(rows) || len(order) != len(rows) {
+		t.Fatalf("finished %d rows (order %d), interned %d", l.Rows(), len(order), len(rows))
+	}
+	for r := 0; r < l.Rows(); r++ {
+		row := l.Row(r)
+		if r > 0 && itemset.Compare(l.Row(r-1), row) >= 0 {
+			t.Fatalf("rows %d and %d out of order", r-1, r)
+		}
+		if !row.Equal(rows[order[r].row]) || l.Weights[r] != counts[fmt.Sprint(row)] {
+			t.Fatalf("row %d: %d items ×%d, want row %d ×%d", r, len(row), l.Weights[r], order[r].row, counts[fmt.Sprint(row)])
+		}
+	}
 }

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"github.com/flipper-mining/flipper/internal/dict"
 	"github.com/flipper-mining/flipper/internal/itemset"
@@ -199,15 +201,20 @@ func OpenShardDir(dir string, d *dict.Dictionary, stream bool) (*ShardedSource, 
 	return OpenShards(paths, d, stream)
 }
 
-// ForEachShard runs body(w, s) for every shard index s in [0, n) over a
-// bounded pool of worker goroutines and waits for all of them: worker w
-// handles shards w, w+W, w+2W, … This strided pool is the concurrency
+// ForEachShard runs body(w, s) for every index s in [0, n) over a bounded
+// pool of worker goroutines and waits for all of them. The workers take
+// indexes in order from a shared counter, so a long unit never holds back
+// the units queued behind it on its worker. This pool is the concurrency
 // discipline every shard-parallel path shares — at most `workers`
-// goroutines live regardless of shard count, so shard count scales
+// goroutines live regardless of the unit count, so shard count scales
 // independently of core count. Only worker w calls body with that w, so
-// per-worker state indexed by w needs no locking. A pool of one runs on the
-// caller's goroutine, so a panic in body (an unsharded build, say) unwinds
-// into the caller's recover rather than crashing the process.
+// per-worker state indexed by w needs no locking.
+//
+// A panic in body never kills the process from a pool goroutine: a pool of
+// one runs on the caller's goroutine, and a larger pool stops handing out
+// indexes at the first panic, waits for the other workers to return, and
+// re-raises the panic on the caller with the worker's stack attached, so
+// the caller's recover (the service's per-job one, say) contains it.
 func ForEachShard(workers, n int, body func(w, s int)) {
 	if workers > n {
 		workers = n
@@ -218,15 +225,43 @@ func ForEachShard(workers, n int, body func(w, s int)) {
 		}
 		return
 	}
-	var wg sync.WaitGroup
+	var (
+		next   atomic.Int64
+		caught atomic.Pointer[workerPanic]
+		wg     sync.WaitGroup
+	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for s := w; s < n; s += workers {
+			defer func() {
+				if r := recover(); r != nil {
+					caught.CompareAndSwap(nil, &workerPanic{value: r, stack: debug.Stack()})
+				}
+			}()
+			for caught.Load() == nil {
+				s := int(next.Add(1) - 1)
+				if s >= n {
+					return
+				}
 				body(w, s)
 			}
 		}(w)
 	}
 	wg.Wait()
+	if p := caught.Load(); p != nil {
+		panic(p)
+	}
+}
+
+// workerPanic is a panic caught on a ForEachShard worker goroutine, re-raised
+// on the caller: the original value and the stack of the goroutine it was
+// raised on.
+type workerPanic struct {
+	value any
+	stack []byte
+}
+
+func (p *workerPanic) String() string {
+	return fmt.Sprintf("%v\n\npanicked on shard worker %s", p.value, p.stack)
 }

@@ -5,7 +5,11 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/flipper-mining/flipper/internal/dict"
 	"github.com/flipper-mining/flipper/internal/itemset"
@@ -204,11 +208,9 @@ func TestMaterializeShardsMergesToUnsharded(t *testing.T) {
 		db.AddNames(names...)
 	}
 	ss := PartitionSource(db, 4)
-	shardLevels := make([][]*Level, ss.NumShards())
-	for s, shard := range ss.Shards() {
-		if shardLevels[s], err = BuildLevels(shard, tree); err != nil {
-			t.Fatal(err)
-		}
+	shardLevels, err := BuildLevels(ss.Shards(), tree, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for h := 1; h <= tree.Height(); h++ {
 		whole, err := Materialize(db, tree, h)
@@ -219,7 +221,9 @@ func TestMaterializeShardsMergesToUnsharded(t *testing.T) {
 		maxWidth, total := 0, 0
 		for _, levels := range shardLevels {
 			v := levels[h]
-			total += len(v.RowOf)
+			for _, w := range v.Weights {
+				total += int(w)
+			}
 			if v.MaxWidth > maxWidth {
 				maxWidth = v.MaxWidth
 			}
@@ -241,5 +245,57 @@ func TestMaterializeShardsMergesToUnsharded(t *testing.T) {
 				t.Fatalf("level %d: support of %v = %d merged, want %d", h, id, merged[id], sup)
 			}
 		}
+	}
+}
+
+// TestForEachShard checks the pool hands out every index exactly once, each
+// to a worker w < workers, for pools smaller than, equal to and larger than
+// the index count.
+func TestForEachShard(t *testing.T) {
+	for _, c := range []struct{ workers, n int }{{1, 5}, {2, 9}, {3, 3}, {7, 2}, {4, 0}, {0, 3}} {
+		var mu sync.Mutex
+		seen := make([]int, c.n)
+		ForEachShard(c.workers, c.n, func(w, s int) {
+			if w < 0 || w >= max(c.workers, 1) {
+				t.Errorf("workers %d: worker index %d", c.workers, w)
+			}
+			mu.Lock()
+			seen[s]++
+			mu.Unlock()
+		})
+		for s, k := range seen {
+			if k != 1 {
+				t.Fatalf("workers %d, n %d: index %d ran %d times", c.workers, c.n, s, k)
+			}
+		}
+	}
+}
+
+// TestForEachShardRaisesWorkerPanicOnCaller checks that a panic on a pool
+// goroutine reaches the caller's recover, carrying the value and the
+// worker's stack, and only once every other worker has returned.
+func TestForEachShardRaisesWorkerPanicOnCaller(t *testing.T) {
+	var running atomic.Int32
+	var r any
+	func() {
+		defer func() { r = recover() }()
+		ForEachShard(3, 50, func(_, s int) {
+			running.Add(1)
+			defer running.Add(-1)
+			if s == 4 {
+				panic("unit 4 failed")
+			}
+			time.Sleep(time.Millisecond)
+		})
+	}()
+	if r == nil {
+		t.Fatal("the worker's panic did not reach the caller")
+	}
+	if n := running.Load(); n != 0 {
+		t.Fatalf("re-raised while %d units still ran", n)
+	}
+	msg := fmt.Sprint(r)
+	if !strings.Contains(msg, "unit 4 failed") || !strings.Contains(msg, "goroutine") || !strings.Contains(msg, "TestForEachShardRaisesWorkerPanicOnCaller") {
+		t.Fatalf("re-raised panic %q lacks the value or the worker's stack", msg)
 	}
 }

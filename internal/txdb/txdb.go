@@ -2,7 +2,7 @@
 // transaction store with a shared item dictionary, the basket text format,
 // a streaming file-backed source for disk-resident counting (the paper's
 // engines count "by sequential scans of disk-resident input data"), the
-// one-pass level build that generalizes a source to every taxonomy level and
+// level build that generalizes every shard to every taxonomy level and
 // interns the distinct generalized transactions (BuildLevels), and
 // transaction sharding — Partition for splitting an
 // in-memory database into contiguous shards and ShardedSource for composing
@@ -170,23 +170,38 @@ type LevelView struct {
 	rows *Level // the interned level Materialize built Tx from
 }
 
-// Materialize builds the level-h view of src under tree with the one-pass
-// level build. Items without an ancestor at level h (shallow leaves of an
-// unextended, unbalanced tree) are dropped from the view, mirroring the
-// paper's requirement that the user resolves missing generalizations
-// (taxonomy.Tree.Extend is variant B).
+// Materialize builds the level-h view of src under tree: one pass
+// generalizes and interns every transaction as the level build does,
+// noting each transaction's row, and the view's transactions are the
+// level's sorted rows in scan order. Items without an ancestor at level h
+// (shallow leaves of an unextended, unbalanced tree) are dropped from the
+// view, mirroring the paper's requirement that the user resolves missing
+// generalizations (taxonomy.Tree.Extend is variant B).
 func Materialize(src Source, tree *taxonomy.Tree, h int) (*LevelView, error) {
 	if h < 1 || h > tree.Height() {
 		return nil, fmt.Errorf("txdb: level %d out of range 1..%d", h, tree.Height())
 	}
-	levels, err := buildLevels(src, tree, h, h)
+	t := newRowTable()
+	rowOf := make([]int32, 0, src.Len()) // first-seen row of every transaction
+	var buf []itemset.ID
+	err := src.Scan(func(tx itemset.Set) error {
+		buf = tree.AppendAncestors(buf[:0], tx, h)
+		rowOf = append(rowOf, t.add(itemset.Canon(buf)))
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	l := levels[h]
-	tx := make([]itemset.Set, len(l.RowOf))
-	for t, r := range l.RowOf {
-		tx[t] = l.Row(int(r))
+	t.slots = nil
+	l, order := t.finish()
+	l.Support, l.MaxWidth = supports(l)
+	rows := make([]itemset.Set, len(order))
+	for r, o := range order {
+		rows[o.row] = l.Row(r)
+	}
+	tx := make([]itemset.Set, len(rowOf))
+	for i, r := range rowOf {
+		tx[i] = rows[r]
 	}
 	return &LevelView{Level: h, Tx: tx, Support: l.Support, MaxWidth: l.MaxWidth, rows: l}, nil
 }
@@ -210,11 +225,11 @@ func (lv *LevelView) Dedup() []WeightedTx {
 	}
 	l := lv.rows
 	if l == nil {
-		t := newRowTable(len(lv.Tx))
+		t := newRowTable()
 		for _, tx := range lv.Tx {
 			t.add(tx)
 		}
-		l = t.finish()
+		l, _ = t.finish()
 	}
 	out := make([]WeightedTx, l.Rows())
 	for r := range out {
