@@ -9,10 +9,14 @@
 // baseline, benchmark by benchmark. A benchmark whose ns/op or allocs/op
 // exceeds the baseline by more than the threshold fails the gate, as does
 // a baseline benchmark missing from the current run (a silently dropped
-// benchmark is a regression in coverage, not a pass). Benchmarks new in
-// the current run are reported but never fail. The full diff is written as
-// a markdown table to the -summary file (the GitHub job summary) and as
-// text to stdout, so a red gate is diagnosable from the CI page alone.
+// benchmark is a regression in coverage, not a pass). The engine counters
+// a record carries do not jitter, so they must match exactly: every
+// baseline counter but the timing keys (core.VolatileStatsKeys) must read
+// the same in the current record, and a record with no counters on either
+// side is not compared. Benchmarks new in the current run are reported but
+// never fail. The full diff is written as a markdown table to the -summary
+// file (the GitHub job summary) and as text to stdout, so a red gate is
+// diagnosable from the CI page alone.
 //
 // Alloc budgets (replacing the old awk guard in bench-smoke):
 //
@@ -44,14 +48,17 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"github.com/flipper-mining/flipper/internal/core"
 )
 
 // BenchRecord mirrors the per-benchmark entry of flipbench's BENCH_<tag>.json.
 type BenchRecord struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
+	Name        string             `json:"name"`
+	NsPerOp     float64            `json:"ns_per_op"`
+	AllocsPerOp int64              `json:"allocs_per_op"`
+	BytesPerOp  int64              `json:"bytes_per_op"`
+	Counters    map[string]float64 `json:"counters"`
 }
 
 // BenchFile mirrors flipbench's envelope; fields the gate ignores are
@@ -97,9 +104,38 @@ type diffRow struct {
 	baseNs, curNs      float64
 	baseAllocs         int64
 	curAllocs          int64
-	nsDelta, allocsDel float64 // fractional change vs baseline
-	status             string  // "ok" | "REGRESSED" | "MISSING" | "new"
+	nsDelta, allocsDel float64  // fractional change vs baseline
+	counters           []string // counter mismatches, "key: base -> cur"
+	status             string   // "ok" | "REGRESSED" | "COUNTERS" | "MISSING" | "new"
 	failed             bool
+}
+
+// counterDiffs lists, sorted by key, every counter of base that cur does
+// not match exactly, skipping the timing keys. A record without counters
+// on either side has nothing to compare.
+func counterDiffs(base, cur map[string]float64) []string {
+	if len(base) == 0 || len(cur) == 0 {
+		return nil
+	}
+	volatile := make(map[string]bool)
+	for _, k := range core.VolatileStatsKeys() {
+		volatile[k] = true
+	}
+	num := func(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
+	var diffs []string
+	for k, b := range base {
+		if volatile[k] {
+			continue
+		}
+		switch c, ok := cur[k]; {
+		case !ok:
+			diffs = append(diffs, fmt.Sprintf("%s: %s -> missing", k, num(b)))
+		case c != b:
+			diffs = append(diffs, fmt.Sprintf("%s: %s -> %s", k, num(b), num(c)))
+		}
+	}
+	sort.Strings(diffs)
+	return diffs
 }
 
 func loadBench(path string) (*BenchFile, error) {
@@ -156,12 +192,16 @@ func runDiff(basePath, curPath string, maxRegress float64, summaryPath string, o
 			baseAllocs: b.AllocsPerOp, curAllocs: c.AllocsPerOp,
 			nsDelta:   frac(b.NsPerOp, c.NsPerOp),
 			allocsDel: frac(float64(b.AllocsPerOp), float64(c.AllocsPerOp)),
+			counters:  counterDiffs(b.Counters, c.Counters),
 			status:    "ok",
 		}
-		if r.nsDelta > maxRegress || r.allocsDel > maxRegress {
+		switch {
+		case r.nsDelta > maxRegress || r.allocsDel > maxRegress:
 			r.status, r.failed = "REGRESSED", true
-			failed = true
+		case len(r.counters) > 0:
+			r.status, r.failed = "COUNTERS", true
 		}
+		failed = failed || r.failed
 		rows = append(rows, r)
 	}
 	extra := make([]string, 0, len(curByName))
@@ -186,9 +226,9 @@ func runDiff(basePath, curPath string, maxRegress float64, summaryPath string, o
 		}
 	}
 	if failed {
-		return fmt.Errorf("perf gate failed: regression or missing benchmark vs %s (threshold %+.0f%%)", basePath, maxRegress*100)
+		return fmt.Errorf("perf gate failed: regression, changed counter or missing benchmark vs %s (threshold %+.0f%%)", basePath, maxRegress*100)
 	}
-	fmt.Fprintf(out, "perf gate passed: %d benchmarks within %+.0f%% of %s\n", len(base.Benchmarks), maxRegress*100, basePath)
+	fmt.Fprintf(out, "perf gate passed: %d benchmarks within %+.0f%% of %s, counters unchanged\n", len(base.Benchmarks), maxRegress*100, basePath)
 	return nil
 }
 
@@ -203,6 +243,9 @@ func renderText(w io.Writer, baseTag, curTag string, maxRegress float64, rows []
 		default:
 			fmt.Fprintf(w, "%-44s %12.0f -> %12.0f ns/op (%+6.1f%%)  %7d -> %7d allocs/op (%+6.1f%%)  %s\n",
 				r.name, r.baseNs, r.curNs, r.nsDelta*100, r.baseAllocs, r.curAllocs, r.allocsDel*100, r.status)
+			for _, d := range r.counters {
+				fmt.Fprintf(w, "%-44s   counter %s\n", "", d)
+			}
 		}
 	}
 }
@@ -213,7 +256,7 @@ func renderMarkdown(w io.Writer, baseTag, curTag string, maxRegress float64, row
 		verdict = "❌ regression detected"
 	}
 	fmt.Fprintf(w, "### Perf gate: `%s` vs baseline `%s` — %s\n\n", curTag, baseTag, verdict)
-	fmt.Fprintf(w, "Fails above %+.0f%% ns/op or allocs/op growth.\n\n", maxRegress*100)
+	fmt.Fprintf(w, "Fails above %+.0f%% ns/op or allocs/op growth, or on any changed counter.\n\n", maxRegress*100)
 	fmt.Fprintln(w, "| benchmark | base ns/op | cur ns/op | Δns | base allocs | cur allocs | Δallocs | status |")
 	fmt.Fprintln(w, "|---|---:|---:|---:|---:|---:|---:|---|")
 	for _, r := range rows {
@@ -226,6 +269,9 @@ func renderMarkdown(w io.Writer, baseTag, curTag string, maxRegress float64, row
 			mark := "✅"
 			if r.failed {
 				mark = "❌"
+			}
+			if len(r.counters) > 0 {
+				mark += " counters: `" + strings.Join(r.counters, "`, `") + "`"
 			}
 			fmt.Fprintf(w, "| `%s` | %.0f | %.0f | %+.1f%% | %d | %d | %+.1f%% | %s |\n",
 				r.name, r.baseNs, r.curNs, r.nsDelta*100, r.baseAllocs, r.curAllocs, r.allocsDel*100, mark)

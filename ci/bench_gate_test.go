@@ -109,6 +109,73 @@ func TestDiffFailsOnMissingBenchmark(t *testing.T) {
 	}
 }
 
+// countersBase is a baseline whose records carry engine counters, plus one
+// record (ColdPrepare/medline) that carries none.
+const countersBase = `{
+  "tag": "PR15",
+  "benchmarks": [
+    {"name": "CountingDense/scan", "ns_per_op": 29000000, "allocs_per_op": 4536,
+     "counters": {"bitmap_word_ops": 2311764, "candidates_counted": 10080, "probes_pruned": 6775, "shard_merge_ns": 871, "trie_nodes": 10269}},
+    {"name": "ColdPrepare/medline", "ns_per_op": 40000000, "allocs_per_op": 290}
+  ]
+}`
+
+// countersCurrent is a current run with the given counters on
+// CountingDense/scan and ColdPrepare/medline.
+func countersCurrent(scan, cold string) string {
+	return `{
+  "tag": "ci",
+  "benchmarks": [
+    {"name": "CountingDense/scan", "ns_per_op": 29000000, "allocs_per_op": 4536, "counters": ` + scan + `},
+    {"name": "ColdPrepare/medline", "ns_per_op": 40000000, "allocs_per_op": 290, "counters": ` + cold + `}
+  ]
+}`
+}
+
+func TestDiffCounters(t *testing.T) {
+	cases := []struct {
+		name      string
+		scan      string
+		cold      string
+		fail      bool
+		mentioned []string // in the text output
+	}{
+		{name: "equal", scan: `{"bitmap_word_ops": 2311764, "candidates_counted": 10080, "probes_pruned": 6775, "shard_merge_ns": 871, "trie_nodes": 10269}`, cold: `null`},
+		{name: "one changed", scan: `{"bitmap_word_ops": 2311765, "candidates_counted": 10080, "probes_pruned": 6775, "shard_merge_ns": 871, "trie_nodes": 10269}`, cold: `null`,
+			fail: true, mentioned: []string{"COUNTERS", "bitmap_word_ops: 2311764 -> 2311765"}},
+		{name: "one missing", scan: `{"bitmap_word_ops": 2311764, "candidates_counted": 10080, "shard_merge_ns": 871, "trie_nodes": 10269}`, cold: `null`,
+			fail: true, mentioned: []string{"probes_pruned: 6775 -> missing"}},
+		{name: "only volatile changed", scan: `{"bitmap_word_ops": 2311764, "candidates_counted": 10080, "probes_pruned": 6775, "shard_merge_ns": 12345, "trie_nodes": 10269}`, cold: `null`},
+		{name: "no counters", scan: `{"bitmap_word_ops": 2311764, "candidates_counted": 10080, "probes_pruned": 6775, "shard_merge_ns": 871, "trie_nodes": 10269}`, cold: `{"patterns": 3}`},
+		{name: "no counters in the current run", scan: `null`, cold: `null`},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			base := writeFile(t, dir, "base.json", countersBase)
+			cur := writeFile(t, dir, "cur.json", countersCurrent(c.scan, c.cold))
+			summary := filepath.Join(dir, "summary.md")
+			var out strings.Builder
+			err := runDiff(base, cur, 0.25, summary, &out)
+			if (err != nil) != c.fail {
+				t.Fatalf("gate error = %v, want failure %v:\n%s", err, c.fail, out.String())
+			}
+			for _, want := range c.mentioned {
+				if !strings.Contains(out.String(), want) {
+					t.Errorf("diff output does not name %q:\n%s", want, out.String())
+				}
+			}
+			md, err := os.ReadFile(summary)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.fail && !strings.Contains(string(md), "counters: `") {
+				t.Errorf("summary does not name the changed counters:\n%s", md)
+			}
+		})
+	}
+}
+
 const benchOutput = `goos: linux
 goarch: amd64
 BenchmarkCountingDense/scan-8   	       1	  47003334 ns/op	 7242440 B/op	   20423 allocs/op

@@ -8,27 +8,44 @@
 //
 //   - membership: Lookup descends k nodes instead of building a 4k-byte key
 //     and hashing it, so Apriori subset checks allocate nothing;
-//   - counting: CountTx walks a transaction's items down the trie, so the
-//     scan counter only ever explores subsets that share a prefix with some
-//     candidate — subsets with no candidate prefix are pruned before they
-//     are enumerated, and no key bytes or map probes appear in the inner
-//     loop;
+//   - counting: CountRanks walks a row down the trie, so the scan counter
+//     only ever explores subsets that share a prefix with some candidate —
+//     subsets with no candidate prefix are pruned before they are
+//     enumerated, and no key bytes or map probes appear in the inner loop;
 //   - determinism: sibling lists are kept sorted by item ID, so Walk visits
 //     entries in lexicographic itemset order — the order the old code
 //     obtained by sorting the map's key strings on every use.
 //
 // Insert builds the trie with the classic first-child/next-sibling encoding
-// and int32 links into one node slab. Freeze then ranks the cell's R
-// distinct candidate items and lays out the trie for counting, in one of two
+// and int32 links into one node slab. It keeps a finger per depth — the
+// path of the last itemset inserted — and starts each level's sibling walk
+// there whenever the new itemset shares the path above it and its item does
+// not sort before the finger's. Candidate generation inserts in near-lexicographic order (Apriori
+// joins over lexicographic operands, child products walked parent by
+// parent, a cluster unit re-inserted in slab order), so most levels cost
+// one comparison instead of a walk from the head of a growing list.
+//
+// Freeze then ranks the cell's R distinct candidate items — ranks follow ID
+// order — and lays out the trie for counting in rank space, in one of two
 // layouts chosen by size:
 //
 //   - dense: every internal node owns a block of R int32 slots, one per
-//     rank, holding the child with that item (a block number, or an entry
+//     rank, holding the child with that rank (a block number, or an entry
 //     index at the last level) or -1, so the descent finds each child with
 //     one load;
-//   - CSR: every node's children form one contiguous span sorted by item,
-//     which the descent merges against the transaction or binary-searches.
-//     It serves the sparse tries whose blocks would not fit the dense cap.
+//   - CSR: every node's children form one contiguous span of ranks in
+//     ascending order, which the descent merges against the row or
+//     binary-searches. It serves the sparse tries whose blocks would not fit
+//     the dense cap.
+//
+// Counting works on rows in rank space. FilterRanks maps a row's candidate
+// items to their ranks once, dropping every item no candidate holds; the
+// result is ascending because the row is. One descent (CountRanks) then
+// reads ranks on both layouts: a dense block is indexed by rank with no
+// further lookup, a CSR span is merged rank against rank. The last two
+// levels of a dense descent, which are the whole of a k = 2 cell, run as a
+// two-loop pair kernel with no recursion. Lookup on a frozen dense store
+// reads the blocks too, one rank and one slot per item.
 //
 // A cell frees its store by dropping the single *Store pointer: slabs are
 // released wholesale, with no per-entry cleanup.
@@ -39,8 +56,8 @@ import (
 )
 
 // node is one trie node. Links are indexes into Store.nodes; -1 is nil.
-// Siblings are sorted ascending by item, which Lookup exploits to stop
-// early, Freeze to fill CSR spans in order and Walk to iterate
+// Siblings are sorted ascending by item, which Insert and Lookup exploit to
+// stop early, Freeze to fill CSR spans in order and Walk to iterate
 // lexicographically.
 type node struct {
 	item  itemset.ID
@@ -67,11 +84,17 @@ type Store struct {
 	// twice or regrowing slabs.
 	kids []int32
 
+	// finger[d] is the depth-(d+1) node on the path of the last inserted
+	// itemset, or -1 in a fresh or Reset store. Once set, the entries form
+	// one root-to-leaf path, so finger[d] is a child of the node Insert
+	// reached at depth d exactly when that node is finger[d-1].
+	finger []int32
+
 	// rank[id-minID] is id's rank among the distinct candidate items in
 	// ascending ID order, or -1 where no candidate holds id; width is the
 	// number of ranks, R. The ID bounds are maintained incrementally by
-	// Insert, the table is filled by Freeze. Filter consults it to drop
-	// transaction items no candidate contains, and the dense descent to find
+	// Insert, the table is filled by Freeze. FilterRanks maps rows through
+	// it, Filter uses it to drop items, and a frozen dense Lookup to find
 	// each item's slot.
 	rank         []int32
 	width        int
@@ -90,25 +113,30 @@ type Store struct {
 	blocks []int32
 
 	// The CSR layout: node n's children live at
-	// csrItems/csrChild/csrEntry[csrStart[n]:csrStart[n+1]], sorted
-	// ascending by item. Span sizes accumulate at Insert time (kids), so
+	// csrRanks/csrChild/csrEntry[csrStart[n]:csrStart[n+1]], sorted
+	// ascending by rank. Span sizes accumulate at Insert time (kids), so
 	// building it is one exact-size fill pass. The descent merges each span
-	// against the transaction (binary search when the span is much longer),
-	// and csrEntry keeps terminal hits from ever touching the node slab.
+	// against the row (binary search when the span is much longer), and
+	// csrEntry keeps terminal hits from ever touching the node slab.
 	csrStart []int32
-	csrItems []itemset.ID
+	csrRanks []int32
 	csrChild []int32
 	csrEntry []int32
 }
 
-// New returns an empty store for k-itemsets.
+// New returns an empty store for k-itemsets, k ≥ 1.
 func New(k int) *Store {
-	return &Store{
-		k:     k,
-		nodes: []node{{child: -1, next: -1, entry: -1}},
-		kids:  []int32{0},
-		minID: 1, // inverted sentinel range until the first insert
+	s := &Store{
+		k:      k,
+		nodes:  []node{{child: -1, next: -1, entry: -1}},
+		kids:   []int32{0},
+		finger: make([]int32, k),
+		minID:  1, // inverted sentinel range until the first insert
 	}
+	for d := range s.finger {
+		s.finger[d] = -1
+	}
+	return s
 }
 
 // Reset empties the store for reuse with the same k, retaining every slab's
@@ -122,12 +150,15 @@ func (s *Store) Reset() {
 	s.nodes[0] = node{child: -1, next: -1, entry: -1}
 	s.kids = s.kids[:1]
 	s.kids[0] = 0
+	for d := range s.finger {
+		s.finger[d] = -1 // the old path's nodes are gone
+	}
 	s.ids = s.ids[:0]
 	s.Sup = s.Sup[:0]
 	s.minID, s.maxID = 1, 0
 	s.frozen = false
 	s.rank, s.width, s.blocks = s.rank[:0], 0, s.blocks[:0]
-	s.csrStart, s.csrItems, s.csrChild, s.csrEntry = s.csrStart[:0], s.csrItems[:0], s.csrChild[:0], s.csrEntry[:0]
+	s.csrStart, s.csrRanks, s.csrChild, s.csrEntry = s.csrStart[:0], s.csrRanks[:0], s.csrChild[:0], s.csrEntry[:0]
 }
 
 // Len returns the number of entries (registered candidates).
@@ -147,16 +178,24 @@ func (s *Store) Items(e int32) itemset.Set {
 
 // Insert registers a k-itemset and returns its entry index. If the itemset
 // is already present, its existing index is returned with added=false.
-// Insert must not be called concurrently with any other method.
+// Each level's sibling walk starts at the finger when the itemset shares the
+// last inserted one's path above that level and its item does not sort
+// before the finger's, and at the head of the list otherwise; either way
+// the walk ends at the same place, so the trie does not depend on insertion
+// order. Insert must not be called concurrently with any other method.
 func (s *Store) Insert(items itemset.Set) (int32, bool) {
 	if len(items) != s.k {
 		panic("candtrie: itemset size does not match store k")
 	}
 	s.frozen = false
 	n := int32(0)
-	for _, id := range items {
-		prev := int32(-1)
+	onPath := true // n is on the finger path, so finger[d] is one of n's children
+	for d, id := range items {
 		c := s.nodes[n].child
+		if f := s.finger[d]; onPath && f >= 0 && s.nodes[f].item <= id {
+			c = f
+		}
+		prev := int32(-1)
 		for c != -1 && s.nodes[c].item < id {
 			prev, c = c, s.nodes[c].next
 		}
@@ -179,6 +218,8 @@ func (s *Store) Insert(items itemset.Set) (int32, bool) {
 			}
 			c = nn
 		}
+		onPath = c == s.finger[d]
+		s.finger[d] = c
 		n = c
 	}
 	if e := s.nodes[n].entry; e >= 0 {
@@ -191,10 +232,25 @@ func (s *Store) Insert(items itemset.Set) (int32, bool) {
 	return e, true
 }
 
-// Lookup returns the entry index of items, or -1 when absent.
+// Lookup returns the entry index of items, or -1 when absent. On a frozen
+// dense store it reads the blocks, one rank and one slot per item; otherwise
+// it walks the sorted sibling lists.
 func (s *Store) Lookup(items itemset.Set) int32 {
 	if len(items) != s.k {
 		return -1
+	}
+	if s.frozen && s.dense {
+		v := int32(0) // a block number, and after the last item an entry index
+		for _, id := range items {
+			r := s.rankOf(id)
+			if r < 0 {
+				return -1
+			}
+			if v = s.blocks[int(v)*s.width+int(r)]; v < 0 {
+				return -1
+			}
+		}
+		return v
 	}
 	n := int32(0)
 	for _, id := range items {
@@ -242,8 +298,8 @@ func grown(buf []int32, n int) []int32 {
 // and the ID bounds are known — so Freeze is a few fill passes into slabs
 // reused across Freeze/Reset cycles, not a stop-the-world rebuild with
 // regrowing appends. It must be called after the last Insert and before
-// Filter/CountTx are used (possibly from multiple goroutines); all read-side
-// methods are then safe for concurrent use.
+// FilterRanks/CountRanks are used (possibly from multiple goroutines); all
+// read-side methods are then safe for concurrent use.
 func (s *Store) Freeze() {
 	if !s.frozen {
 		s.freeze(denseCap)
@@ -276,7 +332,7 @@ func (s *Store) freeze(limit int) {
 	s.frozen = true
 	s.dense = span+internal*s.width <= limit
 	if s.dense {
-		s.csrStart, s.csrItems, s.csrChild, s.csrEntry = s.csrStart[:0], s.csrItems[:0], s.csrChild[:0], s.csrEntry[:0]
+		s.csrStart, s.csrRanks, s.csrChild, s.csrEntry = s.csrStart[:0], s.csrRanks[:0], s.csrChild[:0], s.csrEntry[:0]
 		s.blocks = grown(s.blocks, internal*s.width)
 		for i := range s.blocks {
 			s.blocks[i] = -1
@@ -289,7 +345,7 @@ func (s *Store) freeze(limit int) {
 	// len(nodes)-1 slots in total.
 	total := len(s.nodes) - 1
 	s.csrStart = grown(s.csrStart, len(s.nodes)+1)
-	s.csrItems = grown(s.csrItems, total)
+	s.csrRanks = grown(s.csrRanks, total)
 	s.csrChild = grown(s.csrChild, total)
 	s.csrEntry = grown(s.csrEntry, total)
 	sum := int32(0)
@@ -301,7 +357,7 @@ func (s *Store) freeze(limit int) {
 	for n := range s.nodes {
 		pos := s.csrStart[n]
 		for c := s.nodes[n].child; c != -1; c = s.nodes[c].next {
-			s.csrItems[pos] = s.nodes[c].item
+			s.csrRanks[pos] = s.rank[s.nodes[c].item-s.minID]
 			s.csrChild[pos] = c
 			s.csrEntry[pos] = s.nodes[c].entry
 			pos++
@@ -335,9 +391,22 @@ func (s *Store) rankOf(id itemset.ID) int32 {
 	return s.rank[off]
 }
 
+// FilterRanks appends the ranks of tx's items that occur in at least one
+// candidate to buf and returns it: the row in rank space, the form
+// CountRanks reads. Ranks follow ID order, so the result is ascending when
+// tx is canonical. Freeze must have run.
+func (s *Store) FilterRanks(tx itemset.Set, buf []int32) []int32 {
+	for _, id := range tx {
+		if r := s.rankOf(id); r >= 0 {
+			buf = append(buf, r)
+		}
+	}
+	return buf
+}
+
 // Filter appends the items of tx that occur in at least one candidate to buf
-// and returns it. Narrowing transactions to candidate-relevant items before
-// CountTx shortens the descent's loops. Freeze must have run.
+// and returns it: FilterRanks with the items kept as IDs. Freeze must have
+// run.
 func (s *Store) Filter(tx itemset.Set, buf itemset.Set) itemset.Set {
 	for _, id := range tx {
 		if s.rankOf(id) >= 0 {
@@ -347,87 +416,103 @@ func (s *Store) Filter(tx itemset.Set, buf itemset.Set) itemset.Set {
 	return buf
 }
 
-// CountTx adds w to counts[e] for every candidate e that is a subset of tx,
-// by descending the trie along tx's items: each item either continues a
-// candidate prefix one level down or is skipped, so the descent enumerates
-// only the subsets of tx that are prefixes of some candidate. It returns the
-// number of candidates matched (paths that reached depth k); the caller can
-// subtract that from C(len(tx), k) to measure how many of the k-subsets a
-// flat subset enumeration would have probed the descent never visited.
-//
-// counts must have length Len(). tx must be canonical (sorted ascending) and
-// may be of any width and hold any IDs; pass the result of Filter for best
-// performance. Safe for concurrent use after Freeze (counts are
-// caller-owned).
+// CountTx is CountRanks over the row tx in ID space: it maps tx through
+// FilterRanks, into a stack buffer when the filtered row fits one, and
+// counts the result. tx must be canonical (sorted ascending) and may be of
+// any width and hold any IDs. Safe for concurrent use after Freeze (counts
+// are caller-owned).
 func (s *Store) CountTx(tx itemset.Set, w int64, counts []int64) int64 {
-	if len(tx) < s.k {
-		return 0
-	}
-	if s.dense {
-		return s.countDense(0, s.k, tx, w, counts)
-	}
-	return s.countRec(0, 0, tx, w, counts)
+	var buf [64]int32
+	return s.CountRanks(s.FilterRanks(tx, buf[:0]), w, counts)
 }
 
-// countDense is the descent over the dense layout from block b, with need
-// items still required to complete a candidate: each item of tx costs one
-// rank lookup and one load of its slot in the block.
-func (s *Store) countDense(b int32, need int, tx itemset.Set, w int64, counts []int64) int64 {
+// CountRanks adds w to counts[e] for every candidate e that is a subset of
+// the row, by descending the trie along the row's ranks: each rank either
+// continues a candidate prefix one level down or is skipped, so the descent
+// enumerates only the subsets of the row that are prefixes of some
+// candidate. It returns the number of candidates matched (paths that
+// reached depth k); the caller can subtract that from C(len(ranks), k) to
+// measure how many of the k-subsets a flat subset enumeration would have
+// probed the descent never visited.
+//
+// ranks must be a result of FilterRanks on this store since its last
+// Freeze, over a canonical row; counts must have length Len(). Safe for
+// concurrent use after Freeze (counts are caller-owned).
+func (s *Store) CountRanks(ranks []int32, w int64, counts []int64) int64 {
+	if len(ranks) < s.k {
+		return 0
+	}
+	return s.descend(0, s.k, ranks, w, counts)
+}
+
+// descend counts the candidates below one node — a block number on the
+// dense layout, a node index on CSR — that need more ranks of the row, in
+// ascending order, to complete. len(ranks) ≥ need.
+func (s *Store) descend(n int32, need int, ranks []int32, w int64, counts []int64) int64 {
 	var hits int64
-	blk := s.blocks[int(b)*s.width:][:s.width]
-	if need == 1 {
-		for _, t := range tx {
-			if r := s.rankOf(t); r >= 0 {
+	if s.dense {
+		blk := s.blocks[int(n)*s.width:][:s.width]
+		switch need {
+		case 1:
+			for _, r := range ranks {
 				if e := blk[r]; e >= 0 {
 					counts[e] += w
 					hits++
 				}
 			}
+		case 2:
+			// The pair kernel: every rank that opens a block is paired with
+			// every later rank in two plain loops, with no recursion.
+			for i, r := range ranks[:len(ranks)-1] {
+				c := blk[r]
+				if c < 0 {
+					continue
+				}
+				leaf := s.blocks[int(c)*s.width:][:s.width]
+				for _, r2 := range ranks[i+1:] {
+					if e := leaf[r2]; e >= 0 {
+						counts[e] += w
+						hits++
+					}
+				}
+			}
+		default:
+			for i := 0; len(ranks)-i >= need; i++ {
+				if c := blk[ranks[i]]; c >= 0 {
+					hits += s.descend(c, need-1, ranks[i+1:], w, counts)
+				}
+			}
 		}
 		return hits
 	}
-	for ti := 0; len(tx)-ti >= need; ti++ {
-		if r := s.rankOf(tx[ti]); r >= 0 {
-			if c := blk[r]; c >= 0 {
-				hits += s.countDense(c, need-1, tx[ti+1:], w, counts)
-			}
-		}
-	}
-	return hits
-}
-
-// countRec is the descent over the CSR layout from node n at depth depth.
-func (s *Store) countRec(n int32, depth int, tx itemset.Set, w int64, counts []int64) int64 {
-	var hits int64
-	need := s.k - depth // items still required to complete a candidate
 	lo, hi := s.csrStart[n], s.csrStart[n+1]
-	items := s.csrItems[lo:hi]
-	if len(items) > 16*len(tx) {
-		// Child span much wider than the transaction: binary-search each
-		// item instead of merging past mostly-absent children. The
-		// threshold is deliberately high — binary search's data-dependent
-		// branches mispredict ~every level, while the merge's skip branch
-		// is predictable, so merging wins until the span dwarfs the
-		// transaction (measured on BenchmarkCountingDense).
-		for ti := 0; len(tx)-ti >= need; ti++ {
-			t := tx[ti]
-			a, b := 0, len(items)
+	span := s.csrRanks[lo:hi]
+	if len(span) > 16*len(ranks) {
+		// Child span much wider than the row: binary-search each rank
+		// instead of merging past mostly-absent children. The threshold is
+		// deliberately high — binary search's data-dependent branches
+		// mispredict ~every level, while the merge's skip branch is
+		// predictable, so merging wins until the span dwarfs the row
+		// (measured on BenchmarkCountingDense).
+		for i := 0; len(ranks)-i >= need; i++ {
+			r := ranks[i]
+			a, b := 0, len(span)
 			for a < b {
 				mid := (a + b) >> 1
-				if items[mid] < t {
+				if span[mid] < r {
 					a = mid + 1
 				} else {
 					b = mid
 				}
 			}
-			if a == len(items) || items[a] != t {
+			if a == len(span) || span[a] != r {
 				continue
 			}
 			if e := s.csrEntry[lo+int32(a)]; e >= 0 {
 				counts[e] += w
 				hits++
 			} else {
-				hits += s.countRec(s.csrChild[lo+int32(a)], depth+1, tx[ti+1:], w, counts)
+				hits += s.descend(s.csrChild[lo+int32(a)], need-1, ranks[i+1:], w, counts)
 			}
 		}
 		return hits
@@ -437,14 +522,14 @@ func (s *Store) countRec(n int32, depth int, tx itemset.Set, w int64, counts []i
 		// Terminal level: every match is a candidate hit; a skip-heavy
 		// two-pointer merge with no recursion or entry test in the loop.
 		ci := 0
-		for _, t := range tx {
-			for ci < len(items) && items[ci] < t {
+		for _, r := range ranks {
+			for ci < len(span) && span[ci] < r {
 				ci++
 			}
-			if ci == len(items) {
+			if ci == len(span) {
 				break
 			}
-			if items[ci] == t {
+			if span[ci] == r {
 				counts[entries[ci]] += w
 				hits++
 				ci++
@@ -452,25 +537,20 @@ func (s *Store) countRec(n int32, depth int, tx itemset.Set, w int64, counts []i
 		}
 		return hits
 	}
-	ci, ti := 0, 0
-	for ci < len(items) && len(tx)-ti >= need {
-		t := tx[ti]
-		for items[ci] < t {
+	ci, i := 0, 0
+	for ci < len(span) && len(ranks)-i >= need {
+		r := ranks[i]
+		for span[ci] < r {
 			ci++
-			if ci == len(items) {
+			if ci == len(span) {
 				return hits
 			}
 		}
-		if items[ci] == t {
-			if e := entries[ci]; e >= 0 {
-				counts[e] += w
-				hits++
-			} else {
-				hits += s.countRec(s.csrChild[lo+int32(ci)], depth+1, tx[ti+1:], w, counts)
-			}
+		if span[ci] == r {
+			hits += s.descend(s.csrChild[lo+int32(ci)], need-1, ranks[i+1:], w, counts)
 			ci++
 		}
-		ti++
+		i++
 	}
 	return hits
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/flipper-mining/flipper/internal/itemset"
@@ -114,16 +115,19 @@ var layouts = []struct {
 	limit int
 }{{"dense", math.MaxInt}, {"csr", -1}}
 
-// checkAgainstBruteForce counts txs through the frozen store s, filtered
-// first as the scan counter does and unfiltered, and checks every support
+// checkAgainstBruteForce counts txs through the frozen store s three ways —
+// the rank entry point (FilterRanks, then CountRanks), CountTx over the row
+// filtered first and CountTx over the raw row — and checks every support
 // and every transaction's hits against the obvious reference: a subset test
 // per candidate.
 func checkAgainstBruteForce(t *testing.T, label string, s *Store, txs []itemset.Set, weights []int64) {
 	t.Helper()
+	byRank := make([]int64, s.Len())
 	counts := make([]int64, s.Len())
 	raw := make([]int64, s.Len())
 	want := make([]int64, s.Len())
 	var buf itemset.Set
+	var ranks []int32
 	for i, tx := range txs {
 		var wantHits int64
 		for e := range want {
@@ -131,6 +135,10 @@ func checkAgainstBruteForce(t *testing.T, label string, s *Store, txs []itemset.
 				want[e] += weights[i]
 				wantHits++
 			}
+		}
+		ranks = s.FilterRanks(tx, ranks[:0])
+		if h := s.CountRanks(ranks, weights[i], byRank); h != wantHits {
+			t.Fatalf("%s: tx %d mapped to %d ranks hit %d, want %d", label, i, len(ranks), h, wantHits)
 		}
 		buf = s.Filter(tx, buf[:0])
 		if h := s.CountTx(buf, weights[i], counts); h != wantHits {
@@ -141,9 +149,9 @@ func checkAgainstBruteForce(t *testing.T, label string, s *Store, txs []itemset.
 		}
 	}
 	for e := range want {
-		if counts[e] != want[e] || raw[e] != want[e] {
-			t.Fatalf("%s: count of %v = %d filtered, %d unfiltered, brute force %d",
-				label, s.Items(int32(e)), counts[e], raw[e], want[e])
+		if byRank[e] != want[e] || counts[e] != want[e] || raw[e] != want[e] {
+			t.Fatalf("%s: count of %v = %d by rank, %d filtered, %d unfiltered, brute force %d",
+				label, s.Items(int32(e)), byRank[e], counts[e], raw[e], want[e])
 		}
 	}
 }
@@ -159,17 +167,26 @@ func checkOneLayout(t *testing.T, label string, s *Store) {
 
 // TestCountTxAgainstBruteForce drives random stores and random transactions
 // through both layouts, re-freezing one store in each in alternating order,
-// against the brute-force reference.
+// against the brute-force reference. Candidates draw their items from
+// [base, base+universe) and rows from [0, base+universe+3), so rows reach
+// past the store's ID range on both sides; every eighth trial is wide, its
+// rows holding more candidate items than CountTx's stack buffer.
 func TestCountTxAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	widest := 0
 	for trial := 0; trial < 200; trial++ {
 		k := 2 + rng.Intn(3)
-		universe := 6 + rng.Intn(10)
+		universe, sets := 6+rng.Intn(10), 3+rng.Intn(25)
+		wide := trial%8 == 0
+		if wide {
+			universe, sets = 72+rng.Intn(24), 150+rng.Intn(50)
+		}
+		base := rng.Intn(3)
 		s := New(k)
-		for i := 0; i < 3+rng.Intn(25); i++ {
+		for i := 0; i < sets; i++ {
 			ids := make([]itemset.ID, 0, k)
 			for len(ids) < k {
-				id := itemset.ID(rng.Intn(universe))
+				id := itemset.ID(base + rng.Intn(universe))
 				dup := false
 				for _, x := range ids {
 					if x == id {
@@ -186,8 +203,16 @@ func TestCountTxAgainstBruteForce(t *testing.T) {
 		var weights []int64
 		for txi := 0; txi < 30; txi++ {
 			var ids []itemset.ID
-			for j := 0; j < rng.Intn(universe+2); j++ {
-				ids = append(ids, itemset.ID(rng.Intn(universe)))
+			if wide {
+				for id := 0; id < base+universe+3; id++ {
+					if rng.Intn(10) != 0 {
+						ids = append(ids, itemset.ID(id))
+					}
+				}
+			} else {
+				for j := 0; j < rng.Intn(universe+2); j++ {
+					ids = append(ids, itemset.ID(rng.Intn(base+universe+3)))
+				}
 			}
 			txs = append(txs, itemset.New(ids...))
 			weights = append(weights, int64(1+rng.Intn(4)))
@@ -198,7 +223,13 @@ func TestCountTxAgainstBruteForce(t *testing.T) {
 			s.freeze(l.limit)
 			checkOneLayout(t, label, s)
 			checkAgainstBruteForce(t, label, s, txs, weights)
+			for _, tx := range txs {
+				widest = max(widest, len(s.FilterRanks(tx, nil)))
+			}
 		}
+	}
+	if widest <= 64 {
+		t.Fatalf("the widest row maps to %d ranks, want more than 64", widest)
 	}
 }
 
@@ -309,7 +340,7 @@ func TestWideAndOutOfRangeRows(t *testing.T) {
 		}
 		for _, l := range layouts {
 			s.freeze(l.limit)
-			if got := s.Filter(every, nil); len(got) <= 64 {
+			if got := s.FilterRanks(every, nil); len(got) <= 64 {
 				t.Fatalf("k=%d: the widest row filters to %d items, want more than 64", k, len(got))
 			}
 			checkAgainstBruteForce(t, fmt.Sprintf("k=%d %s", k, l.name), s, txs, weights)
@@ -334,18 +365,56 @@ func TestEmptyStore(t *testing.T) {
 	if got := s.Filter(itemset.Set{0}, nil); len(got) != 0 {
 		t.Fatalf("Filter({0}) on empty = %v", got)
 	}
+	if got := s.FilterRanks(itemset.Set{0, 1, 2}, nil); len(got) != 0 {
+		t.Fatalf("FilterRanks on empty = %v", got)
+	}
 	if h := s.CountTx(itemset.New(1, 2, 3), 1, nil); h != 0 {
 		t.Fatalf("CountTx on empty = %d", h)
 	}
 	s.Walk(func(int32, itemset.Set) { t.Fatal("Walk visited an entry") })
 }
 
+// checkContents fails unless s holds exactly the itemsets of sets: Walk
+// visits each once, in lexicographic order, and Lookup finds each at the
+// index Insert returned for it (want).
+func checkContents(t *testing.T, label string, s *Store, sets []itemset.Set, want map[string]int32) {
+	t.Helper()
+	sorted := make([]itemset.Set, 0, len(want))
+	seen := make(map[string]bool)
+	for _, set := range sets {
+		if !seen[set.Key()] {
+			seen[set.Key()] = true
+			sorted = append(sorted, set)
+		}
+	}
+	slices.SortFunc(sorted, itemset.Compare)
+	i := 0
+	s.Walk(func(e int32, items itemset.Set) {
+		if i >= len(sorted) || !items.Equal(sorted[i]) || e != want[items.Key()] {
+			t.Fatalf("%s: Walk step %d visited %v (entry %d), want %d itemsets in order %v", label, i, items, e, len(sorted), sorted)
+		}
+		i++
+	})
+	if i != len(sorted) || s.Len() != len(sorted) {
+		t.Fatalf("%s: Walk visited %d entries, Len = %d, want %d", label, i, s.Len(), len(sorted))
+	}
+	for _, set := range sorted {
+		if e := s.Lookup(set); e != want[set.Key()] {
+			t.Fatalf("%s: Lookup(%v) = %d, want %d", label, set, e, want[set.Key()])
+		}
+	}
+}
+
 // TestResetReuse cycles one store through Reset/Insert/Freeze with different
 // candidate sets and layouts — dense, CSR, empty, dense, … — and checks each
-// generation counts exactly like a fresh store frozen the same way, keeps
-// none of the other layout's slots, and, replayed once every slab has
-// grown, allocates nothing: the properties the engine's store pool depends
-// on.
+// generation holds exactly its itemsets, as does a fresh store given the
+// same inserts, counts like the brute-force reference and like the fresh
+// store, keeps none of the other layout's slots, and, replayed once every
+// slab has grown, allocates nothing: the properties the engine's store pool
+// depends on. The first insert of every generation after the first meets
+// the insertion finger the previous generation left, which Reset must
+// clear, and every fresh store's first insert meets a finger that was never
+// set.
 func TestResetReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	reused := New(2)
@@ -365,6 +434,7 @@ func TestResetReuse(t *testing.T) {
 			g.limit = -1 // CSR
 		}
 		universe := 4 + rng.Intn(12)
+		idx := make(map[string]int32)
 		for i := 0; gen%4 != 2 && i < 1+rng.Intn(20); i++ { // every fourth store stays empty
 			a := itemset.ID(rng.Intn(universe))
 			b := itemset.ID(rng.Intn(universe))
@@ -378,10 +448,17 @@ func TestResetReuse(t *testing.T) {
 			if re != fe || ra != fa {
 				t.Fatalf("gen %d: Insert(%v) = (%d,%v) reused vs (%d,%v) fresh", gen, set, re, ra, fe, fa)
 			}
+			if _, dup := idx[set.Key()]; dup == ra {
+				t.Fatalf("gen %d: Insert(%v) reported added = %v on a store that held it: %v", gen, set, ra, dup)
+			}
+			idx[set.Key()] = re
 		}
 		gens = append(gens, g)
+		checkContents(t, fmt.Sprintf("gen %d reused", gen), reused, g.sets, idx)
+		checkContents(t, fmt.Sprintf("gen %d fresh", gen), fresh, g.sets, idx)
 		reused.freeze(g.limit)
 		fresh.freeze(g.limit)
+		checkContents(t, fmt.Sprintf("gen %d reused, frozen", gen), reused, g.sets, idx)
 		if reused.Len() != fresh.Len() || reused.NodeCount() != fresh.NodeCount() {
 			t.Fatalf("gen %d: Len/NodeCount diverged", gen)
 		}
@@ -395,12 +472,14 @@ func TestResetReuse(t *testing.T) {
 		rc := make([]int64, reused.Len())
 		fc := make([]int64, fresh.Len())
 		var rbuf, fbuf itemset.Set
+		var txs []itemset.Set
 		for txi := 0; txi < 20; txi++ {
 			var ids []itemset.ID
 			for j := 0; j < rng.Intn(universe+2); j++ {
 				ids = append(ids, itemset.ID(rng.Intn(universe)))
 			}
 			tx := itemset.New(ids...)
+			txs = append(txs, tx)
 			rbuf = reused.Filter(tx, rbuf[:0])
 			fbuf = fresh.Filter(tx, fbuf[:0])
 			if !rbuf.Equal(fbuf) {
@@ -416,6 +495,11 @@ func TestResetReuse(t *testing.T) {
 					gen, reused.Items(int32(i)), rc[i], fc[i])
 			}
 		}
+		weights := make([]int64, len(txs))
+		for i := range weights {
+			weights[i] = int64(1 + i%3)
+		}
+		checkAgainstBruteForce(t, fmt.Sprintf("gen %d reused", gen), reused, txs, weights)
 	}
 	replay := func() {
 		for _, g := range gens {
@@ -428,5 +512,129 @@ func TestResetReuse(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(3, replay); allocs != 0 {
 		t.Fatalf("replaying the generations on grown slabs allocated %.0f times", allocs)
+	}
+}
+
+// randomSets returns n distinct random k-itemsets over the items
+// [base, base+universe), in lexicographic order.
+func randomSets(rng *rand.Rand, n, k, base, universe int) []itemset.Set {
+	seen := make(map[string]bool)
+	var sets []itemset.Set
+	for len(sets) < n {
+		ids := make([]itemset.ID, k)
+		for j := range ids {
+			ids[j] = itemset.ID(base + rng.Intn(universe))
+		}
+		if set := itemset.New(ids...); len(set) == k && !seen[set.Key()] {
+			seen[set.Key()] = true
+			sets = append(sets, set)
+		}
+	}
+	slices.SortFunc(sets, itemset.Compare)
+	return sets
+}
+
+// TestInsertOrder inserts one candidate set in ascending, descending and
+// shuffled order: the insertion finger may shorten the sibling walks but
+// must not change the trie, so every order walks the same itemsets in
+// lexicographic order (checkContents) and hits the brute-force reference's
+// candidates on every row, in both layouts. Re-inserting every itemset
+// afterwards, in another order, finds each at the index its first insert
+// returned.
+func TestInsertOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for k := 2; k <= 4; k++ {
+		sets := randomSets(rng, 300, k, 10, 40)
+		descending := slices.Clone(sets)
+		slices.Reverse(descending)
+		shuffled := slices.Clone(sets)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		var txs []itemset.Set
+		var weights []int64
+		for i := 0; i < 40; i++ {
+			var ids []itemset.ID
+			for j := 0; j < 5+rng.Intn(25); j++ {
+				ids = append(ids, itemset.ID(rng.Intn(60)))
+			}
+			txs = append(txs, itemset.New(ids...))
+			weights = append(weights, 1)
+		}
+		for _, o := range []struct {
+			name string
+			sets []itemset.Set
+		}{{"ascending", sets}, {"descending", descending}, {"shuffled", shuffled}} {
+			s := New(k)
+			idx := make(map[string]int32)
+			for _, set := range o.sets {
+				e, added := s.Insert(set)
+				if !added {
+					t.Fatalf("k=%d %s: Insert(%v) reported a duplicate", k, o.name, set)
+				}
+				idx[set.Key()] = e
+			}
+			for _, set := range shuffled {
+				if e, added := s.Insert(set); added || e != idx[set.Key()] {
+					t.Fatalf("k=%d %s: re-Insert(%v) = (%d, %v), want (%d, false)", k, o.name, set, e, added, idx[set.Key()])
+				}
+			}
+			for _, l := range layouts {
+				label := fmt.Sprintf("k=%d %s %s", k, o.name, l.name)
+				checkContents(t, label, s, sets, idx)
+				s.freeze(l.limit)
+				checkAgainstBruteForce(t, label, s, txs, weights)
+			}
+		}
+	}
+}
+
+// TestLookupLayouts asks one store for present, absent, out-of-range and
+// malformed itemsets unfrozen, frozen dense and frozen CSR, and again
+// after an Insert unfreezes it: every answer must be the same.
+func TestLookupLayouts(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for k := 2; k <= 3; k++ {
+		sets := randomSets(rng, 120, k, 20, 30) // items in [20, 49]
+		s := New(k)
+		for _, set := range sets {
+			s.Insert(set)
+		}
+		queries := slices.Clone(sets)
+		queries = append(queries, randomSets(rng, 200, k, 15, 40)...) // mostly absent, some out of range
+		queries = append(queries,
+			itemset.Set{0, 1, 2}[:k],       // below minID
+			itemset.Set{60, 61, 62}[:k],    // above maxID
+			itemset.Set{-5, 20, 21}[:k],    // negative
+			append(sets[0][:k-1:k-1], 200), // a present prefix, an out-of-range last item
+			slices.Clone(sets[1][:k-1]),    // too short
+			append(slices.Clone(sets[2]), 49),
+		)
+		rev := slices.Clone(sets[3])
+		slices.Reverse(rev)
+		queries = append(queries, rev) // not canonical
+		want := make([]int32, len(queries))
+		for i, q := range queries {
+			want[i] = s.Lookup(q)
+		}
+		for i, set := range sets {
+			if want[i] != int32(i) {
+				t.Fatalf("k=%d: unfrozen Lookup(%v) = %d, want %d", k, set, want[i], i)
+			}
+		}
+		check := func(state string) {
+			t.Helper()
+			for i, q := range queries {
+				if got := s.Lookup(q); got != want[i] {
+					t.Fatalf("k=%d %s: Lookup(%v) = %d, unfrozen %d", k, state, q, got, want[i])
+				}
+			}
+		}
+		for _, l := range layouts {
+			s.freeze(l.limit)
+			check("frozen " + l.name)
+		}
+		if _, added := s.Insert(sets[0]); added {
+			t.Fatalf("k=%d: re-Insert added a duplicate", k)
+		}
+		check("re-inserted")
 	}
 }

@@ -1,6 +1,7 @@
 package candtrie
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/flipper-mining/flipper/internal/itemset"
@@ -49,19 +50,37 @@ func decodeCands(pick []byte, k int) []itemset.Set {
 	return cands
 }
 
+// widen spreads a row over the 16-item universe to a wide one: item i
+// becomes the five items 16+16c+i, c = 0..4, so a row can hold up to 80
+// candidate items of a store over [16, 96) — more than CountTx's stack
+// buffer — and the original items below that range and the item 200 above
+// it ride along.
+func widen(tx itemset.Set) itemset.Set {
+	wide := slices.Clone(tx)
+	for c := 0; c < 5; c++ {
+		for _, id := range tx {
+			wide = append(wide, itemset.ID(16+16*c)+id)
+		}
+	}
+	return itemset.New(append(wide, 200)...)
+}
+
 // FuzzSupportEquivalence is the trie-store half of the counting-equivalence
 // property: for every database the fuzzer can encode, trie-descent counting
 // must report exactly the supports of the retained brute-force
 // map[string]int64 reference — the representation the store replaced —
-// under both counting layouts. Each input is checked against two candidate
-// sets per k: the full k-itemset universe over the 16 items (k = 2, 3), and
+// under both counting layouts. Each input is checked against three kinds of
+// candidate set: the full k-itemset universe over the 16 items (k = 2, 3);
 // a sparse set decoded from pick (k = 2..4), whose tries leave most of every
-// dense block empty and most transaction items outside the rank table.
+// dense block empty and most row items outside the rank table; and the full
+// pair universe over the 80 items of the first rows, widened (widen).
 func FuzzSupportEquivalence(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 0, 1, 2, 0, 0x21, 0x32}, []byte{1, 2, 2, 3, 1, 3, 4})
 	f.Add([]byte{}, []byte{})
 	f.Add([]byte{0, 0, 0}, []byte{5, 9})
 	f.Add([]byte{0xff, 0xf1, 1, 0, 1}, []byte{0x0f, 1, 0x1f, 0x2e, 3, 7, 9, 11})
+	// Every item in one row, which widens to 80 candidate items.
+	f.Add([]byte{0x10, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 0, 3, 5}, []byte{1, 2, 3, 4, 5, 6})
 	f.Fuzz(func(t *testing.T, data, pick []byte) {
 		if len(data) > 1024 || len(pick) > 256 {
 			return // keep each execution fast
@@ -73,14 +92,26 @@ func FuzzSupportEquivalence(f *testing.F) {
 		for k := 2; k <= 4; k++ {
 			checkK(t, txs, weights, k, decodeCands(pick, k), false)
 		}
+		wide := make([]itemset.Set, min(len(txs), 8))
+		for i := range wide {
+			wide[i] = widen(txs[i])
+		}
+		var widePairs []itemset.Set
+		for _, p := range allSets(2, 96) {
+			if p[0] >= 16 {
+				widePairs = append(widePairs, p)
+			}
+		}
+		checkK(t, wide, weights, 2, widePairs, true)
 	})
 }
 
 // checkK registers cands in a k-store and checks, under each layout, that
-// descent counting over txs — filtered first, as the scan counter does, and
-// unfiltered — matches the map reference. With complete set, cands is the
-// whole k-itemset universe, so every k-subset the reference counted must
-// also be a store entry.
+// descent counting over txs — through the rank entry point, as the scan
+// counter does, and through CountTx over the row filtered and unfiltered —
+// matches the map reference. With complete set, cands is the whole
+// k-itemset universe over the rows' candidate items, so every k-subset of
+// those the reference counted must also be a store entry.
 func checkK(t *testing.T, txs []itemset.Set, weights []int64, k int, cands []itemset.Set, complete bool) {
 	t.Helper()
 	s := New(k)
@@ -99,38 +130,46 @@ func checkK(t *testing.T, txs []itemset.Set, weights []int64, k int, cands []ite
 
 	for _, l := range layouts {
 		s.freeze(l.limit)
-		// Trie side: filter + descent, exactly the scan counter's hot loop,
-		// and the descent over the raw transaction.
+		// Trie side: rows mapped to ranks and descended, exactly the scan
+		// counter's hot loop, and CountTx over the filtered and raw rows.
+		byRank := make([]int64, s.Len())
 		counts := make([]int64, s.Len())
 		raw := make([]int64, s.Len())
 		var buf itemset.Set
+		var ranks []int32
 		for i, tx := range txs {
+			ranks = s.FilterRanks(tx, ranks[:0])
 			buf = s.Filter(tx, buf[:0])
-			if h, hr := s.CountTx(buf, weights[i], counts), s.CountTx(tx, weights[i], raw); h != hr {
-				t.Fatalf("k=%d %s: tx %v hit %d filtered, %d unfiltered", k, l.name, tx, h, hr)
+			h := s.CountRanks(ranks, weights[i], byRank)
+			if hf, hr := s.CountTx(buf, weights[i], counts), s.CountTx(tx, weights[i], raw); hf != h || hr != h {
+				t.Fatalf("k=%d %s: tx %v hit %d by rank, %d filtered, %d unfiltered", k, l.name, tx, h, hf, hr)
 			}
 		}
 		s.Walk(func(e int32, items itemset.Set) {
-			if counts[e] != ref[items.Key()] || raw[e] != counts[e] {
-				t.Fatalf("k=%d %s: trie support of %v = %d (unfiltered %d), map reference = %d (n=%d)",
-					k, l.name, items, counts[e], raw[e], ref[items.Key()], len(txs))
+			if byRank[e] != ref[items.Key()] || counts[e] != byRank[e] || raw[e] != byRank[e] {
+				t.Fatalf("k=%d %s: trie support of %v = %d by rank (filtered %d, unfiltered %d), map reference = %d (n=%d)",
+					k, l.name, items, byRank[e], counts[e], raw[e], ref[items.Key()], len(txs))
 			}
 		})
 		if !complete {
 			continue
 		}
-		// And nothing the reference counted is missing from the store.
+		// And nothing the reference counted over candidate items is
+		// missing from the store.
 		for key, want := range ref {
 			set, err := itemset.ParseKey(key)
 			if err != nil {
 				t.Fatal(err)
 			}
+			if len(s.Filter(set, nil)) < k {
+				continue // an item outside the candidate universe
+			}
 			e := s.Lookup(set)
 			if e < 0 {
 				t.Fatalf("k=%d: reference counted %v but store has no entry", k, set)
 			}
-			if counts[e] != want {
-				t.Fatalf("k=%d %s: support of %v = %d, want %d", k, l.name, set, counts[e], want)
+			if byRank[e] != want {
+				t.Fatalf("k=%d %s: support of %v = %d, want %d", k, l.name, set, byRank[e], want)
 			}
 		}
 	}

@@ -490,6 +490,7 @@ func TestWorkerHandlerValidation(t *testing.T) {
 		Measure: measure.Kulczynski, Gamma: 0.3, Epsilon: 0.1,
 		MinSupAbs: []int64{1, 1, 1}, Materialize: true,
 	}
+	var answer []byte // the body of the last response
 	post := func(req CountRequest) int {
 		t.Helper()
 		body, err := json.Marshal(req)
@@ -501,7 +502,9 @@ func TestWorkerHandlerValidation(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		io.Copy(io.Discard, resp.Body)
+		if answer, err = io.ReadAll(resp.Body); err != nil {
+			t.Fatal(err)
+		}
 		return resp.StatusCode
 	}
 	leaves := tree.Leaves()
@@ -515,6 +518,14 @@ func TestWorkerHandlerValidation(t *testing.T) {
 	}}
 	if got := post(good); got != http.StatusOK {
 		t.Fatalf("valid request: %d", got)
+	}
+	// Count answers go out compact: compacting changes nothing.
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, answer); err != nil {
+		t.Fatalf("count answer %q: %v", answer, err)
+	}
+	if !bytes.Equal(compact.Bytes(), answer) {
+		t.Errorf("count answer is not compact JSON:\n%s", answer)
 	}
 	bad := good
 	bad.Fingerprint.Transactions++

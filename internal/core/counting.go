@@ -41,13 +41,13 @@ func (m *miner) count(c *cell) {
 
 // scanProbeWeight converts one scan probe (one subset reached by trie
 // descent) into the model's base unit — one 64-bit word operation, which is
-// what a bitmap AND costs. The trie store cut the probe from a key build plus
-// a string-map lookup (~8 units) to a handful of node/item comparisons;
-// recalibrated on BenchmarkCountingDense (~12ns per probed subset vs ~5ns
-// per word op on a 2.1GHz Xeon). The C(w,k) term stays an upper bound:
+// what a bitmap AND costs. It was fitted to the CSR descent over item IDs on
+// BenchmarkCountingDense, when a probe was a handful of node/item
+// comparisons, and has not been refitted since: the dense rank-indexed
+// blocks made a probe one load, and rows now descend in rank space with a
+// pair kernel at the last two levels. The C(w,k) term stays an upper bound:
 // descent abandons subsets with no candidate prefix early, so dense cells
-// overestimate scan cost slightly and the model errs toward the bitmap
-// backend exactly where it wins.
+// overestimate scan cost and the model errs toward the bitmap backend.
 const scanProbeWeight = 2.5
 
 // chooseStrategy is the CountAuto cost model, in units of one word
@@ -148,9 +148,10 @@ type partial struct {
 	ops    int64 // bitmap word operations (Stats.BitmapWordOps)
 	err    error // streaming scan failure
 
-	vecs     []bitmap.Vector // bitmap AND operands
-	filtered itemset.Set     // scan filter target
-	gen      []itemset.ID    // streaming generalization buffer
+	vecs   []bitmap.Vector // bitmap AND operands
+	ranks  []int32         // the scan's current row in rank space
+	widths []int64         // the scan unit's rows by filtered width, see chargeProbes
+	gen    []itemset.ID    // streaming generalization buffer
 }
 
 // runPass counts n units into the cell: body(p, u) adds unit u into its
@@ -241,25 +242,51 @@ func (p *partial) bitmapRange(c *cell, ix *bitmap.Index, lo, hi int, done <-chan
 	p.ops += ops
 }
 
-// scanTxs counts the level's rows [lo, hi) into counts by trie descent:
-// filter the row to candidate-relevant items, then walk the items down the
-// trie so only subsets sharing a candidate prefix are ever enumerated. The
-// row arena is walked front to back, so a block of rows streams through
-// cache while the trie's layout stays resident. Returns the number of
-// subset probes the descent skipped relative to a flat C(w,k) enumeration.
-func scanTxs(c *cell, lv *txdb.Level, lo, hi int, counts []int64, filtered itemset.Set) (pruned int64, scratch itemset.Set) {
-	k := c.k
-	st := c.store
+// scanTxs counts the level's rows [lo, hi) into p by trie descent: map the
+// row's candidate items to their ranks, then walk the ranks down the trie
+// so only subsets sharing a candidate prefix are ever enumerated. The row
+// arena is walked front to back, so a block of rows streams through cache
+// while the trie's layout stays resident. Each counted row's filtered width
+// goes into p.widths and its hits come off p.pruned; chargeProbes settles
+// the unit's probe tally.
+func (p *partial) scanTxs(c *cell, lv *txdb.Level, lo, hi int) {
+	st, k := c.store, c.k
 	items, starts, weights := lv.Items, lv.Starts, lv.Weights
+	ranks, counts := p.ranks, p.counts
+	var hits int64
 	for t := lo; t < hi; t++ {
-		filtered = st.Filter(items[starts[t]:starts[t+1]], filtered[:0])
-		if len(filtered) < k {
+		ranks = st.FilterRanks(items[starts[t]:starts[t+1]], ranks[:0])
+		if len(ranks) < k {
 			continue
 		}
-		hits := st.CountTx(filtered, weights[t], counts)
-		pruned += itemset.Binomial(len(filtered), k) - hits
+		p.noteWidth(len(ranks))
+		hits += st.CountRanks(ranks, weights[t], counts)
 	}
-	return pruned, filtered
+	p.ranks = ranks
+	p.pruned -= hits
+}
+
+// noteWidth records one counted row of filtered width w in the unit's
+// histogram, growing it when w is the widest row the worker has seen.
+func (p *partial) noteWidth(w int) {
+	if w >= len(p.widths) {
+		p.widths = append(p.widths, make([]int64, w+1-len(p.widths))...)
+	}
+	p.widths[w]++
+}
+
+// chargeProbes ends a scan unit: a row of filtered width w is worth C(w, k)
+// probes to a flat subset enumeration, so the unit adds C(w, k) once per
+// width, times the rows of that width, to the hits scanTxs already took
+// off — Stats.ProbesPruned with one binomial per width instead of one per
+// row — and clears the histogram for the worker's next unit.
+func (p *partial) chargeProbes(k int) {
+	for w, n := range p.widths {
+		if n != 0 {
+			p.pruned += n * itemset.Binomial(w, k)
+			p.widths[w] = 0
+		}
+	}
 }
 
 // scanRows walks the level's rows [lo, hi) through scanTxs into p one
@@ -270,33 +297,34 @@ func scanTxs(c *cell, lv *txdb.Level, lo, hi int, counts []int64, filtered items
 func (p *partial) scanRows(c *cell, lv *txdb.Level, lo, hi int, done <-chan struct{}) {
 	for lo < hi && !canceled(done) {
 		end := min(lo+scanBlock, hi)
-		var pruned int64
-		pruned, p.filtered = scanTxs(c, lv, lo, end, p.counts, p.filtered)
-		p.pruned += pruned
+		p.scanTxs(c, lv, lo, end)
 		lo = end
 	}
+	p.chargeProbes(c.k)
 }
 
 // scanSource streams src once into p: every transaction is generalized to
-// the cell's level on the fly, then filtered and walked down the trie as in
-// scanTxs. A stream has no blocks, so it polls done inside the callback —
-// every 1024 transactions, amortized to a counter increment.
+// the cell's level on the fly, then mapped to ranks and walked down the trie
+// as in scanTxs. A stream has no blocks, so it polls done inside the
+// callback — every 1024 transactions, amortized to a counter increment.
 func (p *partial) scanSource(c *cell, src txdb.Source, tax *taxonomy.Tree, done <-chan struct{}) error {
 	st := c.store
 	var seen int
-	return src.Scan(func(tx itemset.Set) error {
+	err := src.Scan(func(tx itemset.Set) error {
 		if seen++; seen&1023 == 0 && canceled(done) {
 			return errCancelled
 		}
 		p.gen = tax.AppendAncestors(p.gen[:0], tx, c.h)
-		p.filtered = st.Filter(itemset.Canon(p.gen), p.filtered[:0])
-		if len(p.filtered) < c.k {
+		p.ranks = st.FilterRanks(itemset.Canon(p.gen), p.ranks[:0])
+		if len(p.ranks) < c.k {
 			return nil
 		}
-		hits := st.CountTx(p.filtered, 1, p.counts)
-		p.pruned += itemset.Binomial(len(p.filtered), c.k) - hits
+		p.noteWidth(len(p.ranks))
+		p.pruned -= st.CountRanks(p.ranks, 1, p.counts)
 		return nil
 	})
+	p.chargeProbes(c.k)
+	return err
 }
 
 // cancelCheckMask sets the granularity of per-candidate cancellation polls

@@ -11,8 +11,8 @@ import (
 	"github.com/flipper-mining/flipper/internal/txdb"
 )
 
-// TestScanTxsTrieDescent exercises the scan counter's hot loop — filter to
-// candidate-relevant items, descend the trie, account pruned probes —
+// TestScanTxsTrieDescent exercises the scan counter's hot loop — map the
+// row to candidate ranks, descend the trie, account pruned probes —
 // directly against a hand-built cell.
 func TestScanTxsTrieDescent(t *testing.T) {
 	c := newCell(1, 2)
@@ -21,13 +21,20 @@ func TestScanTxsTrieDescent(t *testing.T) {
 	m.addCandidate(c, itemset.New(2, 3))
 	c.store.Freeze()
 	counts := make([]int64, c.store.Len())
+	p := partial{counts: counts}
 	// Transaction {1,2,3,99}: 99 is filtered out by the candidate universe;
 	// both pairs match with weight 5. Of the C(3,2)=3 remaining subsets,
 	// {1,3} has no candidate and is pruned by the descent.
 	data := levelOf(txdb.WeightedTx{Items: itemset.New(1, 2, 3, 99), Weight: 5})
-	pruned, _ := scanTxs(c, data, 0, data.Rows(), counts, nil)
-	if pruned != 1 {
-		t.Errorf("pruned = %d, want 1", pruned)
+	p.scanTxs(c, data, 0, data.Rows())
+	p.chargeProbes(c.k)
+	if p.pruned != 1 {
+		t.Errorf("pruned = %d, want 1", p.pruned)
+	}
+	for w, n := range p.widths {
+		if n != 0 {
+			t.Errorf("width histogram kept %d rows of width %d after the unit", n, w)
+		}
 	}
 	for _, set := range []itemset.Set{itemset.New(1, 2), itemset.New(2, 3)} {
 		if got := counts[c.store.Lookup(set)]; got != 5 {
@@ -37,11 +44,15 @@ func TestScanTxsTrieDescent(t *testing.T) {
 	// Too-narrow transaction contributes nothing.
 	before := append([]int64(nil), counts...)
 	narrow := levelOf(txdb.WeightedTx{Items: itemset.New(2), Weight: 1})
-	scanTxs(c, narrow, 0, narrow.Rows(), counts, nil)
+	p.scanTxs(c, narrow, 0, narrow.Rows())
+	p.chargeProbes(c.k)
 	for i := range counts {
 		if counts[i] != before[i] {
 			t.Error("narrow transaction changed counts")
 		}
+	}
+	if p.pruned != 1 {
+		t.Errorf("a narrow transaction moved pruned to %d", p.pruned)
 	}
 }
 

@@ -66,16 +66,20 @@ All levels are built once (txdb.BuildLevels), one unit per shard and level
 on the run's workers: every transaction is generalized to the level and
 interned, so a level is its distinct rows with weights and no
 per-transaction index — generalization collapses many raw transactions
-onto few distinct ones, so upper rows count over tiny weighted sets. Each row is filtered to
-candidate-relevant items and walked down the trie
-(candtrie.Store.CountTx): only subsets sharing a prefix with some
-candidate are ever enumerated, and no key bytes or map probes appear in
-the inner loop (Stats.ProbesPruned counts what the descent skipped).
+onto few distinct ones, so upper rows count over tiny weighted sets.
 When the cell is frozen before its pass, the store ranks the cell's
-distinct candidate items and, when the result fits in 1 MiB, gives every
-trie node above the last level a block of one slot per rank, so each
-step of the descent is one load; larger, sparser tries keep sorted child
-spans that the descent merges against the row. With
+distinct candidate items in ID order and lays its trie out in rank space:
+when the result fits in 1 MiB, every trie node above the last level gets
+a block of one slot per rank; larger, sparser tries keep child spans of
+ascending ranks. Each row is then mapped to the ranks of its
+candidate-relevant items once (candtrie.Store.FilterRanks, into the
+worker's buffer) and walked down the trie (candtrie.Store.CountRanks):
+only subsets sharing a prefix with some candidate are ever enumerated,
+each dense step is one load and each CSR step a merge of the span against
+the row, and the last two dense levels — all of a k = 2 cell — run as a
+two-loop pair kernel. Stats.ProbesPruned counts what the descent skipped:
+each scan unit histograms its rows' filtered widths and charges C(w,k)
+once per width against the hits. With
 Config.Materialize=false the engine instead re-reads the Source every
 pass — the paper's disk-resident mode. CountBitmap ANDs per-item bit
 vectors over the distinct weighted transactions and pop-counts the result

@@ -157,6 +157,7 @@ type Queue struct {
 	nextID   uint64
 	workers  int
 	history  int // max completed jobs retained; older ones are pruned
+	finished int // completed (done, failed or cancelled) jobs retained
 
 	// coord, when set, mines eligible jobs over the cluster instead of the
 	// local engine (set by NewServer from Options.Coordinator).
@@ -297,6 +298,7 @@ func (q *Queue) SubmitTimeout(d *Dataset, kind JobKind, cfg core.Config, epsilon
 		j.Started, j.Finished = now, now
 		close(j.done)
 		q.register(j)
+		q.finishedLocked()
 		return j, nil
 	}
 	j.Status = StatusQueued
@@ -316,28 +318,41 @@ func (q *Queue) register(j *Job) {
 	j.ID = fmt.Sprintf("job-%06d", q.nextID)
 	q.jobs[j.ID] = j
 	q.order = append(q.order, j.ID)
+}
+
+// finishedLocked counts one more retained job as completed and prunes the
+// history back to its cap. Caller holds q.mu.
+func (q *Queue) finishedLocked() {
+	q.finished++
 	q.pruneLocked()
 }
 
-// pruneLocked drops the oldest completed jobs while more than history of
-// them are retained. Caller holds q.mu.
+// pruneLocked drops the oldest-submitted completed jobs while more than
+// history of them are retained. The running count of completed jobs makes a
+// call with nothing to drop free, and the walk stops at the last job it
+// drops: in the steady state of a full history that is the oldest job, at
+// the front of q.order. Caller holds q.mu.
 func (q *Queue) pruneLocked() {
-	completed := 0
-	for _, id := range q.order {
-		if q.jobs[id].Status.finished() {
-			completed++
-		}
+	excess := q.finished - q.history
+	if excess <= 0 {
+		return
 	}
-	for i := 0; completed > q.history && i < len(q.order); {
+	kept, i := 0, 0 // q.order[:kept] holds the jobs the walk passed over
+	for ; i < len(q.order) && excess > 0; i++ {
 		id := q.order[i]
 		if q.jobs[id].Status.finished() {
 			delete(q.jobs, id)
-			q.order = append(q.order[:i], q.order[i+1:]...)
-			completed--
+			excess--
+			q.finished--
 			continue
 		}
-		i++
+		q.order[kept] = id
+		kept++
 	}
+	// Move the passed-over jobs up against q.order[i:] and drop the head.
+	copy(q.order[i-kept:i], q.order[:kept])
+	clear(q.order[:i-kept])
+	q.order = q.order[i-kept:]
 }
 
 func (q *Queue) worker() {
@@ -407,7 +422,7 @@ func (q *Queue) run(j *Job) {
 		j.Err = err.Error()
 	}
 	delete(q.inflight, j.key)
-	q.pruneLocked()
+	q.finishedLocked()
 	close(j.done)
 }
 
@@ -471,7 +486,7 @@ func (q *Queue) Cancel(id string) (JobView, error) {
 		j.Err = "cancelled"
 		j.Finished = time.Now()
 		delete(q.inflight, j.key)
-		q.pruneLocked()
+		q.finishedLocked()
 		close(j.done)
 	case StatusRunning:
 		if !j.cancelRequested {

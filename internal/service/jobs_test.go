@@ -221,6 +221,113 @@ func TestJobHistoryPruning(t *testing.T) {
 	if !j.CacheHit {
 		t.Error("pruned job's result fell out of the cache")
 	}
+	// A cache hit is a completed job too: it pushes the oldest one out.
+	if got := q.List(); len(got) != 2 || got[0].ID != ids[3] || got[1].ID != j.ID {
+		t.Errorf("after a cache hit retained %v, want [%s %s]", got, ids[3], j.ID)
+	}
+	t.Run("running job survives", testPruningSkipsRunning)
+	t.Run("cancelled job counts", testPruningCountsCancelled)
+}
+
+// testPruningCountsCancelled cancels a queued job while the only worker is
+// held: the cancelled job is a completed one, so with a history of one it
+// is the job kept once the held job completes.
+func testPruningCountsCancelled(t *testing.T) {
+	toy := datasets.PaperToy()
+	gated := newGatedSource(toy.DB)
+	held := &Dataset{Name: "held", Tree: toy.Tree, Src: gated}
+	q := NewQueue(1, 8, 1, NewCache(16))
+	defer q.Close()
+	defer gated.release()
+
+	first, err := q.Submit(held, JobMine, toy.Config(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued, err := q.Submit(&Dataset{Name: "toy", Tree: toy.Tree, Src: toy.DB}, JobMine, toy.Config(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := q.Cancel(queued.ID); err != nil || v.Status != StatusCancelled {
+		t.Fatalf("Cancel = %+v, %v; want a cancelled job", v, err)
+	}
+	gated.release()
+	if !q.Wait(first, 10*time.Second) {
+		t.Fatal("held job did not finish")
+	}
+	if got := q.List(); len(got) != 1 || got[0].ID != queued.ID {
+		t.Errorf("retained %v, want only the cancelled job %s", got, queued.ID)
+	}
+}
+
+// testPruningSkipsRunning holds one job running on a gated dataset while
+// later jobs finish: the running job is never pruned, the history keeps
+// exactly its cap of completed jobs, and once the held job completes it is
+// the oldest-submitted completed job, so it goes first.
+func testPruningSkipsRunning(t *testing.T) {
+	toy := datasets.PaperToy()
+	d := &Dataset{Name: "toy", Tree: toy.Tree, Src: toy.DB}
+	gated := newGatedSource(toy.DB)
+	held := &Dataset{Name: "held", Tree: toy.Tree, Src: gated}
+	q := NewQueue(2, 8, 2, NewCache(16))
+	defer q.Close()
+	defer gated.release()
+
+	first, err := q.Submit(held, JobMine, toy.Config(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if v, _ := q.Get(first.ID); v.Status == StatusRunning {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("held job never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	var ids []string
+	for _, eps := range []float64{0.30, 0.31, 0.32, 0.33} {
+		cfg := toy.Config()
+		cfg.Epsilon = eps
+		j, err := q.Submit(d, JobMine, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !q.Wait(j, 10*time.Second) {
+			t.Fatal("job did not finish")
+		}
+		ids = append(ids, j.ID)
+	}
+	if v, ok := q.Get(first.ID); !ok || v.Status != StatusRunning {
+		t.Fatalf("running job = %+v (retained %v), want still running", v, ok)
+	}
+	retained := func() (done []string) {
+		for _, v := range q.List() {
+			if v.Status.finished() {
+				done = append(done, v.ID)
+			}
+		}
+		return done
+	}
+	if got := retained(); len(got) != 2 || got[0] != ids[2] || got[1] != ids[3] {
+		t.Errorf("completed jobs retained = %v, want the newest two %v", got, ids[2:])
+	}
+	if got := len(q.List()); got != 3 {
+		t.Errorf("retained jobs = %d, want the cap of 2 plus the running job", got)
+	}
+
+	gated.release()
+	if !q.Wait(first, 10*time.Second) {
+		t.Fatal("held job did not finish")
+	}
+	if _, ok := q.Get(first.ID); ok {
+		t.Error("the oldest-submitted completed job survived pruning")
+	}
+	if got := retained(); len(got) != 2 || got[0] != ids[2] || got[1] != ids[3] {
+		t.Errorf("completed jobs retained = %v, want %v", got, ids[2:])
+	}
 }
 
 func TestQueueClosedRejectsSubmit(t *testing.T) {
