@@ -111,7 +111,8 @@ func (m *miner) chooseStrategy(c *cell) CountStrategy {
 // (TestShardedMiningEquivalence and TestWorkSplitInvariance pin this).
 
 // unit is one piece of a counting pass: the level rows (scan) or the
-// candidates (bitmap) [lo, hi) of shard s.
+// candidates (bitmap) [lo, hi) of shard s. A scan unit of a shard whose pair
+// table answers the cell covers the whole shard and reads no rows.
 type unit struct{ s, lo, hi int }
 
 // cutUnits appends to dst the units of a pass over shards whose ranges are
@@ -149,8 +150,9 @@ type partial struct {
 	err    error // streaming scan failure
 
 	vecs   []bitmap.Vector // bitmap AND operands
-	ranks  []int32         // the scan's current row in rank space
+	ranks  []int32         // the scan's current row in rank space; countPairs' marked ranks
 	widths []int64         // the scan unit's rows by filtered width, see chargeProbes
+	marks  []bool          // countPairs' cell items by table rank, cleared after each unit
 	gen    []itemset.ID    // streaming generalization buffer
 }
 
@@ -187,13 +189,38 @@ func (m *miner) mergePartials(c *cell, ps []partial) {
 
 // countScan counts a materialized cell by trie descent over every shard's
 // level rows, cut into scanBlock-aligned units: each unit's block of the row
-// arena streams through cache while the trie's layout stays resident.
+// arena streams through cache while the trie's layout stays resident. A
+// k = 2 cell reads instead the pair table of every shard that has one
+// (dataState.pairTable), one unit per such shard.
 func (m *miner) countScan(c *cell) {
 	levels := m.ds.levels
-	units := cutUnits(m.sc.units[:0], len(levels), func(s int) int { return levels[s][c.h].Rows() }, m.cfg.workers(), scanBlock)
+	tables := m.sc.tables[:0]
+	for s := range levels {
+		var t *txdb.PairTable
+		if c.k == 2 {
+			t = m.ds.pairTable(c.h, s)
+		}
+		tables = append(tables, t)
+	}
+	m.sc.tables = tables
+	units := cutUnits(m.sc.units[:0], len(levels), func(s int) int {
+		if tables[s] != nil {
+			return 0
+		}
+		return levels[s][c.h].Rows()
+	}, m.cfg.workers(), scanBlock)
+	for s, t := range tables {
+		if t != nil {
+			units = append(units, unit{s: s})
+		}
+	}
 	m.sc.units = units
 	m.runPass(c, len(units), func(p *partial, i int) {
 		u := units[i]
+		if t := tables[u.s]; t != nil {
+			p.countPairs(c, t)
+			return
+		}
 		p.scanRows(c, levels[u.s][c.h], u.lo, u.hi, m.done)
 	})
 }
@@ -303,6 +330,52 @@ func (p *partial) scanRows(c *cell, lv *txdb.Level, lo, hi int, done <-chan stru
 	p.chargeProbes(c.k)
 }
 
+// countPairs counts a k = 2 cell on one shard's pair table into p, one
+// lookup per candidate, and charges the probe tally the trie pass over the
+// shard's rows would: that pass charges C(w, 2) for a row of filtered width
+// w, which summed over the rows is the row count of every pair of the cell's
+// items, and takes off one hit per candidate a row holds, which summed is
+// the row count of every candidate. An item the shard's level lacks has no
+// rank and reads zero. The marked ranks come out ascending, as the table's
+// pairs want them.
+func (p *partial) countPairs(c *cell, t *txdb.PairTable) {
+	st, counts := c.store, p.counts
+	// marks[r+1] marks rank r, and marks[0] absorbs the items without one.
+	n := t.Len() + 1
+	if len(p.marks) < n {
+		p.marks = make([]bool, n)
+	}
+	marks := p.marks[:n]
+	var hits int64
+	for e := range counts {
+		items := st.Items(int32(e))
+		i, j := t.Rank(items[0]), t.Rank(items[1])
+		marks[i+1], marks[j+1] = true, true
+		if i < 0 || j < 0 {
+			continue
+		}
+		sup, rows := t.Pair(i, j)
+		counts[e] += sup
+		hits += rows
+	}
+	ranks := p.ranks[:0]
+	for r, on := range marks[1:] {
+		if on {
+			ranks = append(ranks, int32(r))
+		}
+	}
+	clear(marks)
+	p.ranks = ranks
+	var probes int64
+	for b, j := range ranks {
+		for _, i := range ranks[:b] {
+			_, rows := t.Pair(int(i), int(j))
+			probes += rows
+		}
+	}
+	p.pruned += probes - hits
+}
+
 // scanSource streams src once into p: every transaction is generalized to
 // the cell's level on the fly, then mapped to ranks and walked down the trie
 // as in scanTxs. A stream has no blocks, so it polls done inside the
@@ -352,6 +425,22 @@ func (ds *dataState) index(h, s int) *bitmap.Index {
 		li.ix = bitmap.Build(rows, lv.Weights)
 	})
 	return li.ix
+}
+
+// pairTable returns shard s's pair table of level h to a k = 2 scan cell or
+// unit that reaches it, or nil when that reach scans the rows instead: the
+// first reach of each (level, shard), so a one-shot mine, which reaches each
+// level's k = 2 cell once, never builds a table, and every reach of a level
+// over the table's cap (txdb.NewPairTable). The second reach builds the
+// table once for every later run; like index, the build is shared and not
+// cancellable.
+func (ds *dataState) pairTable(h, s int) *txdb.PairTable {
+	lp := &ds.pairs[h*len(ds.shards)+s]
+	if lp.reaches.Add(1) == 1 {
+		return nil
+	}
+	lp.once.Do(func() { lp.t = txdb.NewPairTable(ds.levels[s][h]) })
+	return lp.t
 }
 
 // noteBitmaps accounts the run's use of level h's bitmap indexes: the first

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/flipper-mining/flipper/internal/bitmap"
@@ -25,10 +27,11 @@ type Result struct {
 
 // Engine mines one source/taxonomy pair repeatedly, caching everything that
 // depends only on the dataset — the interned levels of every shard
-// (txdb.Level: distinct weighted rows in one arena) and the lazily built
-// bitmap indexes over them — across Mine calls, plus a pool of per-run
-// scratch (candidate stores, counting buffers, chain arenas) so repeated
-// runs stop paying full allocation.
+// (txdb.Level: distinct weighted rows in one arena), the lazily built bitmap
+// indexes over them, and the pair tables (txdb.PairTable) that answer k = 2
+// scan cells from the second reach of each (level, shard) on — across Mine
+// calls, plus a pool of per-run scratch (candidate stores, counting buffers,
+// chain arenas) so repeated runs stop paying full allocation.
 //
 // Cached state is keyed by the parts of the configuration that shape it
 // (Materialize and the resolved shard count); every other knob varies freely
@@ -67,8 +70,9 @@ type dataKey struct {
 // dataState is the dataset-derived state of one (materialize, shards)
 // representation. The base fields are built once under the sync.Once; each
 // (level, shard) bitmap index builds under its own sync.Once on first use by
-// any run and is then shared read-only. An unsharded representation is one
-// shard: every per-shard slice below then has length 1.
+// any run, and each pair table on the second reach of a k = 2 scan cell or
+// unit, and both are then shared read-only. An unsharded representation is
+// one shard: every per-shard slice below then has length 1.
 type dataState struct {
 	once sync.Once
 	err  error
@@ -80,12 +84,22 @@ type dataState struct {
 	widths []int                  // max generalized width per level
 
 	bitmaps []lazyIndex // [level·len(shards) + shard]
+	pairs   []lazyPairs // [level·len(shards) + shard]
 }
 
 // lazyIndex is one shard's bitmap index of one level, built on first use.
 type lazyIndex struct {
 	once sync.Once
 	ix   *bitmap.Index
+}
+
+// lazyPairs is one shard's pair table of one level, built when a k = 2 scan
+// cell or unit reaches the (level, shard) for the second time (see
+// dataState.pairTable).
+type lazyPairs struct {
+	reaches atomic.Int64
+	once    sync.Once
+	t       *txdb.PairTable // nil when the level is over the table's cap
 }
 
 // dataFor resolves (building at most once) the dataset state a run over cfg
@@ -121,6 +135,7 @@ func (ds *dataState) build(tax *taxonomy.Tree, cfg Config) error {
 	ds.widths = make([]int, H+1)
 	srcs := ds.shards
 	ds.bitmaps = make([]lazyIndex, (H+1)*len(srcs))
+	ds.pairs = make([]lazyPairs, (H+1)*len(srcs))
 	if !cfg.Materialize {
 		return ds.streamSingleSupports(srcs, tax, H, min(cfg.workers(), len(srcs)))
 	}
@@ -168,13 +183,22 @@ func initScans(cfg *Config, height int) int64 {
 // the engine pool for exclusive use; everything in it is either overwritten
 // or explicitly cleared before reuse.
 type runScratch struct {
-	cells    map[int][]*cell // retired cells by k, stores Reset and reusable
-	chains   []chainRec      // chain arena backing (records cleared at release)
-	sups     []int64         // finishCell single-support scratch
-	partials []partial       // per-worker counting state, reset on checkout
-	units    []unit          // the current pass's work units
-	cand     []itemset.ID    // candidate canonicalization buffer
-	anchored anchoredScratch // anchored search's buffers and conditional index
+	cells    map[int][]*cell   // retired cells by k, stores Reset and reusable
+	chains   []chainRec        // chain arena backing (records cleared at release)
+	sups     []int64           // finishCell single-support scratch
+	partials []partial         // per-worker counting state, reset on checkout
+	units    []unit            // the current pass's work units
+	cand     []itemset.ID      // candidate canonicalization buffer
+	bySup    []itemSup         // bind's frequent items, sorted for SIBP
+	tables   []*txdb.PairTable // the current scan pass's pair table per shard; nil scans
+	anchored anchoredScratch   // anchored search's buffers and conditional index
+}
+
+// itemSup is a frequent item with its support, the element bind sorts by
+// (support, ID) into the ascending-support order SIBP walks.
+type itemSup struct {
+	id  itemset.ID
+	sup int64
 }
 
 func (e *Engine) getScratch() *runScratch {
@@ -523,24 +547,26 @@ func (m *miner) bind(e *Engine) error {
 
 	for h := 1; h <= H; h++ {
 		freq := make(map[itemset.ID]int64)
+		bySup := m.sc.bySup[:0]
 		for id, sup := range ds.sup1[h] {
 			if sup >= m.minSup[h] {
 				freq[id] = sup
+				bySup = append(bySup, itemSup{id, sup})
 			}
 		}
 		m.freq1[h] = freq
-		items := make([]itemset.ID, 0, len(freq))
-		for id := range freq {
-			items = append(items, id)
-		}
-		sort.Slice(items, func(i, j int) bool {
-			si, sj := freq[items[i]], freq[items[j]]
-			if si != sj {
-				return si < sj
+		slices.SortFunc(bySup, func(a, b itemSup) int {
+			if c := cmp.Compare(a.sup, b.sup); c != 0 {
+				return c
 			}
-			return items[i] < items[j]
+			return cmp.Compare(a.id, b.id)
 		})
+		items := make([]itemset.ID, len(bySup))
+		for i, is := range bySup {
+			items[i] = is.id
+		}
 		m.sorted[h] = items
+		m.sc.bySup = bySup
 	}
 
 	// Column bound K: itemsets wider than any transaction at a level cannot

@@ -1,0 +1,358 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sync"
+	"testing"
+
+	"github.com/flipper-mining/flipper/internal/itemset"
+	"github.com/flipper-mining/flipper/internal/measure"
+	"github.com/flipper-mining/flipper/internal/taxonomy"
+	"github.com/flipper-mining/flipper/internal/txdb"
+)
+
+// pairTestData is a three-level taxonomy of four roots with three children
+// each, plus a root z whose one leaf only the last ten transactions name. A
+// database cut into contiguous shards therefore has z in its last shard
+// only, and every other shard's levels lack it.
+func pairTestData(t testing.TB) (*txdb.DB, *taxonomy.Tree) {
+	t.Helper()
+	b := taxonomy.NewBuilder(nil)
+	var leaves []string
+	for r := 0; r < 4; r++ {
+		for m := 0; m < 3; m++ {
+			for l := 0; l < 3; l++ {
+				leaf := fmt.Sprintf("c%d.%d.%d", r, m, l)
+				if err := b.AddPath(fmt.Sprintf("c%d", r), fmt.Sprintf("c%d.%d", r, m), leaf); err != nil {
+					t.Fatal(err)
+				}
+				leaves = append(leaves, leaf)
+			}
+		}
+	}
+	if err := b.AddPath("z", "z.0", "z.0.0"); err != nil {
+		t.Fatal(err)
+	}
+	tree, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	db := txdb.New(tree.Dict())
+	for i := 0; i < 220; i++ {
+		var names []string
+		for j := 0; j < 2+rng.Intn(4); j++ {
+			names = append(names, leaves[rng.Intn(len(leaves))])
+		}
+		if i >= 210 {
+			names = append(names, "z.0.0")
+		}
+		db.AddNames(names...)
+	}
+	return db, tree
+}
+
+// pairTestConfig mines everything frequent at least once, on three workers.
+func pairTestConfig(pruning PruningLevel, shards int) Config {
+	return Config{
+		Measure: measure.Kulczynski, Gamma: 0.3, Epsilon: 0.15,
+		MinSupAbs: []int64{1, 1, 1}, Pruning: pruning, Strategy: CountScan,
+		Materialize: true, Shards: shards, Parallelism: 3,
+	}
+}
+
+// countOnce counts the cell from zero through miner.count and returns its
+// supports and the stats that count added, the merge time aside.
+func countOnce(m *miner, c *cell) ([]int64, Stats) {
+	clear(c.store.Sup)
+	saved := m.stats
+	m.stats = Stats{}
+	m.count(c)
+	got := m.stats
+	got.ShardMergeNs = 0
+	m.stats = saved
+	return slices.Clone(c.store.Sup), got
+}
+
+// doubledPairs is the pair table of lv with every row's weight doubled: no
+// pass over lv's rows agrees with it, so a count that answers twice the
+// rows' supports read the table.
+func doubledPairs(lv *txdb.Level) *txdb.PairTable {
+	d := *lv
+	d.Weights = make([]int64, len(lv.Weights))
+	for r, w := range lv.Weights {
+		d.Weights[r] = 2 * w
+	}
+	return txdb.NewPairTable(&d)
+}
+
+// twice returns every support doubled.
+func twice(sup []int64) []int64 {
+	out := make([]int64, len(sup))
+	for i, v := range sup {
+		out[i] = 2 * v
+	}
+	return out
+}
+
+// TestCountPairsMatchesTriePass counts every k = 2 cell of a Full and a
+// Basic search twice through miner.count: the first reach of each (level,
+// shard) runs the trie pass and builds no table, the second builds the pair
+// table and reads it. Supports and every stat — ProbesPruned, DBScans,
+// TrieNodes — must agree, on 1, 2 and 7 shards, including cells with a
+// candidate item that some shard's level lacks. A third count over tables
+// of doubled weights must answer doubled supports, which shows the second
+// count read the tables rather than the rows.
+func TestCountPairsMatchesTriePass(t *testing.T) {
+	db, tree := pairTestData(t)
+	H := tree.Height()
+	for _, pruning := range []PruningLevel{Full, Basic} {
+		for _, shards := range []int{1, 2, 7} {
+			cfg := pairTestConfig(pruning, shards)
+			minSup, err := cfg.validate(H, db.Len())
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := &miner{cfg: cfg, tax: tree, src: db, height: H, n: db.Len(), minSup: minSup, ctx: context.Background()}
+			if err := m.bind(NewEngine(db, tree)); err != nil {
+				t.Fatal(err)
+			}
+			S := len(m.ds.shards)
+			cells, missing, pruned := 0, 0, int64(0)
+			for h := 1; h <= H; h++ {
+				var c *cell
+				switch {
+				case pruning == Basic:
+					c = m.basicCell(h, 2)
+				case h == 1:
+					c = m.row1Cell(2)
+				default:
+					c = m.childCell(h, 2)
+				}
+				if c.candidates > 0 {
+					cells++
+					trieSup, trieStats := countOnce(m, c)
+					for s := 0; s < S; s++ {
+						if m.ds.pairs[h*S+s].t != nil {
+							t.Fatalf("%v shards=%d h=%d: the first reach built shard %d's table", pruning, shards, h, s)
+						}
+					}
+					tableSup, tableStats := countOnce(m, c)
+					for s := 0; s < S; s++ {
+						tab := m.ds.pairs[h*S+s].t
+						if tab == nil {
+							t.Fatalf("%v shards=%d h=%d: the second reach left shard %d without a table", pruning, shards, h, s)
+						}
+						for e := 0; e < c.store.Len(); e++ {
+							for _, id := range c.store.Items(int32(e)) {
+								if tab.Rank(id) < 0 {
+									missing++
+								}
+							}
+						}
+					}
+					if !slices.Equal(tableSup, trieSup) {
+						t.Fatalf("%v shards=%d h=%d: table supports %v, trie pass %v", pruning, shards, h, tableSup, trieSup)
+					}
+					if !reflect.DeepEqual(tableStats, trieStats) {
+						t.Fatalf("%v shards=%d h=%d: table stats %+v, trie pass %+v", pruning, shards, h, tableStats, trieStats)
+					}
+					pruned += trieStats.ProbesPruned
+					real := make([]*txdb.PairTable, S)
+					for s := range real {
+						real[s] = m.ds.pairs[h*S+s].t
+						m.ds.pairs[h*S+s].t = doubledPairs(m.ds.levels[s][h])
+					}
+					if got, _ := countOnce(m, c); !slices.Equal(got, twice(trieSup)) {
+						t.Fatalf("%v shards=%d h=%d: doubled tables answered %v for supports %v", pruning, shards, h, got, trieSup)
+					}
+					for s := range real {
+						m.ds.pairs[h*S+s].t = real[s]
+					}
+				}
+				// Finishing counts the cell once more, into the cleared slab, so
+				// the next level's cells grow from the labels a mine would give.
+				clear(c.store.Sup)
+				if pruning == Basic {
+					m.finishBasicCell(c)
+				} else {
+					m.finishCell(c)
+				}
+				m.rows[h][2] = c
+			}
+			if cells < 2 {
+				t.Errorf("%v shards=%d: only %d k = 2 cells had candidates", pruning, shards, cells)
+			}
+			if pruned == 0 {
+				t.Errorf("%v shards=%d: no probe pruned; the tally went unchecked", pruning, shards)
+			}
+			if shards > 1 && missing == 0 {
+				t.Errorf("%v shards=%d: no candidate item was missing from any shard", pruning, shards)
+			}
+			m.release()
+		}
+	}
+}
+
+// TestEngineBuildsPairTablesOnSecondMine pins when the tables appear: the
+// first mine on an engine scans every k = 2 cell and builds nothing — so a
+// one-shot Mine, which is one mine on a fresh engine, builds no table — the
+// second builds each (level, shard)'s table and reads it, and the third
+// reads it. The three results are identical apart from the volatile stats.
+func TestEngineBuildsPairTablesOnSecondMine(t *testing.T) {
+	db, tree := pairTestData(t)
+	for _, shards := range []int{1, 3} {
+		cfg := pairTestConfig(Full, shards)
+		eng := NewEngine(db, tree)
+		var want []byte
+		for run := 1; run <= 3; run++ {
+			res, err := eng.Mine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := scrubbedJSON(t, res, tree)
+			if run == 1 {
+				want = got
+			} else if !bytes.Equal(got, want) {
+				t.Fatalf("shards=%d: mine %d diverged from the first:\n%s\n%s", shards, run, want, got)
+			}
+			ds, err := eng.dataFor(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			levels := 0
+			for i := range ds.pairs {
+				lp := &ds.pairs[i]
+				reaches := lp.reaches.Load()
+				if reaches == 0 {
+					continue // level 0, or a level whose k = 2 cell was empty
+				}
+				levels++
+				if reaches != int64(run) {
+					t.Fatalf("shards=%d mine %d: slot %d reached %d times", shards, run, i, reaches)
+				}
+				if built := lp.t != nil; built != (run > 1) {
+					t.Fatalf("shards=%d mine %d: slot %d built=%v", shards, run, i, built)
+				}
+			}
+			if levels < 2*shards {
+				t.Fatalf("shards=%d: only %d (level, shard) pairs reached", shards, levels)
+			}
+		}
+	}
+}
+
+// TestCountShardPairTable sends the same k = 2 scan unit to one engine three
+// times per (level, shard): the first answer comes from the trie pass, the
+// second builds the table and reads it, the third reads it. All three must
+// be identical, for candidates whose IDs lie outside the level too: a node
+// of another level and IDs below and above every item of the level. A
+// fourth answer, over a table of doubled weights, must double, which shows
+// the unit reads the table.
+func TestCountShardPairTable(t *testing.T) {
+	db, tree := pairTestData(t)
+	ctx := context.Background()
+	H := tree.Height()
+	top := itemset.ID(tree.NodeCount() + 50)
+	var supported int64
+	for _, shards := range []int{1, 3} {
+		cfg := pairTestConfig(Full, shards)
+		eng := NewEngine(db, tree)
+		for h := 1; h <= H; h++ {
+			nodes := tree.NodesAtLevel(h)
+			other := tree.NodesAtLevel(1 + h%H)
+			cands := []itemset.Set{
+				itemset.New(nodes[0], nodes[len(nodes)-1]),
+				itemset.New(nodes[1], nodes[2]),
+				itemset.New(nodes[1], other[0]), // a node of another level
+				itemset.New(nodes[0], top),      // an ID above every node
+				itemset.New(other[1], top),      // no item of the level
+			}
+			if h > 1 {
+				// ID 0 is the first root, below every item of the lower levels.
+				cands = append(cands, itemset.New(0, nodes[2]))
+			}
+			for s := 0; s < shards; s++ {
+				u := ShardUnit{Config: cfg, Level: h, K: 2, Strategy: CountScan, Shard: s, Candidates: cands}
+				var first ShardTally
+				for reach := 1; reach <= 3; reach++ {
+					got, err := eng.CountShard(ctx, u)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if reach == 1 {
+						first = got
+					} else if !reflect.DeepEqual(got, first) {
+						t.Fatalf("shards=%d h=%d shard %d: reach %d answered %+v, the trie pass %+v", shards, h, s, reach, got, first)
+					}
+				}
+				ds, err := eng.dataFor(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lp := &ds.pairs[h*shards+s]
+				if lp.t == nil {
+					t.Fatalf("shards=%d h=%d shard %d: no table after three reaches", shards, h, s)
+				}
+				lp.t = doubledPairs(ds.levels[s][h])
+				got, err := eng.CountShard(ctx, u)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := twice(first.Supports); !slices.Equal(got.Supports, want) {
+					t.Fatalf("shards=%d h=%d shard %d: a doubled table answered %v, want %v", shards, h, s, got.Supports, want)
+				}
+				for _, v := range first.Supports {
+					supported += v
+				}
+			}
+		}
+	}
+	if supported == 0 {
+		t.Fatal("every unit answered zero supports; the comparisons were vacuous")
+	}
+}
+
+// TestConcurrentFirstMinesSharePairTables starts the first mines of one
+// engine together, so the reaches that scan, build and read each table race
+// one another; every result must equal a cold one-shot mine's. The CI race
+// job runs it under the race detector.
+func TestConcurrentFirstMinesSharePairTables(t *testing.T) {
+	db, tree := pairTestData(t)
+	cfgs := []Config{pairTestConfig(Full, 1), pairTestConfig(Basic, 1), pairTestConfig(Full, 3)}
+	want := make([][]byte, len(cfgs))
+	for i, cfg := range cfgs {
+		res, err := Mine(db, tree, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = scrubbedJSON(t, res, tree)
+	}
+	eng := NewEngine(db, tree)
+	const rounds = 4
+	results := make([]*Result, rounds*len(cfgs))
+	errs := make([]error, len(results))
+	var wg sync.WaitGroup
+	for r := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[r], errs[r] = eng.Mine(cfgs[r%len(cfgs)])
+		}()
+	}
+	wg.Wait()
+	for r, res := range results {
+		if errs[r] != nil {
+			t.Fatal(errs[r])
+		}
+		i := r % len(cfgs)
+		if got := scrubbedJSON(t, res, tree); !bytes.Equal(got, want[i]) {
+			t.Errorf("config %d: a concurrent mine diverged:\n%s\n%s", i, want[i], got)
+		}
+	}
+}
