@@ -368,21 +368,21 @@ func BenchmarkCountingDenseWarm(b *testing.B) {
 }
 
 // BenchmarkCountingDenseSharded covers the shard-parallel backends on the
-// dense workload (shards=4), cold and warm — the variants the CI alloc
-// budgets pin alongside the unsharded ones.
+// dense workload partitioned into 4 shards, cold and warm — the variants the
+// CI alloc budgets pin alongside the unsharded ones.
 func BenchmarkCountingDenseSharded(b *testing.B) {
 	db, tree := denseWorkload(b)
+	src := flipper.PartitionDB(db, 4)
 	for _, s := range denseStrategies {
 		if s.strategy != flipper.CountScan && s.strategy != flipper.CountBitmap {
 			continue
 		}
 		cfg := denseConfig(s.strategy)
-		cfg.Shards = 4
 		b.Run(s.name, func(b *testing.B) {
-			mineOnce(b, db, tree, cfg)
+			mineOnce(b, src, tree, cfg)
 		})
 		b.Run(s.name+"_warm", func(b *testing.B) {
-			eng := flipper.NewEngine(db, tree)
+			eng := flipper.NewEngine(src, tree)
 			if _, err := eng.Mine(cfg); err != nil {
 				b.Fatal(err)
 			}

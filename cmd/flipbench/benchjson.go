@@ -10,6 +10,8 @@ import (
 	"github.com/flipper-mining/flipper/internal/core"
 	"github.com/flipper-mining/flipper/internal/experiments"
 	"github.com/flipper-mining/flipper/internal/measure"
+	"github.com/flipper-mining/flipper/internal/taxonomy"
+	"github.com/flipper-mining/flipper/internal/txdb"
 )
 
 // The -json mode: run the counting micro-benchmark suite (the same dense
@@ -92,16 +94,15 @@ func runBenchJSON(path, tag string) error {
 		fmt.Fprintf(os.Stderr, "bench %-32s %12.0f ns/op %8d allocs/op\n",
 			name, float64(br.T.Nanoseconds())/float64(br.N), br.AllocsPerOp())
 	}
-	// record measures one configuration. With eng set it measures the warm
-	// steady state — the engine is prewarmed by the instrumented run, so the
-	// loop reuses cached level views, indexes and scratch; with eng nil every
+	// record measures one configuration over src. Warm, it measures the
+	// steady state of one engine — prewarmed by the instrumented run, so the
+	// loop reuses cached level views, indexes and scratch; cold, every
 	// iteration builds a throwaway engine (the cold, one-shot cost).
-	record := func(name string, cfg core.Config, eng *core.Engine) error {
-		mine := func() (*core.Result, error) {
-			if eng != nil {
-				return eng.Mine(cfg)
-			}
-			return core.Mine(db, tree, cfg)
+	record := func(name string, cfg core.Config, src txdb.Source, tree *taxonomy.Tree, warm bool) error {
+		mine := func() (*core.Result, error) { return core.Mine(src, tree, cfg) }
+		if warm {
+			eng := core.NewEngine(src, tree)
+			mine = func() (*core.Result, error) { return eng.Mine(cfg) }
 		}
 		// One instrumented run for the engine's own counters (and the warm-up
 		// for warm records).
@@ -121,12 +122,12 @@ func runBenchJSON(path, tag string) error {
 		return nil
 	}
 	for _, s := range []core.CountStrategy{core.CountScan, core.CountBitmap, core.CountAuto} {
-		if err := record("CountingDense/"+s.String(), cfgFor(s), nil); err != nil {
+		if err := record("CountingDense/"+s.String(), cfgFor(s), db, tree, false); err != nil {
 			return err
 		}
 		// The warm counterpart: one persistent engine per strategy, measuring
 		// the steady-state cost a resident flipperd pays per job.
-		if err := record("CountingDense/"+s.String()+"/warm", cfgFor(s), core.NewEngine(db, tree)); err != nil {
+		if err := record("CountingDense/"+s.String()+"/warm", cfgFor(s), db, tree, true); err != nil {
 			return err
 		}
 	}
@@ -134,17 +135,13 @@ func runBenchJSON(path, tag string) error {
 	// the BENCH_PR5 sharding story next to the per-backend baselines.
 	for _, s := range []core.CountStrategy{core.CountScan, core.CountBitmap} {
 		for _, shards := range []int{2, 4, 8} {
-			cfg := cfgFor(s)
-			cfg.Shards = shards
 			name := fmt.Sprintf("CountingDense/%s/shards=%d", s.String(), shards)
-			if err := record(name, cfg, nil); err != nil {
+			if err := record(name, cfgFor(s), txdb.PartitionSource(db, shards), tree, false); err != nil {
 				return err
 			}
 		}
-		cfg := cfgFor(s)
-		cfg.Shards = 4
 		name := fmt.Sprintf("CountingDense/%s/shards=%d/warm", s.String(), 4)
-		if err := record(name, cfg, core.NewEngine(db, tree)); err != nil {
+		if err := record(name, cfgFor(s), txdb.PartitionSource(db, 4), tree, true); err != nil {
 			return err
 		}
 	}
@@ -154,10 +151,10 @@ func runBenchJSON(path, tag string) error {
 	anchoredCfg := cfgFor(core.CountScan)
 	anchoredCfg.Anchor = "leaf00.0"
 	anchoredCfg.AnchorTopK = 5
-	if err := record("AnchoredTopK", anchoredCfg, nil); err != nil {
+	if err := record("AnchoredTopK", anchoredCfg, db, tree, false); err != nil {
 		return err
 	}
-	if err := record("AnchoredTopK/warm", anchoredCfg, core.NewEngine(db, tree)); err != nil {
+	if err := record("AnchoredTopK/warm", anchoredCfg, db, tree, true); err != nil {
 		return err
 	}
 	// The same data at the topk-large workload's thresholds, anchored at an
@@ -167,7 +164,7 @@ func runBenchJSON(path, tag string) error {
 	rootCfg := core.DefaultConfig(tree.Height())
 	rootCfg.Gamma, rootCfg.Epsilon, rootCfg.MinSup = 0.4, 0.12, []float64{0.02, 0.005}
 	rootCfg.Anchor, rootCfg.AnchorTopK = "cat30", 5
-	if err := record("AnchoredTopK/root-triples/warm", rootCfg, core.NewEngine(db, tree)); err != nil {
+	if err := record("AnchoredTopK/root-triples/warm", rootCfg, db, tree, true); err != nil {
 		return err
 	}
 	// A warm default-config scan mine on the paper's default synthetic data:
@@ -179,7 +176,7 @@ func runBenchJSON(path, tag string) error {
 	if err != nil {
 		return err
 	}
-	if err := record("CountingSynthetic/scan/warm", core.DefaultConfig(synTree.Height()), core.NewEngine(synDB, synTree)); err != nil {
+	if err := record("CountingSynthetic/scan/warm", core.DefaultConfig(synTree.Height()), synDB, synTree, true); err != nil {
 		return err
 	}
 	// The preparation of a one-shot flipper run on the end-to-end

@@ -91,7 +91,6 @@ func main() {
 	cfg.Epsilon = *epsilon
 	cfg.TopK = *topK
 	cfg.MaxK = *maxK
-	cfg.Shards = *shards
 	if *anchor != "" {
 		// -topk doubles as the anchored K; anchored search replaces the
 		// global top-K knob (the two are mutually exclusive in core).
@@ -129,7 +128,10 @@ func main() {
 		fail(err)
 	}
 	if *shards > 1 {
-		if _, ok := src.(*flipper.FileSource); ok {
+		switch s := src.(type) {
+		case *flipper.DB:
+			src = flipper.PartitionDB(s, *shards)
+		case *flipper.FileSource:
 			fmt.Fprintln(os.Stderr, "flipper: warning: -shards ignored — a single basket file cannot be partitioned in -stream mode; split it into a shard directory with flipgen -shards, or drop -stream")
 		}
 	}

@@ -134,22 +134,38 @@ func TestCLIAPIJSON(t *testing.T) {
 }
 
 // TestCLISharded pins the -shards flag and the shard-directory form of -db:
-// both must mine exactly what the single-file, unsharded run mines.
+// both must mine exactly what the single-file, unsharded run mines, and
+// both must take effect, which the shard count in the -json-api stats shows.
 func TestCLISharded(t *testing.T) {
 	bin := buildCmd(t)
 	tax, db := writeToy(t)
-	mine := func(args ...string) string {
+	run := func(args ...string) []byte {
 		t.Helper()
-		args = append(args, "-gamma", "0.6", "-epsilon", "0.35", "-minsup", "0.1,0.1,0.1", "-json")
+		args = append(args, "-gamma", "0.6", "-epsilon", "0.35", "-minsup", "0.1,0.1,0.1")
 		out, err := exec.Command(bin, args...).Output()
 		if err != nil {
 			t.Fatalf("run %v: %v", args, err)
 		}
-		return string(out)
+		return out
+	}
+	mine := func(args ...string) string { return string(run(append(args, "-json")...)) }
+	shards := func(args ...string) float64 {
+		t.Helper()
+		var res struct {
+			Stats map[string]any `json:"stats"`
+		}
+		if err := json.Unmarshal(run(append(args, "-json-api")...), &res); err != nil {
+			t.Fatalf("run %v: %v", args, err)
+		}
+		n, _ := res.Stats["shards"].(float64)
+		return n
 	}
 	want := mine("-tax", tax, "-db", db)
 	if got := mine("-tax", tax, "-db", db, "-shards", "3"); got != want {
 		t.Errorf("-shards 3 diverged:\n%s\nvs\n%s", want, got)
+	}
+	if n := shards("-tax", tax, "-db", db, "-shards", "3"); n != 3 {
+		t.Errorf("-shards 3 counted %v shards, want 3", n)
 	}
 	// Shard-directory form: split the baskets into per-shard files.
 	lines := strings.SplitAfter(strings.TrimRight(toyBaskets, "\n"), "\n")
@@ -165,6 +181,9 @@ func TestCLISharded(t *testing.T) {
 	}
 	if got := mine("-tax", tax, "-db", shardDir); got != want {
 		t.Errorf("shard directory diverged:\n%s\nvs\n%s", want, got)
+	}
+	if n := shards("-tax", tax, "-db", shardDir); n != 2 {
+		t.Errorf("the two-file shard directory counted %v shards, want 2", n)
 	}
 	if got := mine("-tax", tax, "-db", shardDir, "-stream"); got != want {
 		t.Errorf("streamed shard directory diverged:\n%s\nvs\n%s", want, got)

@@ -75,8 +75,8 @@ type (
 	Source = txdb.Source
 	// FileSource streams a basket file from disk on every pass.
 	FileSource = txdb.FileSource
-	// ShardedSource composes per-shard Sources for shard-parallel counting
-	// (Config.Shards), including out-of-core mining over per-shard files.
+	// ShardedSource composes per-shard Sources for shard-parallel counting,
+	// including out-of-core mining over per-shard files.
 	ShardedSource = txdb.ShardedSource
 	// Dictionary maps item names to dense int32 IDs.
 	Dictionary = dict.Dictionary
@@ -205,7 +205,8 @@ func OpenBasketSource(path string, d *Dictionary, stream bool) (Source, error) {
 // PartitionDB splits an in-memory database into an n-shard source whose
 // shards alias the database's storage; mining it makes every counting
 // backend shard-parallel with output byte-identical to the unsharded run.
-// Equivalent to setting Config.Shards when mining the DB directly.
+// It is how an in-memory database is sharded: the shard layout is always the
+// source's own.
 func PartitionDB(db *DB, n int) *ShardedSource { return txdb.PartitionSource(db, n) }
 
 // OpenShardDir opens a directory of shard*.txt basket files (the flipgen

@@ -150,25 +150,25 @@ func traceWriter(t *testing.T) io.Writer {
 	return f
 }
 
-// newTestCluster assembles n workers and a coordinator over the dataset.
-// Workers register through real heartbeat HTTP pushes against the
-// coordinator's handler, not by poking the registry.
-func newTestCluster(t *testing.T, n int, db *txdb.DB, tree *taxonomy.Tree, opts Options) *testCluster {
+// newTestCluster assembles n workers and a coordinator over the dataset,
+// every node counting src's shards. Workers register through real heartbeat
+// HTTP pushes against the coordinator's handler, not by poking the registry.
+func newTestCluster(t *testing.T, n int, src txdb.Source, tree *taxonomy.Tree, opts Options) *testCluster {
 	t.Helper()
-	fp := NewFingerprint("ds", db, tree)
+	fp := NewFingerprint("ds", src, tree)
 	tc := &testCluster{fp: fp}
 	if opts.TraceWriter == nil {
 		opts.TraceWriter = traceWriter(t)
 	}
 	coordCat := NewCatalog()
-	coordCat.Add("ds", core.NewEngine(db, tree), tree, fp)
+	coordCat.Add("ds", core.NewEngine(src, tree), tree, fp)
 	tc.co = New(coordCat, opts)
 	coordSrv := httptest.NewServer(tc.co.Handler())
 	t.Cleanup(coordSrv.Close)
 
 	for i := 0; i < n; i++ {
 		cat := NewCatalog()
-		cat.Add("ds", core.NewEngine(db, tree), tree, fp)
+		cat.Add("ds", core.NewEngine(src, tree), tree, fp)
 		id := fmt.Sprintf("w%d", i)
 		w := NewWorker(id, cat)
 		delay := &atomic.Int64{}
@@ -226,7 +226,7 @@ func fastOpts() Options {
 	}
 }
 
-func testConfig(strategy core.CountStrategy, materialize bool, shards int) core.Config {
+func testConfig(strategy core.CountStrategy, materialize bool) core.Config {
 	return core.Config{
 		Measure:     measure.Kulczynski,
 		Gamma:       0.3,
@@ -235,7 +235,6 @@ func testConfig(strategy core.CountStrategy, materialize bool, shards int) core.
 		Pruning:     core.Full,
 		Strategy:    strategy,
 		Materialize: materialize,
-		Shards:      shards,
 	}
 }
 
@@ -243,10 +242,11 @@ func testConfig(strategy core.CountStrategy, materialize bool, shards int) core.
 // in-process cluster with injected network faults — drops, stalls, 5xx
 // bursts, truncated bodies — produces envelopes (patterns and stats, see
 // patternsJSON) byte-identical to single-process core.Mine, across the
-// scan, bitmap and auto strategies × shards 2/7 × fault schedules. Workers
-// that die under the fault load push the coordinator through reassignment
-// and, at the limit, the degraded local fallback — the bytes must not move
-// either way.
+// scan, bitmap and auto strategies × shards 2/7 × fault schedules. Each
+// shard count is its own cluster over txdb.PartitionSource, so the
+// fingerprints carry the shard count the workers count. Workers that die
+// under the fault load push the coordinator through reassignment and, at the
+// limit, the degraded local fallback — the bytes must not move either way.
 func TestClusterEquivalence(t *testing.T) {
 	type faultCase struct {
 		name string
@@ -275,18 +275,22 @@ func TestClusterEquivalence(t *testing.T) {
 
 	for _, fc := range faults {
 		t.Run(fc.name, func(t *testing.T) {
-			opts := fastOpts()
-			if fc.plan != (faultinject.HTTPPlan{}) {
-				opts.HTTPClient = &http.Client{
-					Transport: faultinject.NewHTTPTransport(nil, fc.plan),
-					Timeout:   30 * time.Second,
-				}
-			}
-			tc := newTestCluster(t, 3, db, tree, opts)
 			for _, shards := range shardCounts {
+				opts := fastOpts()
+				if fc.plan != (faultinject.HTTPPlan{}) {
+					opts.HTTPClient = &http.Client{
+						Transport: faultinject.NewHTTPTransport(nil, fc.plan),
+						Timeout:   30 * time.Second,
+					}
+				}
+				src := txdb.PartitionSource(db, shards)
+				tc := newTestCluster(t, 3, src, tree, opts)
+				if tc.fp.Shards != shards {
+					t.Fatalf("fingerprint carries %d shards, want %d", tc.fp.Shards, shards)
+				}
 				for _, strategy := range strategies {
-					cfg := testConfig(strategy, true, shards)
-					local, err := core.Mine(db, tree, cfg)
+					cfg := testConfig(strategy, true)
+					local, err := core.Mine(src, tree, cfg)
 					if err != nil {
 						t.Fatalf("shards=%d %v: local: %v", shards, strategy, err)
 					}
@@ -311,12 +315,13 @@ func TestClusterEquivalence(t *testing.T) {
 func TestClusterStreamingEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	db, tree := testDataset(rng)
-	cfg := testConfig(core.CountScan, false, 2)
-	local, err := core.Mine(db, tree, cfg)
+	src := txdb.PartitionSource(db, 2)
+	cfg := testConfig(core.CountScan, false)
+	local, err := core.Mine(src, tree, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc := newTestCluster(t, 3, db, tree, fastOpts())
+	tc := newTestCluster(t, 3, src, tree, fastOpts())
 	dist, err := tc.co.Mine(context.Background(), "ds", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -333,12 +338,13 @@ func TestClusterStreamingEquivalence(t *testing.T) {
 func TestClusterWorkerDeathMidJob(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	db, tree := testDataset(rng)
-	cfg := testConfig(core.CountScan, true, 7)
-	local, err := core.Mine(db, tree, cfg)
+	src := txdb.PartitionSource(db, 7)
+	cfg := testConfig(core.CountScan, true)
+	local, err := core.Mine(src, tree, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc := newTestCluster(t, 3, db, tree, fastOpts())
+	tc := newTestCluster(t, 3, src, tree, fastOpts())
 	// Kill w0: every dispatch to it fails hard, so mid-job its shards
 	// reroute and the failure threshold buries it.
 	tc.failAt[0].Store(true)
@@ -371,12 +377,13 @@ func TestClusterWorkerDeathMidJob(t *testing.T) {
 func TestClusterDegradedFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(321))
 	db, tree := testDataset(rng)
-	cfg := testConfig(core.CountScan, true, 2)
-	local, err := core.Mine(db, tree, cfg)
+	src := txdb.PartitionSource(db, 2)
+	cfg := testConfig(core.CountScan, true)
+	local, err := core.Mine(src, tree, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc := newTestCluster(t, 3, db, tree, fastOpts())
+	tc := newTestCluster(t, 3, src, tree, fastOpts())
 	for _, f := range tc.failAt {
 		f.Store(true)
 	}
@@ -412,8 +419,9 @@ func TestClusterDegradedFallback(t *testing.T) {
 func TestClusterHedgeWinnerDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(777))
 	db, tree := testDataset(rng)
-	cfg := testConfig(core.CountScan, true, 2)
-	local, err := core.Mine(db, tree, cfg)
+	src := txdb.PartitionSource(db, 2)
+	cfg := testConfig(core.CountScan, true)
+	local, err := core.Mine(src, tree, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +430,7 @@ func TestClusterHedgeWinnerDeterminism(t *testing.T) {
 	for slow := 0; slow < 2; slow++ {
 		opts := fastOpts()
 		opts.HedgeAfter = 10 * time.Millisecond
-		tc := newTestCluster(t, 2, db, tree, opts)
+		tc := newTestCluster(t, 2, src, tree, opts)
 		// The slow worker stalls past the hedge deadline on every request:
 		// when it is primary for a shard the hedge on the fast worker wins;
 		// when it is the hedge target the primary wins. The straggler's

@@ -44,15 +44,13 @@ type Fingerprint struct {
 }
 
 // NewFingerprint derives the fingerprint of a loaded dataset: its shape, the
-// source's shard count, and a 64-bit digest over each shard's transactions
-// in order. The digest reads the source once, so a FileSource pays one more
-// sequential read. A source that fails to scan gets a random digest: its
-// fingerprint matches no other, so no node counts on data it cannot read.
+// shard count, and a 64-bit digest over each shard's transactions in order,
+// where the shards are the ones an engine over src counts (txdb.ShardsOf).
+// The digest reads the source once, so a FileSource pays one more sequential
+// read. A source that fails to scan gets a random digest: its fingerprint
+// matches no other, so no node counts on data it cannot read.
 func NewFingerprint(name string, src txdb.Source, tree *taxonomy.Tree) Fingerprint {
-	shards := []txdb.Source{src}
-	if ss, ok := src.(*txdb.ShardedSource); ok {
-		shards = ss.Shards()
-	}
+	shards := txdb.ShardsOf(src)
 	h := uint64(14695981039346656037) // the FNV-1a offset basis
 	for _, shard := range shards {
 		err := shard.Scan(func(tx itemset.Set) error {

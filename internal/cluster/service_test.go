@@ -188,7 +188,7 @@ func TestFingerprintMismatchMinesLocally(t *testing.T) {
 			if f.served.Load() != 0 {
 				t.Fatalf("%d count requests reached the skewed worker", f.served.Load())
 			}
-			cfg := testConfig(core.CountScan, true, 0)
+			cfg := testConfig(core.CountScan, true)
 			body, err := json.Marshal(CountRequest{Fingerprint: coordFp, ConfigKey: cfg.CanonicalKey(), ShardUnit: core.ShardUnit{
 				Config: cfg, Level: tree.Height(), K: 1, Candidates: []itemset.Set{{tree.Leaves()[0]}},
 			}})

@@ -123,11 +123,11 @@ type anchoredScratch struct {
 // position locked to the anchor's ancestor path and subtree.
 func (a *anchoredSearch) run() {
 	m := a.m
-	if _, ok := m.freq1[1][a.root]; !ok {
+	if !m.frequent(1, a.root) {
 		return // the anchor's own root is infrequent; no chain can exist
 	}
 	others := a.sc.others[:0]
-	for id := range m.freq1[1] {
+	for _, id := range m.sorted[1] {
 		if id != a.root {
 			others = append(others, id)
 		}
@@ -176,8 +176,7 @@ func (a *anchoredSearch) extend(cur itemset.Set, idx int, prefix bitmap.Vector) 
 		if sup < m.minSup[1] {
 			continue
 		}
-		corr := a.corrAt(cand, sup, 1)
-		if label := a.labelOf(corr); label.Labeled() {
+		if corr, label := m.label(cand, sup, 1); label.Labeled() {
 			a.path = append(a.path, LevelInfo{Level: 1, Items: cand.Clone(), Support: sup, Corr: corr, Label: label})
 			if m.height == 1 {
 				a.emit()
@@ -340,7 +339,7 @@ func (a *anchoredSearch) descend(items itemset.Set, anchorIdx, h int, corrPrev f
 		}
 		var keep []itemset.ID
 		for _, c := range cands {
-			if _, ok := m.freq1[next][c]; ok {
+			if m.frequent(next, c) {
 				keep = append(keep, c)
 			}
 		}
@@ -376,8 +375,7 @@ func (a *anchoredSearch) visit(cand itemset.Set, anchorIdx, h int, corrPrev floa
 	if sup < m.minSup[h] {
 		return
 	}
-	corr := a.corrAt(cand, sup, h)
-	label := a.labelOf(corr)
+	corr, label := m.label(cand, sup, h)
 	if !label.Flips(labelPrev) {
 		return
 	}
@@ -428,29 +426,6 @@ func (a *anchoredSearch) exactSupport(items itemset.Set, h int) int64 {
 		m.stats.BitmapWordOps += ops
 	}
 	return sup
-}
-
-// corrAt computes the exact correlation of items at level h given their
-// support.
-func (a *anchoredSearch) corrAt(items itemset.Set, sup int64, h int) float64 {
-	m := a.m
-	sups := m.sc.supsFor(len(items))
-	sup1 := m.ds.sup1[h]
-	for j, id := range items {
-		sups[j] = sup1[id]
-	}
-	return m.cfg.Measure.Corr(sup, sups)
-}
-
-// labelOf labels a correlation against the run's γ and ε.
-func (a *anchoredSearch) labelOf(corr float64) Label {
-	switch {
-	case corr >= a.m.cfg.Gamma:
-		return LabelPositive
-	case corr <= a.m.cfg.Epsilon:
-		return LabelNegative
-	}
-	return LabelNone
 }
 
 // gapFloor returns the current K-th best collected gap, and whether K

@@ -93,10 +93,9 @@ func TestAnchoredTopKMatchesExact(t *testing.T) {
 						cfg := base
 						cfg.Pruning = pruning
 						cfg.Strategy = strategy
-						cfg.Shards = shards
 						cfg.Anchor = anchor
 						cfg.AnchorTopK = topK
-						res, err := Mine(db, tree, cfg)
+						res, err := Mine(txdb.PartitionSource(db, shards), tree, cfg)
 						if err != nil {
 							t.Fatalf("trial %d anchor=%q %v/%v shards=%d: %v",
 								trial, anchor, pruning, strategy, shards, err)
@@ -252,10 +251,9 @@ func FuzzAnchoredTopK(f *testing.F) {
 				cfg := base
 				cfg.Pruning = pruning
 				cfg.Materialize = materialize
-				cfg.Shards = shards
 				cfg.Anchor = anchor
 				cfg.AnchorTopK = topK
-				res, err := Mine(db, tree, cfg)
+				res, err := Mine(txdb.PartitionSource(db, shards), tree, cfg)
 				if err != nil {
 					t.Fatalf("anchored %q materialize=%v shards=%d: %v", anchor, materialize, shards, err)
 				}
@@ -377,11 +375,10 @@ func TestAnchoredBitmapBuildsPerShard(t *testing.T) {
 			Epsilon:     0.1,
 			MinSupAbs:   []int64{2, 1, 1},
 			Materialize: true,
-			Shards:      shards,
 			Anchor:      "c0",
 			AnchorTopK:  3,
 		}
-		eng := NewEngine(db, tree)
+		eng := NewEngine(txdb.PartitionSource(db, shards), tree)
 		res, err := eng.Mine(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -389,8 +386,8 @@ func TestAnchoredBitmapBuildsPerShard(t *testing.T) {
 		if res.Stats.CandidatesCounted == 0 {
 			t.Fatalf("shards=%d: no candidate was counted; the check below would be vacuous", shards)
 		}
-		if len(eng.data) != 1 {
-			t.Fatalf("shards=%d: %d cached representations, want 1", shards, len(eng.data))
+		if eng.streamed.sup1 != nil {
+			t.Fatalf("shards=%d: a materialized anchored run built the streaming state too", shards)
 		}
 		if b := res.Stats.BitmapBuilds; b == 0 || b%int64(res.Stats.Shards) != 0 {
 			t.Fatalf("shards=%d: %d bitmap builds over %d shards, want a positive multiple", shards, b, res.Stats.Shards)
@@ -451,8 +448,9 @@ func TestAnchoredRootSetsOnConditionalIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	type query struct {
-		cfg  Config
-		want string
+		cfg    Config
+		shards int
+		want   string
 	}
 	var queries []query
 	rootQuads := false // some expected pattern starts from a root set of four
@@ -464,9 +462,9 @@ func TestAnchoredRootSetsOnConditionalIndex(t *testing.T) {
 		for _, strategy := range []CountStrategy{CountScan, CountBitmap, CountAuto} {
 			for _, shards := range []int{1, 2, 7} {
 				cfg := base
-				cfg.Strategy, cfg.Shards = strategy, shards
+				cfg.Strategy = strategy
 				cfg.Anchor, cfg.AnchorTopK = anchor, 3
-				queries = append(queries, query{cfg, rankedFingerprint(ref, tree)})
+				queries = append(queries, query{cfg, shards, rankedFingerprint(ref, tree)})
 			}
 		}
 	}
@@ -474,12 +472,12 @@ func TestAnchoredRootSetsOnConditionalIndex(t *testing.T) {
 		t.Fatal("no expected pattern starts from a root set of four; the data no longer exercises the carried prefix")
 	}
 	for _, q := range queries {
-		eng := NewEngine(db, tree)
+		eng := NewEngine(txdb.PartitionSource(db, q.shards), tree)
 		res, err := eng.Mine(q.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		name := fmt.Sprintf("anchor %s %v shards=%d", q.cfg.Anchor, q.cfg.Strategy, q.cfg.Shards)
+		name := fmt.Sprintf("anchor %s %v shards=%d", q.cfg.Anchor, q.cfg.Strategy, q.shards)
 		if got := rankedFingerprint(res.Patterns, tree); got != q.want {
 			t.Fatalf("%s diverged from the filtered full mine.\nexact:\n%s\nanchored:\n%s", name, q.want, got)
 		}
@@ -496,11 +494,11 @@ func TestAnchoredRootSetsOnConditionalIndex(t *testing.T) {
 	// Concurrent queries on one engine share its cached indexes and scratch
 	// pool; under -race this races every query's conditional build.
 	for _, shards := range []int{1, 2, 7} {
-		eng := NewEngine(db, tree)
+		eng := NewEngine(txdb.PartitionSource(db, shards), tree)
 		var wg sync.WaitGroup
 		errs := make([]error, len(queries))
 		for i, q := range queries {
-			if q.cfg.Shards != shards {
+			if q.shards != shards {
 				continue
 			}
 			wg.Add(1)

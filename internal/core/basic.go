@@ -15,7 +15,7 @@ import (
 func (m *miner) mineBasic() []Pattern {
 	for h := 1; h <= m.height; h++ {
 		kMax := m.ds.widths[h]
-		if f := len(m.freq1[h]); f < kMax {
+		if f := len(m.sorted[h]); f < kMax {
 			kMax = f
 		}
 		if m.cfg.MaxK > 0 && m.cfg.MaxK < kMax {
@@ -95,8 +95,6 @@ func (m *miner) finishBasicCell(c *cell) {
 		m.count(c)
 	}
 	thr := m.minSup[c.h]
-	sup1 := m.ds.sup1[c.h]
-	sups := m.sc.supsFor(c.k)
 	for i := range c.meta {
 		e := &c.meta[i]
 		sup := c.store.Sup[i]
@@ -109,17 +107,12 @@ func (m *miner) finishBasicCell(c *cell) {
 		}
 		c.frequent++
 		m.stats.FrequentItemsets++
-		for j, id := range c.store.Items(int32(i)) {
-			sups[j] = sup1[id]
-		}
-		e.corr = m.cfg.Measure.Corr(sup, sups)
-		switch {
-		case e.corr >= m.cfg.Gamma:
-			e.label = LabelPositive
+		e.corr, e.label = m.label(c.store.Items(int32(i)), sup, c.h)
+		switch e.label {
+		case LabelPositive:
 			c.positive++
 			m.stats.PositiveItemsets++
-		case e.corr <= m.cfg.Epsilon:
-			e.label = LabelNegative
+		case LabelNegative:
 			c.negative++
 			m.stats.NegativeItemsets++
 		}

@@ -113,13 +113,11 @@ func TestMineContextDeadline(t *testing.T) {
 func TestMineContextCancelAllStrategies(t *testing.T) {
 	db, tree := denseWorkload(t, 6000)
 	for _, strategy := range []core.CountStrategy{core.CountScan, core.CountBitmap} {
-		for _, shards := range []int{0, 4} {
+		for _, shards := range []int{1, 4} {
 			ctx, cancel := context.WithCancel(context.Background())
 			done := make(chan error, 1)
 			go func() {
-				cfg := denseCfg(strategy)
-				cfg.Shards = shards
-				res, err := core.MineContext(ctx, db, tree, cfg)
+				res, err := core.MineContext(ctx, txdb.PartitionSource(db, shards), tree, denseCfg(strategy))
 				if err == nil && res == nil {
 					err = errors.New("nil result without error")
 				}

@@ -84,7 +84,6 @@ func (m *miner) childCell(h, k int) *cell {
 		return c
 	}
 	left := m.rows[h][k-1] // counted (h,k-1) itemsets; nil when k == 2
-	freq := m.freq1[h]
 	excl := m.excluded[h]
 
 	lists := make([][]itemset.ID, k)
@@ -111,13 +110,9 @@ func (m *miner) childCell(h, k int) *cell {
 		for i, pid := range pItems {
 			lists[i] = lists[i][:0]
 			for _, ch := range m.tax.ChildrenAt(pid) {
-				if _, f := freq[ch]; !f {
-					continue
+				if m.frequent(h, ch) && !excl[ch] {
+					lists[i] = append(lists[i], ch)
 				}
-				if excl[ch] {
-					continue
-				}
-				lists[i] = append(lists[i], ch)
 			}
 			if len(lists[i]) == 0 {
 				return
@@ -224,8 +219,8 @@ func (c *cell) frequentSets() []itemset.Set {
 // order, minus SIBP-excluded ones.
 func (m *miner) frequentItems(h int) []itemset.ID {
 	excl := m.excluded[h]
-	out := make([]itemset.ID, 0, len(m.freq1[h]))
-	for id := range m.freq1[h] {
+	out := make([]itemset.ID, 0, len(m.sorted[h]))
+	for _, id := range m.sorted[h] {
 		if !excl[id] {
 			out = append(out, id)
 		}

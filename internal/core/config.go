@@ -151,18 +151,8 @@ type Config struct {
 	// Parallelism is the number of counting workers; 0 means GOMAXPROCS.
 	// Counting cuts every pass into units of shard rows or candidates, at
 	// least this many when the data allows, and a worker pool of this size
-	// runs them however many shards there are (see Shards).
+	// runs them however many shards the source has (txdb.ShardsOf).
 	Parallelism int `json:"parallelism,omitempty"`
-	// Shards partitions the transaction database into that many contiguous
-	// shards, each with its own levels and indexes: a bounded pool of
-	// workers counts the shards into private scratch, and the partial
-	// support vectors are merged deterministically — mined output is
-	// byte-identical to the unsharded run. Shards fewer than the workers are
-	// split between them. 0 or 1 disables partitioning.
-	// Only in-memory databases can be partitioned in place; to shard a
-	// disk-resident dataset, mine a txdb.ShardedSource composed of per-shard
-	// FileSources (whose shard count then takes precedence over this knob).
-	Shards int `json:"shards,omitempty"`
 	// Materialize keeps per-level generalized views of the database in
 	// memory (with duplicate transactions merged). Disable to stream from
 	// the source on every scan, trading time for memory — the paper's
@@ -243,9 +233,6 @@ func (c *Config) validate(height, n int) ([]int64, error) {
 	}
 	if c.Parallelism < 0 {
 		return nil, fmt.Errorf("core: parallelism %d negative", c.Parallelism)
-	}
-	if c.Shards < 0 {
-		return nil, fmt.Errorf("core: shards %d negative", c.Shards)
 	}
 	if c.Strategy < CountScan || c.Strategy > CountBitmap {
 		return nil, fmt.Errorf("core: unknown counting strategy %v", c.Strategy)

@@ -38,7 +38,6 @@ func TestValidateRejectionMessages(t *testing.T) {
 		{"epsilon at gamma", 3, func(c *Config) { c.Epsilon = c.Gamma }, "core: epsilon 0.6 must be in [0, gamma)"},
 		{"negative maxk", 3, func(c *Config) { c.MaxK = -1 }, "core: MaxK -1 negative"},
 		{"negative parallelism", 3, func(c *Config) { c.Parallelism = -2 }, "core: parallelism -2 negative"},
-		{"negative shards", 3, func(c *Config) { c.Shards = -3 }, "core: shards -3 negative"},
 		{"unknown strategy", 3, func(c *Config) { c.Strategy = CountStrategy(42) }, "core: unknown counting strategy"},
 		{"tidlist without views", 3, func(c *Config) { c.Strategy, _ = ParseCountStrategy("tidlist"); c.Materialize = false }, "core: bitmap counting requires materialized views"},
 		{"bitmap without views", 3, func(c *Config) { c.Strategy = CountBitmap; c.Materialize = false }, "counting requires materialized views"},

@@ -6,39 +6,20 @@ import (
 	"github.com/flipper-mining/flipper/internal/txdb"
 )
 
-// Transaction shards: Config.Shards partitions an in-memory database in
-// place, and a txdb.ShardedSource brings its own shards. Every shard gets its
-// own levels (built concurrently at init) and bitmap indexes, and counting
-// cuts its passes over them into (shard, range) units (counting.go), so an
-// unsharded run is simply the one-shard case. The payoffs over one big
-// level: each unit's working set is its shard's row arena or index rather
-// than the whole level (cache residency), and with a ShardedSource over
-// per-shard basket files, streaming counting scans the files in parallel —
-// out-of-core mining of databases larger than RAM. The fan-out is a bounded
-// pool of cfg.workers() goroutines (txdb.ForEachShard), so shard count
-// scales independently of core count: a 256-shard out-of-core dataset on 4
-// cores runs 4 workers with 4 partial vectors, not 256 of each.
-
-// resolveShardSources decides a run's shard layout. A ShardedSource brings
-// its own shards (its on-disk partitioning is authoritative); otherwise
-// cfgShards > 1 partitions an in-memory database in place. Any other
-// source — e.g. a single FileSource, which cannot be split without
-// rewriting the file — is its own single shard regardless of Config.Shards.
-func resolveShardSources(src txdb.Source, cfgShards int) []txdb.Source {
-	if ss, ok := src.(*txdb.ShardedSource); ok && ss.NumShards() > 1 {
-		return ss.Shards()
-	}
-	if db, ok := src.(*txdb.DB); ok && cfgShards > 1 {
-		if parts := txdb.Partition(db, cfgShards); len(parts) > 1 {
-			shards := make([]txdb.Source, len(parts))
-			for i, p := range parts {
-				shards[i] = p
-			}
-			return shards
-		}
-	}
-	return []txdb.Source{src}
-}
+// Transaction shards: the engine counts the shards of its source
+// (txdb.ShardsOf) — a txdb.ShardedSource's own, from per-shard basket files
+// or txdb.PartitionSource over an in-memory database, or the whole source as
+// one shard. Every shard gets its own levels (built concurrently at init)
+// and bitmap indexes, and counting cuts its passes over them into (shard,
+// range) units (counting.go), so an unsharded run is simply the one-shard
+// case. The payoffs over one big level: each unit's working set is its
+// shard's row arena or index rather than the whole level (cache residency),
+// and with a ShardedSource over per-shard basket files, streaming counting
+// scans the files in parallel — out-of-core mining of databases larger than
+// RAM. The fan-out is a bounded pool of cfg.workers() goroutines
+// (txdb.ForEachShard), so shard count scales independently of core count: a
+// 256-shard out-of-core dataset on 4 cores runs 4 workers with 4 partial
+// vectors, not 256 of each.
 
 // streamSingleSupports is the streaming init: one single-item pass over the
 // shard sources, a bounded worker pool scanning them concurrently, each

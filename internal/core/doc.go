@@ -110,8 +110,10 @@ run's bitmap-build accounting — and runs countScan, countScanStreaming or
 countBitmap, each written once over the representation's transaction
 shards (an unsharded run is one shard), or under MineRemote countRemote:
 one unit per shard sent to a ShardCounter, whose answers merge like a
-local pass's (remote.go). Config.Shards or mining a txdb.ShardedSource
-splits the database into contiguous shards, each with its own levels (built
+local pass's (remote.go). The shards are the source's own (txdb.ShardsOf,
+resolved once in NewEngine): mining a txdb.ShardedSource — per-shard basket
+files, or txdb.PartitionSource over an in-memory database — splits the
+database into contiguous shards, each with its own levels (built
 concurrently at init) and bitmap index (counting_shard.go). A pass runs
 as (shard, range) units on a pool of Config.Parallelism workers: scan cuts
 each shard's rows at scanBlock, bitmap cuts the candidate slab, and the
@@ -121,9 +123,10 @@ shard source — for per-shard basket files, the out-of-core mode. Each
 unit adds into its worker's partial support vector (worker 0's is the
 cell's slab) and mergePartials sums the partials. Integer sums make the
 output byte-identical across shard and worker counts (shard_test.go and
-invariance_test.go pin this), which is why Shards, like Parallelism, is
-excluded from Config.CanonicalKey. Stats.Shards and Stats.ShardMergeNs
-surface the fan-out and the serial merge fraction.
+invariance_test.go pin this), which is why Parallelism is excluded from
+Config.CanonicalKey; the shard count is no configuration field at all.
+Stats.Shards and Stats.ShardMergeNs surface the fan-out and the serial
+merge fraction.
 
 # Labeling and chains (engine.go finishCell)
 

@@ -33,11 +33,13 @@ type Result struct {
 // calls, plus a pool of per-run scratch (candidate stores, counting buffers,
 // chain arenas) so repeated runs stop paying full allocation.
 //
-// Cached state is keyed by the parts of the configuration that shape it
-// (Materialize and the resolved shard count); every other knob varies freely
-// across calls over the same caches. All methods are safe for concurrent
-// use: dataset state is built once and read-only afterwards, and each run
-// checks scratch out of the pool for exclusive use.
+// The shard layout is the source's own (txdb.ShardsOf), resolved once in
+// NewEngine; to count an in-memory database shard-parallel, mine a
+// txdb.PartitionSource over it. Cached state is kept per Materialize value,
+// the one part of the configuration that shapes it; every other knob varies
+// freely across calls over the same caches. All methods are safe for
+// concurrent use: dataset state is built once and read-only afterwards, and
+// each run checks scratch out of the pool for exclusive use.
 //
 // A warm run is byte-identical to a cold one: pattern bytes trivially so,
 // and the cost-model decisions and stats (db_scans, bitmap_builds,
@@ -47,8 +49,9 @@ type Engine struct {
 	src  txdb.Source
 	tree *taxonomy.Tree
 
+	materialized, streamed dataState // the cached state per Materialize value
+
 	mu      sync.Mutex
-	data    map[dataKey]*dataState
 	scratch []*runScratch // LIFO so the warmest arenas are reused first
 }
 
@@ -56,28 +59,23 @@ type Engine struct {
 // tree must not be mutated while the engine is in use — cached levels and
 // indexes are built from them once.
 func NewEngine(src txdb.Source, tree *taxonomy.Tree) *Engine {
-	return &Engine{src: src, tree: tree, data: make(map[dataKey]*dataState)}
+	e := &Engine{src: src, tree: tree}
+	e.materialized.shards = txdb.ShardsOf(src)
+	e.streamed.shards = e.materialized.shards
+	return e
 }
 
-// dataKey identifies one cached dataset representation: whether levels are
-// materialized, and how many transaction shards counting fans out over (1
-// when unsharded).
-type dataKey struct {
-	materialize bool
-	shards      int
-}
-
-// dataState is the dataset-derived state of one (materialize, shards)
-// representation. The base fields are built once under the sync.Once; each
-// (level, shard) bitmap index builds under its own sync.Once on first use by
-// any run, and each pair table on the second reach of a k = 2 scan cell or
-// unit, and both are then shared read-only. An unsharded representation is
-// one shard: every per-shard slice below then has length 1.
+// dataState is the dataset-derived state of one Materialize value. The base
+// fields are built once under the sync.Once; each (level, shard) bitmap
+// index builds under its own sync.Once on first use by any run, and each
+// pair table on the second reach of a k = 2 scan cell or unit, and both are
+// then shared read-only. An unsharded source is one shard: every per-shard
+// slice below then has length 1.
 type dataState struct {
 	once sync.Once
 	err  error
 
-	shards []txdb.Source // resolved shard sources; the whole source when unsharded
+	shards []txdb.Source // txdb.ShardsOf(the engine's source), set by NewEngine
 
 	levels [][]*txdb.Level        // [shard][level]; nil when streaming
 	sup1   []map[itemset.ID]int64 // all single supports per level, over all shards
@@ -105,15 +103,10 @@ type lazyPairs struct {
 // dataFor resolves (building at most once) the dataset state a run over cfg
 // needs.
 func (e *Engine) dataFor(cfg Config) (*dataState, error) {
-	shards := resolveShardSources(e.src, cfg.Shards)
-	key := dataKey{materialize: cfg.Materialize, shards: len(shards)}
-	e.mu.Lock()
-	ds := e.data[key]
-	if ds == nil {
-		ds = &dataState{shards: shards}
-		e.data[key] = ds
+	ds := &e.streamed
+	if cfg.Materialize {
+		ds = &e.materialized
 	}
-	e.mu.Unlock()
 	ds.once.Do(func() {
 		// A build that panics leaves this error for every later run, which
 		// would otherwise mine the half-built state as if it were the data.
@@ -347,8 +340,7 @@ type miner struct {
 	ds  *dataState
 	sc  *runScratch
 
-	freq1  []map[itemset.ID]int64 // frequent single supports per level
-	sorted [][]itemset.ID         // frequent items per level, ascending support (SIBP)
+	sorted [][]itemset.ID // frequent items per level, ascending support (SIBP)
 
 	// bmBuilt marks levels whose bitmap indexes this run has logically
 	// built. The engine may serve a cached index, but the cost model and
@@ -404,13 +396,13 @@ type miner struct {
 // repeatedly should hold one Engine and call its Mine method, which reuses
 // built levels, bitmap indexes and counting arenas across runs.
 func Mine(src txdb.Source, tree *taxonomy.Tree, cfg Config) (*Result, error) {
-	return (&Engine{src: src, tree: tree, data: make(map[dataKey]*dataState)}).Mine(cfg)
+	return NewEngine(src, tree).Mine(cfg)
 }
 
 // MineContext is Mine with a cancellable context; see Engine.MineContext for
 // the cancellation contract.
 func MineContext(ctx context.Context, src txdb.Source, tree *taxonomy.Tree, cfg Config) (*Result, error) {
-	return (&Engine{src: src, tree: tree, data: make(map[dataKey]*dataState)}).MineContext(ctx, cfg)
+	return NewEngine(src, tree).MineContext(ctx, cfg)
 }
 
 // Mine runs one mining pass over the engine's dataset, reusing every cached
@@ -531,7 +523,6 @@ func (m *miner) bind(e *Engine) error {
 	m.chains = m.sc.chains[:0]
 
 	H := m.height
-	m.freq1 = make([]map[itemset.ID]int64, H+1)
 	m.sorted = make([][]itemset.ID, H+1)
 	m.bmBuilt = make([]bool, H+1)
 	m.rows = make([]map[int]*cell, H+1)
@@ -546,15 +537,12 @@ func (m *miner) bind(e *Engine) error {
 	m.stats.DBScans += initScans(&m.cfg, H)
 
 	for h := 1; h <= H; h++ {
-		freq := make(map[itemset.ID]int64)
 		bySup := m.sc.bySup[:0]
 		for id, sup := range ds.sup1[h] {
 			if sup >= m.minSup[h] {
-				freq[id] = sup
 				bySup = append(bySup, itemSup{id, sup})
 			}
 		}
-		m.freq1[h] = freq
 		slices.SortFunc(bySup, func(a, b itemSup) int {
 			if c := cmp.Compare(a.sup, b.sup); c != 0 {
 				return c
@@ -579,7 +567,7 @@ func (m *miner) bind(e *Engine) error {
 			K = ds.widths[h]
 		}
 	}
-	if f := len(m.freq1[1]); f < K {
+	if f := len(m.sorted[1]); f < K {
 		K = f
 	}
 	if m.cfg.MaxK > 0 && m.cfg.MaxK < K {
@@ -591,6 +579,12 @@ func (m *miner) bind(e *Engine) error {
 	m.stats.Height = H
 	m.stats.MaxK = K
 	return nil
+}
+
+// frequent reports whether item id is frequent at level h. An ID the level
+// lacks reads support 0, below every θ_h ≥ 1.
+func (m *miner) frequent(h int, id itemset.ID) bool {
+	return m.ds.sup1[h][id] >= m.minSup[h]
 }
 
 // release retires every still-live cell into the scratch pool and returns
@@ -712,8 +706,6 @@ func (m *miner) finishCell(c *cell) {
 		m.count(c)
 	}
 	thr := m.minSup[c.h]
-	sup1 := m.ds.sup1[c.h]
-	sups := m.sc.supsFor(c.k)
 	for i := range c.meta {
 		e := &c.meta[i]
 		sup := c.store.Sup[i]
@@ -725,17 +717,12 @@ func (m *miner) finishCell(c *cell) {
 		items := c.store.Items(int32(i))
 		c.frequent++
 		m.stats.FrequentItemsets++
-		for j, id := range items {
-			sups[j] = sup1[id]
-		}
-		e.corr = m.cfg.Measure.Corr(sup, sups)
-		switch {
-		case e.corr >= m.cfg.Gamma:
-			e.label = LabelPositive
+		e.corr, e.label = m.label(items, sup, c.h)
+		switch e.label {
+		case LabelPositive:
 			c.positive++
 			m.stats.PositiveItemsets++
-		case e.corr <= m.cfg.Epsilon:
-			e.label = LabelNegative
+		case LabelNegative:
 			c.negative++
 			m.stats.NegativeItemsets++
 		}
@@ -765,6 +752,25 @@ func (m *miner) finishCell(c *cell) {
 			Frequent: c.frequent, Positive: c.positive, Negative: c.negative, Alive: c.alive,
 		})
 	}
+}
+
+// label is the labeling rule every search shares: the correlation of a
+// frequent itemset of level h from its support and the level's single-item
+// supports, and its label against γ (positive) and ε (negative).
+func (m *miner) label(items itemset.Set, sup int64, h int) (float64, Label) {
+	sups := m.sc.supsFor(len(items))
+	sup1 := m.ds.sup1[h]
+	for j, id := range items {
+		sups[j] = sup1[id]
+	}
+	corr := m.cfg.Measure.Corr(sup, sups)
+	switch {
+	case corr >= m.cfg.Gamma:
+		return corr, LabelPositive
+	case corr <= m.cfg.Epsilon:
+		return corr, LabelNegative
+	}
+	return corr, LabelNone
 }
 
 // freeRow releases the cells of a completed row. Because chain links live in

@@ -111,19 +111,20 @@ func TestWorkSplitInvariance(t *testing.T) {
 		{"streaming", CountScan, false},
 	} {
 		var patterns string // the unsharded run's
-		for _, shards := range []int{0, 2, 3} {
+		for _, shards := range []int{1, 2, 3} {
+			src := txdb.PartitionSource(db, shards)
 			var want []byte
 			for _, par := range []int{1, 2, 3, 7} {
 				cfg := base
-				cfg.Strategy, cfg.Materialize, cfg.Shards, cfg.Parallelism = v.strategy, v.materialize, shards, par
-				res, err := Mine(db, tree, cfg)
+				cfg.Strategy, cfg.Materialize, cfg.Parallelism = v.strategy, v.materialize, par
+				res, err := Mine(src, tree, cfg)
 				if err != nil {
 					t.Fatalf("%s shards=%d parallelism=%d: %v", v.name, shards, par, err)
 				}
 				got := scrubbedJSON(t, res, tree)
 				fp := fingerprint(res, tree)
 				switch {
-				case shards == 0 && par == 1:
+				case shards == 1 && par == 1:
 					if len(res.Patterns) == 0 {
 						t.Fatalf("%s: no patterns; the comparisons below would be vacuous", v.name)
 					}
@@ -138,8 +139,8 @@ func TestWorkSplitInvariance(t *testing.T) {
 				}
 			}
 			cfg := base
-			cfg.Strategy, cfg.Materialize, cfg.Shards = v.strategy, v.materialize, shards
-			remote, err := NewEngine(db, tree).MineRemote(context.Background(), cfg, NewEngine(db, tree))
+			cfg.Strategy, cfg.Materialize = v.strategy, v.materialize
+			remote, err := NewEngine(src, tree).MineRemote(context.Background(), cfg, NewEngine(src, tree))
 			if err != nil {
 				t.Fatalf("%s shards=%d remote: %v", v.name, shards, err)
 			}

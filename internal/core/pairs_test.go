@@ -58,11 +58,11 @@ func pairTestData(t testing.TB) (*txdb.DB, *taxonomy.Tree) {
 }
 
 // pairTestConfig mines everything frequent at least once, on three workers.
-func pairTestConfig(pruning PruningLevel, shards int) Config {
+func pairTestConfig(pruning PruningLevel) Config {
 	return Config{
 		Measure: measure.Kulczynski, Gamma: 0.3, Epsilon: 0.15,
 		MinSupAbs: []int64{1, 1, 1}, Pruning: pruning, Strategy: CountScan,
-		Materialize: true, Shards: shards, Parallelism: 3,
+		Materialize: true, Parallelism: 3,
 	}
 }
 
@@ -113,13 +113,14 @@ func TestCountPairsMatchesTriePass(t *testing.T) {
 	H := tree.Height()
 	for _, pruning := range []PruningLevel{Full, Basic} {
 		for _, shards := range []int{1, 2, 7} {
-			cfg := pairTestConfig(pruning, shards)
+			cfg := pairTestConfig(pruning)
 			minSup, err := cfg.validate(H, db.Len())
 			if err != nil {
 				t.Fatal(err)
 			}
-			m := &miner{cfg: cfg, tax: tree, src: db, height: H, n: db.Len(), minSup: minSup, ctx: context.Background()}
-			if err := m.bind(NewEngine(db, tree)); err != nil {
+			src := txdb.PartitionSource(db, shards)
+			m := &miner{cfg: cfg, tax: tree, src: src, height: H, n: db.Len(), minSup: minSup, ctx: context.Background()}
+			if err := m.bind(NewEngine(src, tree)); err != nil {
 				t.Fatal(err)
 			}
 			S := len(m.ds.shards)
@@ -207,8 +208,8 @@ func TestCountPairsMatchesTriePass(t *testing.T) {
 func TestEngineBuildsPairTablesOnSecondMine(t *testing.T) {
 	db, tree := pairTestData(t)
 	for _, shards := range []int{1, 3} {
-		cfg := pairTestConfig(Full, shards)
-		eng := NewEngine(db, tree)
+		cfg := pairTestConfig(Full)
+		eng := NewEngine(txdb.PartitionSource(db, shards), tree)
 		var want []byte
 		for run := 1; run <= 3; run++ {
 			res, err := eng.Mine(cfg)
@@ -261,8 +262,8 @@ func TestCountShardPairTable(t *testing.T) {
 	top := itemset.ID(tree.NodeCount() + 50)
 	var supported int64
 	for _, shards := range []int{1, 3} {
-		cfg := pairTestConfig(Full, shards)
-		eng := NewEngine(db, tree)
+		cfg := pairTestConfig(Full)
+		eng := NewEngine(txdb.PartitionSource(db, shards), tree)
 		for h := 1; h <= H; h++ {
 			nodes := tree.NodesAtLevel(h)
 			other := tree.NodesAtLevel(1 + h%H)
@@ -318,31 +319,42 @@ func TestCountShardPairTable(t *testing.T) {
 	}
 }
 
-// TestConcurrentFirstMinesSharePairTables starts the first mines of one
-// engine together, so the reaches that scan, build and read each table race
-// one another; every result must equal a cold one-shot mine's. The CI race
-// job runs it under the race detector.
+// TestConcurrentFirstMinesSharePairTables starts the first mines of two
+// engines, one unsharded and one over three shards, together, so the
+// reaches that scan, build and read each table race one another; every
+// result must equal a cold one-shot mine's. The CI race job runs it under
+// the race detector.
 func TestConcurrentFirstMinesSharePairTables(t *testing.T) {
 	db, tree := pairTestData(t)
-	cfgs := []Config{pairTestConfig(Full, 1), pairTestConfig(Basic, 1), pairTestConfig(Full, 3)}
-	want := make([][]byte, len(cfgs))
-	for i, cfg := range cfgs {
-		res, err := Mine(db, tree, cfg)
+	sharded := txdb.PartitionSource(db, 3)
+	one, three := NewEngine(db, tree), NewEngine(sharded, tree)
+	jobs := []struct {
+		eng *Engine
+		src txdb.Source
+		cfg Config
+	}{
+		{one, db, pairTestConfig(Full)},
+		{one, db, pairTestConfig(Basic)},
+		{three, sharded, pairTestConfig(Full)},
+	}
+	want := make([][]byte, len(jobs))
+	for i, j := range jobs {
+		res, err := Mine(j.src, tree, j.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = scrubbedJSON(t, res, tree)
 	}
-	eng := NewEngine(db, tree)
 	const rounds = 4
-	results := make([]*Result, rounds*len(cfgs))
+	results := make([]*Result, rounds*len(jobs))
 	errs := make([]error, len(results))
 	var wg sync.WaitGroup
 	for r := range results {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[r], errs[r] = eng.Mine(cfgs[r%len(cfgs)])
+			j := jobs[r%len(jobs)]
+			results[r], errs[r] = j.eng.Mine(j.cfg)
 		}()
 	}
 	wg.Wait()
@@ -350,9 +362,9 @@ func TestConcurrentFirstMinesSharePairTables(t *testing.T) {
 		if errs[r] != nil {
 			t.Fatal(errs[r])
 		}
-		i := r % len(cfgs)
+		i := r % len(jobs)
 		if got := scrubbedJSON(t, res, tree); !bytes.Equal(got, want[i]) {
-			t.Errorf("config %d: a concurrent mine diverged:\n%s\n%s", i, want[i], got)
+			t.Errorf("job %d: a concurrent mine diverged:\n%s\n%s", i, want[i], got)
 		}
 	}
 }

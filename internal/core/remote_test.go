@@ -12,6 +12,7 @@ import (
 	"github.com/flipper-mining/flipper/internal/itemset"
 	"github.com/flipper-mining/flipper/internal/measure"
 	"github.com/flipper-mining/flipper/internal/taxonomy"
+	"github.com/flipper-mining/flipper/internal/txdb"
 )
 
 // loopback is the simplest ShardCounter: a second engine over the same
@@ -62,14 +63,14 @@ func TestMineRemoteLoopbackEquivalence(t *testing.T) {
 				Pruning:     Full,
 				Strategy:    tc.strategy,
 				Materialize: tc.materialize,
-				Shards:      tc.shards,
 			}
-			local, err := Mine(db, tree, cfg)
+			src := txdb.PartitionSource(db, tc.shards)
+			local, err := Mine(src, tree, cfg)
 			if err != nil {
 				t.Fatalf("trial %d %s: local: %v", trial, tc.name, err)
 			}
-			lb := &loopback{Engine: NewEngine(db, tree)}
-			remote, err := NewEngine(db, tree).MineRemote(context.Background(), cfg, lb)
+			lb := &loopback{Engine: NewEngine(src, tree)}
+			remote, err := NewEngine(src, tree).MineRemote(context.Background(), cfg, lb)
 			if err != nil {
 				t.Fatalf("trial %d %s: remote: %v", trial, tc.name, err)
 			}
@@ -128,12 +129,11 @@ func TestCountShardPartialsSumToTotals(t *testing.T) {
 		}
 		var want []int64
 		for _, shards := range []int{1, 2, 7} {
-			cfg := base
-			cfg.Shards = shards
-			eng := NewEngine(db, tree)
+			src := txdb.PartitionSource(db, shards)
+			eng := NewEngine(src, tree)
 			got := make([]int64, len(hc))
-			for s := range resolveShardSources(db, shards) {
-				u := ShardUnit{Config: cfg, Level: h, K: 2, Strategy: CountScan, Shard: s, Candidates: hc}
+			for s := range txdb.ShardsOf(src) {
+				u := ShardUnit{Config: base, Level: h, K: 2, Strategy: CountScan, Shard: s, Candidates: hc}
 				scan, err := eng.CountShard(ctx, u)
 				if err != nil {
 					t.Fatal(err)
@@ -179,11 +179,11 @@ func TestCountShardBuildsOnlyItsIndex(t *testing.T) {
 	db, tree := randomDataset(rng)
 	cfg := Config{
 		Measure: measure.Kulczynski, Gamma: 0.3, Epsilon: 0.1,
-		MinSupAbs: []int64{1, 1, 1}, Materialize: true, Shards: 2,
+		MinSupAbs: []int64{1, 1, 1}, Materialize: true,
 	}
 	h := tree.Height()
 	cands := shardUnitCandidates(tree)[h]
-	eng := NewEngine(db, tree)
+	eng := NewEngine(txdb.PartitionSource(db, 2), tree)
 	if _, err := eng.CountShard(context.Background(), ShardUnit{
 		Config: cfg, Level: h, K: 2, Strategy: CountBitmap, Shard: 1, Candidates: cands,
 	}); err != nil {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/flipper-mining/flipper/internal/taxonomy"
+	"github.com/flipper-mining/flipper/internal/txdb"
 )
 
 // TestEngineReuseByteIdentical mines the same configuration repeatedly on
@@ -23,27 +24,26 @@ func TestEngineReuseByteIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		strategy CountStrategy
-		shards   int
+		src      txdb.Source
 		pruning  PruningLevel
 	}{
-		{"scan", CountScan, 0, Full},
-		{"bitmap", CountBitmap, 0, Full},
-		{"auto", CountAuto, 0, Full},
-		{"scan-sharded", CountScan, 3, Full},
-		{"bitmap-sharded", CountBitmap, 3, Full},
-		{"basic-baseline", CountScan, 0, Basic},
+		{"scan", CountScan, db, Full},
+		{"bitmap", CountBitmap, db, Full},
+		{"auto", CountAuto, db, Full},
+		{"scan-sharded", CountScan, txdb.PartitionSource(db, 3), Full},
+		{"bitmap-sharded", CountBitmap, txdb.PartitionSource(db, 3), Full},
+		{"basic-baseline", CountScan, db, Basic},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := toyConfig()
 			cfg.Strategy = tc.strategy
-			cfg.Shards = tc.shards
 			cfg.Pruning = tc.pruning
-			cold, err := Mine(db, tree, cfg)
+			cold, err := Mine(tc.src, tree, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := scrub(cold)
-			eng := NewEngine(db, tree)
+			eng := NewEngine(tc.src, tree)
 			for run := 0; run < 3; run++ {
 				res, err := eng.Mine(cfg)
 				if err != nil {
@@ -80,10 +80,10 @@ func scrubbedJSON(t *testing.T, res *Result, tree *taxonomy.Tree) []byte {
 	return out
 }
 
-// TestEngineReuseMixedConfigs interleaves different strategies, shard
-// counts and thresholds on one engine: per-(materialize, shards) data
-// states must not bleed into each other, and every run must match its own
-// cold baseline.
+// TestEngineReuseMixedConfigs interleaves different strategies,
+// materialization and thresholds on one engine: the materialized and the
+// streaming data states must not bleed into each other, and every run must
+// match its own cold baseline.
 func TestEngineReuseMixedConfigs(t *testing.T) {
 	db, tree := paperToy(t)
 	eng := NewEngine(db, tree)
@@ -92,7 +92,9 @@ func TestEngineReuseMixedConfigs(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		cfg := toyConfig()
 		cfg.Strategy = strategies[rng.Intn(len(strategies))]
-		cfg.Shards = rng.Intn(4) // 0..3
+		if cfg.Materialize = rng.Intn(2) == 0; !cfg.Materialize {
+			cfg.Strategy = CountScan // the only backend that streams
+		}
 		cfg.Epsilon = 0.2 + 0.2*rng.Float64()
 		cold, err := Mine(db, tree, cfg)
 		if err != nil {
@@ -103,7 +105,7 @@ func TestEngineReuseMixedConfigs(t *testing.T) {
 			t.Fatal(err)
 		}
 		if fingerprint(cold, tree) != fingerprint(warm, tree) {
-			t.Fatalf("iteration %d (strategy=%v shards=%d): engine run diverged", i, cfg.Strategy, cfg.Shards)
+			t.Fatalf("iteration %d (strategy=%v materialize=%v): engine run diverged", i, cfg.Strategy, cfg.Materialize)
 		}
 	}
 }
@@ -172,7 +174,9 @@ func TestEngineConcurrentMine(t *testing.T) {
 	for i := range cfgs {
 		cfg := toyConfig()
 		cfg.Strategy = []CountStrategy{CountScan, CountBitmap, CountAuto}[i%3]
-		cfg.Shards = (i / 4) * 2 // half unsharded, half 2-sharded
+		if i >= 4 { // half materialized, half streaming
+			cfg.Strategy, cfg.Materialize = CountScan, false
+		}
 		cfgs[i] = cfg
 		res, err := Mine(db, tree, cfg)
 		if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -16,17 +17,18 @@ import (
 
 // TestShardedMiningEquivalence is the acceptance property of shard-parallel
 // counting: across every counting strategy, every pruning level and shard
-// counts 1, 2 and 7, mining a partitioned database produces output
-// byte-identical to the unsharded run — same patterns, same supports, same
-// correlations and labels. It runs under the CI race job (go test -race
-// ./...), so the shard-worker scratch discipline is also raced on every PR.
+// counts 1, 2, 3 and 7, mining a partitioned database (txdb.PartitionSource)
+// produces output byte-identical to the unsharded run — same patterns, same
+// supports, same correlations and labels — and one shard is the unsharded
+// run, stats included. It runs under the CI race job (go test -race ./...),
+// so the shard-worker scratch discipline is also raced on every change.
 func TestShardedMiningEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	trials := 6
 	if testing.Short() {
 		trials = 2
 	}
-	shardCounts := []int{1, 2, 7}
+	shardCounts := []int{1, 2, 3, 7}
 	strategies := []CountStrategy{CountScan, CountBitmap, CountAuto}
 	for trial := 0; trial < trials; trial++ {
 		db, tree := randomDataset(rng)
@@ -50,9 +52,7 @@ func TestShardedMiningEquivalence(t *testing.T) {
 					t.Fatalf("trial %d: unsharded run reports %d shards", trial, base.Stats.Shards)
 				}
 				for _, shards := range shardCounts {
-					c := cfg
-					c.Shards = shards
-					res, err := Mine(db, tree, c)
+					res, err := Mine(txdb.PartitionSource(db, shards), tree, cfg)
 					if err != nil {
 						t.Fatalf("trial %d %v/%v shards=%d: %v", trial, pruning, strategy, shards, err)
 					}
@@ -60,21 +60,15 @@ func TestShardedMiningEquivalence(t *testing.T) {
 						t.Fatalf("trial %d: %v/%v with %d shards diverged from unsharded.\nunsharded:\n%s\nsharded:\n%s",
 							trial, pruning, strategy, shards, want, got)
 					}
-					if shards > 1 && res.Stats.Shards != shards {
-						t.Fatalf("trial %d: requested %d shards, stats report %d", trial, shards, res.Stats.Shards)
+					if res.Stats.Shards != shards {
+						t.Fatalf("trial %d: %d shards, stats report %d", trial, shards, res.Stats.Shards)
 					}
-				}
-				// The same property through an explicit ShardedSource.
-				ss := txdb.PartitionSource(db, 3)
-				res, err := Mine(ss, tree, cfg)
-				if err != nil {
-					t.Fatalf("trial %d %v/%v sharded source: %v", trial, pruning, strategy, err)
-				}
-				if got := fingerprint(res, tree); got != want {
-					t.Fatalf("trial %d: %v/%v over a ShardedSource diverged from unsharded", trial, pruning, strategy)
-				}
-				if res.Stats.Shards != 3 {
-					t.Fatalf("trial %d: ShardedSource run reports %d shards, want 3", trial, res.Stats.Shards)
+					if shards == 1 {
+						if got, unsharded := scrubbedJSON(t, res, tree), scrubbedJSON(t, base, tree); !bytes.Equal(got, unsharded) {
+							t.Fatalf("trial %d: %v/%v over one shard diverged from unsharded.\nunsharded:\n%s\none shard:\n%s",
+								trial, pruning, strategy, unsharded, got)
+						}
+					}
 				}
 			}
 		}
@@ -108,9 +102,7 @@ func TestShardedStreamingEquivalence(t *testing.T) {
 		}
 		want := fingerprint(base, tree)
 
-		c := cfg
-		c.Shards = 4
-		res, err := Mine(db, tree, c)
+		res, err := Mine(txdb.PartitionSource(db, 4), tree, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,31 +201,15 @@ func TestStreamingScanErrorFailsMine(t *testing.T) {
 	}
 }
 
-// TestShardsExcludedFromCanonicalKey pins the cache-safety contract: shard
-// count is an execution knob and must not split the result cache.
+// TestShardsExcludedFromCanonicalKey pins the cache-safety contract: the
+// worker count that counts the shards is an execution knob and must not
+// split the result cache.
 func TestShardsExcludedFromCanonicalKey(t *testing.T) {
 	a := DefaultConfig(3)
 	b := DefaultConfig(3)
-	b.Shards = 7
 	b.Parallelism = 5
 	if a.CanonicalKey() != b.CanonicalKey() {
-		t.Fatalf("Shards/Parallelism changed the canonical key:\n%s\n%s", a.CanonicalKey(), b.CanonicalKey())
-	}
-}
-
-// TestShardsValidation rejects negative shard counts and accepts the
-// degenerate ones.
-func TestShardsValidation(t *testing.T) {
-	cfg := DefaultConfig(2)
-	cfg.Shards = -1
-	if err := cfg.Validate(2, 100); err == nil {
-		t.Fatal("negative Shards validated")
-	}
-	for _, n := range []int{0, 1, 64} {
-		cfg.Shards = n
-		if err := cfg.Validate(2, 100); err != nil {
-			t.Fatalf("Shards=%d rejected: %v", n, err)
-		}
+		t.Fatalf("Parallelism changed the canonical key:\n%s\n%s", a.CanonicalKey(), b.CanonicalKey())
 	}
 }
 
@@ -250,9 +226,8 @@ func TestShardStatsSurface(t *testing.T) {
 		Pruning:     Full,
 		Strategy:    CountBitmap,
 		Materialize: true,
-		Shards:      4,
 	}
-	res, err := Mine(db, tree, cfg)
+	res, err := Mine(txdb.PartitionSource(db, 4), tree, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

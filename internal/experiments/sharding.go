@@ -7,6 +7,7 @@ import (
 
 	"github.com/flipper-mining/flipper/internal/core"
 	"github.com/flipper-mining/flipper/internal/measure"
+	"github.com/flipper-mining/flipper/internal/txdb"
 )
 
 // Sharding measures how counting scales with the transaction shard count on
@@ -43,9 +44,8 @@ func Sharding(s Scale) (*Table, error) {
 				Strategy:    strategy,
 				MaxK:        2,
 				Materialize: true,
-				Shards:      shards,
 			}
-			res, err := core.Mine(db, tree, cfg)
+			res, err := core.Mine(txdb.PartitionSource(db, shards), tree, cfg)
 			if err != nil {
 				return nil, err
 			}

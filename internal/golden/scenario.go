@@ -34,8 +34,8 @@ type Scenario struct {
 	Stream bool
 	// Config is the canonical mining configuration; it is committed as
 	// config.json and is the configuration all three surfaces are pinned
-	// under. Keep Shards/Parallelism zero: shardedness comes from the
-	// on-disk layout so the CLI and the service resolve it identically.
+	// under. Keep Parallelism zero. Shardedness comes from the on-disk
+	// layout, so the CLI and the service resolve it identically.
 	Config core.Config
 	// Build deterministically constructs the taxonomy and transactions.
 	// Generators are seeded and handcrafted baskets are literals, so

@@ -58,12 +58,7 @@ func (d *Dataset) Engine() *core.Engine {
 
 // Shards returns how many transaction shards the dataset's source fans
 // counting out over (1 for unsharded sources).
-func (d *Dataset) Shards() int {
-	if ss, ok := d.Src.(*txdb.ShardedSource); ok {
-		return ss.NumShards()
-	}
-	return 1
-}
+func (d *Dataset) Shards() int { return len(txdb.ShardsOf(d.Src)) }
 
 // DefaultConfig returns the paper-default mining configuration for the
 // dataset's taxonomy height; job submissions overlay their overrides on it.

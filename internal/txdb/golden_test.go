@@ -16,8 +16,8 @@ func TestBuildLevelsMatchesReferenceOnGoldenScenarios(t *testing.T) {
 		t.Run(sc.Name, func(t *testing.T) {
 			tree, src, _ := sc.Load(t)
 			txdb.CheckLevelsAgainstReference(t, src, tree)
-			if ss, ok := src.(*txdb.ShardedSource); ok {
-				for _, shard := range ss.Shards() {
+			if shards := txdb.ShardsOf(src); len(shards) > 1 {
+				for _, shard := range shards {
 					txdb.CheckLevelsAgainstReference(t, shard, tree)
 				}
 			}

@@ -53,7 +53,7 @@ func Partition(db *DB, n int) []*DB {
 // ShardedSource is a Source composed of ordered shards, each itself a
 // Source. Scanning replays the shards back to back in shard order, so a
 // ShardedSource is indistinguishable from the concatenated database; the
-// engine additionally reaches through it (Shards) to scan the pieces in
+// engine additionally reaches through it (ShardsOf) to scan the pieces in
 // parallel over a bounded worker pool. Shards may be in-memory DBs
 // (from Partition) or disk-resident FileSources — the latter is the
 // out-of-core mode: a dataset larger than RAM, stored as several basket
@@ -113,12 +113,19 @@ func (ss *ShardedSource) Len() int { return ss.n }
 // Dict returns the dictionary shared by all shards.
 func (ss *ShardedSource) Dict() *dict.Dictionary { return ss.shards[0].Dict() }
 
-// Shards returns the shard sources in order. The returned slice is owned by
-// the ShardedSource — read only.
-func (ss *ShardedSource) Shards() []Source { return ss.shards }
-
-// NumShards returns the number of shards.
-func (ss *ShardedSource) NumShards() int { return len(ss.shards) }
+// ShardsOf returns the shard layout of src: a ShardedSource's shards in
+// order, and any other source as its own single shard — a FileSource cannot
+// be split without rewriting the file, and an in-memory DB is sharded by
+// mining PartitionSource over it. Every consumer of a source's shards (the
+// engine's levels and counting units, the cluster fingerprint, the service's
+// dataset description) takes them from here. The returned slice is owned by
+// the source — read only.
+func ShardsOf(src Source) []Source {
+	if ss, ok := src.(*ShardedSource); ok {
+		return ss.shards
+	}
+	return []Source{src}
+}
 
 // ShardDirFiles lists the shard*.txt basket shards of dir in shard order —
 // the write order of the flipgen -shards layout (shard000.txt,

@@ -96,8 +96,8 @@ func TestShardedSourceEqualsConcatenation(t *testing.T) {
 	if ss.Dict() != db.Dict() {
 		t.Fatal("sharded source does not share the dictionary")
 	}
-	if ss.NumShards() != 5 {
-		t.Fatalf("NumShards = %d, want 5", ss.NumShards())
+	if n := len(ShardsOf(ss)); n != 5 {
+		t.Fatalf("ShardsOf has %d shards, want 5", n)
 	}
 	got := replay(t, ss)
 	if len(got) != len(want) {
@@ -119,6 +119,49 @@ func TestShardedSourceEqualsConcatenation(t *testing.T) {
 	}
 	if a != b {
 		t.Fatalf("stats diverge: %+v vs %+v", a, b)
+	}
+}
+
+// TestShardsOf pins the shard-layout rule: a ShardedSource is its shards in
+// order, even when it holds only one, and any other source is one shard.
+func TestShardsOf(t *testing.T) {
+	db := randomShardDB(t, 30, 4)
+	path := filepath.Join(t.TempDir(), "baskets.txt")
+	if err := os.WriteFile(path, []byte("a,b\nc\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fs, err := OpenFile(path, db.Dict())
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := NewSharded(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := Partition(db, 3)
+	three, err := NewSharded(parts[0], parts[1], parts[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		src  Source
+		want []Source
+	}{
+		{"db", db, []Source{db}},
+		{"file", fs, []Source{fs}},
+		{"one shard", one, []Source{db}},
+		{"three shards", three, []Source{parts[0], parts[1], parts[2]}},
+	} {
+		got := ShardsOf(tc.src)
+		if len(got) != len(tc.want) {
+			t.Fatalf("%s: %d shards, want %d", tc.name, len(got), len(tc.want))
+		}
+		for i := range got {
+			if got[i] != tc.want[i] {
+				t.Fatalf("%s: shard %d is %T %p, want %T %p", tc.name, i, got[i], got[i], tc.want[i], tc.want[i])
+			}
+		}
 	}
 }
 
@@ -208,7 +251,7 @@ func TestMaterializeShardsMergesToUnsharded(t *testing.T) {
 		db.AddNames(names...)
 	}
 	ss := PartitionSource(db, 4)
-	shardLevels, err := BuildLevels(ss.Shards(), tree, 2)
+	shardLevels, err := BuildLevels(ShardsOf(ss), tree, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
