@@ -80,6 +80,22 @@ func mineOnce(b *testing.B, db txdb.Source, tree *taxonomy.Tree, cfg flipper.Con
 	b.ReportMetric(float64(patterns), "patterns")
 }
 
+// warmEngine returns an engine over src that has mined cfg twice: the first
+// mine builds the levels, indexes and scratch, and the second the subset
+// tables, which an engine builds on the second reach of each (level, shard,
+// k). Every timed mine after it is the steady state, also at
+// -benchtime=1x, as CI's alloc guard runs it.
+func warmEngine(b *testing.B, src txdb.Source, tree *taxonomy.Tree, cfg flipper.Config) *flipper.Engine {
+	b.Helper()
+	eng := flipper.NewEngine(src, tree)
+	for i := 0; i < 2; i++ {
+		if _, err := eng.Mine(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return eng
+}
+
 // BenchmarkFig8aMinsupProfiles regenerates Figure 8(a): runtime per minimum
 // support profile (Table 3) per pruning variant. The bench keeps three
 // representative profiles; flipbench runs all ten.
@@ -338,20 +354,17 @@ var denseStrategies = []struct {
 }
 
 // BenchmarkCountingDenseWarm is the steady-state counterpart of
-// BenchmarkCountingDense: one engine per strategy, prewarmed with a single
-// run, so the loop measures what a resident flipperd pays per job — level
-// views, counting indexes and scratch arenas all come from the engine's
-// caches. The gap to the cold benchmark is the price of data preparation;
-// the committed BENCH_*.json baselines track both.
+// BenchmarkCountingDense: one engine per strategy, prewarmed by warmEngine,
+// so the loop measures what a resident flipperd pays per job — level views,
+// counting indexes, subset tables and scratch arenas all come from the
+// engine's caches. The gap to the cold benchmark is the price of data
+// preparation; the committed BENCH_*.json baselines track both.
 func BenchmarkCountingDenseWarm(b *testing.B) {
 	db, tree := denseWorkload(b)
 	for _, s := range denseStrategies {
 		b.Run(s.name, func(b *testing.B) {
 			cfg := denseConfig(s.strategy)
-			eng := flipper.NewEngine(db, tree)
-			if _, err := eng.Mine(cfg); err != nil {
-				b.Fatal(err)
-			}
+			eng := warmEngine(b, db, tree, cfg)
 			b.ReportAllocs()
 			b.ResetTimer()
 			var patterns int
@@ -382,10 +395,7 @@ func BenchmarkCountingDenseSharded(b *testing.B) {
 			mineOnce(b, src, tree, cfg)
 		})
 		b.Run(s.name+"_warm", func(b *testing.B) {
-			eng := flipper.NewEngine(src, tree)
-			if _, err := eng.Mine(cfg); err != nil {
-				b.Fatal(err)
-			}
+			eng := warmEngine(b, src, tree, cfg)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -423,20 +433,19 @@ func BenchmarkAnchoredTopKRootTriples(b *testing.B) {
 
 // BenchmarkCountingSyntheticWarm is a warm default-config scan mine on the
 // paper's default synthetic data at N = 20,000. Unlike the dense workload's
-// pair cells, it counts three levels and a k = 3 cell (h = 2, 6,976
-// candidates), so the trie descent runs three deep. flipbench -json records
-// the same configuration as CountingSynthetic/scan/warm, and the CI alloc
-// budgets pin it.
+// pair cells, it counts three levels and two k = 3 cells (h = 1 and h = 2,
+// 120 and 6,976 candidates), which a warm engine reads from triple tables,
+// so no steady-state benchmark runs the three-deep trie descent; flipbench
+// -json's cold CountingSynthetic/scan record keeps it measured. flipbench
+// -json records this configuration as CountingSynthetic/scan/warm, and the
+// CI alloc budgets pin it.
 func BenchmarkCountingSyntheticWarm(b *testing.B) {
 	db, tree, err := experiments.Synthetic(20000, 5, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	cfg := flipper.DefaultConfig(tree.Height())
-	eng := flipper.NewEngine(db, tree)
-	if _, err := eng.Mine(cfg); err != nil {
-		b.Fatal(err)
-	}
+	eng := warmEngine(b, db, tree, cfg)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

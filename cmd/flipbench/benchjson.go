@@ -167,17 +167,25 @@ func runBenchJSON(path, tag string) error {
 	if err := record("AnchoredTopK/root-triples/warm", rootCfg, db, tree, true); err != nil {
 		return err
 	}
-	// A warm default-config scan mine on the paper's default synthetic data:
-	// every record above counts pairs on a height-2 taxonomy, while this one
-	// counts three levels and a k = 3 cell (h = 2, 6,976 candidates), so the
-	// descent runs three deep (BenchmarkCountingSyntheticWarm runs this
+	// A default-config scan mine on the paper's default synthetic data, cold
+	// and warm: every record above counts pairs on a height-2 taxonomy, while
+	// this one counts three levels and two k = 3 cells (h = 1 and h = 2, 120
+	// and 6,976 candidates). Cold, a one-shot mine builds no subset table, so
+	// the trie descent runs three deep; warm, the engine reads both k = 3
+	// cells from triple tables (BenchmarkCountingSyntheticWarm runs the warm
 	// configuration).
 	synDB, synTree, err := experiments.Synthetic(20000, 5, 1)
 	if err != nil {
 		return err
 	}
-	if err := record("CountingSynthetic/scan/warm", core.DefaultConfig(synTree.Height()), synDB, synTree, true); err != nil {
-		return err
+	for _, warm := range []bool{false, true} {
+		name := "CountingSynthetic/scan"
+		if warm {
+			name += "/warm"
+		}
+		if err := record(name, core.DefaultConfig(synTree.Height()), synDB, synTree, warm); err != nil {
+			return err
+		}
 	}
 	// The preparation of a one-shot flipper run on the end-to-end
 	// benchmark's cli-cold input: basket load plus level build

@@ -150,9 +150,9 @@ type partial struct {
 	err    error // streaming scan failure
 
 	vecs   []bitmap.Vector // bitmap AND operands
-	ranks  []int32         // the scan's current row in rank space; countPairs' marked ranks
+	ranks  []int32         // the scan's current row in rank space; countTable's marked ranks
 	widths []int64         // the scan unit's rows by filtered width, see chargeProbes
-	marks  []bool          // countPairs' cell items by table rank, cleared after each unit
+	marks  []bool          // countTable's cell items by table rank, cleared after each unit
 	gen    []itemset.ID    // streaming generalization buffer
 }
 
@@ -190,17 +190,13 @@ func (m *miner) mergePartials(c *cell, ps []partial) {
 // countScan counts a materialized cell by trie descent over every shard's
 // level rows, cut into scanBlock-aligned units: each unit's block of the row
 // arena streams through cache while the trie's layout stays resident. A
-// k = 2 cell reads instead the pair table of every shard that has one
-// (dataState.pairTable), one unit per such shard.
+// k = 2 or 3 cell reads instead the subset table of every shard that has one
+// (dataState.table), one unit per such shard.
 func (m *miner) countScan(c *cell) {
 	levels := m.ds.levels
 	tables := m.sc.tables[:0]
 	for s := range levels {
-		var t *txdb.PairTable
-		if c.k == 2 {
-			t = m.ds.pairTable(c.h, s)
-		}
-		tables = append(tables, t)
+		tables = append(tables, m.ds.table(c.h, s, c.k))
 	}
 	m.sc.tables = tables
 	units := cutUnits(m.sc.units[:0], len(levels), func(s int) int {
@@ -218,7 +214,7 @@ func (m *miner) countScan(c *cell) {
 	m.runPass(c, len(units), func(p *partial, i int) {
 		u := units[i]
 		if t := tables[u.s]; t != nil {
-			p.countPairs(c, t)
+			p.countTable(c, t)
 			return
 		}
 		p.scanRows(c, levels[u.s][c.h], u.lo, u.hi, m.done)
@@ -330,15 +326,15 @@ func (p *partial) scanRows(c *cell, lv *txdb.Level, lo, hi int, done <-chan stru
 	p.chargeProbes(c.k)
 }
 
-// countPairs counts a k = 2 cell on one shard's pair table into p, one
-// lookup per candidate, and charges the probe tally the trie pass over the
-// shard's rows would: that pass charges C(w, 2) for a row of filtered width
-// w, which summed over the rows is the row count of every pair of the cell's
-// items, and takes off one hit per candidate a row holds, which summed is
-// the row count of every candidate. An item the shard's level lacks has no
-// rank and reads zero. The marked ranks come out ascending, as the table's
-// pairs want them.
-func (p *partial) countPairs(c *cell, t *txdb.PairTable) {
+// countTable counts a cell on one shard's subset table of the cell's k into
+// p, one lookup per candidate, and charges the probe tally the trie pass
+// over the shard's rows would: that pass charges C(w, k) for a row of
+// filtered width w, which summed over the rows is the row count of every
+// k-subset of the cell's items (RowsWithin), and takes off one hit per
+// candidate a row holds, which summed is the row count of every candidate.
+// An item the shard's level lacks has no rank and reads zero. The marked
+// ranks come out ascending, as RowsWithin wants them.
+func (p *partial) countTable(c *cell, t *txdb.SubsetTable) {
 	st, counts := c.store, p.counts
 	// marks[r+1] marks rank r, and marks[0] absorbs the items without one.
 	n := t.Len() + 1
@@ -346,15 +342,21 @@ func (p *partial) countPairs(c *cell, t *txdb.PairTable) {
 		p.marks = make([]bool, n)
 	}
 	marks := p.marks[:n]
+	var buf [txdb.MaxTableK]int32
+	cand := buf[:c.k]
 	var hits int64
 	for e := range counts {
-		items := st.Items(int32(e))
-		i, j := t.Rank(items[0]), t.Rank(items[1])
-		marks[i+1], marks[j+1] = true, true
-		if i < 0 || j < 0 {
+		ranked := true
+		for m, id := range st.Items(int32(e)) {
+			r := t.Rank(id)
+			marks[r+1] = true
+			ranked = ranked && r >= 0
+			cand[m] = int32(r)
+		}
+		if !ranked {
 			continue
 		}
-		sup, rows := t.Pair(i, j)
+		sup, rows := t.At(cand)
 		counts[e] += sup
 		hits += rows
 	}
@@ -366,14 +368,7 @@ func (p *partial) countPairs(c *cell, t *txdb.PairTable) {
 	}
 	clear(marks)
 	p.ranks = ranks
-	var probes int64
-	for b, j := range ranks {
-		for _, i := range ranks[:b] {
-			_, rows := t.Pair(int(i), int(j))
-			probes += rows
-		}
-	}
-	p.pruned += probes - hits
+	p.pruned += t.RowsWithin(ranks) - hits
 }
 
 // scanSource streams src once into p: every transaction is generalized to
@@ -427,20 +422,29 @@ func (ds *dataState) index(h, s int) *bitmap.Index {
 	return li.ix
 }
 
-// pairTable returns shard s's pair table of level h to a k = 2 scan cell or
-// unit that reaches it, or nil when that reach scans the rows instead: the
-// first reach of each (level, shard), so a one-shot mine, which reaches each
-// level's k = 2 cell once, never builds a table, and every reach of a level
-// over the table's cap (txdb.NewPairTable). The second reach builds the
-// table once for every later run; like index, the build is shared and not
-// cancellable.
-func (ds *dataState) pairTable(h, s int) *txdb.PairTable {
-	lp := &ds.pairs[h*len(ds.shards)+s]
-	if lp.reaches.Add(1) == 1 {
+// table returns shard s's k-subset table of level h to a scan cell or unit
+// of that k that reaches it, or nil when that reach scans the rows instead:
+// every reach of a k the tables do not cover, the first reach of each
+// (level, shard, k) — so a one-shot mine, which reaches each level's cell of
+// each k once, never builds a table — and every reach of a level over the
+// table's cap (txdb.NewSubsetTable). The second reach builds the table once
+// for every later run; like index, the build is shared and not cancellable.
+func (ds *dataState) table(h, s, k int) *txdb.SubsetTable {
+	if k < 2 || k > txdb.MaxTableK {
 		return nil
 	}
-	lp.once.Do(func() { lp.t = txdb.NewPairTable(ds.levels[s][h]) })
-	return lp.t
+	lt := ds.tableSlot(h, s, k)
+	if lt.reaches.Add(1) == 1 {
+		return nil
+	}
+	lt.once.Do(func() { lt.t = txdb.NewSubsetTable(ds.levels[s][h], k) })
+	return lt.t
+}
+
+// tableSlot returns the slot of shard s's k-subset table of level h, for
+// 2 ≤ k ≤ txdb.MaxTableK.
+func (ds *dataState) tableSlot(h, s, k int) *lazyTable {
+	return &ds.tables[(h*len(ds.shards)+s)*(txdb.MaxTableK-1)+k-2]
 }
 
 // noteBitmaps accounts the run's use of level h's bitmap indexes: the first

@@ -81,23 +81,24 @@ two-loop pair kernel. Stats.ProbesPruned counts what the descent skipped:
 each scan unit histograms its rows' filtered widths and charges C(w,k)
 once per width against the hits.
 
-A k = 2 cell's supports depend only on the level's pair supports, which
-the engine caches beside the levels and bitmap indexes: one
-txdb.PairTable per (level, shard), every pair's weighted support and
-distinct-row count in one triangular array over the level's items ranked
-in ID order, for levels of up to 512 items (1 MiB of slots). The first
-k = 2 scan cell to reach a (level, shard) scans its rows, so a one-shot
-mine builds no table; the second builds the table in one pass over the
-rows (dataState.pairTable, under a sync.Once, not cancellable), and from
-then on the cell costs one lookup per candidate (countPairs).
-ProbesPruned stays exact: Σ C(w,2) over the rows is the distinct-row
-count summed over all pairs of the cell's candidate items, and the hits
-are the distinct-row counts of the candidates. Streaming runs, levels
-over the cap, k ≥ 3 cells and the bitmap backend are unchanged, and
-CountAuto prices a k = 2 scan as the full pass whether or not a table
-exists. With
-Config.Materialize=false the engine instead re-reads the Source every
-pass — the paper's disk-resident mode. CountBitmap ANDs per-item bit
+A k = 2 or k = 3 cell's supports depend only on the level's k-subset
+supports, which the engine caches beside the levels and bitmap indexes:
+up to two txdb.SubsetTables per (level, shard), one for pairs and one for
+triples, each holding every k-subset's weighted support and distinct-row
+count in one array over the level's items ranked in ID order, indexed by
+the combinatorial number system, for levels of up to 512 items (pairs)
+or 93 (triples), 1 MiB of slots each. The first scan cell of a k to
+reach a (level, shard) scans its rows, so a one-shot mine builds no
+table; the second builds the table in one pass over the rows
+(dataState.table, under a sync.Once, not cancellable), and from then on
+the cell costs one lookup per candidate (countTable). ProbesPruned stays
+exact: Σ C(w,k) over the rows is the distinct-row count summed over
+every k-subset of the cell's candidate items, and the hits are the
+distinct-row counts of the candidates. Streaming runs, levels over the
+cap, k ≥ 4 cells and the bitmap backend are unchanged, and CountAuto
+prices a k = 2 or 3 scan as the full pass whether or not a table
+exists. With Config.Materialize=false the engine instead re-reads the
+Source every pass — the paper's disk-resident mode. CountBitmap ANDs per-item bit
 vectors over the distinct weighted transactions and pop-counts the result
 (internal/bitmap; vectors are built lazily per level and shard and cached),
 iterating the candidate slab directly. CountAuto picks one of the two per

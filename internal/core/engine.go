@@ -28,10 +28,11 @@ type Result struct {
 // Engine mines one source/taxonomy pair repeatedly, caching everything that
 // depends only on the dataset — the interned levels of every shard
 // (txdb.Level: distinct weighted rows in one arena), the lazily built bitmap
-// indexes over them, and the pair tables (txdb.PairTable) that answer k = 2
-// scan cells from the second reach of each (level, shard) on — across Mine
-// calls, plus a pool of per-run scratch (candidate stores, counting buffers,
-// chain arenas) so repeated runs stop paying full allocation.
+// indexes over them, and the pair and triple tables (txdb.SubsetTable) that
+// answer k = 2 and k = 3 scan cells from the second reach of each (level,
+// shard, k) on — across Mine calls, plus a pool of per-run scratch
+// (candidate stores, counting buffers, chain arenas) so repeated runs stop
+// paying full allocation.
 //
 // The shard layout is the source's own (txdb.ShardsOf), resolved once in
 // NewEngine; to count an in-memory database shard-parallel, mine a
@@ -68,9 +69,9 @@ func NewEngine(src txdb.Source, tree *taxonomy.Tree) *Engine {
 // dataState is the dataset-derived state of one Materialize value. The base
 // fields are built once under the sync.Once; each (level, shard) bitmap
 // index builds under its own sync.Once on first use by any run, and each
-// pair table on the second reach of a k = 2 scan cell or unit, and both are
-// then shared read-only. An unsharded source is one shard: every per-shard
-// slice below then has length 1.
+// (level, shard, k) subset table on the second reach of a scan cell or unit
+// of that k, and both are then shared read-only. An unsharded source is one
+// shard: every per-shard slice below then has length 1.
 type dataState struct {
 	once sync.Once
 	err  error
@@ -82,7 +83,7 @@ type dataState struct {
 	widths []int                  // max generalized width per level
 
 	bitmaps []lazyIndex // [level·len(shards) + shard]
-	pairs   []lazyPairs // [level·len(shards) + shard]
+	tables  []lazyTable // by (level, shard, k), see tableSlot
 }
 
 // lazyIndex is one shard's bitmap index of one level, built on first use.
@@ -91,13 +92,13 @@ type lazyIndex struct {
 	ix   *bitmap.Index
 }
 
-// lazyPairs is one shard's pair table of one level, built when a k = 2 scan
-// cell or unit reaches the (level, shard) for the second time (see
-// dataState.pairTable).
-type lazyPairs struct {
+// lazyTable is one shard's k-subset table of one level, built when a scan
+// cell or unit of that k reaches the (level, shard) for the second time (see
+// dataState.table).
+type lazyTable struct {
 	reaches atomic.Int64
 	once    sync.Once
-	t       *txdb.PairTable // nil when the level is over the table's cap
+	t       *txdb.SubsetTable // nil when the level is over the table's cap
 }
 
 // dataFor resolves (building at most once) the dataset state a run over cfg
@@ -128,7 +129,7 @@ func (ds *dataState) build(tax *taxonomy.Tree, cfg Config) error {
 	ds.widths = make([]int, H+1)
 	srcs := ds.shards
 	ds.bitmaps = make([]lazyIndex, (H+1)*len(srcs))
-	ds.pairs = make([]lazyPairs, (H+1)*len(srcs))
+	ds.tables = make([]lazyTable, (H+1)*len(srcs)*(txdb.MaxTableK-1))
 	if !cfg.Materialize {
 		return ds.streamSingleSupports(srcs, tax, H, min(cfg.workers(), len(srcs)))
 	}
@@ -176,15 +177,15 @@ func initScans(cfg *Config, height int) int64 {
 // the engine pool for exclusive use; everything in it is either overwritten
 // or explicitly cleared before reuse.
 type runScratch struct {
-	cells    map[int][]*cell   // retired cells by k, stores Reset and reusable
-	chains   []chainRec        // chain arena backing (records cleared at release)
-	sups     []int64           // finishCell single-support scratch
-	partials []partial         // per-worker counting state, reset on checkout
-	units    []unit            // the current pass's work units
-	cand     []itemset.ID      // candidate canonicalization buffer
-	bySup    []itemSup         // bind's frequent items, sorted for SIBP
-	tables   []*txdb.PairTable // the current scan pass's pair table per shard; nil scans
-	anchored anchoredScratch   // anchored search's buffers and conditional index
+	cells    map[int][]*cell     // retired cells by k, stores Reset and reusable
+	chains   []chainRec          // chain arena backing (records cleared at release)
+	sups     []int64             // finishCell single-support scratch
+	partials []partial           // per-worker counting state, reset on checkout
+	units    []unit              // the current pass's work units
+	cand     []itemset.ID        // candidate canonicalization buffer
+	bySup    []itemSup           // bind's frequent items, sorted for SIBP
+	tables   []*txdb.SubsetTable // the current scan pass's subset table per shard; nil scans
+	anchored anchoredScratch     // anchored search's buffers and conditional index
 }
 
 // itemSup is a frequent item with its support, the element bind sorts by

@@ -19,7 +19,7 @@ import (
 // ShardCounter; the answers land in the pass's per-shard partials, which
 // mergePartials sums as it sums a local pass's. A worker answers a unit
 // with CountShard: the kernel a local unit of the named backend runs
-// (scanRows, countPairs on the shard's pair table, scanSource, or
+// (scanRows, countTable on the shard's subset table, scanSource, or
 // bitmapRange on the shard's cached index), over the whole shard. A
 // transaction lives in exactly one shard and supports and tallies merge by
 // int64 addition, so a distributed result is byte-identical to a local one,
@@ -156,15 +156,15 @@ func (e *Engine) CountShard(ctx context.Context, u ShardUnit) (ShardTally, error
 	st.Freeze()
 	c := &cell{h: u.Level, k: u.K, store: st}
 	p := partial{counts: st.Sup, vecs: make([]bitmap.Vector, u.K)}
-	var pairs *txdb.PairTable
-	if u.Strategy == CountScan && u.Config.Materialize && u.K == 2 {
-		pairs = ds.pairTable(u.Level, u.Shard)
+	var tab *txdb.SubsetTable
+	if u.Strategy == CountScan && u.Config.Materialize {
+		tab = ds.table(u.Level, u.Shard, u.K)
 	}
 	switch {
 	case u.Strategy == CountBitmap:
 		p.bitmapRange(c, ds.index(u.Level, u.Shard), 0, st.Len(), ctx.Done())
-	case pairs != nil:
-		p.countPairs(c, pairs)
+	case tab != nil:
+		p.countTable(c, tab)
 	case u.Config.Materialize:
 		lv := ds.levels[u.Shard][u.Level]
 		p.scanRows(c, lv, 0, lv.Rows(), ctx.Done())
