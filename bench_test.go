@@ -11,6 +11,7 @@ package flipper_test
 
 import (
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	flipper "github.com/flipper-mining/flipper"
@@ -54,13 +55,12 @@ func benchSynthetic(b *testing.B, n int, width float64) (*txdb.DB, *taxonomy.Tre
 
 func benchConfig(pruning flipper.PruningLevel, minsup []float64, gamma, epsilon float64) flipper.Config {
 	return flipper.Config{
-		Measure:     flipper.Kulczynski,
-		Gamma:       gamma,
-		Epsilon:     epsilon,
-		MinSup:      minsup,
-		Pruning:     pruning,
-		Strategy:    flipper.CountScan,
-		Materialize: true,
+		Measure:  flipper.Kulczynski,
+		Gamma:    gamma,
+		Epsilon:  epsilon,
+		MinSup:   minsup,
+		Pruning:  pruning,
+		Strategy: flipper.CountScan,
 	}
 }
 
@@ -333,14 +333,13 @@ func BenchmarkCountingDense(b *testing.B) {
 // denseConfig is the BenchmarkCountingDense configuration for one strategy.
 func denseConfig(strategy flipper.CountStrategy) flipper.Config {
 	return flipper.Config{
-		Measure:     flipper.Kulczynski,
-		Gamma:       0.3,
-		Epsilon:     0.1,
-		MinSupAbs:   []int64{5, 5},
-		Pruning:     flipper.Basic,
-		Strategy:    strategy,
-		MaxK:        2,
-		Materialize: true,
+		Measure:   flipper.Kulczynski,
+		Gamma:     0.3,
+		Epsilon:   0.1,
+		MinSupAbs: []int64{5, 5},
+		Pruning:   flipper.Basic,
+		Strategy:  strategy,
+		MaxK:      2,
 	}
 }
 
@@ -487,18 +486,25 @@ func BenchmarkAblationParallelism(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMaterialize compares materialized level views against
-// the disk-resident streaming mode (the paper's sequential-scan setting).
+// BenchmarkAblationMaterialize compares materialized level views of an
+// in-memory database against the disk-resident streaming mode (the paper's
+// sequential-scan setting) over the same baskets in a file.
 func BenchmarkAblationMaterialize(b *testing.B) {
 	db, tree := benchSynthetic(b, benchN, 5)
+	path := filepath.Join(b.TempDir(), "baskets.txt")
+	if err := db.WriteBasketFile(path); err != nil {
+		b.Fatal(err)
+	}
+	file, err := flipper.OpenBasketFile(path, tree.Dict())
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, m := range []struct {
-		name        string
-		materialize bool
-	}{{"materialized", true}, {"streaming", false}} {
+		name string
+		src  txdb.Source
+	}{{"materialized", db}, {"streaming", file}} {
 		b.Run(m.name, func(b *testing.B) {
-			cfg := benchConfig(flipper.Full, benchDefaultMinsup, 0.3, 0.1)
-			cfg.Materialize = m.materialize
-			mineOnce(b, db, tree, cfg)
+			mineOnce(b, m.src, tree, benchConfig(flipper.Full, benchDefaultMinsup, 0.3, 0.1))
 		})
 	}
 }

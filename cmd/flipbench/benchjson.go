@@ -55,14 +55,13 @@ func runBenchJSON(path, tag string) error {
 	}
 	cfgFor := func(strategy core.CountStrategy) core.Config {
 		return core.Config{
-			Measure:     measure.Kulczynski,
-			Gamma:       0.3,
-			Epsilon:     0.1,
-			MinSupAbs:   []int64{5, 5},
-			Pruning:     core.Basic,
-			Strategy:    strategy,
-			MaxK:        2,
-			Materialize: true,
+			Measure:   measure.Kulczynski,
+			Gamma:     0.3,
+			Epsilon:   0.1,
+			MinSupAbs: []int64{5, 5},
+			Pruning:   core.Basic,
+			Strategy:  strategy,
+			MaxK:      2,
 		}
 	}
 	out := BenchFile{

@@ -146,15 +146,7 @@ func writeDataset(out string, shards int, tree *taxonomy.Tree, db *txdb.DB, read
 			fail(err)
 		}
 		for i, part := range txdb.Partition(db, shards) {
-			path := filepath.Join(dbPath, fmt.Sprintf("shard%03d.txt", i))
-			f, err := os.Create(path)
-			if err != nil {
-				fail(err)
-			}
-			if err := part.WriteBaskets(f); err != nil {
-				fail(err)
-			}
-			if err := f.Close(); err != nil {
+			if err := part.WriteBasketFile(filepath.Join(dbPath, fmt.Sprintf("shard%03d.txt", i))); err != nil {
 				fail(err)
 			}
 		}
@@ -163,14 +155,7 @@ func writeDataset(out string, shards int, tree *taxonomy.Tree, db *txdb.DB, read
 		if err := os.RemoveAll(filepath.Join(out, "shards")); err != nil {
 			fail(err)
 		}
-		f, err = os.Create(dbPath)
-		if err != nil {
-			fail(err)
-		}
-		if err := db.WriteBaskets(f); err != nil {
-			fail(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := db.WriteBasketFile(dbPath); err != nil {
 			fail(err)
 		}
 	}

@@ -18,8 +18,9 @@
 // -stream they are streamed in parallel without ever being resident
 // together (out-of-core mode). -minsup takes one fraction per taxonomy level, most general first.
 // -stream keeps counting passes on disk instead of materializing per-level
-// views. -strategy picks the support counter; "tidlist" and "tid", names of
-// a retired backend, still run as aliases of bitmap. -shards N partitions an in-memory database into N shards counted
+// views, and counts by scan only. -strategy picks the support counter;
+// "tidlist" and "tid", names of a retired backend, still run as aliases of
+// bitmap. -shards N partitions an in-memory database into N shards counted
 // in parallel (output is byte-identical to the unsharded run).
 // -target-patterns auto-tunes ε (the paper's threshold workflow): the most
 // selective ε still yielding at least that many patterns is used.
@@ -120,9 +121,6 @@ func main() {
 			tree.Height(), len(cfg.MinSup)))
 	}
 
-	if *stream {
-		cfg.Materialize = false
-	}
 	src, err := loadSource(*dbPath, tree, *stream)
 	if err != nil {
 		fail(err)

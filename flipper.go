@@ -161,9 +161,10 @@ func MineContext(ctx context.Context, src Source, tree *Taxonomy, cfg Config) (*
 }
 
 // Engine is a reusable miner bound to one dataset. Materialized level
-// views, bitmap indexes, and counting scratch built for one
-// Mine call are reused by subsequent calls with compatible configurations,
-// so repeat runs skip data preparation entirely. Results are byte-identical
+// views, bitmap indexes, and counting scratch built for one Mine call are
+// reused by every later call, so repeat runs skip data preparation
+// entirely. A FileSource (or a ShardedSource of them) is streamed instead:
+// re-read on every counting pass, by scan only. Results are byte-identical
 // to the one-shot Mine. An Engine is safe for concurrent use.
 type Engine = core.Engine
 
@@ -190,7 +191,7 @@ func NewDB(d *Dictionary) *DB { return txdb.New(d) }
 func ReadBaskets(r io.Reader, d *Dictionary) (*DB, error) { return txdb.ReadBaskets(r, d) }
 
 // OpenBasketFile opens a basket file as a streaming Source for disk-resident
-// mining (set Config.Materialize = false to keep passes on disk).
+// mining: every counting pass re-reads it, so only scan counting applies.
 func OpenBasketFile(path string, d *Dictionary) (*FileSource, error) {
 	return txdb.OpenFile(path, d)
 }
@@ -219,9 +220,9 @@ func OpenShardDir(dir string, d *Dictionary, stream bool) (*ShardedSource, error
 
 // NewShardedSource composes per-shard Sources (e.g. one FileSource per
 // basket shard file) into one mineable source. All shards must share a
-// dictionary. With Config.Materialize = false this is the out-of-core mode:
-// counting streams the shard files in parallel, so datasets larger than RAM
-// mine with only per-worker scan buffers resident.
+// dictionary. Over FileSources this is the out-of-core mode: counting
+// streams the shard files in parallel, so datasets larger than RAM mine with
+// only per-worker scan buffers resident.
 func NewShardedSource(shards ...Source) (*ShardedSource, error) {
 	return txdb.NewSharded(shards...)
 }

@@ -37,13 +37,12 @@ a22, b12, b22
 
 func toyConfig() flipper.Config {
 	return flipper.Config{
-		Measure:     flipper.Kulczynski,
-		Gamma:       0.6,
-		Epsilon:     0.35,
-		MinSupAbs:   []int64{1, 1, 1},
-		Pruning:     flipper.Full,
-		Strategy:    flipper.CountScan,
-		Materialize: true,
+		Measure:   flipper.Kulczynski,
+		Gamma:     0.6,
+		Epsilon:   0.35,
+		MinSupAbs: []int64{1, 1, 1},
+		Pruning:   flipper.Full,
+		Strategy:  flipper.CountScan,
 	}
 }
 
@@ -136,9 +135,7 @@ func TestDiskResidentFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := toyConfig()
-	cfg.Materialize = false // stream from disk on every pass
-	res, err := flipper.Mine(src, tree, cfg)
+	res, err := flipper.Mine(src, tree, toyConfig()) // streams from disk on every pass
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -226,16 +226,40 @@ func fastOpts() Options {
 	}
 }
 
-func testConfig(strategy core.CountStrategy, materialize bool) core.Config {
+func testConfig(strategy core.CountStrategy) core.Config {
 	return core.Config{
-		Measure:     measure.Kulczynski,
-		Gamma:       0.3,
-		Epsilon:     0.1,
-		MinSupAbs:   []int64{2, 1, 1},
-		Pruning:     core.Full,
-		Strategy:    strategy,
-		Materialize: materialize,
+		Measure:   measure.Kulczynski,
+		Gamma:     0.3,
+		Epsilon:   0.1,
+		MinSupAbs: []int64{2, 1, 1},
+		Pruning:   core.Full,
+		Strategy:  strategy,
 	}
+}
+
+// streamedShards writes the n parts of db to basket files and composes them
+// into a ShardedSource of FileSources: the out-of-core layout, which every
+// engine over it streams.
+func streamedShards(t *testing.T, db *txdb.DB, n int) *txdb.ShardedSource {
+	t.Helper()
+	dir := t.TempDir()
+	var shards []txdb.Source
+	for i, part := range txdb.Partition(db, n) {
+		path := filepath.Join(dir, fmt.Sprintf("shard%03d.txt", i))
+		if err := part.WriteBasketFile(path); err != nil {
+			t.Fatal(err)
+		}
+		fs, err := txdb.OpenFile(path, db.Dict())
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards = append(shards, fs)
+	}
+	ss, err := txdb.NewSharded(shards...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ss
 }
 
 // TestClusterEquivalence is the cluster's core guarantee: a 3-worker
@@ -289,7 +313,7 @@ func TestClusterEquivalence(t *testing.T) {
 					t.Fatalf("fingerprint carries %d shards, want %d", tc.fp.Shards, shards)
 				}
 				for _, strategy := range strategies {
-					cfg := testConfig(strategy, true)
+					cfg := testConfig(strategy)
 					local, err := core.Mine(src, tree, cfg)
 					if err != nil {
 						t.Fatalf("shards=%d %v: local: %v", shards, strategy, err)
@@ -311,12 +335,12 @@ func TestClusterEquivalence(t *testing.T) {
 }
 
 // TestClusterStreamingEquivalence covers the disk-resident (streaming)
-// counting mode over the cluster.
+// counting mode over the cluster: every node streams the same shard files.
 func TestClusterStreamingEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	db, tree := testDataset(rng)
-	src := txdb.PartitionSource(db, 2)
-	cfg := testConfig(core.CountScan, false)
+	src := streamedShards(t, db, 2)
+	cfg := testConfig(core.CountScan)
 	local, err := core.Mine(src, tree, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -339,7 +363,7 @@ func TestClusterWorkerDeathMidJob(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	db, tree := testDataset(rng)
 	src := txdb.PartitionSource(db, 7)
-	cfg := testConfig(core.CountScan, true)
+	cfg := testConfig(core.CountScan)
 	local, err := core.Mine(src, tree, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -378,7 +402,7 @@ func TestClusterDegradedFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(321))
 	db, tree := testDataset(rng)
 	src := txdb.PartitionSource(db, 2)
-	cfg := testConfig(core.CountScan, true)
+	cfg := testConfig(core.CountScan)
 	local, err := core.Mine(src, tree, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -420,7 +444,7 @@ func TestClusterHedgeWinnerDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(777))
 	db, tree := testDataset(rng)
 	src := txdb.PartitionSource(db, 2)
-	cfg := testConfig(core.CountScan, true)
+	cfg := testConfig(core.CountScan)
 	local, err := core.Mine(src, tree, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -496,7 +520,7 @@ func TestWorkerHandlerValidation(t *testing.T) {
 
 	cfg := core.Config{
 		Measure: measure.Kulczynski, Gamma: 0.3, Epsilon: 0.1,
-		MinSupAbs: []int64{1, 1, 1}, Materialize: true,
+		MinSupAbs: []int64{1, 1, 1},
 	}
 	var answer []byte // the body of the last response
 	post := func(req CountRequest) int {
@@ -566,11 +590,9 @@ func TestWorkerHandlerValidation(t *testing.T) {
 		t.Fatalf("auto: %d, want 400", got)
 	}
 	bad = good
-	bad.Strategy = core.CountBitmap
-	bad.Config.Materialize = false
-	bad.ConfigKey = bad.Config.CanonicalKey()
-	if got := post(bad); got != http.StatusBadRequest {
-		t.Fatalf("bitmap with materialize false: %d, want 400", got)
+	bad.Fingerprint.Stream = !bad.Fingerprint.Stream
+	if got := post(bad); got != http.StatusConflict {
+		t.Fatalf("loading-mode mismatch: %d, want 409", got)
 	}
 	bitmap := good
 	bitmap.Strategy = core.CountBitmap

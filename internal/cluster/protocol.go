@@ -29,23 +29,27 @@ const (
 // Fingerprint identifies a dataset build well enough to catch the failure
 // modes that silently corrupt distributed counting: a worker holding a
 // different dataset (or a differently-built taxonomy) under the same name,
-// the same baskets in a different shard layout, or different baskets of the
-// same size. Loading is deterministic — LoadDir resolves identical
-// dictionary IDs and shard layouts from identical files — so equal
-// fingerprints mean the worker's item IDs, shard indexes and per-shard
-// transactions line up with the coordinator's.
+// the same baskets in a different shard layout or loading mode, or
+// different baskets of the same size. Loading is deterministic — LoadDir
+// resolves identical dictionary IDs and shard layouts from identical files —
+// so equal fingerprints mean the worker's item IDs, shard indexes and
+// per-shard transactions line up with the coordinator's, and that it counts
+// a unit the way the coordinator's engine would: from levels, or by
+// streaming (txdb.Streams), which charge different probe tallies.
 type Fingerprint struct {
 	Dataset      string `json:"dataset"`
 	Transactions int    `json:"transactions"`
 	Height       int    `json:"height"`
 	Nodes        int    `json:"nodes"`
 	Shards       int    `json:"shards"`
+	Stream       bool   `json:"stream"`
 	Digest       uint64 `json:"digest"`
 }
 
 // NewFingerprint derives the fingerprint of a loaded dataset: its shape, the
-// shard count, and a 64-bit digest over each shard's transactions in order,
-// where the shards are the ones an engine over src counts (txdb.ShardsOf).
+// shard count and loading mode, and a 64-bit digest over each shard's
+// transactions in order, where the shards and the mode are the ones an
+// engine over src counts with (txdb.ShardsOf, txdb.Streams).
 // The digest reads the source once, so a FileSource pays one more sequential
 // read. A source that fails to scan gets a random digest: its fingerprint
 // matches no other, so no node counts on data it cannot read.
@@ -68,7 +72,7 @@ func NewFingerprint(name string, src txdb.Source, tree *taxonomy.Tree) Fingerpri
 	}
 	return Fingerprint{
 		Dataset: name, Transactions: src.Len(), Height: tree.Height(), Nodes: tree.NodeCount(),
-		Shards: len(shards), Digest: h,
+		Shards: len(shards), Stream: txdb.Streams(src), Digest: h,
 	}
 }
 
@@ -80,8 +84,8 @@ func mix(h, v uint64) uint64 {
 }
 
 func (f Fingerprint) String() string {
-	return fmt.Sprintf("%s(tx=%d,h=%d,nodes=%d,shards=%d,digest=%016x)",
-		f.Dataset, f.Transactions, f.Height, f.Nodes, f.Shards, f.Digest)
+	return fmt.Sprintf("%s(tx=%d,h=%d,nodes=%d,shards=%d,stream=%t,digest=%016x)",
+		f.Dataset, f.Transactions, f.Height, f.Nodes, f.Shards, f.Stream, f.Digest)
 }
 
 // CountRequest is one core.ShardUnit on the wire, with the checks a worker

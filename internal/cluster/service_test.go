@@ -150,36 +150,44 @@ func TestServiceClusterByteIdentical(t *testing.T) {
 	}
 }
 
-// TestFingerprintMismatchMinesLocally covers the two dataset skews the
-// fingerprint's shard count and digest catch: the coordinator holding the
-// baskets as two shard files while the worker holds them as one, and a
-// worker holding different baskets of the same size. Either way the worker
-// is ineligible, so the coordinator mines locally without degrading, and a
-// count request carrying the coordinator's fingerprint gets 409.
+// TestFingerprintMismatchMinesLocally covers the dataset skews the
+// fingerprint's shard count, loading mode and digest catch: the coordinator
+// holding the baskets as two shard files while the worker holds them as one,
+// a worker holding different baskets of the same size, and a worker that
+// loaded the same shard files in the other mode — streamed where the
+// coordinator holds them in memory, or the reverse — which would charge
+// other probe tallies. Either way the worker is ineligible, so the
+// coordinator mines locally without degrading, and a count request carrying
+// the coordinator's fingerprint gets 409.
 func TestFingerprintMismatchMinesLocally(t *testing.T) {
 	db, tree := testDataset(rand.New(rand.NewSource(123)))
 	edited := txdb.New(tree.Dict())
 	for i := 0; i < db.Len(); i++ {
 		edited.AddSet(db.Tx(max(i, 1))) // transaction 0 replaced by a copy of 1
 	}
+	streamed := streamedShards(t, db, 2)
 	for _, tc := range []struct {
-		name          string
-		coord, worker txdb.Source
-		coordShards   int
+		name                      string
+		coord, worker             txdb.Source
+		coordShards, workerShards int
+		strategy                  string
 	}{
-		{"layout", txdb.PartitionSource(db, 2), db, 2},
-		{"content", db, edited, 1},
+		{"layout", txdb.PartitionSource(db, 2), db, 2, 1, "auto"},
+		{"content", db, edited, 1, 1, "auto"},
+		{"streamed worker", txdb.PartitionSource(db, 2), streamed, 2, 2, "auto"},
+		{"streamed coordinator", streamed, txdb.PartitionSource(db, 2), 2, 2, "scan"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			coordFp, workerFp := NewFingerprint("ds", tc.coord, tree), NewFingerprint("ds", tc.worker, tree)
-			if coordFp == workerFp || coordFp.Shards != tc.coordShards || workerFp.Shards != 1 {
-				t.Fatalf("coordinator %s, worker %s: want distinct fingerprints of %d and 1 shards", coordFp, workerFp, tc.coordShards)
+			if coordFp == workerFp || coordFp.Shards != tc.coordShards || workerFp.Shards != tc.workerShards {
+				t.Fatalf("coordinator %s, worker %s: want distinct fingerprints of %d and %d shards",
+					coordFp, workerFp, tc.coordShards, tc.workerShards)
 			}
 			f := newFlipperd(t, tc.coord, tree, tc.worker)
 			if f.co.Eligible("ds") {
 				t.Fatal("worker with a skewed dataset is eligible")
 			}
-			patch := `{"gamma":0.3,"epsilon":0.1,"min_sup_abs":[2,1,1],"strategy":"auto"}`
+			patch := `{"gamma":0.3,"epsilon":0.1,"min_sup_abs":[2,1,1],"strategy":"` + tc.strategy + `"}`
 			want := newFlipperd(t, tc.coord, tree).mine(t, patch)
 			got := f.mine(t, patch)
 			if !bytes.Equal(got, want) {
@@ -188,7 +196,7 @@ func TestFingerprintMismatchMinesLocally(t *testing.T) {
 			if f.served.Load() != 0 {
 				t.Fatalf("%d count requests reached the skewed worker", f.served.Load())
 			}
-			cfg := testConfig(core.CountScan, true)
+			cfg := testConfig(core.CountScan)
 			body, err := json.Marshal(CountRequest{Fingerprint: coordFp, ConfigKey: cfg.CanonicalKey(), ShardUnit: core.ShardUnit{
 				Config: cfg, Level: tree.Height(), K: 1, Candidates: []itemset.Set{{tree.Leaves()[0]}},
 			}})

@@ -35,9 +35,9 @@ import (
 // in the taxonomy.
 var ErrUnknownAnchor = errors.New("core: unknown anchor item")
 
-// mineAnchored runs anchored top-K search. Materialized runs use the
-// anchored DFS; streaming runs have no materialized levels to index, so
-// they fall back to the exact full mine plus a chain filter.
+// mineAnchored runs anchored top-K search. Runs over in-memory levels use
+// the anchored DFS; a streamed source has no levels to index, so its runs
+// fall back to the exact full mine plus a chain filter.
 func (m *miner) mineAnchored() ([]Pattern, error) {
 	anchor, ok := m.tax.Dict().Lookup(m.cfg.Anchor)
 	if !ok || !m.tax.Contains(anchor) {
@@ -46,7 +46,7 @@ func (m *miner) mineAnchored() ([]Pattern, error) {
 	la := m.tax.LevelOf(anchor)
 	topK := m.cfg.AnchorTopK
 
-	if !m.cfg.Materialize {
+	if m.ds.stream {
 		var pats []Pattern
 		if m.cfg.Pruning == Basic {
 			pats = m.mineBasic()

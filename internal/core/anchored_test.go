@@ -74,16 +74,16 @@ func TestAnchoredTopKMatchesExact(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		db, tree := randomDataset(rng)
 		base := Config{
-			Measure:     measure.Kulczynski,
-			Gamma:       0.3,
-			Epsilon:     0.1,
-			MinSupAbs:   []int64{2, 1, 1},
-			Materialize: true,
+			Measure:   measure.Kulczynski,
+			Gamma:     0.3,
+			Epsilon:   0.1,
+			MinSupAbs: []int64{2, 1, 1},
 		}
 		full, err := Mine(db, tree, base)
 		if err != nil {
 			t.Fatalf("trial %d: full mine: %v", trial, err)
 		}
+		file := streamed(t, db)
 		for _, anchor := range anchors {
 			topK := 1 + rng.Intn(4)
 			want := rankedFingerprint(anchoredReference(full, tree, anchor, topK), tree)
@@ -115,14 +115,13 @@ func TestAnchoredTopKMatchesExact(t *testing.T) {
 						}
 					}
 				}
-				// Streaming fallback: no materialized levels to index, exact
-				// filter path.
+				// Streaming fallback: a basket file has no levels to index,
+				// exact filter path.
 				cfg := base
-				cfg.Materialize = false
 				cfg.Pruning = pruning
 				cfg.Anchor = anchor
 				cfg.AnchorTopK = topK
-				res, err := Mine(db, tree, cfg)
+				res, err := Mine(file, tree, cfg)
 				if err != nil {
 					t.Fatalf("trial %d anchor=%q streaming %v: %v", trial, anchor, pruning, err)
 				}
@@ -218,11 +217,10 @@ func FuzzAnchoredTopK(f *testing.F) {
 		}
 		gammas := []float64{0.3, 0.4, 0.5, 0.7}
 		base := Config{
-			Measure:     measure.All()[next()%len(measure.All())],
-			Gamma:       gammas[next()%len(gammas)],
-			Epsilon:     float64(next()%6) / 20,
-			MinSupAbs:   make([]int64, height),
-			Materialize: true,
+			Measure:   measure.All()[next()%len(measure.All())],
+			Gamma:     gammas[next()%len(gammas)],
+			Epsilon:   float64(next()%6) / 20,
+			MinSupAbs: make([]int64, height),
 		}
 		for h := range base.MinSupAbs {
 			base.MinSupAbs[h] = int64(1 + next()%3)
@@ -246,20 +244,23 @@ func FuzzAnchoredTopK(f *testing.F) {
 			return string(raw)
 		}
 		want := wire(anchoredReference(full, tree, anchor, topK))
-		for _, materialize := range []bool{true, false} {
+		for _, stream := range []bool{false, true} {
 			for _, shards := range []int{1, 2} {
 				cfg := base
 				cfg.Pruning = pruning
-				cfg.Materialize = materialize
 				cfg.Anchor = anchor
 				cfg.AnchorTopK = topK
-				res, err := Mine(txdb.PartitionSource(db, shards), tree, cfg)
+				var src txdb.Source = txdb.PartitionSource(db, shards)
+				if stream {
+					src = streamedShards(t, db, shards)
+				}
+				res, err := Mine(src, tree, cfg)
 				if err != nil {
-					t.Fatalf("anchored %q materialize=%v shards=%d: %v", anchor, materialize, shards, err)
+					t.Fatalf("anchored %q stream=%v shards=%d: %v", anchor, stream, shards, err)
 				}
 				if got := wire(res.Patterns); got != want {
-					t.Fatalf("anchored %q K=%d %v materialize=%v shards=%d diverged from the filtered full mine.\nwant: %s\ngot:  %s",
-						anchor, topK, pruning, materialize, shards, want, got)
+					t.Fatalf("anchored %q K=%d %v stream=%v shards=%d diverged from the filtered full mine.\nwant: %s\ngot:  %s",
+						anchor, topK, pruning, stream, shards, want, got)
 				}
 			}
 		}
@@ -280,8 +281,8 @@ func TestAnchoredUnknownAnchor(t *testing.T) {
 	}
 }
 
-// TestAnchoredConfigValidation covers the anchored knob surface of
-// Config.Validate.
+// TestAnchoredConfigValidation covers the anchored knob surface of the
+// configuration check.
 func TestAnchoredConfigValidation(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.AnchorTopK = 3 },                             // anchor_top_k without anchor
@@ -292,14 +293,14 @@ func TestAnchoredConfigValidation(t *testing.T) {
 	for i, mutate := range bad {
 		cfg := DefaultConfig(3)
 		mutate(&cfg)
-		if err := cfg.Validate(3, 100); err == nil {
+		if _, err := cfg.validate(3, 100); err == nil {
 			t.Fatalf("case %d: invalid anchored config validated: %+v", i, cfg)
 		}
 	}
 	cfg := DefaultConfig(3)
 	cfg.Anchor = "x"
 	cfg.AnchorTopK = 2
-	if err := cfg.Validate(3, 100); err != nil {
+	if _, err := cfg.validate(3, 100); err != nil {
 		t.Fatalf("valid anchored config rejected: %v", err)
 	}
 }
@@ -336,11 +337,10 @@ func TestAnchoredShardedSource(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	db, tree := randomDataset(rng)
 	base := Config{
-		Measure:     measure.Kulczynski,
-		Gamma:       0.3,
-		Epsilon:     0.1,
-		MinSupAbs:   []int64{2, 1, 1},
-		Materialize: true,
+		Measure:   measure.Kulczynski,
+		Gamma:     0.3,
+		Epsilon:   0.1,
+		MinSupAbs: []int64{2, 1, 1},
 	}
 	full, err := Mine(db, tree, base)
 	if err != nil {
@@ -370,13 +370,12 @@ func TestAnchoredBitmapBuildsPerShard(t *testing.T) {
 	db, tree := randomDataset(rng)
 	for _, shards := range []int{1, 2, 7} {
 		cfg := Config{
-			Measure:     measure.Kulczynski,
-			Gamma:       0.3,
-			Epsilon:     0.1,
-			MinSupAbs:   []int64{2, 1, 1},
-			Materialize: true,
-			Anchor:      "c0",
-			AnchorTopK:  3,
+			Measure:    measure.Kulczynski,
+			Gamma:      0.3,
+			Epsilon:    0.1,
+			MinSupAbs:  []int64{2, 1, 1},
+			Anchor:     "c0",
+			AnchorTopK: 3,
 		}
 		eng := NewEngine(txdb.PartitionSource(db, shards), tree)
 		res, err := eng.Mine(cfg)
@@ -385,9 +384,6 @@ func TestAnchoredBitmapBuildsPerShard(t *testing.T) {
 		}
 		if res.Stats.CandidatesCounted == 0 {
 			t.Fatalf("shards=%d: no candidate was counted; the check below would be vacuous", shards)
-		}
-		if eng.streamed.sup1 != nil {
-			t.Fatalf("shards=%d: a materialized anchored run built the streaming state too", shards)
 		}
 		if b := res.Stats.BitmapBuilds; b == 0 || b%int64(res.Stats.Shards) != 0 {
 			t.Fatalf("shards=%d: %d bitmap builds over %d shards, want a positive multiple", shards, b, res.Stats.Shards)

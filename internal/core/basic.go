@@ -1,9 +1,5 @@
 package core
 
-import (
-	"github.com/flipper-mining/flipper/internal/itemset"
-)
-
 // The BASIC baseline: a complete per-level Apriori with support-only
 // pruning, representing the prior-art pipeline the paper compares against —
 // "computing all frequent patterns before ranking the correlations". Every
@@ -25,7 +21,7 @@ func (m *miner) mineBasic() []Pattern {
 			if m.cancelled() {
 				return nil
 			}
-			c := m.basicCell(h, k)
+			c := m.aprioriCell(h, k)
 			m.finishBasicCell(c)
 			m.rows[h][k] = c
 			if c.frequent < k+1 {
@@ -36,55 +32,6 @@ func (m *miner) mineBasic() []Pattern {
 		}
 	}
 	return m.collectBasic()
-}
-
-// basicCell generates all Apriori candidates of Q(h,k) from the complete
-// cell Q(h,k-1): joins of prefix-sharing frequent itemsets whose items
-// descend from pairwise distinct level-1 roots, with the full subset check.
-func (m *miner) basicCell(h, k int) *cell {
-	c := m.cell(h, k)
-	if k == 2 {
-		items := m.frequentItems(h)
-		for i := 0; i < len(items); i++ {
-			ri := m.tax.RootOf(items[i])
-			for j := i + 1; j < len(items); j++ {
-				if ri == m.tax.RootOf(items[j]) {
-					continue
-				}
-				m.addCandidate(c, itemset.Set{items[i], items[j]})
-			}
-		}
-		return c
-	}
-	prev := m.rows[h][k-1]
-	if prev == nil || prev.frequent < k {
-		return c
-	}
-	sets := prev.frequentSets() // lexicographic, so the join can break early
-	scratch := make(itemset.Set, k-1)
-	for i := 0; i < len(sets); i++ {
-		if i&cancelCheckMask == 0 && m.cancelled() {
-			return c
-		}
-		for j := i + 1; j < len(sets); j++ {
-			joined, ok := itemset.Join(sets[i], sets[j])
-			if !ok {
-				break // sorted order: prefixes diverged for good
-			}
-			// The two tails must come from distinct roots; every other pair
-			// was validated when the operands were generated.
-			a, b := sets[i][k-2], sets[j][k-2]
-			if m.tax.RootOf(a) == m.tax.RootOf(b) {
-				continue
-			}
-			if !m.allSubsetsFrequent(prev, joined, scratch) {
-				m.stats.SubsetPruned++
-				continue
-			}
-			m.addCandidate(c, joined)
-		}
-	}
-	return c
 }
 
 // finishBasicCell counts and labels a BASIC cell. Unlike finishCell it keeps

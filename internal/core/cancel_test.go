@@ -19,13 +19,12 @@ import (
 
 func denseCfg(strategy core.CountStrategy) core.Config {
 	return core.Config{
-		Measure:     measure.Kulczynski,
-		Gamma:       0.3,
-		Epsilon:     0.1,
-		MinSupAbs:   []int64{2, 1},
-		Pruning:     core.Full,
-		Strategy:    strategy,
-		Materialize: true,
+		Measure:   measure.Kulczynski,
+		Gamma:     0.3,
+		Epsilon:   0.1,
+		MinSupAbs: []int64{2, 1},
+		Pruning:   core.Full,
+		Strategy:  strategy,
 	}
 }
 

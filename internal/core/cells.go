@@ -6,29 +6,33 @@ import (
 	"github.com/flipper-mining/flipper/internal/itemset"
 )
 
-// row1Cell generates the candidates of Q(1,k) by complete level-wise Apriori
-// over the frequent level-1 items. Row 1 has no parent row, so cells here
-// contain every frequent k-itemset at level 1 — which is what makes the
-// zigzag's TPG check meaningful and keeps the miner complete.
-func (m *miner) row1Cell(k int) *cell {
-	c := m.cell(1, k)
+// aprioriCell generates all Apriori candidates of Q(h,k) from the complete
+// cell Q(h,k-1): joins of prefix-sharing frequent itemsets whose items
+// descend from pairwise distinct level-1 roots, with the full subset check.
+// It builds every cell of BASIC and Flipper's row 1, which has no parent row:
+// there every frequent k-itemset is a candidate — which is what makes the
+// zigzag's TPG check meaningful and keeps the miner complete — and the roots
+// check never fires, since a level-1 item is its own root.
+func (m *miner) aprioriCell(h, k int) *cell {
+	c := m.cell(h, k)
 	if k == 2 {
-		items := m.frequentItems(1)
+		items := m.frequentItems(h)
 		for i := 0; i < len(items); i++ {
+			ri := m.tax.RootOf(items[i])
 			for j := i + 1; j < len(items); j++ {
+				if ri == m.tax.RootOf(items[j]) {
+					continue
+				}
 				m.addCandidate(c, itemset.Set{items[i], items[j]})
 			}
 		}
 		return c
 	}
-	prev := m.rows[1][k-1]
+	prev := m.rows[h][k-1]
 	if prev == nil || prev.frequent < k {
 		return c
 	}
-	// Apriori join: pairs of frequent (k-1)-itemsets sharing a (k-2)-prefix.
-	// The trie walk yields them in lexicographic order, which the join
-	// exploits: once the prefix diverges, no later operand can match.
-	sets := prev.frequentSets()
+	sets := prev.frequentSets() // lexicographic, so the join can break early
 	scratch := make(itemset.Set, k-1)
 	for i := 0; i < len(sets); i++ {
 		if i&cancelCheckMask == 0 && m.cancelled() {
@@ -37,12 +41,14 @@ func (m *miner) row1Cell(k int) *cell {
 		for j := i + 1; j < len(sets); j++ {
 			joined, ok := itemset.Join(sets[i], sets[j])
 			if !ok {
-				// Lexicographic order: once the prefix diverges no later j
-				// can join with i.
-				break
+				break // sorted order: prefixes diverged for good
 			}
-			// Row-1 cells are complete: every (k-1)-subset must be present
-			// and frequent.
+			// The two tails must come from distinct roots; every other pair
+			// was validated when the operands were generated.
+			a, b := sets[i][k-2], sets[j][k-2]
+			if m.tax.RootOf(a) == m.tax.RootOf(b) {
+				continue
+			}
 			if !m.allSubsetsFrequent(prev, joined, scratch) {
 				m.stats.SubsetPruned++
 				continue
@@ -177,7 +183,7 @@ func (m *miner) hasInfrequentSubset(left *cell, cand itemset.Set, scratch itemse
 	return false
 }
 
-// addCandidate registers a row-1 or BASIC candidate itemset for counting.
+// addCandidate registers an Apriori candidate itemset for counting.
 func (m *miner) addCandidate(c *cell, items itemset.Set) {
 	m.insertCandidate(c, items, -1, LabelNone)
 }

@@ -26,7 +26,7 @@ func newTestMiner(t *testing.T, db *txdb.DB, tree *taxonomy.Tree, cfg Config) *m
 func TestRow1CellPairs(t *testing.T) {
 	db, tree := paperToy(t)
 	m := newTestMiner(t, db, tree, toyConfig())
-	c := m.row1Cell(2)
+	c := m.aprioriCell(1, 2)
 	// Two frequent level-1 items -> exactly one pair candidate {a, b}.
 	if c.candidates != 1 {
 		t.Fatalf("candidates = %d", c.candidates)
@@ -57,16 +57,16 @@ func TestRow1CellJoins(t *testing.T) {
 	}
 	cfg := Config{
 		Measure: measure.Kulczynski, Gamma: 0.5, Epsilon: 0.1,
-		MinSupAbs: []int64{1, 1}, Materialize: true, Pruning: Full,
+		MinSupAbs: []int64{1, 1}, Pruning: Full,
 	}
 	m := newTestMiner(t, db, tree, cfg)
-	c2 := m.row1Cell(2)
+	c2 := m.aprioriCell(1, 2)
 	m.finishCell(c2)
 	m.rows[1][2] = c2
 	if c2.frequent != 3 {
 		t.Fatalf("frequent pairs = %d", c2.frequent)
 	}
-	c3 := m.row1Cell(3)
+	c3 := m.aprioriCell(1, 3)
 	if c3.candidates != 1 {
 		t.Fatalf("triple candidates = %d", c3.candidates)
 	}
@@ -95,16 +95,16 @@ func TestRow1SubsetPruning(t *testing.T) {
 	db.AddNames("x1", "y1") // support 1 < θ=2
 	cfg := Config{
 		Measure: measure.Kulczynski, Gamma: 0.5, Epsilon: 0.1,
-		MinSupAbs: []int64{2, 2}, Materialize: true, Pruning: Full,
+		MinSupAbs: []int64{2, 2}, Pruning: Full,
 	}
 	m := newTestMiner(t, db, tree, cfg)
-	c2 := m.row1Cell(2)
+	c2 := m.aprioriCell(1, 2)
 	m.finishCell(c2)
 	m.rows[1][2] = c2
 	if c2.frequent != 3 {
 		t.Fatalf("frequent pairs = %d, want 3", c2.frequent)
 	}
-	c3 := m.row1Cell(3)
+	c3 := m.aprioriCell(1, 3)
 	if c3.candidates != 0 {
 		t.Fatalf("triple candidates = %d, want 0 (subset pruned)", c3.candidates)
 	}
@@ -116,7 +116,7 @@ func TestRow1SubsetPruning(t *testing.T) {
 func TestChildCellExpansionGatedOnAlive(t *testing.T) {
 	db, tree := paperToy(t)
 	m := newTestMiner(t, db, tree, toyConfig())
-	c1 := m.row1Cell(2)
+	c1 := m.aprioriCell(1, 2)
 	m.finishCell(c1)
 	m.rows[1][2] = c1
 	c2 := m.childCell(2, 2)
@@ -144,7 +144,7 @@ func TestChildCellExpansionGatedOnAlive(t *testing.T) {
 func TestChildCellSkipsSIBPExcluded(t *testing.T) {
 	db, tree := paperToy(t)
 	m := newTestMiner(t, db, tree, toyConfig())
-	c1 := m.row1Cell(2)
+	c1 := m.aprioriCell(1, 2)
 	m.finishCell(c1)
 	m.rows[1][2] = c1
 	// Exclude a1 at level 2: the children combos through a1 must vanish.
@@ -167,7 +167,7 @@ func TestBasicCellDistinctRoots(t *testing.T) {
 	cfg := toyConfig()
 	cfg.Pruning = Basic
 	m := newTestMiner(t, db, tree, cfg)
-	c := m.basicCell(3, 2)
+	c := m.aprioriCell(3, 2)
 	a11, _ := tree.Dict().Lookup("a11")
 	a12, _ := tree.Dict().Lookup("a12")
 	if c.store.Lookup(itemset.New(a11, a12)) >= 0 {

@@ -153,12 +153,6 @@ type Config struct {
 	// least this many when the data allows, and a worker pool of this size
 	// runs them however many shards the source has (txdb.ShardsOf).
 	Parallelism int `json:"parallelism,omitempty"`
-	// Materialize keeps per-level generalized views of the database in
-	// memory (with duplicate transactions merged). Disable to stream from
-	// the source on every scan, trading time for memory — the paper's
-	// disk-resident mode. CountBitmap and CountAuto require materialized
-	// views.
-	Materialize bool `json:"materialize"`
 	// KeepCellStats records per-cell statistics in the result.
 	KeepCellStats bool `json:"keep_cell_stats,omitempty"`
 	// TopK, when positive, sorts patterns by descending flip gap (the
@@ -194,22 +188,13 @@ func DefaultConfig(height int) Config {
 		}
 	}
 	return Config{
-		Measure:     measure.Kulczynski,
-		Gamma:       0.3,
-		Epsilon:     0.1,
-		MinSup:      sup,
-		Pruning:     Full,
-		Strategy:    CountScan,
-		Materialize: true,
+		Measure:  measure.Kulczynski,
+		Gamma:    0.3,
+		Epsilon:  0.1,
+		MinSup:   sup,
+		Pruning:  Full,
+		Strategy: CountScan,
 	}
-}
-
-// Validate checks the configuration against a taxonomy of the given height
-// and a database of n transactions without running a mine — the early
-// rejection path for services that accept configurations over the wire.
-func (c *Config) Validate(height, n int) error {
-	_, err := c.validate(height, n)
-	return err
 }
 
 // validate checks the configuration against a taxonomy of the given height
@@ -236,9 +221,6 @@ func (c *Config) validate(height, n int) ([]int64, error) {
 	}
 	if c.Strategy < CountScan || c.Strategy > CountBitmap {
 		return nil, fmt.Errorf("core: unknown counting strategy %v", c.Strategy)
-	}
-	if c.Strategy != CountScan && !c.Materialize {
-		return nil, fmt.Errorf("core: %v counting requires materialized views", c.Strategy)
 	}
 	if c.Anchor == "" {
 		if c.AnchorTopK != 0 {

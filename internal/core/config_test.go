@@ -8,22 +8,25 @@ import (
 	"github.com/flipper-mining/flipper/internal/measure"
 )
 
-// validConfig is a configuration that passes Validate(3, 100) — the base
+// validConfig is a configuration that passes validate(3, 100) — the base
 // every rejection case below mutates.
 func validConfig() Config {
 	return Config{
 		Measure: measure.Kulczynski, Gamma: 0.6, Epsilon: 0.35,
 		MinSup: []float64{0.1, 0.1, 0.1}, Pruning: Full,
-		Strategy: CountScan, Materialize: true,
+		Strategy: CountScan,
 	}
 }
 
-// TestValidateRejectionMessages pins every rejection path of Config.Validate
+// TestValidateRejectionMessages pins every rejection path of Engine.Validate
 // with the exact message text: these strings travel over the wire verbatim
 // ("invalid config: <msg>" in the flipperd 400 envelope, pinned again by the
 // golden error fixtures), so rewording one is an API change that must show
-// up in a diff here.
+// up in a diff here. The "without views" cases validate against an engine
+// over a streamed basket file, every other case the configuration alone.
 func TestValidateRejectionMessages(t *testing.T) {
+	db, tree := paperToy(t)
+	streaming := NewEngine(streamed(t, db), tree)
 	cases := []struct {
 		name   string
 		height int
@@ -39,8 +42,8 @@ func TestValidateRejectionMessages(t *testing.T) {
 		{"negative maxk", 3, func(c *Config) { c.MaxK = -1 }, "core: MaxK -1 negative"},
 		{"negative parallelism", 3, func(c *Config) { c.Parallelism = -2 }, "core: parallelism -2 negative"},
 		{"unknown strategy", 3, func(c *Config) { c.Strategy = CountStrategy(42) }, "core: unknown counting strategy"},
-		{"tidlist without views", 3, func(c *Config) { c.Strategy, _ = ParseCountStrategy("tidlist"); c.Materialize = false }, "core: bitmap counting requires materialized views"},
-		{"bitmap without views", 3, func(c *Config) { c.Strategy = CountBitmap; c.Materialize = false }, "counting requires materialized views"},
+		{"tidlist without views", 3, func(c *Config) { c.Strategy, _ = ParseCountStrategy("tidlist") }, "core: bitmap counting requires materialized views"},
+		{"bitmap without views", 3, func(c *Config) { c.Strategy = CountBitmap }, "counting requires materialized views"},
 		{"minsupabs wrong length", 3, func(c *Config) { c.MinSupAbs = []int64{1} }, "core: MinSupAbs has 1 levels, taxonomy has 3"},
 		{"minsupabs below one", 3, func(c *Config) { c.MinSupAbs = []int64{1, 0, 1} }, "core: MinSupAbs[1] = 0, want ≥ 1"},
 		{"minsup wrong length", 3, func(c *Config) { c.MinSup = []float64{0.1} }, "core: MinSup has 1 levels, taxonomy has 3"},
@@ -51,7 +54,12 @@ func TestValidateRejectionMessages(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := validConfig()
 			tc.mutate(&cfg)
-			err := cfg.Validate(tc.height, 100)
+			var err error
+			if strings.HasSuffix(tc.name, "without views") {
+				err = streaming.Validate(cfg)
+			} else {
+				_, err = cfg.validate(tc.height, 100)
+			}
 			if err == nil {
 				t.Fatalf("invalid config accepted")
 			}
@@ -61,15 +69,22 @@ func TestValidateRejectionMessages(t *testing.T) {
 		})
 	}
 	valid := validConfig()
-	if err := valid.Validate(3, 100); err != nil {
+	if _, err := valid.validate(3, 100); err != nil {
 		t.Errorf("valid base config rejected: %v", err)
+	}
+	if err := streaming.Validate(valid); err != nil {
+		t.Errorf("scan over a streamed source rejected: %v", err)
+	}
+	valid.Strategy = CountBitmap
+	if err := NewEngine(db, tree).Validate(valid); err != nil {
+		t.Errorf("bitmap over an in-memory source rejected: %v", err)
 	}
 	// MinSupAbs takes precedence over MinSup when both are set, so an
 	// invalid fraction list must not be reached.
 	both := validConfig()
 	both.MinSupAbs = []int64{2, 2, 2}
 	both.MinSup = []float64{9, 9, 9}
-	if err := both.Validate(3, 100); err != nil {
+	if _, err := both.validate(3, 100); err != nil {
 		t.Errorf("MinSupAbs should shadow MinSup: %v", err)
 	}
 }
@@ -82,13 +97,13 @@ func TestCanonicalKeyStableAcrossFieldReordering(t *testing.T) {
 	docs := []string{
 		`{"measure": "kulczynski", "gamma": 0.6, "epsilon": 0.35,
 		  "min_sup": [0.1, 0.1, 0.1], "pruning": "flipping+tpg+sibp",
-		  "strategy": "scan", "materialize": true, "top_k": 5}`,
-		`{"top_k": 5, "materialize": true, "strategy": "scan",
+		  "strategy": "scan", "top_k": 5}`,
+		`{"top_k": 5, "strategy": "scan",
 		  "pruning": "flipping+tpg+sibp", "min_sup": [0.1, 0.1, 0.1],
 		  "epsilon": 0.35, "gamma": 0.6, "measure": "kulczynski"}`,
 		`{"strategy": "scan", "min_sup": [0.1, 0.1, 0.1], "measure": "kulczynski",
 		  "top_k": 5, "gamma": 0.6, "pruning": "flipping+tpg+sibp",
-		  "epsilon": 0.35, "materialize": true}`,
+		  "epsilon": 0.35}`,
 	}
 	keys := make([]string, len(docs))
 	for i, doc := range docs {

@@ -32,10 +32,10 @@ func (m *miner) count(c *cell) {
 		m.countRemote(c, strategy)
 	case strategy == CountBitmap:
 		m.countBitmap(c)
-	case m.cfg.Materialize:
-		m.countScan(c)
-	default:
+	case m.ds.stream:
 		m.countScanStreaming(c)
+	default:
+		m.countScan(c)
 	}
 }
 

@@ -86,7 +86,7 @@ func TestAutoMatchesScanOnRandomData(t *testing.T) {
 		db, tree := randomDataset(rng)
 		cfg := Config{
 			Measure: measure.Kulczynski, Gamma: 0.3, Epsilon: 0.1,
-			MinSupAbs: []int64{2, 1, 1}, Pruning: Full, Materialize: true,
+			MinSupAbs: []int64{2, 1, 1}, Pruning: Full,
 		}
 		cfg.Strategy = CountScan
 		a, err := Mine(db, tree, cfg)
@@ -149,7 +149,7 @@ func TestChooseStrategyPicksBitmapOnDenseCells(t *testing.T) {
 	db := txdbForDense(rng, tree, 500)
 	cfg := Config{
 		Measure: measure.Kulczynski, Gamma: 0.3, Epsilon: 0.1,
-		MinSupAbs: []int64{1, 1}, Pruning: Basic, Materialize: true,
+		MinSupAbs: []int64{1, 1}, Pruning: Basic,
 		Strategy: CountAuto,
 	}
 	res, err := Mine(db, tree, cfg)

@@ -38,7 +38,9 @@ output (Figure 9(b)).
 
 Row 1 is a complete level-wise Apriori over the frequent level-1 items:
 join prefix-sharing (k−1)-itemsets, check every (k−1)-subset. Row 1 has no
-parent row, so its cells contain every frequent k-itemset at level 1.
+parent row, so its cells contain every frequent k-itemset at level 1. It is
+BASIC's generator (aprioriCell) at h = 1, where the distinct-roots check
+never fires: a level-1 item is its own root.
 
 Rows ≥ 2 grow vertically: each chain-alive itemset P in Q(h−1,k) expands
 into the Cartesian product of its items' children (taxonomy.ChildrenAt,
@@ -97,8 +99,11 @@ every k-subset of the cell's candidate items, and the hits are the
 distinct-row counts of the candidates. Streaming runs, levels over the
 cap, k ≥ 4 cells and the bitmap backend are unchanged, and CountAuto
 prices a k = 2 or 3 scan as the full pass whether or not a table
-exists. With Config.Materialize=false the engine instead re-reads the
-Source every pass — the paper's disk-resident mode. CountBitmap ANDs per-item bit
+exists. Over a txdb.FileSource, or a ShardedSource of them (txdb.Streams,
+resolved once in NewEngine, like the shards), the engine instead re-reads
+the source every pass — the paper's disk-resident mode — and counts by scan
+only: Engine.Validate rejects the other backends there, and no
+configuration field changes the mode. CountBitmap ANDs per-item bit
 vectors over the distinct weighted transactions and pop-counts the result
 (internal/bitmap; vectors are built lazily per level and shard and cached),
 iterating the candidate slab directly. CountAuto picks one of the two per
@@ -125,7 +130,8 @@ unit adds into its worker's partial support vector (worker 0's is the
 cell's slab) and mergePartials sums the partials. Integer sums make the
 output byte-identical across shard and worker counts (shard_test.go and
 invariance_test.go pin this), which is why Parallelism is excluded from
-Config.CanonicalKey; the shard count is no configuration field at all.
+Config.CanonicalKey; the shard count and the loading mode are no
+configuration fields at all.
 Stats.Shards and Stats.ShardMergeNs surface the fan-out and the serial
 merge fraction.
 

@@ -34,13 +34,15 @@ type Result struct {
 // (candidate stores, counting buffers, chain arenas) so repeated runs stop
 // paying full allocation.
 //
-// The shard layout is the source's own (txdb.ShardsOf), resolved once in
-// NewEngine; to count an in-memory database shard-parallel, mine a
-// txdb.PartitionSource over it. Cached state is kept per Materialize value,
-// the one part of the configuration that shapes it; every other knob varies
-// freely across calls over the same caches. All methods are safe for
-// concurrent use: dataset state is built once and read-only afterwards, and
-// each run checks scratch out of the pool for exclusive use.
+// The shard layout (txdb.ShardsOf) and the loading mode (txdb.Streams) are
+// the source's own, resolved once in NewEngine: to count an in-memory
+// database shard-parallel, mine a txdb.PartitionSource over it; to keep
+// passes on disk, mine a txdb.FileSource (or a ShardedSource of them), which
+// the engine re-reads on every pass instead of building levels. No
+// configuration field shapes the cached state, so every knob varies freely
+// across calls over the same caches. All methods are safe for concurrent
+// use: dataset state is built once and read-only afterwards, and each run
+// checks scratch out of the pool for exclusive use.
 //
 // A warm run is byte-identical to a cold one: pattern bytes trivially so,
 // and the cost-model decisions and stats (db_scans, bitmap_builds,
@@ -50,7 +52,7 @@ type Engine struct {
 	src  txdb.Source
 	tree *taxonomy.Tree
 
-	materialized, streamed dataState // the cached state per Materialize value
+	ds dataState // the dataset state, built on the first run
 
 	mu      sync.Mutex
 	scratch []*runScratch // LIFO so the warmest arenas are reused first
@@ -61,22 +63,23 @@ type Engine struct {
 // indexes are built from them once.
 func NewEngine(src txdb.Source, tree *taxonomy.Tree) *Engine {
 	e := &Engine{src: src, tree: tree}
-	e.materialized.shards = txdb.ShardsOf(src)
-	e.streamed.shards = e.materialized.shards
+	e.ds.shards = txdb.ShardsOf(src)
+	e.ds.stream = txdb.Streams(src)
 	return e
 }
 
-// dataState is the dataset-derived state of one Materialize value. The base
-// fields are built once under the sync.Once; each (level, shard) bitmap
-// index builds under its own sync.Once on first use by any run, and each
-// (level, shard, k) subset table on the second reach of a scan cell or unit
-// of that k, and both are then shared read-only. An unsharded source is one
-// shard: every per-shard slice below then has length 1.
+// dataState is the engine's dataset-derived state. The base fields are
+// built once under the sync.Once; each (level, shard) bitmap index builds
+// under its own sync.Once on first use by any run, and each (level, shard,
+// k) subset table on the second reach of a scan cell or unit of that k, and
+// both are then shared read-only. An unsharded source is one shard: every
+// per-shard slice below then has length 1.
 type dataState struct {
 	once sync.Once
 	err  error
 
 	shards []txdb.Source // txdb.ShardsOf(the engine's source), set by NewEngine
+	stream bool          // txdb.Streams(the engine's source), set by NewEngine
 
 	levels [][]*txdb.Level        // [shard][level]; nil when streaming
 	sup1   []map[itemset.ID]int64 // all single supports per level, over all shards
@@ -101,13 +104,10 @@ type lazyTable struct {
 	t       *txdb.SubsetTable // nil when the level is over the table's cap
 }
 
-// dataFor resolves (building at most once) the dataset state a run over cfg
-// needs.
+// dataFor resolves (building at most once, on cfg's workers) the engine's
+// dataset state.
 func (e *Engine) dataFor(cfg Config) (*dataState, error) {
-	ds := &e.streamed
-	if cfg.Materialize {
-		ds = &e.materialized
-	}
+	ds := &e.ds
 	ds.once.Do(func() {
 		// A build that panics leaves this error for every later run, which
 		// would otherwise mine the half-built state as if it were the data.
@@ -119,8 +119,8 @@ func (e *Engine) dataFor(cfg Config) (*dataState, error) {
 
 var errBuildPanicked = fmt.Errorf("core: the dataset build panicked in an earlier run")
 
-// build materializes the levels of every shard (or streams one
-// single-support pass) for this representation. Parallelism of the build
+// build materializes the levels of every shard, or streams one
+// single-support pass over a streamed source. Parallelism of the build
 // follows the triggering run's configuration; the built state is identical
 // either way.
 func (ds *dataState) build(tax *taxonomy.Tree, cfg Config) error {
@@ -130,7 +130,7 @@ func (ds *dataState) build(tax *taxonomy.Tree, cfg Config) error {
 	srcs := ds.shards
 	ds.bitmaps = make([]lazyIndex, (H+1)*len(srcs))
 	ds.tables = make([]lazyTable, (H+1)*len(srcs)*(txdb.MaxTableK-1))
-	if !cfg.Materialize {
+	if ds.stream {
 		return ds.streamSingleSupports(srcs, tax, H, min(cfg.workers(), len(srcs)))
 	}
 	// One build unit per (shard, level) of an in-memory shard, the units
@@ -160,17 +160,42 @@ func (ds *dataState) build(tax *taxonomy.Tree, cfg Config) error {
 	return nil
 }
 
-// initScans is the number of database passes the init of this
-// representation logically costs a run: one per level when materialized —
-// the level build's pass per level of an in-memory shard, though it reads
-// any other source once for all levels — or one streaming single-support
-// pass. Charged per run whether or not the cache already held the state,
-// so warm stats match cold ones byte for byte.
-func initScans(cfg *Config, height int) int64 {
-	if cfg.Materialize {
-		return int64(height)
+// initScans is the number of database passes the init of the dataset
+// state logically costs a run: one per level when materialized — the level
+// build's pass per level of an in-memory shard — or one streaming
+// single-support pass. Charged per run whether or not the cache already
+// held the state, so warm stats match cold ones byte for byte.
+func (ds *dataState) initScans(height int) int64 {
+	if ds.stream {
+		return 1
 	}
-	return 1
+	return int64(height)
+}
+
+// Validate checks cfg against the engine's dataset without mining — the
+// early rejection path for services that accept configurations over the
+// wire: the configuration against the taxonomy's height and the source's
+// transaction count, and its counting strategy against the loading mode.
+func (e *Engine) Validate(cfg Config) error {
+	_, err := e.validate(&cfg)
+	return err
+}
+
+// validate is Validate, returning the resolved absolute per-level supports
+// (indexed by level, entry 0 unused). A streamed source has no levels to
+// index, so it counts by scan only.
+func (e *Engine) validate(cfg *Config) ([]int64, error) {
+	if e.tree == nil {
+		return nil, fmt.Errorf("core: nil taxonomy")
+	}
+	minSup, err := cfg.validate(e.tree.Height(), e.src.Len())
+	if err != nil {
+		return nil, err
+	}
+	if e.ds.stream && cfg.Strategy != CountScan {
+		return nil, fmt.Errorf("core: %v counting requires materialized views; a streamed source counts by scan", cfg.Strategy)
+	}
+	return minSup, nil
 }
 
 // runScratch is the reusable per-run arena set. One run checks it out of
@@ -442,15 +467,12 @@ func (e *Engine) mineContext(ctx context.Context, cfg Config, remote ShardCounte
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: mine aborted: %w", err)
 	}
-	if e.tree == nil {
-		return nil, fmt.Errorf("core: nil taxonomy")
+	minSup, err := e.validate(&cfg)
+	if err != nil {
+		return nil, err
 	}
 	if !e.tree.IsBalanced() && !e.tree.Extended() {
 		return nil, fmt.Errorf("core: taxonomy is unbalanced; call Extend (variant B) or Truncate (variant A) first")
-	}
-	minSup, err := cfg.validate(e.tree.Height(), e.src.Len())
-	if err != nil {
-		return nil, err
 	}
 	m := &miner{
 		cfg:    cfg,
@@ -535,7 +557,7 @@ func (m *miner) bind(e *Engine) error {
 		m.excluded[h] = make(map[itemset.ID]bool)
 	}
 	m.stats.Shards = len(ds.shards)
-	m.stats.DBScans += initScans(&m.cfg, H)
+	m.stats.DBScans += ds.initScans(H)
 
 	for h := 1; h <= H; h++ {
 		bySup := m.sc.bySup[:0]
@@ -635,7 +657,7 @@ func (m *miner) mineFlipper() []Pattern {
 		if m.cancelled() {
 			return nil
 		}
-		c1 := m.row1Cell(k)
+		c1 := m.aprioriCell(1, k)
 		m.finishCell(c1)
 		m.rows[1][k] = c1
 		c2 := m.childCell(2, k)

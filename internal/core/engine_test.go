@@ -51,13 +51,12 @@ func paperToy(t testing.TB) (*txdb.DB, *taxonomy.Tree) {
 
 func toyConfig() Config {
 	return Config{
-		Measure:     measure.Kulczynski,
-		Gamma:       0.6,
-		Epsilon:     0.35,
-		MinSupAbs:   []int64{1, 1, 1},
-		Pruning:     Full,
-		Strategy:    CountScan,
-		Materialize: true,
+		Measure:   measure.Kulczynski,
+		Gamma:     0.6,
+		Epsilon:   0.35,
+		MinSupAbs: []int64{1, 1, 1},
+		Pruning:   Full,
+		Strategy:  CountScan,
 	}
 }
 
@@ -204,7 +203,6 @@ func TestConfigValidation(t *testing.T) {
 		{"negative maxk", func(c *Config) { c.MaxK = -1 }},
 		{"negative parallelism", func(c *Config) { c.Parallelism = -2 }},
 		{"invalid measure", func(c *Config) { c.Measure = measure.Measure(99) }},
-		{"bitmap without views", func(c *Config) { c.Strategy = CountBitmap; c.Materialize = false }},
 	}
 	for _, tc := range cases {
 		cfg := base
@@ -213,8 +211,18 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("%s: invalid config accepted", tc.name)
 		}
 	}
+	for _, strategy := range []CountStrategy{CountBitmap, CountAuto} {
+		cfg := base
+		cfg.Strategy = strategy
+		if _, err := Mine(streamed(t, db), tree, cfg); err == nil {
+			t.Errorf("%v counting over a streamed source accepted", strategy)
+		}
+	}
 	if _, err := Mine(db, nil, base); err == nil {
 		t.Error("nil taxonomy accepted")
+	}
+	if err := NewEngine(db, nil).Validate(base); err == nil {
+		t.Error("nil taxonomy validated")
 	}
 	// Height-1 taxonomy cannot flip.
 	b := taxonomy.NewBuilder(nil)
@@ -244,7 +252,7 @@ func TestUnbalancedTaxonomyRejectedUntilExtended(t *testing.T) {
 	db.AddNames("x11", "yShallow")
 	cfg := Config{
 		Measure: measure.Kulczynski, Gamma: 0.6, Epsilon: 0.3,
-		MinSupAbs: []int64{1, 1, 1}, Pruning: Full, Materialize: true,
+		MinSupAbs: []int64{1, 1, 1}, Pruning: Full,
 	}
 	if _, err := Mine(db, tree, cfg); err == nil {
 		t.Fatal("unbalanced taxonomy accepted")
@@ -284,7 +292,7 @@ func TestExtendedTreeFlipping(t *testing.T) {
 	}
 	cfg := Config{
 		Measure: measure.Kulczynski, Gamma: 0.55, Epsilon: 0.35,
-		MinSupAbs: []int64{1, 1, 1}, Pruning: Full, Materialize: true,
+		MinSupAbs: []int64{1, 1, 1}, Pruning: Full,
 	}
 	res, err := Mine(db, tree, cfg)
 	if err != nil {
@@ -324,14 +332,11 @@ func TestExtendedTreeFlipping(t *testing.T) {
 
 func TestStreamingMatchesMaterialized(t *testing.T) {
 	db, tree := paperToy(t)
-	cfgA := toyConfig()
-	cfgB := toyConfig()
-	cfgB.Materialize = false
-	a, err := Mine(db, tree, cfgA)
+	a, err := Mine(db, tree, toyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	bres, err := Mine(db, tree, cfgB)
+	bres, err := Mine(streamed(t, db), tree, toyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

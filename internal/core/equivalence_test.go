@@ -103,11 +103,10 @@ func TestPruningLevelEquivalence(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		db, tree := randomDataset(rng)
 		cfg := Config{
-			Measure:     measure.Kulczynski,
-			Gamma:       0.25 + rng.Float64()*0.4,
-			Epsilon:     0.02 + rng.Float64()*0.15,
-			MinSupAbs:   []int64{int64(1 + rng.Intn(4)), int64(1 + rng.Intn(3)), 1},
-			Materialize: true,
+			Measure:   measure.Kulczynski,
+			Gamma:     0.25 + rng.Float64()*0.4,
+			Epsilon:   0.02 + rng.Float64()*0.15,
+			MinSupAbs: []int64{int64(1 + rng.Intn(4)), int64(1 + rng.Intn(3)), 1},
 		}
 		if cfg.Epsilon >= cfg.Gamma {
 			cfg.Epsilon = cfg.Gamma / 2
@@ -142,12 +141,11 @@ func TestStrategyEquivalence(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		db, tree := randomDataset(rng)
 		cfg := Config{
-			Measure:     measure.Kulczynski,
-			Gamma:       0.3,
-			Epsilon:     0.1,
-			MinSupAbs:   []int64{2, 1, 1},
-			Pruning:     Full,
-			Materialize: true,
+			Measure:   measure.Kulczynski,
+			Gamma:     0.3,
+			Epsilon:   0.1,
+			MinSupAbs: []int64{2, 1, 1},
+			Pruning:   Full,
 		}
 		cfg.Strategy = CountScan
 		a, err := Mine(db, tree, cfg)
@@ -184,7 +182,7 @@ func TestBitmapMatchesScanOnRandomData(t *testing.T) {
 		db, tree := randomDataset(rng)
 		cfg := Config{
 			Measure: measure.Kulczynski, Gamma: 0.3, Epsilon: 0.1,
-			MinSupAbs: []int64{1, 1, 1}, Pruning: Full, Materialize: true,
+			MinSupAbs: []int64{1, 1, 1}, Pruning: Full,
 		}
 		cfg.Strategy = CountScan
 		a, err := Mine(db, tree, cfg)
@@ -319,12 +317,11 @@ func TestTrieStoreMatchesMapReference(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		db, tree := randomDataset(rng)
 		cfg := Config{
-			Measure:     measure.Kulczynski,
-			Gamma:       0.3,
-			Epsilon:     0.1,
-			MinSupAbs:   []int64{2, 1, 1},
-			MaxK:        3,
-			Materialize: true,
+			Measure:   measure.Kulczynski,
+			Gamma:     0.3,
+			Epsilon:   0.1,
+			MinSupAbs: []int64{2, 1, 1},
+			MaxK:      3,
 		}
 		want := bruteForceReference(t, db, tree, cfg)
 		for _, pruning := range Levels() {
@@ -355,11 +352,10 @@ func TestMeasureEquivalenceAcrossPruning(t *testing.T) {
 		db, tree := randomDataset(rng)
 		for _, meas := range measure.All() {
 			cfg := Config{
-				Measure:     meas,
-				Gamma:       0.35,
-				Epsilon:     0.12,
-				MinSupAbs:   []int64{2, 1, 1},
-				Materialize: true,
+				Measure:   meas,
+				Gamma:     0.35,
+				Epsilon:   0.12,
+				MinSupAbs: []int64{2, 1, 1},
 			}
 			cfg.Pruning = Basic
 			want, err := Mine(db, tree, cfg)
@@ -386,7 +382,7 @@ func TestSupportsAgainstReference(t *testing.T) {
 		db, tree := randomDataset(rng)
 		cfg := Config{
 			Measure: measure.Kulczynski, Gamma: 0.3, Epsilon: 0.12,
-			MinSupAbs: []int64{1, 1, 1}, Pruning: Full, Materialize: true,
+			MinSupAbs: []int64{1, 1, 1}, Pruning: Full,
 		}
 		res, err := Mine(db, tree, cfg)
 		if err != nil {
@@ -423,7 +419,7 @@ func TestChainIsActuallyFlipping(t *testing.T) {
 		db, tree := randomDataset(rng)
 		cfg := Config{
 			Measure: measure.Kulczynski, Gamma: 0.3, Epsilon: 0.1,
-			MinSupAbs: []int64{1, 1, 1}, Pruning: Full, Materialize: true,
+			MinSupAbs: []int64{1, 1, 1}, Pruning: Full,
 		}
 		res, err := Mine(db, tree, cfg)
 		if err != nil {

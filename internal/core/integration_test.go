@@ -55,7 +55,7 @@ func TestPlantedTriplePattern(t *testing.T) {
 	db, tree := tripleScenario(t, 2)
 	cfg := Config{
 		Measure: measure.Kulczynski, Gamma: 0.5, Epsilon: 0.1,
-		MinSupAbs: []int64{1, 1, 1}, Materialize: true,
+		MinSupAbs: []int64{1, 1, 1},
 	}
 	for _, pruning := range Levels() {
 		cfg.Pruning = pruning
@@ -112,7 +112,7 @@ func TestTruncatedTaxonomyQuery(t *testing.T) {
 	tdb := db.MapLeaves(leafMap)
 	cfg := Config{
 		Measure: measure.Kulczynski, Gamma: 0.6, Epsilon: 0.35,
-		MinSupAbs: []int64{1, 1}, Pruning: Full, Materialize: true,
+		MinSupAbs: []int64{1, 1}, Pruning: Full,
 	}
 	res, err := Mine(tdb, trunc, cfg)
 	if err != nil {
@@ -172,9 +172,9 @@ func (f *failingSource) Len() int               { return f.db.Len() }
 func (f *failingSource) Dict() *dict.Dictionary { return f.db.Dict() }
 
 // TestErrorPropagationFromSource fails the source on its first pass, which
-// every configuration makes — the level build or the streaming
-// single-support pass — and requires the mine to fail with the source's
-// error.
+// every source gets — the level build of an in-memory source or the
+// streaming single-support pass of a basket file — and requires the mine to
+// fail with the source's error.
 func TestErrorPropagationFromSource(t *testing.T) {
 	db, tree := paperToy(t)
 	parts := txdb.Partition(db, 2)
@@ -182,19 +182,20 @@ func TestErrorPropagationFromSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	shardedFiles, err := txdb.NewSharded(streamed(t, parts[0]), failAfterOpens(streamed(t, parts[1]), 0))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
-		name        string
-		src         txdb.Source
-		materialize bool
+		name string
+		src  txdb.Source
 	}{
-		{"materialized", &failingSource{db: db, failAt: 4}, true},
-		{"streaming", &failingSource{db: db, failAt: 4}, false},
-		{"sharded-2", sharded, true},
-		{"sharded-2-streaming", sharded, false},
+		{"materialized", &failingSource{db: db, failAt: 4}},
+		{"streaming", failAfterOpens(streamed(t, db), 0)},
+		{"sharded-2", sharded},
+		{"sharded-2-streaming", shardedFiles},
 	} {
-		cfg := toyConfig()
-		cfg.Materialize = tc.materialize
-		_, err := Mine(tc.src, tree, cfg)
+		_, err := Mine(tc.src, tree, toyConfig())
 		if !errors.Is(err, errSentinel) {
 			t.Errorf("%s: Mine returned %v, want the source's error", tc.name, err)
 		}
@@ -234,7 +235,7 @@ func TestSingleCategory(t *testing.T) {
 	}
 	cfg := Config{
 		Measure: measure.Kulczynski, Gamma: 0.5, Epsilon: 0.1,
-		MinSupAbs: []int64{1, 1, 1}, Pruning: Full, Materialize: true,
+		MinSupAbs: []int64{1, 1, 1}, Pruning: Full,
 	}
 	res, err := Mine(db, tree, cfg)
 	if err != nil {

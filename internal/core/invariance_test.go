@@ -19,7 +19,7 @@ func TestShuffleInvariance(t *testing.T) {
 		db, tree := randomDataset(rng)
 		cfg := Config{
 			Measure: measure.Kulczynski, Gamma: 0.3, Epsilon: 0.1,
-			MinSupAbs: []int64{2, 1, 1}, Pruning: Full, Materialize: true,
+			MinSupAbs: []int64{2, 1, 1}, Pruning: Full,
 		}
 		base, err := Mine(db, tree, cfg)
 		if err != nil {
@@ -51,7 +51,7 @@ func TestParallelismInvariance(t *testing.T) {
 		db, tree := randomDataset(rng)
 		cfg := Config{
 			Measure: measure.Kulczynski, Gamma: 0.3, Epsilon: 0.1,
-			MinSupAbs: []int64{1, 1, 1}, Pruning: Full, Materialize: true,
+			MinSupAbs: []int64{1, 1, 1}, Pruning: Full,
 		}
 		var want string
 		for _, workers := range []int{1, 2, 7, 16} {
@@ -89,7 +89,7 @@ func TestWorkSplitInvariance(t *testing.T) {
 	db := txdbForDense(rand.New(rand.NewSource(77)), tree, 2000)
 	base := Config{
 		Measure: measure.Kulczynski, Gamma: 0.2, Epsilon: 0.1,
-		MinSupAbs: []int64{30, 10}, Pruning: Full, MaxK: 3, Materialize: true,
+		MinSupAbs: []int64{30, 10}, Pruning: Full, MaxK: 3,
 	}
 	ds, err := NewEngine(db, tree).dataFor(base)
 	if err != nil {
@@ -101,22 +101,25 @@ func TestWorkSplitInvariance(t *testing.T) {
 		}
 	}
 	for _, v := range []struct {
-		name        string
-		strategy    CountStrategy
-		materialize bool
+		name     string
+		strategy CountStrategy
+		stream   bool
 	}{
-		{"scan", CountScan, true},
-		{"bitmap", CountBitmap, true},
-		{"auto", CountAuto, true},
-		{"streaming", CountScan, false},
+		{"scan", CountScan, false},
+		{"bitmap", CountBitmap, false},
+		{"auto", CountAuto, false},
+		{"streaming", CountScan, true},
 	} {
 		var patterns string // the unsharded run's
 		for _, shards := range []int{1, 2, 3} {
-			src := txdb.PartitionSource(db, shards)
+			var src txdb.Source = txdb.PartitionSource(db, shards)
+			if v.stream {
+				src = streamedShards(t, db, shards)
+			}
 			var want []byte
 			for _, par := range []int{1, 2, 3, 7} {
 				cfg := base
-				cfg.Strategy, cfg.Materialize, cfg.Parallelism = v.strategy, v.materialize, par
+				cfg.Strategy, cfg.Parallelism = v.strategy, par
 				res, err := Mine(src, tree, cfg)
 				if err != nil {
 					t.Fatalf("%s shards=%d parallelism=%d: %v", v.name, shards, par, err)
@@ -139,7 +142,7 @@ func TestWorkSplitInvariance(t *testing.T) {
 				}
 			}
 			cfg := base
-			cfg.Strategy, cfg.Materialize = v.strategy, v.materialize
+			cfg.Strategy = v.strategy
 			remote, err := NewEngine(src, tree).MineRemote(context.Background(), cfg, NewEngine(src, tree))
 			if err != nil {
 				t.Fatalf("%s shards=%d remote: %v", v.name, shards, err)

@@ -59,14 +59,15 @@ func (s *CountStrategy) UnmarshalJSON(b []byte) error {
 
 // CanonicalKey renders the configuration as a deterministic string covering
 // exactly the fields that influence the mined output (patterns and the
-// algorithmic counters in Stats). Pure execution knobs — Parallelism,
-// Materialize, KeepCellStats — are excluded: they change how fast a run goes
-// and how it is instrumented, never what it finds. The shard layout is not a
-// configuration field at all but the source's own, and it cannot move a
-// correlation either: sharded counting merges exact integer partial
+// algorithmic counters in Stats). Pure execution knobs — Parallelism and
+// KeepCellStats — are excluded: they change how fast a run goes and how it
+// is instrumented, never what it finds. The shard layout and the loading
+// mode (streamed or in-memory) are not configuration fields at all but the
+// source's own, fixed for an engine's life; the shard layout cannot move a
+// correlation either, since sharded counting merges exact integer partial
 // supports. Two configurations with equal keys therefore produce identical
-// pattern sets, which is what makes the key safe to use as a result-cache
-// key.
+// results over one engine, which is what makes the key safe to use as a
+// result-cache key.
 func (c *Config) CanonicalKey() string {
 	var b strings.Builder
 	b.WriteString("m=")

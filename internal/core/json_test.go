@@ -20,7 +20,6 @@ func TestCanonicalKeyIgnoresExecutionKnobs(t *testing.T) {
 	a := DefaultConfig(3)
 	b := DefaultConfig(3)
 	b.Parallelism = 7
-	b.Materialize = false
 	b.KeepCellStats = true
 	if a.CanonicalKey() != b.CanonicalKey() {
 		t.Errorf("execution knobs changed the key:\n%s\n%s", a.CanonicalKey(), b.CanonicalKey())

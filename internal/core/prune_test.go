@@ -47,7 +47,7 @@ func TestTPGTerminatesColumns(t *testing.T) {
 	db, tree := tpgScenario(t)
 	cfg := Config{
 		Measure: measure.Kulczynski, Gamma: 0.9, Epsilon: 0.01,
-		MinSupAbs: []int64{1, 1, 1}, Materialize: true, KeepCellStats: true,
+		MinSupAbs: []int64{1, 1, 1}, KeepCellStats: true,
 	}
 	cfg.Pruning = FlippingTPG
 	res, err := Mine(db, tree, cfg)
@@ -124,7 +124,7 @@ func TestSIBPExcludesHopelessItems(t *testing.T) {
 	db, tree := sibpScenario(t)
 	cfg := Config{
 		Measure: measure.Kulczynski, Gamma: 0.5, Epsilon: 0.05,
-		MinSupAbs: []int64{1, 1, 1}, Materialize: true,
+		MinSupAbs: []int64{1, 1, 1},
 	}
 	cfg.Pruning = Full
 	res, err := Mine(db, tree, cfg)
@@ -150,7 +150,7 @@ func TestSIBPBookkeepingDirect(t *testing.T) {
 	db, tree := sibpScenario(t)
 	cfg := Config{
 		Measure: measure.Kulczynski, Gamma: 0.5, Epsilon: 0.05,
-		MinSupAbs: []int64{1, 1, 1}, Materialize: true, Pruning: Full,
+		MinSupAbs: []int64{1, 1, 1}, Pruning: Full,
 	}
 	minSup, err := cfg.validate(tree.Height(), db.Len())
 	if err != nil {
@@ -161,7 +161,7 @@ func TestSIBPBookkeepingDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Build and count Q(1,2) and Q(2,2) the way the zigzag would.
-	c1 := m.row1Cell(2)
+	c1 := m.aprioriCell(1, 2)
 	m.finishCell(c1)
 	m.rows[1][2] = c1
 	c2 := m.childCell(2, 2)

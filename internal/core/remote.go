@@ -114,12 +114,9 @@ func (m *miner) countRemote(c *cell, strategy CountStrategy) {
 // with the kernel a local pass runs for the unit's backend. Errors wrapping
 // ErrBadUnit reject the unit itself: a level, shard or candidate out of
 // shape, an invalid configuration, CountAuto (the coordinator resolves it),
-// or CountBitmap without materialized levels.
+// or CountBitmap on an engine that streams its source.
 func (e *Engine) CountShard(ctx context.Context, u ShardUnit) (ShardTally, error) {
-	if e.tree == nil {
-		return ShardTally{}, fmt.Errorf("core: nil taxonomy")
-	}
-	if _, err := u.Config.validate(e.tree.Height(), e.src.Len()); err != nil {
+	if _, err := e.validate(&u.Config); err != nil {
 		return badUnit("%v", err)
 	}
 	switch {
@@ -127,7 +124,7 @@ func (e *Engine) CountShard(ctx context.Context, u ShardUnit) (ShardTally, error
 		return badUnit("level %d out of [1, %d]", u.Level, e.tree.Height())
 	case u.Strategy != CountScan && u.Strategy != CountBitmap:
 		return badUnit("a unit counts with scan or bitmap, not %v", u.Strategy)
-	case u.Strategy == CountBitmap && !u.Config.Materialize:
+	case u.Strategy == CountBitmap && e.ds.stream:
 		return badUnit("bitmap counting requires materialized levels")
 	case u.K < 1:
 		return badUnit("k = %d", u.K)
@@ -157,7 +154,7 @@ func (e *Engine) CountShard(ctx context.Context, u ShardUnit) (ShardTally, error
 	c := &cell{h: u.Level, k: u.K, store: st}
 	p := partial{counts: st.Sup, vecs: make([]bitmap.Vector, u.K)}
 	var tab *txdb.SubsetTable
-	if u.Strategy == CountScan && u.Config.Materialize {
+	if u.Strategy == CountScan && !ds.stream {
 		tab = ds.table(u.Level, u.Shard, u.K)
 	}
 	switch {
@@ -165,11 +162,11 @@ func (e *Engine) CountShard(ctx context.Context, u ShardUnit) (ShardTally, error
 		p.bitmapRange(c, ds.index(u.Level, u.Shard), 0, st.Len(), ctx.Done())
 	case tab != nil:
 		p.countTable(c, tab)
-	case u.Config.Materialize:
+	case ds.stream:
+		p.err = p.scanSource(c, ds.shards[u.Shard], e.tree, ctx.Done())
+	default:
 		lv := ds.levels[u.Shard][u.Level]
 		p.scanRows(c, lv, 0, lv.Rows(), ctx.Done())
-	default:
-		p.err = p.scanSource(c, ds.shards[u.Shard], e.tree, ctx.Done())
 	}
 	if err := ctx.Err(); err != nil {
 		return ShardTally{}, err

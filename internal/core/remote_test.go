@@ -41,30 +41,32 @@ func TestMineRemoteLoopbackEquivalence(t *testing.T) {
 		trials = 3
 	}
 	cases := []struct {
-		name        string
-		strategy    CountStrategy
-		materialize bool
-		shards      int
+		name     string
+		strategy CountStrategy
+		stream   bool
+		shards   int
 	}{
-		{"scan-mat-1", CountScan, true, 1},
-		{"scan-mat-2", CountScan, true, 2},
-		{"scan-stream-7", CountScan, false, 7},
-		{"bitmap-mat-7", CountBitmap, true, 7},
-		{"auto-mat-2", CountAuto, true, 2},
+		{"scan-mat-1", CountScan, false, 1},
+		{"scan-mat-2", CountScan, false, 2},
+		{"scan-stream-7", CountScan, true, 7},
+		{"bitmap-mat-7", CountBitmap, false, 7},
+		{"auto-mat-2", CountAuto, false, 2},
 	}
 	for trial := 0; trial < trials; trial++ {
 		db, tree := randomDataset(rng)
 		for _, tc := range cases {
 			cfg := Config{
-				Measure:     measure.Kulczynski,
-				Gamma:       0.3,
-				Epsilon:     0.1,
-				MinSupAbs:   []int64{2, 1, 1},
-				Pruning:     Full,
-				Strategy:    tc.strategy,
-				Materialize: tc.materialize,
+				Measure:   measure.Kulczynski,
+				Gamma:     0.3,
+				Epsilon:   0.1,
+				MinSupAbs: []int64{2, 1, 1},
+				Pruning:   Full,
+				Strategy:  tc.strategy,
 			}
-			src := txdb.PartitionSource(db, tc.shards)
+			var src txdb.Source = txdb.PartitionSource(db, tc.shards)
+			if tc.stream {
+				src = streamedShards(t, db, tc.shards)
+			}
 			local, err := Mine(src, tree, cfg)
 			if err != nil {
 				t.Fatalf("trial %d %s: local: %v", trial, tc.name, err)
@@ -117,7 +119,7 @@ func TestCountShardPartialsSumToTotals(t *testing.T) {
 	db, tree := randomDataset(rng)
 	base := Config{
 		Measure: measure.Kulczynski, Gamma: 0.3, Epsilon: 0.1,
-		MinSupAbs: []int64{1, 1, 1}, Materialize: true,
+		MinSupAbs: []int64{1, 1, 1},
 	}
 	ctx := context.Background()
 	byLevel := shardUnitCandidates(tree)
@@ -179,7 +181,7 @@ func TestCountShardBuildsOnlyItsIndex(t *testing.T) {
 	db, tree := randomDataset(rng)
 	cfg := Config{
 		Measure: measure.Kulczynski, Gamma: 0.3, Epsilon: 0.1,
-		MinSupAbs: []int64{1, 1, 1}, Materialize: true,
+		MinSupAbs: []int64{1, 1, 1},
 	}
 	h := tree.Height()
 	cands := shardUnitCandidates(tree)[h]
@@ -212,15 +214,13 @@ func TestCountShardValidation(t *testing.T) {
 	eng := NewEngine(db, tree)
 	cfg := Config{
 		Measure: measure.Kulczynski, Gamma: 0.3, Epsilon: 0.1,
-		MinSupAbs: []int64{1, 1, 1}, Materialize: true,
+		MinSupAbs: []int64{1, 1, 1},
 	}
 	ctx := context.Background()
 	leaves := tree.Leaves()
 	a, b := min(leaves[0], leaves[1]), max(leaves[0], leaves[1])
 	H := tree.Height()
 	good := ShardUnit{Config: cfg, Level: H, K: 2, Strategy: CountScan, Candidates: []itemset.Set{{a, b}}}
-	streaming := cfg
-	streaming.Materialize = false
 	invalid := cfg
 	invalid.Gamma = 0
 	for _, tc := range []struct {
@@ -232,7 +232,6 @@ func TestCountShardValidation(t *testing.T) {
 		{"out-of-range shard", func(u *ShardUnit) { u.Shard = 1 }},
 		{"negative shard", func(u *ShardUnit) { u.Shard = -1 }},
 		{"auto", func(u *ShardUnit) { u.Strategy = CountAuto }},
-		{"bitmap without materialized levels", func(u *ShardUnit) { u.Strategy, u.Config = CountBitmap, streaming }},
 		{"invalid config", func(u *ShardUnit) { u.Config = invalid }},
 		{"k = 0", func(u *ShardUnit) { u.K = 0 }},
 		{"non-canonical candidate", func(u *ShardUnit) { u.Candidates = []itemset.Set{{b, a}} }},
@@ -252,12 +251,23 @@ func TestCountShardValidation(t *testing.T) {
 			t.Errorf("valid %v unit: got %v, %v", strategy, out, err)
 		}
 	}
-	u := good
-	u.Config = streaming
-	if out, err := eng.CountShard(ctx, u); err != nil || len(out.Supports) != 1 {
+	// An engine over a basket file streams it: it counts scan units and
+	// refuses bitmap ones, and configurations that ask for another backend.
+	streaming := NewEngine(streamed(t, db), tree)
+	if out, err := streaming.CountShard(ctx, good); err != nil || len(out.Supports) != 1 {
 		t.Errorf("valid streaming unit: got %v, %v", out, err)
 	}
-	u = good
+	for name, edit := range map[string]func(u *ShardUnit){
+		"bitmap without materialized levels": func(u *ShardUnit) { u.Strategy = CountBitmap },
+		"bitmap config":                      func(u *ShardUnit) { u.Config.Strategy = CountBitmap },
+	} {
+		u := good
+		edit(&u)
+		if _, err := streaming.CountShard(ctx, u); !errors.Is(err, ErrBadUnit) {
+			t.Errorf("streaming %s: got %v, want ErrBadUnit", name, err)
+		}
+	}
+	u := good
 	u.Candidates = nil
 	if out, err := eng.CountShard(ctx, u); err != nil || len(out.Supports) != 0 {
 		t.Errorf("empty candidate list: got %v, %v", out, err)
@@ -276,7 +286,7 @@ func TestMineRemoteCounterError(t *testing.T) {
 	db, tree := randomDataset(rng)
 	cfg := Config{
 		Measure: measure.Kulczynski, Gamma: 0.3, Epsilon: 0.1,
-		MinSupAbs: []int64{1, 1, 1}, Materialize: true,
+		MinSupAbs: []int64{1, 1, 1},
 	}
 	eng := NewEngine(db, tree)
 	_, err := eng.MineRemote(context.Background(), cfg, failingCounter{})

@@ -13,8 +13,8 @@ import (
 )
 
 // TestEngineReuseByteIdentical mines the same configuration repeatedly on
-// one engine — across every counting backend, materialized and sharded —
-// and requires each warm run's wire envelope (volatile keys scrubbed) to be
+// one engine — across every counting backend, materialized, streamed and
+// sharded — and requires each warm run's wire envelope (volatile keys scrubbed) to be
 // byte-identical to a cold one-shot Mine. This is the contract that lets
 // flipperd keep one engine per dataset: caching level views, indexes and
 // scratch must be invisible in the output, including the cost stats.
@@ -33,6 +33,8 @@ func TestEngineReuseByteIdentical(t *testing.T) {
 		{"scan-sharded", CountScan, txdb.PartitionSource(db, 3), Full},
 		{"bitmap-sharded", CountBitmap, txdb.PartitionSource(db, 3), Full},
 		{"basic-baseline", CountScan, db, Basic},
+		{"scan-streamed", CountScan, streamed(t, db), Full},
+		{"scan-streamed-sharded", CountScan, streamedShards(t, db, 3), Full},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := toyConfig()
@@ -80,32 +82,33 @@ func scrubbedJSON(t *testing.T, res *Result, tree *taxonomy.Tree) []byte {
 	return out
 }
 
-// TestEngineReuseMixedConfigs interleaves different strategies,
-// materialization and thresholds on one engine: the materialized and the
-// streaming data states must not bleed into each other, and every run must
+// TestEngineReuseMixedConfigs interleaves different strategies and
+// thresholds on an in-memory engine and on a streaming one: every run must
 // match its own cold baseline.
 func TestEngineReuseMixedConfigs(t *testing.T) {
 	db, tree := paperToy(t)
-	eng := NewEngine(db, tree)
+	srcs := []txdb.Source{db, streamed(t, db)}
+	engs := []*Engine{NewEngine(srcs[0], tree), NewEngine(srcs[1], tree)}
 	rng := rand.New(rand.NewSource(5))
 	strategies := []CountStrategy{CountScan, CountBitmap, CountAuto}
 	for i := 0; i < 20; i++ {
 		cfg := toyConfig()
 		cfg.Strategy = strategies[rng.Intn(len(strategies))]
-		if cfg.Materialize = rng.Intn(2) == 0; !cfg.Materialize {
+		stream := rng.Intn(2)
+		if stream == 1 {
 			cfg.Strategy = CountScan // the only backend that streams
 		}
 		cfg.Epsilon = 0.2 + 0.2*rng.Float64()
-		cold, err := Mine(db, tree, cfg)
+		cold, err := Mine(srcs[stream], tree, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm, err := eng.Mine(cfg)
+		warm, err := engs[stream].Mine(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fingerprint(cold, tree) != fingerprint(warm, tree) {
-			t.Fatalf("iteration %d (strategy=%v materialize=%v): engine run diverged", i, cfg.Strategy, cfg.Materialize)
+		if !bytes.Equal(scrubbedJSON(t, cold, tree), scrubbedJSON(t, warm, tree)) {
+			t.Fatalf("iteration %d (strategy=%v stream=%v): engine run diverged", i, cfg.Strategy, stream == 1)
 		}
 	}
 }
@@ -123,22 +126,25 @@ func TestEngineReuseAllocatesLess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, materialize := range []bool{true, false} {
+	for _, stream := range []bool{false, true} {
 		cfg := toyConfig()
 		cfg.MinSupAbs = []int64{1, 1}
 		cfg.Strategy = CountBitmap
-		if cfg.Materialize = materialize; !materialize {
+		if stream {
 			cfg.Strategy = CountScan
 		}
 		cfg.Parallelism = 1 // deterministic allocation profile
 		allocs := func(n int) (cold, warm float64) {
-			db := txdbForDense(rand.New(rand.NewSource(99)), tree, n)
+			var src txdb.Source = txdbForDense(rand.New(rand.NewSource(99)), tree, n)
+			if stream {
+				src = streamed(t, src.(*txdb.DB))
+			}
 			cold = testing.AllocsPerRun(3, func() {
-				if _, err := NewEngine(db, tree).Mine(cfg); err != nil {
+				if _, err := NewEngine(src, tree).Mine(cfg); err != nil {
 					t.Fatal(err)
 				}
 			})
-			eng := NewEngine(db, tree)
+			eng := NewEngine(src, tree)
 			if _, err := eng.Mine(cfg); err != nil {
 				t.Fatal(err)
 			}
@@ -152,12 +158,12 @@ func TestEngineReuseAllocatesLess(t *testing.T) {
 		const n = 500
 		cold1, warm1 := allocs(n)
 		cold4, warm4 := allocs(4 * n)
-		t.Logf("materialize=%v allocs/op at N=%d: cold %.0f, warm %.0f; at N=%d: cold %.0f, warm %.0f",
-			materialize, n, cold1, warm1, 4*n, cold4, warm4)
+		t.Logf("stream=%v allocs/op at N=%d: cold %.0f, warm %.0f; at N=%d: cold %.0f, warm %.0f",
+			stream, n, cold1, warm1, 4*n, cold4, warm4)
 		limit := float64(3*n) / 10
 		if cold4-cold1 > limit || warm4-warm1 > limit {
-			t.Fatalf("materialize=%v: allocations grow with N: cold %.0f → %.0f, warm %.0f → %.0f for %d more transactions (limit +%.0f)",
-				materialize, cold1, cold4, warm1, warm4, 3*n, limit)
+			t.Fatalf("stream=%v: allocations grow with N: cold %.0f → %.0f, warm %.0f → %.0f for %d more transactions (limit +%.0f)",
+				stream, cold1, cold4, warm1, warm4, 3*n, limit)
 		}
 	}
 }
@@ -165,20 +171,25 @@ func TestEngineReuseAllocatesLess(t *testing.T) {
 // TestEngineConcurrentMine hammers one engine from many goroutines with a
 // mix of configurations and checks each result against its serial
 // fingerprint — the engine's concurrency contract, exercised under the
-// race detector by the CI race job.
+// race detector by the CI race job. A streaming engine over the same
+// baskets is hammered alongside.
 func TestEngineConcurrentMine(t *testing.T) {
 	db, tree := paperToy(t)
-	eng := NewEngine(db, tree)
+	file := streamed(t, db)
+	mem, streaming := NewEngine(db, tree), NewEngine(file, tree)
 	cfgs := make([]Config, 8)
+	engs := make([]*Engine, len(cfgs))
 	want := make([]string, len(cfgs))
 	for i := range cfgs {
 		cfg := toyConfig()
 		cfg.Strategy = []CountStrategy{CountScan, CountBitmap, CountAuto}[i%3]
-		if i >= 4 { // half materialized, half streaming
-			cfg.Strategy, cfg.Materialize = CountScan, false
+		var src txdb.Source = db
+		engs[i] = mem
+		if i >= 4 { // half in memory, half streaming
+			cfg.Strategy, src, engs[i] = CountScan, file, streaming
 		}
 		cfgs[i] = cfg
-		res, err := Mine(db, tree, cfg)
+		res, err := Mine(src, tree, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +202,7 @@ func TestEngineConcurrentMine(t *testing.T) {
 			wg.Add(1)
 			go func(round, i int) {
 				defer wg.Done()
-				res, err := eng.Mine(cfgs[i])
+				res, err := engs[i].Mine(cfgs[i])
 				if err != nil {
 					errs <- fmt.Errorf("round %d cfg %d: %w", round, i, err)
 					return

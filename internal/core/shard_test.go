@@ -3,14 +3,12 @@ package core
 import (
 	"bytes"
 	"errors"
-	"fmt"
+	"io"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"testing"
+	"testing/iotest"
 
-	"github.com/flipper-mining/flipper/internal/dict"
-	"github.com/flipper-mining/flipper/internal/itemset"
 	"github.com/flipper-mining/flipper/internal/measure"
 	"github.com/flipper-mining/flipper/internal/txdb"
 )
@@ -35,13 +33,12 @@ func TestShardedMiningEquivalence(t *testing.T) {
 		for _, pruning := range Levels() {
 			for _, strategy := range strategies {
 				cfg := Config{
-					Measure:     measure.Kulczynski,
-					Gamma:       0.3,
-					Epsilon:     0.1,
-					MinSupAbs:   []int64{2, 1, 1},
-					Pruning:     pruning,
-					Strategy:    strategy,
-					Materialize: true,
+					Measure:   measure.Kulczynski,
+					Gamma:     0.3,
+					Epsilon:   0.1,
+					MinSupAbs: []int64{2, 1, 1},
+					Pruning:   pruning,
+					Strategy:  strategy,
 				}
 				base, err := Mine(db, tree, cfg)
 				if err != nil {
@@ -75,10 +72,10 @@ func TestShardedMiningEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardedStreamingEquivalence covers the disk-resident shard path: a
-// partitioned in-memory source and a ShardedSource of per-shard basket
-// files (the out-of-core layout) must stream-count to the same output as
-// the single-source streaming scan.
+// TestShardedStreamingEquivalence covers the disk-resident shard path:
+// ShardedSources of per-shard basket files (the out-of-core layout) must
+// stream-count to the same output as the single-file streaming scan and as
+// the in-memory database.
 func TestShardedStreamingEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	trials := 4
@@ -88,85 +85,86 @@ func TestShardedStreamingEquivalence(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		db, tree := randomDataset(rng)
 		cfg := Config{
-			Measure:     measure.Kulczynski,
-			Gamma:       0.3,
-			Epsilon:     0.1,
-			MinSupAbs:   []int64{2, 1, 1},
-			Pruning:     Full,
-			Strategy:    CountScan,
-			Materialize: false,
+			Measure:   measure.Kulczynski,
+			Gamma:     0.3,
+			Epsilon:   0.1,
+			MinSupAbs: []int64{2, 1, 1},
+			Pruning:   Full,
+			Strategy:  CountScan,
 		}
-		base, err := Mine(db, tree, cfg)
+		mem, err := Mine(db, tree, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := fingerprint(base, tree)
-
-		res, err := Mine(txdb.PartitionSource(db, 4), tree, cfg)
+		want := fingerprint(mem, tree)
+		base, err := Mine(streamed(t, db), tree, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := fingerprint(res, tree); got != want {
-			t.Fatalf("trial %d: streaming with in-memory shards diverged.\nwant:\n%s\ngot:\n%s", trial, want, got)
+		if got := fingerprint(base, tree); got != want {
+			t.Fatalf("trial %d: streaming diverged from in-memory.\nwant:\n%s\ngot:\n%s", trial, want, got)
 		}
-
-		// Out-of-core: each partition written to its own basket file, mined
-		// through file-backed shards that re-read disk on every pass.
-		dir := t.TempDir()
-		var shards []txdb.Source
-		for i, part := range txdb.Partition(db, 3) {
-			path := filepath.Join(dir, fmt.Sprintf("shard%03d.txt", i))
-			f, err := os.Create(path)
+		for _, n := range []int{3, 4} {
+			res, err := Mine(streamedShards(t, db, n), tree, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := part.WriteBaskets(f); err != nil {
-				t.Fatal(err)
+			if got := fingerprint(res, tree); got != want {
+				t.Fatalf("trial %d: out-of-core streaming over %d shards diverged.\nwant:\n%s\ngot:\n%s", trial, n, want, got)
 			}
-			if err := f.Close(); err != nil {
-				t.Fatal(err)
+			if res.Stats.Shards != n {
+				t.Fatalf("trial %d: file-sharded run reports %d shards, want %d", trial, res.Stats.Shards, n)
 			}
-			fs, err := txdb.OpenFile(path, tree.Dict())
-			if err != nil {
-				t.Fatal(err)
+			if res.Stats.DBScans != base.Stats.DBScans || res.Stats.ProbesPruned != base.Stats.ProbesPruned {
+				t.Fatalf("trial %d: %d streamed shards changed the stats: %+v, want %+v", trial, n, res.Stats, base.Stats)
 			}
-			shards = append(shards, fs)
-		}
-		ss, err := txdb.NewSharded(shards...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err = Mine(ss, tree, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := fingerprint(res, tree); got != want {
-			t.Fatalf("trial %d: out-of-core sharded streaming diverged.\nwant:\n%s\ngot:\n%s", trial, want, got)
-		}
-		if res.Stats.Shards != 3 {
-			t.Fatalf("trial %d: file-sharded run reports %d shards, want 3", trial, res.Stats.Shards)
 		}
 	}
 }
 
-// flakySource is a Source whose Scan succeeds ok times and then fails —
-// the shape of a disk going away between streaming counting passes.
-type flakySource struct {
-	db    *txdb.DB
-	ok    int
-	scans int
-}
-
-func (f *flakySource) Scan(fn func(tx itemset.Set) error) error {
-	f.scans++
-	if f.scans > f.ok {
-		return errors.New("shard file unreadable")
+// streamed writes db's transactions to a basket file in a test temp dir and
+// opens it as a FileSource over db's dictionary: the disk-resident twin of
+// the in-memory db, which an engine streams.
+func streamed(t testing.TB, db *txdb.DB) *txdb.FileSource {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "baskets.txt")
+	if err := db.WriteBasketFile(path); err != nil {
+		t.Fatal(err)
 	}
-	return f.db.Scan(fn)
+	fs, err := txdb.OpenFile(path, db.Dict())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs
 }
 
-func (f *flakySource) Len() int               { return f.db.Len() }
-func (f *flakySource) Dict() *dict.Dictionary { return f.db.Dict() }
+// streamedShards is the out-of-core layout of db: one streamed basket file
+// per part of txdb.Partition(db, n), composed into a ShardedSource.
+func streamedShards(t testing.TB, db *txdb.DB, n int) *txdb.ShardedSource {
+	t.Helper()
+	var shards []txdb.Source
+	for _, part := range txdb.Partition(db, n) {
+		shards = append(shards, streamed(t, part))
+	}
+	ss, err := txdb.NewSharded(shards...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ss
+}
+
+// failAfterOpens makes fs's disk go away: from now on, its first ok opens
+// read the file and every later one fails with errSentinel.
+func failAfterOpens(fs *txdb.FileSource, ok int) *txdb.FileSource {
+	opens := 0
+	fs.SetReaderWrapper(func(r io.Reader) io.Reader {
+		if opens++; opens > ok {
+			return iotest.ErrReader(errSentinel)
+		}
+		return r
+	})
+	return fs
+}
 
 // TestStreamingScanErrorFailsMine pins the failure contract of disk-resident
 // counting, sharded and not: an I/O error during a counting pass must fail
@@ -175,29 +173,28 @@ func TestStreamingScanErrorFailsMine(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	db, tree := randomDataset(rng)
 	cfg := Config{
-		Measure:     measure.Kulczynski,
-		Gamma:       0.3,
-		Epsilon:     0.1,
-		MinSupAbs:   []int64{1, 1, 1},
-		Pruning:     Full,
-		Strategy:    CountScan,
-		Materialize: false,
+		Measure:   measure.Kulczynski,
+		Gamma:     0.3,
+		Epsilon:   0.1,
+		MinSupAbs: []int64{1, 1, 1},
+		Pruning:   Full,
+		Strategy:  CountScan,
 	}
 
 	// Single source: the init pass succeeds, the first counting pass fails.
-	if _, err := Mine(&flakySource{db: db, ok: 1}, tree, cfg); err == nil {
-		t.Fatal("unsharded streaming mine over a failing source succeeded")
+	if _, err := Mine(failAfterOpens(streamed(t, db), 1), tree, cfg); !errors.Is(err, errSentinel) {
+		t.Fatalf("unsharded streaming mine over a failing file returned %v, want the read error", err)
 	}
 
 	// Sharded source with one bad shard: each shard scans once at init, so
 	// ok=1 makes the bad shard fail on its first counting pass.
 	parts := txdb.Partition(db, 2)
-	ss, err := txdb.NewSharded(parts[0], &flakySource{db: parts[1], ok: 1})
+	ss, err := txdb.NewSharded(streamed(t, parts[0]), failAfterOpens(streamed(t, parts[1]), 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Mine(ss, tree, cfg); err == nil {
-		t.Fatal("sharded streaming mine with a failing shard succeeded")
+	if _, err := Mine(ss, tree, cfg); !errors.Is(err, errSentinel) {
+		t.Fatalf("sharded streaming mine with a failing shard returned %v, want the read error", err)
 	}
 }
 
@@ -219,13 +216,12 @@ func TestShardStatsSurface(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	db, tree := randomDataset(rng)
 	cfg := Config{
-		Measure:     measure.Kulczynski,
-		Gamma:       0.3,
-		Epsilon:     0.1,
-		MinSupAbs:   []int64{1, 1, 1},
-		Pruning:     Full,
-		Strategy:    CountBitmap,
-		Materialize: true,
+		Measure:   measure.Kulczynski,
+		Gamma:     0.3,
+		Epsilon:   0.1,
+		MinSupAbs: []int64{1, 1, 1},
+		Pruning:   Full,
+		Strategy:  CountBitmap,
 	}
 	res, err := Mine(txdb.PartitionSource(db, 4), tree, cfg)
 	if err != nil {

@@ -62,7 +62,7 @@ func pairTestConfig(pruning PruningLevel) Config {
 	return Config{
 		Measure: measure.Kulczynski, Gamma: 0.3, Epsilon: 0.15,
 		MinSupAbs: []int64{1, 1, 1}, Pruning: pruning, Strategy: CountScan,
-		Materialize: true, Parallelism: 3,
+		Parallelism: 3,
 	}
 }
 
@@ -133,9 +133,9 @@ func TestCountPairsMatchesTriePass(t *testing.T) {
 					var c *cell
 					switch {
 					case pruning == Basic:
-						c = m.basicCell(h, k)
+						c = m.aprioriCell(h, k)
 					case h == 1:
-						c = m.row1Cell(k)
+						c = m.aprioriCell(1, k)
 					default:
 						c = m.childCell(h, k)
 					}

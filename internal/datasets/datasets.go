@@ -47,13 +47,12 @@ type Dataset struct {
 // Config returns the mining configuration for the dataset's Table-4 row.
 func (d *Dataset) Config() core.Config {
 	return core.Config{
-		Measure:     measure.Kulczynski,
-		Gamma:       d.Gamma,
-		Epsilon:     d.Epsilon,
-		MinSup:      d.MinSup,
-		Pruning:     core.Full,
-		Strategy:    core.CountScan,
-		Materialize: true,
+		Measure:  measure.Kulczynski,
+		Gamma:    d.Gamma,
+		Epsilon:  d.Epsilon,
+		MinSup:   d.MinSup,
+		Pruning:  core.Full,
+		Strategy: core.CountScan,
 	}
 }
 

@@ -25,7 +25,7 @@ func ColdInput(dir string) (*taxonomy.Tree, string, error) {
 	if err := writeFile(taxPath, func(f *os.File) error { _, err := md.Tree.WriteTo(f); return err }); err != nil {
 		return nil, "", err
 	}
-	if err := writeFile(basketsPath, func(f *os.File) error { return md.DB.WriteBaskets(f) }); err != nil {
+	if err := md.DB.WriteBasketFile(basketsPath); err != nil {
 		return nil, "", err
 	}
 	f, err := os.Open(taxPath)

@@ -36,14 +36,13 @@ func Sharding(s Scale) (*Table, error) {
 		var base time.Duration
 		for _, shards := range []int{1, 2, 4, 8} {
 			cfg := core.Config{
-				Measure:     measure.Kulczynski,
-				Gamma:       0.3,
-				Epsilon:     0.1,
-				MinSupAbs:   []int64{5, 5},
-				Pruning:     core.Basic,
-				Strategy:    strategy,
-				MaxK:        2,
-				Materialize: true,
+				Measure:   measure.Kulczynski,
+				Gamma:     0.3,
+				Epsilon:   0.1,
+				MinSupAbs: []int64{5, 5},
+				Pruning:   core.Basic,
+				Strategy:  strategy,
+				MaxK:      2,
 			}
 			res, err := core.Mine(txdb.PartitionSource(db, shards), tree, cfg)
 			if err != nil {

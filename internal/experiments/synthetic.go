@@ -69,13 +69,12 @@ func Synthetic(n int, width float64, seed int64) (*txdb.DB, *taxonomy.Tree, erro
 // γ=0.3, ε=0.1 and the thr5-style default supports.
 func syntheticConfig(pruning core.PruningLevel, minsup []float64) core.Config {
 	return core.Config{
-		Measure:     measure.Kulczynski,
-		Gamma:       0.3,
-		Epsilon:     0.1,
-		MinSup:      minsup,
-		Pruning:     pruning,
-		Strategy:    core.CountScan,
-		Materialize: true,
+		Measure:  measure.Kulczynski,
+		Gamma:    0.3,
+		Epsilon:  0.1,
+		MinSup:   minsup,
+		Pruning:  pruning,
+		Strategy: core.CountScan,
 	}
 }
 

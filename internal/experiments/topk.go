@@ -93,13 +93,12 @@ func topkWorkload(s Scale) (*txdb.DB, *taxonomy.Tree, error) {
 // category pairs past 0.4 and dilutes their leaf pairs under 0.12.
 func topkConfig() core.Config {
 	return core.Config{
-		Measure:     measure.Kulczynski,
-		Gamma:       0.4,
-		Epsilon:     0.12,
-		MinSup:      []float64{0.02, 0.005},
-		Pruning:     core.Full,
-		Strategy:    core.CountScan,
-		Materialize: true,
+		Measure:  measure.Kulczynski,
+		Gamma:    0.4,
+		Epsilon:  0.12,
+		MinSup:   []float64{0.02, 0.005},
+		Pruning:  core.Full,
+		Strategy: core.CountScan,
 	}
 }
 

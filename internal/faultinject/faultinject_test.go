@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -28,91 +27,58 @@ func fingerprint(t *testing.T, res *core.Result) string {
 	return string(b)
 }
 
-// buildWorkload returns a dense dataset plus its partitions written as
-// basket shard files — the out-of-core layout the fault tests mine.
-func buildWorkload(t *testing.T) (*txdb.DB, *taxonomy.Tree, []string) {
+// buildWorkload returns a dense dataset for the fault tests to mine.
+func buildWorkload(t *testing.T) (*txdb.DB, *taxonomy.Tree) {
 	t.Helper()
 	db, tree, err := experiments.DenseWorkload(300, 6, 4, 5, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	parts := txdb.Partition(db, 7)
-	paths := make([]string, len(parts))
-	for i, part := range parts {
-		path := filepath.Join(dir, fmt.Sprintf("shard%03d.txt", i))
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := part.WriteBaskets(f); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		paths[i] = path
-	}
-	return db, tree, paths
+	return db, tree
 }
 
-func testConfig(strategy core.CountStrategy) core.Config {
+// testConfig mines with scan counting, the one backend that runs fully out
+// of core: every counting pass of a basket file re-reads disk.
+func testConfig() core.Config {
 	return core.Config{
 		Measure:   measure.Kulczynski,
 		Gamma:     0.3,
 		Epsilon:   0.1,
 		MinSupAbs: []int64{2, 1},
 		Pruning:   core.Full,
-		Strategy:  strategy,
-		// Scan can run fully out of core (every counting pass re-reads
-		// disk); the vertical backends need materialized views, so their
-		// disk reads — still through the faulty reader — happen during the
-		// materialization passes.
-		Materialize: strategy != core.CountScan,
+		Strategy:  core.CountScan,
 	}
 }
 
-// openFaultyShards groups the shard files into `shards` sources, each
-// file-backed and wrapped with its own deterministic injector (one
-// injector per shard keeps the schedule replayable under the parallel
-// shard pool).
-func openFaultyShards(t *testing.T, paths []string, tree *taxonomy.Tree, shards int, plan Plan) (txdb.Source, []*Injector) {
+// openFaultyShards writes db's partition into `shards` basket files — the
+// out-of-core layout — and opens each as a FileSource wrapped with its own
+// deterministic injector (one injector per shard keeps the schedule
+// replayable under the parallel shard pool). One shard is the file itself,
+// more are composed into a ShardedSource.
+func openFaultyShards(t *testing.T, db *txdb.DB, tree *taxonomy.Tree, shards int, plan Plan) (txdb.Source, []*Injector) {
 	t.Helper()
+	dir := t.TempDir()
 	injectors := make([]*Injector, 0, shards)
 	srcs := make([]txdb.Source, 0, shards)
-	// Group the 7 files into `shards` sharded sources by striding, so shard
-	// counts 1, 2 and 7 all reuse the same files.
-	groups := make([][]string, shards)
-	for i, p := range paths {
-		groups[i%shards] = append(groups[i%shards], p)
-	}
-	for gi, group := range groups {
-		var members []txdb.Source
-		for _, p := range group {
-			fs, err := txdb.OpenFile(p, tree.Dict())
-			if err != nil {
-				t.Fatal(err)
-			}
-			inj := New(Plan{
-				Seed:       plan.Seed + int64(gi*31+len(members)),
-				FailEveryN: plan.FailEveryN,
-				MaxFaults:  plan.MaxFaults,
-				ShortReads: plan.ShortReads,
-			})
-			fs.SetReaderWrapper(inj.Reader)
-			fs.SetRetry(txdb.RetryPolicy{Attempts: 8})
-			injectors = append(injectors, inj)
-			members = append(members, fs)
+	for i, part := range txdb.Partition(db, shards) {
+		path := filepath.Join(dir, fmt.Sprintf("shard%03d.txt", i))
+		if err := part.WriteBasketFile(path); err != nil {
+			t.Fatal(err)
 		}
-		if len(members) == 1 {
-			srcs = append(srcs, members[0])
-			continue
-		}
-		sub, err := txdb.NewSharded(members...)
+		fs, err := txdb.OpenFile(path, tree.Dict())
 		if err != nil {
 			t.Fatal(err)
 		}
-		srcs = append(srcs, sub)
+		inj := New(Plan{
+			Seed:       plan.Seed + int64(i*31),
+			FailEveryN: plan.FailEveryN,
+			MaxFaults:  plan.MaxFaults,
+			ShortReads: plan.ShortReads,
+		})
+		fs.SetReaderWrapper(inj.Reader)
+		fs.SetRetry(txdb.RetryPolicy{Attempts: 8})
+		injectors = append(injectors, inj)
+		srcs = append(srcs, fs)
 	}
 	if len(srcs) == 1 {
 		return srcs[0], injectors
@@ -125,43 +91,40 @@ func openFaultyShards(t *testing.T, paths []string, tree *taxonomy.Tree, shards 
 }
 
 // TestFaultInjectedEquivalence is the acceptance property of the retry
-// layer: across every counting strategy and shard counts 1, 2 and 7,
-// mining an out-of-core source whose reads fail, truncate and stall on a
-// seeded schedule produces output byte-identical to the fault-free
-// in-memory run.
+// layer: over shard counts 1, 2 and 7, mining an out-of-core source whose
+// reads fail, truncate and stall on a seeded schedule streams to output
+// byte-identical to the fault-free in-memory run.
 func TestFaultInjectedEquivalence(t *testing.T) {
-	db, tree, paths := buildWorkload(t)
-	strategies := []core.CountStrategy{core.CountScan, core.CountBitmap, core.CountAuto}
-	shardCounts := []int{1, 2, 7}
-	for _, strategy := range strategies {
-		cfg := testConfig(strategy)
-		base, err := core.Mine(db, tree, cfg)
-		if err != nil {
-			t.Fatalf("%v baseline: %v", strategy, err)
+	db, tree := buildWorkload(t)
+	cfg := testConfig()
+	base, err := core.Mine(db, tree, cfg)
+	if err != nil {
+		t.Fatalf("baseline: %v", err)
+	}
+	want := fingerprint(t, base)
+	for _, shards := range []int{1, 2, 7} {
+		src, injectors := openFaultyShards(t, db, tree, shards, Plan{
+			Seed:       42,
+			FailEveryN: 4,
+			ShortReads: true,
+		})
+		if !txdb.Streams(src) {
+			t.Fatalf("shards=%d: the faulty basket files would not stream", shards)
 		}
-		want := fingerprint(t, base)
-		for _, shards := range shardCounts {
-			src, injectors := openFaultyShards(t, paths, tree, shards, Plan{
-				Seed:       42,
-				FailEveryN: 4,
-				ShortReads: true,
-			})
-			res, err := core.Mine(src, tree, cfg)
-			if err != nil {
-				t.Fatalf("%v shards=%d under faults: %v", strategy, shards, err)
-			}
-			if got := fingerprint(t, res); got != want {
-				t.Fatalf("%v shards=%d diverged under faults.\nwant:\n%s\ngot:\n%s",
-					strategy, shards, want, got)
-			}
-			faults := 0
-			for _, inj := range injectors {
-				_, f := inj.Stats()
-				faults += f
-			}
-			if faults == 0 {
-				t.Fatalf("%v shards=%d: no faults injected — the test proved nothing", strategy, shards)
-			}
+		res, err := core.Mine(src, tree, cfg)
+		if err != nil {
+			t.Fatalf("shards=%d under faults: %v", shards, err)
+		}
+		if got := fingerprint(t, res); got != want {
+			t.Fatalf("shards=%d diverged under faults.\nwant:\n%s\ngot:\n%s", shards, want, got)
+		}
+		faults := 0
+		for _, inj := range injectors {
+			_, f := inj.Stats()
+			faults += f
+		}
+		if faults == 0 {
+			t.Fatalf("shards=%d: no faults injected — the test proved nothing", shards)
 		}
 	}
 }
@@ -169,10 +132,10 @@ func TestFaultInjectedEquivalence(t *testing.T) {
 // TestHardScanFaultFailsMine pins the other side of the contract: a
 // non-transient scan failure must fail the mine, not silently degrade.
 func TestHardScanFaultFailsMine(t *testing.T) {
-	db, tree, _ := buildWorkload(t)
+	db, tree := buildWorkload(t)
 	hard := errors.New("shard corrupted")
 	src := &Source{Inner: db, FailAt: 50, Err: hard}
-	if _, err := core.Mine(src, tree, testConfig(core.CountScan)); !errors.Is(err, hard) {
+	if _, err := core.Mine(src, tree, testConfig()); !errors.Is(err, hard) {
 		t.Fatalf("mine over hard-failing source: err = %v, want wrapped %v", err, hard)
 	}
 }

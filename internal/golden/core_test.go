@@ -78,21 +78,25 @@ func TestStrategyPruningMatrix(t *testing.T) {
 				t.Fatalf("canonical Mine: %v", err)
 			}
 			want := patternEnvelope(t, base.JSON(tree))
+			// A streamed source counts by scan only; the non-scan backends
+			// mine the out-of-core scenario's baskets from memory.
+			inMemory := sc
+			inMemory.Stream = false
+			memTree, memSrc, _ := inMemory.Load(t)
 			for _, strat := range strategies {
 				for _, pr := range prunings {
 					c := cfg
 					c.Strategy = strat
 					c.Pruning = pr
-					if strat != core.CountScan && !c.Materialize {
-						// Non-scan backends require materialized views; the
-						// out-of-core scenario mines them from memory here.
-						c.Materialize = true
+					tr, s := tree, src
+					if strat != core.CountScan {
+						tr, s = memTree, memSrc
 					}
-					res, err := core.Mine(src, tree, c)
+					res, err := core.Mine(s, tr, c)
 					if err != nil {
 						t.Fatalf("%s/%s: Mine: %v", strat, pr, err)
 					}
-					got := patternEnvelope(t, res.JSON(tree))
+					got := patternEnvelope(t, res.JSON(tr))
 					if got != want {
 						t.Errorf("%s/%s: mined patterns diverge from canonical run:\n%s",
 							strat, pr, Diff([]byte(want), []byte(got)))

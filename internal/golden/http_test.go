@@ -32,7 +32,7 @@ func newConformanceHandler(t *testing.T) http.Handler {
 	for i := range Scenarios() {
 		sc := Scenarios()[i]
 		tree, src, _ := sc.Load(t)
-		if err := reg.Add(&service.Dataset{Name: sc.Name, Tree: tree, Src: src, Stream: sc.Stream}); err != nil {
+		if err := reg.Add(&service.Dataset{Name: sc.Name, Tree: tree, Src: src}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -61,15 +61,14 @@ func doRec(t *testing.T, h http.Handler, method, path string, body []byte) *http
 // that reproduces it exactly over the dataset's defaults.
 func patchFor(cfg core.Config) *service.ConfigPatch {
 	return &service.ConfigPatch{
-		Measure:     &cfg.Measure,
-		Gamma:       &cfg.Gamma,
-		Epsilon:     &cfg.Epsilon,
-		MinSup:      cfg.MinSup,
-		Pruning:     &cfg.Pruning,
-		Strategy:    &cfg.Strategy,
-		MaxK:        &cfg.MaxK,
-		Materialize: &cfg.Materialize,
-		TopK:        &cfg.TopK,
+		Measure:  &cfg.Measure,
+		Gamma:    &cfg.Gamma,
+		Epsilon:  &cfg.Epsilon,
+		MinSup:   cfg.MinSup,
+		Pruning:  &cfg.Pruning,
+		Strategy: &cfg.Strategy,
+		MaxK:     &cfg.MaxK,
+		TopK:     &cfg.TopK,
 	}
 }
 

@@ -30,7 +30,9 @@ type Scenario struct {
 	// a single baskets.txt, exercising shard-parallel counting end to end.
 	Shards int
 	// Stream loads the committed baskets through disk-streaming sources
-	// (txdb.FileSource per file), the out-of-core mode.
+	// (txdb.FileSource per file), the out-of-core mode: every surface mines
+	// them by re-reading the files on each pass (flipper -stream, flipperd
+	// -stream).
 	Stream bool
 	// Config is the canonical mining configuration; it is committed as
 	// config.json and is the configuration all three surfaces are pinned
@@ -115,7 +117,7 @@ func (sc *Scenario) CLIArgs() []string {
 	if cfg.MaxK > 0 {
 		args = append(args, "-maxk", strconv.Itoa(cfg.MaxK))
 	}
-	if !cfg.Materialize {
+	if sc.Stream {
 		args = append(args, "-stream")
 	}
 	return args
@@ -150,30 +152,12 @@ func (sc *Scenario) WriteInputs() error {
 			return err
 		}
 		for i, part := range txdb.Partition(db, sc.Shards) {
-			f, err := os.Create(filepath.Join(sdir, fmt.Sprintf("shard%03d.txt", i)))
-			if err != nil {
-				return err
-			}
-			if err := part.WriteBaskets(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
+			if err := part.WriteBasketFile(filepath.Join(sdir, fmt.Sprintf("shard%03d.txt", i))); err != nil {
 				return err
 			}
 		}
-	} else {
-		f, err := os.Create(filepath.Join(dir, "baskets.txt"))
-		if err != nil {
-			return err
-		}
-		if err := db.WriteBaskets(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
+	} else if err := db.WriteBasketFile(filepath.Join(dir, "baskets.txt")); err != nil {
+		return err
 	}
 	raw, err := json.MarshalIndent(sc.Config, "", "  ")
 	if err != nil {
@@ -205,7 +189,7 @@ func Scenarios() []Scenario {
 			Config: core.Config{
 				Measure: measure.Kulczynski, Gamma: 0.6, Epsilon: 0.35,
 				MinSup:  []float64{0.1, 0.1, 0.05, 0.03, 0.02, 0.01},
-				Pruning: core.Full, Strategy: core.CountScan, Materialize: true,
+				Pruning: core.Full, Strategy: core.CountScan,
 			},
 			Build: buildDeepChain,
 		},
@@ -219,7 +203,7 @@ func Scenarios() []Scenario {
 			Config: core.Config{
 				Measure: measure.Kulczynski, Gamma: 0.5, Epsilon: 0.2,
 				MinSup:  []float64{0.03, 0.03},
-				Pruning: core.Full, Strategy: core.CountScan, Materialize: true,
+				Pruning: core.Full, Strategy: core.CountScan,
 			},
 			Build: buildStar,
 		},
@@ -246,7 +230,7 @@ func Scenarios() []Scenario {
 			Config: core.Config{
 				Measure: measure.Kulczynski, Gamma: 0.3, Epsilon: 0.28,
 				MinSup:  []float64{0.03, 0.015, 0.01, 0.008},
-				Pruning: core.Full, Strategy: core.CountScan, Materialize: false,
+				Pruning: core.Full, Strategy: core.CountScan,
 			},
 			Build: func() (*taxonomy.Tree, *txdb.DB) {
 				return buildSynthetic(gen.TaxonomyParams{Roots: 5, Fanout: 3, Height: 4, Prefix: "o"},
@@ -263,7 +247,7 @@ func Scenarios() []Scenario {
 			Config: core.Config{
 				Measure: measure.Kulczynski, Gamma: 0.15, Epsilon: 0.10,
 				MinSup:  []float64{0.001, 0.0005, 0.0002},
-				Pruning: core.Full, Strategy: core.CountBitmap, Materialize: true,
+				Pruning: core.Full, Strategy: core.CountBitmap,
 			},
 			Build: func() (*taxonomy.Tree, *txdb.DB) {
 				ds, err := datasets.Groceries(0.2, 21)
@@ -278,7 +262,7 @@ func Scenarios() []Scenario {
 			Config: core.Config{
 				Measure: measure.Cosine, Gamma: 0.5, Epsilon: 0.4,
 				MinSup:  []float64{0.1, 0.1, 0.1},
-				Pruning: core.Full, Strategy: core.CountScan, Materialize: true,
+				Pruning: core.Full, Strategy: core.CountScan,
 				TopK: 2,
 			},
 			Build: func() (*taxonomy.Tree, *txdb.DB) {
@@ -292,7 +276,7 @@ func Scenarios() []Scenario {
 }
 
 // handConfig is the shared shape of the handcrafted scenarios: Kulczynski,
-// full pruning, scan counting, materialized views, uniform 10% supports.
+// full pruning, scan counting, uniform 10% supports.
 func handConfig(height int, gamma, epsilon float64) core.Config {
 	sup := make([]float64, height)
 	for i := range sup {
@@ -300,7 +284,7 @@ func handConfig(height int, gamma, epsilon float64) core.Config {
 	}
 	return core.Config{
 		Measure: measure.Kulczynski, Gamma: gamma, Epsilon: epsilon,
-		MinSup: sup, Pruning: core.Full, Strategy: core.CountScan, Materialize: true,
+		MinSup: sup, Pruning: core.Full, Strategy: core.CountScan,
 	}
 }
 
@@ -308,7 +292,7 @@ func shardedConfig() core.Config {
 	return core.Config{
 		Measure: measure.Kulczynski, Gamma: 0.3, Epsilon: 0.25,
 		MinSup:  []float64{0.04, 0.02, 0.015},
-		Pruning: core.Full, Strategy: core.CountScan, Materialize: true,
+		Pruning: core.Full, Strategy: core.CountScan,
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package itemset provides the shared itemset kernel used by every miner in
 // this module: a canonical representation for sets of item identifiers,
-// deterministic map keys, Apriori-style joins and subset enumeration.
+// deterministic map keys, Apriori-style joins and k-subset enumeration.
 //
 // An itemset is a strictly increasing slice of int32 item identifiers. The
 // strict ordering makes equality, hashing, joining and subset checks cheap
@@ -48,10 +48,6 @@ func Canon(ids []ID) Set {
 	}
 	return Set(out)
 }
-
-// FromSorted wraps ids as a Set without copying. The caller asserts that ids
-// is strictly increasing; IsCanonical can verify.
-func FromSorted(ids []ID) Set { return Set(ids) }
 
 // IsCanonical reports whether s is strictly increasing (the Set invariant).
 func (s Set) IsCanonical() bool {
@@ -148,24 +144,6 @@ func (s Set) SubsetOf(t Set) bool {
 	return true
 }
 
-// Without returns a copy of s with the item at position idx removed.
-func (s Set) Without(idx int) Set {
-	out := make(Set, 0, len(s)-1)
-	out = append(out, s[:idx]...)
-	out = append(out, s[idx+1:]...)
-	return out
-}
-
-// WithoutItem returns a copy of s with the given item removed; it returns s
-// itself (shared storage) when the item is absent.
-func (s Set) WithoutItem(id ID) Set {
-	idx := s.IndexOf(id)
-	if idx < 0 {
-		return s
-	}
-	return s.Without(idx)
-}
-
 // Insert returns a canonical itemset containing s's items plus id. If id is
 // already present, a copy of s is returned.
 func (s Set) Insert(id ID) Set {
@@ -177,48 +155,6 @@ func (s Set) Insert(id ID) Set {
 	out = append(out, s[:i]...)
 	out = append(out, id)
 	out = append(out, s[i:]...)
-	return out
-}
-
-// Union returns the canonical union of s and t.
-func (s Set) Union(t Set) Set {
-	out := make(Set, 0, len(s)+len(t))
-	i, j := 0, 0
-	for i < len(s) && j < len(t) {
-		switch {
-		case s[i] < t[j]:
-			out = append(out, s[i])
-			i++
-		case s[i] > t[j]:
-			out = append(out, t[j])
-			j++
-		default:
-			out = append(out, s[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, s[i:]...)
-	out = append(out, t[j:]...)
-	return out
-}
-
-// Intersect returns the canonical intersection of s and t.
-func (s Set) Intersect(t Set) Set {
-	var out Set
-	i, j := 0, 0
-	for i < len(s) && j < len(t) {
-		switch {
-		case s[i] < t[j]:
-			i++
-		case s[i] > t[j]:
-			j++
-		default:
-			out = append(out, s[i])
-			i++
-			j++
-		}
-	}
 	return out
 }
 
@@ -277,20 +213,6 @@ func (s Set) String() string {
 	}
 	b.WriteByte('}')
 	return b.String()
-}
-
-// Subsets calls fn for every (k-1)-subset of s, reusing a single scratch
-// buffer across calls. fn must not retain the argument; clone if needed.
-func (s Set) Subsets(fn func(sub Set)) {
-	if len(s) == 0 {
-		return
-	}
-	scratch := make(Set, len(s)-1)
-	for drop := range s {
-		copy(scratch, s[:drop])
-		copy(scratch[drop:], s[drop+1:])
-		fn(scratch)
-	}
 }
 
 // Join attempts the Apriori join of two canonical k-itemsets that share their

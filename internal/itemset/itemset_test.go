@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -95,17 +94,8 @@ func TestSubsetOf(t *testing.T) {
 	}
 }
 
-func TestWithoutAndInsert(t *testing.T) {
+func TestInsert(t *testing.T) {
 	s := New(1, 3, 5)
-	if got := s.Without(1); !got.Equal(New(1, 5)) {
-		t.Errorf("Without(1) = %v", got)
-	}
-	if got := s.WithoutItem(3); !got.Equal(New(1, 5)) {
-		t.Errorf("WithoutItem(3) = %v", got)
-	}
-	if got := s.WithoutItem(99); !got.Equal(s) {
-		t.Errorf("WithoutItem(absent) = %v", got)
-	}
 	if got := s.Insert(4); !got.Equal(New(1, 3, 4, 5)) {
 		t.Errorf("Insert(4) = %v", got)
 	}
@@ -121,19 +111,6 @@ func TestWithoutAndInsert(t *testing.T) {
 	// The receiver must be unchanged by all of the above.
 	if !s.Equal(New(1, 3, 5)) {
 		t.Errorf("receiver mutated: %v", s)
-	}
-}
-
-func TestUnionIntersect(t *testing.T) {
-	a, b := New(1, 3, 5), New(2, 3, 6)
-	if got := a.Union(b); !got.Equal(New(1, 2, 3, 5, 6)) {
-		t.Errorf("Union = %v", got)
-	}
-	if got := a.Intersect(b); !got.Equal(New(3)) {
-		t.Errorf("Intersect = %v", got)
-	}
-	if got := a.Intersect(New(7)); len(got) != 0 {
-		t.Errorf("disjoint Intersect = %v", got)
 	}
 }
 
@@ -160,21 +137,6 @@ func TestKeyUnique(t *testing.T) {
 	b := New(12)
 	if a.Key() == b.Key() {
 		t.Error("keys collide for {1,2} vs {12}")
-	}
-}
-
-func TestSubsetsEnumeration(t *testing.T) {
-	s := New(1, 2, 3)
-	var got []Set
-	s.Subsets(func(sub Set) { got = append(got, sub.Clone()) })
-	want := []Set{New(2, 3), New(1, 3), New(1, 2)}
-	if len(got) != len(want) {
-		t.Fatalf("got %d subsets, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !got[i].Equal(want[i]) {
-			t.Errorf("subset[%d] = %v, want %v", i, got[i], want[i])
-		}
 	}
 }
 
@@ -307,26 +269,28 @@ func TestKeyRoundTripProperty(t *testing.T) {
 	}
 }
 
-// Property: Union and Intersect agree with map-based implementations.
+// Property: SubsetOf and Contains agree with map-based implementations.
 func TestSetAlgebraProperty(t *testing.T) {
 	f := func(as, bs []int32) bool {
 		a, b := New(as...), New(bs...)
-		inA := map[int32]bool{}
-		for _, id := range a {
-			inA[id] = true
-		}
-		var wantUnion, wantInter []int32
-		wantUnion = append(wantUnion, a...)
+		inB := map[int32]bool{}
 		for _, id := range b {
-			if !inA[id] {
-				wantUnion = append(wantUnion, id)
-			} else {
-				wantInter = append(wantInter, id)
+			inB[id] = true
+		}
+		subset := true
+		for _, id := range a {
+			subset = subset && inB[id]
+			if b.Contains(id) != inB[id] {
+				return false
 			}
 		}
-		sort.Slice(wantUnion, func(i, j int) bool { return wantUnion[i] < wantUnion[j] })
-		sort.Slice(wantInter, func(i, j int) bool { return wantInter[i] < wantInter[j] })
-		return a.Union(b).Equal(New(wantUnion...)) && a.Intersect(b).Equal(New(wantInter...))
+		for _, id := range b {
+			if !b.Contains(id) {
+				return false
+			}
+		}
+		// a ∪ b ⊆ b exactly when a ⊆ b.
+		return a.SubsetOf(b) == subset && New(slices.Concat(as, bs)...).SubsetOf(b) == subset
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -8,12 +8,13 @@ Three pieces compose into a Server:
   - Registry: named taxonomy/basket datasets, loaded once from a data
     directory in the flipgen layout (one subdirectory per dataset holding
     taxonomy.tsv plus either baskets.txt or a shards/ directory of
-    per-shard basket files). Datasets are either materialized into memory
-    at load time or, in streaming mode, left on disk behind
-    txdb.FileSources that re-read the basket files on every counting
-    pass. The sharded layout loads as a txdb.ShardedSource, so every mine
-    over it counts shard-parallel — streamed sharded datasets are
-    scanned in parallel without ever being resident together.
+    per-shard basket files). Datasets are either read into memory at
+    load time or, in streaming mode (flipperd -stream, the only switch),
+    left on disk behind txdb.FileSources that re-read the basket files on
+    every counting pass and count by scan only. The sharded layout loads
+    as a txdb.ShardedSource, so every mine over it counts shard-parallel
+    — streamed sharded datasets are scanned in parallel without ever
+    being resident together.
   - Queue: a bounded worker pool running core.Mine / core.EpsilonSweep.
     Submissions are deduplicated two ways: identical work already queued or
     running is coalesced onto the existing job (single-flight, so N

@@ -35,10 +35,9 @@ type Dataset struct {
 	// Src supplies the transactions: an in-memory txdb.DB, a
 	// txdb.FileSource re-reading the basket file on every pass when the
 	// registry runs in streaming mode, or a txdb.ShardedSource when the
-	// dataset uses the sharded on-disk layout.
+	// dataset uses the sharded on-disk layout. Whether mining streams it is
+	// the source's own (txdb.Streams).
 	Src txdb.Source
-	// Stream records whether Src re-reads disk on every scan.
-	Stream bool
 
 	engOnce sync.Once
 	eng     *core.Engine
@@ -62,14 +61,8 @@ func (d *Dataset) Shards() int { return len(txdb.ShardsOf(d.Src)) }
 
 // DefaultConfig returns the paper-default mining configuration for the
 // dataset's taxonomy height; job submissions overlay their overrides on it.
-// Streaming datasets default to non-materialized counting so the memory
-// promise of txdb.FileSource is kept end to end.
 func (d *Dataset) DefaultConfig() core.Config {
-	cfg := core.DefaultConfig(d.Tree.Height())
-	if d.Stream {
-		cfg.Materialize = false
-	}
-	return cfg
+	return core.DefaultConfig(d.Tree.Height())
 }
 
 // Info is the wire description of one registered dataset.
@@ -190,11 +183,7 @@ func loadDataset(name, taxPath, dbPath string, shardPaths []string, stream bool)
 	if !tree.IsBalanced() {
 		tree = tree.Extend()
 	}
-	d := &Dataset{
-		Name:   name,
-		Tree:   tree,
-		Stream: stream,
-	}
+	d := &Dataset{Name: name, Tree: tree}
 	switch {
 	case len(shardPaths) > 0:
 		ss, err := txdb.OpenShards(shardPaths, tree.Dict(), stream)
@@ -239,7 +228,7 @@ func (r *Registry) List() []Info {
 			Height:        d.Tree.Height(),
 			Nodes:         d.Tree.NodeCount(),
 			Leaves:        len(d.Tree.Leaves()),
-			Stream:        d.Stream,
+			Stream:        txdb.Streams(d.Src),
 			Shards:        d.Shards(),
 			DefaultConfig: d.DefaultConfig(),
 		})

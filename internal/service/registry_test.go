@@ -66,8 +66,8 @@ func TestLoadDir(t *testing.T) {
 		if _, isFile := d.Src.(*txdb.FileSource); isFile != stream {
 			t.Errorf("stream=%v: source type %T", stream, d.Src)
 		}
-		if cfg := d.DefaultConfig(); cfg.Materialize == stream {
-			t.Errorf("stream=%v: default Materialize = %v, want the opposite", stream, cfg.Materialize)
+		if info := reg.List()[0]; info.Stream != stream {
+			t.Errorf("stream=%v: Info.Stream = %v", stream, info.Stream)
 		}
 	}
 }
@@ -173,8 +173,9 @@ func TestLoadDirShardedLayout(t *testing.T) {
 			if d.Shards() != wantShards {
 				t.Fatalf("dir=%s stream=%v: Shards() = %d, want %d", dir, stream, d.Shards(), wantShards)
 			}
-			if info := reg.List()[0]; info.Shards != wantShards {
-				t.Fatalf("dir=%s stream=%v: Info.Shards = %d, want %d", dir, stream, info.Shards, wantShards)
+			if info := reg.List()[0]; info.Shards != wantShards || info.Stream != stream {
+				t.Fatalf("dir=%s stream=%v: Info.Shards = %d, Info.Stream = %v, want %d, %v",
+					dir, stream, info.Shards, info.Stream, wantShards, stream)
 			}
 			cfg := d.DefaultConfig()
 			cfg.Gamma, cfg.Epsilon, cfg.MinSup = toy.Gamma, toy.Epsilon, toy.MinSup

@@ -128,20 +128,18 @@ func (s *Server) Cache() *Cache { return s.cache }
 // by core.Config.CanonicalKey, so permuted but equal requests are cache
 // hits.
 type ConfigPatch struct {
-	Measure       *measure.Measure    `json:"measure"`
-	Gamma         *float64            `json:"gamma"`
-	Epsilon       *float64            `json:"epsilon"`
-	MinSup        []float64           `json:"min_sup"`
-	MinSupAbs     []int64             `json:"min_sup_abs"`
-	Pruning       *core.PruningLevel  `json:"pruning"`
-	Strategy      *core.CountStrategy `json:"strategy"`
-	MaxK          *int                `json:"max_k"`
-	Parallelism   *int                `json:"parallelism"`
-	Materialize   *bool               `json:"materialize"`
-	KeepCellStats *bool               `json:"keep_cell_stats"`
-	TopK          *int                `json:"top_k"`
-	Anchor        *string             `json:"anchor"`
-	AnchorTopK    *int                `json:"anchor_top_k"`
+	Measure     *measure.Measure    `json:"measure"`
+	Gamma       *float64            `json:"gamma"`
+	Epsilon     *float64            `json:"epsilon"`
+	MinSup      []float64           `json:"min_sup"`
+	MinSupAbs   []int64             `json:"min_sup_abs"`
+	Pruning     *core.PruningLevel  `json:"pruning"`
+	Strategy    *core.CountStrategy `json:"strategy"`
+	MaxK        *int                `json:"max_k"`
+	Parallelism *int                `json:"parallelism"`
+	TopK        *int                `json:"top_k"`
+	Anchor      *string             `json:"anchor"`
+	AnchorTopK  *int                `json:"anchor_top_k"`
 }
 
 // Apply overlays the patch on cfg.
@@ -176,12 +174,6 @@ func (p *ConfigPatch) Apply(cfg core.Config) core.Config {
 	}
 	if p.Parallelism != nil {
 		cfg.Parallelism = *p.Parallelism
-	}
-	if p.Materialize != nil {
-		cfg.Materialize = *p.Materialize
-	}
-	if p.KeepCellStats != nil {
-		cfg.KeepCellStats = *p.KeepCellStats
 	}
 	if p.TopK != nil {
 		cfg.TopK = *p.TopK
@@ -252,7 +244,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cfg := req.Config.Apply(d.DefaultConfig())
-	if err := cfg.Validate(d.Tree.Height(), d.Src.Len()); err != nil {
+	if err := d.Engine().Validate(cfg); err != nil {
 		writeError(w, http.StatusBadRequest, "invalid config: %v", err)
 		return
 	}

@@ -93,7 +93,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	cfg.TopK = 0 // anchored ranking replaces the global top-K knob
 	cfg.Anchor = req.Anchor
 	cfg.AnchorTopK = req.K
-	if err := cfg.Validate(d.Tree.Height(), d.Src.Len()); err != nil {
+	if err := d.Engine().Validate(cfg); err != nil {
 		writeError(w, http.StatusBadRequest, "invalid config: %v", err)
 		return
 	}

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"os"
 	"runtime"
 	"slices"
 	"strings"
@@ -348,6 +349,20 @@ func (db *DB) WriteBaskets(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// WriteBasketFile writes the database in the basket format to a new file at
+// path, the file OpenFile and OpenBasketSource read back.
+func (db *DB) WriteBasketFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := db.WriteBaskets(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // validateBasketName rejects item names that the basket text format cannot

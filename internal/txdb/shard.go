@@ -127,6 +127,22 @@ func ShardsOf(src Source) []Source {
 	return []Source{src}
 }
 
+// Streams reports whether src is mined by streaming, re-read and
+// generalized on every counting pass, rather than built into in-memory
+// levels once: true for a FileSource and for a ShardedSource made only of
+// FileSources (what OpenBasketSource and OpenShards return with stream set),
+// false for every other source. Like ShardsOf it is the one rule: the
+// engine's counting, the cluster fingerprint and the service's dataset
+// description all take the mode from here.
+func Streams(src Source) bool {
+	for _, s := range ShardsOf(src) {
+		if _, ok := s.(*FileSource); !ok {
+			return false
+		}
+	}
+	return true
+}
+
 // ShardDirFiles lists the shard*.txt basket shards of dir in shard order —
 // the write order of the flipgen -shards layout (shard000.txt,
 // shard001.txt, …). Only names with the shard prefix qualify, so a stray
@@ -162,7 +178,8 @@ func ShardDirFiles(dir string) ([]string, error) {
 // a FileSource re-read from disk on every pass when stream is set,
 // otherwise an in-memory DB read once. The single place the
 // stream/materialize loading switch lives — the CLI, the flipperd registry
-// and OpenShards all route through it.
+// and OpenShards all route through it, and Streams reads the choice back
+// off the source.
 func OpenBasketSource(path string, d *dict.Dictionary, stream bool) (Source, error) {
 	if stream {
 		return OpenFile(path, d)

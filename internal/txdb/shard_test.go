@@ -165,6 +165,57 @@ func TestShardsOf(t *testing.T) {
 	}
 }
 
+// wrappedSource hides the source it wraps behind its own type, as a
+// fault-injecting or instrumenting wrapper does.
+type wrappedSource struct{ Source }
+
+// TestStreams pins the stream-or-materialize rule: a FileSource, or a
+// ShardedSource made only of FileSources, streams; every other source —
+// in-memory, mixed, or wrapped — materializes.
+func TestStreams(t *testing.T) {
+	db := randomShardDB(t, 30, 4)
+	dir := t.TempDir()
+	files := make([]Source, 2)
+	for i := range files {
+		path := filepath.Join(dir, fmt.Sprintf("shard%03d.txt", i))
+		if err := os.WriteFile(path, []byte("a,b\nc\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fs, err := OpenFile(path, db.Dict())
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[i] = fs
+	}
+	sharded := func(shards ...Source) Source {
+		ss, err := NewSharded(shards...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ss
+	}
+	parts := Partition(db, 2)
+	for _, tc := range []struct {
+		name string
+		src  Source
+		want bool
+	}{
+		{"db", db, false},
+		{"file", files[0], true},
+		{"sharded files", sharded(files...), true},
+		{"one-shard files", sharded(files[0]), true},
+		{"sharded dbs", sharded(parts[0], parts[1]), false},
+		{"one-shard db", sharded(db), false},
+		{"mixed", sharded(files[0], parts[1]), false},
+		{"wrapped file", wrappedSource{files[0]}, false},
+		{"sharded wrapped files", sharded(wrappedSource{files[0]}, files[1]), false},
+	} {
+		if got := Streams(tc.src); got != tc.want {
+			t.Errorf("%s: Streams = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestNewShardedValidation(t *testing.T) {
 	if _, err := NewSharded(); err == nil {
 		t.Fatal("NewSharded() accepted zero shards")
