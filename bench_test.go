@@ -277,38 +277,15 @@ func BenchmarkTable4PatternCounts(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCountingStrategy compares the paper-faithful scan
-// counter against the vertical bitmap counter and the per-cell auto cost
-// model (design alternatives the paper leaves to future work).
-func BenchmarkAblationCountingStrategy(b *testing.B) {
-	db, tree := benchSynthetic(b, benchN, 5)
-	for _, s := range []struct {
-		name     string
-		strategy flipper.CountStrategy
-	}{
-		{"scan", flipper.CountScan},
-		{"bitmap", flipper.CountBitmap},
-		{"auto", flipper.CountAuto},
-	} {
-		b.Run(s.name, func(b *testing.B) {
-			cfg := benchConfig(flipper.Full, benchDefaultMinsup, 0.3, 0.1)
-			cfg.Strategy = s.strategy
-			mineOnce(b, db, tree, cfg)
-		})
-	}
-}
-
-// denseWorkload builds the vertical backends' home turf: a flat, wide
-// taxonomy (64 categories × 2 leaves, height 2) and wide (16-item)
-// transactions, so permissive thresholds put every one of the C(128,2) +
-// C(64,2) ≈ 10K pair candidates against a dense level view that barely
-// dedups. Per cell the scan counter walks each of the 8000 transactions
-// down the candidate trie (every pair exists here, so nothing prunes —
-// the store's worst case), while the bitmap counter pays 2 vector words
-// per 64 distinct transactions per candidate — plain ANDs over cached,
-// cache-friendly []uint64. The workload is shared with the flipbench
-// -json micro suite (experiments.DenseWorkload) so committed BENCH_*.json
-// baselines track this exact benchmark.
+// denseWorkload builds the counting stress case: a flat, wide taxonomy (64
+// categories × 2 leaves, height 2) and wide (16-item) transactions, so
+// permissive thresholds put every one of the C(128,2) + C(64,2) ≈ 10K pair
+// candidates against a dense level view that barely dedups. Cold, the scan
+// counter walks each of the 8000 transactions down the candidate trie
+// (every pair exists here, so nothing prunes — the store's worst case);
+// warm, the level's pair tables answer. The workload is shared with the
+// flipbench -json micro suite (experiments.DenseWorkload) so committed
+// BENCH_*.json baselines track this exact benchmark.
 func denseWorkload(b *testing.B) (*txdb.DB, *taxonomy.Tree) {
 	b.Helper()
 	db, tree, err := experiments.DenseWorkload(8000, 64, 2, 16, 3)
@@ -318,92 +295,69 @@ func denseWorkload(b *testing.B) (*txdb.DB, *taxonomy.Tree) {
 	return db, tree
 }
 
-// BenchmarkCountingDense is the committed evidence for the bitmap backend:
-// on a dense high-candidate workload, bitmap counting beats scan counting
-// (see docs/ARCHITECTURE.md for recorded numbers).
+// BenchmarkCountingDense is a cold scan mine of the dense workload: one
+// throwaway engine per iteration, so every level build and trie pass is
+// paid (see docs/ARCHITECTURE.md for recorded numbers).
 func BenchmarkCountingDense(b *testing.B) {
 	db, tree := denseWorkload(b)
-	for _, s := range denseStrategies {
-		b.Run(s.name, func(b *testing.B) {
-			mineOnce(b, db, tree, denseConfig(s.strategy))
-		})
-	}
+	b.Run("scan", func(b *testing.B) {
+		mineOnce(b, db, tree, denseConfig)
+	})
 }
 
-// denseConfig is the BenchmarkCountingDense configuration for one strategy.
-func denseConfig(strategy flipper.CountStrategy) flipper.Config {
-	return flipper.Config{
-		Measure:   flipper.Kulczynski,
-		Gamma:     0.3,
-		Epsilon:   0.1,
-		MinSupAbs: []int64{5, 5},
-		Pruning:   flipper.Basic,
-		Strategy:  strategy,
-		MaxK:      2,
-	}
-}
-
-var denseStrategies = []struct {
-	name     string
-	strategy flipper.CountStrategy
-}{
-	{"scan", flipper.CountScan},
-	{"bitmap", flipper.CountBitmap},
-	{"auto", flipper.CountAuto},
+// denseConfig is the BenchmarkCountingDense configuration.
+var denseConfig = flipper.Config{
+	Measure:   flipper.Kulczynski,
+	Gamma:     0.3,
+	Epsilon:   0.1,
+	MinSupAbs: []int64{5, 5},
+	Pruning:   flipper.Basic,
+	MaxK:      2,
 }
 
 // BenchmarkCountingDenseWarm is the steady-state counterpart of
-// BenchmarkCountingDense: one engine per strategy, prewarmed by warmEngine,
-// so the loop measures what a resident flipperd pays per job — level views,
-// counting indexes, subset tables and scratch arenas all come from the
-// engine's caches. The gap to the cold benchmark is the price of data
-// preparation; the committed BENCH_*.json baselines track both.
+// BenchmarkCountingDense: one engine, prewarmed by warmEngine, so the loop
+// measures what a resident flipperd pays per job — level views, subset
+// tables, candidate tries and scratch arenas all come from the engine's
+// caches. The gap to the cold benchmark is the price of data preparation;
+// the committed BENCH_*.json baselines track both.
 func BenchmarkCountingDenseWarm(b *testing.B) {
 	db, tree := denseWorkload(b)
-	for _, s := range denseStrategies {
-		b.Run(s.name, func(b *testing.B) {
-			cfg := denseConfig(s.strategy)
-			eng := warmEngine(b, db, tree, cfg)
-			b.ReportAllocs()
-			b.ResetTimer()
-			var patterns int
-			for i := 0; i < b.N; i++ {
-				res, err := eng.Mine(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				patterns = len(res.Patterns)
+	b.Run("scan", func(b *testing.B) {
+		eng := warmEngine(b, db, tree, denseConfig)
+		b.ReportAllocs()
+		b.ResetTimer()
+		var patterns int
+		for i := 0; i < b.N; i++ {
+			res, err := eng.Mine(denseConfig)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(patterns), "patterns")
-		})
-	}
+			patterns = len(res.Patterns)
+		}
+		b.ReportMetric(float64(patterns), "patterns")
+	})
 }
 
-// BenchmarkCountingDenseSharded covers the shard-parallel backends on the
-// dense workload partitioned into 4 shards, cold and warm — the variants the
-// CI alloc budgets pin alongside the unsharded ones.
+// BenchmarkCountingDenseSharded covers shard-parallel counting on the dense
+// workload partitioned into 4 shards, cold and warm — the variants the CI
+// alloc budgets pin alongside the unsharded ones.
 func BenchmarkCountingDenseSharded(b *testing.B) {
 	db, tree := denseWorkload(b)
 	src := flipper.PartitionDB(db, 4)
-	for _, s := range denseStrategies {
-		if s.strategy != flipper.CountScan && s.strategy != flipper.CountBitmap {
-			continue
-		}
-		cfg := denseConfig(s.strategy)
-		b.Run(s.name, func(b *testing.B) {
-			mineOnce(b, src, tree, cfg)
-		})
-		b.Run(s.name+"_warm", func(b *testing.B) {
-			eng := warmEngine(b, src, tree, cfg)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.Mine(cfg); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("scan", func(b *testing.B) {
+		mineOnce(b, src, tree, denseConfig)
+	})
+	b.Run("scan_warm", func(b *testing.B) {
+		eng := warmEngine(b, src, tree, denseConfig)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := eng.Mine(denseConfig); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkAnchoredTopKRootTriples is a warm anchored top-K query on the

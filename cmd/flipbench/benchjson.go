@@ -46,23 +46,21 @@ type BenchFile struct {
 	Benchmarks []BenchRecord `json:"benchmarks"`
 }
 
-// runBenchJSON measures every counting strategy on the dense workload and
-// writes the result file.
+// runBenchJSON measures scan counting and anchored search on the dense
+// workload, plus the synthetic and cold-preparation records, and writes the
+// result file.
 func runBenchJSON(path, tag string) error {
 	db, tree, err := experiments.DenseWorkload(8000, 64, 2, 16, 3)
 	if err != nil {
 		return err
 	}
-	cfgFor := func(strategy core.CountStrategy) core.Config {
-		return core.Config{
-			Measure:   measure.Kulczynski,
-			Gamma:     0.3,
-			Epsilon:   0.1,
-			MinSupAbs: []int64{5, 5},
-			Pruning:   core.Basic,
-			Strategy:  strategy,
-			MaxK:      2,
-		}
+	dense := core.Config{
+		Measure:   measure.Kulczynski,
+		Gamma:     0.3,
+		Epsilon:   0.1,
+		MinSupAbs: []int64{5, 5},
+		Pruning:   core.Basic,
+		MaxK:      2,
 	}
 	out := BenchFile{
 		Tag:       tag,
@@ -120,34 +118,28 @@ func runBenchJSON(path, tag string) error {
 		})
 		return nil
 	}
-	for _, s := range []core.CountStrategy{core.CountScan, core.CountBitmap, core.CountAuto} {
-		if err := record("CountingDense/"+s.String(), cfgFor(s), db, tree, false); err != nil {
-			return err
-		}
-		// The warm counterpart: one persistent engine per strategy, measuring
-		// the steady-state cost a resident flipperd pays per job.
-		if err := record("CountingDense/"+s.String()+"/warm", cfgFor(s), db, tree, true); err != nil {
+	if err := record("CountingDense/scan", dense, db, tree, false); err != nil {
+		return err
+	}
+	// The warm counterpart: one persistent engine, measuring the
+	// steady-state cost a resident flipperd pays per job.
+	if err := record("CountingDense/scan/warm", dense, db, tree, true); err != nil {
+		return err
+	}
+	// Shard-count scaling on the same workload.
+	for _, shards := range []int{2, 4, 8} {
+		name := fmt.Sprintf("CountingDense/scan/shards=%d", shards)
+		if err := record(name, dense, txdb.PartitionSource(db, shards), tree, false); err != nil {
 			return err
 		}
 	}
-	// Shard-count scaling of the parallel backends on the same workload —
-	// the BENCH_PR5 sharding story next to the per-backend baselines.
-	for _, s := range []core.CountStrategy{core.CountScan, core.CountBitmap} {
-		for _, shards := range []int{2, 4, 8} {
-			name := fmt.Sprintf("CountingDense/%s/shards=%d", s.String(), shards)
-			if err := record(name, cfgFor(s), txdb.PartitionSource(db, shards), tree, false); err != nil {
-				return err
-			}
-		}
-		name := fmt.Sprintf("CountingDense/%s/shards=%d/warm", s.String(), 4)
-		if err := record(name, cfgFor(s), txdb.PartitionSource(db, 4), tree, true); err != nil {
-			return err
-		}
+	if err := record("CountingDense/scan/shards=4/warm", dense, txdb.PartitionSource(db, 4), tree, true); err != nil {
+		return err
 	}
 	// Anchored top-K on the same workload, cold and warm (a warm engine
 	// reuses the cached level bitmaps, which is the steady state a resident
 	// flipperd serves /v1/topk in).
-	anchoredCfg := cfgFor(core.CountScan)
+	anchoredCfg := dense
 	anchoredCfg.Anchor = "leaf00.0"
 	anchoredCfg.AnchorTopK = 5
 	if err := record("AnchoredTopK", anchoredCfg, db, tree, false); err != nil {

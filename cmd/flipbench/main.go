@@ -14,8 +14,8 @@
 // to take a very long time in the low-support regime, as the paper reports).
 //
 // -json runs the counting micro-benchmark suite (the BenchmarkCountingDense
-// workload under testing.Benchmark, per backend and per shard count, plus a
-// warm scan mine on the default synthetic data) and
+// workload under testing.Benchmark, cold, warm and per shard count, anchored
+// top-K on it, plus scan mines on the default synthetic data) and
 // writes machine-readable results — benchmark name, ns/op, allocs/op,
 // engine counters, the machine's GOMAXPROCS — to the given file. Committed
 // BENCH_<tag>.json files record the repo's perf trajectory; CI regenerates

@@ -5,7 +5,7 @@
 //
 //	flipper -tax taxonomy.tsv -db baskets.txt \
 //	        -gamma 0.3 -epsilon 0.1 -minsup 0.01,0.001,0.0005,0.0001 \
-//	        [-measure kulczynski] [-pruning full] [-strategy scan|bitmap|auto] \
+//	        [-measure kulczynski] [-pruning full] [-strategy scan] \
 //	        [-shards 0] [-topk 0] [-target-patterns 0] [-stream] [-stats] \
 //	        [-anchor item] \
 //	        [-timeout 0] [-json] [-json-api] [-csv patterns.csv]
@@ -18,9 +18,9 @@
 // -stream they are streamed in parallel without ever being resident
 // together (out-of-core mode). -minsup takes one fraction per taxonomy level, most general first.
 // -stream keeps counting passes on disk instead of materializing per-level
-// views, and counts by scan only. -strategy picks the support counter;
-// "tidlist" and "tid", names of a retired backend, still run as aliases of
-// bitmap. -shards N partitions an in-memory database into N shards counted
+// views. Every mine counts by scan; -strategy still accepts "auto",
+// "bitmap", "bits", "tidlist" and "tid", names of retired backends, as
+// aliases of scan. -shards N partitions an in-memory database into N shards counted
 // in parallel (output is byte-identical to the unsharded run).
 // -target-patterns auto-tunes ε (the paper's threshold workflow): the most
 // selective ε still yielding at least that many patterns is used.
@@ -58,7 +58,7 @@ func main() {
 		minsup   = flag.String("minsup", "", "per-level minimum supports, e.g. 0.01,0.001,0.0005 (most general level first)")
 		meas     = flag.String("measure", "kulczynski", "correlation measure: kulczynski, cosine, all_confidence, coherence, max_confidence")
 		pruning  = flag.String("pruning", "full", "pruning level: basic, flipping, flipping+tpg, full")
-		strategy = flag.String("strategy", "scan", "support counting: scan, bitmap or auto (tidlist is an alias of bitmap)")
+		strategy = flag.String("strategy", "scan", "support counting: scan (auto, bitmap, bits, tidlist and tid, retired backends, run as scan)")
 		shards   = flag.Int("shards", 0, "partition the database into N shards counted in parallel (0 = unsharded; ignored when -db is a shard directory, which brings its own shards, or a single file in -stream mode, which cannot be split — see flipgen -shards)")
 		topK     = flag.Int("topk", 0, "keep only the K most flipping patterns (largest correlation gap); with -anchor this is the anchored K (default 10)")
 		anchor   = flag.String("anchor", "", "anchored top-K search: return only patterns whose chain passes through this item, ranked by gap")

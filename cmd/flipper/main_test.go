@@ -190,8 +190,8 @@ func TestCLISharded(t *testing.T) {
 	}
 }
 
-// TestCLIStrategyAlias pins that -strategy tidlist, the name of a retired
-// backend, still runs, as an alias of bitmap.
+// TestCLIStrategyAlias pins that -strategy still accepts the names of the
+// retired backends, each mining exactly what scan mines.
 func TestCLIStrategyAlias(t *testing.T) {
 	bin := buildCmd(t)
 	tax, db := writeToy(t)
@@ -204,12 +204,14 @@ func TestCLIStrategyAlias(t *testing.T) {
 		}
 		return string(out)
 	}
-	want := mine("bitmap")
+	want := mine("scan")
 	if !strings.Contains(want, "a11") {
-		t.Fatalf("-strategy bitmap missed the toy pattern:\n%s", want)
+		t.Fatalf("-strategy scan missed the toy pattern:\n%s", want)
 	}
-	if got := mine("tidlist"); got != want {
-		t.Errorf("-strategy tidlist diverged from bitmap:\n%s\nvs\n%s", want, got)
+	for _, alias := range []string{"bitmap", "tidlist", "auto"} {
+		if got := mine(alias); got != want {
+			t.Errorf("-strategy %s diverged from scan:\n%s\nvs\n%s", alias, want, got)
+		}
 	}
 }
 

@@ -58,7 +58,8 @@ type (
 	CellStat = core.CellStat
 	// PruningLevel selects the pruning machinery (Basic … Full).
 	PruningLevel = core.PruningLevel
-	// CountStrategy selects the support-counting implementation.
+	// CountStrategy names the support-counting implementation; every mine
+	// counts by scan.
 	CountStrategy = core.CountStrategy
 )
 
@@ -104,9 +105,11 @@ const (
 const (
 	// CountScan probes candidates with transaction subsets (paper-faithful).
 	CountScan = core.CountScan
-	// CountAuto picks scan or bitmap per cell with a cost model.
+	// Deprecated: CountAuto equals CountScan; the per-cell choice between
+	// scan and bitmap counting is retired.
 	CountAuto = core.CountAuto
-	// CountBitmap ANDs per-item bit vectors and pop-counts the result.
+	// Deprecated: CountBitmap equals CountScan; the bitmap counting backend
+	// is retired.
 	CountBitmap = core.CountBitmap
 )
 
@@ -161,10 +164,10 @@ func MineContext(ctx context.Context, src Source, tree *Taxonomy, cfg Config) (*
 }
 
 // Engine is a reusable miner bound to one dataset. Materialized level
-// views, bitmap indexes, and counting scratch built for one Mine call are
-// reused by every later call, so repeat runs skip data preparation
-// entirely. A FileSource (or a ShardedSource of them) is streamed instead:
-// re-read on every counting pass, by scan only. Results are byte-identical
+// views, subset tables, bitmap indexes and counting scratch built for one
+// Mine call are reused by every later call, so repeat runs skip data
+// preparation entirely. A FileSource (or a ShardedSource of them) is
+// streamed instead: re-read on every counting pass. Results are byte-identical
 // to the one-shot Mine. An Engine is safe for concurrent use.
 type Engine = core.Engine
 
@@ -263,6 +266,6 @@ func ParseMeasure(name string) (Measure, error) { return measure.Parse(name) }
 // "flipping+tpg", "full").
 func ParsePruningLevel(name string) (PruningLevel, error) { return core.ParsePruningLevel(name) }
 
-// ParseCountStrategy resolves a counting strategy name ("scan", "bitmap",
-// "auto"; "tidlist" and "tid" are aliases of "bitmap").
+// ParseCountStrategy resolves a counting strategy name: "scan", and the
+// retired "auto", "bitmap", "bits", "tidlist" and "tid", all to CountScan.
 func ParseCountStrategy(name string) (CountStrategy, error) { return core.ParseCountStrategy(name) }

@@ -113,7 +113,7 @@ func (ix *Index) ItemVector(id itemset.ID) (Vector, bool) {
 // Support returns the weighted support of the itemset — the sum of weights
 // over transactions containing every item — by AND-ing the item vectors word
 // by word. The second return value counts 64-bit word operations performed,
-// the unit the engine's cost model and stats reason in. An itemset with an
+// the unit the engine's stats report. An itemset with an
 // unindexed item has support 0; the empty itemset is vacuously contained in
 // every transaction and has the total weight as its support.
 func (ix *Index) Support(items itemset.Set) (sup int64, wordOps int64) {

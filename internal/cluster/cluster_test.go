@@ -226,14 +226,13 @@ func fastOpts() Options {
 	}
 }
 
-func testConfig(strategy core.CountStrategy) core.Config {
+func testConfig() core.Config {
 	return core.Config{
 		Measure:   measure.Kulczynski,
 		Gamma:     0.3,
 		Epsilon:   0.1,
 		MinSupAbs: []int64{2, 1, 1},
 		Pruning:   core.Full,
-		Strategy:  strategy,
 	}
 }
 
@@ -265,8 +264,8 @@ func streamedShards(t *testing.T, db *txdb.DB, n int) *txdb.ShardedSource {
 // TestClusterEquivalence is the cluster's core guarantee: a 3-worker
 // in-process cluster with injected network faults — drops, stalls, 5xx
 // bursts, truncated bodies — produces envelopes (patterns and stats, see
-// patternsJSON) byte-identical to single-process core.Mine, across the
-// scan, bitmap and auto strategies × shards 2/7 × fault schedules. Each
+// patternsJSON) byte-identical to single-process core.Mine, across shards
+// 2/7 × fault schedules. Each
 // shard count is its own cluster over txdb.PartitionSource, so the
 // fingerprints carry the shard count the workers count. Workers that die
 // under the fault load push the coordinator through reassignment and, at the
@@ -287,11 +286,9 @@ func TestClusterEquivalence(t *testing.T) {
 			StallEveryN: 6, Delay: 20 * time.Millisecond, MaxFaults: 60,
 		}},
 	}
-	strategies := []core.CountStrategy{core.CountScan, core.CountBitmap, core.CountAuto}
 	shardCounts := []int{2, 7}
 	if testing.Short() {
 		faults = faults[:3]
-		strategies = []core.CountStrategy{core.CountScan, core.CountAuto}
 	}
 
 	rng := rand.New(rand.NewSource(20110831))
@@ -312,22 +309,20 @@ func TestClusterEquivalence(t *testing.T) {
 				if tc.fp.Shards != shards {
 					t.Fatalf("fingerprint carries %d shards, want %d", tc.fp.Shards, shards)
 				}
-				for _, strategy := range strategies {
-					cfg := testConfig(strategy)
-					local, err := core.Mine(src, tree, cfg)
-					if err != nil {
-						t.Fatalf("shards=%d %v: local: %v", shards, strategy, err)
-					}
-					tc.reheartbeat()
-					dist, err := tc.co.Mine(context.Background(), "ds", cfg)
-					if err != nil {
-						t.Fatalf("shards=%d %v: distributed: %v", shards, strategy, err)
-					}
-					want, got := patternsJSON(t, local, tree), patternsJSON(t, dist, tree)
-					if got != want {
-						t.Fatalf("shards=%d %v: distributed diverged from local.\nlocal:\n%s\ndistributed:\n%s",
-							shards, strategy, want, got)
-					}
+				cfg := testConfig()
+				local, err := core.Mine(src, tree, cfg)
+				if err != nil {
+					t.Fatalf("shards=%d: local: %v", shards, err)
+				}
+				tc.reheartbeat()
+				dist, err := tc.co.Mine(context.Background(), "ds", cfg)
+				if err != nil {
+					t.Fatalf("shards=%d: distributed: %v", shards, err)
+				}
+				want, got := patternsJSON(t, local, tree), patternsJSON(t, dist, tree)
+				if got != want {
+					t.Fatalf("shards=%d: distributed diverged from local.\nlocal:\n%s\ndistributed:\n%s",
+						shards, want, got)
 				}
 			}
 		})
@@ -340,7 +335,7 @@ func TestClusterStreamingEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	db, tree := testDataset(rng)
 	src := streamedShards(t, db, 2)
-	cfg := testConfig(core.CountScan)
+	cfg := testConfig()
 	local, err := core.Mine(src, tree, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -363,7 +358,7 @@ func TestClusterWorkerDeathMidJob(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	db, tree := testDataset(rng)
 	src := txdb.PartitionSource(db, 7)
-	cfg := testConfig(core.CountScan)
+	cfg := testConfig()
 	local, err := core.Mine(src, tree, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -402,7 +397,7 @@ func TestClusterDegradedFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(321))
 	db, tree := testDataset(rng)
 	src := txdb.PartitionSource(db, 2)
-	cfg := testConfig(core.CountScan)
+	cfg := testConfig()
 	local, err := core.Mine(src, tree, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -444,7 +439,7 @@ func TestClusterHedgeWinnerDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(777))
 	db, tree := testDataset(rng)
 	src := txdb.PartitionSource(db, 2)
-	cfg := testConfig(core.CountScan)
+	cfg := testConfig()
 	local, err := core.Mine(src, tree, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -585,19 +580,9 @@ func TestWorkerHandlerValidation(t *testing.T) {
 		t.Fatalf("k mismatch: %d, want 400", got)
 	}
 	bad = good
-	bad.Strategy = core.CountAuto
-	if got := post(bad); got != http.StatusBadRequest {
-		t.Fatalf("auto: %d, want 400", got)
-	}
-	bad = good
 	bad.Fingerprint.Stream = !bad.Fingerprint.Stream
 	if got := post(bad); got != http.StatusConflict {
 		t.Fatalf("loading-mode mismatch: %d, want 409", got)
-	}
-	bitmap := good
-	bitmap.Strategy = core.CountBitmap
-	if got := post(bitmap); got != http.StatusOK {
-		t.Fatalf("valid bitmap request: %d", got)
 	}
 }
 

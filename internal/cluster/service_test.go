@@ -126,7 +126,7 @@ func (f *flipperd) mine(t *testing.T, patch string) []byte {
 // TestServiceClusterByteIdentical pins distributed = local where clients
 // see it: flipperd with a coordinator and two workers answers POST /v1/jobs
 // with the same result bytes — patterns and stats, timing keys aside — as a
-// flipperd without one, for every strategy.
+// flipperd without one.
 func TestServiceClusterByteIdentical(t *testing.T) {
 	db, tree := testDataset(rand.New(rand.NewSource(123))) // a seed whose data flips
 	src := func() txdb.Source { return txdb.PartitionSource(db, 2) }
@@ -135,15 +135,13 @@ func TestServiceClusterByteIdentical(t *testing.T) {
 	if !dist.co.Eligible("ds") {
 		t.Fatal("coordinator has no eligible worker")
 	}
-	for _, strategy := range []string{"scan", "bitmap", "auto"} {
-		patch := `{"gamma":0.3,"epsilon":0.1,"min_sup_abs":[2,1,1],"strategy":"` + strategy + `"}`
-		want, got := local.mine(t, patch), dist.mine(t, patch)
-		if !bytes.Contains(want, []byte(`"pattern_count"`)) || bytes.Contains(want, []byte(`"pattern_count":0`)) {
-			t.Fatalf("%s: no patterns; the comparison would be vacuous: %s", strategy, want)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%s: distributed result diverged.\nlocal:\n%s\ndistributed:\n%s", strategy, want, got)
-		}
+	patch := `{"gamma":0.3,"epsilon":0.1,"min_sup_abs":[2,1,1]}`
+	want, got := local.mine(t, patch), dist.mine(t, patch)
+	if !bytes.Contains(want, []byte(`"pattern_count"`)) || bytes.Contains(want, []byte(`"pattern_count":0`)) {
+		t.Fatalf("no patterns; the comparison would be vacuous: %s", want)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("distributed result diverged.\nlocal:\n%s\ndistributed:\n%s", want, got)
 	}
 	if dist.served.Load() == 0 {
 		t.Fatal("no count request reached a worker; the run was not distributed")
@@ -170,12 +168,11 @@ func TestFingerprintMismatchMinesLocally(t *testing.T) {
 		name                      string
 		coord, worker             txdb.Source
 		coordShards, workerShards int
-		strategy                  string
 	}{
-		{"layout", txdb.PartitionSource(db, 2), db, 2, 1, "auto"},
-		{"content", db, edited, 1, 1, "auto"},
-		{"streamed worker", txdb.PartitionSource(db, 2), streamed, 2, 2, "auto"},
-		{"streamed coordinator", streamed, txdb.PartitionSource(db, 2), 2, 2, "scan"},
+		{"layout", txdb.PartitionSource(db, 2), db, 2, 1},
+		{"content", db, edited, 1, 1},
+		{"streamed worker", txdb.PartitionSource(db, 2), streamed, 2, 2},
+		{"streamed coordinator", streamed, txdb.PartitionSource(db, 2), 2, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			coordFp, workerFp := NewFingerprint("ds", tc.coord, tree), NewFingerprint("ds", tc.worker, tree)
@@ -187,7 +184,7 @@ func TestFingerprintMismatchMinesLocally(t *testing.T) {
 			if f.co.Eligible("ds") {
 				t.Fatal("worker with a skewed dataset is eligible")
 			}
-			patch := `{"gamma":0.3,"epsilon":0.1,"min_sup_abs":[2,1,1],"strategy":"` + tc.strategy + `"}`
+			patch := `{"gamma":0.3,"epsilon":0.1,"min_sup_abs":[2,1,1]}`
 			want := newFlipperd(t, tc.coord, tree).mine(t, patch)
 			got := f.mine(t, patch)
 			if !bytes.Equal(got, want) {
@@ -196,7 +193,7 @@ func TestFingerprintMismatchMinesLocally(t *testing.T) {
 			if f.served.Load() != 0 {
 				t.Fatalf("%d count requests reached the skewed worker", f.served.Load())
 			}
-			cfg := testConfig(core.CountScan)
+			cfg := testConfig()
 			body, err := json.Marshal(CountRequest{Fingerprint: coordFp, ConfigKey: cfg.CanonicalKey(), ShardUnit: core.ShardUnit{
 				Config: cfg, Level: tree.Height(), K: 1, Candidates: []itemset.Set{{tree.Leaves()[0]}},
 			}})

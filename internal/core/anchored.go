@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"github.com/flipper-mining/flipper/internal/bitmap"
 	"github.com/flipper-mining/flipper/internal/itemset"
@@ -21,8 +22,8 @@ import (
 // the full exact mine returns.
 //
 // Counting is vertical, in two regimes. Root pairs {root, x} and every
-// descent candidate (levels ≥ 2) count on the level's cached bitmap index,
-// with the kernels countBitmap uses. Root sets of three or more count on a
+// descent candidate (levels ≥ 2) count on the level's cached bitmap index
+// (bitmap.Index.SupportInto per shard). Root sets of three or more count on a
 // conditional index, built once per query when the first such set is
 // counted: the level-1 rows that hold the anchor's root (FP-growth's
 // conditional database — every root set contains the root, so no other row
@@ -72,6 +73,39 @@ func (m *miner) mineAnchored() ([]Pattern, error) {
 	}
 	a.run()
 	return rankAnchored(a.patterns, topK), nil
+}
+
+// index returns shard s's bitmap index of level h, built over the shard's
+// rows — row r at bit r — on first use by any run of the engine and cached.
+// Only anchored search counts on these indexes; a mine counts by scan.
+func (ds *dataState) index(h, s int) *bitmap.Index {
+	li := &ds.bitmaps[h*len(ds.shards)+s]
+	li.once.Do(func() {
+		lv := ds.levels[s][h]
+		rows := make([]itemset.Set, lv.Rows())
+		for r := range rows {
+			rows[r] = lv.Row(r)
+		}
+		li.ix = bitmap.Build(rows, lv.Weights)
+	})
+	return li.ix
+}
+
+// lazyIndex is one shard's bitmap index of one level, built on first use.
+type lazyIndex struct {
+	once sync.Once
+	ix   *bitmap.Index
+}
+
+// noteBitmaps accounts the run's use of level h's bitmap indexes: the first
+// use per level per run counts one build per shard, whether or not the
+// engine's cache already held them, so a warm run reports what a cold one
+// does.
+func (m *miner) noteBitmaps(h int) {
+	if !m.bmBuilt[h] {
+		m.bmBuilt[h] = true
+		m.stats.BitmapBuilds += int64(len(m.ds.shards))
+	}
 }
 
 // rankAnchored orders patterns by descending gap and keeps the top K.
@@ -413,8 +447,7 @@ func (a *anchoredSearch) emit() {
 
 // exactSupport counts a candidate's support: an AND+popcount over the
 // level's cached bitmap index, summed over shards when the representation
-// is sharded. Builds and word ops are accounted as countBitmap accounts
-// them.
+// is sharded, with the index builds accounted by noteBitmaps.
 func (a *anchoredSearch) exactSupport(items itemset.Set, h int) int64 {
 	m := a.m
 	m.stats.CandidatesCounted++

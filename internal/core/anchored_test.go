@@ -66,7 +66,6 @@ func TestAnchoredTopKMatchesExact(t *testing.T) {
 		trials = 2
 	}
 	shardCounts := []int{1, 2, 7}
-	strategies := []CountStrategy{CountScan, CountBitmap, CountAuto}
 	// bitmapPaths[sharded] records that exact bitmap counting ran through
 	// that index path at least once.
 	var bitmapPaths [2]bool
@@ -88,31 +87,28 @@ func TestAnchoredTopKMatchesExact(t *testing.T) {
 			topK := 1 + rng.Intn(4)
 			want := rankedFingerprint(anchoredReference(full, tree, anchor, topK), tree)
 			for _, pruning := range Levels() {
-				for _, strategy := range strategies {
-					for _, shards := range shardCounts {
-						cfg := base
-						cfg.Pruning = pruning
-						cfg.Strategy = strategy
-						cfg.Anchor = anchor
-						cfg.AnchorTopK = topK
-						res, err := Mine(txdb.PartitionSource(db, shards), tree, cfg)
-						if err != nil {
-							t.Fatalf("trial %d anchor=%q %v/%v shards=%d: %v",
-								trial, anchor, pruning, strategy, shards, err)
-						}
-						got := rankedFingerprint(res.Patterns, tree)
-						if got != want {
-							t.Fatalf("trial %d: anchored %q %v/%v shards=%d diverged from exact.\nexact:\n%s\nanchored:\n%s",
-								trial, anchor, pruning, strategy, shards, want, got)
-						}
-						st := res.Stats
-						if (st.CandidatesCounted > 0) != (st.BitmapBuilds > 0) {
-							t.Fatalf("trial %d: %d candidates counted but %d bitmap builds",
-								trial, st.CandidatesCounted, st.BitmapBuilds)
-						}
-						if st.CandidatesCounted > 0 && st.BitmapWordOps > 0 {
-							bitmapPaths[min(shards-1, 1)] = true
-						}
+				for _, shards := range shardCounts {
+					cfg := base
+					cfg.Pruning = pruning
+					cfg.Anchor = anchor
+					cfg.AnchorTopK = topK
+					res, err := Mine(txdb.PartitionSource(db, shards), tree, cfg)
+					if err != nil {
+						t.Fatalf("trial %d anchor=%q %v shards=%d: %v",
+							trial, anchor, pruning, shards, err)
+					}
+					got := rankedFingerprint(res.Patterns, tree)
+					if got != want {
+						t.Fatalf("trial %d: anchored %q %v shards=%d diverged from exact.\nexact:\n%s\nanchored:\n%s",
+							trial, anchor, pruning, shards, want, got)
+					}
+					st := res.Stats
+					if (st.CandidatesCounted > 0) != (st.BitmapBuilds > 0) {
+						t.Fatalf("trial %d: %d candidates counted but %d bitmap builds",
+							trial, st.CandidatesCounted, st.BitmapBuilds)
+					}
+					if st.CandidatesCounted > 0 && st.BitmapWordOps > 0 {
+						bitmapPaths[min(shards-1, 1)] = true
 					}
 				}
 				// Streaming fallback: a basket file has no levels to index,
@@ -430,11 +426,11 @@ func denseAnchoredDataset() (*txdb.DB, *taxonomy.Tree) {
 // anchored search: on data where root sets of three, four and five are
 // counted, some level-1 rows weigh more than 1 and the ranked answers start
 // from root sets of four — supports that only a correctly carried prefix
-// AND gets right — every anchored run (scan, bitmap and auto × shards 1, 2
-// and 7) returns byte for byte what anchoredReference does. Each run on a
-// fresh engine must leave a conditional index in its scratch, with heavy
-// rows, after counting a root set of four; the same queries then run
-// concurrently on one shared engine.
+// AND gets right — every anchored run (shards 1, 2 and 7) returns byte for
+// byte what anchoredReference does. Each run on a fresh engine must leave a
+// conditional index in its scratch, with heavy rows, after counting a root
+// set of four; the same queries then run concurrently, three copies each,
+// on one shared engine.
 func TestAnchoredRootSetsOnConditionalIndex(t *testing.T) {
 	db, tree := denseAnchoredDataset()
 	base := DefaultConfig(tree.Height())
@@ -455,13 +451,10 @@ func TestAnchoredRootSetsOnConditionalIndex(t *testing.T) {
 		for _, p := range ref {
 			rootQuads = rootQuads || len(p.Chain[0].Items) >= 4
 		}
-		for _, strategy := range []CountStrategy{CountScan, CountBitmap, CountAuto} {
-			for _, shards := range []int{1, 2, 7} {
-				cfg := base
-				cfg.Strategy = strategy
-				cfg.Anchor, cfg.AnchorTopK = anchor, 3
-				queries = append(queries, query{cfg, shards, rankedFingerprint(ref, tree)})
-			}
+		for _, shards := range []int{1, 2, 7} {
+			cfg := base
+			cfg.Anchor, cfg.AnchorTopK = anchor, 3
+			queries = append(queries, query{cfg, shards, rankedFingerprint(ref, tree)})
 		}
 	}
 	if !rootQuads {
@@ -473,7 +466,7 @@ func TestAnchoredRootSetsOnConditionalIndex(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		name := fmt.Sprintf("anchor %s %v shards=%d", q.cfg.Anchor, q.cfg.Strategy, q.shards)
+		name := fmt.Sprintf("anchor %s shards=%d", q.cfg.Anchor, q.shards)
 		if got := rankedFingerprint(res.Patterns, tree); got != q.want {
 			t.Fatalf("%s diverged from the filtered full mine.\nexact:\n%s\nanchored:\n%s", name, q.want, got)
 		}
@@ -492,8 +485,10 @@ func TestAnchoredRootSetsOnConditionalIndex(t *testing.T) {
 	for _, shards := range []int{1, 2, 7} {
 		eng := NewEngine(txdb.PartitionSource(db, shards), tree)
 		var wg sync.WaitGroup
-		errs := make([]error, len(queries))
-		for i, q := range queries {
+		const copies = 3
+		errs := make([]error, copies*len(queries))
+		for i := range errs {
+			q := queries[i%len(queries)]
 			if q.shards != shards {
 				continue
 			}
@@ -502,7 +497,7 @@ func TestAnchoredRootSetsOnConditionalIndex(t *testing.T) {
 				defer wg.Done()
 				res, err := eng.Mine(q.cfg)
 				if err == nil && rankedFingerprint(res.Patterns, tree) != q.want {
-					err = fmt.Errorf("anchor %s %v shards=%d diverged on a shared engine", q.cfg.Anchor, q.cfg.Strategy, shards)
+					err = fmt.Errorf("anchor %s shards=%d diverged on a shared engine", q.cfg.Anchor, shards)
 				}
 				errs[i] = err
 			}()

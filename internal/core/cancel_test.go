@@ -17,14 +17,13 @@ import (
 	"github.com/flipper-mining/flipper/internal/txdb"
 )
 
-func denseCfg(strategy core.CountStrategy) core.Config {
+func denseCfg() core.Config {
 	return core.Config{
 		Measure:   measure.Kulczynski,
 		Gamma:     0.3,
 		Epsilon:   0.1,
 		MinSupAbs: []int64{2, 1},
 		Pruning:   core.Full,
-		Strategy:  strategy,
 	}
 }
 
@@ -57,7 +56,7 @@ func TestCancellationLatency(t *testing.T) {
 		res := make(chan outcome, 1)
 		var cancelledAt time.Time
 		go func() {
-			_, err := core.MineContext(ctx, db, tree, denseCfg(core.CountScan))
+			_, err := core.MineContext(ctx, db, tree, denseCfg())
 			res <- outcome{err: err, latency: time.Since(cancelledAt)}
 		}()
 		time.Sleep(25 * time.Millisecond)
@@ -86,7 +85,7 @@ func TestMineContextPreCancelled(t *testing.T) {
 	db, tree := denseWorkload(t, 200)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := core.MineContext(ctx, db, tree, denseCfg(core.CountScan)); !errors.Is(err, context.Canceled) {
+	if _, err := core.MineContext(ctx, db, tree, denseCfg()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want wrapped context.Canceled", err)
 	}
 }
@@ -97,7 +96,7 @@ func TestMineContextDeadline(t *testing.T) {
 	db, tree := denseWorkload(t, 24000)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	_, err := core.MineContext(ctx, db, tree, denseCfg(core.CountScan))
+	_, err := core.MineContext(ctx, db, tree, denseCfg())
 	if err == nil {
 		t.Skip("mine finished inside a 10ms deadline; nothing to assert")
 	}
@@ -106,33 +105,31 @@ func TestMineContextDeadline(t *testing.T) {
 	}
 }
 
-// TestMineContextCancelAllStrategies drives every counting backend through a
-// cancelled run: each must abort with the context error, not hang or return
-// partial results.
+// TestMineContextCancelAllStrategies drives unsharded and sharded counting
+// through a cancelled run: each must abort with the context error, not hang
+// or return partial results.
 func TestMineContextCancelAllStrategies(t *testing.T) {
 	db, tree := denseWorkload(t, 6000)
-	for _, strategy := range []core.CountStrategy{core.CountScan, core.CountBitmap} {
-		for _, shards := range []int{1, 4} {
-			ctx, cancel := context.WithCancel(context.Background())
-			done := make(chan error, 1)
-			go func() {
-				res, err := core.MineContext(ctx, txdb.PartitionSource(db, shards), tree, denseCfg(strategy))
-				if err == nil && res == nil {
-					err = errors.New("nil result without error")
-				}
-				done <- err
-			}()
-			time.Sleep(10 * time.Millisecond)
-			cancel()
-			select {
-			case err := <-done:
-				// A fast run may legitimately finish before the cancel.
-				if err != nil && !errors.Is(err, context.Canceled) {
-					t.Fatalf("%v shards=%d: err = %v, want nil or context.Canceled", strategy, shards, err)
-				}
-			case <-time.After(10 * time.Second):
-				t.Fatalf("%v shards=%d: mine hung after cancel", strategy, shards)
+	for _, shards := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() {
+			res, err := core.MineContext(ctx, txdb.PartitionSource(db, shards), tree, denseCfg())
+			if err == nil && res == nil {
+				err = errors.New("nil result without error")
 			}
+			done <- err
+		}()
+		time.Sleep(10 * time.Millisecond)
+		cancel()
+		select {
+		case err := <-done:
+			// A fast run may legitimately finish before the cancel.
+			if err != nil && !errors.Is(err, context.Canceled) {
+				t.Fatalf("shards=%d: err = %v, want nil or context.Canceled", shards, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("shards=%d: mine hung after cancel", shards)
 		}
 	}
 }
@@ -143,7 +140,7 @@ func TestEpsilonSweepContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := core.EpsilonSweepContext(ctx, db, tree, denseCfg(core.CountScan),
+		_, err := core.EpsilonSweepContext(ctx, db, tree, denseCfg(),
 			[]float64{0.29, 0.25, 0.2, 0.15, 0.1, 0.05})
 		done <- err
 	}()
@@ -166,7 +163,7 @@ func TestSuggestEpsilonContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, _, _, err := core.SuggestEpsilonContext(ctx, db, tree, denseCfg(core.CountScan), 10)
+		_, _, _, err := core.SuggestEpsilonContext(ctx, db, tree, denseCfg(), 10)
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond)

@@ -71,53 +71,41 @@ func (p PruningLevel) usesTPG() bool { return p >= FlippingTPG }
 // usesSIBP reports whether single-item based pruning runs.
 func (p PruningLevel) usesSIBP() bool { return p >= Full }
 
-// CountStrategy selects how candidate supports are counted.
+// CountStrategy names how candidate supports are counted. Every mine counts
+// by scan; the type and the names of the retired backends remain so that
+// configurations, flags and wire bodies that spell them keep working.
 type CountStrategy int8
 
+// CountScan is the paper-faithful strategy: one pass over the level's rows
+// (or, for k = 2 and 3 on a warm engine, its subset tables) per cell,
+// walking each row's items down the cell's candidate trie so that only the
+// subsets sharing a prefix with some candidate are enumerated.
+const CountScan CountStrategy = 0
+
 const (
-	// CountScan is the paper-faithful strategy: one sequential pass over the
-	// (level-view of the) database per cell, walking each transaction's items
-	// down the cell's candidate trie so that only the subsets sharing a
-	// prefix with some candidate are enumerated.
-	CountScan CountStrategy = iota
-	// CountAuto chooses between scan and bitmap per cell with a simple cost
-	// model: scans pay one subset enumeration per distinct transaction,
-	// bitmaps pay k words per 64 distinct transactions per candidate (plus a
-	// one-time per-level build). Scans win when candidates dwarf the
-	// database, bitmaps when many candidates face a dense level.
-	CountAuto
-	// CountBitmap ANDs per-item bit vectors over the distinct weighted
-	// transactions of the level and pop-counts the result against the
-	// weight vector. Vectors are built lazily per level and shard and cached
-	// in the engine's dataset state.
-	CountBitmap
+	// Deprecated: CountAuto chose between scan and a bitmap backend per
+	// cell; every mine now counts by scan, and "auto" parses to CountScan.
+	CountAuto = CountScan
+	// Deprecated: CountBitmap counted on per-item bit vectors; every mine now
+	// counts by scan, and "bitmap", "bits", "tidlist" and "tid" parse to
+	// CountScan.
+	CountBitmap = CountScan
 )
 
 func (s CountStrategy) String() string {
-	switch s {
-	case CountScan:
+	if s == CountScan {
 		return "scan"
-	case CountAuto:
-		return "auto"
-	case CountBitmap:
-		return "bitmap"
-	default:
-		return fmt.Sprintf("strategy(%d)", int(s))
 	}
+	return fmt.Sprintf("strategy(%d)", int(s))
 }
 
-// ParseCountStrategy converts a strategy name produced by String. "tidlist"
-// and "tid", the names of a retired Eclat-style backend, stay accepted as
-// aliases of CountBitmap, which answers the same per-candidate query, so
-// configurations written for it keep working.
+// ParseCountStrategy converts a strategy name to CountScan: "scan", and the
+// names of retired backends — "auto", "bitmap", "bits", "tidlist" and
+// "tid" — so configurations written for them keep working.
 func ParseCountStrategy(s string) (CountStrategy, error) {
 	switch s {
-	case "scan":
+	case "scan", "auto", "bitmap", "bits", "tidlist", "tid":
 		return CountScan, nil
-	case "auto":
-		return CountAuto, nil
-	case "bitmap", "bits", "tidlist", "tid":
-		return CountBitmap, nil
 	default:
 		return 0, fmt.Errorf("core: unknown counting strategy %q", s)
 	}
@@ -143,7 +131,8 @@ type Config struct {
 	MinSupAbs []int64 `json:"min_sup_abs,omitempty"`
 	// Pruning selects the pruning level (default Full).
 	Pruning PruningLevel `json:"pruning"`
-	// Strategy selects the support-counting implementation.
+	// Strategy names the support-counting implementation; CountScan is the
+	// only one.
 	Strategy CountStrategy `json:"strategy"`
 	// MaxK caps the itemset size explored; 0 means bounded only by the data
 	// (max transaction width and level-1 fanout).
@@ -219,7 +208,7 @@ func (c *Config) validate(height, n int) ([]int64, error) {
 	if c.Parallelism < 0 {
 		return nil, fmt.Errorf("core: parallelism %d negative", c.Parallelism)
 	}
-	if c.Strategy < CountScan || c.Strategy > CountBitmap {
+	if c.Strategy != CountScan {
 		return nil, fmt.Errorf("core: unknown counting strategy %v", c.Strategy)
 	}
 	if c.Anchor == "" {

@@ -22,11 +22,8 @@ func validConfig() Config {
 // with the exact message text: these strings travel over the wire verbatim
 // ("invalid config: <msg>" in the flipperd 400 envelope, pinned again by the
 // golden error fixtures), so rewording one is an API change that must show
-// up in a diff here. The "without views" cases validate against an engine
-// over a streamed basket file, every other case the configuration alone.
+// up in a diff here.
 func TestValidateRejectionMessages(t *testing.T) {
-	db, tree := paperToy(t)
-	streaming := NewEngine(streamed(t, db), tree)
 	cases := []struct {
 		name   string
 		height int
@@ -42,8 +39,6 @@ func TestValidateRejectionMessages(t *testing.T) {
 		{"negative maxk", 3, func(c *Config) { c.MaxK = -1 }, "core: MaxK -1 negative"},
 		{"negative parallelism", 3, func(c *Config) { c.Parallelism = -2 }, "core: parallelism -2 negative"},
 		{"unknown strategy", 3, func(c *Config) { c.Strategy = CountStrategy(42) }, "core: unknown counting strategy"},
-		{"tidlist without views", 3, func(c *Config) { c.Strategy, _ = ParseCountStrategy("tidlist") }, "core: bitmap counting requires materialized views"},
-		{"bitmap without views", 3, func(c *Config) { c.Strategy = CountBitmap }, "counting requires materialized views"},
 		{"minsupabs wrong length", 3, func(c *Config) { c.MinSupAbs = []int64{1} }, "core: MinSupAbs has 1 levels, taxonomy has 3"},
 		{"minsupabs below one", 3, func(c *Config) { c.MinSupAbs = []int64{1, 0, 1} }, "core: MinSupAbs[1] = 0, want ≥ 1"},
 		{"minsup wrong length", 3, func(c *Config) { c.MinSup = []float64{0.1} }, "core: MinSup has 1 levels, taxonomy has 3"},
@@ -54,12 +49,7 @@ func TestValidateRejectionMessages(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := validConfig()
 			tc.mutate(&cfg)
-			var err error
-			if strings.HasSuffix(tc.name, "without views") {
-				err = streaming.Validate(cfg)
-			} else {
-				_, err = cfg.validate(tc.height, 100)
-			}
+			_, err := cfg.validate(tc.height, 100)
 			if err == nil {
 				t.Fatalf("invalid config accepted")
 			}
@@ -71,13 +61,6 @@ func TestValidateRejectionMessages(t *testing.T) {
 	valid := validConfig()
 	if _, err := valid.validate(3, 100); err != nil {
 		t.Errorf("valid base config rejected: %v", err)
-	}
-	if err := streaming.Validate(valid); err != nil {
-		t.Errorf("scan over a streamed source rejected: %v", err)
-	}
-	valid.Strategy = CountBitmap
-	if err := NewEngine(db, tree).Validate(valid); err != nil {
-		t.Errorf("bitmap over an in-memory source rejected: %v", err)
 	}
 	// MinSupAbs takes precedence over MinSup when both are set, so an
 	// invalid fraction list must not be reached.
@@ -126,14 +109,13 @@ func TestCanonicalKeyStableAcrossFieldReordering(t *testing.T) {
 func TestCanonicalKeyDistinguishesSemanticChanges(t *testing.T) {
 	base := validConfig()
 	mutations := map[string]func(*Config){
-		"measure":  func(c *Config) { c.Measure = measure.Cosine },
-		"gamma":    func(c *Config) { c.Gamma = 0.5 },
-		"epsilon":  func(c *Config) { c.Epsilon = 0.2 },
-		"min_sup":  func(c *Config) { c.MinSup = []float64{0.2, 0.1, 0.1} },
-		"pruning":  func(c *Config) { c.Pruning = Basic },
-		"strategy": func(c *Config) { c.Strategy = CountBitmap },
-		"max_k":    func(c *Config) { c.MaxK = 7 },
-		"top_k":    func(c *Config) { c.TopK = 3 },
+		"measure": func(c *Config) { c.Measure = measure.Cosine },
+		"gamma":   func(c *Config) { c.Gamma = 0.5 },
+		"epsilon": func(c *Config) { c.Epsilon = 0.2 },
+		"min_sup": func(c *Config) { c.MinSup = []float64{0.2, 0.1, 0.1} },
+		"pruning": func(c *Config) { c.Pruning = Basic },
+		"max_k":   func(c *Config) { c.MaxK = 7 },
+		"top_k":   func(c *Config) { c.TopK = 3 },
 	}
 	seen := map[string]string{base.CanonicalKey(): "base"}
 	for name, mutate := range mutations {

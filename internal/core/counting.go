@@ -3,16 +3,17 @@ package core
 import (
 	"time"
 
-	"github.com/flipper-mining/flipper/internal/bitmap"
 	"github.com/flipper-mining/flipper/internal/itemset"
 	"github.com/flipper-mining/flipper/internal/taxonomy"
 	"github.com/flipper-mining/flipper/internal/txdb"
 )
 
-// count fills in the support of every candidate in the cell with one pass
-// over the data or one batch of bitmap AND+popcounts. The cell's trie is
-// frozen here (rank table and counting layout filled), after which the store
-// is safe for concurrent readers.
+// count fills in the support of every candidate in the cell with one pass:
+// over the level's subset tables or rows (countScan), over the streamed
+// source (countScanStreaming) or, under MineRemote, through the run's
+// ShardCounter (countRemote). The cell's trie is frozen here (rank table and
+// counting layout filled), after which the store is safe for concurrent
+// readers.
 func (m *miner) count(c *cell) {
 	m.stats.DBScans++
 	m.stats.TrieNodes += int64(c.store.NodeCount())
@@ -20,83 +21,14 @@ func (m *miner) count(c *cell) {
 	if m.scanErr != nil {
 		return // the mine fails with the parked error; later passes are moot
 	}
-	strategy := m.cfg.Strategy
-	if strategy == CountAuto {
-		strategy = m.chooseStrategy(c)
-	}
-	if strategy == CountBitmap {
-		m.noteBitmaps(c.h)
-	}
 	switch {
 	case m.remote != nil:
-		m.countRemote(c, strategy)
-	case strategy == CountBitmap:
-		m.countBitmap(c)
+		m.countRemote(c)
 	case m.ds.stream:
 		m.countScanStreaming(c)
 	default:
 		m.countScan(c)
 	}
-}
-
-// scanProbeWeight converts one scan probe (one subset reached by trie
-// descent) into the model's base unit — one 64-bit word operation, which is
-// what a bitmap AND costs. It was fitted to the CSR descent over item IDs on
-// BenchmarkCountingDense, when a probe was a handful of node/item
-// comparisons, and has not been refitted since: the dense rank-indexed
-// blocks made a probe one load, and rows now descend in rank space with a
-// pair kernel at the last two levels. The C(w,k) term stays an upper bound:
-// descent abandons subsets with no candidate prefix early, so dense cells
-// overestimate scan cost and the model errs toward the bitmap backend.
-const scanProbeWeight = 2.5
-
-// chooseStrategy is the CountAuto cost model, in units of one word
-// operation. Scan cost: every distinct transaction explores at most C(w, k)
-// subsets by trie descent, each worth scanProbeWeight units. Bitmap cost:
-// every candidate ANDs k vectors of ⌈distinct/64⌉ words, plus a one-time
-// per-level build of one word-vector per item. Scans win when candidates
-// dwarf the database (their cost is candidate-independent), bitmaps when a
-// high candidate count meets a dense level — many probes amortizing the
-// fixed-width vectors.
-//
-// Sharding enters the model in two places. The merge of the partial vectors
-// costs the same for both backends, so it cancels out of the comparison and
-// is omitted. Bitmap vectors, however, round up to whole words per shard
-// instead of once per level, so S shards pay up to S−1 extra words per
-// candidate AND (and per item at build time); the distinct-transaction count
-// is likewise the per-shard sum, which already reflects the dedup lost at
-// shard boundaries.
-//
-// The build term follows the run's logical build flags (m.bmBuilt), not the
-// engine cache: a warm run prices — and therefore chooses — exactly as the
-// cold run did, which is what keeps reused-engine output byte-identical.
-func (m *miner) chooseStrategy(c *cell) CountStrategy {
-	sup1 := m.ds.sup1[c.h]
-	items := len(sup1)
-	if items == 0 {
-		return CountScan
-	}
-	var volume int64
-	for _, sup := range sup1 {
-		volume += sup
-	}
-	distinct := 0
-	for _, levels := range m.ds.levels {
-		distinct += levels[c.h].Rows()
-	}
-	// Every raw transaction generalizes to one row occurrence, so the
-	// level's transaction count is m.n regardless of sharding.
-	avgWidth := float64(volume) / float64(m.n)
-	scanCost := scanProbeWeight * float64(distinct) * float64(itemset.Binomial(int(avgWidth+1), c.k))
-	words := float64(bitmap.Words(distinct) + len(m.ds.levels) - 1) // per-shard word rounding
-	bitCost := float64(c.candidates) * float64(c.k) * words
-	if !m.bmBuilt[c.h] {
-		bitCost += float64(items) * words // the build pass, paid once per run
-	}
-	if bitCost < scanCost {
-		return CountBitmap
-	}
-	return CountScan
 }
 
 // Every local pass runs as units of (shard, range) work on a bounded pool of
@@ -105,14 +37,14 @@ func (m *miner) chooseStrategy(c *cell) CountStrategy {
 // Each unit adds into its worker's partial support vector; mergePartials
 // then sums the partials into the cell's candtrie slab. Because a
 // transaction lives in exactly one shard and a unit covers each (shard, row)
-// or (shard, candidate) pair once, and because the merge is plain int64
-// addition, the supports — and everything derived from them — do not depend
-// on the shard count, the cut or the worker assignment
-// (TestShardedMiningEquivalence and TestWorkSplitInvariance pin this).
+// pair once, and because the merge is plain int64 addition, the supports —
+// and everything derived from them — do not depend on the shard count, the
+// cut or the worker assignment (TestShardedMiningEquivalence and
+// TestWorkSplitInvariance pin this).
 
-// unit is one piece of a counting pass: the level rows (scan) or the
-// candidates (bitmap) [lo, hi) of shard s. A scan unit of a shard whose pair
-// table answers the cell covers the whole shard and reads no rows.
+// unit is one piece of a counting pass: the level rows [lo, hi) of shard s.
+// A unit of a shard whose subset table answers the cell covers the whole
+// shard and reads no rows.
 type unit struct{ s, lo, hi int }
 
 // cutUnits appends to dst the units of a pass over shards whose ranges are
@@ -146,14 +78,12 @@ func cutUnits(dst []unit, shards int, size func(s int) int, workers, block int) 
 type partial struct {
 	counts []int64
 	pruned int64 // subset probes the trie descent skipped (Stats.ProbesPruned)
-	ops    int64 // bitmap word operations (Stats.BitmapWordOps)
 	err    error // streaming scan failure
 
-	vecs   []bitmap.Vector // bitmap AND operands
-	ranks  []int32         // the scan's current row in rank space; countTable's marked ranks
-	widths []int64         // the scan unit's rows by filtered width, see chargeProbes
-	marks  []bool          // countTable's cell items by table rank, cleared after each unit
-	gen    []itemset.ID    // streaming generalization buffer
+	ranks  []int32      // the scan's current row in rank space; countTable's marked ranks
+	widths []int64      // the scan unit's rows by filtered width, see chargeProbes
+	marks  []bool       // countTable's cell items by table rank, cleared after each unit
+	gen    []itemset.ID // streaming generalization buffer
 }
 
 // runPass counts n units into the cell: body(p, u) adds unit u into its
@@ -180,7 +110,6 @@ func (m *miner) mergePartials(c *cell, ps []partial) {
 	m.stats.ShardMergeNs += time.Since(start).Nanoseconds()
 	for i := range ps {
 		m.stats.ProbesPruned += ps[i].pruned
-		m.stats.BitmapWordOps += ps[i].ops
 		if m.scanErr == nil {
 			m.scanErr = ps[i].err
 		}
@@ -233,36 +162,6 @@ func (m *miner) countScanStreaming(c *cell) {
 			p.err = p.scanSource(c, srcs[s], m.tax, m.done)
 		}
 	})
-}
-
-// countBitmap counts by AND-ing per-item bit vectors over the distinct
-// weighted rows of every shard's level, the candidate slab cut into units
-// per shard. A candidate's support is the sum of its per-shard supports.
-func (m *miner) countBitmap(c *cell) {
-	n := c.store.Len()
-	units := cutUnits(m.sc.units[:0], len(m.ds.shards), func(int) int { return n }, m.cfg.workers(), 1)
-	m.sc.units = units
-	m.runPass(c, len(units), func(p *partial, i int) {
-		u := units[i]
-		p.bitmapRange(c, m.ds.index(c.h, u.s), u.lo, u.hi, m.done)
-	})
-}
-
-// bitmapRange counts the candidates [lo, hi) of the cell on one shard's
-// index into p, polling the run's cancellation channel every
-// cancelCheckMask+1 candidates.
-func (p *partial) bitmapRange(c *cell, ix *bitmap.Index, lo, hi int, done <-chan struct{}) {
-	st, counts := c.store, p.counts
-	var ops int64
-	for e := lo; e < hi; e++ {
-		if e&cancelCheckMask == 0 && canceled(done) {
-			break
-		}
-		sup, n := ix.SupportInto(st.Items(int32(e)), p.vecs)
-		counts[e] += sup
-		ops += n
-	}
-	p.ops += ops
 }
 
 // scanTxs counts the level's rows [lo, hi) into p by trie descent: map the
@@ -395,32 +294,14 @@ func (p *partial) scanSource(c *cell, src txdb.Source, tax *taxonomy.Tree, done 
 	return err
 }
 
-// cancelCheckMask sets the granularity of per-candidate cancellation polls
-// in the bitmap backend and candidate generation: one poll every 256
-// candidates costs one AND+branch per candidate against work that is orders
-// of magnitude larger (k vector ANDs).
+// cancelCheckMask sets the granularity of cancellation polls in candidate
+// generation: one poll every 256 candidates (or parents) costs one
+// AND+branch each against work that is orders of magnitude larger.
 const cancelCheckMask = 255
 
 // scanBlock is the row granularity of scan units: unit bounds align to it,
 // so no two workers interleave inside one block of a row arena.
 const scanBlock = 512
-
-// index returns shard s's bitmap index of level h, built over the shard's
-// rows — row r at bit r — on first use by any run of the engine and cached.
-// An engine builds only the shards it counts: a cluster worker, the shards
-// it is sent.
-func (ds *dataState) index(h, s int) *bitmap.Index {
-	li := &ds.bitmaps[h*len(ds.shards)+s]
-	li.once.Do(func() {
-		lv := ds.levels[s][h]
-		rows := make([]itemset.Set, lv.Rows())
-		for r := range rows {
-			rows[r] = lv.Row(r)
-		}
-		li.ix = bitmap.Build(rows, lv.Weights)
-	})
-	return li.ix
-}
 
 // table returns shard s's k-subset table of level h to a scan cell or unit
 // of that k that reaches it, or nil when that reach scans the rows instead:
@@ -428,7 +309,7 @@ func (ds *dataState) index(h, s int) *bitmap.Index {
 // (level, shard, k) — so a one-shot mine, which reaches each level's cell of
 // each k once, never builds a table — and every reach of a level over the
 // table's cap (txdb.NewSubsetTable). The second reach builds the table once
-// for every later run; like index, the build is shared and not cancellable.
+// for every later run; the build is shared and not cancellable.
 func (ds *dataState) table(h, s, k int) *txdb.SubsetTable {
 	if k < 2 || k > txdb.MaxTableK {
 		return nil
@@ -445,15 +326,4 @@ func (ds *dataState) table(h, s, k int) *txdb.SubsetTable {
 // 2 ≤ k ≤ txdb.MaxTableK.
 func (ds *dataState) tableSlot(h, s, k int) *lazyTable {
 	return &ds.tables[(h*len(ds.shards)+s)*(txdb.MaxTableK-1)+k-2]
-}
-
-// noteBitmaps accounts the run's use of level h's bitmap indexes: the first
-// use per level per run counts one build per shard, whether the engine's
-// cache or a worker already held them, so warm and distributed runs report —
-// and chooseStrategy prices — what a cold local run does.
-func (m *miner) noteBitmaps(h int) {
-	if !m.bmBuilt[h] {
-		m.bmBuilt[h] = true
-		m.stats.BitmapBuilds += int64(len(m.ds.shards))
-	}
 }

@@ -67,6 +67,8 @@ func levelOf(rows ...txdb.WeightedTx) *txdb.Level {
 	return lv
 }
 
+// TestChooseStrategy mines the paper's toy example under the retired
+// "auto" spelling, which counts by scan like every other.
 func TestChooseStrategy(t *testing.T) {
 	db, tree := paperToy(t)
 	cfg := toyConfig()
@@ -80,6 +82,8 @@ func TestChooseStrategy(t *testing.T) {
 	}
 }
 
+// TestAutoMatchesScanOnRandomData: a config spelled "auto" mines exactly
+// what scan mines.
 func TestAutoMatchesScanOnRandomData(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 15; trial++ {
@@ -132,42 +136,6 @@ func txdbForDense(rng *rand.Rand, tree *taxonomy.Tree, n int) *txdb.DB {
 		db.AddNames(names...)
 	}
 	return db
-}
-
-// TestChooseStrategyPicksBitmapOnDenseCells drives CountAuto over a dense,
-// high-candidate workload (many frequent items, wide transactions) and
-// checks the cost model actually routes some cells to the bitmap backend:
-// with hundreds of candidates against ⌈n/64⌉-word vectors, AND+popcount is
-// the cheapest regime.
-func TestChooseStrategyPicksBitmapOnDenseCells(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	b := taxonomyBuilderForDense(t)
-	tree, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := txdbForDense(rng, tree, 500)
-	cfg := Config{
-		Measure: measure.Kulczynski, Gamma: 0.3, Epsilon: 0.1,
-		MinSupAbs: []int64{1, 1}, Pruning: Basic,
-		Strategy: CountAuto,
-	}
-	res, err := Mine(db, tree, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.BitmapBuilds == 0 {
-		t.Fatalf("auto never chose bitmap on a dense workload: %+v", res.Stats)
-	}
-	// And the auto run must agree with a pure scan run.
-	cfg.Strategy = CountScan
-	want, err := Mine(db, tree, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fingerprint(res, tree) != fingerprint(want, tree) {
-		t.Fatal("auto (with bitmap cells) diverged from scan")
-	}
 }
 
 // TestCutUnits checks the work cutter: every shard's range is covered

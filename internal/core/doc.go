@@ -84,54 +84,48 @@ each scan unit histograms its rows' filtered widths and charges C(w,k)
 once per width against the hits.
 
 A k = 2 or k = 3 cell's supports depend only on the level's k-subset
-supports, which the engine caches beside the levels and bitmap indexes:
-up to two txdb.SubsetTables per (level, shard), one for pairs and one for
-triples, each holding every k-subset's weighted support and distinct-row
-count in one array over the level's items ranked in ID order, indexed by
-the combinatorial number system, for levels of up to 512 items (pairs)
-or 93 (triples), 1 MiB of slots each. The first scan cell of a k to
-reach a (level, shard) scans its rows, so a one-shot mine builds no
-table; the second builds the table in one pass over the rows
-(dataState.table, under a sync.Once, not cancellable), and from then on
-the cell costs one lookup per candidate (countTable). ProbesPruned stays
-exact: Σ C(w,k) over the rows is the distinct-row count summed over
-every k-subset of the cell's candidate items, and the hits are the
-distinct-row counts of the candidates. Streaming runs, levels over the
-cap, k ≥ 4 cells and the bitmap backend are unchanged, and CountAuto
-prices a k = 2 or 3 scan as the full pass whether or not a table
-exists. Over a txdb.FileSource, or a ShardedSource of them (txdb.Streams,
+supports, which the engine caches beside the levels: up to two
+txdb.SubsetTables per (level, shard), one for pairs and one for triples,
+each holding every k-subset's weighted support and distinct-row count in
+one array over the level's items ranked in ID order, indexed by the
+combinatorial number system, for levels of up to 512 items (pairs) or 93
+(triples), 1 MiB of slots each. The first cell of a k to reach a (level,
+shard) scans its rows, so a one-shot mine builds no table; the second
+builds the table in one pass over the rows (dataState.table, under a
+sync.Once, not cancellable), and from then on the cell costs one lookup
+per candidate (countTable). ProbesPruned stays exact: Σ C(w,k) over the
+rows is the distinct-row count summed over every k-subset of the cell's
+candidate items, and the hits are the distinct-row counts of the
+candidates. Streaming runs, levels over the cap and k ≥ 4 cells scan the
+rows. Over a txdb.FileSource, or a ShardedSource of them (txdb.Streams,
 resolved once in NewEngine, like the shards), the engine instead re-reads
-the source every pass — the paper's disk-resident mode — and counts by scan
-only: Engine.Validate rejects the other backends there, and no
-configuration field changes the mode. CountBitmap ANDs per-item bit
-vectors over the distinct weighted transactions and pop-counts the result
-(internal/bitmap; vectors are built lazily per level and shard and cached),
-iterating the candidate slab directly. CountAuto picks one of the two per
-cell using a cost estimate in word-operation units (a trie scan probe is
-calibrated as 2.5 of those; see chooseStrategy). The names "tidlist" and
-"tid" parse to CountBitmap.
+the source every pass — the paper's disk-resident mode — and no
+configuration field changes the mode.
 
-miner.count resolves the backend — chooseStrategy for CountAuto, plus the
-run's bitmap-build accounting — and runs countScan, countScanStreaming or
-countBitmap, each written once over the representation's transaction
-shards (an unsharded run is one shard), or under MineRemote countRemote:
-one unit per shard sent to a ShardCounter, whose answers merge like a
-local pass's (remote.go). The shards are the source's own (txdb.ShardsOf,
-resolved once in NewEngine): mining a txdb.ShardedSource — per-shard basket
-files, or txdb.PartitionSource over an in-memory database — splits the
-database into contiguous shards, each with its own levels (built
-concurrently at init) and bitmap index (counting_shard.go). A pass runs
-as (shard, range) units on a pool of Config.Parallelism workers: scan cuts
-each shard's rows at scanBlock, bitmap cuts the candidate slab, and the
-cut makes at least as many units as workers when the data allows, so
-shards fewer than the workers split too; a streaming pass is one unit per
-shard source — for per-shard basket files, the out-of-core mode. Each
-unit adds into its worker's partial support vector (worker 0's is the
-cell's slab) and mergePartials sums the partials. Integer sums make the
-output byte-identical across shard and worker counts (shard_test.go and
-invariance_test.go pin this), which is why Parallelism is excluded from
-Config.CanonicalKey; the shard count and the loading mode are no
-configuration fields at all.
+Scan is the only counting backend. Config.Strategy stays for the callers
+that name one: "auto", "bitmap", "bits", "tidlist" and "tid", the names of
+retired backends, parse to CountScan, so every spelling mines the same
+result and shares one Config.CanonicalKey.
+
+miner.count runs countScan or countScanStreaming, each written once over
+the representation's transaction shards (an unsharded run is one shard),
+or under MineRemote countRemote: one unit per shard sent to a
+ShardCounter, whose answers merge like a local pass's (remote.go). The
+shards are the source's own (txdb.ShardsOf, resolved once in NewEngine):
+mining a txdb.ShardedSource — per-shard basket files, or
+txdb.PartitionSource over an in-memory database — splits the database
+into contiguous shards, each with its own levels, built concurrently at
+init (counting_shard.go). A pass runs as (shard, range) units on a pool of
+Config.Parallelism workers: scan cuts each shard's rows at scanBlock, and
+the cut makes at least as many units as workers when the data allows, so
+shards fewer than the workers split too; a shard a subset table answers is
+one unit, and so is each shard source of a streaming pass — for per-shard
+basket files, the out-of-core mode. Each unit adds into its worker's
+partial support vector (worker 0's is the cell's slab) and mergePartials
+sums the partials. Integer sums make the output byte-identical across
+shard and worker counts (shard_test.go and invariance_test.go pin this),
+which is why Parallelism is excluded from Config.CanonicalKey; the shard
+count and the loading mode are no configuration fields at all.
 Stats.Shards and Stats.ShardMergeNs surface the fan-out and the serial
 merge fraction.
 
@@ -169,9 +163,10 @@ Config.Anchor answers "the K most flipping patterns through this item"
 without a full mine: a DFS grows level-1 root sets that contain the
 anchor's root, then descends with the anchor's position locked to its
 ancestor path and subtree. Every candidate the DFS reaches is counted
-exactly. Root pairs and descent candidates count on the level's cached
-bitmap index, summed over shards. Root sets of three or more count on a
-conditional index the query builds once, at its first such set: the
+exactly. Root pairs and descent candidates count on the level's bitmap
+index, summed over shards; only anchored search builds these indexes (on
+first use, then cached by the engine). Root sets of three or more count
+on a conditional index the query builds once, at its first such set: the
 level-1 rows of every shard that hold the anchor's root, their weights,
 and one vector per frequent root over just those rows. The DFS carries
 each frequent root set's AND down the recursion, so a deeper set costs one

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/flipper-mining/flipper/internal/bitmap"
 	"github.com/flipper-mining/flipper/internal/candtrie"
 	"github.com/flipper-mining/flipper/internal/itemset"
 	"github.com/flipper-mining/flipper/internal/taxonomy"
@@ -27,10 +26,10 @@ type Result struct {
 
 // Engine mines one source/taxonomy pair repeatedly, caching everything that
 // depends only on the dataset — the interned levels of every shard
-// (txdb.Level: distinct weighted rows in one arena), the lazily built bitmap
-// indexes over them, and the pair and triple tables (txdb.SubsetTable) that
-// answer k = 2 and k = 3 scan cells from the second reach of each (level,
-// shard, k) on — across Mine calls, plus a pool of per-run scratch
+// (txdb.Level: distinct weighted rows in one arena), the pair and triple
+// tables (txdb.SubsetTable) that answer k = 2 and k = 3 cells from the
+// second reach of each (level, shard, k) on, and the bitmap indexes anchored
+// search counts on — across Mine calls, plus a pool of per-run scratch
 // (candidate stores, counting buffers, chain arenas) so repeated runs stop
 // paying full allocation.
 //
@@ -45,9 +44,9 @@ type Result struct {
 // checks scratch out of the pool for exclusive use.
 //
 // A warm run is byte-identical to a cold one: pattern bytes trivially so,
-// and the cost-model decisions and stats (db_scans, bitmap_builds,
-// bitmap_word_ops, …) because the miner accounts index builds and init
-// passes logically per run, whether or not the cache already held them.
+// and the stats (db_scans, probes_pruned, bitmap_builds, …) because the
+// miner accounts init passes, table lookups and index builds logically per
+// run, whether or not the cache already held them.
 type Engine struct {
 	src  txdb.Source
 	tree *taxonomy.Tree
@@ -69,9 +68,9 @@ func NewEngine(src txdb.Source, tree *taxonomy.Tree) *Engine {
 }
 
 // dataState is the engine's dataset-derived state. The base fields are
-// built once under the sync.Once; each (level, shard) bitmap index builds
-// under its own sync.Once on first use by any run, and each (level, shard,
-// k) subset table on the second reach of a scan cell or unit of that k, and
+// built once under the sync.Once; each (level, shard, k) subset table builds
+// under its own sync.Once on the second reach of a cell or unit of that k,
+// and each (level, shard) bitmap index on first use by anchored search, and
 // both are then shared read-only. An unsharded source is one shard: every
 // per-shard slice below then has length 1.
 type dataState struct {
@@ -85,14 +84,8 @@ type dataState struct {
 	sup1   []map[itemset.ID]int64 // all single supports per level, over all shards
 	widths []int                  // max generalized width per level
 
-	bitmaps []lazyIndex // [level·len(shards) + shard]
 	tables  []lazyTable // by (level, shard, k), see tableSlot
-}
-
-// lazyIndex is one shard's bitmap index of one level, built on first use.
-type lazyIndex struct {
-	once sync.Once
-	ix   *bitmap.Index
+	bitmaps []lazyIndex // [level·len(shards) + shard], see index
 }
 
 // lazyTable is one shard's k-subset table of one level, built when a scan
@@ -175,27 +168,19 @@ func (ds *dataState) initScans(height int) int64 {
 // Validate checks cfg against the engine's dataset without mining — the
 // early rejection path for services that accept configurations over the
 // wire: the configuration against the taxonomy's height and the source's
-// transaction count, and its counting strategy against the loading mode.
+// transaction count.
 func (e *Engine) Validate(cfg Config) error {
 	_, err := e.validate(&cfg)
 	return err
 }
 
 // validate is Validate, returning the resolved absolute per-level supports
-// (indexed by level, entry 0 unused). A streamed source has no levels to
-// index, so it counts by scan only.
+// (indexed by level, entry 0 unused).
 func (e *Engine) validate(cfg *Config) ([]int64, error) {
 	if e.tree == nil {
 		return nil, fmt.Errorf("core: nil taxonomy")
 	}
-	minSup, err := cfg.validate(e.tree.Height(), e.src.Len())
-	if err != nil {
-		return nil, err
-	}
-	if e.ds.stream && cfg.Strategy != CountScan {
-		return nil, fmt.Errorf("core: %v counting requires materialized views; a streamed source counts by scan", cfg.Strategy)
-	}
-	return minSup, nil
+	return cfg.validate(e.tree.Height(), e.src.Len())
 }
 
 // runScratch is the reusable per-run arena set. One run checks it out of
@@ -265,11 +250,7 @@ func (sc *runScratch) partialsFor(c *cell, workers int) []partial {
 	n := c.store.Len()
 	for w := range out {
 		p := &out[w]
-		p.pruned, p.ops, p.err = 0, 0, nil
-		if cap(p.vecs) < c.k {
-			p.vecs = make([]bitmap.Vector, c.k)
-		}
-		p.vecs = p.vecs[:c.k]
+		p.pruned, p.err = 0, nil
 		switch {
 		case w == 0:
 			p.counts = c.store.Sup
@@ -368,10 +349,10 @@ type miner struct {
 
 	sorted [][]itemset.ID // frequent items per level, ascending support (SIBP)
 
-	// bmBuilt marks levels whose bitmap indexes this run has logically
-	// built. The engine may serve a cached index, but the cost model and
-	// Stats.BitmapBuilds follow these per-run flags, so a warm run chooses
-	// the same strategies and reports the same stats as a cold one.
+	// bmBuilt marks levels whose bitmap indexes this run's anchored search
+	// has logically built (noteBitmaps). The engine may serve a cached
+	// index, but Stats.BitmapBuilds follows these per-run flags, so a warm
+	// run reports the same stats as a cold one.
 	bmBuilt []bool
 
 	rows     []map[int]*cell       // rows[h][k]
@@ -420,7 +401,7 @@ type miner struct {
 //
 // Mine builds a single-use Engine; callers mining the same dataset
 // repeatedly should hold one Engine and call its Mine method, which reuses
-// built levels, bitmap indexes and counting arenas across runs.
+// built levels, subset tables and counting arenas across runs.
 func Mine(src txdb.Source, tree *taxonomy.Tree, cfg Config) (*Result, error) {
 	return NewEngine(src, tree).Mine(cfg)
 }

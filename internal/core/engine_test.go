@@ -71,49 +71,46 @@ func names(tree *taxonomy.Tree, s itemset.Set) string {
 func TestPaperToyExample(t *testing.T) {
 	db, tree := paperToy(t)
 	for _, pruning := range Levels() {
-		for _, strategy := range []CountStrategy{CountScan, CountBitmap} {
-			cfg := toyConfig()
-			cfg.Pruning = pruning
-			cfg.Strategy = strategy
-			res, err := Mine(db, tree, cfg)
-			if err != nil {
-				t.Fatalf("%v/%v: %v", pruning, strategy, err)
+		cfg := toyConfig()
+		cfg.Pruning = pruning
+		res, err := Mine(db, tree, cfg)
+		if err != nil {
+			t.Fatalf("%v: %v", pruning, err)
+		}
+		if len(res.Patterns) != 1 {
+			t.Fatalf("%v: got %d patterns, want exactly {a11,b11}", pruning, len(res.Patterns))
+		}
+		p := res.Patterns[0]
+		if got := names(tree, p.Leaf); got != "a11,b11" {
+			t.Fatalf("%v: pattern = {%s}", pruning, got)
+		}
+		// Chain values hand-computed from Figure 4's transactions.
+		wantChain := []struct {
+			items string
+			sup   int64
+			corr  float64
+			label Label
+		}{
+			{"a,b", 7, (7.0/8 + 7.0/9) / 2, LabelPositive},
+			{"a1,b1", 2, (2.0/6 + 2.0/6) / 2, LabelNegative},
+			{"a11,b11", 2, 1.0, LabelPositive},
+		}
+		for i, want := range wantChain {
+			li := p.Chain[i]
+			if li.Level != i+1 {
+				t.Errorf("chain[%d].Level = %d", i, li.Level)
 			}
-			if len(res.Patterns) != 1 {
-				t.Fatalf("%v/%v: got %d patterns, want exactly {a11,b11}", pruning, strategy, len(res.Patterns))
+			if got := names(tree, li.Items); got != want.items {
+				t.Errorf("chain[%d] items = %s, want %s", i, got, want.items)
 			}
-			p := res.Patterns[0]
-			if got := names(tree, p.Leaf); got != "a11,b11" {
-				t.Fatalf("%v/%v: pattern = {%s}", pruning, strategy, got)
+			if li.Support != want.sup {
+				t.Errorf("chain[%d] sup = %d, want %d", i, li.Support, want.sup)
 			}
-			// Chain values hand-computed from Figure 4's transactions.
-			wantChain := []struct {
-				items string
-				sup   int64
-				corr  float64
-				label Label
-			}{
-				{"a,b", 7, (7.0/8 + 7.0/9) / 2, LabelPositive},
-				{"a1,b1", 2, (2.0/6 + 2.0/6) / 2, LabelNegative},
-				{"a11,b11", 2, 1.0, LabelPositive},
+			if math.Abs(li.Corr-want.corr) > 1e-9 {
+				t.Errorf("chain[%d] corr = %v, want %v", i, li.Corr, want.corr)
 			}
-			for i, want := range wantChain {
-				li := p.Chain[i]
-				if li.Level != i+1 {
-					t.Errorf("chain[%d].Level = %d", i, li.Level)
-				}
-				if got := names(tree, li.Items); got != want.items {
-					t.Errorf("chain[%d] items = %s, want %s", i, got, want.items)
-				}
-				if li.Support != want.sup {
-					t.Errorf("chain[%d] sup = %d, want %d", i, li.Support, want.sup)
-				}
-				if math.Abs(li.Corr-want.corr) > 1e-9 {
-					t.Errorf("chain[%d] corr = %v, want %v", i, li.Corr, want.corr)
-				}
-				if li.Label != want.label {
-					t.Errorf("chain[%d] label = %v, want %v", i, li.Label, want.label)
-				}
+			if li.Label != want.label {
+				t.Errorf("chain[%d] label = %v, want %v", i, li.Label, want.label)
 			}
 		}
 	}
@@ -209,13 +206,6 @@ func TestConfigValidation(t *testing.T) {
 		tc.mutate(&cfg)
 		if _, err := Mine(db, tree, cfg); err == nil {
 			t.Errorf("%s: invalid config accepted", tc.name)
-		}
-	}
-	for _, strategy := range []CountStrategy{CountBitmap, CountAuto} {
-		cfg := base
-		cfg.Strategy = strategy
-		if _, err := Mine(streamed(t, db), tree, cfg); err == nil {
-			t.Errorf("%v counting over a streamed source accepted", strategy)
 		}
 	}
 	if _, err := Mine(db, nil, base); err == nil {
@@ -353,10 +343,16 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 	}
 }
 
+// TestParallelCountingMatchesSerial runs under scan and two spellings of
+// retired backends, which count by scan too.
 func TestParallelCountingMatchesSerial(t *testing.T) {
 	db, tree := paperToy(t)
-	for _, strategy := range []CountStrategy{CountScan, CountBitmap, CountAuto} {
-		t.Run(strategy.String(), func(t *testing.T) {
+	for _, name := range []string{"scan", "bitmap", "auto"} {
+		t.Run(name, func(t *testing.T) {
+			strategy, err := ParseCountStrategy(name)
+			if err != nil {
+				t.Fatal(err)
+			}
 			cfgSerial := toyConfig()
 			cfgSerial.Strategy = strategy
 			cfgSerial.Parallelism = 1
@@ -491,20 +487,17 @@ func TestPruningLevelParsing(t *testing.T) {
 	if _, err := ParsePruningLevel("bogus"); err == nil {
 		t.Error("bogus pruning level accepted")
 	}
-	for _, s := range []CountStrategy{CountScan, CountAuto, CountBitmap} {
-		back, err := ParseCountStrategy(s.String())
-		if err != nil || back != s {
-			t.Errorf("round trip %v failed", s)
+	// Every accepted name, scan's and those of the retired backends, is
+	// scan; nothing else parses.
+	for _, name := range strategyNames {
+		if s, err := ParseCountStrategy(name); err != nil || s != CountScan || s.String() != "scan" {
+			t.Errorf("ParseCountStrategy(%q) = %v, %v; want scan", name, s, err)
 		}
 	}
-	// The retired tid-list backend's names stay accepted as bitmap aliases.
-	for _, alias := range []string{"tidlist", "tid", "bits"} {
-		if s, err := ParseCountStrategy(alias); err != nil || s != CountBitmap {
-			t.Errorf("ParseCountStrategy(%q) = %v, %v; want bitmap", alias, s, err)
+	for _, name := range []string{"bogus", "", "Scan", "bitmaps", "tidlists", "scan "} {
+		if _, err := ParseCountStrategy(name); err == nil {
+			t.Errorf("ParseCountStrategy(%q) accepted", name)
 		}
-	}
-	if _, err := ParseCountStrategy("bogus"); err == nil {
-		t.Error("bogus strategy accepted")
 	}
 }
 

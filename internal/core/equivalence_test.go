@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -132,6 +133,11 @@ func TestPruningLevelEquivalence(t *testing.T) {
 	}
 }
 
+// strategyNames lists every spelling ParseCountStrategy accepts.
+var strategyNames = []string{"scan", "auto", "bitmap", "bits", "tidlist", "tid"}
+
+// TestStrategyEquivalence pins the strategy aliases on random data: every
+// accepted spelling mines scan's envelope, patterns and stats alike.
 func TestStrategyEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	trials := 25
@@ -147,63 +153,22 @@ func TestStrategyEquivalence(t *testing.T) {
 			MinSupAbs: []int64{2, 1, 1},
 			Pruning:   Full,
 		}
-		cfg.Strategy = CountScan
 		a, err := Mine(db, tree, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := fingerprint(a, tree)
-		for _, strategy := range []CountStrategy{CountBitmap, CountAuto} {
-			cfg.Strategy = strategy
+		want := scrubbedJSON(t, a, tree)
+		for _, name := range strategyNames {
+			if cfg.Strategy, err = ParseCountStrategy(name); err != nil {
+				t.Fatal(err)
+			}
 			b, err := Mine(db, tree, cfg)
 			if err != nil {
-				t.Fatalf("trial %d %v: %v", trial, strategy, err)
+				t.Fatalf("trial %d %s: %v", trial, name, err)
 			}
-			if fingerprint(b, tree) != want {
-				t.Fatalf("trial %d: %v diverged from scan.\nscan:\n%s\n%v:\n%s",
-					trial, strategy, want, strategy, fingerprint(b, tree))
+			if got := scrubbedJSON(t, b, tree); !bytes.Equal(got, want) {
+				t.Fatalf("trial %d: %s diverged from scan.\nscan:\n%s\n%s:\n%s", trial, name, want, name, got)
 			}
-		}
-	}
-}
-
-// TestBitmapMatchesScanOnRandomData is the acceptance property of the
-// bitmap backend: on randomized databases, a bitmap-counted mine produces a
-// Result identical to the scan-counted mine — same patterns, same supports,
-// same correlations and labels — and the run actually exercised the bitmap
-// machinery (builds and word ops are visible in Stats).
-func TestBitmapMatchesScanOnRandomData(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	trials := 25
-	if testing.Short() {
-		trials = 8
-	}
-	for trial := 0; trial < trials; trial++ {
-		db, tree := randomDataset(rng)
-		cfg := Config{
-			Measure: measure.Kulczynski, Gamma: 0.3, Epsilon: 0.1,
-			MinSupAbs: []int64{1, 1, 1}, Pruning: Full,
-		}
-		cfg.Strategy = CountScan
-		a, err := Mine(db, tree, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Strategy = CountBitmap
-		b, err := Mine(db, tree, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fingerprint(a, tree) != fingerprint(b, tree) {
-			t.Fatalf("trial %d: bitmap diverged from scan.\nscan:\n%s\nbitmap:\n%s",
-				trial, fingerprint(a, tree), fingerprint(b, tree))
-		}
-		if a.Stats.BitmapBuilds != 0 || a.Stats.BitmapWordOps != 0 {
-			t.Fatalf("trial %d: scan run reported bitmap work: %+v", trial, a.Stats)
-		}
-		if b.Stats.CandidatesCounted > 0 && (b.Stats.BitmapBuilds == 0 || b.Stats.BitmapWordOps == 0) {
-			t.Fatalf("trial %d: bitmap run counted %d candidates without bitmap work",
-				trial, b.Stats.CandidatesCounted)
 		}
 	}
 }
@@ -304,8 +269,7 @@ func bruteForceReference(t *testing.T, db *txdb.DB, tree *taxonomy.Tree, cfg Con
 }
 
 // TestTrieStoreMatchesMapReference is the acceptance property of the
-// trie-indexed candidate store: across every counting strategy and every
-// pruning level, the engine's mined output — patterns, supports,
+// trie-indexed candidate store: across every pruning level, the engine's mined output — patterns, supports,
 // correlations, labels — must be byte-identical to what the retained
 // brute-force map-based reference derives with no trie anywhere.
 func TestTrieStoreMatchesMapReference(t *testing.T) {
@@ -325,18 +289,15 @@ func TestTrieStoreMatchesMapReference(t *testing.T) {
 		}
 		want := bruteForceReference(t, db, tree, cfg)
 		for _, pruning := range Levels() {
-			for _, strategy := range []CountStrategy{CountScan, CountBitmap, CountAuto} {
-				c := cfg
-				c.Pruning = pruning
-				c.Strategy = strategy
-				res, err := Mine(db, tree, c)
-				if err != nil {
-					t.Fatalf("trial %d %v/%v: %v", trial, pruning, strategy, err)
-				}
-				if got := fingerprint(res, tree); got != want {
-					t.Fatalf("trial %d: %v/%v diverged from the map-based reference.\nreference:\n%s\ngot:\n%s",
-						trial, pruning, strategy, want, got)
-				}
+			c := cfg
+			c.Pruning = pruning
+			res, err := Mine(db, tree, c)
+			if err != nil {
+				t.Fatalf("trial %d %v: %v", trial, pruning, err)
+			}
+			if got := fingerprint(res, tree); got != want {
+				t.Fatalf("trial %d: %v diverged from the map-based reference.\nreference:\n%s\ngot:\n%s",
+					trial, pruning, want, got)
 			}
 		}
 	}

@@ -75,9 +75,8 @@ func TestParallelismInvariance(t *testing.T) {
 
 // TestWorkSplitInvariance pins the (shard, range) work split on levels
 // large enough to cut: every level holds at least three scanBlocks of
-// distinct rows, so scan passes split each shard's rows across workers,
-// bitmap passes split the candidate slab, and shards fewer than the workers
-// split too. Within a shard count the whole envelope — patterns and every
+// distinct rows, so scan passes split each shard's rows across workers, and
+// shards fewer than the workers split too. Within a shard count the whole envelope — patterns and every
 // counter, volatile keys aside — must not depend on Parallelism, nor on
 // whether the passes run locally or through MineRemote over a second engine;
 // across shard counts the patterns must not change.
@@ -101,14 +100,11 @@ func TestWorkSplitInvariance(t *testing.T) {
 		}
 	}
 	for _, v := range []struct {
-		name     string
-		strategy CountStrategy
-		stream   bool
+		name   string
+		stream bool
 	}{
-		{"scan", CountScan, false},
-		{"bitmap", CountBitmap, false},
-		{"auto", CountAuto, false},
-		{"streaming", CountScan, true},
+		{"in-memory", false},
+		{"streaming", true},
 	} {
 		var patterns string // the unsharded run's
 		for _, shards := range []int{1, 2, 3} {
@@ -119,7 +115,7 @@ func TestWorkSplitInvariance(t *testing.T) {
 			var want []byte
 			for _, par := range []int{1, 2, 3, 7} {
 				cfg := base
-				cfg.Strategy, cfg.Parallelism = v.strategy, par
+				cfg.Parallelism = par
 				res, err := Mine(src, tree, cfg)
 				if err != nil {
 					t.Fatalf("%s shards=%d parallelism=%d: %v", v.name, shards, par, err)
@@ -141,9 +137,7 @@ func TestWorkSplitInvariance(t *testing.T) {
 					t.Fatalf("%s shards=%d parallelism=%d: envelope diverges from parallelism 1:\n%s\nvs\n%s", v.name, shards, par, want, got)
 				}
 			}
-			cfg := base
-			cfg.Strategy = v.strategy
-			remote, err := NewEngine(src, tree).MineRemote(context.Background(), cfg, NewEngine(src, tree))
+			remote, err := NewEngine(src, tree).MineRemote(context.Background(), base, NewEngine(src, tree))
 			if err != nil {
 				t.Fatalf("%s shards=%d remote: %v", v.name, shards, err)
 			}

@@ -37,7 +37,7 @@ func (p *PruningLevel) UnmarshalJSON(b []byte) error {
 
 // MarshalJSON encodes the counting strategy by its canonical name.
 func (s CountStrategy) MarshalJSON() ([]byte, error) {
-	if s < CountScan || s > CountBitmap {
+	if s != CountScan {
 		return nil, fmt.Errorf("core: cannot marshal counting strategy %d", int(s))
 	}
 	return []byte(`"` + s.String() + `"`), nil
@@ -61,7 +61,8 @@ func (s *CountStrategy) UnmarshalJSON(b []byte) error {
 // exactly the fields that influence the mined output (patterns and the
 // algorithmic counters in Stats). Pure execution knobs — Parallelism and
 // KeepCellStats — are excluded: they change how fast a run goes and how it
-// is instrumented, never what it finds. The shard layout and the loading
+// is instrumented, never what it finds. So is Strategy, whose every name
+// counts by scan. The shard layout and the loading
 // mode (streamed or in-memory) are not configuration fields at all but the
 // source's own, fixed for an engine's life; the shard layout cannot move a
 // correlation either, since sharded counting merges exact integer partial
@@ -97,8 +98,6 @@ func (c *Config) CanonicalKey() string {
 	}
 	b.WriteString(";p=")
 	b.WriteString(c.Pruning.String())
-	b.WriteString(";s=")
-	b.WriteString(c.Strategy.String())
 	b.WriteString(";maxk=")
 	b.WriteString(strconv.Itoa(c.MaxK))
 	b.WriteString(";topk=")

@@ -35,8 +35,6 @@ func TestCanonicalKeySeparatesSemanticFields(t *testing.T) {
 		func(c *Config) { c.MinSup = []float64{0.02, 0.002, 0.0002} },
 		func(c *Config) { c.MinSupAbs = []int64{5, 3, 1} },
 		func(c *Config) { c.Pruning = Basic },
-		func(c *Config) { c.Strategy = CountBitmap },
-		func(c *Config) { c.Strategy = CountAuto },
 		func(c *Config) { c.MaxK = 3 },
 		func(c *Config) { c.TopK = 10 },
 	}
@@ -56,7 +54,6 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 	cfg := DefaultConfig(3)
 	cfg.Measure = measure.Cosine
 	cfg.Pruning = FlippingTPG
-	cfg.Strategy = CountBitmap
 	cfg.TopK = 5
 	b, err := json.Marshal(&cfg)
 	if err != nil {
@@ -64,7 +61,7 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 	}
 	text := string(b)
 	// Enums serialize as names, not numbers.
-	for _, want := range []string{`"cosine"`, `"flipping+tpg"`, `"bitmap"`} {
+	for _, want := range []string{`"cosine"`, `"flipping+tpg"`, `"scan"`} {
 		if !strings.Contains(text, want) {
 			t.Errorf("marshalled config missing %s: %s", want, text)
 		}
@@ -76,7 +73,7 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 	if back.CanonicalKey() != cfg.CanonicalKey() {
 		t.Errorf("round trip changed the canonical key:\n%s\n%s", cfg.CanonicalKey(), back.CanonicalKey())
 	}
-	if back.Measure != measure.Cosine || back.Pruning != FlippingTPG || back.Strategy != CountBitmap {
+	if back.Measure != measure.Cosine || back.Pruning != FlippingTPG || back.Strategy != CountScan {
 		t.Errorf("round trip = %+v", back)
 	}
 }

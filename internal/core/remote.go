@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"github.com/flipper-mining/flipper/internal/bitmap"
 	"github.com/flipper-mining/flipper/internal/candtrie"
 	"github.com/flipper-mining/flipper/internal/itemset"
 	"github.com/flipper-mining/flipper/internal/txdb"
@@ -13,17 +12,15 @@ import (
 
 // Distributed counting: the exports internal/cluster builds its
 // scatter–gather protocol on. A coordinator mines with MineRemote, which
-// runs the whole search locally — candidate generation, backend choice,
-// labeling, pruning, chain assembly — and cuts each cell's counting pass
-// into one unit per transaction shard, all in flight, answered by a
-// ShardCounter; the answers land in the pass's per-shard partials, which
-// mergePartials sums as it sums a local pass's. A worker answers a unit
-// with CountShard: the kernel a local unit of the named backend runs
-// (scanRows, countTable on the shard's subset table, scanSource, or
-// bitmapRange on the shard's cached index), over the whole shard. A
-// transaction lives in exactly one shard and supports and tallies merge by
-// int64 addition, so a distributed result is byte-identical to a local one,
-// stats included.
+// runs the whole search locally — candidate generation, labeling, pruning,
+// chain assembly — and cuts each cell's counting pass into one unit per
+// transaction shard, all in flight, answered by a ShardCounter; the answers
+// land in the pass's per-shard partials, which mergePartials sums as it
+// sums a local pass's. A worker answers a unit with CountShard: the kernel
+// a local unit runs (countTable on the shard's subset table, scanRows or
+// scanSource), over the whole shard. A transaction lives in exactly one
+// shard and supports and tallies merge by int64 addition, so a distributed
+// result is byte-identical to a local one, stats included.
 //
 // Candidate order is the contract: a unit carries its cell's candidates in
 // slab-entry order, and CountShard re-inserts them in that order,
@@ -32,15 +29,12 @@ import (
 // requesting cell's support slab with no key exchange at all.
 
 // ShardUnit is one unit of a distributed counting pass: one cell's
-// candidates, in slab order, to count over one transaction shard with one
-// backend — CountScan or CountBitmap; the coordinator resolves CountAuto
-// before it cuts the pass. Its JSON form is the body of a cluster count
-// request.
+// candidates, in slab order, to count over one transaction shard. Its JSON
+// form is the body of a cluster count request.
 type ShardUnit struct {
 	Config     Config        `json:"config"`
 	Level      int           `json:"level"`
 	K          int           `json:"k"`
-	Strategy   CountStrategy `json:"strategy"`
 	Shard      int           `json:"shard"`
 	Candidates []itemset.Set `json:"candidates"`
 }
@@ -51,14 +45,13 @@ type ShardUnit struct {
 type ShardTally struct {
 	Supports     []int64 `json:"supports"`
 	ProbesPruned int64   `json:"probes_pruned"`
-	WordOps      int64   `json:"word_ops"`
 }
 
 // ShardCounter counts the units of a distributed pass. Implementations (the
 // cluster coordinator) may send a unit to a remote worker, retry, hedge, or
 // count it locally; the obligations are that the answer is the unit's shard
-// counted exactly once with the unit's backend, and that a retried or hedged
-// unit yields a single answer. *Engine is the local implementation.
+// counted exactly once, and that a retried or hedged unit yields a single
+// answer. *Engine is the local implementation.
 type ShardCounter interface {
 	CountShard(ctx context.Context, u ShardUnit) (ShardTally, error)
 }
@@ -80,10 +73,10 @@ func (e *Engine) MineRemote(ctx context.Context, cfg Config, counter ShardCounte
 }
 
 // countRemote is the distributed pass: one unit per shard, all in flight,
-// counted by the run's ShardCounter with the backend count resolved. A
-// failed unit parks its error in its partial, and mergePartials parks it in
-// m.scanErr like a streaming scan failure.
-func (m *miner) countRemote(c *cell, strategy CountStrategy) {
+// counted by the run's ShardCounter. A failed unit parks its error in its
+// partial, and mergePartials parks it in m.scanErr like a streaming scan
+// failure.
+func (m *miner) countRemote(c *cell) {
 	cands := make([]itemset.Set, c.store.Len())
 	for e := range cands {
 		cands[e] = c.store.Items(int32(e))
@@ -93,7 +86,7 @@ func (m *miner) countRemote(c *cell, strategy CountStrategy) {
 	txdb.ForEachShard(n, n, func(_, s int) {
 		p := &ps[s]
 		t, err := m.remote.CountShard(m.ctx, ShardUnit{
-			Config: m.cfg, Level: c.h, K: c.k, Strategy: strategy, Shard: s, Candidates: cands,
+			Config: m.cfg, Level: c.h, K: c.k, Shard: s, Candidates: cands,
 		})
 		if err == nil && len(t.Supports) != len(cands) {
 			err = fmt.Errorf("core: shard %d answered %d supports for %d candidates", s, len(t.Supports), len(cands))
@@ -105,16 +98,15 @@ func (m *miner) countRemote(c *cell, strategy CountStrategy) {
 		for i, v := range t.Supports {
 			p.counts[i] += v
 		}
-		p.pruned, p.ops = t.ProbesPruned, t.WordOps
+		p.pruned = t.ProbesPruned
 	})
 	m.mergePartials(c, ps)
 }
 
 // CountShard counts one unit over the engine's copy of the unit's shard,
-// with the kernel a local pass runs for the unit's backend. Errors wrapping
-// ErrBadUnit reject the unit itself: a level, shard or candidate out of
-// shape, an invalid configuration, CountAuto (the coordinator resolves it),
-// or CountBitmap on an engine that streams its source.
+// with the kernel a local pass runs. Errors wrapping ErrBadUnit reject the
+// unit itself: a level, shard or candidate out of shape, or an invalid
+// configuration.
 func (e *Engine) CountShard(ctx context.Context, u ShardUnit) (ShardTally, error) {
 	if _, err := e.validate(&u.Config); err != nil {
 		return badUnit("%v", err)
@@ -122,10 +114,6 @@ func (e *Engine) CountShard(ctx context.Context, u ShardUnit) (ShardTally, error
 	switch {
 	case u.Level < 1 || u.Level > e.tree.Height():
 		return badUnit("level %d out of [1, %d]", u.Level, e.tree.Height())
-	case u.Strategy != CountScan && u.Strategy != CountBitmap:
-		return badUnit("a unit counts with scan or bitmap, not %v", u.Strategy)
-	case u.Strategy == CountBitmap && e.ds.stream:
-		return badUnit("bitmap counting requires materialized levels")
 	case u.K < 1:
 		return badUnit("k = %d", u.K)
 	}
@@ -152,19 +140,12 @@ func (e *Engine) CountShard(ctx context.Context, u ShardUnit) (ShardTally, error
 	}
 	st.Freeze()
 	c := &cell{h: u.Level, k: u.K, store: st}
-	p := partial{counts: st.Sup, vecs: make([]bitmap.Vector, u.K)}
-	var tab *txdb.SubsetTable
-	if u.Strategy == CountScan && !ds.stream {
-		tab = ds.table(u.Level, u.Shard, u.K)
-	}
-	switch {
-	case u.Strategy == CountBitmap:
-		p.bitmapRange(c, ds.index(u.Level, u.Shard), 0, st.Len(), ctx.Done())
-	case tab != nil:
-		p.countTable(c, tab)
-	case ds.stream:
+	p := partial{counts: st.Sup}
+	if ds.stream {
 		p.err = p.scanSource(c, ds.shards[u.Shard], e.tree, ctx.Done())
-	default:
+	} else if tab := ds.table(u.Level, u.Shard, u.K); tab != nil {
+		p.countTable(c, tab)
+	} else {
 		lv := ds.levels[u.Shard][u.Level]
 		p.scanRows(c, lv, 0, lv.Rows(), ctx.Done())
 	}
@@ -174,7 +155,7 @@ func (e *Engine) CountShard(ctx context.Context, u ShardUnit) (ShardTally, error
 	if p.err != nil {
 		return ShardTally{}, p.err
 	}
-	return ShardTally{Supports: st.Sup, ProbesPruned: p.pruned, WordOps: p.ops}, nil
+	return ShardTally{Supports: st.Sup, ProbesPruned: p.pruned}, nil
 }
 
 // badUnit is CountShard's rejection of a unit.

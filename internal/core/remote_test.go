@@ -32,8 +32,8 @@ func (lb *loopback) CountShard(ctx context.Context, u ShardUnit) (ShardTally, er
 // TestMineRemoteLoopbackEquivalence is the core guarantee distributed mining
 // is built on: a run whose every pass is answered unit by unit by CountShard
 // produces exactly the envelope of a single-process run — patterns and
-// every counter, volatile keys aside — across strategies, shard counts and
-// the streaming mode.
+// every counter, volatile keys aside — across shard counts and the
+// streaming mode.
 func TestMineRemoteLoopbackEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	trials := 8
@@ -41,16 +41,14 @@ func TestMineRemoteLoopbackEquivalence(t *testing.T) {
 		trials = 3
 	}
 	cases := []struct {
-		name     string
-		strategy CountStrategy
-		stream   bool
-		shards   int
+		name   string
+		stream bool
+		shards int
 	}{
-		{"scan-mat-1", CountScan, false, 1},
-		{"scan-mat-2", CountScan, false, 2},
-		{"scan-stream-7", CountScan, true, 7},
-		{"bitmap-mat-7", CountBitmap, false, 7},
-		{"auto-mat-2", CountAuto, false, 2},
+		{"mat-1", false, 1},
+		{"mat-2", false, 2},
+		{"mat-7", false, 7},
+		{"stream-7", true, 7},
 	}
 	for trial := 0; trial < trials; trial++ {
 		db, tree := randomDataset(rng)
@@ -61,7 +59,6 @@ func TestMineRemoteLoopbackEquivalence(t *testing.T) {
 				Epsilon:   0.1,
 				MinSupAbs: []int64{2, 1, 1},
 				Pruning:   Full,
-				Strategy:  tc.strategy,
 			}
 			var src txdb.Source = txdb.PartitionSource(db, tc.shards)
 			if tc.stream {
@@ -112,8 +109,7 @@ func shardUnitCandidates(tree *taxonomy.Tree) [][]itemset.Set {
 }
 
 // TestCountShardPartialsSumToTotals pins the per-shard contract directly:
-// on every shard, the bitmap and scan kernels give equal supports, and the
-// per-shard vectors sum to the unsharded totals.
+// the per-shard vectors sum to the unsharded totals.
 func TestCountShardPartialsSumToTotals(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	db, tree := randomDataset(rng)
@@ -135,21 +131,10 @@ func TestCountShardPartialsSumToTotals(t *testing.T) {
 			eng := NewEngine(src, tree)
 			got := make([]int64, len(hc))
 			for s := range txdb.ShardsOf(src) {
-				u := ShardUnit{Config: base, Level: h, K: 2, Strategy: CountScan, Shard: s, Candidates: hc}
+				u := ShardUnit{Config: base, Level: h, K: 2, Shard: s, Candidates: hc}
 				scan, err := eng.CountShard(ctx, u)
 				if err != nil {
 					t.Fatal(err)
-				}
-				u.Strategy = CountBitmap
-				bits, err := eng.CountShard(ctx, u)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if fmt.Sprint(scan.Supports) != fmt.Sprint(bits.Supports) {
-					t.Fatalf("h=%d shards=%d shard %d: scan supports %v, bitmap %v", h, shards, s, scan.Supports, bits.Supports)
-				}
-				if bits.WordOps == 0 {
-					t.Fatalf("h=%d shards=%d shard %d: bitmap unit reported no word ops", h, shards, s)
 				}
 				for i, v := range scan.Supports {
 					got[i] += v
@@ -173,9 +158,10 @@ func TestCountShardPartialsSumToTotals(t *testing.T) {
 	}
 }
 
-// TestCountShardBuildsOnlyItsIndex pins the lazy per-(level, shard) index
-// cache a cluster worker relies on: counting shard 1 of a two-shard engine
-// with bitmap builds shard 1's index and leaves shard 0's unbuilt.
+// TestCountShardBuildsOnlyItsIndex pins the lazy per-(level, shard, k)
+// subset-table cache a cluster worker relies on: reaching shard 1 of a
+// two-shard engine twice builds shard 1's pair table and leaves shard 0's
+// unbuilt and unreached.
 func TestCountShardBuildsOnlyItsIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	db, tree := randomDataset(rng)
@@ -186,10 +172,12 @@ func TestCountShardBuildsOnlyItsIndex(t *testing.T) {
 	h := tree.Height()
 	cands := shardUnitCandidates(tree)[h]
 	eng := NewEngine(txdb.PartitionSource(db, 2), tree)
-	if _, err := eng.CountShard(context.Background(), ShardUnit{
-		Config: cfg, Level: h, K: 2, Strategy: CountBitmap, Shard: 1, Candidates: cands,
-	}); err != nil {
-		t.Fatal(err)
+	for reach := 0; reach < 2; reach++ {
+		if _, err := eng.CountShard(context.Background(), ShardUnit{
+			Config: cfg, Level: h, K: 2, Shard: 1, Candidates: cands,
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	ds, err := eng.dataFor(cfg)
 	if err != nil {
@@ -198,11 +186,11 @@ func TestCountShardBuildsOnlyItsIndex(t *testing.T) {
 	if len(ds.shards) != 2 {
 		t.Fatalf("%d shards, want 2", len(ds.shards))
 	}
-	if ds.bitmaps[h*2+1].ix == nil {
-		t.Fatal("shard 1's index was not built")
+	if ds.tableSlot(h, 1, 2).t == nil {
+		t.Fatal("shard 1's pair table was not built")
 	}
-	if ds.bitmaps[h*2].ix != nil {
-		t.Fatal("counting shard 1 built shard 0's index")
+	if lt := ds.tableSlot(h, 0, 2); lt.t != nil || lt.reaches.Load() != 0 {
+		t.Fatal("counting shard 1 reached shard 0's pair table")
 	}
 }
 
@@ -220,7 +208,7 @@ func TestCountShardValidation(t *testing.T) {
 	leaves := tree.Leaves()
 	a, b := min(leaves[0], leaves[1]), max(leaves[0], leaves[1])
 	H := tree.Height()
-	good := ShardUnit{Config: cfg, Level: H, K: 2, Strategy: CountScan, Candidates: []itemset.Set{{a, b}}}
+	good := ShardUnit{Config: cfg, Level: H, K: 2, Candidates: []itemset.Set{{a, b}}}
 	invalid := cfg
 	invalid.Gamma = 0
 	for _, tc := range []struct {
@@ -231,7 +219,6 @@ func TestCountShardValidation(t *testing.T) {
 		{"level beyond height", func(u *ShardUnit) { u.Level = H + 1 }},
 		{"out-of-range shard", func(u *ShardUnit) { u.Shard = 1 }},
 		{"negative shard", func(u *ShardUnit) { u.Shard = -1 }},
-		{"auto", func(u *ShardUnit) { u.Strategy = CountAuto }},
 		{"invalid config", func(u *ShardUnit) { u.Config = invalid }},
 		{"k = 0", func(u *ShardUnit) { u.K = 0 }},
 		{"non-canonical candidate", func(u *ShardUnit) { u.Candidates = []itemset.Set{{b, a}} }},
@@ -244,28 +231,13 @@ func TestCountShardValidation(t *testing.T) {
 			t.Errorf("%s: got %v, want ErrBadUnit", tc.name, err)
 		}
 	}
-	for _, strategy := range []CountStrategy{CountScan, CountBitmap} {
-		u := good
-		u.Strategy = strategy
-		if out, err := eng.CountShard(ctx, u); err != nil || len(out.Supports) != 1 {
-			t.Errorf("valid %v unit: got %v, %v", strategy, out, err)
-		}
+	if out, err := eng.CountShard(ctx, good); err != nil || len(out.Supports) != 1 {
+		t.Errorf("valid unit: got %v, %v", out, err)
 	}
-	// An engine over a basket file streams it: it counts scan units and
-	// refuses bitmap ones, and configurations that ask for another backend.
+	// An engine over a basket file streams it, and counts the same units.
 	streaming := NewEngine(streamed(t, db), tree)
 	if out, err := streaming.CountShard(ctx, good); err != nil || len(out.Supports) != 1 {
 		t.Errorf("valid streaming unit: got %v, %v", out, err)
-	}
-	for name, edit := range map[string]func(u *ShardUnit){
-		"bitmap without materialized levels": func(u *ShardUnit) { u.Strategy = CountBitmap },
-		"bitmap config":                      func(u *ShardUnit) { u.Config.Strategy = CountBitmap },
-	} {
-		u := good
-		edit(&u)
-		if _, err := streaming.CountShard(ctx, u); !errors.Is(err, ErrBadUnit) {
-			t.Errorf("streaming %s: got %v, want ErrBadUnit", name, err)
-		}
 	}
 	u := good
 	u.Candidates = nil

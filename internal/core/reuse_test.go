@@ -13,38 +13,42 @@ import (
 )
 
 // TestEngineReuseByteIdentical mines the same configuration repeatedly on
-// one engine — across every counting backend, materialized, streamed and
-// sharded — and requires each warm run's wire envelope (volatile keys scrubbed) to be
-// byte-identical to a cold one-shot Mine. This is the contract that lets
-// flipperd keep one engine per dataset: caching level views, indexes and
-// scratch must be invisible in the output, including the cost stats.
+// one engine — materialized, streamed and sharded — and requires each warm
+// run's wire envelope (volatile keys scrubbed) to be byte-identical to a
+// cold one-shot Mine. This is the contract that lets flipperd keep one
+// engine per dataset: caching level views, subset tables and scratch must
+// be invisible in the output, including the cost stats. The cases named
+// after a retired backend mine warm under that spelling and must still
+// answer scan's cold envelope.
 func TestEngineReuseByteIdentical(t *testing.T) {
 	db, tree := paperToy(t)
 	scrub := func(res *Result) []byte { return scrubbedJSON(t, res, tree) }
 	for _, tc := range []struct {
 		name     string
-		strategy CountStrategy
+		spelling string
 		src      txdb.Source
 		pruning  PruningLevel
 	}{
-		{"scan", CountScan, db, Full},
-		{"bitmap", CountBitmap, db, Full},
-		{"auto", CountAuto, db, Full},
-		{"scan-sharded", CountScan, txdb.PartitionSource(db, 3), Full},
-		{"bitmap-sharded", CountBitmap, txdb.PartitionSource(db, 3), Full},
-		{"basic-baseline", CountScan, db, Basic},
-		{"scan-streamed", CountScan, streamed(t, db), Full},
-		{"scan-streamed-sharded", CountScan, streamedShards(t, db, 3), Full},
+		{"scan", "scan", db, Full},
+		{"bitmap", "bitmap", db, Full},
+		{"auto", "auto", db, Full},
+		{"scan-sharded", "scan", txdb.PartitionSource(db, 3), Full},
+		{"bitmap-sharded", "bitmap", txdb.PartitionSource(db, 3), Full},
+		{"basic-baseline", "scan", db, Basic},
+		{"scan-streamed", "scan", streamed(t, db), Full},
+		{"scan-streamed-sharded", "scan", streamedShards(t, db, 3), Full},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := toyConfig()
-			cfg.Strategy = tc.strategy
 			cfg.Pruning = tc.pruning
 			cold, err := Mine(tc.src, tree, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := scrub(cold)
+			if cfg.Strategy, err = ParseCountStrategy(tc.spelling); err != nil {
+				t.Fatal(err)
+			}
 			eng := NewEngine(tc.src, tree)
 			for run := 0; run < 3; run++ {
 				res, err := eng.Mine(cfg)
@@ -82,22 +86,17 @@ func scrubbedJSON(t *testing.T, res *Result, tree *taxonomy.Tree) []byte {
 	return out
 }
 
-// TestEngineReuseMixedConfigs interleaves different strategies and
-// thresholds on an in-memory engine and on a streaming one: every run must
-// match its own cold baseline.
+// TestEngineReuseMixedConfigs interleaves different thresholds on an
+// in-memory engine and on a streaming one: every run must match its own
+// cold baseline.
 func TestEngineReuseMixedConfigs(t *testing.T) {
 	db, tree := paperToy(t)
 	srcs := []txdb.Source{db, streamed(t, db)}
 	engs := []*Engine{NewEngine(srcs[0], tree), NewEngine(srcs[1], tree)}
 	rng := rand.New(rand.NewSource(5))
-	strategies := []CountStrategy{CountScan, CountBitmap, CountAuto}
 	for i := 0; i < 20; i++ {
 		cfg := toyConfig()
-		cfg.Strategy = strategies[rng.Intn(len(strategies))]
 		stream := rng.Intn(2)
-		if stream == 1 {
-			cfg.Strategy = CountScan // the only backend that streams
-		}
 		cfg.Epsilon = 0.2 + 0.2*rng.Float64()
 		cold, err := Mine(srcs[stream], tree, cfg)
 		if err != nil {
@@ -108,7 +107,7 @@ func TestEngineReuseMixedConfigs(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(scrubbedJSON(t, cold, tree), scrubbedJSON(t, warm, tree)) {
-			t.Fatalf("iteration %d (strategy=%v stream=%v): engine run diverged", i, cfg.Strategy, stream == 1)
+			t.Fatalf("iteration %d (stream=%v): engine run diverged", i, stream == 1)
 		}
 	}
 }
@@ -129,10 +128,6 @@ func TestEngineReuseAllocatesLess(t *testing.T) {
 	for _, stream := range []bool{false, true} {
 		cfg := toyConfig()
 		cfg.MinSupAbs = []int64{1, 1}
-		cfg.Strategy = CountBitmap
-		if stream {
-			cfg.Strategy = CountScan
-		}
 		cfg.Parallelism = 1 // deterministic allocation profile
 		allocs := func(n int) (cold, warm float64) {
 			var src txdb.Source = txdbForDense(rand.New(rand.NewSource(99)), tree, n)
@@ -182,11 +177,11 @@ func TestEngineConcurrentMine(t *testing.T) {
 	want := make([]string, len(cfgs))
 	for i := range cfgs {
 		cfg := toyConfig()
-		cfg.Strategy = []CountStrategy{CountScan, CountBitmap, CountAuto}[i%3]
+		cfg.Pruning = []PruningLevel{Full, Basic, FlippingTPG}[i%3]
 		var src txdb.Source = db
 		engs[i] = mem
 		if i >= 4 { // half in memory, half streaming
-			cfg.Strategy, src, engs[i] = CountScan, file, streaming
+			src, engs[i] = file, streaming
 		}
 		cfgs[i] = cfg
 		res, err := Mine(src, tree, cfg)

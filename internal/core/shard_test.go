@@ -14,8 +14,7 @@ import (
 )
 
 // TestShardedMiningEquivalence is the acceptance property of shard-parallel
-// counting: across every counting strategy, every pruning level and shard
-// counts 1, 2, 3 and 7, mining a partitioned database (txdb.PartitionSource)
+// counting: across every pruning level and shard counts 1, 2, 3 and 7, mining a partitioned database (txdb.PartitionSource)
 // produces output byte-identical to the unsharded run — same patterns, same
 // supports, same correlations and labels — and one shard is the unsharded
 // run, stats included. It runs under the CI race job (go test -race ./...),
@@ -27,44 +26,40 @@ func TestShardedMiningEquivalence(t *testing.T) {
 		trials = 2
 	}
 	shardCounts := []int{1, 2, 3, 7}
-	strategies := []CountStrategy{CountScan, CountBitmap, CountAuto}
 	for trial := 0; trial < trials; trial++ {
 		db, tree := randomDataset(rng)
 		for _, pruning := range Levels() {
-			for _, strategy := range strategies {
-				cfg := Config{
-					Measure:   measure.Kulczynski,
-					Gamma:     0.3,
-					Epsilon:   0.1,
-					MinSupAbs: []int64{2, 1, 1},
-					Pruning:   pruning,
-					Strategy:  strategy,
-				}
-				base, err := Mine(db, tree, cfg)
+			cfg := Config{
+				Measure:   measure.Kulczynski,
+				Gamma:     0.3,
+				Epsilon:   0.1,
+				MinSupAbs: []int64{2, 1, 1},
+				Pruning:   pruning,
+			}
+			base, err := Mine(db, tree, cfg)
+			if err != nil {
+				t.Fatalf("trial %d %v: %v", trial, pruning, err)
+			}
+			want := fingerprint(base, tree)
+			if base.Stats.Shards != 1 {
+				t.Fatalf("trial %d: unsharded run reports %d shards", trial, base.Stats.Shards)
+			}
+			for _, shards := range shardCounts {
+				res, err := Mine(txdb.PartitionSource(db, shards), tree, cfg)
 				if err != nil {
-					t.Fatalf("trial %d %v/%v: %v", trial, pruning, strategy, err)
+					t.Fatalf("trial %d %v shards=%d: %v", trial, pruning, shards, err)
 				}
-				want := fingerprint(base, tree)
-				if base.Stats.Shards != 1 {
-					t.Fatalf("trial %d: unsharded run reports %d shards", trial, base.Stats.Shards)
+				if got := fingerprint(res, tree); got != want {
+					t.Fatalf("trial %d: %v with %d shards diverged from unsharded.\nunsharded:\n%s\nsharded:\n%s",
+						trial, pruning, shards, want, got)
 				}
-				for _, shards := range shardCounts {
-					res, err := Mine(txdb.PartitionSource(db, shards), tree, cfg)
-					if err != nil {
-						t.Fatalf("trial %d %v/%v shards=%d: %v", trial, pruning, strategy, shards, err)
-					}
-					if got := fingerprint(res, tree); got != want {
-						t.Fatalf("trial %d: %v/%v with %d shards diverged from unsharded.\nunsharded:\n%s\nsharded:\n%s",
-							trial, pruning, strategy, shards, want, got)
-					}
-					if res.Stats.Shards != shards {
-						t.Fatalf("trial %d: %d shards, stats report %d", trial, shards, res.Stats.Shards)
-					}
-					if shards == 1 {
-						if got, unsharded := scrubbedJSON(t, res, tree), scrubbedJSON(t, base, tree); !bytes.Equal(got, unsharded) {
-							t.Fatalf("trial %d: %v/%v over one shard diverged from unsharded.\nunsharded:\n%s\none shard:\n%s",
-								trial, pruning, strategy, unsharded, got)
-						}
+				if res.Stats.Shards != shards {
+					t.Fatalf("trial %d: %d shards, stats report %d", trial, shards, res.Stats.Shards)
+				}
+				if shards == 1 {
+					if got, unsharded := scrubbedJSON(t, res, tree), scrubbedJSON(t, base, tree); !bytes.Equal(got, unsharded) {
+						t.Fatalf("trial %d: %v over one shard diverged from unsharded.\nunsharded:\n%s\none shard:\n%s",
+							trial, pruning, unsharded, got)
 					}
 				}
 			}
@@ -221,7 +216,6 @@ func TestShardStatsSurface(t *testing.T) {
 		Epsilon:   0.1,
 		MinSupAbs: []int64{1, 1, 1},
 		Pruning:   Full,
-		Strategy:  CountBitmap,
 	}
 	res, err := Mine(txdb.PartitionSource(db, 4), tree, cfg)
 	if err != nil {
@@ -233,8 +227,5 @@ func TestShardStatsSurface(t *testing.T) {
 	}
 	if js.ShardMergeNs != res.Stats.ShardMergeNs {
 		t.Fatalf("StatsJSON.ShardMergeNs = %d, want %d", js.ShardMergeNs, res.Stats.ShardMergeNs)
-	}
-	if res.Stats.CandidatesCounted > 0 && res.Stats.BitmapBuilds < 4 {
-		t.Fatalf("sharded bitmap run built %d indexes, want ≥ 4 (one per shard)", res.Stats.BitmapBuilds)
 	}
 }

@@ -54,11 +54,12 @@ type Stats struct {
 	TPGBreaks         int64
 	SIBPExcludedItems int64
 
-	// BitmapBuilds counts bit-vector index constructions: the first use of
-	// a level in a run counts one per shard, whether or not the engine's
-	// dataset state already held the indexes, so warm runs report what cold
-	// ones do. BitmapWordOps counts the 64-bit AND/load operations spent
-	// answering bitmap support queries.
+	// BitmapBuilds counts the bit-vector index constructions of anchored
+	// search, the only search that counts on them: the first use of a level
+	// in a run counts one per shard, whether or not the engine's dataset
+	// state already held the indexes, so warm runs report what cold ones do.
+	// BitmapWordOps counts the 64-bit AND/load operations spent answering
+	// its support queries. Both are zero for every other run.
 	BitmapBuilds  int64
 	BitmapWordOps int64
 

@@ -307,7 +307,7 @@ func TestCountShardPairTable(t *testing.T) {
 			}
 			for k := 2; k <= txdb.MaxTableK; k++ {
 				for s := 0; s < shards; s++ {
-					u := ShardUnit{Config: cfg, Level: h, K: k, Strategy: CountScan, Shard: s, Candidates: units[k]}
+					u := ShardUnit{Config: cfg, Level: h, K: k, Shard: s, Candidates: units[k]}
 					at := fmt.Sprintf("shards=%d h=%d k=%d shard %d", shards, h, k, s)
 					var first ShardTally
 					for reach := 1; reach <= 3; reach++ {

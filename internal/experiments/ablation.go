@@ -11,9 +11,8 @@ import (
 )
 
 // Ablation evaluates the design choices DESIGN.md calls out beyond the
-// paper: counting strategy (the paper's sequential scan vs bitmaps vs the
-// cost-model auto mode), counting parallelism, and
-// materialized views vs disk-resident streaming — the same baskets written
+// paper: counting parallelism, and materialized views vs disk-resident
+// streaming — the same baskets written
 // to a file in a temporary directory and mined as a txdb.FileSource. All
 // runs use full pruning on the default synthetic workload.
 func Ablation(s Scale) (*Table, error) {
@@ -63,9 +62,6 @@ func Ablation(s Scale) (*Table, error) {
 		src    txdb.Source
 		mutate func(*core.Config)
 	}{
-		{"count=scan", db, func(c *core.Config) { c.Strategy = core.CountScan }},
-		{"count=bitmap", db, func(c *core.Config) { c.Strategy = core.CountBitmap }},
-		{"count=auto", db, func(c *core.Config) { c.Strategy = core.CountAuto }},
 		{"workers=1", db, func(c *core.Config) { c.Parallelism = 1 }},
 		{fmt.Sprintf("workers=%d", runtime.GOMAXPROCS(0)), db, func(c *core.Config) { c.Parallelism = runtime.GOMAXPROCS(0) }},
 		{"views=materialized", db, keep},

@@ -155,8 +155,7 @@ func Registry() []struct {
 		{"table4", "Table 4: flipping vs all positive/negative patterns", Table4},
 		{"fig10-12", "Figures 10-12: qualitative patterns per dataset", Patterns},
 		{"ablation", "Beyond the paper: counting strategy / parallelism / view ablations", Ablation},
-		{"counting", "Beyond the paper: scan vs bitmap counting across densities", Counting},
-		{"sharding", "Beyond the paper: shard-count scaling of the counting backends", Sharding},
+		{"sharding", "Beyond the paper: shard-count scaling of scan counting", Sharding},
 		{"topk", "Beyond the paper: anchored top-K — exact full mine vs anchored search", TopK},
 	}
 }

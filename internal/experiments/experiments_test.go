@@ -19,7 +19,7 @@ func tiny() Scale {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"table1", "table3", "fig8a", "fig8b", "fig8c", "fig8d", "fig9a", "fig9b", "table4", "fig10-12", "ablation", "counting", "sharding", "topk"}
+	want := []string{"table1", "table3", "fig8a", "fig8b", "fig8c", "fig8d", "fig9a", "fig9b", "table4", "fig10-12", "ablation", "sharding", "topk"}
 	reg := Registry()
 	if len(reg) != len(want) {
 		t.Fatalf("registry has %d entries, want %d", len(reg), len(want))
@@ -147,58 +147,22 @@ func TestFig9aAndTable4(t *testing.T) {
 	}
 }
 
-func TestCountingShape(t *testing.T) {
-	tbl, err := Counting(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 3 widths × 3 strategies (scan, bitmap, auto).
-	const widths, strategies = 3, 3
-	if len(tbl.Rows) != widths*strategies {
-		t.Fatalf("counting rows = %d, want %d", len(tbl.Rows), widths*strategies)
-	}
-	for _, row := range tbl.Rows {
-		switch row[1] {
-		case "scan":
-			if row[4] != "0" {
-				t.Errorf("width %s strategy %s reported %s bitmap builds, want 0", row[0], row[1], row[4])
-			}
-		case "bitmap":
-			if row[4] == "0" || row[5] == "0" {
-				t.Errorf("width %s bitmap row has no bitmap work: builds=%s ops=%s", row[0], row[4], row[5])
-			}
-		}
-	}
-	// Pattern counts must agree across strategies within a width.
-	for w := 0; w < widths; w++ {
-		base := tbl.Rows[strategies*w][6]
-		for i := 1; i < strategies; i++ {
-			if got := tbl.Rows[strategies*w+i][6]; got != base {
-				t.Errorf("width group %d: %s found %s patterns, scan found %s", w, tbl.Rows[strategies*w+i][1], got, base)
-			}
-		}
-	}
-}
-
 func TestShardingShape(t *testing.T) {
 	tbl, err := Sharding(tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 2 strategies (scan, bitmap) × 4 shard counts.
-	const strategies, shardCounts = 2, 4
-	if len(tbl.Rows) != strategies*shardCounts {
-		t.Fatalf("sharding rows = %d, want %d", len(tbl.Rows), strategies*shardCounts)
+	// One row per shard count.
+	const shardCounts = 4
+	if len(tbl.Rows) != shardCounts {
+		t.Fatalf("sharding rows = %d, want %d", len(tbl.Rows), shardCounts)
 	}
-	// Pattern counts must agree across shard counts within a strategy —
-	// sharding can never change the mined output.
-	for s := 0; s < strategies; s++ {
-		base := tbl.Rows[shardCounts*s][5]
-		for i := 1; i < shardCounts; i++ {
-			row := tbl.Rows[shardCounts*s+i]
-			if row[5] != base {
-				t.Errorf("strategy %s at %s shards found %s patterns, want %s", row[0], row[1], row[5], base)
-			}
+	// Pattern counts must agree across shard counts — sharding can never
+	// change the mined output.
+	base := tbl.Rows[0][4]
+	for _, row := range tbl.Rows[1:] {
+		if row[4] != base {
+			t.Errorf("%s shards found %s patterns, want %s", row[0], row[4], base)
 		}
 	}
 }

@@ -60,16 +60,13 @@ func TestCoreResultGolden(t *testing.T) {
 	}
 }
 
-// TestStrategyPruningMatrix re-mines every scenario under all three counting
-// strategies crossed with all four pruning levels and asserts the mined
-// patterns are byte-identical to the canonical run's. Pattern sets must be
-// invariant (the paper's losslessness claim for the pruning ladder, and
-// counting is counting regardless of backend); stats counters legitimately
-// differ, so only the pattern portion of the envelope is compared here —
-// the canonical run's full envelope is pinned by TestCoreResultGolden.
+// TestStrategyPruningMatrix re-mines every scenario under all four pruning
+// levels and asserts the mined patterns are byte-identical to the canonical
+// run's. Pattern sets must be invariant (the paper's losslessness claim for
+// the pruning ladder); stats counters legitimately differ, so only the
+// pattern portion of the envelope is compared here — the canonical run's
+// full envelope is pinned by TestCoreResultGolden.
 func TestStrategyPruningMatrix(t *testing.T) {
-	strategies := []core.CountStrategy{core.CountScan, core.CountAuto, core.CountBitmap}
-	prunings := []core.PruningLevel{core.Basic, core.Flipping, core.FlippingTPG, core.Full}
 	for _, sc := range Scenarios() {
 		t.Run(sc.Name, func(t *testing.T) {
 			tree, src, cfg := sc.Load(t)
@@ -78,29 +75,16 @@ func TestStrategyPruningMatrix(t *testing.T) {
 				t.Fatalf("canonical Mine: %v", err)
 			}
 			want := patternEnvelope(t, base.JSON(tree))
-			// A streamed source counts by scan only; the non-scan backends
-			// mine the out-of-core scenario's baskets from memory.
-			inMemory := sc
-			inMemory.Stream = false
-			memTree, memSrc, _ := inMemory.Load(t)
-			for _, strat := range strategies {
-				for _, pr := range prunings {
-					c := cfg
-					c.Strategy = strat
-					c.Pruning = pr
-					tr, s := tree, src
-					if strat != core.CountScan {
-						tr, s = memTree, memSrc
-					}
-					res, err := core.Mine(s, tr, c)
-					if err != nil {
-						t.Fatalf("%s/%s: Mine: %v", strat, pr, err)
-					}
-					got := patternEnvelope(t, res.JSON(tr))
-					if got != want {
-						t.Errorf("%s/%s: mined patterns diverge from canonical run:\n%s",
-							strat, pr, Diff([]byte(want), []byte(got)))
-					}
+			for _, pr := range core.Levels() {
+				c := cfg
+				c.Pruning = pr
+				res, err := core.Mine(src, tree, c)
+				if err != nil {
+					t.Fatalf("%s: Mine: %v", pr, err)
+				}
+				if got := patternEnvelope(t, res.JSON(tree)); got != want {
+					t.Errorf("%s: mined patterns diverge from canonical run:\n%s",
+						pr, Diff([]byte(want), []byte(got)))
 				}
 			}
 		})

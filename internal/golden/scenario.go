@@ -241,13 +241,12 @@ func Scenarios() []Scenario {
 			// The reality-check simulator with planted flipping patterns
 			// (Table 4 GROCERIES row): the fixture pins the store-layout
 			// chains {canned beer, baby cosmetics} (+,−,+), {pork chops,
-			// salad dressing} (+,−,+) and {eggs, fresh fish} (−,+,−), mined
-			// through the bitmap counting backend as its canonical strategy.
+			// salad dressing} (+,−,+) and {eggs, fresh fish} (−,+,−).
 			Name: "groceries-sim",
 			Config: core.Config{
 				Measure: measure.Kulczynski, Gamma: 0.15, Epsilon: 0.10,
 				MinSup:  []float64{0.001, 0.0005, 0.0002},
-				Pruning: core.Full, Strategy: core.CountBitmap,
+				Pruning: core.Full, Strategy: core.CountScan,
 			},
 			Build: func() (*taxonomy.Tree, *txdb.DB) {
 				ds, err := datasets.Groceries(0.2, 21)

@@ -272,7 +272,7 @@ func KSubsets(universe Set, k int, fn func(sub Set)) {
 }
 
 // Binomial returns C(n, k) saturating at math.MaxInt64 for large inputs; it
-// backs the scan counter's cost model when choosing a counting strategy.
+// backs the scan counter's tally of the subset probes its descent skips.
 func Binomial(n, k int) int64 {
 	if k < 0 || k > n {
 		return 0

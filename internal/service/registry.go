@@ -45,8 +45,8 @@ type Dataset struct {
 
 // Engine returns the dataset's persistent mining engine, created on first
 // use. All jobs over the dataset share it, so materialized level views,
-// bitmap/tid indexes and counting scratch built for one job are reused by
-// the next — repeat mines over a registered dataset pay data preparation
+// subset tables, bitmap indexes and counting scratch built for one job are
+// reused by the next — repeat mines over a registered dataset pay data preparation
 // once, not per request. The engine is safe for concurrent jobs.
 func (d *Dataset) Engine() *core.Engine {
 	d.engOnce.Do(func() {

@@ -126,7 +126,9 @@ func (s *Server) Cache() *Cache { return s.cache }
 // client can send {"epsilon": 0.2} and inherit the rest. JSON field order
 // is irrelevant — the patch is applied onto a struct and the result keyed
 // by core.Config.CanonicalKey, so permuted but equal requests are cache
-// hits.
+// hits. So are requests that differ only in "strategy": every accepted name
+// ("scan", and the retired "auto", "bitmap", "bits", "tidlist" and "tid")
+// counts by scan, and the echo reads "scan".
 type ConfigPatch struct {
 	Measure     *measure.Measure    `json:"measure"`
 	Gamma       *float64            `json:"gamma"`

@@ -159,58 +159,45 @@ func TestCacheKeyIgnoresFieldOrderAndExecutionKnobs(t *testing.T) {
 	}
 }
 
-// TestStrategyIsASemanticCacheField exercises the counting strategies over
-// the wire: every JSON name is accepted, each strategy keys its own cache
-// slot (CanonicalKey covers Strategy), and all strategies mine the toy's
-// single flipping pattern. "tidlist", the name of a retired backend, is an
-// alias of bitmap: it shares bitmap's slot and echoes "bitmap".
-func TestStrategyIsASemanticCacheField(t *testing.T) {
+// TestStrategyIsNoCacheField exercises the strategy names over the wire:
+// every accepted name counts by scan, so a request that differs from an
+// earlier one only in "strategy" hits the earlier one's cache slot, and its
+// job echoes "scan" with the toy's single flipping pattern.
+func TestStrategyIsNoCacheField(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	for _, strategy := range []string{"scan", "bitmap", "auto"} {
-		body := `{"dataset": "toy", "config": {"gamma": 0.6, "epsilon": 0.35, "min_sup": [0.1, 0.1, 0.1], "strategy": "` + strategy + `"}}`
-		status, v := submit(t, ts, body)
-		if status == http.StatusOK && v.CacheHit {
-			t.Fatalf("strategy %q hit the cache of a different strategy", strategy)
-		}
-		done := pollDone(t, ts, v.ID)
-		var res struct {
-			PatternCount int `json:"pattern_count"`
-		}
-		if err := json.Unmarshal(done.Result, &res); err != nil {
-			t.Fatalf("strategy %q: result not JSON: %v", strategy, err)
-		}
-		if res.PatternCount != 1 {
-			t.Fatalf("strategy %q found %d patterns, want 1", strategy, res.PatternCount)
-		}
-		// Re-submitting the same strategy is a hit.
-		status, v = submit(t, ts, body)
+	body := func(strategy string) string {
+		return `{"dataset": "toy", "config": {"gamma": 0.6, "epsilon": 0.35, "min_sup": [0.1, 0.1, 0.1], "strategy": "` + strategy + `"}}`
+	}
+	status, v := submit(t, ts, body("scan"))
+	if status == http.StatusOK && v.CacheHit {
+		t.Fatal("the first request hit the cache")
+	}
+	pollDone(t, ts, v.ID)
+	for _, strategy := range []string{"bitmap", "auto", "bits", "tidlist", "tid"} {
+		status, v := submit(t, ts, body(strategy))
 		if status != http.StatusOK || !v.CacheHit {
-			t.Errorf("strategy %q resubmit: status %d cacheHit=%v, want a cache hit", strategy, status, v.CacheHit)
+			t.Fatalf("%q after an equal scan request: status %d cacheHit=%v, want a cache hit", strategy, status, v.CacheHit)
 		}
-	}
-
-	status, v := submit(t, ts, `{"dataset": "toy", "config": {"gamma": 0.6, "epsilon": 0.35, "min_sup": [0.1, 0.1, 0.1], "strategy": "tidlist"}}`)
-	if status != http.StatusOK || !v.CacheHit {
-		t.Fatalf("tidlist: status %d cacheHit=%v, want a hit on bitmap's cache slot", status, v.CacheHit)
-	}
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + v.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var job struct {
-		Config struct {
-			Strategy string `json:"strategy"`
-		} `json:"config"`
-		Result struct {
-			PatternCount int `json:"pattern_count"`
-		} `json:"result"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
-		t.Fatal(err)
-	}
-	if job.Config.Strategy != "bitmap" || job.Result.PatternCount != 1 {
-		t.Errorf("tidlist job echoes strategy %q with %d patterns, want \"bitmap\" with 1", job.Config.Strategy, job.Result.PatternCount)
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + v.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var job struct {
+			Config struct {
+				Strategy string `json:"strategy"`
+			} `json:"config"`
+			Result struct {
+				PatternCount int `json:"pattern_count"`
+			} `json:"result"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&job)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if job.Config.Strategy != "scan" || job.Result.PatternCount != 1 {
+			t.Errorf("%q job echoes strategy %q with %d patterns, want \"scan\" with 1", strategy, job.Config.Strategy, job.Result.PatternCount)
+		}
 	}
 }
 

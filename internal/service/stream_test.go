@@ -42,29 +42,24 @@ func post(t *testing.T, ts *httptest.Server, path, body string) (int, []byte) {
 
 // TestLoadingModeIsNoConfigField pins the wire side of "streaming comes from
 // the source": the retired materialize and keep_cell_stats knobs are
-// unknown fields, and a dataset loaded with -stream refuses the bitmap and
-// auto backends; each answers 400 before any job is queued.
+// unknown fields that answer 400 before any job is queued, while every
+// strategy name — scan's and the retired backends' — mines, sweeps and
+// answers top-K queries over a dataset loaded with -stream exactly as over
+// its in-memory twin.
 func TestLoadingModeIsNoConfigField(t *testing.T) {
 	dir := writeDataDir(t)
-	for _, stream := range []bool{false, true} {
+	// answers[stream] maps each accepted request to its result, stats aside:
+	// the loading mode charges other scans and probes.
+	var answers [2]map[string]string
+	for i, stream := range []bool{false, true} {
 		srv, ts := newDirServer(t, dir, stream)
-		bad := []struct{ path, body string }{
+		for _, tc := range []struct{ path, body string }{
 			{"/v1/jobs", `{"dataset": "toy", "config": {"materialize": true}}`},
 			{"/v1/jobs", `{"dataset": "toy", "config": {"materialize": false}}`},
 			{"/v1/jobs", `{"dataset": "toy", "config": {"keep_cell_stats": true}}`},
 			{"/v1/topk", `{"dataset": "toy", "anchor": "a1", "k": 2, "config": {"materialize": false}}`},
 			{"/v1/topk", `{"dataset": "toy", "anchor": "a1", "k": 2, "config": {"keep_cell_stats": true}}`},
-		}
-		if stream {
-			for _, strategy := range []string{"bitmap", "auto", "tidlist"} {
-				cfg := `{"strategy": "` + strategy + `", "gamma": 0.6, "epsilon": 0.35, "min_sup": [0.1, 0.1, 0.1]}`
-				bad = append(bad,
-					struct{ path, body string }{"/v1/jobs", `{"dataset": "toy", "config": ` + cfg + `}`},
-					struct{ path, body string }{"/v1/jobs", `{"dataset": "toy", "kind": "sweep", "epsilons": [0.3], "config": ` + cfg + `}`},
-					struct{ path, body string }{"/v1/topk", `{"dataset": "toy", "anchor": "a1", "k": 2, "config": ` + cfg + `}`})
-			}
-		}
-		for _, tc := range bad {
+		} {
 			if status, body := post(t, ts, tc.path, tc.body); status != http.StatusBadRequest {
 				t.Errorf("stream=%v %s %s: status %d (%s), want 400", stream, tc.path, tc.body, status, body)
 			}
@@ -72,20 +67,41 @@ func TestLoadingModeIsNoConfigField(t *testing.T) {
 		if jobs := srv.Queue().List(); len(jobs) != 0 {
 			t.Fatalf("stream=%v: rejected requests queued %d jobs", stream, len(jobs))
 		}
-		// Scan always counts, and an in-memory dataset takes every backend.
-		strategies := []string{"scan"}
-		if !stream {
-			strategies = append(strategies, "bitmap", "auto")
+		answers[i] = map[string]string{}
+		for _, strategy := range []string{"scan", "bitmap", "auto", "tidlist"} {
+			cfg := `{"strategy": "` + strategy + `", "gamma": 0.6, "epsilon": 0.35, "min_sup": [0.1, 0.1, 0.1]}`
+			for _, tc := range []struct{ path, body string }{
+				{"/v1/jobs", `{"dataset": "toy", "config": ` + cfg + `}`},
+				{"/v1/jobs", `{"dataset": "toy", "kind": "sweep", "epsilons": [0.3], "config": ` + cfg + `}`},
+				{"/v1/topk", `{"dataset": "toy", "anchor": "a1", "k": 2, "config": ` + cfg + `}`},
+			} {
+				status, body := post(t, ts, tc.path, tc.body)
+				var v JobView
+				if status != http.StatusOK && status != http.StatusAccepted || json.Unmarshal(body, &v) != nil {
+					t.Fatalf("stream=%v %s %s: status %d (%s)", stream, tc.path, tc.body, status, body)
+				}
+				if v.Status != StatusDone {
+					v = pollDone(t, ts, v.ID)
+				}
+				var res map[string]json.RawMessage
+				if v.Status != StatusDone || json.Unmarshal(v.Result, &res) != nil {
+					t.Fatalf("stream=%v %s %s: job %s: %s", stream, tc.path, tc.body, v.Status, v.Error)
+				}
+				if v.Config.Strategy.String() != "scan" {
+					t.Errorf("stream=%v %s %s: echoes strategy %v, want scan", stream, tc.path, tc.body, v.Config.Strategy)
+				}
+				delete(res, "stats")
+				out, err := json.Marshal(res)
+				if err != nil {
+					t.Fatal(err)
+				}
+				answers[i][tc.path+" "+tc.body] = string(out)
+			}
 		}
-		for _, strategy := range strategies {
-			body := `{"dataset": "toy", "config": {"strategy": "` + strategy + `", "gamma": 0.6, "epsilon": 0.35, "min_sup": [0.1, 0.1, 0.1]}}`
-			status, v := submit(t, ts, body)
-			if status != http.StatusOK && status != http.StatusAccepted {
-				t.Fatalf("stream=%v %s: status %d", stream, strategy, status)
-			}
-			if done := pollDone(t, ts, v.ID); done.Status != StatusDone {
-				t.Fatalf("stream=%v %s: job %s: %s", stream, strategy, done.Status, done.Error)
-			}
+	}
+	for req, want := range answers[0] {
+		if got := answers[1][req]; got != want {
+			t.Errorf("%s: the streamed dataset answered\n%s\nthe in-memory one\n%s", req, got, want)
 		}
 	}
 }

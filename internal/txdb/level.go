@@ -15,8 +15,9 @@ import (
 // row table, so generalizing N transactions to H levels allocates per
 // distinct generalized transaction, not per transaction and level.
 // Generalization collapses many raw transactions onto few distinct ones at
-// the upper levels, which is why the table pays: the counting backends and
-// the bitmap index both work on the distinct rows.
+// the upper levels, which is why the table pays: the scan counter, the
+// subset tables and anchored search's bitmap indexes all work on the
+// distinct rows.
 
 // Level is one abstraction level of a transaction source: every
 // transaction's items replaced by their level-h taxonomy ancestors (items
@@ -26,7 +27,7 @@ import (
 // The rows sit back to back in one arena in lexicographic itemset order —
 // the order Dedup returns — with row r at Items[Starts[r]:Starts[r+1]].
 // The order is fixed, not incidental: bitmap vectors put row r at bit r, so
-// it decides which words the bitmap backend touches and the word-op counts
+// it decides which words anchored search touches and the word-op counts
 // reported in Stats.
 type Level struct {
 	Items   []itemset.ID
