@@ -10,11 +10,15 @@
 package flipper_test
 
 import (
+	"context"
 	"fmt"
+	"net/http/httptest"
 	"path/filepath"
 	"testing"
+	"time"
 
 	flipper "github.com/flipper-mining/flipper"
+	"github.com/flipper-mining/flipper/internal/cluster"
 	"github.com/flipper-mining/flipper/internal/experiments"
 	"github.com/flipper-mining/flipper/internal/gen"
 	"github.com/flipper-mining/flipper/internal/taxonomy"
@@ -405,6 +409,56 @@ func BenchmarkCountingSyntheticWarm(b *testing.B) {
 		if _, err := eng.Mine(cfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkClusterMine is the default-config mine of
+// BenchmarkCountingSyntheticWarm's data, partitioned into 2 shards, through
+// an in-process coordinator and two httptest workers that joined it by
+// heartbeat: the search runs in the coordinator and every counting pass
+// crosses the count wire as one unit per shard, so each op pays the
+// request and answer encoding, the HTTP round trips and the workers'
+// counting. Two prewarming mines leave every engine steady, the workers'
+// subset tables built. The CI alloc budgets pin it.
+func BenchmarkClusterMine(b *testing.B) {
+	db, tree, err := experiments.Synthetic(20000, 5, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := txdb.PartitionSource(db, 2)
+	fp := cluster.NewFingerprint("synth", src, tree)
+	cat := cluster.NewCatalog()
+	cat.Add("synth", flipper.NewEngine(src, tree), tree, fp)
+	// Heartbeats are sent once, so no worker may age out during the run.
+	co := cluster.New(cat, cluster.Options{SuspectAfter: time.Hour})
+	coord := httptest.NewServer(co.Handler())
+	defer coord.Close()
+	for i := 0; i < 2; i++ {
+		wcat := cluster.NewCatalog()
+		wcat.Add("synth", flipper.NewEngine(src, tree), tree, fp)
+		w := cluster.NewWorker(fmt.Sprintf("w%d", i), wcat)
+		srv := httptest.NewServer(w.Handler())
+		defer srv.Close()
+		if err := w.SendHeartbeat(context.Background(), coord.URL, srv.URL, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	cfg := flipper.DefaultConfig(tree.Height())
+	mine := func() {
+		res, err := co.Mine(context.Background(), "synth", cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Stats.Degraded {
+			b.Fatal("a unit was counted by the coordinator, not a worker")
+		}
+	}
+	mine()
+	mine()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mine()
 	}
 }
 

@@ -3,9 +3,12 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -80,9 +83,9 @@ func testDataset(rng *rand.Rand) (*txdb.DB, *taxonomy.Tree) {
 // patternsJSON renders a result's envelope as canonical bytes — the
 // byte-identity surface of the equivalence suite: the patterns one per line,
 // then the stats with the timing keys (core.VolatileStatsKeys) and the
-// degraded flag scrubbed. A distributed run resolves every pass's backend as
-// a local run does and merges the workers' per-shard tallies as a local run
-// merges its own, so every other counter must match too.
+// degraded flag scrubbed. A distributed run counts every pass with the
+// kernel a local run uses and merges the workers' per-shard tallies as a
+// local run merges its own, so every other counter must match too.
 func patternsJSON(t *testing.T, res *core.Result, tree *taxonomy.Tree) string {
 	t.Helper()
 	rj := res.JSON(tree)
@@ -518,12 +521,8 @@ func TestWorkerHandlerValidation(t *testing.T) {
 		MinSupAbs: []int64{1, 1, 1},
 	}
 	var answer []byte // the body of the last response
-	post := func(req CountRequest) int {
+	postBody := func(body []byte) int {
 		t.Helper()
-		body, err := json.Marshal(req)
-		if err != nil {
-			t.Fatal(err)
-		}
 		resp, err := http.Post(srv.URL+PathCount, "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -533,6 +532,14 @@ func TestWorkerHandlerValidation(t *testing.T) {
 			t.Fatal(err)
 		}
 		return resp.StatusCode
+	}
+	post := func(req CountRequest) int {
+		t.Helper()
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return postBody(body)
 	}
 	leaves := tree.Leaves()
 	a, b := leaves[0], leaves[1]
@@ -583,6 +590,56 @@ func TestWorkerHandlerValidation(t *testing.T) {
 	bad.Fingerprint.Stream = !bad.Fingerprint.Stream
 	if got := post(bad); got != http.StatusConflict {
 		t.Fatalf("loading-mode mismatch: %d, want 409", got)
+	}
+	bad = good
+	bad.Fingerprint.Protocol = 0 // a fingerprint of a build before the packed wire
+	if got := post(bad); got != http.StatusConflict {
+		t.Fatalf("protocol-revision mismatch: %d, want 409", got)
+	}
+
+	// The packing and the candidates: each answers 400, naming the fault,
+	// before any counting. The first three replace the good unit's packed
+	// candidates with bytes no coordinator packs.
+	var fields map[string]json.RawMessage
+	raw, err := json.Marshal(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
+	}
+	packed := func(b ...byte) string { return base64.StdEncoding.EncodeToString(b) }
+	past := binary.AppendUvarint([]byte{1, 2}, math.MaxInt32+1) // one set: its first item past int32
+	for _, tc := range []struct {
+		name, candidates, fault string
+	}{
+		{"bad base64", "not base64!", "malformed packing"},
+		{"truncated uvarint", packed(1, 2, 3, 0x80), "malformed packing"},
+		{"ID past int32", packed(past...), "malformed packing"},
+	} {
+		fields["candidates"], _ = json.Marshal(tc.candidates)
+		body, err := json.Marshal(fields)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := postBody(body); got != http.StatusBadRequest || !bytes.Contains(answer, []byte(tc.fault)) {
+			t.Errorf("%s: %d %s, want 400 naming %q", tc.name, got, answer, tc.fault)
+		}
+	}
+	for _, tc := range []struct {
+		name       string
+		candidates []itemset.Set
+		fault      string
+	}{
+		{"non-canonical candidate", []itemset.Set{{a, a}}, "not a canonical itemset"},
+		{"duplicate candidate", []itemset.Set{{a, b}, {a, b}}, "duplicate candidate"},
+		{"candidate of the wrong k", []itemset.Set{{a, b}, {b}}, "has 1 items, want 2"},
+	} {
+		bad = good
+		bad.Candidates = tc.candidates
+		if got := post(bad); got != http.StatusBadRequest || !bytes.Contains(answer, []byte(tc.fault)) {
+			t.Errorf("%s: %d %s, want 400 naming %q", tc.name, got, answer, tc.fault)
+		}
 	}
 }
 

@@ -229,7 +229,11 @@ type gather struct {
 // reassigned away from automatically.
 func (g *gather) CountShard(ctx context.Context, u core.ShardUnit) (core.ShardTally, error) {
 	co := g.co
-	req := CountRequest{Fingerprint: g.ent.Fp, ConfigKey: g.key, ShardUnit: u}
+	// One body for every attempt and hedge of the unit.
+	body, err := json.Marshal(CountRequest{Fingerprint: g.ent.Fp, ConfigKey: g.key, ShardUnit: u})
+	if err != nil {
+		return core.ShardTally{}, err
+	}
 	backoff := co.opts.RetryBase
 	for attempt := 0; attempt < co.opts.RetryAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -253,8 +257,8 @@ func (g *gather) CountShard(ctx context.Context, u core.ShardUnit) (core.ShardTa
 		// cluster pins each shard to one worker (warm per-shard state on the
 		// worker: the engine's shard levels and indexes stay hot). Attempts
 		// rotate from there.
-		primary := (req.Shard + attempt) % len(ws)
-		t, err := co.dispatchHedged(ctx, req, ws, primary, attempt)
+		primary := (u.Shard + attempt) % len(ws)
+		t, err := g.dispatchHedged(ctx, u, body, ws, primary, attempt)
 		if err == nil {
 			return t, nil
 		}
@@ -268,21 +272,18 @@ func (g *gather) CountShard(ctx context.Context, u core.ShardUnit) (core.ShardTa
 	g.degraded.Store(true)
 	co.trace(traceEvent{
 		Event: "degraded", Dataset: g.ent.Fp.Dataset,
-		Shard: req.Shard, Level: req.Level, K: req.K,
+		Shard: u.Shard, Level: u.Level, K: u.K,
 	})
 	return g.ent.Engine.CountShard(ctx, u)
 }
 
-// dispatchHedged sends one attempt's request to the primary worker and, if
-// the response is still outstanding after the hedge deadline, duplicates it
-// to the next worker. The first successful response wins and the loser is
-// cancelled; exactly one tally is returned. An error is returned only when
-// every launched dispatch failed.
-func (co *Coordinator) dispatchHedged(ctx context.Context, req CountRequest, ws []WorkerInfo, primary, attempt int) (core.ShardTally, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return core.ShardTally{}, err
-	}
+// dispatchHedged sends one attempt's request body, unit u, to the primary
+// worker and, if the response is still outstanding after the hedge
+// deadline, duplicates it to the next worker. The first successful response
+// wins and the loser is cancelled; exactly one tally is returned. An error
+// is returned only when every launched dispatch failed.
+func (g *gather) dispatchHedged(ctx context.Context, u core.ShardUnit, body []byte, ws []WorkerInfo, primary, attempt int) (core.ShardTally, error) {
+	co, dataset := g.co, g.ent.Fp.Dataset
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -293,11 +294,11 @@ func (co *Coordinator) dispatchHedged(ctx context.Context, req CountRequest, ws 
 	ch := make(chan outcome, 2)
 	launch := func(w WorkerInfo, hedge bool) {
 		start := co.opts.Now()
-		t, err := co.post(cctx, w, body, len(req.Candidates))
+		t, err := co.post(cctx, w, body, len(u.Candidates))
 		lat := co.opts.Now().Sub(start)
 		ev := traceEvent{
-			Event: "dispatch", Dataset: req.Fingerprint.Dataset,
-			Shard: req.Shard, Level: req.Level, K: req.K,
+			Event: "dispatch", Dataset: dataset,
+			Shard: u.Shard, Level: u.Level, K: u.K,
 			Worker: w.ID, Attempt: attempt, Hedge: hedge,
 			LatencyMS: float64(lat) / float64(time.Millisecond),
 		}
@@ -334,8 +335,8 @@ func (co *Coordinator) dispatchHedged(ctx context.Context, req CountRequest, ws 
 			hedgeC = nil
 			hedge := ws[(primary+1)%len(ws)]
 			co.trace(traceEvent{
-				Event: "hedge", Dataset: req.Fingerprint.Dataset,
-				Shard: req.Shard, Level: req.Level, K: req.K,
+				Event: "hedge", Dataset: dataset,
+				Shard: u.Shard, Level: u.Level, K: u.K,
 				Worker: hedge.ID, Attempt: attempt,
 			})
 			go launch(hedge, true)

@@ -12,12 +12,15 @@
 // (commutative and associative), so counting a cell's candidates is
 // embarrassingly parallel across shards with a deterministic merged
 // result. The coordinator therefore runs the search locally through
-// core.MineRemote, which resolves each cell's backend as a local run does
-// and sends one core.ShardUnit per shard to the coordinator's ShardCounter,
-// and on to a worker (CountRequest → CountResponse). The worker counts it
-// with core.Engine.CountShard, the kernel a local unit runs, and its
-// supports and counters merge as a local pass's do: results are
-// byte-identical to a single process, stats included.
+// core.MineRemote, which sends each cell's counting pass as one
+// core.ShardUnit per shard to the coordinator's ShardCounter, and on to a
+// worker (CountRequest → CountResponse, the candidates and supports packed
+// as base64 uvarints). The worker counts it with core.Engine.CountShard,
+// the kernel a local unit runs, in a candidate store from its engine's
+// scratch pool, and its supports and counters merge as a local pass's do:
+// results are byte-identical to a single process, stats included. Nodes
+// exchange units only when their fingerprints match, protocol revision
+// included, so builds that speak different count wires never meet.
 //
 // # Robustness model
 //

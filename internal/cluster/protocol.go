@@ -26,11 +26,22 @@ const (
 	PathHeartbeat = "/cluster/heartbeat"
 )
 
+// ProtocolRevision is the revision of the count wire a build speaks, carried
+// in every fingerprint it makes. Revision 2 packs a unit's candidates and a
+// tally's supports (core.PackedSets, core.PackedSupports); revision 1, the
+// decimal JSON arrays, predates the field, so its fingerprints read 0 here.
+// Builds of different revisions therefore never exchange a unit: a
+// coordinator registers a worker of another revision but finds no dataset it
+// serves, and one of an older build rejects a newer worker's heartbeat,
+// whose fingerprints carry a field it does not know.
+const ProtocolRevision = 2
+
 // Fingerprint identifies a dataset build well enough to catch the failure
 // modes that silently corrupt distributed counting: a worker holding a
 // different dataset (or a differently-built taxonomy) under the same name,
 // the same baskets in a different shard layout or loading mode, or
-// different baskets of the same size. Loading is deterministic — LoadDir
+// different baskets of the same size — or a worker of a build that speaks
+// another count wire (Protocol). Loading is deterministic — LoadDir
 // resolves identical dictionary IDs and shard layouts from identical files —
 // so equal fingerprints mean the worker's item IDs, shard indexes and
 // per-shard transactions line up with the coordinator's, and that it counts
@@ -44,12 +55,14 @@ type Fingerprint struct {
 	Shards       int    `json:"shards"`
 	Stream       bool   `json:"stream"`
 	Digest       uint64 `json:"digest"`
+	Protocol     int    `json:"protocol"`
 }
 
 // NewFingerprint derives the fingerprint of a loaded dataset: its shape, the
 // shard count and loading mode, and a 64-bit digest over each shard's
 // transactions in order, where the shards and the mode are the ones an
-// engine over src counts with (txdb.ShardsOf, txdb.Streams).
+// engine over src counts with (txdb.ShardsOf, txdb.Streams), all under this
+// build's ProtocolRevision.
 // The digest reads the source once, so a FileSource pays one more sequential
 // read. A source that fails to scan gets a random digest: its fingerprint
 // matches no other, so no node counts on data it cannot read.
@@ -72,7 +85,7 @@ func NewFingerprint(name string, src txdb.Source, tree *taxonomy.Tree) Fingerpri
 	}
 	return Fingerprint{
 		Dataset: name, Transactions: src.Len(), Height: tree.Height(), Nodes: tree.NodeCount(),
-		Shards: len(shards), Stream: txdb.Streams(src), Digest: h,
+		Shards: len(shards), Stream: txdb.Streams(src), Digest: h, Protocol: ProtocolRevision,
 	}
 }
 
@@ -84,15 +97,16 @@ func mix(h, v uint64) uint64 {
 }
 
 func (f Fingerprint) String() string {
-	return fmt.Sprintf("%s(tx=%d,h=%d,nodes=%d,shards=%d,stream=%t,digest=%016x)",
-		f.Dataset, f.Transactions, f.Height, f.Nodes, f.Shards, f.Stream, f.Digest)
+	return fmt.Sprintf("%s(tx=%d,h=%d,nodes=%d,shards=%d,stream=%t,digest=%016x,protocol=%d)",
+		f.Dataset, f.Transactions, f.Height, f.Nodes, f.Shards, f.Stream, f.Digest, f.Protocol)
 }
 
 // CountRequest is one core.ShardUnit on the wire, with the checks a worker
 // runs before counting it. ConfigKey is the coordinator's
 // core.Config.CanonicalKey; the worker recomputes it from Config and
 // rejects mismatches, so a corrupted or version-skewed config can never
-// produce silently different counts.
+// produce silently different counts. The candidates travel packed
+// (core.PackedSets): a packing that does not decode answers 400.
 type CountRequest struct {
 	Fingerprint Fingerprint `json:"fingerprint"`
 	ConfigKey   string      `json:"config_key"`

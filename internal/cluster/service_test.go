@@ -213,6 +213,87 @@ func TestFingerprintMismatchMinesLocally(t *testing.T) {
 	}
 }
 
+// TestWorkerOfAnotherBuildMinesLocally covers build skew: a worker of the
+// build before the packed count wire heartbeats fingerprints without a
+// protocol revision, so the coordinator finds no dataset it serves and mines
+// locally, not degraded, sending it nothing it would have to refuse. The
+// other way round, a coordinator of that build decodes heartbeats strictly
+// and refuses this build's, whose fingerprints carry the revision.
+func TestWorkerOfAnotherBuildMinesLocally(t *testing.T) {
+	db, tree := testDataset(rand.New(rand.NewSource(123)))
+	src := func() txdb.Source { return txdb.PartitionSource(db, 2) }
+	f := newFlipperd(t, src(), tree, src())
+	if !f.co.Eligible("ds") {
+		t.Fatal("the worker of this build is not eligible")
+	}
+	fp := NewFingerprint("ds", src(), tree)
+	if fp.Protocol != ProtocolRevision {
+		t.Fatalf("fingerprint carries protocol %d, want %d", fp.Protocol, ProtocolRevision)
+	}
+	current, err := json.Marshal(Heartbeat{Worker: "w0", Addr: f.workers[0].URL, Datasets: []Fingerprint{fp}})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The older build's heartbeat, as its worker sends it: no revision.
+	var hb map[string]any
+	if err := json.Unmarshal(current, &hb); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range hb["datasets"].([]any) {
+		delete(d.(map[string]any), "protocol")
+	}
+	old, err := json.Marshal(hb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(f.url+PathHeartbeat, "application/json", bytes.NewReader(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("older heartbeat: %s", resp.Status)
+	}
+	if f.co.Eligible("ds") {
+		t.Fatal("a worker of another build is eligible")
+	}
+	patch := `{"gamma":0.3,"epsilon":0.1,"min_sup_abs":[2,1,1]}`
+	want := newFlipperd(t, src(), tree).mine(t, patch)
+	if got := f.mine(t, patch); !bytes.Equal(got, want) {
+		t.Fatalf("result diverged from the single-node one.\nwant:\n%s\ngot:\n%s", want, got)
+	}
+	if n := f.served.Load(); n != 0 {
+		t.Fatalf("%d count requests reached the worker of another build", n)
+	}
+
+	// The older build's strict heartbeat decoding, over its fingerprint.
+	var older struct {
+		Worker   string `json:"worker"`
+		Addr     string `json:"addr"`
+		Datasets []struct {
+			Dataset      string `json:"dataset"`
+			Transactions int    `json:"transactions"`
+			Height       int    `json:"height"`
+			Nodes        int    `json:"nodes"`
+			Shards       int    `json:"shards"`
+			Stream       bool   `json:"stream"`
+			Digest       uint64 `json:"digest"`
+		} `json:"datasets"`
+	}
+	dec := json.NewDecoder(bytes.NewReader(old))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&older); err != nil {
+		t.Fatalf("the older build refuses its own heartbeat: %v", err)
+	}
+	dec = json.NewDecoder(bytes.NewReader(current))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&older); err == nil {
+		t.Fatal("the older build accepts a heartbeat of this build")
+	}
+}
+
 // TestFingerprintScanErrorMatchesNothing: a source that fails to scan gets a
 // fingerprint equal to no other — neither the readable source's nor another
 // failed scan's of the same source.

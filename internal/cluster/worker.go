@@ -53,11 +53,12 @@ func writeError(rw http.ResponseWriter, status int, format string, args ...any) 
 }
 
 // handleCount answers one unit of a counting pass. Every cross-checkable
-// property of the request is verified before counting — dataset
-// fingerprint, canonical config key, and (in core.Engine.CountShard) level,
-// shard, backend and candidate shape — because a mismatch here would not
-// fail loudly downstream: it would merge wrong integers into a result that
-// still looks perfectly healthy.
+// property of the request is verified before counting — the packing of its
+// candidates, dataset fingerprint (with the build's protocol revision),
+// canonical config key, and (in core.Engine.CountShard) level, shard, k and
+// candidate shape — because a mismatch here would not fail loudly
+// downstream: it would merge wrong integers into a result that still looks
+// perfectly healthy.
 func (w *Worker) handleCount(rw http.ResponseWriter, r *http.Request) {
 	var req CountRequest
 	dec := json.NewDecoder(r.Body)
@@ -95,10 +96,8 @@ func (w *Worker) handleCount(rw http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// writeCompact answers 200 with v as compact JSON. A count answer carries
-// one support per candidate and only the coordinator reads it; indented,
-// every support would take a line of its own, 2.3× the bytes for 6,000
-// supports.
+// writeCompact answers 200 with v as compact JSON. Only the coordinator
+// reads a count answer, so it gains nothing from indentation.
 func writeCompact(rw http.ResponseWriter, v any) {
 	body, err := json.Marshal(v)
 	if err != nil {

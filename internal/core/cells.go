@@ -14,7 +14,7 @@ import (
 // zigzag's TPG check meaningful and keeps the miner complete — and the roots
 // check never fires, since a level-1 item is its own root.
 func (m *miner) aprioriCell(h, k int) *cell {
-	c := m.cell(h, k)
+	c := m.sc.cell(h, k)
 	if k == 2 {
 		items := m.frequentItems(h)
 		for i := 0; i < len(items); i++ {
@@ -84,7 +84,7 @@ func (m *miner) allSubsetsFrequent(prev *cell, joined itemset.Set, scratch items
 // this expansion is complete for the flipping-pattern search even though the
 // cells it produces are subsets of all frequent itemsets (see DESIGN.md).
 func (m *miner) childCell(h, k int) *cell {
-	c := m.cell(h, k)
+	c := m.sc.cell(h, k)
 	parentCell := m.rows[h-1][k]
 	if parentCell == nil || parentCell.alive == 0 {
 		return c

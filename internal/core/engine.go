@@ -298,12 +298,12 @@ func newCell(h, k int) *cell {
 	return &cell{h: h, k: k, store: candtrie.New(k)}
 }
 
-// cell checks a pooled cell out of the run scratch (store slabs retained
-// from earlier rows or runs) or allocates a fresh one.
-func (m *miner) cell(h, k int) *cell {
-	if list := m.sc.cells[k]; len(list) > 0 {
+// cell checks a pooled cell out of the scratch (store slabs retained from
+// earlier rows, runs or count units) or allocates a fresh one.
+func (sc *runScratch) cell(h, k int) *cell {
+	if list := sc.cells[k]; len(list) > 0 {
 		c := list[len(list)-1]
-		m.sc.cells[k] = list[:len(list)-1]
+		sc.cells[k] = list[:len(list)-1]
 		c.h, c.k = h, k
 		c.meta = c.meta[:0]
 		c.candidates, c.frequent, c.positive, c.negative, c.alive = 0, 0, 0, 0, 0
@@ -312,12 +312,12 @@ func (m *miner) cell(h, k int) *cell {
 	return newCell(h, k)
 }
 
-// retireCell resets a cell's store and returns it to the run scratch for
-// reuse by a later row or run. Callers must be done with every alias into
+// retire resets a cell's store and returns it to the scratch for reuse by a
+// later row, run or count unit. Callers must be done with every alias into
 // the store's arenas.
-func (m *miner) retireCell(c *cell) {
+func (sc *runScratch) retire(c *cell) {
 	c.store.Reset()
-	m.sc.cells[c.k] = append(m.sc.cells[c.k], c)
+	sc.cells[c.k] = append(sc.cells[c.k], c)
 }
 
 // chainRec is one link of a flipping chain in the miner's chain arena. When
@@ -598,7 +598,7 @@ func (m *miner) frequent(h int, id itemset.ID) bool {
 func (m *miner) release() {
 	for h := range m.rows {
 		for _, c := range m.rows[h] {
-			m.retireCell(c)
+			m.sc.retire(c)
 		}
 		m.rows[h] = nil
 	}
@@ -790,7 +790,7 @@ func (m *miner) freeRow(h int) {
 	}
 	for _, c := range m.rows[h] {
 		m.stats.dropResident(c.frequent, c.k)
-		m.retireCell(c)
+		m.sc.retire(c)
 	}
 	m.rows[h] = nil
 }

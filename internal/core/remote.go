@@ -4,8 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
-	"github.com/flipper-mining/flipper/internal/candtrie"
 	"github.com/flipper-mining/flipper/internal/itemset"
 	"github.com/flipper-mining/flipper/internal/txdb"
 )
@@ -23,28 +23,32 @@ import (
 // result is byte-identical to a local one, stats included.
 //
 // Candidate order is the contract: a unit carries its cell's candidates in
-// slab-entry order, and CountShard re-inserts them in that order,
-// reproducing the same indexes and the same trie (so the scan kernel's
-// probe tally matches too). The answer is therefore aligned with the
-// requesting cell's support slab with no key exchange at all.
+// slab-entry order, and CountShard re-inserts them in that order into a
+// store from the engine's scratch pool, reproducing the same indexes and the
+// same trie (so the scan kernel's probe tally matches too). The answer is
+// therefore aligned with the requesting cell's support slab with no key
+// exchange at all.
 
 // ShardUnit is one unit of a distributed counting pass: one cell's
 // candidates, in slab order, to count over one transaction shard. Its JSON
-// form is the body of a cluster count request.
+// form is the body of a cluster count request: an object whose candidates
+// travel packed, as one base64 string of uvarints (PackedSets), so a
+// unit's bulk decodes in one pass over its bytes.
 type ShardUnit struct {
-	Config     Config        `json:"config"`
-	Level      int           `json:"level"`
-	K          int           `json:"k"`
-	Shard      int           `json:"shard"`
-	Candidates []itemset.Set `json:"candidates"`
+	Config     Config     `json:"config"`
+	Level      int        `json:"level"`
+	K          int        `json:"k"`
+	Shard      int        `json:"shard"`
+	Candidates PackedSets `json:"candidates"`
 }
 
 // ShardTally is a unit's answer: the partial support vector, aligned with
 // the unit's candidates, and the unit's share of the pass's counters. Its
-// JSON form is the body of a cluster count response.
+// JSON form is the body of a cluster count response, with the supports
+// packed like a unit's candidates (PackedSupports).
 type ShardTally struct {
-	Supports     []int64 `json:"supports"`
-	ProbesPruned int64   `json:"probes_pruned"`
+	Supports     PackedSupports `json:"supports"`
+	ProbesPruned int64          `json:"probes_pruned"`
 }
 
 // ShardCounter counts the units of a distributed pass. Implementations (the
@@ -105,8 +109,11 @@ func (m *miner) countRemote(c *cell) {
 
 // CountShard counts one unit over the engine's copy of the unit's shard,
 // with the kernel a local pass runs. Errors wrapping ErrBadUnit reject the
-// unit itself: a level, shard or candidate out of shape, or an invalid
-// configuration.
+// unit itself, before any counting: a level, shard or candidate out of
+// shape, or an invalid configuration. The candidate store and the counting
+// state come out of the engine's scratch pool, which Mine shares, and go
+// back to it reset; the tally's supports are a copy, so no later call
+// changes them.
 func (e *Engine) CountShard(ctx context.Context, u ShardUnit) (ShardTally, error) {
 	if _, err := e.validate(&u.Config); err != nil {
 		return badUnit("%v", err)
@@ -124,7 +131,11 @@ func (e *Engine) CountShard(ctx context.Context, u ShardUnit) (ShardTally, error
 	if u.Shard < 0 || u.Shard >= len(ds.shards) {
 		return badUnit("shard %d out of [0, %d)", u.Shard, len(ds.shards))
 	}
-	st := candtrie.New(u.K)
+	sc := e.getScratch()
+	defer e.putScratch(sc)
+	c := sc.cell(u.Level, u.K)
+	defer sc.retire(c)
+	st := c.store
 	for i, cand := range u.Candidates {
 		if len(cand) != u.K {
 			return badUnit("candidate %d has %d items, want %d", i, len(cand), u.K)
@@ -139,8 +150,7 @@ func (e *Engine) CountShard(ctx context.Context, u ShardUnit) (ShardTally, error
 		}
 	}
 	st.Freeze()
-	c := &cell{h: u.Level, k: u.K, store: st}
-	p := partial{counts: st.Sup}
+	p := &sc.partialsFor(c, 1)[0]
 	if ds.stream {
 		p.err = p.scanSource(c, ds.shards[u.Shard], e.tree, ctx.Done())
 	} else if tab := ds.table(u.Level, u.Shard, u.K); tab != nil {
@@ -155,7 +165,7 @@ func (e *Engine) CountShard(ctx context.Context, u ShardUnit) (ShardTally, error
 	if p.err != nil {
 		return ShardTally{}, p.err
 	}
-	return ShardTally{Supports: st.Sup, ProbesPruned: p.pruned}, nil
+	return ShardTally{Supports: slices.Clone(st.Sup), ProbesPruned: p.pruned}, nil
 }
 
 // badUnit is CountShard's rejection of a unit.

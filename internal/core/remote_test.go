@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -231,6 +233,15 @@ func TestCountShardValidation(t *testing.T) {
 			t.Errorf("%s: got %v, want ErrBadUnit", tc.name, err)
 		}
 	}
+	// A rejected unit is refused before any counting: no pass reached the
+	// level's pair table, which every counted k = 2 unit reaches.
+	ds, err := eng.dataFor(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := ds.tableSlot(H, 0, 2).reaches.Load(); n != 0 {
+		t.Errorf("rejected units reached the pair table %d times", n)
+	}
 	if out, err := eng.CountShard(ctx, good); err != nil || len(out.Supports) != 1 {
 		t.Errorf("valid unit: got %v, %v", out, err)
 	}
@@ -274,4 +285,117 @@ type failingCounter struct{}
 
 func (failingCounter) CountShard(context.Context, ShardUnit) (ShardTally, error) {
 	return ShardTally{}, fmt.Errorf("boom")
+}
+
+// selfCounter answers every unit from the engine that is mining: the
+// coordinator's degraded fallback, which counts a unit on its own engine
+// while that engine's MineRemote holds a scratch of the same pool.
+type selfCounter struct{ eng *Engine }
+
+func (sc selfCounter) CountShard(ctx context.Context, u ShardUnit) (ShardTally, error) {
+	return sc.eng.CountShard(ctx, u)
+}
+
+// TestCountShardPooledStore runs CountShard calls of mixed k on one engine
+// from several goroutines, and beside them a MineRemote whose units that
+// engine answers itself. Every store and partial comes out of the engine's
+// scratch pool, so each tally must equal a fresh engine's answer to the
+// unit, a tally held across later calls must keep its values, and the mine
+// must equal a local one. CI runs it with -race -count=10.
+func TestCountShardPooledStore(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	db, tree := randomDataset(rng)
+	src := txdb.PartitionSource(db, 2)
+	cfg := Config{
+		Measure: measure.Kulczynski, Gamma: 0.3, Epsilon: 0.1,
+		MinSupAbs: []int64{2, 1, 1}, Pruning: Full,
+	}
+	ctx := context.Background()
+	// Units of k = 1..4 at every level: each window of k consecutive nodes.
+	var units []ShardUnit
+	for h := 1; h <= tree.Height(); h++ {
+		nodes := tree.NodesAtLevel(h)
+		for k := 1; k <= 4 && k <= len(nodes); k++ {
+			var cands []itemset.Set
+			for i := 0; i+k <= len(nodes); i++ {
+				cands = append(cands, itemset.New(nodes[i:i+k]...))
+			}
+			for s := 0; s < 2; s++ {
+				units = append(units, ShardUnit{Config: cfg, Level: h, K: k, Shard: s, Candidates: cands})
+			}
+		}
+	}
+	want := make([]ShardTally, len(units))
+	counted := int64(0)
+	for i, u := range units {
+		tally, err := NewEngine(src, tree).CountShard(ctx, u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = tally
+		for _, v := range tally.Supports {
+			counted += v
+		}
+	}
+	if counted == 0 {
+		t.Fatal("every unit counted zero; the comparisons would be vacuous")
+	}
+	local, err := Mine(src, tree, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if local.Stats.CandidatesCounted == 0 {
+		t.Fatal("the mine counts nothing; its units would not share the pool")
+	}
+
+	eng := NewEngine(src, tree)
+	var wg sync.WaitGroup
+	errs := make(chan error, 5)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var held []ShardTally // one tally per unit, from this goroutine's first round
+			for round := 0; round < 3; round++ {
+				for n := range units {
+					i := (n*(g+1) + round) % len(units) // a different order per goroutine
+					got, err := eng.CountShard(ctx, units[i])
+					if err != nil {
+						errs <- err
+						return
+					}
+					if !reflect.DeepEqual(got, want[i]) {
+						errs <- fmt.Errorf("goroutine %d: unit %d answered %+v, a fresh engine %+v", g, i, got, want[i])
+						return
+					}
+					if round == 0 {
+						held = append(held, got)
+					}
+				}
+			}
+			for n, tally := range held {
+				if i := n * (g + 1) % len(units); !reflect.DeepEqual(tally, want[i]) {
+					errs <- fmt.Errorf("goroutine %d: a held tally of unit %d changed to %+v", g, i, tally)
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		res, err := eng.MineRemote(ctx, cfg, selfCounter{eng})
+		if err != nil {
+			errs <- err
+			return
+		}
+		if got, want := scrubbedJSON(t, res, tree), scrubbedJSON(t, local, tree); !bytes.Equal(got, want) {
+			errs <- fmt.Errorf("a mine counted by its own engine diverged.\nlocal:\n%s\nremote:\n%s", want, got)
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
 }
