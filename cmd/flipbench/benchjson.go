@@ -110,7 +110,6 @@ func runBenchJSON(path, tag string) error {
 		add(name, func() error { _, err := mine(); return err }, map[string]float64{
 			"candidates_counted": float64(res.Stats.CandidatesCounted),
 			"trie_nodes":         float64(res.Stats.TrieNodes),
-			"probes_pruned":      float64(res.Stats.ProbesPruned),
 			"bitmap_word_ops":    float64(res.Stats.BitmapWordOps),
 			"shards":             float64(res.Stats.Shards),
 			"shard_merge_ns":     float64(res.Stats.ShardMergeNs),

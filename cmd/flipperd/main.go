@@ -25,21 +25,21 @@
 // single-file layout. With
 // -stream, basket files stay on disk and are re-read on every counting
 // pass (the paper's disk-resident mode) — shard files in parallel, so big
-// datasets mine without ever being resident in memory, counting by scan
-// only; otherwise each dataset is read into memory once at startup. The
-// flag is the only switch: no job configuration changes the mode.
+// datasets mine without ever being resident in memory; otherwise each
+// dataset is read into memory once at startup. The flag is the only switch:
+// no job configuration changes the mode.
 //
 // Multi-node operation (docs/OPERATIONS.md): the default mode is a
 // coordinator — it serves the /v1 API, accepts worker heartbeats on
 // /cluster/heartbeat, and sends every counting pass, one unit per shard,
-// to the registered workers, each unit counted with the backend the
-// coordinator chose; results are byte-identical to a single-process mine,
-// stats included. Shards no worker can serve are counted locally
-// (degraded mode). With -worker the process instead serves only the
-// /cluster counting endpoints and pushes heartbeats to -join; workers must
-// load the same -data directory in the same layout and -stream mode
-// (fingerprints cover the shard layout, the loading mode and a digest of
-// the baskets and are verified per request, so skewed workers are
+// to the registered workers, each of which answers a unit's candidates with
+// their supports over its shard; results are byte-identical to a
+// single-process mine, stats included. Shards no worker can serve are
+// counted locally (degraded mode). With -worker the process instead serves
+// only the /cluster counting endpoints and pushes heartbeats to -join;
+// workers must load the same -data directory in the same layout and -stream
+// mode (fingerprints cover the shard layout, the loading mode and a digest
+// of the baskets and are verified per request, so skewed workers are
 // rejected, not silently wrong).
 //
 // API (JSON; see docs/ARCHITECTURE.md):

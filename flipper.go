@@ -194,7 +194,8 @@ func NewDB(d *Dictionary) *DB { return txdb.New(d) }
 func ReadBaskets(r io.Reader, d *Dictionary) (*DB, error) { return txdb.ReadBaskets(r, d) }
 
 // OpenBasketFile opens a basket file as a streaming Source for disk-resident
-// mining: every counting pass re-reads it, so only scan counting applies.
+// mining: every counting pass re-reads it, and no level or subset table is
+// built over it.
 func OpenBasketFile(path string, d *Dictionary) (*FileSource, error) {
 	return txdb.OpenFile(path, d)
 }
@@ -207,8 +208,8 @@ func OpenBasketSource(path string, d *Dictionary, stream bool) (Source, error) {
 }
 
 // PartitionDB splits an in-memory database into an n-shard source whose
-// shards alias the database's storage; mining it makes every counting
-// backend shard-parallel with output byte-identical to the unsharded run.
+// shards alias the database's storage; mining it counts every pass
+// shard-parallel with output byte-identical to the unsharded run.
 // It is how an in-memory database is sharded: the shard layout is always the
 // source's own.
 func PartitionDB(db *DB, n int) *ShardedSource { return txdb.PartitionSource(db, n) }

@@ -77,7 +77,7 @@ type Store struct {
 	k     int
 	nodes []node       // nodes[0] is the root (item field unused there)
 	ids   []itemset.ID // item arena: entry e owns ids[e*k : (e+1)*k]
-	Sup   []int64      // per-entry support, filled by the counting backends
+	Sup   []int64      // per-entry support, filled by a count pass
 
 	// kids[n] is node n's child count, maintained incrementally by Insert so
 	// Freeze can size every CSR span exactly without walking sibling chains
@@ -421,35 +421,30 @@ func (s *Store) Filter(tx itemset.Set, buf itemset.Set) itemset.Set {
 // counts the result. tx must be canonical (sorted ascending) and may be of
 // any width and hold any IDs. Safe for concurrent use after Freeze (counts
 // are caller-owned).
-func (s *Store) CountTx(tx itemset.Set, w int64, counts []int64) int64 {
+func (s *Store) CountTx(tx itemset.Set, w int64, counts []int64) {
 	var buf [64]int32
-	return s.CountRanks(s.FilterRanks(tx, buf[:0]), w, counts)
+	s.CountRanks(s.FilterRanks(tx, buf[:0]), w, counts)
 }
 
 // CountRanks adds w to counts[e] for every candidate e that is a subset of
 // the row, by descending the trie along the row's ranks: each rank either
 // continues a candidate prefix one level down or is skipped, so the descent
 // enumerates only the subsets of the row that are prefixes of some
-// candidate. It returns the number of candidates matched (paths that
-// reached depth k); the caller can subtract that from C(len(ranks), k) to
-// measure how many of the k-subsets a flat subset enumeration would have
-// probed the descent never visited.
+// candidate.
 //
 // ranks must be a result of FilterRanks on this store since its last
 // Freeze, over a canonical row; counts must have length Len(). Safe for
 // concurrent use after Freeze (counts are caller-owned).
-func (s *Store) CountRanks(ranks []int32, w int64, counts []int64) int64 {
-	if len(ranks) < s.k {
-		return 0
+func (s *Store) CountRanks(ranks []int32, w int64, counts []int64) {
+	if len(ranks) >= s.k {
+		s.descend(0, s.k, ranks, w, counts)
 	}
-	return s.descend(0, s.k, ranks, w, counts)
 }
 
 // descend counts the candidates below one node — a block number on the
 // dense layout, a node index on CSR — that need more ranks of the row, in
 // ascending order, to complete. len(ranks) ≥ need.
-func (s *Store) descend(n int32, need int, ranks []int32, w int64, counts []int64) int64 {
-	var hits int64
+func (s *Store) descend(n int32, need int, ranks []int32, w int64, counts []int64) {
 	if s.dense {
 		blk := s.blocks[int(n)*s.width:][:s.width]
 		switch need {
@@ -457,7 +452,6 @@ func (s *Store) descend(n int32, need int, ranks []int32, w int64, counts []int6
 			for _, r := range ranks {
 				if e := blk[r]; e >= 0 {
 					counts[e] += w
-					hits++
 				}
 			}
 		case 2:
@@ -472,18 +466,17 @@ func (s *Store) descend(n int32, need int, ranks []int32, w int64, counts []int6
 				for _, r2 := range ranks[i+1:] {
 					if e := leaf[r2]; e >= 0 {
 						counts[e] += w
-						hits++
 					}
 				}
 			}
 		default:
 			for i := 0; len(ranks)-i >= need; i++ {
 				if c := blk[ranks[i]]; c >= 0 {
-					hits += s.descend(c, need-1, ranks[i+1:], w, counts)
+					s.descend(c, need-1, ranks[i+1:], w, counts)
 				}
 			}
 		}
-		return hits
+		return
 	}
 	lo, hi := s.csrStart[n], s.csrStart[n+1]
 	span := s.csrRanks[lo:hi]
@@ -510,12 +503,11 @@ func (s *Store) descend(n int32, need int, ranks []int32, w int64, counts []int6
 			}
 			if e := s.csrEntry[lo+int32(a)]; e >= 0 {
 				counts[e] += w
-				hits++
 			} else {
-				hits += s.descend(s.csrChild[lo+int32(a)], need-1, ranks[i+1:], w, counts)
+				s.descend(s.csrChild[lo+int32(a)], need-1, ranks[i+1:], w, counts)
 			}
 		}
-		return hits
+		return
 	}
 	entries := s.csrEntry[lo:hi]
 	if need == 1 {
@@ -531,11 +523,10 @@ func (s *Store) descend(n int32, need int, ranks []int32, w int64, counts []int6
 			}
 			if span[ci] == r {
 				counts[entries[ci]] += w
-				hits++
 				ci++
 			}
 		}
-		return hits
+		return
 	}
 	ci, i := 0, 0
 	for ci < len(span) && len(ranks)-i >= need {
@@ -543,14 +534,13 @@ func (s *Store) descend(n int32, need int, ranks []int32, w int64, counts []int6
 		for span[ci] < r {
 			ci++
 			if ci == len(span) {
-				return hits
+				return
 			}
 		}
 		if span[ci] == r {
-			hits += s.descend(s.csrChild[lo+int32(ci)], need-1, ranks[i+1:], w, counts)
+			s.descend(s.csrChild[lo+int32(ci)], need-1, ranks[i+1:], w, counts)
 			ci++
 		}
 		i++
 	}
-	return hits
 }

@@ -77,10 +77,7 @@ func TestFilterAndCountTx(t *testing.T) {
 	}
 
 	counts := make([]int64, s.Len())
-	hits := s.CountTx(buf, 5, counts)
-	if hits != 2 {
-		t.Fatalf("hits = %d", hits)
-	}
+	s.CountTx(buf, 5, counts)
 	for _, set := range []itemset.Set{itemset.New(1, 2), itemset.New(2, 3)} {
 		if c := counts[s.Lookup(set)]; c != 5 {
 			t.Fatalf("count of %v = %d", set, c)
@@ -88,9 +85,7 @@ func TestFilterAndCountTx(t *testing.T) {
 	}
 	// Too-narrow transactions contribute nothing.
 	before := append([]int64(nil), counts...)
-	if h := s.CountTx(itemset.New(2), 1, counts); h != 0 {
-		t.Fatalf("narrow tx hit %d", h)
-	}
+	s.CountTx(itemset.New(2), 1, counts)
 	for i := range counts {
 		if counts[i] != before[i] {
 			t.Fatal("narrow transaction changed counts")
@@ -99,9 +94,7 @@ func TestFilterAndCountTx(t *testing.T) {
 	// A transaction matching only a dead-end prefix counts nothing: {1,3}
 	// shares the prefix 1 with candidate {1,2} but never completes it, and
 	// the descent abandons the branch without enumerating subsets.
-	if h := s.CountTx(itemset.New(1, 3), 1, counts); h != 0 {
-		t.Fatalf("dead-end prefix produced %d hits", h)
-	}
+	s.CountTx(itemset.New(1, 3), 1, counts)
 	for i := range counts {
 		if counts[i] != before[i] {
 			t.Fatal("dead-end transaction changed counts")
@@ -118,8 +111,7 @@ var layouts = []struct {
 // checkAgainstBruteForce counts txs through the frozen store s three ways —
 // the rank entry point (FilterRanks, then CountRanks), CountTx over the row
 // filtered first and CountTx over the raw row — and checks every support
-// and every transaction's hits against the obvious reference: a subset test
-// per candidate.
+// against the obvious reference: a subset test per candidate.
 func checkAgainstBruteForce(t *testing.T, label string, s *Store, txs []itemset.Set, weights []int64) {
 	t.Helper()
 	byRank := make([]int64, s.Len())
@@ -129,24 +121,16 @@ func checkAgainstBruteForce(t *testing.T, label string, s *Store, txs []itemset.
 	var buf itemset.Set
 	var ranks []int32
 	for i, tx := range txs {
-		var wantHits int64
 		for e := range want {
 			if s.Items(int32(e)).SubsetOf(tx) {
 				want[e] += weights[i]
-				wantHits++
 			}
 		}
 		ranks = s.FilterRanks(tx, ranks[:0])
-		if h := s.CountRanks(ranks, weights[i], byRank); h != wantHits {
-			t.Fatalf("%s: tx %d mapped to %d ranks hit %d, want %d", label, i, len(ranks), h, wantHits)
-		}
+		s.CountRanks(ranks, weights[i], byRank)
 		buf = s.Filter(tx, buf[:0])
-		if h := s.CountTx(buf, weights[i], counts); h != wantHits {
-			t.Fatalf("%s: tx %d filtered to %d items hit %d, want %d", label, i, len(buf), h, wantHits)
-		}
-		if h := s.CountTx(tx, weights[i], raw); h != wantHits {
-			t.Fatalf("%s: tx %d unfiltered hit %d, want %d", label, i, h, wantHits)
-		}
+		s.CountTx(buf, weights[i], counts)
+		s.CountTx(tx, weights[i], raw)
 	}
 	for e := range want {
 		if byRank[e] != want[e] || counts[e] != want[e] || raw[e] != want[e] {
@@ -368,9 +352,7 @@ func TestEmptyStore(t *testing.T) {
 	if got := s.FilterRanks(itemset.Set{0, 1, 2}, nil); len(got) != 0 {
 		t.Fatalf("FilterRanks on empty = %v", got)
 	}
-	if h := s.CountTx(itemset.New(1, 2, 3), 1, nil); h != 0 {
-		t.Fatalf("CountTx on empty = %d", h)
-	}
+	s.CountTx(itemset.New(1, 2, 3), 1, nil) // must not index the nil counts
 	s.Walk(func(int32, itemset.Set) { t.Fatal("Walk visited an entry") })
 }
 
@@ -485,9 +467,8 @@ func TestResetReuse(t *testing.T) {
 			if !rbuf.Equal(fbuf) {
 				t.Fatalf("gen %d: Filter diverged: %v vs %v", gen, rbuf, fbuf)
 			}
-			if rh, fh := reused.CountTx(rbuf, 1, rc), fresh.CountTx(fbuf, 1, fc); rh != fh {
-				t.Fatalf("gen %d: hits diverged: %d reused, %d fresh", gen, rh, fh)
-			}
+			reused.CountTx(rbuf, 1, rc)
+			fresh.CountTx(fbuf, 1, fc)
 		}
 		for i := range rc {
 			if rc[i] != fc[i] {

@@ -140,10 +140,9 @@ func checkK(t *testing.T, txs []itemset.Set, weights []int64, k int, cands []ite
 		for i, tx := range txs {
 			ranks = s.FilterRanks(tx, ranks[:0])
 			buf = s.Filter(tx, buf[:0])
-			h := s.CountRanks(ranks, weights[i], byRank)
-			if hf, hr := s.CountTx(buf, weights[i], counts), s.CountTx(tx, weights[i], raw); hf != h || hr != h {
-				t.Fatalf("k=%d %s: tx %v hit %d by rank, %d filtered, %d unfiltered", k, l.name, tx, h, hf, hr)
-			}
+			s.CountRanks(ranks, weights[i], byRank)
+			s.CountTx(buf, weights[i], counts)
+			s.CountTx(tx, weights[i], raw)
 		}
 		s.Walk(func(e int32, items itemset.Set) {
 			if byRank[e] != ref[items.Key()] || counts[e] != byRank[e] || raw[e] != byRank[e] {

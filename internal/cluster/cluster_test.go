@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"math/rand"
 	"net/http"
@@ -546,8 +547,8 @@ func TestWorkerHandlerValidation(t *testing.T) {
 	if a > b {
 		a, b = b, a
 	}
-	good := CountRequest{Fingerprint: fp, ConfigKey: cfg.CanonicalKey(), ShardUnit: core.ShardUnit{
-		Config: cfg, Level: tree.Height(), K: 2, Shard: 0,
+	good := CountRequest{Fingerprint: fp, ShardUnit: core.ShardUnit{
+		Level: tree.Height(), K: 2, Shard: 0,
 		Candidates: []itemset.Set{{a, b}},
 	}}
 	if got := post(good); got != http.StatusOK {
@@ -572,11 +573,6 @@ func TestWorkerHandlerValidation(t *testing.T) {
 		t.Fatalf("unknown dataset: %d, want 404", got)
 	}
 	bad = good
-	bad.ConfigKey = "tampered"
-	if got := post(bad); got != http.StatusBadRequest {
-		t.Fatalf("config-key mismatch: %d, want 400", got)
-	}
-	bad = good
 	bad.Shard = 5
 	if got := post(bad); got != http.StatusBadRequest {
 		t.Fatalf("shard out of range: %d, want 400", got)
@@ -598,8 +594,9 @@ func TestWorkerHandlerValidation(t *testing.T) {
 	}
 
 	// The packing and the candidates: each answers 400, naming the fault,
-	// before any counting. The first three replace the good unit's packed
-	// candidates with bytes no coordinator packs.
+	// before any counting. The first two add to the good unit a field of the
+	// count wire's revision 2, which a unit no longer has; the next three
+	// replace its packed candidates with bytes no coordinator packs.
 	var fields map[string]json.RawMessage
 	raw, err := json.Marshal(good)
 	if err != nil {
@@ -607,6 +604,18 @@ func TestWorkerHandlerValidation(t *testing.T) {
 	}
 	if err := json.Unmarshal(raw, &fields); err != nil {
 		t.Fatal(err)
+	}
+	for field, value := range map[string]any{"config": cfg, "config_key": cfg.CanonicalKey()} {
+		with := maps.Clone(fields)
+		with[field], _ = json.Marshal(value)
+		body, err := json.Marshal(with)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fault := fmt.Sprintf(`unknown field \"%s\"`, field) // as the JSON error envelope escapes it
+		if got := postBody(body); got != http.StatusBadRequest || !bytes.Contains(answer, []byte(fault)) {
+			t.Errorf("a body carrying %s: %d %s, want 400 naming %q", field, got, answer, fault)
+		}
 	}
 	packed := func(b ...byte) string { return base64.StdEncoding.EncodeToString(b) }
 	past := binary.AppendUvarint([]byte{1, 2}, math.MaxInt32+1) // one set: its first item past int32

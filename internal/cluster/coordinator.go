@@ -202,7 +202,7 @@ func (co *Coordinator) Mine(ctx context.Context, dataset string, cfg core.Config
 	if !ok {
 		return nil, fmt.Errorf("cluster: unknown dataset %q", dataset)
 	}
-	g := &gather{co: co, ent: ent, key: cfg.CanonicalKey()}
+	g := &gather{co: co, ent: ent}
 	res, err := ent.Engine.MineRemote(ctx, cfg, g)
 	if err != nil {
 		return nil, err
@@ -218,7 +218,6 @@ func (co *Coordinator) Mine(ctx context.Context, dataset string, cfg core.Config
 type gather struct {
 	co       *Coordinator
 	ent      CatalogEntry
-	key      string
 	degraded atomic.Bool
 }
 
@@ -230,7 +229,7 @@ type gather struct {
 func (g *gather) CountShard(ctx context.Context, u core.ShardUnit) (core.ShardTally, error) {
 	co := g.co
 	// One body for every attempt and hedge of the unit.
-	body, err := json.Marshal(CountRequest{Fingerprint: g.ent.Fp, ConfigKey: g.key, ShardUnit: u})
+	body, err := json.Marshal(CountRequest{Fingerprint: g.ent.Fp, ShardUnit: u})
 	if err != nil {
 		return core.ShardTally{}, err
 	}

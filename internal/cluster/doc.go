@@ -14,13 +14,16 @@
 // result. The coordinator therefore runs the search locally through
 // core.MineRemote, which sends each cell's counting pass as one
 // core.ShardUnit per shard to the coordinator's ShardCounter, and on to a
-// worker (CountRequest → CountResponse, the candidates and supports packed
-// as base64 uvarints). The worker counts it with core.Engine.CountShard,
+// worker (CountRequest → CountResponse). A unit is the dataset's
+// fingerprint, the level, k, the shard and the candidates; an answer is
+// the candidates' supports, and nothing else. Both bulks travel packed as
+// base64 uvarints. The worker counts a unit with core.Engine.CountShard,
 // the kernel a local unit runs, in a candidate store from its engine's
-// scratch pool, and its supports and counters merge as a local pass's do:
-// results are byte-identical to a single process, stats included. Nodes
-// exchange units only when their fingerprints match, protocol revision
-// included, so builds that speak different count wires never meet.
+// scratch pool, and its supports merge as a local pass's do: results are
+// byte-identical to a single process, stats included, since every stat is
+// the coordinator's own. Nodes exchange units only when their fingerprints
+// match, protocol revision included, so builds that speak different count
+// wires never meet.
 //
 // # Robustness model
 //

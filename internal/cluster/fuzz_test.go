@@ -18,9 +18,9 @@ import (
 // FuzzWorkerCount feeds arbitrary bodies to a worker's count handler. It
 // must never panic, and it answers 200 exactly when the body is a
 // well-formed unit: a request that decodes strictly, packing included,
-// carries the worker's fingerprint and its configuration's key, and whose
-// unit core.Engine.CountShard counts. A 200's tally equals CountShard's
-// answer to the decoded unit on an engine of its own.
+// carries the worker's fingerprint, and whose unit core.Engine.CountShard
+// counts. A 200's tally equals CountShard's answer to the decoded unit on an
+// engine of its own.
 func FuzzWorkerCount(f *testing.F) {
 	db, tree := testDataset(rand.New(rand.NewSource(66)))
 	src := txdb.PartitionSource(db, 2)
@@ -29,12 +29,10 @@ func FuzzWorkerCount(f *testing.F) {
 	cat := NewCatalog()
 	cat.Add("ds", worker, tree, fp)
 	handler := NewWorker("w", cat).Handler()
-	cfg := testConfig()
 	ctx := context.Background()
 
 	// Seeds: the first few candidates of k = 1..3 at every level, over each
-	// shard. Counting them here builds both engines' dataset state under a
-	// sane configuration, so no fuzzed one sizes a build.
+	// shard. Counting them here builds both engines' dataset state.
 	for h := 1; h <= tree.Height(); h++ {
 		nodes := tree.NodesAtLevel(h)
 		for k := 1; k <= 3 && k < len(nodes); k++ {
@@ -43,13 +41,13 @@ func FuzzWorkerCount(f *testing.F) {
 				cands = append(cands, itemset.New(nodes[i:i+k]...))
 			}
 			for s := 0; s < fp.Shards; s++ {
-				u := core.ShardUnit{Config: cfg, Level: h, K: k, Shard: s, Candidates: cands}
+				u := core.ShardUnit{Level: h, K: k, Shard: s, Candidates: cands}
 				for _, eng := range []*core.Engine{worker, ref} {
 					if _, err := eng.CountShard(ctx, u); err != nil {
 						f.Fatal(err)
 					}
 				}
-				body, err := json.Marshal(CountRequest{Fingerprint: fp, ConfigKey: cfg.CanonicalKey(), ShardUnit: u})
+				body, err := json.Marshal(CountRequest{Fingerprint: fp, ShardUnit: u})
 				if err != nil {
 					f.Fatal(err)
 				}
@@ -58,7 +56,7 @@ func FuzzWorkerCount(f *testing.F) {
 		}
 	}
 	f.Add([]byte(`{"candidates":"AQID"}`))
-	f.Add([]byte(`{"config":{},"k":2,"candidates":"!"}`))
+	f.Add([]byte(`{"k":2,"candidates":"!"}`))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		rec := httptest.NewRecorder()
@@ -67,7 +65,7 @@ func FuzzWorkerCount(f *testing.F) {
 		var req CountRequest
 		dec := json.NewDecoder(bytes.NewReader(body))
 		dec.DisallowUnknownFields()
-		wellFormed := dec.Decode(&req) == nil && req.Fingerprint == fp && req.Config.CanonicalKey() == req.ConfigKey
+		wellFormed := dec.Decode(&req) == nil && req.Fingerprint == fp
 		var want core.ShardTally
 		if wellFormed {
 			var err error
@@ -84,7 +82,7 @@ func FuzzWorkerCount(f *testing.F) {
 		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
 			t.Fatalf("answer %s: %v", rec.Body.Bytes(), err)
 		}
-		if !slices.Equal(got.Supports, want.Supports) || got.ProbesPruned != want.ProbesPruned {
+		if !slices.Equal(got.Supports, want.Supports) {
 			t.Fatalf("worker answered %+v, CountShard %+v", got.ShardTally, want)
 		}
 	})

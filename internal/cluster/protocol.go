@@ -27,14 +27,16 @@ const (
 )
 
 // ProtocolRevision is the revision of the count wire a build speaks, carried
-// in every fingerprint it makes. Revision 2 packs a unit's candidates and a
-// tally's supports (core.PackedSets, core.PackedSupports); revision 1, the
-// decimal JSON arrays, predates the field, so its fingerprints read 0 here.
-// Builds of different revisions therefore never exchange a unit: a
+// in every fingerprint it makes. Revision 3 sends a unit without a mining
+// configuration and answers it with supports alone; revision 2 carried the
+// configuration, its canonical key and a probe tally beside the same packed
+// candidates and supports (core.PackedSets, core.PackedSupports); revision
+// 1, the decimal JSON arrays, predates the field, so its fingerprints read 0
+// here. Builds of different revisions therefore never exchange a unit: a
 // coordinator registers a worker of another revision but finds no dataset it
-// serves, and one of an older build rejects a newer worker's heartbeat,
-// whose fingerprints carry a field it does not know.
-const ProtocolRevision = 2
+// serves, and one of a build before revision 2 rejects a newer worker's
+// heartbeat, whose fingerprints carry a field it does not know.
+const ProtocolRevision = 3
 
 // Fingerprint identifies a dataset build well enough to catch the failure
 // modes that silently corrupt distributed counting: a worker holding a
@@ -44,9 +46,9 @@ const ProtocolRevision = 2
 // another count wire (Protocol). Loading is deterministic — LoadDir
 // resolves identical dictionary IDs and shard layouts from identical files —
 // so equal fingerprints mean the worker's item IDs, shard indexes and
-// per-shard transactions line up with the coordinator's, and that it counts
-// a unit the way the coordinator's engine would: from levels, or by
-// streaming (txdb.Streams), which charge different probe tallies.
+// per-shard transactions line up with the coordinator's, and that it loads
+// the dataset the way the coordinator's engine does: as levels, or by
+// streaming (txdb.Streams).
 type Fingerprint struct {
 	Dataset      string `json:"dataset"`
 	Transactions int    `json:"transactions"`
@@ -101,15 +103,13 @@ func (f Fingerprint) String() string {
 		f.Dataset, f.Transactions, f.Height, f.Nodes, f.Shards, f.Stream, f.Digest, f.Protocol)
 }
 
-// CountRequest is one core.ShardUnit on the wire, with the checks a worker
-// runs before counting it. ConfigKey is the coordinator's
-// core.Config.CanonicalKey; the worker recomputes it from Config and
-// rejects mismatches, so a corrupted or version-skewed config can never
-// produce silently different counts. The candidates travel packed
-// (core.PackedSets): a packing that does not decode answers 400.
+// CountRequest is one core.ShardUnit on the wire, with the fingerprint a
+// worker checks before counting it. The candidates travel packed
+// (core.PackedSets): a packing that does not decode answers 400, and so does
+// any field the unit does not have, such as the mining configuration an
+// earlier revision sent.
 type CountRequest struct {
 	Fingerprint Fingerprint `json:"fingerprint"`
-	ConfigKey   string      `json:"config_key"`
 	core.ShardUnit
 }
 

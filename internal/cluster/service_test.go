@@ -153,10 +153,9 @@ func TestServiceClusterByteIdentical(t *testing.T) {
 // holding the baskets as two shard files while the worker holds them as one,
 // a worker holding different baskets of the same size, and a worker that
 // loaded the same shard files in the other mode — streamed where the
-// coordinator holds them in memory, or the reverse — which would charge
-// other probe tallies. Either way the worker is ineligible, so the
-// coordinator mines locally without degrading, and a count request carrying
-// the coordinator's fingerprint gets 409.
+// coordinator holds them in memory, or the reverse. Either way the worker is
+// ineligible, so the coordinator mines locally without degrading, and a
+// count request carrying the coordinator's fingerprint gets 409.
 func TestFingerprintMismatchMinesLocally(t *testing.T) {
 	db, tree := testDataset(rand.New(rand.NewSource(123)))
 	edited := txdb.New(tree.Dict())
@@ -193,9 +192,8 @@ func TestFingerprintMismatchMinesLocally(t *testing.T) {
 			if f.served.Load() != 0 {
 				t.Fatalf("%d count requests reached the skewed worker", f.served.Load())
 			}
-			cfg := testConfig()
-			body, err := json.Marshal(CountRequest{Fingerprint: coordFp, ConfigKey: cfg.CanonicalKey(), ShardUnit: core.ShardUnit{
-				Config: cfg, Level: tree.Height(), K: 1, Candidates: []itemset.Set{{tree.Leaves()[0]}},
+			body, err := json.Marshal(CountRequest{Fingerprint: coordFp, ShardUnit: core.ShardUnit{
+				Level: tree.Height(), K: 1, Candidates: []itemset.Set{{tree.Leaves()[0]}},
 			}})
 			if err != nil {
 				t.Fatal(err)
@@ -213,62 +211,74 @@ func TestFingerprintMismatchMinesLocally(t *testing.T) {
 	}
 }
 
-// TestWorkerOfAnotherBuildMinesLocally covers build skew: a worker of the
-// build before the packed count wire heartbeats fingerprints without a
-// protocol revision, so the coordinator finds no dataset it serves and mines
-// locally, not degraded, sending it nothing it would have to refuse. The
-// other way round, a coordinator of that build decodes heartbeats strictly
-// and refuses this build's, whose fingerprints carry the revision.
+// TestWorkerOfAnotherBuildMinesLocally covers build skew: a worker of an
+// earlier count wire heartbeats fingerprints of its own protocol revision —
+// 2, whose units still carried the mining configuration, or none at all
+// before the packed wire — so the coordinator finds no dataset it serves
+// and mines locally, not degraded, sending it nothing it would have to
+// refuse. The same heartbeat under this build's revision keeps the worker
+// eligible, so only the revision tells the builds apart. The other way
+// round, a coordinator of a build before the packed wire decodes heartbeats
+// strictly and refuses this build's, whose fingerprints carry the revision.
 func TestWorkerOfAnotherBuildMinesLocally(t *testing.T) {
 	db, tree := testDataset(rand.New(rand.NewSource(123)))
 	src := func() txdb.Source { return txdb.PartitionSource(db, 2) }
-	f := newFlipperd(t, src(), tree, src())
-	if !f.co.Eligible("ds") {
-		t.Fatal("the worker of this build is not eligible")
-	}
 	fp := NewFingerprint("ds", src(), tree)
 	if fp.Protocol != ProtocolRevision {
 		t.Fatalf("fingerprint carries protocol %d, want %d", fp.Protocol, ProtocolRevision)
 	}
-	current, err := json.Marshal(Heartbeat{Worker: "w0", Addr: f.workers[0].URL, Datasets: []Fingerprint{fp}})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The older build's heartbeat, as its worker sends it: no revision.
-	var hb map[string]any
-	if err := json.Unmarshal(current, &hb); err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range hb["datasets"].([]any) {
-		delete(d.(map[string]any), "protocol")
-	}
-	old, err := json.Marshal(hb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(f.url+PathHeartbeat, "application/json", bytes.NewReader(old))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("older heartbeat: %s", resp.Status)
-	}
-	if f.co.Eligible("ds") {
-		t.Fatal("a worker of another build is eligible")
-	}
 	patch := `{"gamma":0.3,"epsilon":0.1,"min_sup_abs":[2,1,1]}`
 	want := newFlipperd(t, src(), tree).mine(t, patch)
-	if got := f.mine(t, patch); !bytes.Equal(got, want) {
-		t.Fatalf("result diverged from the single-node one.\nwant:\n%s\ngot:\n%s", want, got)
-	}
-	if n := f.served.Load(); n != 0 {
-		t.Fatalf("%d count requests reached the worker of another build", n)
+	var current, old []byte // this build's heartbeat, and one of the build before the packed wire
+	for _, tc := range []struct {
+		revision int // 0: no protocol field
+		eligible bool
+	}{{ProtocolRevision, true}, {2, false}, {0, false}} {
+		f := newFlipperd(t, src(), tree, src())
+		var err error
+		current, err = json.Marshal(Heartbeat{Worker: "w0", Addr: f.workers[0].URL, Datasets: []Fingerprint{fp}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The heartbeat of a build of that revision, as its worker sends it.
+		var hb map[string]any
+		dec := json.NewDecoder(bytes.NewReader(current))
+		dec.UseNumber() // a digest is a uint64, past a float64's precision
+		if err := dec.Decode(&hb); err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range hb["datasets"].([]any) {
+			if tc.revision == 0 {
+				delete(d.(map[string]any), "protocol")
+			} else {
+				d.(map[string]any)["protocol"] = tc.revision
+			}
+		}
+		if old, err = json.Marshal(hb); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(f.url+PathHeartbeat, "application/json", bytes.NewReader(old))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("revision %d heartbeat: %s", tc.revision, resp.Status)
+		}
+		if got := f.co.Eligible("ds"); got != tc.eligible {
+			t.Fatalf("a worker of revision %d: eligible %t, want %t", tc.revision, got, tc.eligible)
+		}
+		if got := f.mine(t, patch); !bytes.Equal(got, want) {
+			t.Fatalf("revision %d: result diverged from the single-node one.\nwant:\n%s\ngot:\n%s", tc.revision, want, got)
+		}
+		if n := f.served.Load(); (n > 0) != tc.eligible {
+			t.Fatalf("%d count requests reached the worker of revision %d", n, tc.revision)
+		}
 	}
 
-	// The older build's strict heartbeat decoding, over its fingerprint.
+	// The strict heartbeat decoding of the build before the packed wire,
+	// over its own fingerprint and this build's.
 	var older struct {
 		Worker   string `json:"worker"`
 		Addr     string `json:"addr"`

@@ -54,11 +54,10 @@ func writeError(rw http.ResponseWriter, status int, format string, args ...any) 
 
 // handleCount answers one unit of a counting pass. Every cross-checkable
 // property of the request is verified before counting — the packing of its
-// candidates, dataset fingerprint (with the build's protocol revision),
-// canonical config key, and (in core.Engine.CountShard) level, shard, k and
-// candidate shape — because a mismatch here would not fail loudly
-// downstream: it would merge wrong integers into a result that still looks
-// perfectly healthy.
+// candidates, dataset fingerprint (with the build's protocol revision), and
+// (in core.Engine.CountShard) level, shard, k and candidate shape — because
+// a mismatch here would not fail loudly downstream: it would merge wrong
+// integers into a result that still looks perfectly healthy.
 func (w *Worker) handleCount(rw http.ResponseWriter, r *http.Request) {
 	var req CountRequest
 	dec := json.NewDecoder(r.Body)
@@ -75,11 +74,6 @@ func (w *Worker) handleCount(rw http.ResponseWriter, r *http.Request) {
 	if ent.Fp != req.Fingerprint {
 		writeError(rw, http.StatusConflict, "dataset fingerprint mismatch: coordinator has %s, worker has %s",
 			req.Fingerprint, ent.Fp)
-		return
-	}
-	if key := req.Config.CanonicalKey(); key != req.ConfigKey {
-		writeError(rw, http.StatusBadRequest, "config key mismatch: request says %q, config resolves to %q",
-			req.ConfigKey, key)
 		return
 	}
 	t, err := ent.Engine.CountShard(r.Context(), req.ShardUnit)

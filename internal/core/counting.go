@@ -52,12 +52,14 @@ type unit struct{ s, lo, hi int }
 // size(s) / total⌉ units of about equal length, at most one per block, so a
 // pass has at least `workers` units whenever the shards hold that many
 // blocks: an unsharded level splits across the workers, and so do shards
-// fewer than the workers.
+// fewer than the workers. No unit is shorter than a row, so workers counts
+// at most total, which keeps workers · size(s) from overflowing.
 func cutUnits(dst []unit, shards int, size func(s int) int, workers, block int) []unit {
 	total := 0
 	for s := 0; s < shards; s++ {
 		total += size(s)
 	}
+	workers = min(workers, total)
 	for s := 0; s < shards; s++ {
 		n := size(s)
 		if n == 0 {
@@ -74,16 +76,13 @@ func cutUnits(dst []unit, shards int, size func(s int) int, workers, block int) 
 
 // partial is one counting worker's share of a pass: the support vector its
 // units add into — the cell's own slab for worker 0, private scratch for the
-// rest — the tallies mergePartials folds into Stats, and reusable buffers.
+// rest — the pass's failure, if any, and reusable buffers.
 type partial struct {
 	counts []int64
-	pruned int64 // subset probes the trie descent skipped (Stats.ProbesPruned)
-	err    error // streaming scan failure
+	err    error // streaming scan or remote unit failure
 
-	ranks  []int32      // the scan's current row in rank space; countTable's marked ranks
-	widths []int64      // the scan unit's rows by filtered width, see chargeProbes
-	marks  []bool       // countTable's cell items by table rank, cleared after each unit
-	gen    []itemset.ID // streaming generalization buffer
+	ranks []int32      // the scan's current row in rank space
+	gen   []itemset.ID // streaming generalization buffer
 }
 
 // runPass counts n units into the cell: body(p, u) adds unit u into its
@@ -96,9 +95,9 @@ func (m *miner) runPass(c *cell, n int, body func(p *partial, u int)) {
 }
 
 // mergePartials adds the partial vectors of workers 1.. into the cell's slab
-// (worker 0 counted into it directly) and folds every worker's tallies into
-// the run's stats. The vector sums are the serial fraction of a pass and
-// are surfaced as Stats.ShardMergeNs.
+// (worker 0 counted into it directly) and parks the first worker failure in
+// m.scanErr. The vector sums are the serial fraction of a pass and are
+// surfaced as Stats.ShardMergeNs.
 func (m *miner) mergePartials(c *cell, ps []partial) {
 	start := time.Now()
 	sup := c.store.Sup
@@ -109,7 +108,6 @@ func (m *miner) mergePartials(c *cell, ps []partial) {
 	}
 	m.stats.ShardMergeNs += time.Since(start).Nanoseconds()
 	for i := range ps {
-		m.stats.ProbesPruned += ps[i].pruned
 		if m.scanErr == nil {
 			m.scanErr = ps[i].err
 		}
@@ -168,47 +166,16 @@ func (m *miner) countScanStreaming(c *cell) {
 // row's candidate items to their ranks, then walk the ranks down the trie
 // so only subsets sharing a candidate prefix are ever enumerated. The row
 // arena is walked front to back, so a block of rows streams through cache
-// while the trie's layout stays resident. Each counted row's filtered width
-// goes into p.widths and its hits come off p.pruned; chargeProbes settles
-// the unit's probe tally.
+// while the trie's layout stays resident.
 func (p *partial) scanTxs(c *cell, lv *txdb.Level, lo, hi int) {
-	st, k := c.store, c.k
+	st := c.store
 	items, starts, weights := lv.Items, lv.Starts, lv.Weights
 	ranks, counts := p.ranks, p.counts
-	var hits int64
 	for t := lo; t < hi; t++ {
 		ranks = st.FilterRanks(items[starts[t]:starts[t+1]], ranks[:0])
-		if len(ranks) < k {
-			continue
-		}
-		p.noteWidth(len(ranks))
-		hits += st.CountRanks(ranks, weights[t], counts)
+		st.CountRanks(ranks, weights[t], counts)
 	}
 	p.ranks = ranks
-	p.pruned -= hits
-}
-
-// noteWidth records one counted row of filtered width w in the unit's
-// histogram, growing it when w is the widest row the worker has seen.
-func (p *partial) noteWidth(w int) {
-	if w >= len(p.widths) {
-		p.widths = append(p.widths, make([]int64, w+1-len(p.widths))...)
-	}
-	p.widths[w]++
-}
-
-// chargeProbes ends a scan unit: a row of filtered width w is worth C(w, k)
-// probes to a flat subset enumeration, so the unit adds C(w, k) once per
-// width, times the rows of that width, to the hits scanTxs already took
-// off — Stats.ProbesPruned with one binomial per width instead of one per
-// row — and clears the histogram for the worker's next unit.
-func (p *partial) chargeProbes(k int) {
-	for w, n := range p.widths {
-		if n != 0 {
-			p.pruned += n * itemset.Binomial(w, k)
-			p.widths[w] = 0
-		}
-	}
 }
 
 // scanRows walks the level's rows [lo, hi) through scanTxs into p one
@@ -222,52 +189,26 @@ func (p *partial) scanRows(c *cell, lv *txdb.Level, lo, hi int, done <-chan stru
 		p.scanTxs(c, lv, lo, end)
 		lo = end
 	}
-	p.chargeProbes(c.k)
 }
 
 // countTable counts a cell on one shard's subset table of the cell's k into
-// p, one lookup per candidate, and charges the probe tally the trie pass
-// over the shard's rows would: that pass charges C(w, k) for a row of
-// filtered width w, which summed over the rows is the row count of every
-// k-subset of the cell's items (RowsWithin), and takes off one hit per
-// candidate a row holds, which summed is the row count of every candidate.
-// An item the shard's level lacks has no rank and reads zero. The marked
-// ranks come out ascending, as RowsWithin wants them.
+// p, one slot read per candidate. An item the shard's level lacks has no
+// rank, and a candidate holding one reads zero.
 func (p *partial) countTable(c *cell, t *txdb.SubsetTable) {
 	st, counts := c.store, p.counts
-	// marks[r+1] marks rank r, and marks[0] absorbs the items without one.
-	n := t.Len() + 1
-	if len(p.marks) < n {
-		p.marks = make([]bool, n)
-	}
-	marks := p.marks[:n]
 	var buf [txdb.MaxTableK]int32
 	cand := buf[:c.k]
-	var hits int64
 	for e := range counts {
 		ranked := true
 		for m, id := range st.Items(int32(e)) {
 			r := t.Rank(id)
-			marks[r+1] = true
 			ranked = ranked && r >= 0
 			cand[m] = int32(r)
 		}
-		if !ranked {
-			continue
-		}
-		sup, rows := t.At(cand)
-		counts[e] += sup
-		hits += rows
-	}
-	ranks := p.ranks[:0]
-	for r, on := range marks[1:] {
-		if on {
-			ranks = append(ranks, int32(r))
+		if ranked {
+			counts[e] += t.At(cand)
 		}
 	}
-	clear(marks)
-	p.ranks = ranks
-	p.pruned += t.RowsWithin(ranks) - hits
 }
 
 // scanSource streams src once into p: every transaction is generalized to
@@ -283,14 +224,9 @@ func (p *partial) scanSource(c *cell, src txdb.Source, tax *taxonomy.Tree, done 
 		}
 		p.gen = tax.AppendAncestors(p.gen[:0], tx, c.h)
 		p.ranks = st.FilterRanks(itemset.Canon(p.gen), p.ranks[:0])
-		if len(p.ranks) < c.k {
-			return nil
-		}
-		p.noteWidth(len(p.ranks))
-		p.pruned -= st.CountRanks(p.ranks, 1, p.counts)
+		st.CountRanks(p.ranks, 1, p.counts)
 		return nil
 	})
-	p.chargeProbes(c.k)
 	return err
 }
 

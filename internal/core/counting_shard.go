@@ -10,10 +10,11 @@ import (
 // (txdb.ShardsOf) — a txdb.ShardedSource's own, from per-shard basket files
 // or txdb.PartitionSource over an in-memory database, or the whole source as
 // one shard. Every shard gets its own levels (built concurrently at init)
-// and bitmap indexes, and counting cuts its passes over them into (shard,
+// and subset tables, and counting cuts its passes over them into (shard,
 // range) units (counting.go), so an unsharded run is simply the one-shard
-// case. The payoffs over one big level: each unit's working set is its
-// shard's row arena or index rather than the whole level (cache residency),
+// case; anchored search alone builds each shard's bitmap indexes, lazily.
+// The payoffs over one big level: each unit's working set is its shard's
+// row arena or table rather than the whole level (cache residency),
 // and with a ShardedSource over per-shard basket files, streaming counting
 // scans the files in parallel — out-of-core mining of databases larger than
 // RAM. The fan-out is a bounded pool of cfg.workers() goroutines

@@ -79,25 +79,22 @@ worker's buffer) and walked down the trie (candtrie.Store.CountRanks):
 only subsets sharing a prefix with some candidate are ever enumerated,
 each dense step is one load and each CSR step a merge of the span against
 the row, and the last two dense levels — all of a k = 2 cell — run as a
-two-loop pair kernel. Stats.ProbesPruned counts what the descent skipped:
-each scan unit histograms its rows' filtered widths and charges C(w,k)
-once per width against the hits.
+two-loop pair kernel. A pass returns the candidates' supports and nothing
+else: Flipper labels a cell from those and the level's single-item
+supports alone.
 
 A k = 2 or k = 3 cell's supports depend only on the level's k-subset
 supports, which the engine caches beside the levels: up to two
 txdb.SubsetTables per (level, shard), one for pairs and one for triples,
-each holding every k-subset's weighted support and distinct-row count in
-one array over the level's items ranked in ID order, indexed by the
-combinatorial number system, for levels of up to 512 items (pairs) or 93
-(triples), 1 MiB of slots each. The first cell of a k to reach a (level,
-shard) scans its rows, so a one-shot mine builds no table; the second
-builds the table in one pass over the rows (dataState.table, under a
-sync.Once, not cancellable), and from then on the cell costs one lookup
-per candidate (countTable). ProbesPruned stays exact: Σ C(w,k) over the
-rows is the distinct-row count summed over every k-subset of the cell's
-candidate items, and the hits are the distinct-row counts of the
-candidates. Streaming runs, levels over the cap and k ≥ 4 cells scan the
-rows. Over a txdb.FileSource, or a ShardedSource of them (txdb.Streams,
+each holding every k-subset's weighted support in one array over the
+level's items ranked in ID order, indexed by the combinatorial number
+system, for levels of up to 512 items (pairs) or 93 (triples), 1 MiB of
+slots each. The first cell of a k to reach a (level, shard) scans its
+rows, so a one-shot mine builds no table; the second builds the table in
+one pass over the rows (dataState.table, under a sync.Once, not
+cancellable), and from then on the cell costs one slot read per candidate
+(countTable). Streaming runs, levels over the cap and k ≥ 4 cells scan
+the rows. Over a txdb.FileSource, or a ShardedSource of them (txdb.Streams,
 resolved once in NewEngine, like the shards), the engine instead re-reads
 the source every pass — the paper's disk-resident mode — and no
 configuration field changes the mode.

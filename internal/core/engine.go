@@ -44,9 +44,9 @@ type Result struct {
 // checks scratch out of the pool for exclusive use.
 //
 // A warm run is byte-identical to a cold one: pattern bytes trivially so,
-// and the stats (db_scans, probes_pruned, bitmap_builds, …) because the
-// miner accounts init passes, table lookups and index builds logically per
-// run, whether or not the cache already held them.
+// and the stats (db_scans, trie_nodes, bitmap_builds, …) because the miner
+// accounts init passes, table lookups and index builds logically per run,
+// whether or not the cache already held them.
 type Engine struct {
 	src  txdb.Source
 	tree *taxonomy.Tree
@@ -238,8 +238,8 @@ func (sc *runScratch) candFor(k int) []itemset.ID {
 	return sc.cand[:k]
 }
 
-// partialsFor checks out one partial per worker for a pass over c, tallies
-// zeroed. Worker 0 counts into c's own support slab (zero before counting),
+// partialsFor checks out one partial per worker for a pass over c, errors
+// cleared. Worker 0 counts into c's own support slab (zero before counting),
 // so a one-worker pass merges nothing; the others get zeroed vectors of the
 // slab's length.
 func (sc *runScratch) partialsFor(c *cell, workers int) []partial {
@@ -250,7 +250,7 @@ func (sc *runScratch) partialsFor(c *cell, workers int) []partial {
 	n := c.store.Len()
 	for w := range out {
 		p := &out[w]
-		p.pruned, p.err = 0, nil
+		p.err = nil
 		switch {
 		case w == 0:
 			p.counts = c.store.Sup
@@ -369,7 +369,7 @@ type miner struct {
 
 	// done is the run context's cancellation channel (nil when the run is
 	// not cancellable, e.g. plain Mine). The mining loops poll it between
-	// cells and the counting backends poll it at block granularity, so a
+	// cells and the counting passes poll it at block granularity, so a
 	// cancelled run unwinds within a bounded amount of counting work; an
 	// uncancellable run pays one nil check per poll.
 	done <-chan struct{}
@@ -379,14 +379,13 @@ type miner struct {
 	// Mine.
 	ctx context.Context
 
-	// remote, when set, counts every pass (MineRemote): count resolves the
-	// backend and hands it one unit per shard. Errors park in scanErr like
-	// streaming scan failures.
+	// remote, when set, counts every pass (MineRemote): count hands it one
+	// unit per shard. Errors park in scanErr like streaming scan failures.
 	remote ShardCounter
 
 	// scanErr records the first streaming counting-pass failure (the
 	// materialized paths surface errors at init instead). Counting cannot
-	// return errors through the mining loop, so the streaming backends park
+	// return errors through the mining loop, so the streaming passes park
 	// the failure here, later passes short-circuit on it, and Mine fails
 	// with it rather than returning silently undercounted patterns.
 	scanErr error
@@ -426,7 +425,7 @@ var errCancelled = fmt.Errorf("core: run cancelled")
 
 // MineContext is Mine under a context: when ctx is cancelled or its deadline
 // passes, the run stops at the next cancellation checkpoint — the mining
-// loops check between cells and every counting backend checks at block
+// loops check between cells and every counting pass checks at block
 // granularity inside its worker loops — and returns an error wrapping
 // ctx.Err(). No partial Result is ever returned. Checkpoints are polls of
 // the context's done channel, so an uncancellable context (e.g.

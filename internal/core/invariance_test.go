@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -77,9 +78,10 @@ func TestParallelismInvariance(t *testing.T) {
 // large enough to cut: every level holds at least three scanBlocks of
 // distinct rows, so scan passes split each shard's rows across workers, and
 // shards fewer than the workers split too. Within a shard count the whole envelope — patterns and every
-// counter, volatile keys aside — must not depend on Parallelism, nor on
-// whether the passes run locally or through MineRemote over a second engine;
-// across shard counts the patterns must not change.
+// counter, volatile keys aside — must not depend on Parallelism, up to the
+// largest an int holds, nor on whether the passes run locally or through
+// MineRemote over a second engine; across shard counts the patterns must not
+// change.
 func TestWorkSplitInvariance(t *testing.T) {
 	tree, err := taxonomyBuilderForDense(t).Build()
 	if err != nil {
@@ -113,7 +115,7 @@ func TestWorkSplitInvariance(t *testing.T) {
 				src = streamedShards(t, db, shards)
 			}
 			var want []byte
-			for _, par := range []int{1, 2, 3, 7} {
+			for _, par := range []int{1, 2, 3, 7, math.MaxInt64} {
 				cfg := base
 				cfg.Parallelism = par
 				res, err := Mine(src, tree, cfg)

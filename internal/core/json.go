@@ -145,7 +145,6 @@ type StatsJSON struct {
 	BitmapBuilds      int64 `json:"bitmap_builds"`
 	BitmapWordOps     int64 `json:"bitmap_word_ops"`
 	TrieNodes         int64 `json:"trie_nodes"`
-	ProbesPruned      int64 `json:"probes_pruned"`
 	Shards            int   `json:"shards"`
 	ShardMergeNs      int64 `json:"shard_merge_ns"`
 	PeakCandidates    int64 `json:"peak_candidates"`
@@ -156,6 +155,12 @@ type StatsJSON struct {
 	Degraded  bool   `json:"degraded,omitempty"`
 	ElapsedNS int64  `json:"elapsed_ns"`
 	Elapsed   string `json:"elapsed"`
+
+	// ProbesPruned is always zero and never on the wire.
+	//
+	// Deprecated: a count pass returns supports only; the scan's work shows
+	// in DBScans and TrieNodes.
+	ProbesPruned int64 `json:"-"`
 }
 
 // ResultJSON is the wire form of a full mining result: the envelope the
@@ -195,7 +200,6 @@ func (s *Stats) JSON() StatsJSON {
 		BitmapBuilds:      s.BitmapBuilds,
 		BitmapWordOps:     s.BitmapWordOps,
 		TrieNodes:         s.TrieNodes,
-		ProbesPruned:      s.ProbesPruned,
 		Shards:            s.Shards,
 		ShardMergeNs:      s.ShardMergeNs,
 		PeakCandidates:    s.PeakCandidates,

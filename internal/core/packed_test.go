@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"github.com/flipper-mining/flipper/internal/itemset"
-	"github.com/flipper-mining/flipper/internal/measure"
 )
 
 // randomUnit draws a unit of k-itemsets, 1 ≤ k ≤ 8, canonical and
@@ -45,10 +44,7 @@ func randomUnit(rng *rand.Rand) ShardUnit {
 			cands = append(cands, s)
 		}
 	}
-	return ShardUnit{
-		Config: Config{Measure: measure.Kulczynski, Gamma: 0.3, Epsilon: 0.1, MinSupAbs: []int64{1, 1, 1}},
-		Level:  1 + rng.Intn(3), K: k, Shard: rng.Intn(4), Candidates: cands,
-	}
+	return ShardUnit{Level: 1 + rng.Intn(3), K: k, Shard: rng.Intn(4), Candidates: cands}
 }
 
 // TestPackedRoundTrip is the wire's round-trip property: random units and
@@ -75,13 +71,12 @@ func TestPackedRoundTrip(t *testing.T) {
 			t.Fatalf("unit %s: %v", raw, err)
 		}
 		if got.Level != u.Level || got.K != u.K || got.Shard != u.Shard ||
-			got.Config.CanonicalKey() != u.Config.CanonicalKey() ||
 			!slices.EqualFunc(got.Candidates, u.Candidates, slices.Equal) {
 			t.Fatalf("unit %+v came back as %+v", u, got)
 		}
 		sizes[len(u.Candidates)] = true
 
-		tally := ShardTally{ProbesPruned: rng.Int63()}
+		var tally ShardTally
 		for range u.Candidates {
 			tally.Supports = append(tally.Supports, []int64{0, rng.Int63n(1000), math.MaxInt64 - rng.Int63n(4)}[rng.Intn(3)])
 		}
@@ -92,7 +87,7 @@ func TestPackedRoundTrip(t *testing.T) {
 		if err := json.Unmarshal(raw, &back); err != nil {
 			t.Fatalf("tally %s: %v", raw, err)
 		}
-		if back.ProbesPruned != tally.ProbesPruned || !slices.Equal(back.Supports, tally.Supports) {
+		if !slices.Equal(back.Supports, tally.Supports) {
 			t.Fatalf("tally %+v came back as %+v", tally, back)
 		}
 	}

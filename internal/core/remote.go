@@ -19,23 +19,23 @@ import (
 // sums a local pass's. A worker answers a unit with CountShard: the kernel
 // a local unit runs (countTable on the shard's subset table, scanRows or
 // scanSource), over the whole shard. A transaction lives in exactly one
-// shard and supports and tallies merge by int64 addition, so a distributed
-// result is byte-identical to a local one, stats included.
+// shard and supports merge by int64 addition, so a distributed result is
+// byte-identical to a local one, stats included: every stat is the
+// coordinator's own, since a count pass returns supports and nothing else.
 //
 // Candidate order is the contract: a unit carries its cell's candidates in
 // slab-entry order, and CountShard re-inserts them in that order into a
-// store from the engine's scratch pool, reproducing the same indexes and the
-// same trie (so the scan kernel's probe tally matches too). The answer is
-// therefore aligned with the requesting cell's support slab with no key
-// exchange at all.
+// store from the engine's scratch pool, reproducing the same indexes. The
+// answer is therefore aligned with the requesting cell's support slab with
+// no key exchange at all.
 
 // ShardUnit is one unit of a distributed counting pass: one cell's
 // candidates, in slab order, to count over one transaction shard. Its JSON
 // form is the body of a cluster count request: an object whose candidates
 // travel packed, as one base64 string of uvarints (PackedSets), so a
-// unit's bulk decodes in one pass over its bytes.
+// unit's bulk decodes in one pass over its bytes. It carries no mining
+// configuration: a support does not depend on one.
 type ShardUnit struct {
-	Config     Config     `json:"config"`
 	Level      int        `json:"level"`
 	K          int        `json:"k"`
 	Shard      int        `json:"shard"`
@@ -43,12 +43,11 @@ type ShardUnit struct {
 }
 
 // ShardTally is a unit's answer: the partial support vector, aligned with
-// the unit's candidates, and the unit's share of the pass's counters. Its
-// JSON form is the body of a cluster count response, with the supports
-// packed like a unit's candidates (PackedSupports).
+// the unit's candidates. Its JSON form is the body of a cluster count
+// response, with the supports packed like a unit's candidates
+// (PackedSupports).
 type ShardTally struct {
-	Supports     PackedSupports `json:"supports"`
-	ProbesPruned int64          `json:"probes_pruned"`
+	Supports PackedSupports `json:"supports"`
 }
 
 // ShardCounter counts the units of a distributed pass. Implementations (the
@@ -89,9 +88,7 @@ func (m *miner) countRemote(c *cell) {
 	ps := m.sc.partialsFor(c, n)
 	txdb.ForEachShard(n, n, func(_, s int) {
 		p := &ps[s]
-		t, err := m.remote.CountShard(m.ctx, ShardUnit{
-			Config: m.cfg, Level: c.h, K: c.k, Shard: s, Candidates: cands,
-		})
+		t, err := m.remote.CountShard(m.ctx, ShardUnit{Level: c.h, K: c.k, Shard: s, Candidates: cands})
 		if err == nil && len(t.Supports) != len(cands) {
 			err = fmt.Errorf("core: shard %d answered %d supports for %d candidates", s, len(t.Supports), len(cands))
 		}
@@ -102,7 +99,6 @@ func (m *miner) countRemote(c *cell) {
 		for i, v := range t.Supports {
 			p.counts[i] += v
 		}
-		p.pruned = t.ProbesPruned
 	})
 	m.mergePartials(c, ps)
 }
@@ -110,21 +106,19 @@ func (m *miner) countRemote(c *cell) {
 // CountShard counts one unit over the engine's copy of the unit's shard,
 // with the kernel a local pass runs. Errors wrapping ErrBadUnit reject the
 // unit itself, before any counting: a level, shard or candidate out of
-// shape, or an invalid configuration. The candidate store and the counting
-// state come out of the engine's scratch pool, which Mine shares, and go
-// back to it reset; the tally's supports are a copy, so no later call
-// changes them.
+// shape. The candidate store and the counting state come out of the
+// engine's scratch pool, which Mine shares, and go back to it reset; the
+// tally's supports are a copy, so no later call changes them. A unit that
+// reaches an engine before any mine builds the dataset state with the
+// default parallelism.
 func (e *Engine) CountShard(ctx context.Context, u ShardUnit) (ShardTally, error) {
-	if _, err := e.validate(&u.Config); err != nil {
-		return badUnit("%v", err)
-	}
 	switch {
 	case u.Level < 1 || u.Level > e.tree.Height():
 		return badUnit("level %d out of [1, %d]", u.Level, e.tree.Height())
 	case u.K < 1:
 		return badUnit("k = %d", u.K)
 	}
-	ds, err := e.dataFor(u.Config)
+	ds, err := e.dataFor(Config{})
 	if err != nil {
 		return ShardTally{}, err
 	}
@@ -165,7 +159,7 @@ func (e *Engine) CountShard(ctx context.Context, u ShardUnit) (ShardTally, error
 	if p.err != nil {
 		return ShardTally{}, p.err
 	}
-	return ShardTally{Supports: slices.Clone(st.Sup), ProbesPruned: p.pruned}, nil
+	return ShardTally{Supports: slices.Clone(st.Sup)}, nil
 }
 
 // badUnit is CountShard's rejection of a unit.

@@ -115,10 +115,6 @@ func shardUnitCandidates(tree *taxonomy.Tree) [][]itemset.Set {
 func TestCountShardPartialsSumToTotals(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	db, tree := randomDataset(rng)
-	base := Config{
-		Measure: measure.Kulczynski, Gamma: 0.3, Epsilon: 0.1,
-		MinSupAbs: []int64{1, 1, 1},
-	}
 	ctx := context.Background()
 	byLevel := shardUnitCandidates(tree)
 	counted := 0
@@ -133,7 +129,7 @@ func TestCountShardPartialsSumToTotals(t *testing.T) {
 			eng := NewEngine(src, tree)
 			got := make([]int64, len(hc))
 			for s := range txdb.ShardsOf(src) {
-				u := ShardUnit{Config: base, Level: h, K: 2, Shard: s, Candidates: hc}
+				u := ShardUnit{Level: h, K: 2, Shard: s, Candidates: hc}
 				scan, err := eng.CountShard(ctx, u)
 				if err != nil {
 					t.Fatal(err)
@@ -167,21 +163,15 @@ func TestCountShardPartialsSumToTotals(t *testing.T) {
 func TestCountShardBuildsOnlyItsIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	db, tree := randomDataset(rng)
-	cfg := Config{
-		Measure: measure.Kulczynski, Gamma: 0.3, Epsilon: 0.1,
-		MinSupAbs: []int64{1, 1, 1},
-	}
 	h := tree.Height()
 	cands := shardUnitCandidates(tree)[h]
 	eng := NewEngine(txdb.PartitionSource(db, 2), tree)
 	for reach := 0; reach < 2; reach++ {
-		if _, err := eng.CountShard(context.Background(), ShardUnit{
-			Config: cfg, Level: h, K: 2, Shard: 1, Candidates: cands,
-		}); err != nil {
+		if _, err := eng.CountShard(context.Background(), ShardUnit{Level: h, K: 2, Shard: 1, Candidates: cands}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ds, err := eng.dataFor(cfg)
+	ds, err := eng.dataFor(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,17 +192,11 @@ func TestCountShardValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	db, tree := randomDataset(rng)
 	eng := NewEngine(db, tree)
-	cfg := Config{
-		Measure: measure.Kulczynski, Gamma: 0.3, Epsilon: 0.1,
-		MinSupAbs: []int64{1, 1, 1},
-	}
 	ctx := context.Background()
 	leaves := tree.Leaves()
 	a, b := min(leaves[0], leaves[1]), max(leaves[0], leaves[1])
 	H := tree.Height()
-	good := ShardUnit{Config: cfg, Level: H, K: 2, Candidates: []itemset.Set{{a, b}}}
-	invalid := cfg
-	invalid.Gamma = 0
+	good := ShardUnit{Level: H, K: 2, Candidates: []itemset.Set{{a, b}}}
 	for _, tc := range []struct {
 		name string
 		edit func(u *ShardUnit)
@@ -221,7 +205,6 @@ func TestCountShardValidation(t *testing.T) {
 		{"level beyond height", func(u *ShardUnit) { u.Level = H + 1 }},
 		{"out-of-range shard", func(u *ShardUnit) { u.Shard = 1 }},
 		{"negative shard", func(u *ShardUnit) { u.Shard = -1 }},
-		{"invalid config", func(u *ShardUnit) { u.Config = invalid }},
 		{"k = 0", func(u *ShardUnit) { u.K = 0 }},
 		{"non-canonical candidate", func(u *ShardUnit) { u.Candidates = []itemset.Set{{b, a}} }},
 		{"duplicate candidate", func(u *ShardUnit) { u.Candidates = []itemset.Set{{a, b}, {a, b}} }},
@@ -235,7 +218,7 @@ func TestCountShardValidation(t *testing.T) {
 	}
 	// A rejected unit is refused before any counting: no pass reached the
 	// level's pair table, which every counted k = 2 unit reaches.
-	ds, err := eng.dataFor(cfg)
+	ds, err := eng.dataFor(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +304,7 @@ func TestCountShardPooledStore(t *testing.T) {
 				cands = append(cands, itemset.New(nodes[i:i+k]...))
 			}
 			for s := 0; s < 2; s++ {
-				units = append(units, ShardUnit{Config: cfg, Level: h, K: k, Shard: s, Candidates: cands})
+				units = append(units, ShardUnit{Level: h, K: k, Shard: s, Candidates: cands})
 			}
 		}
 	}

@@ -64,12 +64,8 @@ type Stats struct {
 	BitmapWordOps int64
 
 	// TrieNodes counts prefix-trie nodes allocated across all candidate
-	// stores of the run, and ProbesPruned the subset probes the scan
-	// counter's trie descent skipped relative to a flat C(w,k) enumeration
-	// per transaction — subsets sharing no prefix with any candidate are
-	// abandoned before they are enumerated.
-	TrieNodes    int64
-	ProbesPruned int64
+	// stores of the run.
+	TrieNodes int64
 
 	// PeakCandidates and PeakBytes track the maximum number of itemsets
 	// resident at once and their estimated memory footprint.
@@ -143,7 +139,7 @@ func (s *Stats) String() string {
 		fmt.Fprintf(&b, ", %d bitmap builds (%d word ops)", s.BitmapBuilds, s.BitmapWordOps)
 	}
 	if s.TrieNodes > 0 {
-		fmt.Fprintf(&b, ", %d trie nodes (%d probes pruned)", s.TrieNodes, s.ProbesPruned)
+		fmt.Fprintf(&b, ", %d trie nodes", s.TrieNodes)
 	}
 	if s.Shards > 1 {
 		fmt.Fprintf(&b, ", %d shards (merge %v)", s.Shards, time.Duration(s.ShardMergeNs).Round(time.Microsecond))

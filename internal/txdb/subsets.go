@@ -1,33 +1,24 @@
 package txdb
 
 import (
-	"math"
 	"slices"
 
 	"github.com/flipper-mining/flipper/internal/itemset"
 )
 
 // SubsetTable holds the k-subset supports of one level, for k = 2 or 3: for
-// every k of the level's items, their weighted support and the number of
-// distinct rows that hold all k. Items are ranked in ID order, and the
-// subset of ranks r1 < … < rk sits at slot C(r1,1) + … + C(rk,k) of one
-// array — the combinatorial number system, which puts the pair i < j at
-// j(j−1)/2 + i and the triple i < j < l at C(l,3) + C(j,2) + i — so a
-// lookup is k rank reads and one load. A slot packs the weighted support
-// into its high 32 bits and the row count into its low 32, so the build adds
-// one word per k-subset of each row, with no branch.
-//
-// A k-item count over the level needs nothing else: the supports are slot
-// reads, and summed row counts give what a pass over the rows would tally,
-// such as how many k-subsets of some chosen items the rows hold in all
-// (RowsWithin). The table depends on the level alone, so a resident engine
-// can build it once and read it for every later count.
+// every k of the level's items, their weighted support. Items are ranked in
+// ID order, and the subset of ranks r1 < … < rk sits at slot C(r1,1) + … +
+// C(rk,k) of one array — the combinatorial number system, which puts the
+// pair i < j at j(j−1)/2 + i and the triple i < j < l at C(l,3) + C(j,2) +
+// i — so a lookup is k rank reads and one load, and the build adds a row's
+// weight to one slot per k-subset of the row, with no branch. The table
+// depends on the level alone, so a resident engine can build it once and
+// read it for every later count.
 type SubsetTable struct {
-	k     int
-	n     int        // the level's items
 	lo    itemset.ID // the level's smallest item
 	rank  []int16    // rank[id-lo] is id's rank among the level's items, or -1
-	slots []uint64   // ranks r1 < … < rk at Σ C(rm, m): weighted support<<32 | rows
+	slots []int64    // ranks r1 < … < rk at Σ C(rm, m): the weighted support
 }
 
 // MaxTableK is the largest k a table covers; the smallest is 2.
@@ -40,8 +31,7 @@ const maxTableSlots = 1 << 17
 
 // NewSubsetTable builds the k-subset table of l, 2 ≤ k ≤ MaxTableK, in one
 // pass over its rows, or returns nil when k is out of that range or l is
-// over the cap: more than maxTableSlots k-subsets of its items, or a total
-// weight a slot's 32-bit support field cannot hold. l.Support must name
+// over the cap of maxTableSlots k-subsets of its items. l.Support must name
 // every item of its rows, as BuildLevels leaves it. Beside the slots, the
 // table keeps a 2-byte rank for every ID from the level's smallest item to
 // its largest.
@@ -50,19 +40,12 @@ func NewSubsetTable(l *Level, k int) *SubsetTable {
 	if k < 2 || k > MaxTableK || itemset.Binomial(n, k) > maxTableSlots {
 		return nil
 	}
-	var total int64
-	for _, w := range l.Weights {
-		total += w
-	}
-	if total > math.MaxUint32 {
-		return nil
-	}
 	ids := make([]itemset.ID, 0, n)
 	for id := range l.Support {
 		ids = append(ids, id)
 	}
 	slices.Sort(ids)
-	t := &SubsetTable{k: k, n: n, slots: make([]uint64, itemset.Binomial(n, k))}
+	t := &SubsetTable{slots: make([]int64, itemset.Binomial(n, k))}
 	if n > 0 {
 		t.lo = ids[0]
 		t.rank = make([]int16, ids[n-1]-ids[0]+1)
@@ -80,42 +63,26 @@ func NewSubsetTable(l *Level, k int) *SubsetTable {
 			ranks = append(ranks, int32(t.rank[id-t.lo]))
 		}
 		// Rows are canonical, so their ranks ascend.
-		t.add(ranks, k, 0, uint64(w)<<32|1)
+		t.add(ranks, k, 0, w)
 	}
 	return t
 }
 
-// add adds inc to the slot of every m-subset of the ascending ranks r, the
+// add adds w to the slot of every m-subset of the ascending ranks r, the
 // slots offset by base: each rank that can close a subset picks its block,
 // C(rank, m) slots on, and the subsets of the ranks before it fill the
 // block. At m = 1 the block is a line of slots indexed by rank.
-func (t *SubsetTable) add(r []int32, m, base int, inc uint64) {
+func (t *SubsetTable) add(r []int32, m, base int, w int64) {
 	if m == 1 {
 		line := t.slots[base:]
 		for _, i := range r {
-			line[i] += inc
+			line[i] += w
 		}
 		return
 	}
 	for b := m - 1; b < len(r); b++ {
-		t.add(r[:b], m-1, base+choose(int(r[b]), m), inc)
+		t.add(r[:b], m-1, base+choose(int(r[b]), m), w)
 	}
-}
-
-// rowsWithin sums the row counts of the slots add would touch.
-func (t *SubsetTable) rowsWithin(r []int32, m, base int) int64 {
-	var n int64
-	if m == 1 {
-		line := t.slots[base:]
-		for _, i := range r {
-			n += int64(line[i] & math.MaxUint32)
-		}
-		return n
-	}
-	for b := m - 1; b < len(r); b++ {
-		n += t.rowsWithin(r[:b], m-1, base+choose(int(r[b]), m))
-	}
-	return n
 }
 
 // choose returns C(x, m) for m = 1, 2, 3: the offset rank x contributes at
@@ -131,9 +98,6 @@ func choose(x, m int) int {
 	return x * (x - 1) * (x - 2) / 6
 }
 
-// Len returns the number of items of the level; ranks run from 0 to Len()-1.
-func (t *SubsetTable) Len() int { return t.n }
-
 // Rank returns id's rank among the level's items in ID order, or -1 when id
 // is not an item of the level — an ID no row holds, or one below or above
 // every item.
@@ -145,20 +109,11 @@ func (t *SubsetTable) Rank(id itemset.ID) int {
 	return int(t.rank[off])
 }
 
-// At returns the weighted support of the k items whose ranks ascend in r,
-// and the number of distinct rows that hold all of them.
-func (t *SubsetTable) At(r []int32) (sup, rows int64) {
+// At returns the weighted support of the k items whose ranks ascend in r.
+func (t *SubsetTable) At(r []int32) int64 {
 	s := int(r[0]) + choose(int(r[1]), 2)
 	if len(r) == 3 {
 		s += choose(int(r[2]), 3)
 	}
-	v := t.slots[s]
-	return int64(v >> 32), int64(v & math.MaxUint32)
-}
-
-// RowsWithin returns the distinct-row counts summed over every k-subset of
-// the ascending ranks r, which is Σ C(w, k) over the level's rows, w being
-// how many of r a row holds.
-func (t *SubsetTable) RowsWithin(r []int32) int64 {
-	return t.rowsWithin(r, t.k, 0)
+	return t.slots[s]
 }
