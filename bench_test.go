@@ -482,6 +482,27 @@ func BenchmarkColdPrepare(b *testing.B) {
 	}
 }
 
+// BenchmarkServeCacheHit is one cache hit through flipperd's handler: a
+// POST /v1/jobs of the census simulator's Table-4 configuration, mined
+// once before the timer starts, answered 200 from the result cache. No
+// mine runs inside the loop, so it measures what serve-hot's hits pay in
+// process: request decoding, the cache lookup and the job envelope.
+// flipbench -json records the same request as ServeCacheHit/census.
+func BenchmarkServeCacheHit(b *testing.B) {
+	hit, stop, err := experiments.ServeCacheHit()
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer stop()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := hit(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAblationParallelism measures counting-worker scaling.
 func BenchmarkAblationParallelism(b *testing.B) {
 	db, tree := benchSynthetic(b, benchN, 5)

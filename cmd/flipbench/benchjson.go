@@ -16,11 +16,12 @@ import (
 
 // The -json mode: run the counting micro-benchmark suite (the same dense
 // workload as BenchmarkCountingDense, and the default synthetic data of
-// BenchmarkCountingSyntheticWarm) and the cold preparation of
-// BenchmarkColdPrepare under testing.Benchmark and write a
-// machine-readable BENCH_<tag>.json. Committed baselines (BENCH_PR3.json,
-// …) plus the CI artifact of every run give the repo a perf trajectory:
-// compare ns/op and allocs/op across PRs without re-running old code.
+// BenchmarkCountingSyntheticWarm), the cold preparation of
+// BenchmarkColdPrepare and the service cache hit of BenchmarkServeCacheHit
+// under testing.Benchmark and write a machine-readable BENCH_<tag>.json.
+// Committed baselines (BENCH_PR3.json, …) plus the CI artifact of every run
+// give the repo a perf trajectory: compare ns/op and allocs/op across PRs
+// without re-running old code.
 
 // BenchRecord is one benchmark's measurements.
 type BenchRecord struct {
@@ -47,8 +48,8 @@ type BenchFile struct {
 }
 
 // runBenchJSON measures scan counting and anchored search on the dense
-// workload, plus the synthetic and cold-preparation records, and writes the
-// result file.
+// workload, plus the synthetic, cold-preparation and cache-hit records, and
+// writes the result file.
 func runBenchJSON(path, tag string) error {
 	db, tree, err := experiments.DenseWorkload(8000, 64, 2, 16, 3)
 	if err != nil {
@@ -68,7 +69,7 @@ func runBenchJSON(path, tag string) error {
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
 		MaxProcs:  runtime.GOMAXPROCS(0),
-		Workload:  "dense: 8000 tx × 16 items, 64 cats × 2 leaves (BenchmarkCountingDense); CountingSynthetic: gen defaults, N = 20000 (BenchmarkCountingSyntheticWarm); ColdPrepare: medline, scale 0.1, seed 1 (BenchmarkColdPrepare)",
+		Workload:  "dense: 8000 tx × 16 items, 64 cats × 2 leaves (BenchmarkCountingDense); CountingSynthetic: gen defaults, N = 20000 (BenchmarkCountingSyntheticWarm); ColdPrepare: medline, scale 0.1, seed 1 (BenchmarkColdPrepare); ServeCacheHit: census, scale 1, seed 1 (BenchmarkServeCacheHit)",
 	}
 	// add measures op under testing.Benchmark and appends its record.
 	add := func(name string, op func() error, counters map[string]float64) {
@@ -190,6 +191,14 @@ func runBenchJSON(path, tag string) error {
 		return err
 	}
 	add("ColdPrepare/medline", func() error { return experiments.ColdPrepare(coldTree, coldPath) }, nil)
+	// One cache hit through flipperd's handler over the census simulator
+	// (BenchmarkServeCacheHit runs the same request).
+	hit, stop, err := experiments.ServeCacheHit()
+	if err != nil {
+		return err
+	}
+	add("ServeCacheHit/census", hit, nil)
+	stop()
 	f, err := os.Create(path)
 	if err != nil {
 		return err

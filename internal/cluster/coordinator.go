@@ -202,7 +202,11 @@ func (co *Coordinator) Mine(ctx context.Context, dataset string, cfg core.Config
 	if !ok {
 		return nil, fmt.Errorf("cluster: unknown dataset %q", dataset)
 	}
-	g := &gather{co: co, ent: ent}
+	fpJSON, err := json.Marshal(ent.Fp)
+	if err != nil {
+		return nil, err
+	}
+	g := &gather{co: co, ent: ent, fpJSON: fpJSON}
 	res, err := ent.Engine.MineRemote(ctx, cfg, g)
 	if err != nil {
 		return nil, err
@@ -218,6 +222,7 @@ func (co *Coordinator) Mine(ctx context.Context, dataset string, cfg core.Config
 type gather struct {
 	co       *Coordinator
 	ent      CatalogEntry
+	fpJSON   []byte // ent.Fp's JSON form, written into every request body
 	degraded atomic.Bool
 }
 
@@ -229,7 +234,7 @@ type gather struct {
 func (g *gather) CountShard(ctx context.Context, u core.ShardUnit) (core.ShardTally, error) {
 	co := g.co
 	// One body for every attempt and hedge of the unit.
-	body, err := json.Marshal(CountRequest{Fingerprint: g.ent.Fp, ShardUnit: u})
+	body, err := countRequestBody(g.fpJSON, u)
 	if err != nil {
 		return core.ShardTally{}, err
 	}

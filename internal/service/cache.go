@@ -9,9 +9,12 @@ import (
 // CachedResult is one cache slot: the fully rendered result payload of a
 // completed job. Storing the encoded bytes (rather than re-marshalling per
 // request) makes repeated hits byte-identical, which clients can rely on
-// when diffing ε-sweep outputs.
+// when diffing ε-sweep outputs, and storing them in the form they take
+// inside a job envelope lets a hit splice them in without re-encoding.
 type CachedResult struct {
-	// Payload is the job's result JSON exactly as first produced.
+	// Payload is the job's result JSON exactly as first produced, in
+	// envelope form (envelopeForm): the bytes of the "result" field of
+	// every job envelope that carries it.
 	Payload json.RawMessage
 	// Patterns is the pattern count (or sweep-point count) for stats.
 	Patterns int

@@ -30,6 +30,14 @@ Three pieces compose into a Server:
     Cached payloads are the stored result bytes, which makes repeated
     answers byte-identical.
 
+A finished job's result is rendered once, when it finishes: json.Marshal,
+then indented into the form it takes inside a job envelope. That copy is
+the job's Result and its cache entry, and it is the only one kept. Every
+job envelope (POST /v1/jobs, GET /v1/jobs/{id}, GET|POST /v1/topk) encodes
+only the small envelope around the result and splices the stored bytes in
+unchanged, so a cache hit or a poll never re-scans a result, and the bytes
+are exactly what an indenting json.Encoder writes for the whole envelope.
+
 The cache is what makes the paper's own workflow cheap: threshold setting
 is an ε-sweep that re-mines the same dataset many times, and consecutive
 sweeps share every point that did not change.

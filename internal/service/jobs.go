@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -65,7 +66,7 @@ type Job struct {
 	Status   JobStatus
 	CacheHit bool
 	Err      string
-	Result   json.RawMessage // set when Status is done
+	Result   json.RawMessage // set when Status is done, in envelope form (see envelopeForm)
 	Stats    *core.StatsJSON // mine only, set when Status is done
 
 	Created  time.Time
@@ -93,7 +94,7 @@ type JobView struct {
 	Status    JobStatus       `json:"status"`
 	CacheHit  bool            `json:"cache_hit"`
 	Error     string          `json:"error,omitempty"`
-	Result    json.RawMessage `json:"result,omitempty"`
+	Result    json.RawMessage `json:"result,omitempty"` // right before Created: writeJob splices it there
 	Created   time.Time       `json:"created"`
 	Started   *time.Time      `json:"started,omitempty"`
 	Finished  *time.Time      `json:"finished,omitempty"`
@@ -116,6 +117,20 @@ func VolatileWireKeys() []string {
 // sweepResult the payload of a completed sweep job.
 type sweepResult struct {
 	Points []core.EpsilonPoint `json:"points"`
+}
+
+// envelopeForm renders a result payload, as json.Marshal wrote it, in the
+// form it takes inside a job envelope: indented one level deep, exactly as
+// writeJSON's encoder would indent it there. A finished job and its cache
+// entry store only this form, and writeJob splices it into every envelope
+// unchanged, so no request re-scans a result.
+func envelopeForm(payload []byte) (json.RawMessage, error) {
+	var b bytes.Buffer
+	if err := json.Indent(&b, payload, "  ", "  "); err != nil {
+		return nil, err
+	}
+	// A cache entry lives long: keep it at its size, not the buffer's.
+	return bytes.Clone(b.Bytes()), nil
 }
 
 // DistributedMiner is the queue's hook into a mining cluster, satisfied by
@@ -427,7 +442,8 @@ func (q *Queue) run(j *Job) {
 }
 
 // execute performs the job's work under ctx, converting a panic anywhere
-// in the mining stack into an ordinary error carrying the stack trace.
+// in the mining stack into an ordinary error carrying the stack trace. The
+// payload comes back in envelope form (envelopeForm).
 func (q *Queue) execute(ctx context.Context, j *Job) (payload []byte, stats *core.StatsJSON, patterns int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -463,6 +479,9 @@ func (q *Queue) execute(ctx context.Context, j *Job) (payload []byte, stats *cor
 		}
 	default:
 		err = fmt.Errorf("service: unknown job kind %q", j.Kind)
+	}
+	if err == nil {
+		payload, err = envelopeForm(payload)
 	}
 	return payload, stats, patterns, err
 }
@@ -512,6 +531,16 @@ func (q *Queue) Wait(j *Job, timeout time.Duration) bool {
 	case <-t.C:
 		return false
 	}
+}
+
+// View returns the current state of a job the caller holds as a wire view.
+// A handler renders the job it submitted through View, not through a second
+// lookup by ID: a finished job, a cache hit above all, can be pruned from a
+// small history before that lookup.
+func (q *Queue) View(j *Job) JobView {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.viewLocked(j)
 }
 
 // Get returns a job's current state as a wire view.

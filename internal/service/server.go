@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -210,12 +211,47 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
+// writeJSON writes v as an indented JSON response. Job envelopes go
+// through writeJob, which writes the same bytes without re-encoding the
+// job's result.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
+}
+
+// resultAt marks where a job envelope's "result" field goes: right before
+// "created", the field JobView declares after Result and never omits.
+// Encoded strings hold no raw newline and deeper keys are indented further,
+// so these bytes occur nowhere else in an envelope.
+var (
+	resultAt  = []byte(",\n  \"created\": ")
+	resultKey = []byte(",\n  \"result\": ")
+)
+
+// writeJob writes a job envelope byte for byte as writeJSON would. v's
+// result is already in envelope form (envelopeForm), so only the small
+// envelope around it is encoded, and the result is spliced in unchanged.
+func writeJob(w http.ResponseWriter, status int, v JobView) {
+	result := v.Result
+	v.Result = nil
+	var env bytes.Buffer
+	enc := json.NewEncoder(&env)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(v)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	b := env.Bytes()
+	if len(result) > 0 {
+		at := bytes.Index(b, resultAt)
+		_, _ = w.Write(b[:at])
+		_, _ = w.Write(resultKey)
+		_, _ = w.Write(result)
+		b = b[at:]
+	}
+	_, _ = w.Write(b)
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -297,13 +333,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	v, _ := s.queue.Get(j.ID)
-	w.Header().Set("Location", "/v1/jobs/"+j.ID)
+	v := s.queue.View(j)
+	w.Header().Set("Location", "/v1/jobs/"+v.ID)
 	if v.Status == StatusDone {
-		writeJSON(w, http.StatusOK, v)
+		writeJob(w, http.StatusOK, v)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, v)
+	writeJob(w, http.StatusAccepted, v)
 }
 
 func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
@@ -312,7 +348,7 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, v)
+	writeJob(w, http.StatusOK, v)
 }
 
 // handleCancelJob cancels a queued or running job. Responses: 200 with a

@@ -110,28 +110,32 @@ func TestSubmitPollResult(t *testing.T) {
 	}
 }
 
+// TestCacheHitIsByteIdentical: the first poll of a finished job and two
+// later cache hits of its configuration carry the same result bytes.
 func TestCacheHitIsByteIdentical(t *testing.T) {
 	srv, ts := newTestServer(t, Options{})
 	body := `{"dataset": "toy", "config": ` + toyPatch + `}`
 	_, first := submit(t, ts, body)
 	firstDone := pollDone(t, ts, first.ID)
 
-	status, second := submit(t, ts, body)
-	if status != http.StatusOK {
-		t.Fatalf("second submit status = %d, want 200 (cache hit)", status)
-	}
-	if !second.CacheHit || second.Status != StatusDone {
-		t.Fatalf("second job = %+v, want done cache hit", second)
-	}
-	if second.ID == first.ID {
-		t.Fatalf("cache hit reused job id %s", first.ID)
-	}
-	if !bytes.Equal(firstDone.Result, second.Result) {
-		t.Errorf("cache hit result differs:\n%s\nvs\n%s", firstDone.Result, second.Result)
+	for hit := 1; hit <= 2; hit++ {
+		status, again := submit(t, ts, body)
+		if status != http.StatusOK {
+			t.Fatalf("hit %d: submit status = %d, want 200 (cache hit)", hit, status)
+		}
+		if !again.CacheHit || again.Status != StatusDone {
+			t.Fatalf("hit %d: job = %+v, want done cache hit", hit, again)
+		}
+		if again.ID == first.ID {
+			t.Fatalf("cache hit reused job id %s", first.ID)
+		}
+		if !bytes.Equal(firstDone.Result, again.Result) {
+			t.Errorf("hit %d: result differs:\n%s\nvs\n%s", hit, firstDone.Result, again.Result)
+		}
 	}
 	cs := srv.Cache().Stats()
-	if cs.Hits != 1 || cs.Misses != 1 {
-		t.Errorf("cache stats = %+v, want 1 hit / 1 miss", cs)
+	if cs.Hits != 2 || cs.Misses != 1 {
+		t.Errorf("cache stats = %+v, want 2 hits / 1 miss", cs)
 	}
 }
 

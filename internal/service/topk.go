@@ -121,11 +121,11 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.queue.Wait(j, timeout)
-	v, _ := s.queue.Get(j.ID)
-	w.Header().Set("Location", "/v1/jobs/"+j.ID)
+	v := s.queue.View(j)
+	w.Header().Set("Location", "/v1/jobs/"+v.ID)
 	if v.Status != StatusDone && v.Status != StatusFailed {
-		writeJSON(w, http.StatusAccepted, v)
+		writeJob(w, http.StatusAccepted, v)
 		return
 	}
-	writeJSON(w, http.StatusOK, v)
+	writeJob(w, http.StatusOK, v)
 }
