@@ -202,11 +202,7 @@ func (co *Coordinator) Mine(ctx context.Context, dataset string, cfg core.Config
 	if !ok {
 		return nil, fmt.Errorf("cluster: unknown dataset %q", dataset)
 	}
-	fpJSON, err := json.Marshal(ent.Fp)
-	if err != nil {
-		return nil, err
-	}
-	g := &gather{co: co, ent: ent, fpJSON: fpJSON}
+	g := &gather{co: co, ent: ent}
 	res, err := ent.Engine.MineRemote(ctx, cfg, g)
 	if err != nil {
 		return nil, err
@@ -222,7 +218,6 @@ func (co *Coordinator) Mine(ctx context.Context, dataset string, cfg core.Config
 type gather struct {
 	co       *Coordinator
 	ent      CatalogEntry
-	fpJSON   []byte // ent.Fp's JSON form, written into every request body
 	degraded atomic.Bool
 }
 
@@ -234,7 +229,7 @@ type gather struct {
 func (g *gather) CountShard(ctx context.Context, u core.ShardUnit) (core.ShardTally, error) {
 	co := g.co
 	// One body for every attempt and hedge of the unit.
-	body, err := countRequestBody(g.fpJSON, u)
+	body, err := json.Marshal(CountRequest{Fingerprint: g.ent.Fp, ShardUnit: u})
 	if err != nil {
 		return core.ShardTally{}, err
 	}

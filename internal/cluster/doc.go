@@ -17,8 +17,7 @@
 // worker (CountRequest → CountResponse). A unit is the dataset's
 // fingerprint, the level, k, the shard and the candidates; an answer is
 // the candidates' supports, and nothing else. Both bulks travel packed as
-// base64 uvarints, and a pass packs its candidates once for all its
-// shards' units. The worker counts a unit with core.Engine.CountShard,
+// base64 uvarints. The worker counts a unit with core.Engine.CountShard,
 // the kernel a local unit runs, in a candidate store from its engine's
 // scratch pool, and its supports merge as a local pass's do: results are
 // byte-identical to a single process, stats included, since every stat is

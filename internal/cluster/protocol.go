@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"sort"
-	"strconv"
 	"sync"
 
 	"github.com/flipper-mining/flipper/internal/core"
@@ -112,33 +111,6 @@ func (f Fingerprint) String() string {
 type CountRequest struct {
 	Fingerprint Fingerprint `json:"fingerprint"`
 	core.ShardUnit
-}
-
-// countRequestBody is the body of a count request for unit u, byte for byte
-// json.Marshal(CountRequest{Fingerprint: fp, ShardUnit: u}), given fp's JSON
-// form. The candidates' packed text is u.Packed when the pass packed it once
-// for all its units, and is packed here otherwise; base64 needs no JSON
-// escaping, so it is copied as it is.
-func countRequestBody(fpJSON []byte, u core.ShardUnit) ([]byte, error) {
-	packed := u.Packed
-	if packed == nil {
-		var err error
-		if packed, err = u.Candidates.MarshalText(); err != nil {
-			return nil, err
-		}
-	}
-	b := make([]byte, 0, len(fpJSON)+len(packed)+64)
-	b = append(b, `{"fingerprint":`...)
-	b = append(b, fpJSON...)
-	b = append(b, `,"level":`...)
-	b = strconv.AppendInt(b, int64(u.Level), 10)
-	b = append(b, `,"k":`...)
-	b = strconv.AppendInt(b, int64(u.K), 10)
-	b = append(b, `,"shard":`...)
-	b = strconv.AppendInt(b, int64(u.Shard), 10)
-	b = append(b, `,"candidates":"`...)
-	b = append(b, packed...)
-	return append(b, `"}`...), nil
 }
 
 // CountResponse is the worker's core.ShardTally for the request's unit.

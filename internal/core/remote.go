@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 
+	"github.com/flipper-mining/flipper/internal/itemset"
 	"github.com/flipper-mining/flipper/internal/txdb"
 )
 
@@ -39,11 +40,6 @@ type ShardUnit struct {
 	K          int        `json:"k"`
 	Shard      int        `json:"shard"`
 	Candidates PackedSets `json:"candidates"`
-	// Packed, when set, is Candidates.MarshalText(): a pass packs its
-	// cell's candidates once and hands the text to every shard's unit, so
-	// an encoder of the unit can write it instead of packing again. It is
-	// never on the wire itself.
-	Packed []byte `json:"-"`
 }
 
 // ShardTally is a unit's answer: the partial support vector, aligned with
@@ -84,22 +80,15 @@ func (e *Engine) MineRemote(ctx context.Context, cfg Config, counter ShardCounte
 // partial, and mergePartials parks it in m.scanErr like a streaming scan
 // failure.
 func (m *miner) countRemote(c *cell) {
-	cands := make(PackedSets, c.store.Len())
+	cands := make([]itemset.Set, c.store.Len())
 	for e := range cands {
 		cands[e] = c.store.Items(int32(e))
 	}
 	n := len(m.ds.shards)
 	ps := m.sc.partialsFor(c, n)
-	// Every shard's unit carries the same candidates: pack them once.
-	packed, err := cands.MarshalText()
-	if err != nil {
-		ps[0].err = err
-		m.mergePartials(c, ps)
-		return
-	}
 	txdb.ForEachShard(n, n, func(_, s int) {
 		p := &ps[s]
-		t, err := m.remote.CountShard(m.ctx, ShardUnit{Level: c.h, K: c.k, Shard: s, Candidates: cands, Packed: packed})
+		t, err := m.remote.CountShard(m.ctx, ShardUnit{Level: c.h, K: c.k, Shard: s, Candidates: cands})
 		if err == nil && len(t.Supports) != len(cands) {
 			err = fmt.Errorf("core: shard %d answered %d supports for %d candidates", s, len(t.Supports), len(cands))
 		}
