@@ -1,8 +1,10 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -16,26 +18,26 @@ func writeFile(t *testing.T, dir, name, content string) string {
 	return path
 }
 
-const baselineJSON = `{
-  "tag": "PR7",
-  "maxprocs": 1,
-  "benchmarks": [
-    {"name": "CountingDense/bitmap", "ns_per_op": 20000000, "allocs_per_op": 20000, "bytes_per_op": 8000000},
-    {"name": "CountingDense/bitmap/warm", "ns_per_op": 5000000, "allocs_per_op": 4200, "bytes_per_op": 500000}
-  ]
-}`
+// benchLines renders go test -bench result lines, one per run: each run
+// prints every benchmark once, with the GOMAXPROCS suffix go appends.
+func benchLines(runs ...string) string {
+	return "goos: linux\ngoarch: amd64\npkg: github.com/flipper-mining/flipper\n" + strings.Join(runs, "") + "PASS\n"
+}
+
+// baseOutput is two runs of a base side.
+var baseOutput = benchLines(`BenchmarkCountingDense/scan-2        	      50	  20000000 ns/op	 8000000 B/op	   20000 allocs/op
+BenchmarkCountingDenseWarm/scan-2    	     300	   5000000 ns/op	  500000 B/op	    4200 allocs/op
+`, `BenchmarkCountingDense/scan-2        	      50	  20000000 ns/op	 8000000 B/op	   20000 allocs/op
+BenchmarkCountingDenseWarm/scan-2    	     300	   5000000 ns/op	  500000 B/op	    4200 allocs/op
+`)
 
 func TestDiffPassesWithinThreshold(t *testing.T) {
 	dir := t.TempDir()
-	base := writeFile(t, dir, "base.json", baselineJSON)
-	cur := writeFile(t, dir, "cur.json", `{
-  "tag": "ci",
-  "benchmarks": [
-    {"name": "CountingDense/bitmap", "ns_per_op": 24000000, "allocs_per_op": 21000},
-    {"name": "CountingDense/bitmap/warm", "ns_per_op": 4000000, "allocs_per_op": 4100},
-    {"name": "CountingDense/extra", "ns_per_op": 1, "allocs_per_op": 1}
-  ]
-}`)
+	base := writeFile(t, dir, "base.txt", baseOutput)
+	cur := writeFile(t, dir, "cur.txt", benchLines(`BenchmarkCountingDense/scan-2        	      50	  24000000 ns/op	 8000000 B/op	   21000 allocs/op
+BenchmarkCountingDenseWarm/scan-2    	     300	   4000000 ns/op	  500000 B/op	    4100 allocs/op
+BenchmarkCountingDense/extra-2       	       1	         1 ns/op	       1 B/op	       1 allocs/op
+`))
 	summary := filepath.Join(dir, "summary.md")
 	var out strings.Builder
 	if err := runDiff(base, cur, 0.25, summary, &out); err != nil {
@@ -45,7 +47,7 @@ func TestDiffPassesWithinThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"Perf gate", "CountingDense/bitmap", "🆕 new", "within threshold"} {
+	for _, want := range []string{"Perf gate", "BenchmarkCountingDense/scan", "🆕 new", "within threshold", "20000000 [20000000–20000000]"} {
 		if !strings.Contains(string(md), want) {
 			t.Errorf("summary missing %q:\n%s", want, md)
 		}
@@ -54,14 +56,10 @@ func TestDiffPassesWithinThreshold(t *testing.T) {
 
 func TestDiffFailsOnNsRegression(t *testing.T) {
 	dir := t.TempDir()
-	base := writeFile(t, dir, "base.json", baselineJSON)
-	cur := writeFile(t, dir, "cur.json", `{
-  "tag": "ci",
-  "benchmarks": [
-    {"name": "CountingDense/bitmap", "ns_per_op": 26000000, "allocs_per_op": 20000},
-    {"name": "CountingDense/bitmap/warm", "ns_per_op": 5000000, "allocs_per_op": 4200}
-  ]
-}`)
+	base := writeFile(t, dir, "base.txt", baseOutput)
+	cur := writeFile(t, dir, "cur.txt", benchLines(`BenchmarkCountingDense/scan-2        	      50	  26000000 ns/op	 8000000 B/op	   20000 allocs/op
+BenchmarkCountingDenseWarm/scan-2    	     300	   5000000 ns/op	  500000 B/op	    4200 allocs/op
+`))
 	summary := filepath.Join(dir, "summary.md")
 	var out strings.Builder
 	err := runDiff(base, cur, 0.25, summary, &out)
@@ -76,14 +74,10 @@ func TestDiffFailsOnNsRegression(t *testing.T) {
 
 func TestDiffFailsOnAllocsRegression(t *testing.T) {
 	dir := t.TempDir()
-	base := writeFile(t, dir, "base.json", baselineJSON)
-	cur := writeFile(t, dir, "cur.json", `{
-  "tag": "ci",
-  "benchmarks": [
-    {"name": "CountingDense/bitmap", "ns_per_op": 20000000, "allocs_per_op": 20000},
-    {"name": "CountingDense/bitmap/warm", "ns_per_op": 5000000, "allocs_per_op": 9000}
-  ]
-}`)
+	base := writeFile(t, dir, "base.txt", baseOutput)
+	cur := writeFile(t, dir, "cur.txt", benchLines(`BenchmarkCountingDense/scan-2        	      50	  20000000 ns/op	 8000000 B/op	   20000 allocs/op
+BenchmarkCountingDenseWarm/scan-2    	     300	   5000000 ns/op	  500000 B/op	    9000 allocs/op
+`))
 	var out strings.Builder
 	if err := runDiff(base, cur, 0.25, "", &out); err == nil {
 		t.Fatalf("gate passed a 2x allocs/op regression:\n%s", out.String())
@@ -92,68 +86,139 @@ func TestDiffFailsOnAllocsRegression(t *testing.T) {
 
 func TestDiffFailsOnMissingBenchmark(t *testing.T) {
 	dir := t.TempDir()
-	base := writeFile(t, dir, "base.json", baselineJSON)
-	cur := writeFile(t, dir, "cur.json", `{
-  "tag": "ci",
-  "benchmarks": [
-    {"name": "CountingDense/bitmap", "ns_per_op": 20000000, "allocs_per_op": 20000}
-  ]
-}`)
+	base := writeFile(t, dir, "base.txt", baseOutput)
+	cur := writeFile(t, dir, "cur.txt", benchLines(`BenchmarkCountingDense/scan-2        	      50	  20000000 ns/op	 8000000 B/op	   20000 allocs/op
+`))
 	var out strings.Builder
 	err := runDiff(base, cur, 0.25, "", &out)
 	if err == nil {
-		t.Fatalf("gate passed with a baseline benchmark missing from the run:\n%s", out.String())
+		t.Fatalf("gate passed with a base benchmark missing from the change:\n%s", out.String())
 	}
 	if !strings.Contains(out.String(), "MISSING") {
 		t.Errorf("diff output does not call out the missing benchmark:\n%s", out.String())
 	}
 }
 
-// countersBase is a baseline whose records carry engine counters, plus one
-// record (ColdPrepare/medline) that carries none.
-const countersBase = `{
-  "tag": "PR15",
-  "benchmarks": [
-    {"name": "CountingDense/scan", "ns_per_op": 29000000, "allocs_per_op": 4536,
-     "counters": {"bitmap_word_ops": 2311764, "candidates_counted": 10080, "probes_pruned": 6775, "shard_merge_ns": 871, "trie_nodes": 10269}},
-    {"name": "ColdPrepare/medline", "ns_per_op": 40000000, "allocs_per_op": 290}
-  ]
-}`
+// TestDiffTakesMedians: the gate judges the median of each side's runs,
+// which alternate between the sides, so one slow run of five does not
+// fail it, while three do.
+func TestDiffTakesMedians(t *testing.T) {
+	line := func(ns int) string {
+		return fmt.Sprintf("BenchmarkCountingDenseWarm/scan-2 \t 300 \t %d ns/op \t 500000 B/op \t 4200 allocs/op\n", ns)
+	}
+	steady := []string{line(5000000), line(5100000), line(4900000), line(5000000), line(5050000)}
+	dir := t.TempDir()
+	base := writeFile(t, dir, "base.txt", benchLines(steady...))
+	for _, tc := range []struct {
+		name string
+		runs []string
+		fail bool
+	}{
+		{"one slow run", []string{line(5000000), line(15000000), line(4950000), line(5100000), line(5000000)}, false},
+		{"three slow runs", []string{line(15000000), line(5000000), line(15000000), line(5100000), line(14000000)}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cur := writeFile(t, dir, "cur.txt", benchLines(tc.runs...))
+			var out strings.Builder
+			err := runDiff(base, cur, 0.25, "", &out)
+			if (err != nil) != tc.fail {
+				t.Fatalf("gate error = %v, want failure %v:\n%s", err, tc.fail, out.String())
+			}
+			for _, want := range []string{"(5 runs)", "5000000 [4900000–5100000]"} {
+				if !strings.Contains(out.String(), want) {
+					t.Errorf("diff output does not show %q:\n%s", want, out.String())
+				}
+			}
+		})
+	}
+}
 
-// countersCurrent is a current run with the given counters on
-// CountingDense/scan and ColdPrepare/medline.
-func countersCurrent(scan, cold string) string {
-	return `{
-  "tag": "ci",
-  "benchmarks": [
-    {"name": "CountingDense/scan", "ns_per_op": 29000000, "allocs_per_op": 4536, "counters": ` + scan + `},
-    {"name": "ColdPrepare/medline", "ns_per_op": 40000000, "allocs_per_op": 290, "counters": ` + cold + `}
-  ]
-}`
+// TestParseBenchOutput: names lose go's -<GOMAXPROCS> suffix (and only a
+// numeric one), and b.ReportMetric units, which go prints between ns/op and
+// B/op, are read like the built-in ones.
+func TestParseBenchOutput(t *testing.T) {
+	path := writeFile(t, t.TempDir(), "bench.txt", `goos: linux
+BenchmarkCountingDenseWarm/scan-8 	     300	   1000000 ns/op	     10080 candidates_counted	         3.000 patterns	  500000 B/op	    4115 allocs/op
+BenchmarkColdPrepare             	      40	  27000000 ns/op	  900000 B/op	     560 allocs/op
+BenchmarkFig8aMinsupProfiles/thr1-high-16 	 10	 1000 ns/op	 0 patterns
+BenchmarkServeCacheHit
+BenchmarkServeCacheHit-2         	   30000	     35000 ns/op	   20000 B/op	      85 allocs/op
+--- BENCH: BenchmarkServeCacheHit-2
+PASS
+`)
+	runs, order, err := parseBenchOutput(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"BenchmarkCountingDenseWarm/scan", "BenchmarkColdPrepare", "BenchmarkFig8aMinsupProfiles/thr1-high", "BenchmarkServeCacheHit"}
+	if !slices.Equal(order, want) {
+		t.Fatalf("names %q, want %q", order, want)
+	}
+	warm := runs["BenchmarkCountingDenseWarm/scan"]
+	if len(warm) != 1 {
+		t.Fatalf("%d runs of the warm benchmark, want 1", len(warm))
+	}
+	for unit, v := range map[string]float64{"ns/op": 1000000, "candidates_counted": 10080, "patterns": 3, "B/op": 500000, "allocs/op": 4115} {
+		if warm[0][unit] != v {
+			t.Errorf("%s = %v, want %v", unit, warm[0][unit], v)
+		}
+	}
+	if got := runs["BenchmarkServeCacheHit"]; len(got) != 1 || got[0]["allocs/op"] != 85 {
+		t.Errorf("cache hit runs %v, want one of 85 allocs/op", got)
+	}
+}
+
+// countersBase is a base side whose CountingDense/scan carries engine
+// counters, plus ColdPrepare, which carries none.
+var countersBase = benchLines(`BenchmarkCountingDense/scan-2 	 40 	 29000000 ns/op 	 2311764 bitmap_word_ops 	 10080 candidates_counted 	 6775 probes_pruned 	 871.0 shard_merge_ns 	 10269 trie_nodes 	 7000000 B/op 	 4536 allocs/op
+BenchmarkColdPrepare-2 	 40 	 40000000 ns/op 	 900000 B/op 	 290 allocs/op
+`)
+
+// countersCurrent is a change side with the given metrics (each " value
+// unit" pair) on CountingDense/scan and ColdPrepare, over as many runs as
+// scan lists.
+func countersCurrent(cold string, scan ...string) string {
+	var runs []string
+	for _, s := range scan {
+		runs = append(runs, `BenchmarkCountingDense/scan-2 	 40 	 29000000 ns/op `+s+` 	 7000000 B/op 	 4536 allocs/op
+BenchmarkColdPrepare-2 	 40 	 40000000 ns/op `+cold+` 	 900000 B/op 	 290 allocs/op
+`)
+	}
+	return benchLines(runs...)
 }
 
 func TestDiffCounters(t *testing.T) {
+	const all = ` 2311764 bitmap_word_ops 10080 candidates_counted 6775 probes_pruned 871.0 shard_merge_ns 10269 trie_nodes`
 	cases := []struct {
 		name      string
-		scan      string
+		base      string // countersBase when empty
+		scan      []string
 		cold      string
 		fail      bool
 		mentioned []string // in the text output
 	}{
-		{name: "equal", scan: `{"bitmap_word_ops": 2311764, "candidates_counted": 10080, "probes_pruned": 6775, "shard_merge_ns": 871, "trie_nodes": 10269}`, cold: `null`},
-		{name: "one changed", scan: `{"bitmap_word_ops": 2311765, "candidates_counted": 10080, "probes_pruned": 6775, "shard_merge_ns": 871, "trie_nodes": 10269}`, cold: `null`,
+		{name: "equal", scan: []string{all}},
+		{name: "one changed", scan: []string{` 2311765 bitmap_word_ops 10080 candidates_counted 6775 probes_pruned 871.0 shard_merge_ns 10269 trie_nodes`},
 			fail: true, mentioned: []string{"COUNTERS", "bitmap_word_ops: 2311764 -> 2311765"}},
-		{name: "one missing", scan: `{"bitmap_word_ops": 2311764, "candidates_counted": 10080, "shard_merge_ns": 871, "trie_nodes": 10269}`, cold: `null`,
+		{name: "one missing", scan: []string{` 2311764 bitmap_word_ops 10080 candidates_counted 871.0 shard_merge_ns 10269 trie_nodes`},
 			fail: true, mentioned: []string{"probes_pruned: 6775 -> missing"}},
-		{name: "only volatile changed", scan: `{"bitmap_word_ops": 2311764, "candidates_counted": 10080, "probes_pruned": 6775, "shard_merge_ns": 12345, "trie_nodes": 10269}`, cold: `null`},
-		{name: "no counters", scan: `{"bitmap_word_ops": 2311764, "candidates_counted": 10080, "probes_pruned": 6775, "shard_merge_ns": 871, "trie_nodes": 10269}`, cold: `{"patterns": 3}`},
-		{name: "no counters in the current run", scan: `null`, cold: `null`},
+		{name: "only volatile changed", scan: []string{` 2311764 bitmap_word_ops 10080 candidates_counted 6775 probes_pruned 12345 shard_merge_ns 10269 trie_nodes`}},
+		{name: "no counters", scan: []string{all}, cold: ` 3.000 patterns`},
+		{name: "no counters in the current run", scan: []string{``}},
+		{name: "a counter only the change reports", scan: []string{all + ` 3.000 patterns`}},
+		{name: "change runs disagree", scan: []string{all, ` 2311764 bitmap_word_ops 10081 candidates_counted 6775 probes_pruned 871.0 shard_merge_ns 10269 trie_nodes`, all},
+			fail: true, mentioned: []string{"candidates_counted: change runs disagree (3 of 3 report it: 10080, 10081, 10080)"}},
+		{name: "base runs disagree", base: countersBase + strings.Replace(countersBase, " 10269 trie_nodes", " 10270 trie_nodes", 1), scan: []string{all},
+			fail: true, mentioned: []string{"trie_nodes: base runs disagree (2 of 2 report it: 10269, 10270)\n"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
-			base := writeFile(t, dir, "base.json", countersBase)
-			cur := writeFile(t, dir, "cur.json", countersCurrent(c.scan, c.cold))
+			if c.base == "" {
+				c.base = countersBase
+			}
+			base := writeFile(t, dir, "base.txt", c.base)
+			cur := writeFile(t, dir, "cur.txt", countersCurrent(c.cold, c.scan...))
 			summary := filepath.Join(dir, "summary.md")
 			var out strings.Builder
 			err := runDiff(base, cur, 0.25, summary, &out)

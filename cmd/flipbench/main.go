@@ -5,22 +5,14 @@
 //	flipbench -list
 //	flipbench -exp fig8a [-scale quick|paper] [-csv out.csv] [-seed 7]
 //	flipbench -exp all   [-scale quick]
-//	flipbench -json BENCH_PR3.json [-tag PR3]
 //
 // Each experiment prints a text table mirroring the corresponding paper
 // artifact; -csv additionally writes machine-readable output. The quick
 // scale (default) shrinks the workloads so the full suite finishes in
 // minutes; -scale paper runs the original sizes (expect the BASIC baseline
 // to take a very long time in the low-support regime, as the paper reports).
-//
-// -json runs the counting micro-benchmark suite (the BenchmarkCountingDense
-// workload under testing.Benchmark, cold, warm and per shard count, anchored
-// top-K on it, plus scan mines on the default synthetic data) and
-// writes machine-readable results — benchmark name, ns/op, allocs/op,
-// engine counters, the machine's GOMAXPROCS — to the given file. Committed
-// BENCH_<tag>.json files record the repo's perf trajectory; CI regenerates
-// one per run and uploads it as an artifact. The "sharding" experiment
-// (-exp sharding) prints the shard-count scaling table for this machine.
+// The "sharding" experiment (-exp sharding) prints the shard-count scaling
+// table for this machine.
 package main
 
 import (
@@ -40,8 +32,6 @@ func main() {
 		csvDir     = flag.String("csv", "", "directory to write <exp>.csv files into")
 		seed       = flag.Int64("seed", 1, "generator seed")
 		listExp    = flag.Bool("list", false, "list available experiments")
-		jsonPath   = flag.String("json", "", "run the counting micro-bench suite and write BENCH JSON to this file")
-		tag        = flag.String("tag", "dev", "tag recorded in the -json output")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (pprof format)")
 	)
 	flag.Parse()
@@ -64,15 +54,6 @@ func main() {
 			}
 			fmt.Fprintf(os.Stderr, "wrote %s\n", *cpuprofile)
 		}()
-	}
-
-	if *jsonPath != "" {
-		if err := runBenchJSON(*jsonPath, *tag); err != nil {
-			fmt.Fprintf(os.Stderr, "flipbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonPath)
-		return
 	}
 
 	if *listExp || *exp == "" {

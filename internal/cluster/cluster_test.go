@@ -583,11 +583,6 @@ func TestWorkerHandlerValidation(t *testing.T) {
 		t.Fatalf("k mismatch: %d, want 400", got)
 	}
 	bad = good
-	bad.Fingerprint.Stream = !bad.Fingerprint.Stream
-	if got := post(bad); got != http.StatusConflict {
-		t.Fatalf("loading-mode mismatch: %d, want 409", got)
-	}
-	bad = good
 	bad.Fingerprint.Protocol = 0 // a fingerprint of a build before the packed wire
 	if got := post(bad); got != http.StatusConflict {
 		t.Fatalf("protocol-revision mismatch: %d, want 409", got)

@@ -27,44 +27,47 @@ const (
 )
 
 // ProtocolRevision is the revision of the count wire a build speaks, carried
-// in every fingerprint it makes. Revision 3 sends a unit without a mining
-// configuration and answers it with supports alone; revision 2 carried the
+// in every fingerprint it makes. Revision 4 drops the loading mode from the
+// fingerprint, so a worker that streams a dataset the coordinator holds in
+// memory (or the reverse) serves it; revision 3 sent a unit without a mining
+// configuration and answered it with supports alone; revision 2 carried the
 // configuration, its canonical key and a probe tally beside the same packed
 // candidates and supports (core.PackedSets, core.PackedSupports); revision
 // 1, the decimal JSON arrays, predates the field, so its fingerprints read 0
-// here. Builds of different revisions therefore never exchange a unit: a
-// coordinator registers a worker of another revision but finds no dataset it
-// serves, and one of a build before revision 2 rejects a newer worker's
-// heartbeat, whose fingerprints carry a field it does not know.
-const ProtocolRevision = 3
+// here. Builds of different revisions therefore never exchange a unit: this
+// build's coordinator refuses the heartbeat of an earlier build's worker,
+// whose fingerprints carry the loading mode, a field it no longer knows; a
+// coordinator of revision 2 or 3 registers a newer worker but finds no
+// dataset it serves; and one of a build before revision 2 rejects a newer
+// worker's heartbeat, whose fingerprints carry the revision, a field it does
+// not know.
+const ProtocolRevision = 4
 
 // Fingerprint identifies a dataset build well enough to catch the failure
 // modes that silently corrupt distributed counting: a worker holding a
 // different dataset (or a differently-built taxonomy) under the same name,
-// the same baskets in a different shard layout or loading mode, or
-// different baskets of the same size — or a worker of a build that speaks
-// another count wire (Protocol). Loading is deterministic — LoadDir
-// resolves identical dictionary IDs and shard layouts from identical files —
-// so equal fingerprints mean the worker's item IDs, shard indexes and
-// per-shard transactions line up with the coordinator's, and that it loads
-// the dataset the way the coordinator's engine does: as levels, or by
-// streaming (txdb.Streams).
+// the same baskets in a different shard layout, or different baskets of the
+// same size — or a worker of a build that speaks another count wire
+// (Protocol). Loading is deterministic — LoadDir resolves identical
+// dictionary IDs and shard layouts from identical files — so equal
+// fingerprints mean the worker's item IDs, shard indexes and per-shard
+// transactions line up with the coordinator's. The loading mode is not
+// part of it: a unit's answer is its candidates' supports, which a node
+// counts alike from levels in memory and by streaming its shard files.
 type Fingerprint struct {
 	Dataset      string `json:"dataset"`
 	Transactions int    `json:"transactions"`
 	Height       int    `json:"height"`
 	Nodes        int    `json:"nodes"`
 	Shards       int    `json:"shards"`
-	Stream       bool   `json:"stream"`
 	Digest       uint64 `json:"digest"`
 	Protocol     int    `json:"protocol"`
 }
 
 // NewFingerprint derives the fingerprint of a loaded dataset: its shape, the
-// shard count and loading mode, and a 64-bit digest over each shard's
-// transactions in order, where the shards and the mode are the ones an
-// engine over src counts with (txdb.ShardsOf, txdb.Streams), all under this
-// build's ProtocolRevision.
+// shard count and a 64-bit digest over each shard's transactions in order,
+// where the shards are the ones an engine over src counts with
+// (txdb.ShardsOf), all under this build's ProtocolRevision.
 // The digest reads the source once, so a FileSource pays one more sequential
 // read. A source that fails to scan gets a random digest: its fingerprint
 // matches no other, so no node counts on data it cannot read.
@@ -87,7 +90,7 @@ func NewFingerprint(name string, src txdb.Source, tree *taxonomy.Tree) Fingerpri
 	}
 	return Fingerprint{
 		Dataset: name, Transactions: src.Len(), Height: tree.Height(), Nodes: tree.NodeCount(),
-		Shards: len(shards), Stream: txdb.Streams(src), Digest: h, Protocol: ProtocolRevision,
+		Shards: len(shards), Digest: h, Protocol: ProtocolRevision,
 	}
 }
 
@@ -99,8 +102,8 @@ func mix(h, v uint64) uint64 {
 }
 
 func (f Fingerprint) String() string {
-	return fmt.Sprintf("%s(tx=%d,h=%d,nodes=%d,shards=%d,stream=%t,digest=%016x,protocol=%d)",
-		f.Dataset, f.Transactions, f.Height, f.Nodes, f.Shards, f.Stream, f.Digest, f.Protocol)
+	return fmt.Sprintf("%s(tx=%d,h=%d,nodes=%d,shards=%d,digest=%016x,protocol=%d)",
+		f.Dataset, f.Transactions, f.Height, f.Nodes, f.Shards, f.Digest, f.Protocol)
 }
 
 // CountRequest is one core.ShardUnit on the wire, with the fingerprint a

@@ -149,13 +149,14 @@ func TestServiceClusterByteIdentical(t *testing.T) {
 }
 
 // TestFingerprintMismatchMinesLocally covers the dataset skews the
-// fingerprint's shard count, loading mode and digest catch: the coordinator
-// holding the baskets as two shard files while the worker holds them as one,
-// a worker holding different baskets of the same size, and a worker that
-// loaded the same shard files in the other mode — streamed where the
-// coordinator holds them in memory, or the reverse. Either way the worker is
+// fingerprint's shard count and digest catch: the coordinator holding the
+// baskets as two shard files while the worker holds them as one, and a
+// worker holding different baskets of the same size. Such a worker is
 // ineligible, so the coordinator mines locally without degrading, and a
-// count request carrying the coordinator's fingerprint gets 409.
+// count request carrying the coordinator's fingerprint gets 409. The
+// loading mode is no skew: a worker that streams the shard files the
+// coordinator holds in memory, or the reverse, shares the coordinator's
+// fingerprint and serves its units, and the result is the local one.
 func TestFingerprintMismatchMinesLocally(t *testing.T) {
 	db, tree := testDataset(rand.New(rand.NewSource(123)))
 	edited := txdb.New(tree.Dict())
@@ -167,21 +168,22 @@ func TestFingerprintMismatchMinesLocally(t *testing.T) {
 		name                      string
 		coord, worker             txdb.Source
 		coordShards, workerShards int
+		skewed                    bool
 	}{
-		{"layout", txdb.PartitionSource(db, 2), db, 2, 1},
-		{"content", db, edited, 1, 1},
-		{"streamed worker", txdb.PartitionSource(db, 2), streamed, 2, 2},
-		{"streamed coordinator", streamed, txdb.PartitionSource(db, 2), 2, 2},
+		{"layout", txdb.PartitionSource(db, 2), db, 2, 1, true},
+		{"content", db, edited, 1, 1, true},
+		{"streamed worker", txdb.PartitionSource(db, 2), streamed, 2, 2, false},
+		{"streamed coordinator", streamed, txdb.PartitionSource(db, 2), 2, 2, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			coordFp, workerFp := NewFingerprint("ds", tc.coord, tree), NewFingerprint("ds", tc.worker, tree)
-			if coordFp == workerFp || coordFp.Shards != tc.coordShards || workerFp.Shards != tc.workerShards {
-				t.Fatalf("coordinator %s, worker %s: want distinct fingerprints of %d and %d shards",
-					coordFp, workerFp, tc.coordShards, tc.workerShards)
+			if (coordFp != workerFp) != tc.skewed || coordFp.Shards != tc.coordShards || workerFp.Shards != tc.workerShards {
+				t.Fatalf("coordinator %s, worker %s: want fingerprints of %d and %d shards, distinct %t",
+					coordFp, workerFp, tc.coordShards, tc.workerShards, tc.skewed)
 			}
 			f := newFlipperd(t, tc.coord, tree, tc.worker)
-			if f.co.Eligible("ds") {
-				t.Fatal("worker with a skewed dataset is eligible")
+			if eligible := f.co.Eligible("ds"); eligible == tc.skewed {
+				t.Fatalf("worker eligible %t, want %t", eligible, !tc.skewed)
 			}
 			patch := `{"gamma":0.3,"epsilon":0.1,"min_sup_abs":[2,1,1]}`
 			want := newFlipperd(t, tc.coord, tree).mine(t, patch)
@@ -189,8 +191,8 @@ func TestFingerprintMismatchMinesLocally(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Fatalf("result diverged from the single-node one.\nwant:\n%s\ngot:\n%s", want, got)
 			}
-			if f.served.Load() != 0 {
-				t.Fatalf("%d count requests reached the skewed worker", f.served.Load())
+			if served := f.served.Load(); (served > 0) == tc.skewed {
+				t.Fatalf("%d count requests reached the worker, want some: %t", served, !tc.skewed)
 			}
 			body, err := json.Marshal(CountRequest{Fingerprint: coordFp, ShardUnit: core.ShardUnit{
 				Level: tree.Height(), K: 1, Candidates: []itemset.Set{{tree.Leaves()[0]}},
@@ -204,22 +206,30 @@ func TestFingerprintMismatchMinesLocally(t *testing.T) {
 			}
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
-			if resp.StatusCode != http.StatusConflict {
-				t.Fatalf("count request with the coordinator's fingerprint: %s, want 409", resp.Status)
+			wantStatus := http.StatusOK
+			if tc.skewed {
+				wantStatus = http.StatusConflict
+			}
+			if resp.StatusCode != wantStatus {
+				t.Fatalf("count request with the coordinator's fingerprint: %s, want %d", resp.Status, wantStatus)
 			}
 		})
 	}
 }
 
-// TestWorkerOfAnotherBuildMinesLocally covers build skew: a worker of an
+// TestWorkerOfAnotherBuildMinesLocally covers build skew. A worker of an
 // earlier count wire heartbeats fingerprints of its own protocol revision —
-// 2, whose units still carried the mining configuration, or none at all
-// before the packed wire — so the coordinator finds no dataset it serves
-// and mines locally, not degraded, sending it nothing it would have to
-// refuse. The same heartbeat under this build's revision keeps the worker
-// eligible, so only the revision tells the builds apart. The other way
-// round, a coordinator of a build before the packed wire decodes heartbeats
-// strictly and refuses this build's, whose fingerprints carry the revision.
+// 3, 2, whose units still carried the mining configuration, or none at all
+// before the packed wire — and each of those builds' fingerprints carries
+// the loading mode, `stream`, which this build's strict heartbeat decoding
+// does not know: the coordinator answers 400 naming the field and never
+// registers the worker, so it mines locally, not degraded, and sends it
+// nothing it would have to refuse. This build's heartbeat makes the worker
+// eligible, and one that differs from it only in the revision registers the
+// worker for no dataset, so only the revision tells the builds apart. The
+// other way round, a coordinator of a build before the packed wire decodes
+// heartbeats strictly and refuses this build's, whose fingerprints carry
+// the revision.
 func TestWorkerOfAnotherBuildMinesLocally(t *testing.T) {
 	db, tree := testDataset(rand.New(rand.NewSource(123)))
 	src := func() txdb.Source { return txdb.PartitionSource(db, 2) }
@@ -227,54 +237,79 @@ func TestWorkerOfAnotherBuildMinesLocally(t *testing.T) {
 	if fp.Protocol != ProtocolRevision {
 		t.Fatalf("fingerprint carries protocol %d, want %d", fp.Protocol, ProtocolRevision)
 	}
-	patch := `{"gamma":0.3,"epsilon":0.1,"min_sup_abs":[2,1,1]}`
-	want := newFlipperd(t, src(), tree).mine(t, patch)
-	var current, old []byte // this build's heartbeat, and one of the build before the packed wire
-	for _, tc := range []struct {
-		revision int // 0: no protocol field
-		eligible bool
-	}{{ProtocolRevision, true}, {2, false}, {0, false}} {
-		f := newFlipperd(t, src(), tree, src())
-		var err error
-		current, err = json.Marshal(Heartbeat{Worker: "w0", Addr: f.workers[0].URL, Datasets: []Fingerprint{fp}})
+	// heartbeat is worker w0's heartbeat at addr as a build of the given
+	// revision (0: before the field) sends it, with or without the loading
+	// mode.
+	heartbeat := func(addr string, revision int, stream bool) []byte {
+		t.Helper()
+		raw, err := json.Marshal(Heartbeat{Worker: "w0", Addr: addr, Datasets: []Fingerprint{fp}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The heartbeat of a build of that revision, as its worker sends it.
 		var hb map[string]any
-		dec := json.NewDecoder(bytes.NewReader(current))
+		dec := json.NewDecoder(bytes.NewReader(raw))
 		dec.UseNumber() // a digest is a uint64, past a float64's precision
 		if err := dec.Decode(&hb); err != nil {
 			t.Fatal(err)
 		}
 		for _, d := range hb["datasets"].([]any) {
-			if tc.revision == 0 {
-				delete(d.(map[string]any), "protocol")
+			d := d.(map[string]any)
+			if revision == 0 {
+				delete(d, "protocol")
 			} else {
-				d.(map[string]any)["protocol"] = tc.revision
+				d["protocol"] = revision
+			}
+			if stream {
+				d["stream"] = false
 			}
 		}
-		if old, err = json.Marshal(hb); err != nil {
+		if raw, err = json.Marshal(hb); err != nil {
 			t.Fatal(err)
 		}
-		resp, err := http.Post(f.url+PathHeartbeat, "application/json", bytes.NewReader(old))
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("revision %d heartbeat: %s", tc.revision, resp.Status)
-		}
-		if got := f.co.Eligible("ds"); got != tc.eligible {
-			t.Fatalf("a worker of revision %d: eligible %t, want %t", tc.revision, got, tc.eligible)
-		}
-		if got := f.mine(t, patch); !bytes.Equal(got, want) {
-			t.Fatalf("revision %d: result diverged from the single-node one.\nwant:\n%s\ngot:\n%s", tc.revision, want, got)
-		}
-		if n := f.served.Load(); (n > 0) != tc.eligible {
-			t.Fatalf("%d count requests reached the worker of revision %d", n, tc.revision)
-		}
+		return raw
+	}
+	patch := `{"gamma":0.3,"epsilon":0.1,"min_sup_abs":[2,1,1]}`
+	want := newFlipperd(t, src(), tree).mine(t, patch)
+	for _, tc := range []struct {
+		name     string
+		revision int
+		stream   bool // the fingerprints carry the loading mode, as every build's before revision 4
+		status   int
+		eligible bool
+	}{
+		{"this build", ProtocolRevision, false, http.StatusOK, true},
+		{"revision 3", 3, true, http.StatusBadRequest, false},
+		{"revision 2", 2, true, http.StatusBadRequest, false},
+		{"before the packed wire", 0, true, http.StatusBadRequest, false},
+		{"only the revision differs", 3, false, http.StatusOK, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFlipperd(t, src(), tree, src())
+			f.co.Registry().Remove("w0") // it joined with this build's heartbeat
+			old := heartbeat(f.workers[0].URL, tc.revision, tc.stream)
+			resp, err := http.Post(f.url+PathHeartbeat, "application/json", bytes.NewReader(old))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var answer map[string]string
+			err = json.NewDecoder(resp.Body).Decode(&answer)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != tc.status {
+				t.Fatalf("heartbeat: %s %v (%v), want %d", resp.Status, answer, err, tc.status)
+			}
+			if tc.stream && !strings.Contains(answer["error"], `unknown field "stream"`) {
+				t.Fatalf("refused heartbeat does not name the field: %q", answer["error"])
+			}
+			if got := f.co.Eligible("ds"); got != tc.eligible {
+				t.Fatalf("eligible %t, want %t", got, tc.eligible)
+			}
+			if got := f.mine(t, patch); !bytes.Equal(got, want) {
+				t.Fatalf("result diverged from the single-node one.\nwant:\n%s\ngot:\n%s", want, got)
+			}
+			if n := f.served.Load(); (n > 0) != tc.eligible {
+				t.Fatalf("%d count requests reached the worker", n)
+			}
+		})
 	}
 
 	// The strict heartbeat decoding of the build before the packed wire,
@@ -292,12 +327,12 @@ func TestWorkerOfAnotherBuildMinesLocally(t *testing.T) {
 			Digest       uint64 `json:"digest"`
 		} `json:"datasets"`
 	}
-	dec := json.NewDecoder(bytes.NewReader(old))
+	dec := json.NewDecoder(bytes.NewReader(heartbeat("http://w0", 0, true)))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&older); err != nil {
 		t.Fatalf("the older build refuses its own heartbeat: %v", err)
 	}
-	dec = json.NewDecoder(bytes.NewReader(current))
+	dec = json.NewDecoder(bytes.NewReader(heartbeat("http://w0", ProtocolRevision, false)))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&older); err == nil {
 		t.Fatal("the older build accepts a heartbeat of this build")

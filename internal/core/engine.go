@@ -683,9 +683,11 @@ func (m *miner) mineFlipper() []Pattern {
 	return m.collect()
 }
 
-// tpg applies the Theorem-3 check to two vertically consecutive cells. To
-// avoid firing on cells that are empty only because of vertical gating (see
-// DESIGN.md), it requires at least one frequent itemset across the pair.
+// tpg applies the Theorem-3 check to two vertically consecutive cells. It
+// requires at least one frequent itemset across the pair: vertical gating
+// leaves a cell empty when its parent cell has no chain-alive itemset, and
+// such a cell holds no positive itemset yet says nothing about wider
+// itemsets, so two of them are no evidence to stop growth on.
 func (m *miner) tpg(up, down *cell) bool {
 	if !m.cfg.Pruning.usesTPG() {
 		return false

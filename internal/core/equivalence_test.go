@@ -18,8 +18,9 @@ import (
 // The equivalence suite is the central correctness instrument of this
 // reproduction: on randomized datasets, every pruning level must produce
 // exactly the flipping patterns that the BASIC baseline finds by complete
-// enumeration and post-filtering. Flipping-gated generation is provably
-// complete (DESIGN.md); TPG and SIBP as specified in the paper are validated
+// enumeration and post-filtering. Flipping-gated generation is complete
+// because every generalization of a flipping pattern is chain-alive (see
+// miner.childCell); TPG and SIBP as specified in the paper are validated
 // here empirically.
 
 // randomDataset builds a random balanced taxonomy and a transaction mix with

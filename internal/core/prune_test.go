@@ -189,8 +189,8 @@ func TestSIBPBookkeepingDirect(t *testing.T) {
 }
 
 func TestTPGRequiresFrequentEvidence(t *testing.T) {
-	// Two empty cells must not satisfy the TPG condition (empty-by-gating
-	// proves nothing; see DESIGN.md).
+	// Two empty cells must not satisfy the TPG condition: a cell left empty
+	// by vertical gating proves nothing about wider itemsets.
 	m := &miner{cfg: Config{Pruning: FlippingTPG}}
 	up, down := newCell(1, 2), newCell(2, 2)
 	if m.tpg(up, down) {

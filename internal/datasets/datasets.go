@@ -5,7 +5,7 @@
 // for that dataset (Figures 10–12), so the qualitative results are
 // recoverable and verifiable. Everything is deterministic given a seed.
 //
-// The substitution rationale is recorded in DESIGN.md: the paper's
+// The substitution is sound for what the reproduction checks: the paper's
 // quantitative claims about these datasets concern the behaviour of the
 // miner in the low-support regime (runtime, candidate memory, pattern
 // counts), which depends on scale and density, not on the identity of the

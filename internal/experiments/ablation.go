@@ -10,9 +10,9 @@ import (
 	"github.com/flipper-mining/flipper/internal/txdb"
 )
 
-// Ablation evaluates the design choices DESIGN.md calls out beyond the
-// paper: counting parallelism, and materialized views vs disk-resident
-// streaming — the same baskets written
+// Ablation evaluates two design choices beyond the paper: counting
+// parallelism, and materialized views vs disk-resident streaming
+// (docs/OPERATIONS.md, "The loading mode") — the same baskets written
 // to a file in a temporary directory and mined as a txdb.FileSource. All
 // runs use full pruning on the default synthetic workload.
 func Ablation(s Scale) (*Table, error) {

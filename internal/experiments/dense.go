@@ -11,10 +11,10 @@ import (
 // DenseWorkload builds the counting benchmarks' home turf: a flat taxonomy
 // of cats categories with leavesPerCat leaves each (height 2) and n
 // transactions of width random leaves, so permissive thresholds put every
-// pair candidate against a dense level view that barely dedups. Shared by
-// BenchmarkCountingDense and the flipbench -json micro suite so the
-// committed BENCH_*.json baselines measure exactly what the in-repo
-// benchmark measures.
+// pair candidate against a dense level view that barely dedups. Besides the
+// topk and sharding experiments, the root counting and anchored benchmarks
+// and the end-to-end benchmark's topk-large workload build their data with
+// it.
 func DenseWorkload(n, cats, leavesPerCat, width int, seed int64) (*txdb.DB, *taxonomy.Tree, error) {
 	tb := taxonomy.NewBuilder(nil)
 	for r := 0; r < cats; r++ {

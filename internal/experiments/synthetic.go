@@ -47,8 +47,8 @@ func Table3(Scale) (*Table, error) {
 
 // Synthetic builds the paper's default synthetic workload: H=4, 10 level-1
 // categories, fanout 5, |I|≈1000 leaves, width W, N transactions. Besides
-// the experiments, BenchmarkCountingSyntheticWarm and the flipbench -json
-// record CountingSynthetic/scan/warm build their data with it.
+// the experiments, the root synthetic counting and cluster benchmarks build
+// their data with it.
 func Synthetic(n int, width float64, seed int64) (*txdb.DB, *taxonomy.Tree, error) {
 	tree, err := gen.BuildTaxonomy(gen.DefaultTaxonomyParams())
 	if err != nil {
