@@ -52,6 +52,10 @@ func (m *miner) mineAnchored() ([]Pattern, error) {
 		if m.cfg.Pruning == Basic {
 			pats = m.mineBasic()
 		} else {
+			// Vertical gating alone is complete (see childCell); TPG and
+			// SIBP can drop patterns the DFS returns when a gated cell is
+			// empty, so the fallback stops at Flipping.
+			m.cfg.Pruning = Flipping
 			pats = m.mineFlipper()
 		}
 		var kept []Pattern
@@ -160,14 +164,8 @@ func (a *anchoredSearch) run() {
 	if !m.frequent(1, a.root) {
 		return // the anchor's own root is infrequent; no chain can exist
 	}
-	others := a.sc.others[:0]
-	for _, id := range m.sorted[1] {
-		if id != a.root {
-			others = append(others, id)
-		}
-	}
-	slices.Sort(others)
-	a.sc.others, a.words = others, -1
+	isRoot := func(id itemset.ID) bool { return id == a.root }
+	a.sc.others, a.words = slices.DeleteFunc(m.appendFrequent(a.sc.others[:0], 1), isRoot), -1
 	a.sc.vecs = growTo(a.sc.vecs, m.maxK)
 	a.extend(itemset.Set{a.root}, 0, nil)
 }

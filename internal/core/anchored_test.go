@@ -170,6 +170,17 @@ func FuzzAnchoredTopK(f *testing.F) {
 		3, 0, 2, 5, 3, 1, 3, 4, 3, 0, 3, 4, 3, 1, 2, 5,
 		1, 0, 1, 0, 1, 1, 1, 1, 1, 2, 1, 2, 1, 3, 1, 3, 1, 4, 1, 4, 1, 5, 1, 5,
 		3, 2, 5, 0, 0, 0, 2, 3})
+	// Height 2, roots c0, c1 and c2 with two leaves each; 16 baskets:
+	// {c0.0, c1.0, c2.1}, {c0.1, c2.1}, {c0.1, c1.0}, seven {c0.1}, two
+	// {c1.0}, one {c2.1} and three empty. Kulczynski, γ = 0.5, ε = 0.25 and
+	// min supports 1, 1: {c0, c1, c2} (−) flips to {c0.0, c1.0, c2.1} (+),
+	// the one pattern through the anchor c1. Q(1,2)'s three frequent pairs
+	// are unlabeled, so the gated Q(2,2) is empty, and TPG and SIBP lose the
+	// pattern there; a streamed query at flipping+tpg or full must not. The
+	// last byte picks the pruning level: every level gets a seed.
+	for _, pruning := range "0123" {
+		f.Add([]byte("02111\f002A011A01122812818181818182818228A02A0000" + string(pruning)))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {

@@ -10,14 +10,7 @@ package core
 
 func (m *miner) mineBasic() []Pattern {
 	for h := 1; h <= m.height; h++ {
-		kMax := m.ds.widths[h]
-		if f := len(m.sorted[h]); f < kMax {
-			kMax = f
-		}
-		if m.cfg.MaxK > 0 && m.cfg.MaxK < kMax {
-			kMax = m.cfg.MaxK
-		}
-		for k := 2; k <= kMax; k++ {
+		for k := 2; k <= m.colBound(h); k++ {
 			if m.cancelled() {
 				return nil
 			}
@@ -79,6 +72,9 @@ func (m *miner) finishBasicCell(c *cell) {
 func (m *miner) collectBasic() []Pattern {
 	var out []Pattern
 	for k, leafCell := range m.rows[m.height] {
+		if leafCell == nil {
+			continue
+		}
 		for i := range leafCell.meta {
 			e := &leafCell.meta[i]
 			if e.infrequent || !e.label.Labeled() {
@@ -99,11 +95,13 @@ func (m *miner) collectBasic() []Pattern {
 					ok = false
 					break
 				}
-				row := m.rows[h][k]
-				if row == nil {
+				// Each level has its own column bound, so row h may end
+				// before column k.
+				if k >= len(m.rows[h]) || m.rows[h][k] == nil {
 					ok = false
 					break
 				}
+				row := m.rows[h][k]
 				pi := row.store.Lookup(items)
 				if pi < 0 || row.meta[pi].infrequent {
 					ok = false

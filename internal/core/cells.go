@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"github.com/flipper-mining/flipper/internal/itemset"
 )
 
@@ -16,7 +14,7 @@ import (
 func (m *miner) aprioriCell(h, k int) *cell {
 	c := m.sc.cell(h, k)
 	if k == 2 {
-		items := m.frequentItems(h)
+		items := m.appendFrequent(make([]itemset.ID, 0, len(m.ds.order[h])-m.cut[h]), h)
 		for i := 0; i < len(items); i++ {
 			ri := m.tax.RootOf(items[i])
 			for j := i + 1; j < len(items); j++ {
@@ -118,7 +116,7 @@ func (m *miner) childCell(h, k int) *cell {
 		for i, pid := range pItems {
 			lists[i] = lists[i][:0]
 			for _, ch := range m.tax.ChildrenAt(pid) {
-				if m.frequent(h, ch) && !excl[ch] {
+				if m.frequent(h, ch) && excl[ch] == 0 {
 					lists[i] = append(lists[i], ch)
 				}
 			}
@@ -223,16 +221,13 @@ func (c *cell) frequentSets() []itemset.Set {
 	return out
 }
 
-// frequentItems returns the frequent 1-items of a level in ascending ID
-// order, minus SIBP-excluded ones.
-func (m *miner) frequentItems(h int) []itemset.ID {
-	excl := m.excluded[h]
-	out := make([]itemset.ID, 0, len(m.sorted[h]))
-	for _, id := range m.sorted[h] {
-		if !excl[id] {
-			out = append(out, id)
+// appendFrequent appends the frequent 1-items of level h that SIBP has not
+// excluded to dst, in ascending ID order.
+func (m *miner) appendFrequent(dst []itemset.ID, h int) []itemset.ID {
+	for id, sup := range m.ds.sup1[h] {
+		if sup >= m.minSup[h] && m.excluded[h][id] == 0 {
+			dst = append(dst, itemset.ID(id))
 		}
 	}
-	slices.Sort(out)
-	return out
+	return dst
 }

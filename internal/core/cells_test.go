@@ -149,7 +149,7 @@ func TestChildCellSkipsSIBPExcluded(t *testing.T) {
 	m.rows[1][2] = c1
 	// Exclude a1 at level 2: the children combos through a1 must vanish.
 	a1, _ := tree.Dict().Lookup("a1")
-	m.excluded[2][a1] = true
+	m.excluded[2][a1] = 1
 	c2 := m.childCell(2, 2)
 	if c2.candidates != 2 {
 		t.Fatalf("candidates with a1 excluded = %d, want 2 (a2 × {b1,b2})", c2.candidates)

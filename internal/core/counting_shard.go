@@ -24,22 +24,22 @@ import (
 
 // streamSingleSupports is the streaming init: one single-item pass over the
 // shard sources, a bounded worker pool scanning them concurrently, each
-// worker aggregating per-level single supports and widths across its shards
-// locally; the locals then merge. Integer sums and maxima make the merged
-// aggregates independent of worker assignment and equal to the single-pass
-// values.
-func (ds *dataState) streamSingleSupports(srcs []txdb.Source, tax *taxonomy.Tree, H, workers int) error {
+// worker aggregating per-level single supports (n IDs per level) and widths
+// across its shards locally; the locals then merge. Integer sums and maxima
+// make the merged aggregates independent of worker assignment and equal to
+// the single-pass values.
+func (ds *dataState) streamSingleSupports(srcs []txdb.Source, tax *taxonomy.Tree, H, n, workers int) error {
 	type agg struct {
-		sup    []map[itemset.ID]int64
+		sup    [][]int64
 		widths []int
 		err    error
 	}
 	aggs := make([]agg, workers)
 	for w := range aggs {
-		aggs[w].sup = make([]map[itemset.ID]int64, H+1)
+		aggs[w].sup = make([][]int64, H+1)
 		aggs[w].widths = make([]int, H+1)
 		for h := 1; h <= H; h++ {
-			aggs[w].sup[h] = make(map[itemset.ID]int64)
+			aggs[w].sup[h] = make([]int64, n)
 		}
 	}
 	txdb.ForEachShard(workers, len(srcs), func(w, s int) {
@@ -60,21 +60,21 @@ func (ds *dataState) streamSingleSupports(srcs []txdb.Source, tax *taxonomy.Tree
 			return nil
 		})
 	})
-	for h := 1; h <= H; h++ {
-		ds.sup1[h] = make(map[itemset.ID]int64)
-	}
+	// Worker 0's supports become the engine's; the others add into them.
+	ds.sup1 = aggs[0].sup
 	for w := range aggs {
 		if aggs[w].err != nil {
 			return aggs[w].err
 		}
 		for h := 1; h <= H; h++ {
-			if aggs[w].widths[h] > ds.widths[h] {
-				ds.widths[h] = aggs[w].widths[h]
-			}
-			for id, n := range aggs[w].sup[h] {
-				ds.sup1[h][id] += n
+			ds.widths[h] = max(ds.widths[h], aggs[w].widths[h])
+			if w > 0 {
+				for id, c := range aggs[w].sup[h] {
+					ds.sup1[h][id] += c
+				}
 			}
 		}
 	}
+	ds.orderItems()
 	return nil
 }

@@ -146,13 +146,16 @@ chain.
     frequent itemset and no positive one, columns ≥ k of the row pair are
     abandoned. The check requires frequent evidence so that cells emptied
     by gating alone cannot fire it.
-  - SIBP (Theorem 2 / Corollary 2): per level, walk the frequent items by
-    ascending support; the maximal prefix whose members occur in no
-    positive k-itemset forms R_h(k). An item whose level-(h−1)
+  - SIBP (Theorem 2 / Corollary 2): per level, the frequent items by
+    ascending (support, ID) are a suffix of the order the engine sorts
+    once (dataState.order), cut at θ_h by binary search (miner.cut); the
+    maximal prefix whose members occur in no positive k-itemset forms
+    R_h(k), kept as its end (miner.rsetEnd). An item whose level-(h−1)
     generalization sits in R_{h−1}(k) while the item sits in R_h(k) can
     never appear in a flipping pattern of size > k and is excluded from the
     row's further candidate generation. Both R sets must come from the same
-    column (rsetCol) — a stale upper set proves nothing.
+    column (rsetCol) — a stale upper set proves nothing. Per-item state is
+    a slice per level indexed by item ID, which is dense from zero.
 
 # Anchored top-K (anchored.go)
 
@@ -173,7 +176,9 @@ bitmap build in Stats, and charges no word operations. A branch ends only
 on an infrequent set, a label that does not flip, or a running gap
 strictly below the current K-th best, so the ranking equals filtering and
 ranking the full mine (anchored_test.go pins this). Streaming runs have no
-levels to index and fall back to that full mine plus the filter.
+levels to index and fall back to that full mine plus the filter, pruned by
+vertical gating at most: TPG and SIBP can lose a pattern the DFS returns
+when gating leaves a cell empty.
 
 # BASIC (basic.go)
 

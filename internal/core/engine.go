@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -80,9 +81,11 @@ type dataState struct {
 	shards []txdb.Source // txdb.ShardsOf(the engine's source), set by NewEngine
 	stream bool          // txdb.Streams(the engine's source), set by NewEngine
 
-	levels [][]*txdb.Level        // [shard][level]; nil when streaming
-	sup1   []map[itemset.ID]int64 // all single supports per level, over all shards
-	widths []int                  // max generalized width per level
+	levels [][]*txdb.Level // [shard][level]; nil when streaming
+	sup1   [][]int64       // [level][id]: single supports, over all shards
+	order  [][]itemset.ID  // [level]: the level's items by ascending (support, ID)
+	pos    [][]int32       // [level][id]: the item's position in order[level]
+	widths []int           // max generalized width per level
 
 	tables  []lazyTable // by (level, shard, k), see tableSlot
 	bitmaps []lazyIndex // [level·len(shards) + shard], see index
@@ -117,14 +120,13 @@ var errBuildPanicked = fmt.Errorf("core: the dataset build panicked in an earlie
 // follows the triggering run's configuration; the built state is identical
 // either way.
 func (ds *dataState) build(tax *taxonomy.Tree, cfg Config) error {
-	H := tax.Height()
-	ds.sup1 = make([]map[itemset.ID]int64, H+1)
+	H, n := tax.Height(), tax.Dict().Len()
 	ds.widths = make([]int, H+1)
 	srcs := ds.shards
 	ds.bitmaps = make([]lazyIndex, (H+1)*len(srcs))
 	ds.tables = make([]lazyTable, (H+1)*len(srcs)*(txdb.MaxTableK-1))
 	if ds.stream {
-		return ds.streamSingleSupports(srcs, tax, H, min(cfg.workers(), len(srcs)))
+		return ds.streamSingleSupports(srcs, tax, H, n, min(cfg.workers(), len(srcs)))
 	}
 	// One build unit per (shard, level) of an in-memory shard, the units
 	// spread over the run's workers. The merged per-item supports and
@@ -135,22 +137,43 @@ func (ds *dataState) build(tax *taxonomy.Tree, cfg Config) error {
 		return err
 	}
 	ds.levels = levels
+	ds.sup1 = make([][]int64, H+1)
 	for h := 1; h <= H; h++ {
-		if len(srcs) == 1 {
-			ds.sup1[h] = ds.levels[0][h].Support
-			ds.widths[h] = ds.levels[0][h].MaxWidth
-			continue
-		}
-		sup := make(map[itemset.ID]int64)
+		sup := make([]int64, n)
 		for _, levels := range ds.levels {
 			ds.widths[h] = max(ds.widths[h], levels[h].MaxWidth)
-			for id, n := range levels[h].Support {
-				sup[id] += n
+			for id, c := range levels[h].Support {
+				sup[id] += c
 			}
 		}
 		ds.sup1[h] = sup
 	}
+	ds.orderItems()
 	return nil
+}
+
+// orderItems sorts each level's items by ascending (support, ID), once per
+// engine, and records each item's position in that order.
+func (ds *dataState) orderItems() {
+	ds.order = make([][]itemset.ID, len(ds.sup1))
+	ds.pos = make([][]int32, len(ds.sup1))
+	for h := 1; h < len(ds.sup1); h++ {
+		sup := ds.sup1[h]
+		var order []itemset.ID
+		for id, c := range sup {
+			if c > 0 {
+				order = append(order, itemset.ID(id))
+			}
+		}
+		slices.SortFunc(order, func(a, b itemset.ID) int {
+			return cmp.Or(cmp.Compare(sup[a], sup[b]), cmp.Compare(a, b))
+		})
+		pos := make([]int32, len(sup))
+		for i, id := range order {
+			pos[id] = int32(i)
+		}
+		ds.order[h], ds.pos[h] = order, pos
+	}
 }
 
 // initScans is the number of database passes the init of the dataset
@@ -187,22 +210,15 @@ func (e *Engine) validate(cfg *Config) ([]int64, error) {
 // the engine pool for exclusive use; everything in it is either overwritten
 // or explicitly cleared before reuse.
 type runScratch struct {
-	cells    map[int][]*cell     // retired cells by k, stores Reset and reusable
+	cells    [][]*cell           // retired cells by k, stores Reset and reusable
 	chains   []chainRec          // chain arena backing (records cleared at release)
 	sups     []int64             // finishCell single-support scratch
 	partials []partial           // per-worker counting state, reset on checkout
 	units    []unit              // the current pass's work units
 	cand     []itemset.ID        // candidate canonicalization buffer
-	bySup    []itemSup           // bind's frequent items, sorted for SIBP
+	excluded []int32             // backs miner.excluded, cleared at bind
 	tables   []*txdb.SubsetTable // the current scan pass's subset table per shard; nil scans
 	anchored anchoredScratch     // anchored search's buffers and conditional index
-}
-
-// itemSup is a frequent item with its support, the element bind sorts by
-// (support, ID) into the ascending-support order SIBP walks.
-type itemSup struct {
-	id  itemset.ID
-	sup int64
 }
 
 func (e *Engine) getScratch() *runScratch {
@@ -213,7 +229,7 @@ func (e *Engine) getScratch() *runScratch {
 		e.scratch = e.scratch[:n-1]
 		return sc
 	}
-	return &runScratch{cells: make(map[int][]*cell)}
+	return &runScratch{}
 }
 
 func (e *Engine) putScratch(sc *runScratch) {
@@ -301,7 +317,8 @@ func newCell(h, k int) *cell {
 // cell checks a pooled cell out of the scratch (store slabs retained from
 // earlier rows, runs or count units) or allocates a fresh one.
 func (sc *runScratch) cell(h, k int) *cell {
-	if list := sc.cells[k]; len(list) > 0 {
+	if k < len(sc.cells) && len(sc.cells[k]) > 0 {
+		list := sc.cells[k]
 		c := list[len(list)-1]
 		sc.cells[k] = list[:len(list)-1]
 		c.h, c.k = h, k
@@ -317,6 +334,9 @@ func (sc *runScratch) cell(h, k int) *cell {
 // the store's arenas.
 func (sc *runScratch) retire(c *cell) {
 	c.store.Reset()
+	for len(sc.cells) <= c.k {
+		sc.cells = append(sc.cells, nil)
+	}
 	sc.cells[c.k] = append(sc.cells[c.k], c)
 }
 
@@ -332,9 +352,9 @@ type chainRec struct {
 }
 
 // miner holds the state of one run: the configuration-dependent level
-// summaries (frequent items, thresholds, SIBP state), the live rows of the
-// search table, the chain arena, and the run's stats. Dataset-derived state
-// is read through m.ds; reusable arenas through m.sc.
+// summaries (thresholds, frequent-item cuts, SIBP state by item ID), the
+// live rows of the search table, the chain arena, and the run's stats.
+// Dataset-derived state is read through m.ds; reusable arenas through m.sc.
 type miner struct {
 	cfg    Config
 	tax    *taxonomy.Tree
@@ -347,7 +367,7 @@ type miner struct {
 	ds  *dataState
 	sc  *runScratch
 
-	sorted [][]itemset.ID // frequent items per level, ascending support (SIBP)
+	cut []int // ds.order[h][cut[h]:] is level h's frequent items
 
 	// bmBuilt marks levels whose bitmap indexes this run's anchored search
 	// has logically built (noteBitmaps). The engine may serve a cached
@@ -355,10 +375,12 @@ type miner struct {
 	// run reports the same stats as a cold one.
 	bmBuilt []bool
 
-	rows     []map[int]*cell       // rows[h][k]
-	excluded []map[itemset.ID]bool // SIBP-excluded items per level
-	rset     []map[itemset.ID]bool // R_h of the most recent column per level
-	rsetCol  []int                 // column the R set belongs to
+	rows [][]*cell // rows[h][k] is Q(h,k); nil until built or once freed
+
+	// SIBP (prune.go): excluded[h][id] is the column that excluded id from
+	// row h, or 0; R_h of column rsetCol[h] ends at order[h][rsetEnd[h]].
+	excluded         [][]int32
+	rsetEnd, rsetCol []int
 
 	// chains is the chain arena: one record per alive entry, linked upward
 	// by index. It is the only candidate state that outlives freeRow.
@@ -526,62 +548,53 @@ func (m *miner) bind(e *Engine) error {
 	m.chains = m.sc.chains[:0]
 
 	H := m.height
-	m.sorted = make([][]itemset.ID, H+1)
 	m.bmBuilt = make([]bool, H+1)
-	m.rows = make([]map[int]*cell, H+1)
-	m.excluded = make([]map[itemset.ID]bool, H+1)
-	m.rset = make([]map[itemset.ID]bool, H+1)
-	m.rsetCol = make([]int, H+1)
-	for h := 1; h <= H; h++ {
-		m.rows[h] = make(map[int]*cell)
-		m.excluded[h] = make(map[itemset.ID]bool)
-	}
 	m.stats.Shards = len(ds.shards)
 	m.stats.DBScans += ds.initScans(H)
 
+	// Each level's frequent items are a suffix of the engine's support
+	// order: cut it at θ_h. SIBP's exclusions start cleared.
+	n := len(ds.sup1[1])
+	m.sc.excluded = growTo(m.sc.excluded, H*n)
+	clear(m.sc.excluded)
+	m.cut, m.rsetEnd, m.rsetCol = make([]int, H+1), make([]int, H+1), make([]int, H+1)
+	m.excluded = make([][]int32, H+1)
 	for h := 1; h <= H; h++ {
-		bySup := m.sc.bySup[:0]
-		for id, sup := range ds.sup1[h] {
-			if sup >= m.minSup[h] {
-				bySup = append(bySup, itemSup{id, sup})
-			}
-		}
-		slices.SortFunc(bySup, func(a, b itemSup) int {
-			if c := cmp.Compare(a.sup, b.sup); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.id, b.id)
-		})
-		items := make([]itemset.ID, len(bySup))
-		for i, is := range bySup {
-			items[i] = is.id
-		}
-		m.sorted[h] = items
-		m.sc.bySup = bySup
+		order, sup := ds.order[h], ds.sup1[h]
+		m.cut[h] = sort.Search(len(order), func(i int) bool { return sup[order[i]] >= m.minSup[h] })
+		m.excluded[h] = m.sc.excluded[(h-1)*n : h*n]
 	}
 
 	// Column bound K: itemsets wider than any transaction at a level cannot
 	// be frequent there; flipping chains need every level, so the minimum
 	// width over the levels bounds the whole table. The level-1 fanout and
-	// MaxK bound it further.
-	K := ds.widths[1]
+	// MaxK bound it further (colBound).
+	K := m.colBound(1)
 	for h := 2; h <= H; h++ {
-		if ds.widths[h] < K {
-			K = ds.widths[h]
-		}
-	}
-	if f := len(m.sorted[1]); f < K {
-		K = f
-	}
-	if m.cfg.MaxK > 0 && m.cfg.MaxK < K {
-		K = m.cfg.MaxK
+		K = min(K, ds.widths[h])
 	}
 	m.maxK = K
+
+	// Flipper runs every row to K; BASIC runs each level to its own bound.
+	m.rows = make([][]*cell, H+1)
+	for h := 1; h <= H; h++ {
+		m.rows[h] = make([]*cell, max(K, m.colBound(h))+1)
+	}
 
 	m.stats.Transactions = m.n
 	m.stats.Height = H
 	m.stats.MaxK = K
 	return nil
+}
+
+// colBound is the widest itemset that can be frequent at level h: no wider
+// than the level's widest row, its count of frequent items, or MaxK.
+func (m *miner) colBound(h int) int {
+	k := min(m.ds.widths[h], len(m.ds.order[h])-m.cut[h])
+	if m.cfg.MaxK > 0 {
+		k = min(k, m.cfg.MaxK)
+	}
+	return k
 }
 
 // frequent reports whether item id is frequent at level h. An ID the level
@@ -596,10 +609,7 @@ func (m *miner) frequent(h int, id itemset.ID) bool {
 // so the arenas are free for the next run the moment mining ends.
 func (m *miner) release() {
 	for h := range m.rows {
-		for _, c := range m.rows[h] {
-			m.sc.retire(c)
-		}
-		m.rows[h] = nil
+		m.freeRow(h)
 	}
 	sc := m.sc
 	sc.chains = m.chains
@@ -786,24 +796,22 @@ func (m *miner) label(items itemset.Set, sup int64, h int) (float64, Label) {
 // This is the paper's memory story for Figure 9(b): only alive chain links
 // outlive their row.
 func (m *miner) freeRow(h int) {
-	if h < 1 || m.rows[h] == nil {
-		return
+	for k, c := range m.rows[h] {
+		if c != nil {
+			m.stats.dropResident(c.frequent, c.k)
+			m.sc.retire(c)
+			m.rows[h][k] = nil
+		}
 	}
-	for _, c := range m.rows[h] {
-		m.stats.dropResident(c.frequent, c.k)
-		m.sc.retire(c)
-	}
-	m.rows[h] = nil
 }
 
 // collect assembles patterns from alive entries of the leaf row.
 func (m *miner) collect() []Pattern {
 	var out []Pattern
-	leafRow := m.rows[m.height]
-	if leafRow == nil {
-		return nil
-	}
-	for _, c := range leafRow {
+	for _, c := range m.rows[m.height] {
+		if c == nil {
+			continue
+		}
 		for i := range c.meta {
 			if !c.meta[i].alive {
 				continue

@@ -21,7 +21,9 @@ import (
 // enumeration and post-filtering. Flipping-gated generation is complete
 // because every generalization of a flipping pattern is chain-alive (see
 // miner.childCell); TPG and SIBP as specified in the paper are validated
-// here empirically.
+// here empirically, and they are not sound everywhere: when vertical gating
+// leaves a cell empty, both can drop a pattern BASIC finds (a FOUND line in
+// CHANGES.md; FuzzAnchoredTopK's seeds over roots c0–c2 hold the input).
 
 // randomDataset builds a random balanced taxonomy and a transaction mix with
 // strong intra-branch correlations so that labeled itemsets (and therefore

@@ -105,7 +105,7 @@ func (m *miner) countRemote(c *cell) {
 
 // CountShard counts one unit over the engine's copy of the unit's shard,
 // with the kernel a local pass runs. Errors wrapping ErrBadUnit reject the
-// unit itself, before any counting: a level, shard or candidate out of
+// unit itself, before any counting: a level, shard, k or candidate out of
 // shape. The candidate store and the counting state come out of the
 // engine's scratch pool, which Mine shares, and go back to it reset; the
 // tally's supports are a copy, so no later call changes them. A unit that
@@ -122,8 +122,12 @@ func (e *Engine) CountShard(ctx context.Context, u ShardUnit) (ShardTally, error
 	if err != nil {
 		return ShardTally{}, err
 	}
-	if u.Shard < 0 || u.Shard >= len(ds.shards) {
+	switch {
+	case u.Shard < 0 || u.Shard >= len(ds.shards):
 		return badUnit("shard %d out of [0, %d)", u.Shard, len(ds.shards))
+	case u.K > ds.widths[u.Level]:
+		// No mine sends one, and its k would size the scratch's cell pool.
+		return badUnit("k = %d over level %d's widest row of %d items", u.K, u.Level, ds.widths[u.Level])
 	}
 	sc := e.getScratch()
 	defer e.putScratch(sc)

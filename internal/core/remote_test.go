@@ -206,6 +206,7 @@ func TestCountShardValidation(t *testing.T) {
 		{"out-of-range shard", func(u *ShardUnit) { u.Shard = 1 }},
 		{"negative shard", func(u *ShardUnit) { u.Shard = -1 }},
 		{"k = 0", func(u *ShardUnit) { u.K = 0 }},
+		{"k over the level's widest row", func(u *ShardUnit) { u.K = 1 << 30; u.Candidates = nil }},
 		{"non-canonical candidate", func(u *ShardUnit) { u.Candidates = []itemset.Set{{b, a}} }},
 		{"duplicate candidate", func(u *ShardUnit) { u.Candidates = []itemset.Set{{a, b}, {a, b}} }},
 		{"mixed-size candidates", func(u *ShardUnit) { u.Candidates = []itemset.Set{{a, b}, {a}} }},
